@@ -398,3 +398,36 @@ func BenchmarkEventArena(b *testing.B) {
 		b.Fatalf("fired %d events, want %d", cnt.Value(), b.N)
 	}
 }
+
+// BenchmarkProcessHandoff measures one process resume: two processes
+// ping-pong through a pair of signals, so every op is a wake-up event plus
+// the engine -> process -> engine switch pair — what each Sleep, Wait and
+// MPI test of a rank driver costs the host. Zero allocs per resume.
+func BenchmarkProcessHandoff(b *testing.B) {
+	e := sim.NewEngine()
+	var ping, pong sim.Signal
+	ping.Init(e, "ping")
+	pong.Init(e, "pong")
+	rallies := (b.N + 1) / 2
+	resumes := 0
+	player := func(mine, theirs *sim.Signal, name string) {
+		e.Spawn(name, func(p *sim.Process) {
+			for i := 0; i < rallies; i++ {
+				mine.Wait(p)
+				mine.Init(e, name)
+				resumes++
+				theirs.Fire()
+			}
+		})
+	}
+	player(&ping, &pong, "ping")
+	player(&pong, &ping, "pong")
+	ping.Fire()
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	if resumes != 2*rallies {
+		b.Fatalf("%d resumes, want %d", resumes, 2*rallies)
+	}
+}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"sunuintah/internal/faults"
@@ -42,7 +44,9 @@ func shardRun(t *testing.T, cfg Config, nSteps int) ([]byte, []float64) {
 // TestShardedBitIdentical is the tentpole determinism guarantee: for every
 // shard count the parallel engine produces byte-identical results — the
 // Result JSON (timings, counters, stats) and, in functional mode, every
-// field value — to the serial engine.
+// field value — to the serial engine. It runs at 1, 2 and 8 threads so the
+// shard counts meet both window dispatches (inline when GOMAXPROCS < shards,
+// workers otherwise) on any host.
 func TestShardedBitIdentical(t *testing.T) {
 	cells := grid.IV(16, 16, 16)
 	patches := grid.IV(2, 2, 2)
@@ -92,26 +96,31 @@ func TestShardedBitIdentical(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			refJSON, refField := shardRun(t, tc.cfg, nSteps)
-			// shards=8 on the 8-CG cases puts exactly one rank in every
-			// shard — the single-rank-shard edge of the latency matrix
-			// (every pair crosses shards, none shares an engine).
-			for _, shards := range []int{1, 2, 4, 8} {
-				cfg := tc.cfg
-				cfg.Shards = shards
-				gotJSON, gotField := shardRun(t, cfg, nSteps)
-				if string(gotJSON) != string(refJSON) {
-					t.Fatalf("shards=%d: result JSON differs from serial engine\nserial:  %s\nsharded: %s",
-						shards, refJSON, gotJSON)
-				}
-				if len(gotField) != len(refField) {
-					t.Fatalf("shards=%d: field length %d != %d", shards, len(gotField), len(refField))
-				}
-				for i := range gotField {
-					if gotField[i] != refField[i] {
-						t.Fatalf("shards=%d: field[%d] = %g != %g (must be bit-identical)",
-							shards, i, gotField[i], refField[i])
+			for _, procs := range []int{1, 2, 8} {
+				t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					// shards=8 on the 8-CG cases puts exactly one rank in
+					// every shard — the single-rank-shard edge of the latency
+					// matrix (every pair crosses shards, none shares an engine).
+					for _, shards := range []int{1, 2, 4, 8} {
+						cfg := tc.cfg
+						cfg.Shards = shards
+						gotJSON, gotField := shardRun(t, cfg, nSteps)
+						if string(gotJSON) != string(refJSON) {
+							t.Fatalf("shards=%d: result JSON differs from serial engine\nserial:  %s\nsharded: %s",
+								shards, refJSON, gotJSON)
+						}
+						if len(gotField) != len(refField) {
+							t.Fatalf("shards=%d: field length %d != %d", shards, len(gotField), len(refField))
+						}
+						for i := range gotField {
+							if gotField[i] != refField[i] {
+								t.Fatalf("shards=%d: field[%d] = %g != %g (must be bit-identical)",
+									shards, i, gotField[i], refField[i])
+							}
+						}
 					}
-				}
+				})
 			}
 		})
 	}

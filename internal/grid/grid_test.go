@@ -378,3 +378,32 @@ func TestPropertyAssignZPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAssignZCountsMatchAssignZ: the arithmetic per-worker tile counts the
+// scheduler's timing-only path uses equal what AssignZ materialises, for
+// random patch sizes, tile sizes and worker counts.
+func TestAssignZCountsMatchAssignZ(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 500; i++ {
+		dim := func(max int) int { return 1 + rng.Intn(max) }
+		lo := IV(rng.Intn(9)-4, rng.Intn(9)-4, rng.Intn(9)-4)
+		patch := &Patch{Box: BoxFromSize(lo, IV(dim(40), dim(40), dim(600)))}
+		tiling, err := NewTiling(patch, IV(dim(20), dim(20), dim(12)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := dim(70)
+		counts, assign := tiling.AssignZCounts(n), tiling.AssignZ(n)
+		total := 0
+		for w := range assign {
+			if counts[w] != len(assign[w]) {
+				t.Fatalf("patch %v tiles %v, %d workers: worker %d count %d, AssignZ gave %d",
+					patch.Box, tiling.TileSize, n, w, counts[w], len(assign[w]))
+			}
+			total += counts[w]
+		}
+		if total != tiling.NumTiles() {
+			t.Fatalf("counts sum to %d of %d tiles", total, tiling.NumTiles())
+		}
+	}
+}

@@ -63,19 +63,13 @@ func (t *Tiling) Tiles() []Tile {
 // exactly the situation that makes 16x16x512 the smallest sensible patch for
 // 64 CPEs with 16x16x8 tiles (64 slabs, one per CPE).
 func (t *Tiling) AssignZ(nWorkers int) [][]Tile {
-	if nWorkers <= 0 {
-		panic("grid: AssignZ needs at least one worker")
-	}
 	out := make([][]Tile, nWorkers)
-	nz := t.Counts.Z
-	perSlab := t.Counts.X * t.Counts.Y
-	for w := 0; w < nWorkers; w++ {
-		zlo := w * nz / nWorkers
-		zhi := (w + 1) * nz / nWorkers
-		if zhi <= zlo {
+	for w, n := range t.AssignZCounts(nWorkers) {
+		if n == 0 {
 			continue
 		}
-		tiles := make([]Tile, 0, (zhi-zlo)*perSlab)
+		tiles := make([]Tile, 0, n)
+		zlo, zhi := t.slabs(w, nWorkers)
 		for tz := zlo; tz < zhi; tz++ {
 			for ty := 0; ty < t.Counts.Y; ty++ {
 				for tx := 0; tx < t.Counts.X; tx++ {
@@ -86,6 +80,27 @@ func (t *Tiling) AssignZ(nWorkers int) [][]Tile {
 		out[w] = tiles
 	}
 	return out
+}
+
+// slabs returns worker w's contiguous z-slab block [zlo, zhi).
+func (t *Tiling) slabs(w, nWorkers int) (zlo, zhi int) {
+	return w * t.Counts.Z / nWorkers, (w + 1) * t.Counts.Z / nWorkers
+}
+
+// AssignZCounts returns how many tiles AssignZ hands each worker —
+// len(AssignZ(nWorkers)[w]) for every w — without materialising a Tile:
+// all a timing-only offload of a uniform tiling needs.
+func (t *Tiling) AssignZCounts(nWorkers int) []int {
+	if nWorkers <= 0 {
+		panic("grid: AssignZ needs at least one worker")
+	}
+	counts := make([]int, nWorkers)
+	perSlab := t.Counts.X * t.Counts.Y
+	for w := range counts {
+		zlo, zhi := t.slabs(w, nWorkers)
+		counts[w] = (zhi - zlo) * perSlab
+	}
+	return counts
 }
 
 // WorkingSetBytes returns the bytes of CPE local memory a kernel needs for

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -177,6 +178,55 @@ func TestPoolPanicFailsOnlyThatJob(t *testing.T) {
 	m := p.Metrics()
 	if m.Failed != 1 || m.Done != 1 || m.Panics == 0 {
 		t.Errorf("metrics = %+v", m)
+	}
+}
+
+// TestPoolSurvivesPanickingRankBody: a panic inside a simulated rank — a
+// sim.Process body, not the exec function itself — must reach the pool's
+// recover as that job's error, on the serial engine (Shards 0) and on shard
+// workers (Shards 4 at GOMAXPROCS 4), and leave the pool serving.
+func TestPoolSurvivesPanickingRankBody(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	p, err := New(Config{
+		Workers: 2,
+		Exec: func(ctx context.Context, spec Spec) (*Result, error) {
+			engOf, run := func(int) *sim.Engine { return nil }, func() sim.Time { return 0 }
+			if spec.Shards > 1 {
+				ss := sim.NewShardSet(spec.Shards, sim.Microsecond)
+				engOf, run = ss.Engine, ss.Run
+			} else {
+				e := sim.NewEngine()
+				engOf, run = func(int) *sim.Engine { return e }, e.Run
+			}
+			for r := 0; r < 4; r++ {
+				engOf(r).Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Process) {
+					p.Sleep(sim.Millisecond)
+					if spec.Problem == "boom" && p.Name() == "rank3" {
+						panic("kernel exploded")
+					}
+					p.Sleep(sim.Millisecond)
+				})
+			}
+			return fakeResult(float64(run())), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	for _, shards := range []int{0, 4} {
+		// Shards is not part of a spec's identity; CGs keeps the jobs distinct.
+		bad := p.Submit(Spec{Problem: "boom", CGs: 4 + shards, Variant: "v", Steps: 1, Shards: shards})
+		_, err := bad.Wait(context.Background())
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "kernel exploded" {
+			t.Fatalf("shards=%d: want the body's panic as a PanicError, got %v", shards, err)
+		}
+		good := p.Submit(Spec{Problem: "fine", CGs: 4 + shards, Variant: "v", Steps: 1, Shards: shards})
+		if _, err := good.Wait(context.Background()); err != nil {
+			t.Fatalf("shards=%d: pool stopped serving after the panic: %v", shards, err)
+		}
 	}
 }
 

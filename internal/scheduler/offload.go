@@ -131,6 +131,60 @@ func ldmWorkingSet(task *taskgraph.Task, tile grid.Tile) int64 {
 	return bytes
 }
 
+// tilePlan is what offload derives from a patch's geometry and the gang
+// width alone. It is built at the patch's first offload and reused by every
+// later one: re-deriving it per offload — materialising thousands of Tile
+// structs for a large patch just to count them — was a quarter of the
+// evaluation sweep's host time.
+type tilePlan struct {
+	// nominal is tile (0,0,0), the largest shape: the LDM feasibility check
+	// runs on it, and when uniform it is every tile's shape.
+	nominal grid.Tile
+	counts  []int // tiles per CPE under the natural z-partition
+	active  int   // CPEs with at least one tile
+	// uniform: timing-only and every tile has the nominal shape, so the
+	// analytic fast path needs counts only and assign stays nil.
+	uniform bool
+	assign  [][]grid.Tile
+}
+
+// planKey is keyed on patch identity, not ID: a regrid or rebalance
+// installs new *grid.Patch values, which can never see a stale plan.
+type planKey struct {
+	patch *grid.Patch
+	cpes  int
+}
+
+// tilePlanFor returns the cached plan of patch on an nCPE-wide gang.
+func (s *Rank) tilePlanFor(patch *grid.Patch, nCPE int) (*tilePlan, error) {
+	k := planKey{patch, nCPE}
+	if pl, ok := s.plans[k]; ok {
+		return pl, nil
+	}
+	tiling, err := grid.NewTiling(patch, s.cfg.TileSize)
+	if err != nil {
+		return nil, err
+	}
+	pl := &tilePlan{
+		nominal: tiling.Tile(grid.IV(0, 0, 0)),
+		counts:  tiling.AssignZCounts(nCPE),
+		uniform: !s.cfg.Functional && tilingUniform(patch, s.cfg.TileSize),
+	}
+	for _, n := range pl.counts {
+		if n > 0 {
+			pl.active++
+		}
+	}
+	if !pl.uniform {
+		pl.assign = tiling.AssignZ(nCPE)
+	}
+	if s.plans == nil {
+		s.plans = map[planKey]*tilePlan{}
+	}
+	s.plans[k] = pl
+	return pl, nil
+}
+
 // offload launches a kernel task on a CPE slot: the CPE tile scheduler of
 // Section V-D. The patch is subdivided into LDM-sized tiles, tiles are
 // assigned to CPEs by natural z-partition, and each CPE loops over its
@@ -139,41 +193,30 @@ func ldmWorkingSet(task *taskgraph.Task, tile grid.Tile) int64 {
 func (s *Rank) offload(p *sim.Process, step int, t, dt float64, obj *taskgraph.Object, sl *slot) error {
 	task := obj.Task
 	patch := obj.Patch
-	tiling, err := grid.NewTiling(patch, s.cfg.TileSize)
+	plan, err := s.tilePlanFor(patch, sl.group.NumCPEs())
 	if err != nil {
 		return err
 	}
 	// LDM feasibility on the nominal (largest) tile shape.
-	nominal := grid.Tile{Box: grid.BoxFromSize(patch.Box.Lo, s.cfg.TileSize.Min(patch.Box.Size()))}
-	if ws := ldmWorkingSet(task, nominal); ws > s.params.LDMBytes {
+	if ws := ldmWorkingSet(task, plan.nominal); ws > s.params.LDMBytes {
 		return fmt.Errorf("scheduler: task %q tile %v needs %d B of LDM, only %d available",
 			task.Name, s.cfg.TileSize, ws, s.params.LDMBytes)
-	}
-
-	assign := tiling.AssignZ(sl.group.NumCPEs())
-	active := 0
-	for _, tiles := range assign {
-		if len(tiles) > 0 {
-			active++
-		}
 	}
 	ins, outs := s.gatherIO(obj)
 	spec := s.kernelSpec(task)
 
 	// Uniform tilings in timing-only mode take the analytic fast path.
-	uniform := !s.cfg.Functional && tilingUniform(patch, s.cfg.TileSize)
 	var getBytes, putBytes, cellsPerTile int64
-	if uniform {
-		tile := tiling.Tile(grid.IV(0, 0, 0))
-		cellsPerTile = tile.Box.NumCells()
+	if plan.uniform {
+		cellsPerTile = plan.nominal.Box.NumCells()
 		for _, iv := range ins {
-			getBytes += tile.Box.Grow(iv.dep.Ghost).NumCells() * 8
+			getBytes += plan.nominal.Box.Grow(iv.dep.Ghost).NumCells() * 8
 		}
 		putBytes = int64(len(outs)) * cellsPerTile * 8
 	}
 
 	s.charge(p, sim.Time(s.params.OffloadCost), &s.Stats.MPEWorkTime,
-		trace.KindMPEWork, step, "offload "+task.Name)
+		trace.KindMPEWork, step, s.note("offload ", task.Name))
 
 	sl.flag.Reset()
 	var tileErr error
@@ -185,16 +228,16 @@ func (s *Rank) offload(p *sim.Process, step int, t, dt float64, obj *taskgraph.O
 	// tasks always observe completed outputs.
 	var deferred []func()
 	start := p.Now()
-	off := sl.group.Launch(spec, active, s.cfg.Functional, sl.flag, func(c *athread.CPE) {
-		tiles := assign[c.ID]
-		if len(tiles) == 0 {
+	off := sl.group.Launch(spec, plan.active, s.cfg.Functional, sl.flag, func(c *athread.CPE) {
+		n := plan.counts[c.ID]
+		if n == 0 {
 			return
 		}
-		if uniform {
-			c.RepeatTiles(len(tiles), getBytes, putBytes, cellsPerTile)
+		if plan.uniform {
+			c.RepeatTiles(n, getBytes, putBytes, cellsPerTile)
 			return
 		}
-		for _, tile := range tiles {
+		for _, tile := range plan.assign[c.ID] {
 			if tileErr != nil {
 				return
 			}
@@ -224,12 +267,10 @@ func (s *Rank) offload(p *sim.Process, step int, t, dt float64, obj *taskgraph.O
 	}
 	s.patchCost[patch.ID] += dur
 	s.Stats.Offloads++
-	name := task.Name
-	if patch != nil {
-		name = fmt.Sprintf("%s p%d", task.Name, patch.ID)
+	if s.cfg.Trace != nil {
+		s.cfg.Trace.Add(trace.Event{Rank: s.mpi.RankID(), Step: step, Kind: trace.KindKernel,
+			Name: fmt.Sprintf("%s p%d", task.Name, patch.ID), Start: start, End: start + dur})
 	}
-	s.cfg.Trace.Add(trace.Event{Rank: s.mpi.RankID(), Step: step,
-		Kind: trace.KindKernel, Name: name, Start: start, End: start + dur})
 	return nil
 }
 

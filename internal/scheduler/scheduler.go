@@ -210,6 +210,8 @@ type Rank struct {
 
 	// slots are the offload lanes (one per CPE group).
 	slots []*slot
+	// plans caches each patch's tile plan from its first offload on.
+	plans map[planKey]*tilePlan
 	// prepared queues objects whose MPE part was processed ahead of time
 	// while the CPEs were busy (asynchronous mode's work-ahead).
 	prepared []*taskgraph.Object

@@ -5,9 +5,10 @@
 // virtual clock.
 //
 // The engine is strictly cooperative. At any instant exactly one process
-// goroutine is running; all others are parked waiting for the engine to hand
-// control back. Events that fire at the same virtual time are executed in
-// the order they were scheduled, so a simulation is reproducible run to run.
+// coroutine is running; all others are parked waiting for the engine to
+// switch back to them. Events that fire at the same virtual time are
+// executed in the order they were scheduled, so a simulation is
+// reproducible run to run.
 package sim
 
 import (
@@ -374,6 +375,14 @@ func (e *Engine) Run() Time {
 // called, or the next event would fire strictly after the deadline. Events
 // exactly at the deadline are executed.
 func (e *Engine) RunUntil(deadline Time) Time {
+	// A panic leaving the loop — a process body's, re-raised by its resume,
+	// or the deadlock report below — ends the run as surely as Stop does.
+	defer func() {
+		if r := recover(); r != nil {
+			e.releaseProcesses()
+			panic(r)
+		}
+	}()
 	for !e.stopped && e.queue.Len() > 0 {
 		next := e.queue.evs[0]
 		if next.at > deadline {
@@ -398,6 +407,9 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		// (A shard engine legitimately idles here waiting for cross-shard
 		// mail; its ShardSet owns the global deadlock check.)
 		panic("sim: deadlock: " + e.blockedRoster())
+	}
+	if e.stopped {
+		e.releaseProcesses()
 	}
 	return e.now
 }
@@ -479,8 +491,8 @@ func (e *Engine) NextEventTime() Time {
 // coalesced-polling gate).
 func (e *Engine) EventsExecuted() uint64 { return e.executed }
 
-// Stop halts the run loop after the current event completes. Parked process
-// goroutines are abandoned (the engine is single-use after Stop).
+// Stop halts the run loop after the current event completes; the run then
+// unwinds every parked process (the engine is single-use after Stop).
 func (e *Engine) Stop() { e.stopped = true }
 
 // Stopped reports whether Stop has been called.
@@ -488,8 +500,8 @@ func (e *Engine) Stopped() bool { return e.stopped }
 
 // Interrupt stops the run loop like Stop, additionally recording a reason —
 // used by the fault plane to model a hard failure (e.g. a core-group crash)
-// that tears the whole simulation down mid-run. Parked process goroutines
-// are abandoned, exactly as with Stop. Only the first reason is kept.
+// that tears the whole simulation down mid-run. Parked processes are
+// unwound, exactly as with Stop. Only the first reason is kept.
 func (e *Engine) Interrupt(reason string) {
 	if e.interrupted == "" {
 		e.interrupted = reason

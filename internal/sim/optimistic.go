@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // StateSaver snapshots and restores one piece of per-shard model state.
 // An optimistic shard's registered savers are saved together with the
@@ -264,27 +260,8 @@ func (o *OptimisticShardSet) runTimeWarp() Time {
 		o.shards[i].snaps[0].anchor = true
 	}
 
-	n := len(o.engines)
-	inline := runtime.GOMAXPROCS(0) == 1
-	var work []chan Time
-	var wg sync.WaitGroup
-	if n > 1 && !inline {
-		work = make([]chan Time, n)
-		for i := range work {
-			work[i] = make(chan Time, 1)
-			go func(e *Engine, ch chan Time) {
-				for end := range ch {
-					e.RunWindow(end)
-					wg.Done()
-				}
-			}(o.engines[i], work[i])
-		}
-		defer func() {
-			for _, ch := range work {
-				close(ch)
-			}
-		}()
-	}
+	wr := newWindowRunner(o.engines)
+	defer wr.close()
 
 	for {
 		o.collectMail()
@@ -369,23 +346,7 @@ func (o *OptimisticShardSet) runTimeWarp() Time {
 			o.observeOptWindow(runnable)
 		}
 
-		if runnable == 1 {
-			o.engines[last].RunWindow(o.ends[last])
-		} else if inline {
-			for i := range o.engines {
-				if o.next[i] < o.ends[i] {
-					o.engines[i].RunWindow(o.ends[i])
-				}
-			}
-		} else {
-			wg.Add(runnable)
-			for i := range o.engines {
-				if o.next[i] < o.ends[i] {
-					work[i] <- o.ends[i]
-				}
-			}
-			wg.Wait()
-		}
+		wr.run(o.next, o.ends, runnable, last)
 
 		for i := range o.engines {
 			sh := &o.shards[i]

@@ -2,9 +2,11 @@ package sim
 
 import "fmt"
 
-// Process is a simulated thread of control. A process runs on its own
-// goroutine but never concurrently with the engine or another process: it
-// executes until it blocks (Sleep, Wait, ...) and then hands control back.
+// Process is a simulated thread of control. A process is a coroutine of
+// the engine: it has its own stack but never runs concurrently with the
+// engine or another process — it executes until it blocks (Sleep, Wait,
+// ...) and then switches straight back to whoever resumed it, on the same
+// thread, without a trip through the Go scheduler (coroutine.go).
 //
 // All Process methods must be called from the process's own body function.
 type Process struct {
@@ -12,8 +14,9 @@ type Process struct {
 	name string
 	pid  int
 
-	resume chan struct{} // engine -> process: run
-	parked chan struct{} // process -> engine: I have blocked or finished
+	next func() (struct{}, bool) // engine -> process: run until it parks or returns
+	park func(struct{}) bool     // process -> engine: I have blocked; false = unwind
+	stop func()                  // engine -> process: unwind now (no-op once returned)
 
 	finished  bool
 	blockedOn string // diagnostics: what the process is waiting for
@@ -32,48 +35,35 @@ func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
 		panic("sim: cannot spawn a process on a speculating optimistic shard: " +
 			"process stacks cannot roll back (spawn before Run, or run with MaxDepth 0)")
 	}
-	p := &Process{
-		eng:    e,
-		name:   name,
-		pid:    e.nextPID,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
-	}
+	p := &Process{eng: e, name: name, pid: e.nextPID}
 	p.doneSig = NewSignal(e, name+".done")
 	e.nextPID++
 	e.procs = append(e.procs, p)
 	e.active++
-
-	go func() {
-		<-p.resume // wait for first activation
-		body(p)
-		p.finished = true
-		e.active--
-		p.doneSig.Fire()
-		p.parked <- struct{}{}
-	}()
-
+	p.start(body)
 	e.CallAfter(0, p)
 	return p
 }
 
-// run transfers control to the process goroutine and waits for it to park.
+// run switches to the process and returns when it parks or its body
+// returns; a panic in the body surfaces here, in the engine's goroutine.
 // It is always invoked from an engine event callback, so the strict
 // one-runner-at-a-time invariant holds.
 func (p *Process) run() {
 	if p.finished {
 		panic(fmt.Sprintf("sim: resuming finished process %s", p.name))
 	}
-	p.resume <- struct{}{}
-	<-p.parked
+	p.next()
 }
 
 // yield parks the process and returns control to the engine. The process
-// resumes when some event calls run() again.
+// resumes when some event calls run() again — or, if the engine was torn
+// down meanwhile, unwinds (see releaseProcesses).
 func (p *Process) yield(why string) {
 	p.blockedOn = why
-	p.parked <- struct{}{}
-	<-p.resume
+	if !p.park(struct{}{}) {
+		panic(processReleased{})
+	}
 	p.blockedOn = ""
 }
 

@@ -354,37 +354,19 @@ func (ss *ShardSet) Flush() {
 // shard i may run to min over other shards j of (next_j + lat[j][i]), so
 // a shard only throttles on neighbours that can reach it, and a shard
 // that is alone in a stretch of virtual time crosses it in one window —
-// and executes the eligible shards concurrently. The workers are
-// persistent for the duration of Run and park on their work channel
-// between windows, so a window costs two channel operations per shard
-// rather than a goroutine spawn.
+// and executes the eligible shards (see windowRunner).
 func (ss *ShardSet) Run() Time {
-	n := len(ss.engines)
-	// With a single OS-schedulable thread, fanning a window out to worker
-	// goroutines only buys context switches: run every window's shards
-	// inline instead. Results are identical either way — shards within a
-	// window are independent by construction — so parallel dispatch is
-	// purely a wall-clock choice.
-	inline := runtime.GOMAXPROCS(0) == 1
-	var work []chan Time
-	var wg sync.WaitGroup
-	if n > 1 && !inline {
-		work = make([]chan Time, n)
-		for i := range work {
-			work[i] = make(chan Time, 1)
-			go func(e *Engine, ch chan Time) {
-				for end := range ch {
-					e.RunWindow(end)
-					wg.Done()
-				}
-			}(ss.engines[i], work[i])
+	wr := newWindowRunner(ss.engines)
+	defer wr.close()
+	// A panic leaving the loop — a process body's, on whichever goroutine
+	// ran its shard, or the deadlock report — ends the run as surely as a
+	// stop does.
+	defer func() {
+		if r := recover(); r != nil {
+			ss.releaseProcesses()
+			panic(r)
 		}
-		defer func() {
-			for _, ch := range work {
-				close(ch)
-			}
-		}()
-	}
+	}()
 	for {
 		ss.Flush()
 
@@ -403,6 +385,7 @@ func (ss *ShardSet) Run() Time {
 				}
 				e.stopped = true
 			}
+			ss.releaseProcesses()
 			return ss.Now()
 		}
 
@@ -456,26 +439,101 @@ func (ss *ShardSet) Run() Time {
 		if ss.winObs != nil {
 			ss.observeWindow(runnable)
 		}
-		if runnable == 1 {
-			// Lone-runner fast path: no other shard can be affected before
-			// this shard's window end, so run it inline on this goroutine.
-			ss.engines[last].RunWindow(ss.ends[last])
-			continue
-		}
-		if inline {
-			for i := range ss.engines {
-				if ss.next[i] < ss.ends[i] {
-					ss.engines[i].RunWindow(ss.ends[i])
-				}
+		wr.run(ss.next, ss.ends, runnable, last)
+	}
+}
+
+// releaseProcesses unwinds the parked processes of every shard.
+func (ss *ShardSet) releaseProcesses() {
+	for _, e := range ss.engines {
+		e.releaseProcesses()
+	}
+}
+
+// windowRunner executes the runnable shards of one barrier-to-barrier
+// window for the conservative and the Time-Warp coordinator alike. Results
+// are identical however it dispatches — shards within a window are
+// independent by construction — so the choice is purely wall-clock: with
+// at least one schedulable thread per shard, persistent workers (one per
+// shard, parked on a channel between windows: two channel operations per
+// shard-window rather than a goroutine spawn) run the shards in parallel;
+// with fewer, every window runs inline on the coordinator. On the 128-rank
+// halo case a step is ~1500 barriers of ~2.4 runnable shards and ~7
+// events (~3 us) each, so waking a worker costs more than the window it
+// would run, and threads that must time-share shards only add that cost
+// (DESIGN.md §7, "Window dispatch").
+type windowRunner struct {
+	engines []*Engine
+	work    []chan Time // nil: inline
+	wg      sync.WaitGroup
+	// panicked[i] is the value shard i's worker recovered this window.
+	panicked []any
+}
+
+func newWindowRunner(engines []*Engine) *windowRunner {
+	w := &windowRunner{engines: engines}
+	n := len(engines)
+	if n == 1 || runtime.GOMAXPROCS(0) < n {
+		return w
+	}
+	w.work = make([]chan Time, n)
+	w.panicked = make([]any, n)
+	for i := range w.work {
+		w.work[i] = make(chan Time, 1)
+		go func(i int) {
+			for end := range w.work[i] {
+				w.runShard(i, end)
 			}
-			continue
-		}
-		wg.Add(runnable)
-		for i := range ss.engines {
-			if ss.next[i] < ss.ends[i] {
-				work[i] <- ss.ends[i]
+		}(i)
+	}
+	return w
+}
+
+// runShard is one worker's window. A panic out of it (a process body's,
+// re-raised by its resume) is handed to the coordinator instead of killing
+// the program from a goroutine no caller can recover on.
+func (w *windowRunner) runShard(i int, end Time) {
+	defer func() {
+		w.panicked[i] = recover()
+		w.wg.Done()
+	}()
+	w.engines[i].RunWindow(end)
+}
+
+// run executes every shard i with next[i] < ends[i]; runnable counts them
+// and last is the highest such i.
+func (w *windowRunner) run(next, ends []Time, runnable, last int) {
+	if runnable == 1 {
+		// Lone-runner fast path: no other shard can be affected before
+		// this shard's window end, so run it on this goroutine.
+		w.engines[last].RunWindow(ends[last])
+		return
+	}
+	if w.work == nil {
+		for i, e := range w.engines {
+			if next[i] < ends[i] {
+				e.RunWindow(ends[i])
 			}
 		}
-		wg.Wait()
+		return
+	}
+	w.wg.Add(runnable)
+	for i := range w.engines {
+		if next[i] < ends[i] {
+			w.work[i] <- ends[i]
+		}
+	}
+	w.wg.Wait()
+	for _, r := range w.panicked {
+		if r != nil {
+			panic(r) // the lowest shard's, so the choice is deterministic
+		}
+	}
+}
+
+// close releases the workers.
+func (w *windowRunner) close() {
+	for _, ch := range w.work {
+		close(ch)
 	}
 }
