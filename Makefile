@@ -32,9 +32,12 @@ examples:
 # exercises real simulations on concurrent workers), the fault plane and
 # the core recovery/sharding paths, and the experiments package's fast
 # tests. The full-sweep experiments tests are minutes-long under the
-# race detector, hence -short there.
+# race detector, hence -short there. field, athread and scheduler are in
+# because the tile worker pool computes on windows of the warehouse
+# fields: its goroutines write main-memory storage directly.
 race:
 	$(GO) test -race -count=1 ./internal/sim/... ./internal/mpisim/...
+	$(GO) test -race -count=1 ./internal/field/... ./internal/athread/... ./internal/scheduler/...
 	$(GO) test -race -count=1 ./internal/runner/...
 	$(GO) test -race -count=1 ./internal/faults/...
 	$(GO) test -race -count=1 ./internal/trace/... ./internal/obs/...

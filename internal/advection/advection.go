@@ -104,7 +104,7 @@ func (v Velocity) NewAdvanceTask(q *taskgraph.Label) *taskgraph.Task {
 			FlopsPerCell: FlopsPerCell,
 			Weight:       KernelWeight,
 			Compute: func(tc *taskgraph.TileContext) {
-				v.advance(tc.In[q].Data, tc.Out[q].Data, tc.Tile.Box, tc.Level, tc.Dt)
+				v.advance(tc.In.Get(q), tc.Out.Get(q), tc.Tile.Box, tc.Level, tc.Dt)
 			},
 		},
 	}

@@ -63,6 +63,9 @@ type Group struct {
 	cg   *sw26010.CoreGroup
 	cpes int
 	busy bool
+	// slab holds the current offload's LDM buffer records. Launch rewinds
+	// it, so a steady-state offload allocates none.
+	slab []LDMBuf
 }
 
 // NewGroup initialises the athread environment across all of a core
@@ -96,12 +99,11 @@ type CPE struct {
 	// ID is the CPE index within the cluster (0..63).
 	ID int
 
-	group      *Group
-	spec       KernelSpec
-	active     int // CPEs sharing the memory controller, for DMA contention
-	functional bool
-	elapsed    sim.Time
-	ldmUsed    int64
+	group   *Group
+	spec    KernelSpec
+	active  int // CPEs sharing the memory controller, for DMA contention
+	elapsed sim.Time
+	ldmUsed int64
 
 	// Double-buffering state (spec.OverlapDMA).
 	firstTile   bool
@@ -109,11 +111,18 @@ type CPE struct {
 	tileCompute sim.Time
 }
 
-// LDMBuf is a region of a main-memory field staged into the CPE's local
-// data memory. Data is nil in timing-only runs.
+// LDMBuf is a region of a main-memory field held in the CPE's local data
+// memory. What it costs on the machine — the LDM reservation and the DMA
+// transfers of Get and Put — is accounted in full; the emulation itself
+// moves no data: Data is a window onto the main-memory field, bounded to
+// Region, so a kernel sees exactly the cells a staged copy would hold and
+// its writes land where Put would have copied them. Data is nil in
+// timing-only runs. A buffer, and the window it handed out, stay valid
+// until the group's next Launch.
 type LDMBuf struct {
 	Region grid.Box
 	Data   *field.Cell
+	win    field.Cell
 	bytes  int64
 }
 
@@ -124,36 +133,26 @@ func (c *CPE) Elapsed() sim.Time { return c.elapsed }
 // LDMUsed returns the bytes of LDM currently allocated.
 func (c *CPE) LDMUsed() int64 { return c.ldmUsed }
 
-// Get stages region of src into a fresh LDM buffer via a synchronous DMA
-// read. src may be nil in timing-only mode. It returns an error when the
-// buffer does not fit in the remaining LDM.
+// Get reserves an LDM buffer for region and charges the synchronous DMA
+// read that fills it from src. src may be nil in timing-only mode. It
+// returns an error when the buffer does not fit in the remaining LDM.
 func (c *CPE) Get(region grid.Box, src *field.Cell) (*LDMBuf, error) {
-	buf, err := c.alloc(region)
+	buf, err := c.alloc(region, src)
 	if err != nil {
 		return nil, err
 	}
 	c.chargeDMA(buf.bytes)
-	if src != nil {
-		buf.Data = field.NewCellPooled(region)
-		buf.Data.CopyRegion(src, region)
-	}
 	return buf, nil
 }
 
-// NewBuf allocates an uninitialised LDM buffer for region (the kernel's
-// output tile) without a DMA read.
-func (c *CPE) NewBuf(region grid.Box) (*LDMBuf, error) {
-	buf, err := c.alloc(region)
-	if err != nil {
-		return nil, err
-	}
-	if c.functional {
-		buf.Data = field.NewCellPooled(region)
-	}
-	return buf, nil
+// NewBuf reserves an LDM buffer for region — the kernel's output tile,
+// which Put later writes to dst — without a DMA read. dst may be nil in
+// timing-only mode.
+func (c *CPE) NewBuf(region grid.Box, dst *field.Cell) (*LDMBuf, error) {
+	return c.alloc(region, dst)
 }
 
-func (c *CPE) alloc(region grid.Box) (*LDMBuf, error) {
+func (c *CPE) alloc(region grid.Box, f *field.Cell) (*LDMBuf, error) {
 	if region.Empty() {
 		return nil, fmt.Errorf("athread: empty LDM region %v", region)
 	}
@@ -163,46 +162,39 @@ func (c *CPE) alloc(region grid.Box) (*LDMBuf, error) {
 			c.ID, c.ldmUsed, bytes, c.group.cg.Params.LDMBytes)
 	}
 	c.ldmUsed += bytes
-	return &LDMBuf{Region: region, bytes: bytes}, nil
-}
-
-// Put writes buf back to dst via a synchronous DMA write. dst may be nil in
-// timing-only mode.
-func (c *CPE) Put(dst *field.Cell, buf *LDMBuf) {
-	c.chargeDMA(buf.bytes)
-	if dst != nil && buf.Data != nil {
-		dst.CopyRegion(buf.Data, buf.Region)
+	buf := c.group.newBuf()
+	*buf = LDMBuf{Region: region, bytes: bytes}
+	if f != nil {
+		buf.win = f.Window(region)
+		buf.Data = &buf.win
 	}
+	return buf, nil
 }
 
-// Release frees the buffer's LDM and recycles any staged data back to
-// the field pool.
+// newBuf returns the next record of the offload's slab. A full slab is
+// replaced, not grown in place: records already handed out keep pointing
+// into the old one.
+func (g *Group) newBuf() *LDMBuf {
+	if len(g.slab) == cap(g.slab) {
+		g.slab = make([]LDMBuf, 0, max(64, 2*cap(g.slab)))
+	}
+	g.slab = g.slab[:len(g.slab)+1]
+	return &g.slab[len(g.slab)-1]
+}
+
+// Put charges the synchronous DMA write of buf back to main memory.
+func (c *CPE) Put(buf *LDMBuf) {
+	c.chargeDMA(buf.bytes)
+}
+
+// Release frees the buffer's LDM. A window taken from buf.Data beforehand
+// stays usable (see LDMBuf).
 func (c *CPE) Release(buf *LDMBuf) {
 	c.ldmUsed -= buf.bytes
 	if c.ldmUsed < 0 {
 		panic("athread: LDM accounting underflow")
 	}
-	buf.Data.Recycle()
 	buf.Data = nil
-}
-
-// PutAccounted charges the DMA write of buf exactly like Put without
-// copying data: the functional copy is deferred (the scheduler runs the
-// numeric bodies of independent tiles on a worker pool after the launch
-// accounting completes). The virtual-time and counter effects are
-// identical to Put.
-func (c *CPE) PutAccounted(buf *LDMBuf) {
-	c.chargeDMA(buf.bytes)
-}
-
-// ReleaseKeep frees the buffer's LDM accounting like Release but keeps
-// its staged data alive for a deferred numeric body; the deferred op
-// recycles the data when it finishes.
-func (c *CPE) ReleaseKeep(buf *LDMBuf) {
-	c.ldmUsed -= buf.bytes
-	if c.ldmUsed < 0 {
-		panic("athread: LDM accounting underflow")
-	}
 }
 
 // Compute charges the kernel's per-cell compute cost for cells cells and
@@ -283,8 +275,6 @@ func (c *CPE) chargeDMA(bytes int64) {
 // the accounted times are parallel). activeCPEs is the number of CPEs that
 // will issue DMA (for memory-controller contention); pass the number of
 // CPEs with nonempty tile assignments, or the full cluster size.
-// functional selects whether LDM buffers carry real data (NewBuf allocates
-// storage) or are timing-only.
 //
 // On return, every CPE's work is accounted; flag receives one faaw
 // increment per CPE at that CPE's virtual finish time. Spawn itself
@@ -295,8 +285,8 @@ func (c *CPE) chargeDMA(bytes int64) {
 // Under fault injection a stalled gang never completes; Spawn then returns
 // sim.Infinity. Callers that need to recover from stalls should use Launch
 // and the returned Offload handle instead.
-func (g *Group) Spawn(spec KernelSpec, activeCPEs int, functional bool, flag *sim.Counter, body func(c *CPE)) sim.Time {
-	return g.Launch(spec, activeCPEs, functional, flag, body).Done
+func (g *Group) Spawn(spec KernelSpec, activeCPEs int, flag *sim.Counter, body func(c *CPE)) sim.Time {
+	return g.Launch(spec, activeCPEs, flag, body).Done
 }
 
 // Offload is the handle of one in-flight Spawn/Launch: its (virtual)
@@ -341,11 +331,12 @@ func (o *Offload) Abort() {
 // has a fault injector attached, each launch draws a fate: a straggling
 // gang runs its compute a constant factor slower, and a stalled gang hangs
 // — its last CPE never reports completion — until the caller aborts it.
-func (g *Group) Launch(spec KernelSpec, activeCPEs int, functional bool, flag *sim.Counter, body func(c *CPE)) *Offload {
+func (g *Group) Launch(spec KernelSpec, activeCPEs int, flag *sim.Counter, body func(c *CPE)) *Offload {
 	if g.busy {
 		panic("athread: overlapping offloads on one CPE cluster")
 	}
 	g.busy = true
+	g.slab = g.slab[:0]
 	p := g.cg.Params
 	if activeCPEs < 1 || activeCPEs > p.NumCPEs {
 		activeCPEs = g.cpes
@@ -370,7 +361,7 @@ func (g *Group) Launch(spec KernelSpec, activeCPEs int, functional bool, flag *s
 	// stands in for all 64 CPEs.
 	cpe := new(CPE)
 	for id := 0; id < g.cpes; id++ {
-		*cpe = CPE{ID: id, group: g, spec: spec, active: activeCPEs, functional: functional, firstTile: true}
+		*cpe = CPE{ID: id, group: g, spec: spec, active: activeCPEs, firstTile: true}
 		body(cpe)
 		if cpe.ldmUsed != 0 {
 			panic(fmt.Sprintf("athread: CPE %d leaked %d B of LDM", id, cpe.ldmUsed))

@@ -30,7 +30,7 @@ func TestSpawnRunsBodyOncePerCPE(t *testing.T) {
 	eng, g := newGroup(t)
 	flag := sim.NewCounter(eng, "flag")
 	var ids []int
-	g.Spawn(testSpec, 64, false, flag, func(c *CPE) {
+	g.Spawn(testSpec, 64, flag, func(c *CPE) {
 		ids = append(ids, c.ID)
 		c.Compute(10)
 	})
@@ -53,7 +53,7 @@ func TestSpawnCompletionTimeMatchesSlowestCPE(t *testing.T) {
 	p := g.CoreGroup().Params
 	flag := sim.NewCounter(eng, "flag")
 	// CPE 7 computes 1000 cells; everyone else idles.
-	last := g.Spawn(testSpec, 64, false, flag, func(c *CPE) {
+	last := g.Spawn(testSpec, 64, flag, func(c *CPE) {
 		if c.ID == 7 {
 			c.Compute(1000)
 		}
@@ -71,7 +71,7 @@ func TestSpawnCompletionTimeMatchesSlowestCPE(t *testing.T) {
 func TestFlagIncrementsSpreadOverTime(t *testing.T) {
 	eng, g := newGroup(t)
 	flag := sim.NewCounter(eng, "flag")
-	g.Spawn(testSpec, 64, false, flag, func(c *CPE) {
+	g.Spawn(testSpec, 64, flag, func(c *CPE) {
 		c.Compute(int64(c.ID) * 100) // imbalanced load
 	})
 	// Midway through the run, some but not all CPEs have finished.
@@ -91,7 +91,7 @@ func TestFlagIncrementsSpreadOverTime(t *testing.T) {
 func TestOverlappingSpawnPanics(t *testing.T) {
 	eng, g := newGroup(t)
 	flag := sim.NewCounter(eng, "flag")
-	g.Spawn(testSpec, 64, false, flag, func(c *CPE) { c.Compute(1) })
+	g.Spawn(testSpec, 64, flag, func(c *CPE) { c.Compute(1) })
 	if !g.Busy() {
 		t.Fatal("group should be busy after spawn")
 	}
@@ -100,20 +100,20 @@ func TestOverlappingSpawnPanics(t *testing.T) {
 			t.Fatal("expected panic on overlapping spawn")
 		}
 	}()
-	g.Spawn(testSpec, 64, false, flag, func(c *CPE) {})
+	g.Spawn(testSpec, 64, flag, func(c *CPE) {})
 }
 
 func TestGroupBecomesIdleAfterCompletion(t *testing.T) {
 	eng, g := newGroup(t)
 	flag := sim.NewCounter(eng, "flag")
-	g.Spawn(testSpec, 64, false, flag, func(c *CPE) { c.Compute(5) })
+	g.Spawn(testSpec, 64, flag, func(c *CPE) { c.Compute(5) })
 	eng.Run()
 	if g.Busy() {
 		t.Fatal("group still busy after completion")
 	}
 	// A second offload is now legal.
 	flag2 := sim.NewCounter(eng, "flag2")
-	g.Spawn(testSpec, 64, false, flag2, func(c *CPE) {})
+	g.Spawn(testSpec, 64, flag2, func(c *CPE) {})
 	eng.Run()
 	if flag2.Value() != 64 {
 		t.Fatal("second offload did not complete")
@@ -130,7 +130,7 @@ func TestGetComputePutFunctional(t *testing.T) {
 	})
 	dst := field.NewCell(interior)
 
-	g.Spawn(testSpec, 1, true, flag, func(c *CPE) {
+	g.Spawn(testSpec, 1, flag, func(c *CPE) {
 		if c.ID != 0 {
 			return
 		}
@@ -138,7 +138,7 @@ func TestGetComputePutFunctional(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := c.NewBuf(interior)
+		out, err := c.NewBuf(interior, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestGetComputePutFunctional(t *testing.T) {
 			out.Data.Set(cell, in.Data.At(cell.Sub(grid.IV(1, 0, 0))))
 		})
 		c.Compute(interior.NumCells())
-		c.Put(dst, out)
+		c.Put(out)
 		c.Release(in)
 		c.Release(out)
 	})
@@ -160,11 +160,61 @@ func TestGetComputePutFunctional(t *testing.T) {
 	})
 }
 
+// An LDM buffer's data is a window onto the main-memory field: bounded to
+// the staged region like the copy it replaces, valid after Release (a
+// deferred kernel body still computes on it), and drawn from a per-group
+// slab that later offloads reuse instead of allocating.
+func TestLDMBufIsBoundedWindowFromReusedSlab(t *testing.T) {
+	eng, g := newGroup(t)
+	patch := grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(16, 16, 8))
+	tile := grid.BoxFromSize(grid.IV(4, 4, 2), grid.IV(4, 4, 2))
+	src := field.NewCellWithGhost(patch, 1)
+	src.FillFunc(src.Alloc(), func(c grid.IVec) float64 { return float64(c.X + 100*c.Y + 10000*c.Z) })
+
+	var kept *field.Cell
+	offload := func() {
+		g.Spawn(testSpec, 64, sim.NewCounter(eng, "flag"), func(c *CPE) {
+			in, err := c.Get(tile.Grow(1), src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.ID == 0 {
+				kept = in.Data
+			}
+			c.Release(in)
+			if in.Data != nil {
+				t.Fatal("released buffer still exposes its data")
+			}
+		})
+		eng.Run()
+	}
+	offload()
+	if kept.Alloc() != tile.Grow(1) {
+		t.Fatalf("window covers %v, want the staged region %v", kept.Alloc(), tile.Grow(1))
+	}
+	if got, want := kept.At(tile.Lo), src.At(tile.Lo); got != want {
+		t.Fatalf("window reads %v after Release, field holds %v", got, want)
+	}
+	outside := tile.Grow(1).Hi // one past the staged corner, inside src
+	src.At(outside)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("reading one cell outside the staged region did not panic")
+		}
+	}()
+	// A handful per offload (flag counter, handle, CPE context); 64 more
+	// would be the buffer records, which must come from the slab.
+	if n := testing.AllocsPerRun(5, offload); n > 20 {
+		t.Errorf("%v allocations per warm offload: LDM buffer records are not reused", n)
+	}
+	kept.At(outside)
+}
+
 func TestLDMOverflowRejected(t *testing.T) {
 	_, g := newGroup(t)
 	flag := sim.NewCounter(g.CoreGroup().Engine(), "flag")
 	big := grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(32, 32, 16)) // 128 KiB
-	g.Spawn(testSpec, 64, false, flag, func(c *CPE) {
+	g.Spawn(testSpec, 64, flag, func(c *CPE) {
 		buf, err := c.Get(big, nil)
 		if err == nil {
 			t.Fatal("oversized LDM buffer accepted")
@@ -182,12 +232,12 @@ func TestLDMAccountingAcrossBuffers(t *testing.T) {
 	_, g := newGroup(t)
 	flag := sim.NewCounter(g.CoreGroup().Engine(), "flag")
 	tile := grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(16, 16, 8))
-	g.Spawn(testSpec, 64, false, flag, func(c *CPE) {
+	g.Spawn(testSpec, 64, flag, func(c *CPE) {
 		in, err := c.Get(tile.Grow(1), nil) // 25920 B
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := c.NewBuf(tile) // 16384 B
+		out, err := c.NewBuf(tile, nil) // 16384 B
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +246,7 @@ func TestLDMAccountingAcrossBuffers(t *testing.T) {
 		}
 		// The paper's 41.3 KiB working set fits; a third tile buffer
 		// does not.
-		if _, err := c.NewBuf(tile.Grow(1)); err == nil {
+		if _, err := c.NewBuf(tile.Grow(1), nil); err == nil {
 			t.Fatal("third buffer should overflow the 64 KiB LDM")
 		}
 		c.Release(in)
@@ -212,7 +262,7 @@ func TestLDMLeakPanics(t *testing.T) {
 			t.Fatal("expected panic on leaked LDM")
 		}
 	}()
-	g.Spawn(testSpec, 64, false, flag, func(c *CPE) {
+	g.Spawn(testSpec, 64, flag, func(c *CPE) {
 		if _, err := c.Get(grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(4, 4, 4)), nil); err != nil {
 			t.Fatal(err)
 		}
@@ -224,11 +274,11 @@ func TestCountersCharged(t *testing.T) {
 	eng, g := newGroup(t)
 	flag := sim.NewCounter(eng, "flag")
 	tile := grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(16, 16, 8))
-	g.Spawn(testSpec, 64, false, flag, func(c *CPE) {
+	g.Spawn(testSpec, 64, flag, func(c *CPE) {
 		in, _ := c.Get(tile.Grow(1), nil)
-		out, _ := c.NewBuf(tile)
+		out, _ := c.NewBuf(tile, nil)
 		c.Compute(tile.NumCells())
-		c.Put(nil, out)
+		c.Put(out)
 		c.Release(in)
 		c.Release(out)
 	})
@@ -258,12 +308,12 @@ func TestCountersCharged(t *testing.T) {
 func TestSIMDSpecRunsFaster(t *testing.T) {
 	eng, g := newGroup(t)
 	flag := sim.NewCounter(eng, "f1")
-	scalarT := g.Spawn(testSpec, 64, false, flag, func(c *CPE) { c.Compute(1000) })
+	scalarT := g.Spawn(testSpec, 64, flag, func(c *CPE) { c.Compute(1000) })
 	eng.Run()
 	simdSpec := testSpec
 	simdSpec.SIMD = true
 	flag2 := sim.NewCounter(eng, "f2")
-	simdT := g.Spawn(simdSpec, 64, false, flag2, func(c *CPE) { c.Compute(1000) })
+	simdT := g.Spawn(simdSpec, 64, flag2, func(c *CPE) { c.Compute(1000) })
 	eng.Run()
 	if simdT >= scalarT {
 		t.Fatalf("simd %v not faster than scalar %v", simdT, scalarT)
@@ -275,7 +325,7 @@ func TestDMAContentionSlowsTransfers(t *testing.T) {
 	tile := grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(16, 16, 8))
 	run := func(active int) sim.Time {
 		flag := sim.NewCounter(eng, "f")
-		d := g.Spawn(testSpec, active, false, flag, func(c *CPE) {
+		d := g.Spawn(testSpec, active, flag, func(c *CPE) {
 			in, _ := c.Get(tile, nil)
 			c.Release(in)
 		})
@@ -302,7 +352,7 @@ func TestOverlapDMAEndTileMatchesRepeatTiles(t *testing.T) {
 	run := func(perTile bool) sim.Time {
 		eng, g := newGroup(t)
 		flag := sim.NewCounter(eng, "f")
-		dur := g.Spawn(spec, 64, false, flag, func(c *CPE) {
+		dur := g.Spawn(spec, 64, flag, func(c *CPE) {
 			if c.ID != 0 {
 				return
 			}
@@ -315,12 +365,12 @@ func TestOverlapDMAEndTileMatchesRepeatTiles(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				out, err := c.NewBuf(tile)
+				out, err := c.NewBuf(tile, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				c.Compute(tile.NumCells())
-				c.Put(nil, out)
+				c.Put(out)
 				c.Release(in)
 				c.Release(out)
 				c.EndTile()
@@ -343,7 +393,7 @@ func TestPackedDMACheaper(t *testing.T) {
 	run := func(spec KernelSpec) sim.Time {
 		eng, g := newGroup(t)
 		flag := sim.NewCounter(eng, "f")
-		dur := g.Spawn(spec, 64, false, flag, func(c *CPE) {
+		dur := g.Spawn(spec, 64, flag, func(c *CPE) {
 			in, _ := c.Get(tile, nil)
 			c.Release(in)
 		})

@@ -101,6 +101,29 @@ func TestExactIsProductOfPhis(t *testing.T) {
 	}
 }
 
+// The label declares its boundary condition separable, and physics declares
+// the initial condition so: both declarations must be Exact, bit for bit.
+func TestExactProfileFactorsExact(t *testing.T) {
+	u := NewULabel()
+	if u.Profile == nil {
+		t.Fatal("the solution label does not declare a separable boundary condition")
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		x, y, z, tt := rng.Float64()*1.2-0.1, rng.Float64()*1.2-0.1, rng.Float64()*1.2-0.1, rng.Float64()*0.1
+		want := Exact(x, y, z, tt)
+		if got := ExactProfile(0, x, tt) * ExactProfile(1, y, tt) * ExactProfile(2, z, tt); got != want {
+			t.Fatalf("profile product %v != Exact %v at (%v,%v,%v,%v)", got, want, x, y, z, tt)
+		}
+		if got := u.BC(x, y, z, tt); got != want {
+			t.Fatalf("label BC %v != Exact %v", got, want)
+		}
+		if got := InitialProfile(0, x) * InitialProfile(1, y) * InitialProfile(2, z); got != Initial(x, y, z) {
+			t.Fatalf("initial profile product %v != Initial %v", got, Initial(x, y, z))
+		}
+	}
+}
+
 func TestFlopAccountingStructure(t *testing.T) {
 	total := KernelFlopsPerCell(FastExpLib)
 	expPart := ExpFlopsPerCell(FastExpLib)

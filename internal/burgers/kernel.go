@@ -156,18 +156,17 @@ func NewAdvanceTask(u *taskgraph.Label, e Exp, simd bool) *taskgraph.Task {
 			ExpFlopsPerCell: ExpFlopsPerCell(e),
 			Weight:          KernelWeight(e),
 			Compute: func(tc *taskgraph.TileContext) {
-				in := tc.In[u]
-				out := tc.Out[u]
-				advanceOpt(in.Data, out.Data, tc.Tile.Box, tc.Level, tc.Time, tc.Dt, e)
+				advanceOpt(tc.In.Get(u), tc.Out.Get(u), tc.Tile.Box, tc.Level, tc.Time, tc.Dt, e)
 			},
 		},
 	}
 }
 
 // NewULabel creates the solution variable with its exact-solution
-// Dirichlet boundary condition.
+// Dirichlet boundary condition, declared separable: the condition is
+// Exact, the product of ExactProfile along the three axes.
 func NewULabel() *taskgraph.Label {
-	return taskgraph.NewLabel("u", BoundaryCondition)
+	return taskgraph.NewSeparableLabel("u", ExactProfile)
 }
 
 // SerialSolve advances the whole level's grid nSteps with the fused

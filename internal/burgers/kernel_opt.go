@@ -1,6 +1,8 @@
 package burgers
 
 import (
+	"fmt"
+
 	"sunuintah/internal/field"
 	"sunuintah/internal/grid"
 )
@@ -74,12 +76,13 @@ func advanceOpt(uOld, uNew *field.Cell, region grid.Box, lv *grid.Level, t, dt f
 	if nz > nmax {
 		nmax = nz
 	}
-	phix := field.GetSlice(nx)
-	phiy := field.GetSlice(ny)
-	phiz := field.GetSlice(nz)
-	sa := field.GetSlice(nmax)
-	sb := field.GetSlice(nmax)
-	sc := field.GetSlice(nmax)
+	// One pooled draw holds the three profiles and phiFillAxis's three
+	// work spans; every value is written before it is read.
+	scratch := field.GetBuf(nx + ny + nz + 3*nmax)
+	scratch = scratch[:cap(scratch)]
+	phix, phiy, phiz := scratch[:nx], scratch[nx:nx+ny], scratch[nx+ny:nx+ny+nz]
+	work := scratch[nx+ny+nz:]
+	sa, sb, sc := work[:nmax], work[nmax:2*nmax], work[2*nmax:3*nmax]
 	phiFillAxis(phix, region.Lo.X, lv.Origin[0], lv.Spacing[0], t, e, sa, sb, sc)
 	phiFillAxis(phiy, region.Lo.Y, lv.Origin[1], lv.Spacing[1], t, e, sa, sb, sc)
 	phiFillAxis(phiz, region.Lo.Z, lv.Origin[2], lv.Spacing[2], t, e, sa, sb, sc)
@@ -88,14 +91,21 @@ func advanceOpt(uOld, uNew *field.Cell, region grid.Box, lv *grid.Level, t, dt f
 	rdx, rdy, rdz := 1/dx, 1/dy, 1/dz
 	rdx2, rdy2, rdz2 := rdx*rdx, rdy*rdy, rdz*rdz
 	ys, zs := uOld.Strides()
+	oys, ozs := uNew.Strides()
 	in := uOld.Data()
 	out := uNew.Data()
-	for k := region.Lo.Z; k < region.Hi.Z; k++ {
-		pz := phiz[k-region.Lo.Z]
-		for j := region.Lo.Y; j < region.Hi.Y; j++ {
-			py := phiy[j-region.Lo.Y]
-			base := uOld.Index(grid.IV(region.Lo.X, j, k))
-			obase := uNew.Index(grid.IV(region.Lo.X, j, k))
+	// The fields are checked against the stencil's reach once; rows are
+	// then reached by stride.
+	if !uOld.Alloc().ContainsBox(region.Grow(1)) || !uNew.Alloc().ContainsBox(region) {
+		panic(fmt.Sprintf("burgers: region %v needs input over %v and output over itself, got %v and %v",
+			region, region.Grow(1), uOld.Alloc(), uNew.Alloc()))
+	}
+	plane, oplane := uOld.Index(region.Lo), uNew.Index(region.Lo)
+	for k := 0; k < nz; k++ {
+		pz := phiz[k]
+		base, obase := plane, oplane
+		for j := 0; j < ny; j++ {
+			py := phiy[j]
 			for ii := 0; ii < nx; ii++ {
 				idx := base + ii
 				px := phix[ii]
@@ -109,13 +119,12 @@ func advanceOpt(uOld, uNew *field.Cell, region grid.Box, lv *grid.Level, t, dt f
 				du := (uDudx + uDudy + uDudz) + Nu*(d2udx2+d2udy2+d2udz2)
 				out[obase+ii] = u + dt*du
 			}
+			base += ys
+			obase += oys
 		}
+		plane += zs
+		oplane += ozs
 	}
 
-	field.PutSlice(sc)
-	field.PutSlice(sb)
-	field.PutSlice(sa)
-	field.PutSlice(phiz)
-	field.PutSlice(phiy)
-	field.PutSlice(phix)
+	field.PutSlice(scratch)
 }

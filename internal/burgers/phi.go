@@ -66,8 +66,17 @@ func Exact(x, y, z, t float64) float64 {
 	return phiRef(x, t) * phiRef(y, t) * phiRef(z, t)
 }
 
+// ExactProfile is Exact's factor along one axis (the same for all three):
+// Exact(x,y,z,t) == ExactProfile(0,x,t)*ExactProfile(1,y,t)*ExactProfile(2,z,t),
+// which is what lets boundary and initial fills evaluate it once per
+// index along each axis instead of once per cell.
+func ExactProfile(axis int, s, t float64) float64 { return phiRef(s, t) }
+
 // Initial returns the initial condition u(x,y,z,0).
 func Initial(x, y, z float64) float64 { return Exact(x, y, z, 0) }
+
+// InitialProfile is Initial's factor along one axis, ExactProfile at t=0.
+func InitialProfile(axis int, s float64) float64 { return ExactProfile(axis, s, 0) }
 
 // BoundaryCondition is the time-dependent Dirichlet condition derived from
 // the exact solution, in the signature the task graph's labels expect.

@@ -110,8 +110,8 @@ func (vs *VectorSystem) NewVectorAdvanceTask() *taskgraph.Task {
 			Compute: func(tc *taskgraph.TileContext) {
 				var in, out [3]*field.Cell
 				for i, l := range labels {
-					in[i] = tc.In[l].Data
-					out[i] = tc.Out[l].Data
+					in[i] = tc.In.Get(l)
+					out[i] = tc.Out.Get(l)
 				}
 				vectorAdvance(in, out, tc.Tile.Box, tc.Level, tc.Dt)
 			},

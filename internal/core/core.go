@@ -105,6 +105,13 @@ type Problem struct {
 	// Initial supplies t=0 values for every label required from the old
 	// warehouse (functional mode).
 	Initial map[*taskgraph.Label]func(x, y, z float64) float64
+	// InitialProfile optionally declares a label's initial condition
+	// separable, the way taskgraph.Label.Profile does for its boundary
+	// condition: Initial[l](x,y,z) == p(0,x)*p(1,y)*p(2,z) bit for bit,
+	// multiplied left to right. Such a label's patches are filled from
+	// nx+ny+nz profile evaluations each instead of one Initial call per
+	// cell. Initial stays required for every label.
+	InitialProfile map[*taskgraph.Label]func(axis int, s float64) float64
 	// Dt is the (fixed, stability-chosen) timestep size.
 	Dt float64
 }
@@ -487,6 +494,10 @@ func (s *Simulation) allocateInitial() error {
 				}
 				f := rk.DWs.Old.Get(l, p)
 				lv := s.Level
+				if profile := s.Prob.InitialProfile[l]; profile != nil {
+					f.FillSeparable(p.Box, lv, profile)
+					continue
+				}
 				f.FillFunc(p.Box, func(c grid.IVec) float64 {
 					x, y, z := lv.CellCenter(c)
 					return init(x, y, z)

@@ -169,7 +169,7 @@ func TestScrubbingLowersMemoryHighWater(t *testing.T) {
 		Computes: []taskgraph.Dep{{Label: v, DW: taskgraph.NewDW}},
 		Kernel: &taskgraph.Kernel{Weight: 0.1, Compute: func(tc *taskgraph.TileContext) {
 			tc.Tile.Box.ForEach(func(c grid.IVec) {
-				tc.Out[v].Data.Set(c, 2*tc.In[u].Data.At(c))
+				tc.Out.Get(v).Set(c, 2*tc.In.Get(u).At(c))
 			})
 		}},
 	}
@@ -179,7 +179,7 @@ func TestScrubbingLowersMemoryHighWater(t *testing.T) {
 		Computes: []taskgraph.Dep{{Label: u, DW: taskgraph.NewDW}},
 		Kernel: &taskgraph.Kernel{Weight: 0.1, Compute: func(tc *taskgraph.TileContext) {
 			tc.Tile.Box.ForEach(func(c grid.IVec) {
-				tc.Out[u].Data.Set(c, tc.In[v].Data.At(c)+1)
+				tc.Out.Get(u).Set(c, tc.In.Get(v).At(c)+1)
 			})
 		}},
 	}

@@ -42,23 +42,23 @@ func buildRandomProblem(rng *rand.Rand) *randomProblem {
 			FlopsPerCell: 10,
 			Weight:       0.2,
 			Compute: func(tc *taskgraph.TileContext) {
-				src := tc.In[in]
-				var ex *taskgraph.LDMData
+				src := tc.In.Get(in)
+				var ex *field.Cell
 				if extra != nil {
-					ex = tc.In[extra]
+					ex = tc.In.Get(extra)
 				}
-				dst := tc.Out[out]
+				dst := tc.Out.Get(out)
 				tc.Tile.Box.ForEach(func(c grid.IVec) {
-					v := coef[0] * src.Data.At(c)
+					v := coef[0] * src.At(c)
 					if ghost > 0 {
-						v += coef[1] * (src.Data.At(c.Add(grid.IV(1, 0, 0))) +
-							src.Data.At(c.Sub(grid.IV(0, 1, 0))) +
-							src.Data.At(c.Add(grid.IV(0, 0, 1))))
+						v += coef[1] * (src.At(c.Add(grid.IV(1, 0, 0))) +
+							src.At(c.Sub(grid.IV(0, 1, 0))) +
+							src.At(c.Add(grid.IV(0, 0, 1))))
 					}
 					if ex != nil {
-						v += coef[2] * ex.Data.At(c)
+						v += coef[2] * ex.At(c)
 					}
-					dst.Data.Set(c, v)
+					dst.Set(c, v)
 				})
 			},
 		}
@@ -113,7 +113,7 @@ func (rp *randomProblem) reference(lv *grid.Level, init func(x, y, z float64) fl
 		for _, task := range rp.tasks {
 			outLabel := task.Computes[0].Label
 			out := field.NewCellWithGhost(dom, maxGhost)
-			inMap := map[*taskgraph.Label]*taskgraph.LDMData{}
+			var ins taskgraph.TileVars
 			for _, d := range task.Requires {
 				var f *field.Cell
 				if d.DW == taskgraph.OldDW {
@@ -121,14 +121,11 @@ func (rp *randomProblem) reference(lv *grid.Level, init func(x, y, z float64) fl
 				} else {
 					f = newVars[d.Label]
 				}
-				inMap[d.Label] = &taskgraph.LDMData{Region: dom.Grow(d.Ghost), Data: f}
-			}
-			outMap := map[*taskgraph.Label]*taskgraph.LDMData{
-				outLabel: {Region: dom, Data: out},
+				ins = append(ins, taskgraph.TileVar{Label: d.Label, Data: f})
 			}
 			task.Kernel.Compute(&taskgraph.TileContext{
 				Patch: lv.Layout.Patch(0), Tile: grid.Tile{Box: dom},
-				In: inMap, Out: outMap, Step: s, Level: lv,
+				In: ins, Out: taskgraph.TileVars{{Label: outLabel, Data: out}}, Step: s, Level: lv,
 			})
 			newVars[outLabel] = out
 		}

@@ -33,3 +33,37 @@ func TestHaloSteadyStepAllocs(t *testing.T) {
 		t.Logf("%.0f allocations per warm step", perStep)
 	}
 }
+
+// TestFunctionalStepAllocs bounds the host allocations of one warm
+// functional timestep: 128 LDM tiles, each with an input and an output
+// buffer and a kernel invocation. What it locks out is per-tile garbage —
+// buffer records, variable maps, tile contexts, closures and kernel scratch
+// draws cost 14-16 allocations a tile when each tile made its own (1,750
+// to 2,100 a step on this case, by worker count); they now live in
+// per-offload arrays that are rewound, so what remains is per step, per
+// message and per patch (about 90 and 135).
+func TestFunctionalStepAllocs(t *testing.T) {
+	const window = 4
+	cfg, prob, err := SpecConfig(runner.Spec{Cells: "64x64x64", Layout: "2x2x2", CGs: 2, Variant: "acc_simd.async", Steps: window, Functional: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		cfg.Scheduler.Workers = workers
+		s, err := core.NewSimulation(cfg, prob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if _, err := s.Run(window); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm: tile plans, per-offload arrays, pools
+		if perStep := testing.AllocsPerRun(3, run) / window; perStep > 400 {
+			t.Errorf("workers=%d: %.0f allocations per warm step, want <= 400", workers, perStep)
+		} else {
+			t.Logf("workers=%d: %.0f allocations per warm step", workers, perStep)
+		}
+	}
+}

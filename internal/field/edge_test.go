@@ -10,16 +10,7 @@ import (
 // regions, and ghost-only slabs (regions entirely inside the ghost
 // margin, which is what halo exchange actually moves).
 
-func ghostedFixture() (*Cell, grid.Box) {
-	interior := grid.NewBox(grid.IV(0, 0, 0), grid.IV(4, 4, 4))
-	f := NewCellWithGhost(interior, 1)
-	i := 0.0
-	f.FillFunc(f.Alloc(), func(c grid.IVec) float64 {
-		i++
-		return i
-	})
-	return f, interior
-}
+func ghostedFixture() (*Cell, grid.Box) { return ghostedFixtureSized(grid.IV(4, 4, 4)) }
 
 func TestPackUnpackEmptyBox(t *testing.T) {
 	f, _ := ghostedFixture()

@@ -18,6 +18,9 @@ type Cell struct {
 	alloc  grid.Box
 	stride [2]int // y stride, z stride (x stride is 1)
 	data   []float64
+	// window marks a view made by Window: the storage belongs to the
+	// parent cell, so Recycle must not hand it to the pool.
+	window bool
 }
 
 // NewCell allocates a field over box (every value zero).
@@ -42,8 +45,34 @@ func NewCellWithGhost(interior grid.Box, ghost int) *Cell {
 func (f *Cell) Alloc() grid.Box { return f.alloc }
 
 // Data exposes the raw storage in allocation order. Kernels use it for
-// speed; the slice must not be resized.
+// speed, addressing it with Index and Strides; the slice must not be
+// resized. A window's slice starts at the window's first cell and keeps
+// the parent's strides, so its rows are not contiguous.
 func (f *Cell) Data() []float64 { return f.data }
+
+// Window returns a view of region: a cell over f's own storage, with f's
+// strides, whose allocation box is region. Index, At and Set on the view
+// panic outside region exactly as they would on a separate field
+// allocated over it, and Pack, Unpack, Fill and CopyRegion accept it like
+// any other cell; writes land in f. The view is returned by value so a
+// caller can keep it inside its own per-tile record without a heap
+// allocation. It is valid until f's storage is recycled. region must be
+// non-empty and allocated in f.
+func (f *Cell) Window(region grid.Box) Cell {
+	if region.Empty() || !f.alloc.ContainsBox(region) {
+		panic(fmt.Sprintf("field: window %v outside allocation %v", region, f.alloc))
+	}
+	lo := f.offset(region.Lo)
+	hi := f.offset(region.Hi.Sub(grid.IV(1, 1, 1))) + 1
+	return Cell{alloc: region, stride: f.stride, data: f.data[lo:hi:hi], window: true}
+}
+
+// offset is Index without the bounds check, for cells already known to
+// lie in the allocation.
+func (f *Cell) offset(c grid.IVec) int {
+	r := c.Sub(f.alloc.Lo)
+	return r.Z*f.stride[1] + r.Y*f.stride[0] + r.X
+}
 
 // Index returns the storage offset of cell c. It panics if c is outside
 // the allocated box.
@@ -84,6 +113,39 @@ func (f *Cell) FillFunc(region grid.Box, fn func(c grid.IVec) float64) {
 	region.ForEach(func(c grid.IVec) { f.data[f.Index(c)] = fn(c) })
 }
 
+// FillSeparable sets every cell (i,j,k) of region to
+// p(0,x_i) * p(1,y_j) * p(2,z_k), multiplied left to right, where x, y, z
+// are the level's cell-centre coordinates. It is FillFunc for a function
+// declared as a product of three 1-D profiles: each profile is evaluated
+// once per index along its axis — nx+ny+nz evaluations, not 3*nx*ny*nz —
+// and the products are bit-identical to evaluating
+// p(0,x)*p(1,y)*p(2,z) per cell.
+func (f *Cell) FillSeparable(region grid.Box, lv *grid.Level, p func(axis int, s float64) float64) {
+	if region.Empty() {
+		return
+	}
+	sz := region.Size()
+	buf := GetBuf(sz.X + sz.Y + sz.Z)
+	for axis := 0; axis < 3; axis++ {
+		lo := region.Lo.Comp(axis)
+		for i := lo; i < region.Hi.Comp(axis); i++ {
+			buf = append(buf, p(axis, lv.Origin[axis]+(float64(i)+0.5)*lv.Spacing[axis]))
+		}
+	}
+	px, py, pz := buf[:sz.X], buf[sz.X:sz.X+sz.Y], buf[sz.X+sz.Y:]
+	j, k := 0, 0 // forRows visits rows y-fastest
+	f.forRows(region, func(base, n int) {
+		y, z := py[j], pz[k]
+		for i, x := range px {
+			f.data[base+i] = x * y * z
+		}
+		if j++; j == sz.Y {
+			j, k = 0, k+1
+		}
+	})
+	PutSlice(buf)
+}
+
 // CopyRegion copies region from src into f. The region must be allocated
 // in both fields; cell coordinates are global, so this performs the
 // neighbour-ghost copy used by same-rank dependencies.
@@ -97,15 +159,23 @@ func (f *Cell) CopyRegion(src *Cell, region grid.Box) {
 	if !src.alloc.ContainsBox(region) {
 		panic(fmt.Sprintf("field: copy region %v outside src allocation %v", region, src.alloc))
 	}
-	// Row-wise copy using both fields' strides.
-	for k := region.Lo.Z; k < region.Hi.Z; k++ {
-		for j := region.Lo.Y; j < region.Hi.Y; j++ {
-			lo := grid.IV(region.Lo.X, j, k)
-			d := f.Index(lo)
-			s := src.Index(lo)
-			n := region.Hi.X - region.Lo.X
-			copy(f.data[d:d+n], src.data[s:s+n])
+	// Both base offsets are computed once and advanced by each field's
+	// own strides; an x-face (one cell wide) is a strided element copy.
+	n := region.Size()
+	dPlane, sPlane := f.offset(region.Lo), src.offset(region.Lo)
+	for k := 0; k < n.Z; k++ {
+		d, s := dPlane, sPlane
+		for j := 0; j < n.Y; j++ {
+			if n.X == 1 {
+				f.data[d] = src.data[s]
+			} else {
+				copy(f.data[d:d+n.X], src.data[s:s+n.X])
+			}
+			d += f.stride[0]
+			s += src.stride[0]
 		}
+		dPlane += f.stride[1]
+		sPlane += src.stride[1]
 	}
 }
 
@@ -113,6 +183,10 @@ func (f *Cell) CopyRegion(src *Cell, region grid.Box) {
 // extended slice. Used to serialise ghost regions into MPI payloads.
 func (f *Cell) Pack(region grid.Box, buf []float64) []float64 {
 	f.forRows(region, func(base, n int) {
+		if n == 1 { // an x-face: one strided element per row
+			buf = append(buf, f.data[base])
+			return
+		}
 		buf = append(buf, f.data[base:base+n]...)
 	})
 	return buf
@@ -122,7 +196,11 @@ func (f *Cell) Pack(region grid.Box, buf []float64) []float64 {
 // region) and returns the remaining tail of buf.
 func (f *Cell) Unpack(region grid.Box, buf []float64) []float64 {
 	f.forRows(region, func(base, n int) {
-		copy(f.data[base:base+n], buf[:n])
+		if n == 1 {
+			f.data[base] = buf[0]
+		} else {
+			copy(f.data[base:base+n], buf[:n])
+		}
 		buf = buf[n:]
 	})
 	return buf
@@ -136,11 +214,15 @@ func (f *Cell) forRows(region grid.Box, fn func(base, n int)) {
 	if !f.alloc.ContainsBox(region) {
 		panic(fmt.Sprintf("field: region %v outside allocation %v", region, f.alloc))
 	}
-	n := region.Hi.X - region.Lo.X
-	for k := region.Lo.Z; k < region.Hi.Z; k++ {
-		for j := region.Lo.Y; j < region.Hi.Y; j++ {
-			fn(f.Index(grid.IV(region.Lo.X, j, k)), n)
+	sz := region.Size()
+	plane := f.offset(region.Lo)
+	for k := 0; k < sz.Z; k++ {
+		base := plane
+		for j := 0; j < sz.Y; j++ {
+			fn(base, sz.X)
+			base += f.stride[0]
 		}
+		plane += f.stride[1]
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 )
 
 // The package-level slice pool behind steady-state-allocation-free
-// stepping: warehouse variables, LDM staging buffers, halo-exchange
-// payloads and kernel scratch all draw []float64 storage from here and
-// return it when released, so after warm-up a timestep performs no heap
-// allocation in the kernel or halo paths.
+// stepping: warehouse variables, halo-exchange payloads and kernel
+// scratch all draw []float64 storage from here and return it when
+// released, so after warm-up a timestep performs no heap allocation in the
+// kernel or halo paths.
 //
 // Buffers are binned by power-of-two capacity: GetSlice(n) allocates with
 // capacity rounded up to a power of two, so a recycled buffer lands back
@@ -110,11 +110,14 @@ func NewCellPooledWithGhost(interior grid.Box, ghost int) *Cell {
 // Recycle returns the cell's storage to the pool and clears the cell.
 // The cell (and any alias of its data) must not be used afterwards.
 // Recycling a nil or already-recycled cell is a no-op, so it composes
-// with timing-only paths where cells are absent.
+// with timing-only paths where cells are absent. A window only detaches:
+// its storage is its parent's and never enters the pool.
 func (f *Cell) Recycle() {
 	if f == nil || f.data == nil {
 		return
 	}
-	PutSlice(f.data)
+	if !f.window {
+		PutSlice(f.data)
+	}
 	f.data = nil
 }

@@ -94,7 +94,7 @@ func NewAdvanceTask(u *taskgraph.Label) *taskgraph.Task {
 			FlopsPerCell: FlopsPerCell,
 			Weight:       KernelWeight,
 			Compute: func(tc *taskgraph.TileContext) {
-				advance(tc.In[u].Data, tc.Out[u].Data, tc.Tile.Box, tc.Level, tc.Dt)
+				advance(tc.In.Get(u), tc.Out.Get(u), tc.Tile.Box, tc.Level, tc.Dt)
 			},
 		},
 	}

@@ -44,12 +44,12 @@ type LoopSpec = athread.KernelSpec
 
 // ParallelLoop offloads body across the CPE cluster and blocks the calling
 // process until every CPE finishes — OpenACC's synchronous kernels
-// construct. activeCPEs and functional have athread.Group.Spawn semantics.
-// It returns the offload's duration.
-func (a *Accel) ParallelLoop(p *sim.Process, spec LoopSpec, activeCPEs int, functional bool, body func(c *athread.CPE)) sim.Time {
+// construct. activeCPEs has athread.Group.Spawn semantics. It returns the
+// offload's duration.
+func (a *Accel) ParallelLoop(p *sim.Process, spec LoopSpec, activeCPEs int, body func(c *athread.CPE)) sim.Time {
 	a.seq++
 	flag := sim.NewCounter(a.group.CoreGroup().Engine(), "openacc.flag")
-	dur := a.group.Spawn(spec, activeCPEs, functional, flag, body)
+	dur := a.group.Spawn(spec, activeCPEs, flag, body)
 	flag.WaitFor(p, int64(a.group.NumCPEs()))
 	return dur
 }

@@ -18,7 +18,7 @@ func TestParallelLoopBlocksUntilComplete(t *testing.T) {
 	var doneAt sim.Time
 	var dur sim.Time
 	eng.Spawn("mpe", func(p *sim.Process) {
-		dur = acc.ParallelLoop(p, spec, 64, false, func(c *athread.CPE) {
+		dur = acc.ParallelLoop(p, spec, 64, func(c *athread.CPE) {
 			c.Compute(1000)
 		})
 		doneAt = p.Now()
@@ -54,7 +54,7 @@ func TestSequentialLoopsReuseCluster(t *testing.T) {
 	spec := LoopSpec{Name: "loop", Weight: 1}
 	eng.Spawn("mpe", func(p *sim.Process) {
 		for i := 0; i < 3; i++ {
-			acc.ParallelLoop(p, spec, 64, false, func(c *athread.CPE) { c.Compute(10) })
+			acc.ParallelLoop(p, spec, 64, func(c *athread.CPE) { c.Compute(10) })
 		}
 	})
 	eng.Run()

@@ -51,6 +51,9 @@ type model struct {
 	taskPrefix string
 	build      func(simd bool) (*taskgraph.Task, *taskgraph.Label, InitFunc)
 	stableDt   func(dx, dy, dz float64) float64
+	// initProfile, when set, is the initial condition as one factor per
+	// axis (core.Problem.InitialProfile).
+	initProfile func(axis int, s float64) float64
 }
 
 // models is the registry, in canonical order. Mixture canonical forms,
@@ -63,7 +66,8 @@ var models = []model{
 			u := burgers.NewULabel()
 			return burgers.NewAdvanceTask(u, burgers.FastExpLib, simd), u, burgers.Initial
 		},
-		stableDt: burgers.StableDt,
+		stableDt:    burgers.StableDt,
+		initProfile: burgers.InitialProfile,
 	},
 	{
 		name:       "advection",
@@ -276,7 +280,8 @@ func (sel Selection) NewProblem(cells, layout grid.IVec, simd bool) (core.Proble
 	dy := 1.0 / float64(cells.Y)
 	dz := 1.0 / float64(cells.Z)
 	prob := core.Problem{
-		Initial: map[*taskgraph.Label]func(x, y, z float64) float64{},
+		Initial:        map[*taskgraph.Label]func(x, y, z float64) float64{},
+		InitialProfile: map[*taskgraph.Label]func(axis int, s float64) float64{},
 	}
 	nPatches := layout.X * layout.Y * layout.Z
 	assign := sel.Assign(nPatches)
@@ -293,6 +298,9 @@ func (sel Selection) NewProblem(cells, layout grid.IVec, simd bool) (core.Proble
 		}
 		prob.Tasks = append(prob.Tasks, task)
 		prob.Initial[label] = init
+		if m.initProfile != nil {
+			prob.InitialProfile[label] = m.initProfile
+		}
 		if dt := m.stableDt(dx, dy, dz); prob.Dt == 0 || dt < prob.Dt {
 			prob.Dt = dt
 		}

@@ -119,6 +119,37 @@ func TestDefaultProblemMatchesHistoricalBurgers(t *testing.T) {
 	}
 }
 
+// Burgers declares its initial condition separable (Problem.InitialProfile);
+// the t=0 field the simulation builds from it must equal Problem.Initial
+// evaluated cell by cell, bit for bit, on a grid with three different
+// spacings.
+func TestSeparableInitialFillMatchesInitial(t *testing.T) {
+	cells, layout := grid.IV(24, 20, 12), grid.IV(2, 2, 1)
+	prob, err := Default().NewProblem(cells, layout, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prob.InitialProfile) != 1 {
+		t.Fatalf("default problem declares %d separable initial conditions, want 1", len(prob.InitialProfile))
+	}
+	sim, err := core.NewSimulation(core.Config{Cells: cells, PatchCounts: layout, NumCGs: 2,
+		Scheduler: scheduler.Config{Mode: scheduler.ModeAsync, Functional: true}}, prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l, init := range prob.Initial {
+		f, err := sim.GatherField(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Level.Layout.Domain.ForEach(func(c grid.IVec) {
+			if got, want := f.At(c), init(sim.Level.CellCenter(c)); got != want {
+				t.Fatalf("cell %v starts at %v, Initial gives %v", c, got, want)
+			}
+		})
+	}
+}
+
 // runMixed builds and runs the canonical mixed problem functionally and
 // returns the simulation (for gathering) plus the selection.
 func runMixed(t *testing.T, shards int) (*core.Simulation, Selection, int) {

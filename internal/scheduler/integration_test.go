@@ -1,6 +1,7 @@
 package scheduler_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -250,5 +251,59 @@ func TestInOrderNeverFasterThanOutOfOrder(t *testing.T) {
 	}
 	if ordered, free := run(true), run(false); ordered < free {
 		t.Fatalf("in-order (%.6f) faster than out-of-order (%.6f)", ordered, free)
+	}
+}
+
+// A kernel sees each input through a window bounded to its tile grown by
+// the declared ghost width. Reading one cell further must panic even
+// though the cell exists — it belongs to the neighbouring tile of the same
+// warehouse field — on the inline path and on the worker pool alike.
+func TestKernelReadPastDeclaredGhostPanics(t *testing.T) {
+	run := func(reach, workers int) (panicked any) {
+		u := taskgraph.NewLabel("u", nil)
+		probe := &taskgraph.Task{
+			Name: "probe", Kind: taskgraph.KindOffload,
+			Requires: []taskgraph.Dep{{Label: u, DW: taskgraph.OldDW, Ghost: 1}},
+			Computes: []taskgraph.Dep{{Label: u, DW: taskgraph.NewDW}},
+			Kernel: &taskgraph.Kernel{Weight: 0.1, Compute: func(tc *taskgraph.TileContext) {
+				in, out := tc.In.Get(u), tc.Out.Get(u)
+				// Only cells the warehouse field really holds are read, so
+				// a refusal can come from nothing but the window.
+				held := tc.Patch.Box.Grow(1)
+				tc.Tile.Box.ForEach(func(c grid.IVec) {
+					if far := c.Add(grid.IV(reach, 0, 0)); held.Contains(far) {
+						out.Set(c, in.At(far))
+					}
+				})
+			}},
+		}
+		s, err := core.NewSimulation(core.Config{
+			Cells: grid.IV(16, 16, 8), PatchCounts: grid.IV(1, 1, 1), NumCGs: 1,
+			Scheduler: scheduler.Config{Mode: scheduler.ModeAsync, Functional: true,
+				TileSize: grid.IV(8, 8, 4), Workers: workers},
+		}, core.Problem{
+			Tasks:   []*taskgraph.Task{probe},
+			Initial: map[*taskgraph.Label]func(x, y, z float64) float64{u: func(x, y, z float64) float64 { return x }},
+			Dt:      1e-3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { panicked = recover() }()
+		if _, err := s.Run(1); err != nil {
+			t.Fatal(err)
+		}
+		return nil
+	}
+	for _, workers := range []int{1, 2} {
+		if p := run(1, workers); p != nil {
+			t.Errorf("workers=%d: reading the declared ghost layer panicked: %v", workers, p)
+		}
+		p := run(2, workers)
+		if p == nil {
+			t.Errorf("workers=%d: reading one cell past the declared ghost did not panic", workers)
+		} else if msg := fmt.Sprint(p); !strings.Contains(msg, "above allocation") {
+			t.Errorf("workers=%d: panic %q is not the field's bounds check", workers, msg)
+		}
 	}
 }

@@ -220,15 +220,14 @@ func (s *Rank) offload(p *sim.Process, step int, t, dt float64, obj *taskgraph.O
 
 	sl.flag.Reset()
 	var tileErr error
-	// deferred collects the tiles' numeric bodies when parallel host
-	// execution is on: the launch body stages data and charges virtual
-	// time serially (deterministic accounting), while the pure per-tile
-	// numerics — disjoint output regions, no shared state — run on the
-	// worker pool below before the offload call returns, so downstream
-	// tasks always observe completed outputs.
-	var deferred []func()
+	// The launch body charges virtual time and counters serially, in tile
+	// order (deterministic accounting), and records each tile's context in
+	// s.tiles. The numerics — pure per-tile functions over disjoint output
+	// regions — then run on the worker pool before offload returns, so
+	// downstream tasks always observe completed outputs.
+	s.tiles, s.vars = s.tiles[:0], s.vars[:0]
 	start := p.Now()
-	off := sl.group.Launch(spec, plan.active, s.cfg.Functional, sl.flag, func(c *athread.CPE) {
+	off := sl.group.Launch(spec, plan.active, sl.flag, func(c *athread.CPE) {
 		n := plan.counts[c.ID]
 		if n == 0 {
 			return
@@ -241,16 +240,13 @@ func (s *Rank) offload(p *sim.Process, step int, t, dt float64, obj *taskgraph.O
 			if tileErr != nil {
 				return
 			}
-			if err := s.runTile(c, obj, tile, step, t, dt, ins, outs, &deferred); err != nil {
-				tileErr = err
-				return
-			}
+			tileErr = s.runTile(c, obj, tile, step, t, dt, ins, outs)
 		}
 	})
 	if tileErr != nil {
 		return tileErr
 	}
-	runOps(s.cfg.Workers, deferred)
+	runTiles(s.cfg.Workers, s.tiles, task.Kernel.Compute)
 	// A stalled gang never completes; account its healthy estimate so the
 	// trace and the load balancer never see Infinity.
 	dur := off.Done
@@ -281,103 +277,59 @@ func tilingUniform(patch *grid.Patch, tileSize grid.IVec) bool {
 	return s.X%tileSize.X == 0 && s.Y%tileSize.Y == 0 && s.Z%tileSize.Z == 0
 }
 
-// runTile performs one tile's get/compute/put round trip on a CPE. When
-// deferred is non-nil and the host worker pool is enabled, the tile's
-// numeric body (kernel + output write-back + buffer recycling) is
-// appended to deferred instead of running inline; all virtual-time and
-// counter accounting still happens here, serially and in the exact order
-// of the inline path.
+// runTile accounts one tile's get/compute/put round trip on a CPE: LDM
+// reservation, DMA charges, compute time and counters, in that order. In
+// functional mode it also appends the tile's context — windows onto the
+// warehouse fields, as athread hands them out — to s.tiles; offload runs
+// the kernel over them once the launch is accounted.
 func (s *Rank) runTile(c *athread.CPE, obj *taskgraph.Object, tile grid.Tile,
-	step int, t, dt float64, ins, outs []ioVar, deferred *[]func()) error {
-	var bufs []*athread.LDMBuf
-	release := func() {
-		for _, b := range bufs {
-			c.Release(b)
-		}
-	}
-	inMap := map[*taskgraph.Label]*taskgraph.LDMData{}
-	for _, iv := range ins {
-		region := tile.Box.Grow(iv.dep.Ghost)
-		buf, err := c.Get(region, iv.f)
+	step int, t, dt float64, ins, outs []ioVar) error {
+	bufs := s.bufs[:0]
+	first := len(s.vars)
+	record := s.cfg.Functional && obj.Task.Kernel.Compute != nil
+	reserve := func(buf *athread.LDMBuf, err error, l *taskgraph.Label) error {
 		if err != nil {
-			release()
-			return err
-		}
-		bufs = append(bufs, buf)
-		inMap[iv.dep.Label] = &taskgraph.LDMData{Region: region, Data: buf.Data}
-	}
-	outMap := map[*taskgraph.Label]*taskgraph.LDMData{}
-	var outBufs []*athread.LDMBuf
-	for _, ov := range outs {
-		buf, err := c.NewBuf(tile.Box)
-		if err != nil {
-			release()
-			for _, b := range outBufs {
+			for _, b := range bufs {
 				c.Release(b)
 			}
 			return err
 		}
-		outBufs = append(outBufs, buf)
-		outMap[ov.dep.Label] = &taskgraph.LDMData{Region: tile.Box, Data: buf.Data}
-	}
-	compute := obj.Task.Kernel.Compute
-	if deferred != nil && s.cfg.Functional && s.cfg.Workers > 1 && compute != nil {
-		tc := &taskgraph.TileContext{
-			Patch: obj.Patch, Tile: tile,
-			In: inMap, Out: outMap,
-			Step: step, Time: t, Dt: dt,
-			Level: s.graph.Level,
+		bufs = append(bufs, buf)
+		if record {
+			s.vars = append(s.vars, taskgraph.TileVar{Label: l, Data: buf.Data})
 		}
-		c.Compute(tile.Box.NumCells())
-		for i := range outs {
-			c.PutAccounted(outBufs[i])
-		}
-		for _, b := range bufs {
-			c.ReleaseKeep(b)
-		}
-		for _, b := range outBufs {
-			c.ReleaseKeep(b)
-		}
-		c.EndTile()
-		tileBox := tile.Box
-		outFields := make([]*field.Cell, len(outs))
-		for i, ov := range outs {
-			outFields[i] = ov.f
-		}
-		stagedIn, stagedOut := bufs, outBufs
-		*deferred = append(*deferred, func() {
-			compute(tc)
-			for i, f := range outFields {
-				f.CopyRegion(stagedOut[i].Data, tileBox)
-			}
-			for _, b := range stagedIn {
-				b.Data.Recycle()
-				b.Data = nil
-			}
-			for _, b := range stagedOut {
-				b.Data.Recycle()
-				b.Data = nil
-			}
-		})
 		return nil
 	}
-	if s.cfg.Functional && compute != nil {
-		compute(&taskgraph.TileContext{
+	for _, iv := range ins {
+		buf, err := c.Get(tile.Box.Grow(iv.dep.Ghost), iv.f)
+		if err := reserve(buf, err, iv.dep.Label); err != nil {
+			return err
+		}
+	}
+	for _, ov := range outs {
+		buf, err := c.NewBuf(tile.Box, ov.f)
+		if err := reserve(buf, err, ov.dep.Label); err != nil {
+			return err
+		}
+	}
+	if record {
+		mid := first + len(ins)
+		s.tiles = append(s.tiles, taskgraph.TileContext{
 			Patch: obj.Patch, Tile: tile,
-			In: inMap, Out: outMap,
+			In: s.vars[first:mid], Out: s.vars[mid:],
 			Step: step, Time: t, Dt: dt,
 			Level: s.graph.Level,
 		})
 	}
 	c.Compute(tile.Box.NumCells())
-	for i, ov := range outs {
-		c.Put(ov.f, outBufs[i])
+	for _, b := range bufs[len(ins):] {
+		c.Put(b)
 	}
-	release()
-	for _, b := range outBufs {
+	for _, b := range bufs {
 		c.Release(b)
 	}
 	c.EndTile()
+	s.bufs = bufs
 	return nil
 }
 
@@ -397,18 +349,13 @@ func (s *Rank) runOnMPE(p *sim.Process, step int, t, dt float64, obj *taskgraph.
 		trace.KindMPEKern, step, fmt.Sprintf("%s p%d (mpe)", task.Name, obj.Patch.ID))
 	if s.cfg.Functional && task.Kernel.Compute != nil {
 		ins, outs := s.gatherIO(obj)
-		inMap := map[*taskgraph.Label]*taskgraph.LDMData{}
-		for _, iv := range ins {
-			inMap[iv.dep.Label] = &taskgraph.LDMData{
-				Region: obj.Patch.Box.Grow(iv.dep.Ghost), Data: iv.f}
-		}
-		outMap := map[*taskgraph.Label]*taskgraph.LDMData{}
-		for _, ov := range outs {
-			outMap[ov.dep.Label] = &taskgraph.LDMData{Region: obj.Patch.Box, Data: ov.f}
+		vars := make(taskgraph.TileVars, 0, len(ins)+len(outs))
+		for _, v := range append(ins, outs...) {
+			vars = append(vars, taskgraph.TileVar{Label: v.dep.Label, Data: v.f})
 		}
 		task.Kernel.Compute(&taskgraph.TileContext{
 			Patch: obj.Patch, Tile: grid.Tile{Box: obj.Patch.Box},
-			In: inMap, Out: outMap,
+			In: vars[:len(ins)], Out: vars[len(ins):],
 			Step: step, Time: t, Dt: dt,
 			Level: s.graph.Level,
 		})

@@ -3,21 +3,20 @@ package scheduler
 import (
 	"sync"
 	"sync/atomic"
+
+	"sunuintah/internal/taskgraph"
 )
 
-// runOps executes the deferred numeric tile bodies collected during an
-// offload on a bounded worker pool and waits for all of them. Every op
-// writes a disjoint output region and touches no shared scheduler or
-// accounting state, so execution order does not matter and the results
-// are byte-identical for any worker count. Panics inside ops (kernel
+// runTiles runs compute over the tile contexts an offload recorded, on a
+// bounded worker pool, and waits for all of them. Every tile writes a
+// disjoint output region and touches no shared scheduler or accounting
+// state, so execution order does not matter and the results are
+// byte-identical for any worker count. Panics inside compute (kernel
 // bugs) are re-raised on the caller's goroutine.
-func runOps(workers int, ops []func()) {
-	if len(ops) == 0 {
-		return
-	}
-	if workers <= 1 || len(ops) == 1 {
-		for _, op := range ops {
-			op()
+func runTiles(workers int, ops []taskgraph.TileContext, compute func(*taskgraph.TileContext)) {
+	if workers <= 1 || len(ops) <= 1 {
+		for i := range ops {
+			compute(&ops[i])
 		}
 		return
 	}
@@ -46,7 +45,7 @@ func runOps(workers int, ops []func()) {
 				if i >= len(ops) {
 					return
 				}
-				ops[i]()
+				compute(&ops[i])
 			}
 		}()
 	}

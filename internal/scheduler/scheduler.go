@@ -212,6 +212,12 @@ type Rank struct {
 	slots []*slot
 	// plans caches each patch's tile plan from its first offload on.
 	plans map[planKey]*tilePlan
+	// tiles and vars are the current offload's tile contexts and the
+	// variable views they slice; bufs is runTile's per-tile scratch. All
+	// three are rewound, not reallocated, from one offload to the next.
+	tiles []taskgraph.TileContext
+	vars  []taskgraph.TileVar
+	bufs  []*athread.LDMBuf
 	// prepared queues objects whose MPE part was processed ahead of time
 	// while the CPEs were busy (asynchronous mode's work-ahead).
 	prepared []*taskgraph.Object

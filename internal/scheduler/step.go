@@ -402,16 +402,19 @@ func (s *Rank) processMPEPart(p *sim.Process, step int, t float64, obj *taskgrap
 		if s.cfg.Functional {
 			f := s.DWs.Old.Get(bc.Label, obj.Patch)
 			lv := s.graph.Level
-			fill := bc.Label.BC
+			fill, profile := bc.Label.BC, bc.Label.Profile
 			for _, r := range bc.Regions {
-				if fill == nil {
+				switch {
+				case profile != nil:
+					f.FillSeparable(r, lv, func(axis int, x float64) float64 { return profile(axis, x, t) })
+				case fill != nil:
+					f.FillFunc(r, func(c grid.IVec) float64 {
+						x, y, z := lv.CellCenter(c)
+						return fill(x, y, z, t)
+					})
+				default:
 					f.Fill(r, 0)
-					continue
 				}
-				f.FillFunc(r, func(c grid.IVec) float64 {
-					x, y, z := lv.CellCenter(c)
-					return fill(x, y, z, t)
-				})
 			}
 		}
 		s.charge(p, sim.Time(s.params.BCFillTime(bc.Cells)), &s.Stats.MPEWorkTime,

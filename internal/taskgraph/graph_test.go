@@ -1,6 +1,7 @@
 package taskgraph
 
 import (
+	"strings"
 	"testing"
 
 	"sunuintah/internal/grid"
@@ -44,6 +45,9 @@ func TestValidateRejectsBadTasks(t *testing.T) {
 			Computes: []Dep{{Label: u, DW: NewDW}}},
 		{Name: "neg-ghost", Kind: KindOffload, Kernel: &Kernel{},
 			Requires: []Dep{{Label: u, DW: OldDW, Ghost: -1}},
+			Computes: []Dep{{Label: u, DW: NewDW}}},
+		{Name: "in-place", Kind: KindOffload, Kernel: &Kernel{},
+			Requires: []Dep{{Label: u, DW: NewDW}},
 			Computes: []Dep{{Label: u, DW: NewDW}}},
 		{Name: "empty-mpe", Kind: KindMPE},
 		{Name: "bad-reduce", Kind: KindReduction, Reduce: &ReduceSpec{},
@@ -224,6 +228,34 @@ func TestCompileMissingProducerFails(t *testing.T) {
 	}
 	if _, err := Compile(lv, []*Task{ghostTask}, []int{0}, 0); err == nil {
 		t.Fatal("missing producer should fail compilation")
+	}
+}
+
+// Kernels run on views of the warehouse fields, tile by tile and
+// concurrently: a task updating a new-warehouse variable in place would
+// read cells its own tiles are overwriting. Compile must refuse it, even
+// when an earlier task produces the variable.
+func TestCompileRejectsInPlaceUpdate(t *testing.T) {
+	lv := level(t, grid.IV(16, 16, 16), grid.IV(2, 1, 1))
+	u, v := NewLabel("u", nil), NewLabel("v", nil)
+	produce := &Task{Name: "produce", Kind: KindOffload, Kernel: &Kernel{},
+		Requires: []Dep{{Label: u, DW: OldDW, Ghost: 1}},
+		Computes: []Dep{{Label: v, DW: NewDW}, {Label: u, DW: NewDW}}}
+	inPlace := &Task{Name: "relax", Kind: KindOffload, Kernel: &Kernel{},
+		Requires: []Dep{{Label: u, DW: OldDW}, {Label: v, DW: NewDW}},
+		Computes: []Dep{{Label: v, DW: NewDW}}}
+	_, err := Compile(lv, []*Task{produce, inPlace}, []int{0, 0}, 0)
+	if err == nil {
+		t.Fatal("in-place update of a new-warehouse variable compiled")
+	}
+	for _, want := range []string{`"relax"`, `"v"`, "in-place"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+	// Reading the old copy while computing the new one is the normal case.
+	if _, err := Compile(lv, []*Task{advanceTask(u)}, []int{0, 0}, 0); err != nil {
+		t.Fatalf("old-to-new update rejected: %v", err)
 	}
 }
 

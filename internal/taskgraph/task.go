@@ -24,12 +24,30 @@ type Label struct {
 	// BC supplies the physical-boundary value at position (x,y,z) and time
 	// t, used to fill ghost cells outside the domain. Nil means zero.
 	BC func(x, y, z, t float64) float64
+	// Profile, when set, declares BC separable:
+	//
+	//	BC(x,y,z,t) == Profile(0,x,t) * Profile(1,y,t) * Profile(2,z,t)
+	//
+	// bit for bit, multiplied left to right. A boundary region is then
+	// filled from nx+ny+nz profile evaluations instead of one BC call per
+	// ghost cell (field.FillSeparable). Set it only through
+	// NewSeparableLabel, which derives BC from it.
+	Profile func(axis int, s, t float64) float64
 }
 
 // NewLabel creates a variable label with an optional boundary-condition
 // function.
 func NewLabel(name string, bc func(x, y, z, t float64) float64) *Label {
 	return &Label{name: name, BC: bc}
+}
+
+// NewSeparableLabel creates a variable label whose boundary condition is
+// the product of one profile per axis (see Label.Profile).
+func NewSeparableLabel(name string, profile func(axis int, s, t float64) float64) *Label {
+	return &Label{name: name, Profile: profile,
+		BC: func(x, y, z, t float64) float64 {
+			return profile(0, x, t) * profile(1, y, t) * profile(2, z, t)
+		}}
 }
 
 // Name returns the label's name.
@@ -71,17 +89,17 @@ const (
 	KindReduction
 )
 
-// TileContext is passed to a kernel's Compute function for each tile. In
-// functional runs the LDM buffers carry real data; in timing-only runs
-// their Data fields are nil and Compute is not invoked.
+// TileContext is passed to a kernel's Compute function for each tile.
+// Compute runs in functional mode only.
 type TileContext struct {
 	Patch *grid.Patch
 	Tile  grid.Tile
-	// In and Out map each required/computed label to its staged LDM
-	// buffer. Input buffers cover the tile grown by the ghost width;
-	// output buffers cover the tile interior.
-	In  map[*Label]*LDMData
-	Out map[*Label]*LDMData
+	// In and Out hold each required/computed variable's tile-local view.
+	// An input view covers the tile grown by the declared ghost width, an
+	// output view the tile interior; reading or writing outside them
+	// through At, Set or Index panics.
+	In  TileVars
+	Out TileVars
 	// Step, Time and Dt describe the timestep being computed: Time is the
 	// time level of the old warehouse.
 	Step int
@@ -91,10 +109,25 @@ type TileContext struct {
 	Level *grid.Level
 }
 
-// LDMData is a tile-local view of a variable staged in LDM.
-type LDMData struct {
-	Region grid.Box
-	Data   *field.Cell // nil in timing-only mode
+// TileVar is one variable's view for one tile.
+type TileVar struct {
+	Label *Label
+	Data  *field.Cell
+}
+
+// TileVars is a tile's inputs or outputs in declaration order — a task
+// declares a handful, so lookup is a scan, and the scheduler can carve
+// every tile's list out of one array per offload.
+type TileVars []TileVar
+
+// Get returns l's view. It panics if the task did not declare l.
+func (vs TileVars) Get(l *Label) *field.Cell {
+	for i := range vs {
+		if vs[i].Label == l {
+			return vs[i].Data
+		}
+	}
+	panic(fmt.Sprintf("taskgraph: kernel accessed undeclared variable %q", l.Name()))
 }
 
 // Kernel describes an offloadable numerical kernel.
@@ -158,6 +191,16 @@ func (t *Task) AppliesTo(patchID int) bool {
 	return t.Patches == nil || t.Patches(patchID)
 }
 
+// computes reports whether the task declares l as an output.
+func (t *Task) computes(l *Label) bool {
+	for _, d := range t.Computes {
+		if d.Label == l {
+			return true
+		}
+	}
+	return false
+}
+
 // Validate checks structural consistency of the declaration.
 func (t *Task) Validate() error {
 	switch t.Kind {
@@ -196,6 +239,12 @@ func (t *Task) Validate() error {
 		}
 		if d.DW == NewDW && d.Ghost != 0 {
 			return fmt.Errorf("taskgraph: task %q requires %q from the new warehouse with ghost cells (intra-step halo exchange is not supported)", t.Name, d.Label.Name())
+		}
+		if d.DW == NewDW && t.computes(d.Label) {
+			// Kernels work on views of the warehouse fields and the tiles
+			// of one offload run concurrently: updated in place, a
+			// variable would change under the kernels still reading it.
+			return fmt.Errorf("taskgraph: task %q both requires and computes %q in the new warehouse (in-place update is not supported; compute into a second label)", t.Name, d.Label.Name())
 		}
 	}
 	return nil
