@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test examples race chaos workload loadcheck shardcheck optcheck bench benchgate cover clean
+.PHONY: check vet build test examples race chaos workload loadcheck bench benchgate cover clean
 
-check: vet build test examples race chaos workload loadcheck shardcheck optcheck benchgate cover
+check: vet build test examples race chaos workload loadcheck benchgate cover
 
 vet:
 	$(GO) vet ./...
@@ -29,12 +29,15 @@ examples:
 # Race-check the concurrent subsystems: the sharded engine and the MPI
 # model it drives (the packages with real cross-goroutine traffic), the
 # runner package in full (including the determinism guard, which
-# exercises real simulations on concurrent workers), the fault plane and
-# the core recovery/sharding paths, and the experiments package's fast
-# tests. The full-sweep experiments tests are minutes-long under the
-# race detector, hence -short there. field, athread and scheduler are in
-# because the tile worker pool computes on windows of the warehouse
-# fields: its goroutines write main-memory storage directly.
+# exercises real simulations on concurrent workers), the fault plane, all
+# of core, and the experiments package's fast tests. The full-sweep
+# experiments tests are minutes-long under the race detector, hence -short
+# there. field, athread and scheduler are in because the tile worker pool
+# computes on windows of the warehouse fields: its goroutines write
+# main-memory storage directly. This is also the shard gate: core's
+# TestShardedBitIdentical holds the conservative engine byte-identical to
+# serial at shards 1/2/4/8, and sim's TestShardSet* cover the window/mail
+# machinery, the latency-matrix and the mail-storm edge cases.
 race:
 	$(GO) test -race -count=1 ./internal/sim/... ./internal/mpisim/...
 	$(GO) test -race -count=1 ./internal/field/... ./internal/athread/... ./internal/scheduler/...
@@ -42,29 +45,9 @@ race:
 	$(GO) test -race -count=1 ./internal/faults/...
 	$(GO) test -race -count=1 ./internal/trace/... ./internal/obs/...
 	$(GO) test -race -count=1 ./internal/rng/... ./internal/physics/... ./internal/heat3d/... ./internal/workload/...
-	$(GO) test -race -count=1 -run 'Resilient|Reoffload|MPEFallback|MessageFaults|ZeroPlan|Sharded|Shards|Coalesced' ./internal/core/
+	$(GO) test -race -count=1 ./internal/core/
 	$(GO) test -race -short -count=1 ./internal/experiments/...
 	$(GO) test -race -count=1 ./internal/jobstore/... ./internal/admission/... ./internal/loadgen/... ./cmd/sunserver/
-
-# The shard gate: the parallel conservative engine must produce results
-# byte-identical to the serial engine at every shard count (1/2/4/8 via
-# TestShardedBitIdentical), with the window/mail machinery itself under
-# the race detector, plus the latency-matrix and mail-storm edge cases.
-shardcheck:
-	$(GO) test -race -count=1 -run 'TestShardedBitIdentical' ./internal/core/
-	$(GO) test -race -count=1 -run 'TestShardSet' ./internal/sim/
-
-# The optimistic (Time-Warp) gate: speculative coordination must produce
-# results byte-identical to the serial engine at every shard count and
-# speculation depth (1/2/4/8 x depths 1/4 via TestOptimisticBitIdentical,
-# with real rollbacks, anti-messages and cascades exercised), the
-# committed event trace must match the serial order exactly, core's
-# end-to-end cases must stay bit-identical with Optimistic set (including
-# the crash-plan force-serial and process-degrade rules), and the rank
-# rewind savers must round-trip — all under the race detector.
-optcheck:
-	$(GO) test -race -count=1 -run 'TestOptimistic' ./internal/sim/
-	$(GO) test -race -count=1 -run 'TestCoreOptimistic|TestOptimisticDegradeReported|TestOptimisticCrashPlanForcesSerial|TestRankRewindRoundTrip' ./internal/core/
 
 # The chaos gate: run the short fault-matrix determinism test (byte-equal
 # artifact across worker counts, >= 95% of runs recovered at the default

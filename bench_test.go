@@ -156,30 +156,23 @@ func BenchmarkFig9FloatingPointPerformance(b *testing.B) {
 // bit-identical by construction; TestExecShardDeterminism enforces it).
 func BenchmarkTimestepEndToEnd(b *testing.B) {
 	engines := []struct {
-		name       string
-		shards     int
-		optimistic bool
+		name   string
+		shards int
 	}{
-		{"serial", 0, false},
-		{"shards4", 4, false},
-		// The Time-Warp knob on the same case: rank drivers are processes,
-		// so this measures the optimistic coordinator's documented
-		// conservative fallback — i.e. that requesting -optimistic costs
-		// nothing at e2e level (benchgate gates the ratio).
-		{"opt4", 4, true},
+		{"serial", 0},
+		{"shards4", 4},
 	}
 	for _, ranks := range []int{4, 16, 32} {
 		for _, eng := range engines {
 			b.Run(fmt.Sprintf("ranks%d/%s", ranks, eng.name), func(b *testing.B) {
 				layouts := map[int]string{4: "2x2x1", 16: "4x2x2", 32: "4x4x2"}
 				spec := runner.Spec{
-					Cells:      "64x64x128",
-					Layout:     layouts[ranks],
-					CGs:        ranks,
-					Variant:    "acc_simd.async",
-					Steps:      benchSteps,
-					Shards:     eng.shards,
-					Optimistic: eng.optimistic,
+					Cells:   "64x64x128",
+					Layout:  layouts[ranks],
+					CGs:     ranks,
+					Variant: "acc_simd.async",
+					Steps:   benchSteps,
+					Shards:  eng.shards,
 				}
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -284,101 +277,6 @@ func BenchmarkShardMailMerge(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "msgs/s")
-}
-
-// twbNode is a PHOLD-style actor for BenchmarkOptimisticTimeWarp: each
-// job folds (time, payload) into a hash and schedules one successor,
-// locally or on a pseudo-random peer one lookahead away, so deep windows
-// genuinely mis-speculate and roll back.
-type twbNode struct {
-	nodes  []*twbNode
-	eng    *sim.Engine
-	post   func(dst int, at sim.Time, fn func())
-	rng    uint64
-	hash   uint64
-	budget int64
-}
-
-type twbState struct {
-	rng, hash uint64
-	budget    int64
-}
-
-func (nd *twbNode) SaveState() any { return twbState{nd.rng, nd.hash, nd.budget} }
-func (nd *twbNode) RestoreState(s any) {
-	st := s.(twbState)
-	nd.rng, nd.hash, nd.budget = st.rng, st.hash, st.budget
-}
-
-func twbMix(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4b9b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-const twbLookahead = 5 * sim.Nanosecond
-
-func (nd *twbNode) job(payload uint64) {
-	t := nd.eng.Now()
-	nd.hash = nd.hash*1099511628211 ^ uint64(t*1e12) ^ payload
-	if nd.budget <= 0 {
-		return
-	}
-	nd.budget--
-	r := twbMix(&nd.rng)
-	next := twbMix(&nd.rng)
-	jitter := sim.Time(r%1000) * 1e-12
-	if (r>>32)%100 < 30 {
-		dst := int(next % uint64(len(nd.nodes)))
-		dn := nd.nodes[dst]
-		nd.post(dst, t+twbLookahead+sim.Nanosecond+jitter, func() { dn.job(next) })
-	} else {
-		nd.eng.ScheduleAt(t+2e-10+jitter, func() { nd.job(next) })
-	}
-}
-
-// BenchmarkOptimisticTimeWarp measures the Time-Warp coordinator end to
-// end — speculation, snapshots, rollbacks, anti-messages, fossil
-// collection — on the PHOLD model, and reports the rollback fraction the
-// adaptive throttle holds the run to.
-func BenchmarkOptimisticTimeWarp(b *testing.B) {
-	const nNodes, nShards, budget = 8, 4, 1000
-	var last sim.OptStats
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		o := sim.NewOptimisticShardSet(nShards, twbLookahead, sim.OptConfig{MaxDepth: 4})
-		nodes := make([]*twbNode, nNodes)
-		for j := range nodes {
-			nodes[j] = &twbNode{rng: uint64(j)*2654435761 + 12345, budget: budget}
-		}
-		for j, nd := range nodes {
-			nd.nodes = nodes
-			nd.eng = o.Engine(j % nShards)
-			src := nd.eng
-			nd.post = func(dst int, at sim.Time, fn func()) {
-				o.Post(src, o.Engine(dst%nShards), at, fn)
-			}
-			o.Register(j%nShards, nd)
-		}
-		for j, nd := range nodes {
-			nd := nd
-			payload := uint64(j) * 7777
-			nd.eng.ScheduleAt(sim.Time(j+1)*sim.Nanosecond, func() { nd.job(payload) })
-		}
-		o.Run()
-		last = o.Stats()
-		if last.Degraded {
-			b.Fatal("Time-Warp benchmark degraded to the conservative path")
-		}
-	}
-	b.StopTimer()
-	if last.Rollbacks == 0 {
-		b.Fatal("Time-Warp benchmark never rolled back: speculation was not exercised")
-	}
-	b.ReportMetric(float64(last.EventsExecuted)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-	b.ReportMetric(last.RollbackFrac(), "rollback-frac")
 }
 
 // BenchmarkEventArena measures the engine's no-handle hot path: a

@@ -24,7 +24,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -53,12 +52,12 @@ import (
 const calibName = "calib.iters_per_s"
 
 // schemaVersion is the baseline file format this benchgate reads and
-// writes. Schema 2 added the recorded GOMAXPROCS and the Time-Warp
-// metrics (sim.opt.*, e2e.opt4.speedup_x); schema 3 added the
-// observability metrics (obs.overhead_frac, obs.nilprobe.allocs_per_op).
-// A stale-schema baseline fails the gate with a re-record instruction
-// instead of silently skipping the new metrics.
-const schemaVersion = 3
+// writes. Schema 2 added the recorded GOMAXPROCS; schema 3 added the
+// observability metrics (obs.overhead_frac, obs.nilprobe.allocs_per_op);
+// schema 4 dropped the Time-Warp metrics with the engine. A stale-schema
+// baseline fails the gate with a re-record instruction instead of silently
+// skipping metrics.
+const schemaVersion = 4
 
 // Baseline is the persisted gate file.
 type Baseline struct {
@@ -185,12 +184,12 @@ func collect() map[string]float64 {
 	}
 	m[calibName] = measureRate(10000, 5, calib)
 
-	// Observability overhead: the sampler + speculation hooks must cost
+	// Observability overhead: the sampler's hooks must cost
 	// under 5% of e2e steps/s. The cost is isolated at the core layer:
 	// both sides of a pair run the same resolved config with a trace
 	// recorder attached (an observed run always records one), and the
-	// instrumented side additionally wires every probe and speculation
-	// hook with report assembly disabled (obs.Options.HooksOnly) — so the
+	// instrumented side additionally wires every probe
+	// with report assembly disabled (obs.Options.HooksOnly) — so the
 	// delta is exactly the always-on hook tax, not the one-shot report
 	// assembly that only reporting runs pay. The case runs longer than
 	// the e2e speedup cases because the sampler's cost is sublinear in
@@ -361,36 +360,6 @@ func collect() map[string]float64 {
 		m["e2e.shards4.speedup_x"] = ratios[reps/2]
 	}
 
-	// The Time-Warp knob's e2e ratio: optimistic versus conservative shard
-	// coordination on the same shards-4 case, interleaved like the speedup
-	// pair above. Rank drivers are processes, so at e2e level the optimistic
-	// coordinator takes its documented conservative fallback — the gate is
-	// "requesting -optimistic must not cost wall-clock", a flat must-not-lose
-	// floor rather than the parallelism floor (see floorFor).
-	{
-		consFn := e2e(4)
-		optFn := func() {
-			spec := runner.Spec{Cells: "64x64x128", Layout: "4x4x2", CGs: 32,
-				Variant: "acc_simd.async", Steps: e2eSteps, Shards: 4, Optimistic: true}
-			res, err := experiments.Exec(context.Background(), spec)
-			if err != nil {
-				panic(err)
-			}
-			if !res.Feasible {
-				panic("benchgate: e2e opt case infeasible")
-			}
-		}
-		const reps = 7
-		ratios := make([]float64, 0, reps)
-		for r := 0; r < reps; r++ {
-			c := oneWindow(e2eSteps, consFn)
-			p := oneWindow(e2eSteps, optFn)
-			ratios = append(ratios, p/c)
-		}
-		sort.Float64s(ratios)
-		m["e2e.opt4.speedup_x"] = ratios[reps/2]
-	}
-
 	// Mixed-physics end-to-end throughput (steps/s): all three model
 	// problems partitioned across patches with per-patch task predicates
 	// and physics-interface BC fills — the workload scenarios' hot path.
@@ -463,131 +432,20 @@ func collect() map[string]float64 {
 	}
 
 	// The disabled-observability fast path must stay allocation-free: a nil
-	// SpecRecorder's Observe and a publish to a subscriber-less progress
-	// topic are what every non-instrumented run pays per window/step.
+	// RankProbes hook and a publish to a subscriber-less progress topic are
+	// what every non-instrumented run pays per scheduler event/step.
 	{
-		var rec *obs.SpecRecorder
+		var probes *obs.RankProbes
 		bus := obs.NewProgressBus()
-		ws := sim.WindowStats{Window: 1, Executed: 10}
 		ev := obs.ProgressEvent{Rank: 1, Step: 1, Done: 1, Total: 10}
 		m["obs.nilprobe.allocs_per_op"] = testing.AllocsPerRun(100, func() {
-			rec.Observe(ws)
+			probes.QueueDepth(1, 3)
+			probes.MsgSent(1, 4096, 2)
 			bus.Publish("benchgate", ev)
 		})
 	}
 
-	// Time-Warp optimistic coordination (events/s, and the rollback
-	// fraction the adaptive throttle is minimising) on a PHOLD-style model
-	// with real speculation: cross-shard sends land one lookahead away, so
-	// deep windows mis-speculate and roll back. Both the event count and
-	// the rollback fraction are deterministic functions of the model (the
-	// engine's bit-identity contract), so the fraction is gated absolutely
-	// (see check) and the count can calibrate the rate denominator.
-	{
-		ref := runTimeWarpModel()
-		if ref.Rollbacks == 0 || ref.AntiMessages == 0 {
-			panic("benchgate: Time-Warp metric model never rolled back — speculation is not being measured")
-		}
-		m["sim.opt.rollback_frac"] = ref.RollbackFrac()
-		m["sim.opt.events_per_s"] = measureRate(int(ref.EventsExecuted), 5, func() {
-			runTimeWarpModel()
-		})
-	}
-
 	return m
-}
-
-// twNode is a PHOLD-style actor for the Time-Warp metrics: each job folds
-// (time, payload) into an order-sensitive hash and schedules one
-// successor, locally (sub-lookahead delay) or on a pseudo-random peer one
-// lookahead away. It mirrors the sim package's bit-identity test model —
-// the metric needs genuine speculation with genuine rollbacks, not a
-// straight-line event chain.
-type twNode struct {
-	id    int
-	nodes []*twNode
-	eng   *sim.Engine
-	post  func(dst int, at sim.Time, fn func())
-
-	rng    uint64
-	hash   uint64
-	budget int64
-}
-
-type twState struct {
-	rng, hash uint64
-	budget    int64
-}
-
-func (nd *twNode) SaveState() any { return twState{nd.rng, nd.hash, nd.budget} }
-
-func (nd *twNode) RestoreState(s any) {
-	st := s.(twState)
-	nd.rng, nd.hash, nd.budget = st.rng, st.hash, st.budget
-}
-
-// twMix is a splitmix64 step: the model's deterministic jitter source.
-func twMix(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4b9b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-const twLookahead = 5 * sim.Nanosecond
-
-func (nd *twNode) job(payload uint64) {
-	t := nd.eng.Now()
-	nd.hash = nd.hash*1099511628211 ^ math.Float64bits(float64(t)) ^ payload
-	if nd.budget <= 0 {
-		return
-	}
-	nd.budget--
-	r := twMix(&nd.rng)
-	next := twMix(&nd.rng)
-	jitter := sim.Time(r%1000) * 1e-12
-	if (r>>32)%100 < 30 {
-		dst := int(next % uint64(len(nd.nodes)))
-		dn := nd.nodes[dst]
-		nd.post(dst, t+twLookahead+sim.Nanosecond+jitter, func() { dn.job(next) })
-	} else {
-		at := t + 2e-10 + jitter
-		nd.eng.ScheduleAt(at, func() { nd.job(next) })
-	}
-}
-
-// runTimeWarpModel builds and runs the PHOLD model on a 4-shard
-// OptimisticShardSet at full speculation depth and returns the run's
-// stats. The run is deterministic, so its EventsExecuted and rollback
-// fraction are stable across invocations.
-func runTimeWarpModel() sim.OptStats {
-	const nNodes, nShards, budget = 8, 4, 1000
-	o := sim.NewOptimisticShardSet(nShards, twLookahead, sim.OptConfig{MaxDepth: 4})
-	nodes := make([]*twNode, nNodes)
-	for i := range nodes {
-		nodes[i] = &twNode{id: i, rng: uint64(i)*2654435761 + 12345, budget: budget}
-	}
-	for i, nd := range nodes {
-		nd.nodes = nodes
-		nd.eng = o.Engine(i % nShards)
-		src := nd.eng
-		nd.post = func(dst int, at sim.Time, fn func()) {
-			o.Post(src, o.Engine(dst%nShards), at, fn)
-		}
-		o.Register(i%nShards, nd)
-	}
-	for i, nd := range nodes {
-		nd := nd
-		payload := uint64(i) * 7777
-		nd.eng.ScheduleAt(sim.Time(i+1)*sim.Nanosecond, func() { nd.job(payload) })
-	}
-	o.Run()
-	st := o.Stats()
-	if st.Degraded {
-		panic("benchgate: Time-Warp metric model degraded to the conservative path")
-	}
-	return st
 }
 
 // speedupFloor is the minimum acceptable e2e.shards4.speedup_x for this
@@ -604,24 +462,8 @@ func speedupFloor() float64 {
 	return 0.85
 }
 
-// floorFor maps a speedup metric to its floor. e2e.opt4.speedup_x is
-// optimistic-versus-conservative on the same shard count — at e2e level
-// the optimistic coordinator takes its documented conservative fallback
-// (rank drivers are processes), so the honest gate is "the knob must not
-// cost wall-clock" at any parallelism, not the shards-versus-serial
-// parallelism floor.
-func floorFor(name string) float64 {
-	if name == "e2e.opt4.speedup_x" {
-		return 0.85
-	}
-	return speedupFloor()
-}
-
-// fracSlack is the absolute headroom for *_frac metrics. They are
-// deterministic functions of the gate's models (the optimistic engine's
-// bit-identity contract), so any drift is a behaviour change: either a
-// regression in the adaptive throttle or an intentional change that must
-// re-record the baseline.
+// fracSlack is the absolute headroom obs.overhead_frac gets above a
+// recorded baseline that already sits over the 5% contract.
 const fracSlack = 0.01
 
 func record(path string) error {
@@ -679,7 +521,7 @@ func check(path string, tol float64, verbose bool) ([]string, error) {
 		if strings.HasSuffix(name, "speedup_x") {
 			// Absolute floor, parallelism-aware: the ratio is already
 			// machine-normalised (same host measures both sides).
-			floor := floorFor(name)
+			floor := speedupFloor()
 			if c < floor {
 				failures = append(failures, fmt.Sprintf("%s: %.2fx, floor %.2fx (GOMAXPROCS=%d)",
 					name, c, floor, runtime.GOMAXPROCS(0)))
@@ -703,18 +545,6 @@ func check(path string, tol float64, verbose bool) ([]string, error) {
 			}
 			if verbose {
 				fmt.Printf("%-28s baseline %.3f  current %.3f  (limit %.3f)\n", name, b, c, limit)
-			}
-			continue
-		}
-		if strings.HasSuffix(name, "_frac") {
-			// Absolute must-not-exceed: the fraction is deterministic, so
-			// growth means the speculation/rollback balance changed.
-			if c > b+fracSlack {
-				failures = append(failures, fmt.Sprintf("%s: %.3f, baseline %.3f (must not exceed by >%.2f)",
-					name, c, b, fracSlack))
-			}
-			if verbose {
-				fmt.Printf("%-28s baseline %.3f  current %.3f  (must-not-exceed)\n", name, b, c)
 			}
 			continue
 		}

@@ -7,14 +7,13 @@
 // are memoised by content hash; with -cache DIR the memo persists on
 // disk, so a second invocation skips every completed case. -shards N
 // additionally parallelises each case internally on the conservative
-// sharded engine (-optimistic switches the shard coordination to the
-// Time-Warp engine); results stay bit-identical, so these knobs compose
-// freely with the cache.
+// sharded engine; results stay bit-identical, so the knob composes freely
+// with the cache.
 //
 // Usage:
 //
 //	sunbench [-steps N] [-noise f -repeats k] [-faults plan] [-jobs N]
-//	         [-shards N] [-optimistic] [-cache dir|off] [-json file] [-scenario file]
+//	         [-shards N] [-cache dir|off] [-json file] [-scenario file]
 //	         [-report] [-metrics-out file] [-cpuprofile file]
 //	         [-memprofile file] [-v] <artifact>...
 //
@@ -33,10 +32,9 @@
 //
 // -report runs a representative case with the flight recorder attached and
 // prints its run report (virtual-time series summary, overlap, roofline,
-// critical-path breakdown, and — under -shards/-optimistic — the window
-// speculation telemetry and Time-Warp stats); -metrics-out FILE
-// additionally writes the full report plus the pool's job metrics as
-// JSON. Both work with or without artifact arguments.
+// critical-path breakdown); -metrics-out FILE additionally writes the full
+// report plus the pool's job metrics as JSON. Both work with or without
+// artifact arguments.
 package main
 
 import (
@@ -53,24 +51,11 @@ import (
 	"sunuintah/internal/faults"
 	"sunuintah/internal/obs"
 	"sunuintah/internal/runner"
-	"sunuintah/internal/sim"
 	"sunuintah/internal/workload"
 )
 
-// fmtBytes renders an estimated byte count human-readably.
-func fmtBytes(n int64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1f MiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", n)
-	}
-}
-
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: sunbench [-steps N] [-noise f -repeats k] [-faults plan] [-jobs N] [-shards N] [-optimistic] [-cache dir|off] [-json file] [-scenario file] [-report] [-metrics-out file] [-cpuprofile file] [-memprofile file] [-v] <artifact>...")
+	fmt.Fprintln(os.Stderr, "usage: sunbench [-steps N] [-noise f -repeats k] [-faults plan] [-jobs N] [-shards N] [-cache dir|off] [-json file] [-scenario file] [-report] [-metrics-out file] [-cpuprofile file] [-memprofile file] [-v] <artifact>...")
 	fmt.Fprintln(os.Stderr, "artifacts: table1..table7 fig5..fig10 ablation-dma ablation-packing ablation-groups ablation-tiles chaos workload summary all")
 }
 
@@ -102,7 +87,6 @@ func main() {
 	faultsFlag := flag.String("faults", "off", `fault plan: "off", "default", "default,scale=F" or "seed=N,drop=f,crash=f,..."`)
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent simulation jobs")
 	shards := flag.Int("shards", 0, "engine shards per simulation (0 = serial engine; results are bit-identical)")
-	optimistic := flag.Bool("optimistic", false, "coordinate shards with the Time-Warp optimistic engine (needs -shards > 1; results are bit-identical)")
 	cacheFlag := flag.String("cache", "off", `result cache: "off", or a directory for an on-disk store (e.g. .suncache)`)
 	jsonPath := flag.String("json", "", "also write the full evaluation as structured JSON to this file")
 	scenario := flag.String("scenario", "", "run a workload scenario JSON file through the pool and print its per-phase report")
@@ -209,7 +193,7 @@ func main() {
 	pool := experiments.NewPool(*jobs, cache, onEvent)
 	defer pool.Close()
 	sweep := experiments.NewSweepWithPool(
-		experiments.Options{Steps: *steps, Noise: *noise, Repeats: *repeats, Faults: plan, Shards: *shards, Optimistic: *optimistic}, pool)
+		experiments.Options{Steps: *steps, Noise: *noise, Repeats: *repeats, Faults: plan, Shards: *shards}, pool)
 
 	// A full (or near-full) evaluation saturates the pool from the start;
 	// single artifacts prefetch their own cells.
@@ -247,7 +231,7 @@ func main() {
 	}
 
 	if wantReport {
-		if err := runFlightReport(pool, *steps, *shards, *optimistic, *metricsOut); err != nil {
+		if err := runFlightReport(pool, *steps, *shards, *metricsOut); err != nil {
 			fmt.Fprintln(os.Stderr, "sunbench:", err)
 			os.Exit(1)
 		}
@@ -284,9 +268,9 @@ func main() {
 // recorder attached and prints its run report. The run bypasses the result
 // cache deliberately: Report is excluded from the content hash, so a cached
 // result could legitimately lack the report this invocation asked for.
-func runFlightReport(pool *experiments.Pool, steps, shards int, optimistic bool, metricsOut string) error {
+func runFlightReport(pool *experiments.Pool, steps, shards int, metricsOut string) error {
 	spec := runner.Spec{Cells: "16x16x32", Layout: "2x2x2", CGs: 8,
-		Variant: "acc.async", Steps: steps, Shards: shards, Optimistic: optimistic,
+		Variant: "acc.async", Steps: steps, Shards: shards,
 		Report: true, Trace: true}
 	res, err := experiments.Exec(context.Background(), spec)
 	if err != nil {
@@ -300,27 +284,14 @@ func runFlightReport(pool *experiments.Pool, steps, shards int, optimistic bool,
 	fmt.Println()
 	res.Sim.Obs.WriteCriticalPath(os.Stdout)
 	fmt.Println()
-	if res.Sim.Speculation != nil {
-		res.Sim.Speculation.WriteTable(os.Stdout)
-		fmt.Println()
-	}
-	if o := res.Sim.Opt; o != nil {
-		fmt.Printf("time-warp: %d windows (%d speculative), %d rollbacks (%d cascaded), "+
-			"rollback frac %.3f, depth %d, %d snapshots (%s), %d anti-messages, degraded=%v\n\n",
-			o.Windows, o.SpecWindows, o.Rollbacks, o.CascadeRollbacks,
-			o.RollbackFrac(), o.FinalDepth, o.Snapshots, fmtBytes(o.SnapshotBytes),
-			o.AntiMessages, o.Degraded)
-	}
 	if metricsOut == "" {
 		return nil
 	}
 	out := struct {
-		Spec        runner.Spec     `json:"spec"`
-		Report      *obs.Report     `json:"report"`
-		Opt         *sim.OptStats   `json:"opt,omitempty"`
-		Speculation *obs.SpecReport `json:"speculation,omitempty"`
-		Pool        runner.Metrics  `json:"pool"`
-	}{spec, res.Sim.Obs, res.Sim.Opt, res.Sim.Speculation, pool.Metrics()}
+		Spec   runner.Spec    `json:"spec"`
+		Report *obs.Report    `json:"report"`
+		Pool   runner.Metrics `json:"pool"`
+	}{spec, res.Sim.Obs, pool.Metrics()}
 	f, err := os.Create(metricsOut)
 	if err != nil {
 		return err

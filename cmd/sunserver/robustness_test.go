@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -369,6 +371,64 @@ func TestRestartRecovery(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// TestRecoversStoreWrittenWithRemovedSpecField: upgrading a server with a
+// non-empty -store and -cache must not drop jobs. The files under
+// testdata/before-engine-removal were written by a sunserver whose
+// runner.Spec still had the Time-Warp field (see the README there). Replay
+// and disk-cache reads ignore the unknown key (plain json.Unmarshal, unlike
+// POST /run) and the content hash never covered either engine knob, so the
+// finished job is relisted with its cached result and the unfinished one
+// is resubmitted.
+func TestRecoversStoreWrittenWithRemovedSpecField(t *testing.T) {
+	storeDir, cacheDir := t.TempDir(), t.TempDir()
+	// Copies: the store compacts and the resubmitted job writes the cache.
+	for dst, name := range map[string]string{storeDir: "store", cacheDir: "cache"} {
+		src := filepath.Join("testdata", "before-engine-removal", name)
+		files, err := os.ReadDir(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			data, err := os.ReadFile(filepath.Join(src, f.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dst, f.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	store, err := jobstore.Open(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	cache, err := runner.NewDiskCache(cacheDir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, _, _ := newRobustServer(t, instantExec, 1, serverConfig{steps: 1, store: store, cache: cache})
+
+	var job struct {
+		State  string      `json:"state"`
+		Tenant string      `json:"tenant"`
+		Spec   runner.Spec `json:"spec"`
+		Result *struct {
+			Sim struct{ BytesOnWire int64 }
+		} `json:"result"`
+	}
+	if code := getJSON(t, ts.URL+"/jobs/j1", &job); code != http.StatusOK {
+		t.Fatalf("GET relisted j1 = %d", code)
+	}
+	if job.State != "done" || job.Tenant != "t1" || job.Spec.Shards != 4 || job.Spec.CGs != 2 {
+		t.Fatalf("relisted j1 = %+v", job)
+	}
+	if job.Result == nil || job.Result.Sim.BytesOnWire != 1024 {
+		t.Fatalf("relisted j1 lost its cached result: %+v", job.Result)
+	}
+	waitJobState(t, ts.URL, "j2", "done")
 }
 
 // TestShutdownDrainsCollectGoroutines asserts the collect-goroutine leak

@@ -118,11 +118,6 @@ type server struct {
 	admTotal  *obs.CounterVec
 	admLive   *obs.GaugeVec
 	info      *obs.GaugeVec
-	// Time-Warp telemetry of the most recent completed optimistic job
-	// (gauges) and a counter of degraded runs — OptStats made scrapeable.
-	optRollback *obs.GaugeVec
-	optDepth    *obs.GaugeVec
-	optDegraded *obs.CounterVec
 
 	mu             sync.Mutex
 	jobs           map[string]*apiJob
@@ -183,12 +178,6 @@ func newServer(ctx context.Context, pool *experiments.Pool, sweep *experiments.S
 		info: reg.GaugeVec("sunserver_info",
 			"Service-level gauges: workers, uptime, accepted API jobs, cache hit ratio.",
 			"name"),
-		optRollback: reg.GaugeVec("sunserver_opt_rollback_frac",
-			"Rollback fraction (rolled-back / executed events) of the most recent completed optimistic job."),
-		optDepth: reg.GaugeVec("sunserver_opt_depth",
-			"Final AIMD speculation depth of the most recent completed optimistic job."),
-		optDegraded: reg.CounterVec("sunserver_opt_degraded_total",
-			"Completed optimistic jobs that fell back to the conservative coordinator."),
 		jobs:      map[string]*apiJob{},
 		scenarios: map[string]*apiScenario{},
 	}
@@ -547,17 +536,6 @@ func (s *server) collect(id string, jobs []*runner.Job) {
 
 	if err := s.store.Finish(id, state, now, errMsg); err != nil {
 		s.log.Error("jobstore finish", "job", id, "err", err)
-	}
-	// Surface the winning repeat's Time-Warp stats on /metrics. Opt rides
-	// outside the Result's identity JSON, so only freshly executed runs
-	// carry it — a disk-cache hit leaves the gauges at their last value.
-	if final != nil && final.Sim != nil && final.Sim.Opt != nil {
-		o := final.Sim.Opt
-		s.optRollback.Set(o.RollbackFrac())
-		s.optDepth.Set(float64(o.FinalDepth))
-		if o.Degraded {
-			s.optDegraded.Inc()
-		}
 	}
 	if release {
 		// Feed the admission EWMA the job's execution cost: the recorded

@@ -45,21 +45,6 @@ type Config struct {
 	// Plans that can crash a core group force serial execution (a crash is
 	// an immediate global teardown, incompatible with lookahead).
 	Shards int
-	// Optimistic coordinates the shards with the Time-Warp engine
-	// (sim.OptimisticShardSet) instead of the conservative one: every
-	// rank's warehouse pair, scheduler counters and MPI counters are
-	// registered as rewindable state, so shards may speculate past their
-	// lookahead windows and roll back on stragglers. Like Shards it is a
-	// wall-clock knob only — results stay bit-identical for every setting
-	// and it never enters the runner's spec hash. The rank drivers are
-	// process-based today, so the coordinator takes its documented
-	// conservative fallback (OptStats().Degraded) until they become
-	// event-driven; crash-capable fault plans force serial execution
-	// exactly as they do for Shards. No-op unless Shards > 1.
-	Optimistic bool
-	// OptMaxDepth bounds speculation depth (quanta past the conservative
-	// window); 0 means the default (4). Ignored unless Optimistic.
-	OptMaxDepth int
 	// Scheduler picks the variant (mode, SIMD, tile size, extensions).
 	Scheduler scheduler.Config
 	// Params is the machine model; zero value means perf.DefaultParams.
@@ -132,10 +117,6 @@ type Simulation struct {
 	eng    *sim.Engine
 	engs   []*sim.Engine
 	shards *sim.ShardSet
-	// opt is the Time-Warp coordinator over shards (nil unless
-	// Cfg.Optimistic took effect); shardOf[r] is rank r's shard index.
-	opt     *sim.OptimisticShardSet
-	shardOf []int
 	// runMu guards the error/crash fields written by concurrently
 	// executing shard goroutines.
 	runMu  sync.Mutex
@@ -155,11 +136,8 @@ type Simulation struct {
 	crashFrac float64
 	crashed   *CrashError
 
-	// sampler is the flight recorder (nil unless Cfg.Obs is set); specRec
-	// records per-window engine telemetry when the run is both observed
-	// and sharded.
+	// sampler is the flight recorder (nil unless Cfg.Obs is set).
 	sampler *obs.Sampler
-	specRec *obs.SpecRecorder
 }
 
 // Result summarises a completed run.
@@ -196,16 +174,6 @@ type Result struct {
 	// Trace is the run's event timeline in canonical order; populated only
 	// when Config.Obs requests it (Options.Trace).
 	Trace []trace.Event `json:"Trace,omitempty"`
-	// Opt carries the Time-Warp coordinator's counters for optimistic
-	// runs; nil otherwise. Deliberately excluded from JSON: the counters
-	// depend on the Shards/OptMaxDepth knobs, and Result JSON is the
-	// byte-identity surface the shard and optimistic gates compare.
-	Opt *sim.OptStats `json:"-"`
-	// Speculation is the per-window engine telemetry recorded when both
-	// Config.Obs is set and the run is sharded (conservative or
-	// Time-Warp); nil otherwise. Excluded from JSON for the same reason
-	// as Opt — windows are an engine artifact, not a model observable.
-	Speculation *obs.SpecReport `json:"-"`
 }
 
 // NewSimulation validates and assembles a run.
@@ -251,24 +219,10 @@ func NewSimulation(cfg Config, prob Problem) (*Simulation, error) {
 
 	engs := make([]*sim.Engine, cfg.NumCGs)
 	var shards *sim.ShardSet
-	var opt *sim.OptimisticShardSet
-	var shardOf []int
 	if nShards > 1 {
-		if cfg.Optimistic {
-			depth := cfg.OptMaxDepth
-			if depth <= 0 {
-				depth = 4
-			}
-			opt = sim.NewOptimisticLatencies(shardLatencies(params, cfg.NumCGs, nShards),
-				sim.OptConfig{MaxDepth: depth})
-			shards = opt.ShardSet
-		} else {
-			shards = sim.NewShardSetLatencies(shardLatencies(params, cfg.NumCGs, nShards))
-		}
-		shardOf = make([]int, cfg.NumCGs)
+		shards = sim.NewShardSetLatencies(shardLatencies(params, cfg.NumCGs, nShards))
 		for r := range engs {
-			shardOf[r] = r * nShards / cfg.NumCGs
-			engs[r] = shards.Engine(shardOf[r])
+			engs[r] = shards.Engine(r * nShards / cfg.NumCGs)
 		}
 	} else {
 		eng := sim.NewEngine()
@@ -302,16 +256,9 @@ func NewSimulation(cfg Config, prob Problem) (*Simulation, error) {
 	s := &Simulation{
 		Cfg: cfg, Prob: prob, Level: level,
 		Machine: machine, Comm: comm,
-		eng: engs[0], engs: engs, shards: shards, opt: opt, shardOf: shardOf,
+		eng: engs[0], engs: engs, shards: shards,
 		assign:  assign,
 		sampler: sampler,
-	}
-	if sampler != nil && shards != nil {
-		// Window telemetry rides the same observability opt-in as the
-		// sampler; the observer runs on the coordinator goroutine between
-		// windows, so it races with nothing.
-		s.specRec = obs.NewSpecRecorder(sampler.Options().MaxSamples)
-		shards.SetWindowObserver(s.specRec.Observe)
 	}
 	// Attach the fault plane before the schedulers are built (they capture
 	// their core group's injector at construction).
@@ -334,13 +281,6 @@ func NewSimulation(cfg Config, prob Problem) (*Simulation, error) {
 			return nil, err
 		}
 		s.Ranks = append(s.Ranks, rk)
-		if opt != nil {
-			// Everything a rollback must rewind: the rank saver covers the
-			// warehouse pair, scheduler counters and core-group state; the
-			// MPI rank saver covers the traffic counters.
-			opt.Register(shardOf[r], rk)
-			opt.Register(shardOf[r], comm.Rank(r))
-		}
 	}
 	if err := s.allocateInitial(); err != nil {
 		return nil, err
@@ -396,27 +336,12 @@ func (s *Simulation) now() sim.Time {
 // segment starts every rank at the same instant, as the serial engine
 // does.
 func (s *Simulation) drive() {
-	if s.opt != nil {
-		s.opt.Run()
-		s.shards.AlignNow()
-		return
-	}
 	if s.shards != nil {
 		s.shards.Run()
 		s.shards.AlignNow()
 		return
 	}
 	s.eng.Run()
-}
-
-// OptStats returns the Time-Warp coordinator's counters, or false when
-// the run is not optimistic. Degraded reports the conservative fallback
-// (today always taken: the rank drivers are processes).
-func (s *Simulation) OptStats() (sim.OptStats, bool) {
-	if s.opt == nil {
-		return sim.OptStats{}, false
-	}
-	return s.opt.Stats(), true
 }
 
 // stopFrom stops the run from inside p's executing event: p's own engine
@@ -630,7 +555,6 @@ func (s *Simulation) Run(nSteps int) (*Result, error) {
 	res.BytesOnWire -= bytesBefore
 	res.Faults = s.faultReport()
 	s.attachObs(res)
-	s.attachRuntime(res)
 	return res, nil
 }
 
@@ -655,20 +579,6 @@ func (s *Simulation) attachObs(res *Result) {
 	res.Obs = rep
 	if s.Cfg.Obs.Trace {
 		res.Trace = sorted
-	}
-}
-
-// attachRuntime folds execution-engine introspection into a result: the
-// Time-Warp counters and the per-window telemetry stream. Both depend on
-// the engine knobs (Shards, OptMaxDepth) and are therefore carried in
-// JSON-excluded fields — see the Result field docs.
-func (s *Simulation) attachRuntime(res *Result) {
-	if s.opt != nil {
-		st := s.opt.Stats()
-		res.Opt = &st
-	}
-	if s.specRec != nil {
-		res.Speculation = s.specRec.Report()
 	}
 }
 

@@ -14,16 +14,15 @@ import (
 
 // TestShardsCriticalPathIdentity is the tentpole determinism gate for the
 // critical-path analysis: the folded-in chain report (and the whole
-// Result JSON carrying it) must be byte-identical across host workers,
-// shard counts and optimistic speculation depth. The chain is derived
-// from the canonicalised trace, so any engine-dependent ordering leaking
-// into it shows up here as a byte diff.
+// Result JSON carrying it) must be byte-identical across host workers and
+// shard counts. The chain is derived from the canonicalised trace, so any
+// engine-dependent ordering leaking into it shows up here as a byte diff.
 func TestShardsCriticalPathIdentity(t *testing.T) {
 	cells := grid.IV(16, 16, 16)
 	patches := grid.IV(2, 2, 2)
 	const nSteps = 3
 
-	run := func(workers, shards, depth int) ([]byte, []byte, *obs.Report) {
+	run := func(workers, shards int) ([]byte, []byte, *obs.Report) {
 		t.Helper()
 		prev := runtime.GOMAXPROCS(workers)
 		defer runtime.GOMAXPROCS(prev)
@@ -33,8 +32,6 @@ func TestShardsCriticalPathIdentity(t *testing.T) {
 			NumCGs:      8,
 			Scheduler:   scheduler.Config{Mode: scheduler.ModeAsync, TileSize: grid.IV(8, 8, 4)},
 			Shards:      shards,
-			Optimistic:  depth > 0,
-			OptMaxDepth: depth,
 			Obs:         &obs.Options{Trace: true},
 		}
 		prob, _ := burgersProblem(cells, patches, false)
@@ -55,7 +52,7 @@ func TestShardsCriticalPathIdentity(t *testing.T) {
 		return blob, table.Bytes(), res.Obs
 	}
 
-	refJSON, refTable, refObs := run(4, 0, 0)
+	refJSON, refTable, refObs := run(4, 0)
 	if refObs == nil || refObs.CritPath == nil {
 		t.Fatal("reference run has no critical-path report")
 	}
@@ -76,17 +73,15 @@ func TestShardsCriticalPathIdentity(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		for _, shards := range []int{0, 2, 4} {
-			for _, depth := range []int{0, 4} {
-				gotJSON, gotTable, _ := run(workers, shards, depth)
-				if !bytes.Equal(gotJSON, refJSON) {
-					t.Fatalf("workers=%d shards=%d depth=%d: Result JSON differs\nref: %s\ngot: %s",
-						workers, shards, depth, refJSON, gotJSON)
-				}
-				if !bytes.Equal(gotTable, refTable) {
-					t.Fatalf("workers=%d shards=%d depth=%d: critical-path table differs\nref:\n%s\ngot:\n%s",
-						workers, shards, depth, refTable, gotTable)
-				}
+		for _, shards := range []int{1, 2, 4, 8} {
+			gotJSON, gotTable, _ := run(workers, shards)
+			if !bytes.Equal(gotJSON, refJSON) {
+				t.Fatalf("workers=%d shards=%d: Result JSON differs\nref: %s\ngot: %s",
+					workers, shards, refJSON, gotJSON)
+			}
+			if !bytes.Equal(gotTable, refTable) {
+				t.Fatalf("workers=%d shards=%d: critical-path table differs\nref:\n%s\ngot:\n%s",
+					workers, shards, refTable, gotTable)
 			}
 		}
 	}

@@ -298,6 +298,5 @@ func runResilient(cfg Config, prob Problem, nSteps int) (*Result, *Simulation, e
 	// The surviving incarnation's flight recorder covers every step that
 	// made it into the folded result (crashed segments' work was redone).
 	s.attachObs(out)
-	s.attachRuntime(out)
 	return out, s, nil
 }

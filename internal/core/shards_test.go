@@ -142,12 +142,19 @@ func TestShardedCrashPlanForcesSerial(t *testing.T) {
 		Faults:      &faults.Plan{Seed: 3, CrashAtStep: 2, CheckpointEvery: 2},
 	}
 
-	s, err := NewSimulation(func() Config { c := cfg; c.Shards = 4; return c }(), prob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.shards != nil {
-		t.Fatal("crash-capable plan must force the serial engine")
+	// Both ways a plan can crash a core group: a pinned step and a per-run
+	// probability.
+	for _, plan := range []*faults.Plan{cfg.Faults, {Seed: 3, Crash: 0.5, CheckpointEvery: 2}} {
+		c := cfg
+		c.Shards = 4
+		c.Faults = plan
+		s, err := NewSimulation(c, prob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.shards != nil {
+			t.Fatalf("crash-capable plan %+v must force the serial engine", *plan)
+		}
 	}
 
 	serial, err := RunResilient(cfg, prob, 4)

@@ -36,9 +36,6 @@ type varEntry struct {
 	data  *field.Cell // nil in timing-only mode
 	bytes int64
 	ghost int
-	// box is the ungrown interior the variable was allocated over, kept so
-	// a snapshot can re-create the entry without the originating patch.
-	box grid.Box
 }
 
 // Warehouse stores one timestep's variables for one rank.
@@ -68,7 +65,7 @@ func (w *Warehouse) Allocate(label *taskgraph.Label, patch *grid.Patch, ghost in
 	if err := w.cg.Allocate(bytes); err != nil {
 		return err
 	}
-	e := &varEntry{bytes: bytes, ghost: ghost, box: patch.Box}
+	e := &varEntry{bytes: bytes, ghost: ghost}
 	if w.mode == Functional {
 		// Pooled storage: Free/FreeAll recycle the backing array, so the
 		// per-step allocate/free churn of the warehouse swap is

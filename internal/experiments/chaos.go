@@ -47,20 +47,18 @@ type ChaosRow struct {
 	Fallbacks  int64
 }
 
-// chaosSpec is one cell of the chaos matrix. The sweep's engine knobs
-// (Shards, Optimistic) ride along: they are excluded from the content
-// hash, and the crash-capable cells force serial execution anyway — core
-// applies the same fallback rule to both knobs — so the matrix renders
-// byte-identically whatever the engine request was.
+// chaosSpec is one cell of the chaos matrix. The sweep's Shards knob rides
+// along: it is excluded from the content hash, and the crash-capable cells
+// force serial execution anyway, so the matrix renders byte-identically
+// whatever the engine request was.
 func chaosSpec(opt Options, steps int, scale float64, seed uint64) runner.Spec {
 	spec := runner.Spec{
-		Cells:      chaosCells,
-		Layout:     chaosLayout,
-		CGs:        chaosCGs,
-		Variant:    "acc.async",
-		Steps:      steps,
-		Shards:     opt.Shards,
-		Optimistic: opt.Optimistic,
+		Cells:   chaosCells,
+		Layout:  chaosLayout,
+		CGs:     chaosCGs,
+		Variant: "acc.async",
+		Steps:   steps,
+		Shards:  opt.Shards,
 	}
 	if scale > 0 {
 		plan := faults.Default().Scaled(scale)

@@ -34,13 +34,12 @@ func TestChaos(t *testing.T) {
 	}
 
 	// Composing the matrix with the engine knobs must change nothing: the
-	// crash-capable cells force serial execution (core applies the same
-	// fallback rule to Shards and Optimistic — a CG crash is a
-	// zero-lookahead global teardown no speculation window can roll back),
-	// and the fault-free baseline runs the engines under their bit-identity
+	// crash-capable cells force serial execution (a CG crash is a
+	// zero-lookahead global teardown no window can cover), and the
+	// fault-free baseline runs the sharded engine under its bit-identity
 	// contract. Byte-equality of the rendered artifact is the gate.
-	optimistic := func() string {
-		s := NewSweepWithPool(Options{Shards: 4, Optimistic: true}, NewPool(4, runner.NewMemoryCache(0), nil))
+	sharded := func() string {
+		s := NewSweepWithPool(Options{Shards: 4}, NewPool(4, runner.NewMemoryCache(0), nil))
 		defer s.Pool().Close()
 		out, err := Chaos(s, steps)
 		if err != nil {
@@ -48,8 +47,8 @@ func TestChaos(t *testing.T) {
 		}
 		return out
 	}()
-	if optimistic != serial {
-		t.Fatalf("chaos artifact depends on the engine knobs:\n--- serial ---\n%s\n--- shards=4 optimistic ---\n%s", serial, optimistic)
+	if sharded != serial {
+		t.Fatalf("chaos artifact depends on the engine knobs:\n--- serial ---\n%s\n--- shards=4 ---\n%s", serial, sharded)
 	}
 
 	s := NewSweepWithPool(Options{}, NewPool(0, runner.NewMemoryCache(0), nil))

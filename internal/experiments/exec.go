@@ -45,7 +45,6 @@ func SpecFor(prob ProblemSpec, cgs int, v Variant, opt Options, seed uint64) run
 		spec.Faults = opt.Faults
 	}
 	spec.Shards = opt.Shards
-	spec.Optimistic = opt.Optimistic
 	spec.Report = opt.Report
 	spec.Trace = opt.Trace
 	return spec
@@ -251,7 +250,6 @@ func specConfig(spec runner.Spec) (core.Config, core.Problem, error) {
 		cfg.Faults = spec.Faults
 	}
 	cfg.Shards = spec.Shards
-	cfg.Optimistic = spec.Optimistic
 	if spec.Report || spec.Trace {
 		cfg.Obs = &obs.Options{Trace: spec.Trace}
 	}

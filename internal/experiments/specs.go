@@ -133,12 +133,6 @@ type Options struct {
 	// so it never participates in the result-cache key.
 	Shards int
 
-	// Optimistic coordinates the shards with the Time-Warp engine instead
-	// of the conservative one. Bit-identical by contract, so — like
-	// Shards — it never participates in the result-cache key. No effect
-	// unless Shards > 1.
-	Optimistic bool
-
 	// Faults injects deterministic chaos into every case: a non-zero plan
 	// routes runs through core.RunResilient (checkpoint/restart under CG
 	// crashes) and participates in the runner's content hash. Nil or
@@ -190,7 +184,6 @@ func caseConfig(prob ProblemSpec, cgs int, v Variant, opt Options) (core.Config,
 		cfg.Faults = opt.Faults
 	}
 	cfg.Shards = opt.Shards
-	cfg.Optimistic = opt.Optimistic
 	return cfg, problem
 }
 

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"testing"
-
-	"sunuintah/internal/sim"
-)
+import "testing"
 
 // The disabled recorder must stay free: every hook on nil probes (the
 // state of every run without -report) is a no-op that allocates nothing,
@@ -31,22 +27,18 @@ func TestNilProbesZeroAlloc(t *testing.T) {
 	}
 }
 
-// The introspection hooks added for speculation telemetry and live
-// progress follow the same contract: a nil recorder's Observe and a
-// publish with no subscriber — what every non-instrumented, non-followed
-// run pays per window and per rank-step — allocate nothing.
-func TestNilSpecAndProgressZeroAlloc(t *testing.T) {
-	var rec *SpecRecorder
+// The live-progress hook follows the same contract: a publish with no
+// subscriber — what every non-followed run pays per rank-step — allocates
+// nothing.
+func TestNilProgressZeroAlloc(t *testing.T) {
 	var nilBus *ProgressBus
 	bus := NewProgressBus()
-	ws := sim.WindowStats{Window: 3, Executed: 100, MaxDepth: 4}
 	ev := ProgressEvent{Rank: 1, Step: 2, Done: 3, Total: 10}
 	allocs := testing.AllocsPerRun(200, func() {
-		rec.Observe(ws)
 		nilBus.Publish("topic", ev)
 		bus.Publish("topic", ev)
 	})
 	if allocs != 0 {
-		t.Fatalf("disabled spec/progress hooks allocated %.1f times per run, want 0", allocs)
+		t.Fatalf("disabled progress hooks allocated %.1f times per run, want 0", allocs)
 	}
 }

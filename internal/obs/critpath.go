@@ -19,7 +19,7 @@ const (
 	CatComm      = "comm"              // MPI posting, testing, halo waits
 	CatReduce    = "reduce"            // reductions
 	CatWait      = "wait"              // blocked: idle intervals and uncovered gaps on the chain
-	CatRecovery  = "rollback-recovery" // fault-plane recovery and rollback/coast-forward work
+	CatRecovery  = "rollback-recovery" // fault-plane recovery: checkpoint rollback and redone work
 )
 
 // critCategories is the fixed render order.

@@ -56,8 +56,8 @@ type Options struct {
 	// Trace additionally exports the canonically sorted event timeline
 	// into the run's Result, enabling Perfetto/Chrome trace download.
 	Trace bool `json:"trace,omitempty"`
-	// HooksOnly attaches every sampler probe and speculation hook but
-	// skips assembling Result.Obs when the run completes. It exists for
+	// HooksOnly attaches every sampler probe but skips assembling
+	// Result.Obs when the run completes. It exists for
 	// benchmark harnesses that time the always-on hook cost in isolation
 	// from report assembly (benchgate's obs.overhead_frac gate); normal
 	// runs leave it false.
@@ -105,14 +105,6 @@ func NewSampler(opts Options, nRanks int) *Sampler {
 			ser[off:off+eagerSeries], buf[off*s.opts.MaxSamples:(off+eagerSeries)*s.opts.MaxSamples]))
 	}
 	return s
-}
-
-// Options returns the (normalized) collection options.
-func (s *Sampler) Options() Options {
-	if s == nil {
-		return Options{}
-	}
-	return s.opts
 }
 
 // Rank returns rank r's probe set; nil on a nil sampler or out-of-range

@@ -78,12 +78,6 @@ type Spec struct {
 	// never enters the canonical form or the content hash.
 	Shards int `json:"shards,omitempty"`
 
-	// Optimistic coordinates the shards with the Time-Warp engine instead
-	// of the conservative one. Bit-identical by contract, so — exactly
-	// like Shards — it never enters the canonical form or the content
-	// hash. No effect unless Shards > 1.
-	Optimistic bool `json:"optimistic,omitempty"`
-
 	// Report attaches the flight recorder (core's Result.Obs) and Trace
 	// additionally captures the full event timeline. Both are reporting
 	// knobs: they never change scheduling, timing or numerics, and the

@@ -54,11 +54,6 @@ type event struct {
 	// gen counts reuses of this slot; an EventHandle carries the gen it
 	// was issued under and goes inert once they diverge.
 	gen uint32
-	// external marks an event injected as cross-shard mail by the
-	// optimistic coordinator: calendar snapshots exclude it (the
-	// coordinator's input log re-injects surviving mail after a rollback,
-	// refreshing the anti-message handles).
-	external bool
 }
 
 // eventQueue is a typed, slice-backed 4-ary min-heap on (at, seq). It
@@ -213,9 +208,7 @@ type Engine struct {
 	// ends — computed before the post existed — know nothing about. In the
 	// busy regime windows are at most one lookahead wide and the cap
 	// (>= two lookaheads out) never binds; it matters when a wide window
-	// wakes an idle shard. Infinity when nothing was posted. The
-	// optimistic coordinator leaves it unset while speculating — a late
-	// reply there is an ordinary straggler, repaired by rollback.
+	// wakes an idle shard. Infinity when nothing was posted.
 	outMailAt Time
 }
 
@@ -251,7 +244,6 @@ func (e *Engine) getEvent(at Time) *event {
 func (e *Engine) putEvent(ev *event) {
 	ev.fn = nil
 	ev.c = nil
-	ev.external = false
 	ev.gen++
 	e.free = append(e.free, ev)
 }

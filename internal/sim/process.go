@@ -31,10 +31,6 @@ func (p *Process) Call() { p.run() }
 // current virtual time, after the currently executing event/process yields.
 // The name appears in deadlock diagnostics.
 func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
-	if e.shardSet != nil && e.shardSet.opt != nil && e.shardSet.opt.speculating {
-		panic("sim: cannot spawn a process on a speculating optimistic shard: " +
-			"process stacks cannot roll back (spawn before Run, or run with MaxDepth 0)")
-	}
 	p := &Process{eng: e, name: name, pid: e.nextPID}
 	p.doneSig = NewSignal(e, name+".done")
 	e.nextPID++

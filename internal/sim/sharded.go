@@ -96,21 +96,11 @@ type ShardSet struct {
 	lat     [][]Time
 	minLat  Time
 	stopReq atomic.Bool
-	// opt is non-nil when this set is the conservative substrate of an
-	// OptimisticShardSet; Spawn consults it to reject processes while the
-	// coordinator is speculating (process stacks cannot roll back).
-	opt *OptimisticShardSet
 
 	// inbox[d] is shard d's reusable merge buffer at the barrier.
 	inbox [][]mailItem
 	next  []Time
 	ends  []Time
-
-	// winObs, when set, receives one WindowStats per coordinator barrier
-	// (see SetWindowObserver); windows and mailDelivered feed it.
-	winObs        WindowObserver
-	windows       int64
-	mailDelivered int64
 }
 
 // NewShardSet creates n engines coordinated with one uniform lookahead for
@@ -227,13 +217,8 @@ func (ss *ShardSet) PostCall(src, dst *Engine, at Time, c Caller) {
 // past that reply, breaking causality at the next injection. Latency
 // matrices are assumed to satisfy the triangle inequality, as the physical
 // interconnect model's do, so capping the poster alone also protects third
-// shards. A speculating optimistic coordinator skips the cap: late replies
-// there are stragglers, repaired by rollback — that freedom to overrun is
-// exactly what it speculates on.
+// shards.
 func (ss *ShardSet) capOutbound(src *Engine, dstID int, at Time) {
-	if ss.opt != nil && ss.opt.speculating {
-		return
-	}
 	if w := at + ss.lat[dstID][src.shardID]; w < src.outMailAt {
 		src.outMailAt = w
 	}
@@ -336,7 +321,6 @@ func (ss *ShardSet) Flush() {
 		if len(batch) > 1 {
 			sortMail(batch)
 		}
-		ss.mailDelivered += int64(len(batch))
 		de.injectMail(batch)
 		// Drop the callback references so the reusable buffer does not
 		// pin closures or envelopes until the next barrier overwrites it.
@@ -435,10 +419,6 @@ func (ss *ShardSet) Run() Time {
 				last = i
 			}
 		}
-		ss.windows++
-		if ss.winObs != nil {
-			ss.observeWindow(runnable)
-		}
 		wr.run(ss.next, ss.ends, runnable, last)
 	}
 }
@@ -451,16 +431,15 @@ func (ss *ShardSet) releaseProcesses() {
 }
 
 // windowRunner executes the runnable shards of one barrier-to-barrier
-// window for the conservative and the Time-Warp coordinator alike. Results
-// are identical however it dispatches — shards within a window are
-// independent by construction — so the choice is purely wall-clock: with
-// at least one schedulable thread per shard, persistent workers (one per
-// shard, parked on a channel between windows: two channel operations per
-// shard-window rather than a goroutine spawn) run the shards in parallel;
-// with fewer, every window runs inline on the coordinator. On the 128-rank
-// halo case a step is ~1500 barriers of ~2.4 runnable shards and ~7
-// events (~3 us) each, so waking a worker costs more than the window it
-// would run, and threads that must time-share shards only add that cost
+// window. Results are identical however it dispatches — shards within a
+// window are independent by construction — so the choice is purely
+// wall-clock: with at least one schedulable thread per shard, persistent
+// workers (one per shard, parked on a channel between windows: two channel
+// operations per shard-window rather than a goroutine spawn) run the shards
+// in parallel; with fewer, every window runs inline on the coordinator. On
+// the 128-rank halo case a step is ~1500 barriers of ~2.4 runnable shards
+// and ~7 events (~3 us) each, so waking a worker costs more than the window
+// it would run, and threads that must time-share shards only add that cost
 // (DESIGN.md §7, "Window dispatch").
 type windowRunner struct {
 	engines []*Engine

@@ -163,30 +163,3 @@ func (cg *CoreGroup) PeakBytes() int64 { return cg.peakBytes }
 
 // Engine returns the simulation engine the core group runs on.
 func (cg *CoreGroup) Engine() *sim.Engine { return cg.eng }
-
-// cgSnap is a core group's rewindable scalar state.
-type cgSnap struct {
-	counters   Counters
-	allocBytes int64
-	peakBytes  int64
-	noiseState uint64
-}
-
-// SaveState captures the core group's counters, memory accounting and
-// noise stream (the sim.StateSaver shape, for optimistic rollback and
-// in-memory rank rewind).
-func (cg *CoreGroup) SaveState() any {
-	return cgSnap{cg.Counters, cg.allocBytes, cg.peakBytes, cg.noiseState}
-}
-
-// RestoreState rewinds the core group to a SaveState snapshot. Callers
-// restoring warehouses alongside must restore them first: their
-// Free/Allocate churn moves allocBytes, and this overwrite is what makes
-// the final accounting exact.
-func (cg *CoreGroup) RestoreState(state any) {
-	s := state.(cgSnap)
-	cg.Counters = s.counters
-	cg.allocBytes = s.allocBytes
-	cg.peakBytes = s.peakBytes
-	cg.noiseState = s.noiseState
-}

@@ -110,25 +110,34 @@ func TestEventDuration(t *testing.T) {
 // to hand out / iterate the live slice while sharded engines Add from
 // other host threads. Run under -race (the Makefile race target does).
 func TestRecorderConcurrentAddAndRead(t *testing.T) {
+	// Writers add a fixed number of events — an open-ended writer grows the
+	// recorder by gigabytes while a slow reader catches up — and the reader
+	// keeps reading until the last writer is done, so every read but the
+	// final one overlaps live Adds.
+	const perWriter = 5000
 	r := New()
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; i < perWriter; i++ {
 				r.Add(Event{Rank: w, Step: i, Kind: KindKernel,
 					Start: sim.Time(i), End: sim.Time(i + 1)})
 			}
 		}(w)
 	}
-	for i := 0; i < 200; i++ {
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for writing := true; writing; {
+		select {
+		case <-done:
+			writing = false
+		default:
+		}
 		evs := r.Events()
 		for _, e := range evs {
 			if e.End <= e.Start {
@@ -143,8 +152,9 @@ func TestRecorderConcurrentAddAndRead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	close(stop)
-	wg.Wait()
+	if r.Len() != 4*perWriter {
+		t.Fatalf("recorded %d events, want %d", r.Len(), 4*perWriter)
+	}
 }
 
 func TestEventsReturnsCopy(t *testing.T) {
