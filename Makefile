@@ -34,13 +34,15 @@ examples:
 # experiments tests are minutes-long under the race detector, hence -short
 # there. field, athread and scheduler are in because the tile worker pool
 # computes on windows of the warehouse fields: its goroutines write
-# main-memory storage directly. This is also the shard gate: core's
+# main-memory storage directly; grid because a layout's ghost-geometry
+# table is built on first use, and Layout methods were callable from any
+# goroutine before there was a table. This is also the shard gate: core's
 # TestShardedBitIdentical holds the conservative engine byte-identical to
 # serial at shards 1/2/4/8, and sim's TestShardSet* cover the window/mail
 # machinery, the latency-matrix and the mail-storm edge cases.
 race:
 	$(GO) test -race -count=1 ./internal/sim/... ./internal/mpisim/...
-	$(GO) test -race -count=1 ./internal/field/... ./internal/athread/... ./internal/scheduler/...
+	$(GO) test -race -count=1 ./internal/grid/... ./internal/field/... ./internal/athread/... ./internal/scheduler/...
 	$(GO) test -race -count=1 ./internal/runner/...
 	$(GO) test -race -count=1 ./internal/faults/...
 	$(GO) test -race -count=1 ./internal/trace/... ./internal/obs/...

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -429,6 +430,75 @@ func TestRecoversStoreWrittenWithRemovedSpecField(t *testing.T) {
 		t.Fatalf("relisted j1 lost its cached result: %+v", job.Result)
 	}
 	waitJobState(t, ts.URL, "j2", "done")
+}
+
+// countingCache counts lookups on their way to the wrapped cache.
+type countingCache struct {
+	runner.Cache
+	gets atomic.Int64
+}
+
+func (c *countingCache) Get(hash string) (*runner.Result, bool) {
+	c.gets.Add(1)
+	return c.Cache.Get(hash)
+}
+
+// TestRecoveredResultsLoadOnFirstRead: start-up decodes no cache entry,
+// however many done records the journal holds; a recovered job's first
+// status or trace read looks its result up once, later reads not again; a
+// job whose entry is gone is listed done without a result.
+func TestRecoveredResultsLoadOnFirstRead(t *testing.T) {
+	store, err := jobstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	cache := &countingCache{Cache: runner.NewMemoryCache(0)}
+	now := time.Now()
+	for i, id := range []string{"j1", "j2", "j3"} {
+		spec := runner.Spec{Cells: "8x8x8", CGs: 1, Variant: "acc.async", Steps: 1, Seed: uint64(i + 1)}
+		if err := store.Accept(jobstore.Record{ID: id, Spec: spec, State: runner.StateQueued, Submitted: now}); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Finish(id, runner.StateDone, now, ""); err != nil {
+			t.Fatal(err)
+		}
+		if id != "j3" {
+			cache.Put(spec.Hash(), &runner.Result{Feasible: true, ExecSeconds: float64(i + 1)})
+		}
+	}
+	ts, _, _ := newRobustServer(t, instantExec, 1, serverConfig{steps: 1, store: store, cache: cache})
+	var list []struct{ ID, State string }
+	if code := getJSON(t, ts.URL+"/jobs", &list); code != http.StatusOK || len(list) != 3 {
+		t.Fatalf("GET /jobs = %d, %+v", code, list)
+	}
+	if n := cache.gets.Load(); n != 0 {
+		t.Fatalf("%d cache lookups before any job was read, want 0", n)
+	}
+	var job struct {
+		State  string
+		Result *struct{ ExecSeconds float64 }
+	}
+	for range 2 {
+		if code := getJSON(t, ts.URL+"/jobs/j2", &job); code != http.StatusOK {
+			t.Fatalf("GET /jobs/j2 = %d", code)
+		}
+		if job.State != "done" || job.Result == nil || job.Result.ExecSeconds != 2 {
+			t.Fatalf("recovered j2 = %+v", job)
+		}
+	}
+	if resp, err := http.Get(ts.URL + "/jobs/j1/trace"); err != nil {
+		t.Fatal(err)
+	} else if resp.Body.Close(); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /jobs/j1/trace = %d, want 404 (the result carries no trace)", resp.StatusCode)
+	}
+	job.Result = nil
+	if code := getJSON(t, ts.URL+"/jobs/j3", &job); code != http.StatusOK || job.State != "done" || job.Result != nil {
+		t.Fatalf("recovered j3 without a cache entry = %d, %+v", code, job)
+	}
+	if n := cache.gets.Load(); n != 3 {
+		t.Fatalf("%d cache lookups for three recovered jobs read four times, want 3", n)
+	}
 }
 
 // TestShutdownDrainsCollectGoroutines asserts the collect-goroutine leak

@@ -54,6 +54,9 @@ type apiJob struct {
 	// admitted marks that the job owes one admission-slot release on its
 	// terminal transition.
 	admitted bool
+	// resultInCache marks a done job recovered from the store whose Result
+	// has not been looked up in the cache yet (see snapshot).
+	resultInCache bool
 }
 
 // serverConfig carries the optional knobs of newServer; the zero value is
@@ -186,9 +189,11 @@ func newServer(ctx context.Context, pool *experiments.Pool, sweep *experiments.S
 }
 
 // recoverJobs replays the job store into the API surface: terminal jobs
-// reappear in listings (done jobs regain their Result when the
-// content-addressed cache still holds it) and incomplete jobs are
-// resubmitted to the pool — near-free when the disk cache is warm.
+// reappear in listings (done jobs regain their Result, when the
+// content-addressed cache still holds it, the first time one is read —
+// decoding a cache file per journal record here would hold back /healthz)
+// and incomplete jobs are resubmitted to the pool — near-free when the disk
+// cache is warm.
 func (s *server) recoverJobs() {
 	recs := s.store.Records()
 	if len(recs) == 0 {
@@ -206,11 +211,7 @@ func (s *server) recoverJobs() {
 			State: rec.State, Submitted: rec.Submitted, Finished: rec.Finished, Error: rec.Error,
 		}
 		if rec.Terminal() {
-			if rec.State == runner.StateDone && rec.Repeats <= 1 && s.cfg.cache != nil {
-				if res, ok := s.cfg.cache.Get(rec.Spec.Hash()); ok {
-					j.Result = res
-				}
-			}
+			j.resultInCache = rec.State == runner.StateDone && rec.Repeats <= 1 && s.cfg.cache != nil
 			s.mu.Lock()
 			s.jobs[j.ID] = j
 			s.mu.Unlock()
@@ -585,15 +586,29 @@ func (s *server) gcLocked() {
 	}
 }
 
+// snapshot returns a copy of job id for a handler to read outside the lock,
+// first fetching a recovered job's Result from the cache if that is still
+// owed — under the lock, so a second reader never sees the job done but
+// without the result the first is still decoding.
+func (s *server) snapshot(id string) (apiJob, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
+	if !ok {
+		return apiJob{}, false
+	}
+	if j.resultInCache {
+		j.resultInCache = false
+		if res, ok := s.cfg.cache.Get(j.Spec.Hash()); ok {
+			j.Result = res
+		}
+	}
+	return *j, true
+}
+
 func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	var cp apiJob
-	if ok {
-		cp = *j
-	}
-	s.mu.Unlock()
+	cp, ok := s.snapshot(id)
 	if !ok {
 		s.writeError(w, http.StatusNotFound, "unknown job %q", id)
 		return
@@ -744,13 +759,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // Perfetto trace file. Only jobs submitted with "trace": true carry one.
 func (s *server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	var cp apiJob
-	if ok {
-		cp = *j
-	}
-	s.mu.Unlock()
+	cp, ok := s.snapshot(id)
 	if !ok {
 		s.writeError(w, http.StatusNotFound, "unknown job %q", id)
 		return

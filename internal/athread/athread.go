@@ -50,7 +50,7 @@ type KernelSpec struct {
 }
 
 // dmaTime selects the packed or strided transfer model.
-func (s KernelSpec) dmaTime(p perf.Params, bytes int64, active int) float64 {
+func (s *KernelSpec) dmaTime(p *perf.Params, bytes int64, active int) float64 {
 	if s.PackedDMA {
 		return p.PackedDMATime(bytes, active)
 	}
@@ -66,6 +66,36 @@ type Group struct {
 	// slab holds the current offload's LDM buffer records. Launch rewinds
 	// it, so a steady-state offload allocates none.
 	slab []LDMBuf
+	// cpe is the one context every CPE body of a gang runs on (see Launch).
+	cpe CPE
+	// done is the current offload's completion list: one entry per distinct
+	// CPE finish time. The backing array is allocated once, at the gang
+	// width, and never grows: pending calendar events point into it.
+	done []completion
+	// launches numbers the offloads, so a handle kept past the next Launch
+	// cannot abort that one's entries.
+	launches uint64
+}
+
+// completion is the calendar event of every CPE of a gang that finishes at
+// the same instant: it faaw-adds their count to the flag in one step. The
+// MPE only ever compares the flag with the gang width, and the per-CPE
+// updates it stands for were scheduled back to back — consecutive sequence
+// numbers, so no other event could run between those of one instant.
+type completion struct {
+	at    sim.Time // offset from launch
+	n     int64
+	flag  *sim.Counter
+	group *Group // set on the entry at the cluster completion time: frees the group
+	event sim.EventHandle
+}
+
+// Call implements sim.Caller.
+func (c *completion) Call() {
+	c.flag.Add(c.n)
+	if c.group != nil {
+		c.group.busy = false
+	}
 }
 
 // NewGroup initialises the athread environment across all of a core
@@ -81,7 +111,7 @@ func NewGroupN(cg *sw26010.CoreGroup, n int) *Group {
 	if n < 1 || n > cg.Params.NumCPEs {
 		panic(fmt.Sprintf("athread: group size %d outside [1,%d]", n, cg.Params.NumCPEs))
 	}
-	return &Group{cg: cg, cpes: n}
+	return &Group{cg: cg, cpes: n, done: make([]completion, 0, n)}
 }
 
 // NumCPEs returns the number of CPEs in the group.
@@ -200,7 +230,7 @@ func (c *CPE) Release(buf *LDMBuf) {
 // Compute charges the kernel's per-cell compute cost for cells cells and
 // updates the hardware counters.
 func (c *CPE) Compute(cells int64) {
-	p := c.group.cg.Params
+	p := &c.group.cg.Params
 	d := sim.Time(p.CPEComputeTime(cells, c.spec.SIMD, c.spec.Weight) * c.group.cg.Jitter())
 	if c.spec.OverlapDMA {
 		c.tileCompute += d
@@ -222,7 +252,7 @@ func (c *CPE) RepeatTiles(n int, getBytes, putBytes, cellsPerTile int64) {
 	if n <= 0 {
 		return
 	}
-	p := c.group.cg.Params
+	p := &c.group.cg.Params
 	dma := sim.Time(c.spec.dmaTime(p, getBytes, c.active)) + sim.Time(c.spec.dmaTime(p, putBytes, c.active))
 	compute := sim.Time(p.CPEComputeTime(cellsPerTile, c.spec.SIMD, c.spec.Weight) * c.group.cg.Jitter())
 	if c.spec.OverlapDMA {
@@ -259,7 +289,7 @@ func (c *CPE) EndTile() {
 }
 
 func (c *CPE) chargeDMA(bytes int64) {
-	p := c.group.cg.Params
+	p := &c.group.cg.Params
 	d := sim.Time(c.spec.dmaTime(p, bytes, c.active))
 	if c.spec.OverlapDMA {
 		c.tileDMA += d
@@ -277,7 +307,8 @@ func (c *CPE) chargeDMA(bytes int64) {
 // CPEs with nonempty tile assignments, or the full cluster size.
 //
 // On return, every CPE's work is accounted; flag receives one faaw
-// increment per CPE at that CPE's virtual finish time. Spawn itself
+// increment per CPE at that CPE's virtual finish time (CPEs finishing at the
+// same instant share one calendar event). Spawn itself
 // returns the cluster's completion time offset from "now" (launch overhead
 // plus the slowest CPE), which callers in synchronous mode may simply wait
 // for. The group is marked busy until the last increment fires.
@@ -306,25 +337,23 @@ type Offload struct {
 	// reaches the CPE count and the group stays busy until Abort.
 	Stalled bool
 
-	flagEvents []sim.EventHandle
-	busyEvent  sim.EventHandle
-	aborted    bool
+	launch uint64 // the group's launch number this handle belongs to
 }
 
-// Abort cancels the offload's pending completion-flag increments and busy-
-// clear event and frees the cluster for a new launch. Increments that have
-// already fired remain (callers reset the flag before reusing it).
-// Idempotent.
+// Abort cancels the offload's pending completion-flag increments (the
+// busy-clear rides on the last of them) and frees the cluster for a new
+// launch. Increments that have already fired remain (callers reset the flag
+// before reusing it). Idempotent, and inert once the group has launched
+// again.
 func (o *Offload) Abort() {
-	if o.aborted {
+	g := o.group
+	if o.launch != g.launches {
 		return
 	}
-	o.aborted = true
-	for _, h := range o.flagEvents {
-		h.Cancel()
+	for i := range g.done {
+		g.done[i].event.Cancel()
 	}
-	o.busyEvent.Cancel()
-	o.group.busy = false
+	g.busy = false
 }
 
 // Launch is Spawn returning the full offload handle. When the core group
@@ -337,7 +366,9 @@ func (g *Group) Launch(spec KernelSpec, activeCPEs int, flag *sim.Counter, body 
 	}
 	g.busy = true
 	g.slab = g.slab[:0]
-	p := g.cg.Params
+	g.done = g.done[:0]
+	g.launches++
+	p := &g.cg.Params
 	if activeCPEs < 1 || activeCPEs > p.NumCPEs {
 		activeCPEs = g.cpes
 	}
@@ -352,14 +383,13 @@ func (g *Group) Launch(spec KernelSpec, activeCPEs int, flag *sim.Counter, body 
 	}
 
 	launch := sim.Time(p.OffloadCost)
-	off := &Offload{group: g, Stalled: stall,
-		flagEvents: make([]sim.EventHandle, 0, g.cpes)}
+	off := &Offload{group: g, Stalled: stall, launch: g.launches}
 	dmaBefore := g.cg.Counters.DMABytes
 	var last, lastHealthy sim.Time
 	// One CPE context is reused across the gang: bodies run to completion
-	// serially and never retain their context, so a single heap object
-	// stands in for all 64 CPEs.
-	cpe := new(CPE)
+	// serially and never retain their context, so a single object stands in
+	// for all 64 CPEs.
+	cpe := &g.cpe
 	for id := 0; id < g.cpes; id++ {
 		*cpe = CPE{ID: id, group: g, spec: spec, active: activeCPEs, firstTile: true}
 		body(cpe)
@@ -382,19 +412,36 @@ func (g *Group) Launch(spec KernelSpec, activeCPEs int, flag *sim.Counter, body 
 			continue
 		}
 		g.cg.Counters.FaawOps++
-		off.flagEvents = append(off.flagEvents,
-			g.cg.Engine().ScheduleCall(finish, flag))
+		g.finishAt(finish, flag)
 	}
 	off.Estimate = lastHealthy
 	// The CPE bodies accounted their memory<->LDM transfers above; feed
 	// the delta to the flight recorder (a plain method call on a possibly
 	// nil probe set — no obs dependency, no cost when disabled).
 	g.cg.Probes.DMA(g.cg.Engine().Now(), g.cg.Counters.DMABytes-dmaBefore)
+	off.Done = last
 	if stall {
 		off.Done = sim.Infinity
-		return off
 	}
-	off.Done = last
-	off.busyEvent = g.cg.Engine().Schedule(last, func() { g.busy = false })
+	for i := range g.done {
+		c := &g.done[i]
+		if !stall && c.at == last {
+			c.group = g
+		}
+		c.event = g.cg.Engine().ScheduleCall(c.at, c)
+	}
 	return off
+}
+
+// finishAt counts one more CPE completing at offset at. A uniform tiling
+// has one or two distinct finish times, so the scan is short; with machine
+// noise every CPE differs and the list degrades to one entry per CPE.
+func (g *Group) finishAt(at sim.Time, flag *sim.Counter) {
+	for i := range g.done {
+		if g.done[i].at == at {
+			g.done[i].n++
+			return
+		}
+	}
+	g.done = append(g.done, completion{at: at, n: 1, flag: flag})
 }

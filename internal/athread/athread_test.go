@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"sunuintah/internal/faults"
 	"sunuintah/internal/field"
 	"sunuintah/internal/grid"
 	"sunuintah/internal/perf"
@@ -402,5 +403,148 @@ func TestPackedDMACheaper(t *testing.T) {
 	}
 	if a, b := run(packed), run(testSpec); a >= b {
 		t.Fatalf("packed DMA (%v) not cheaper than strided (%v)", a, b)
+	}
+}
+
+// eventsOf runs the engine dry and returns how many events that took.
+func eventsOf(eng *sim.Engine) uint64 {
+	before := eng.EventsExecuted()
+	eng.Run()
+	return eng.EventsExecuted() - before
+}
+
+func TestOneCompletionEventPerDistinctFinishTime(t *testing.T) {
+	cases := []struct {
+		name   string
+		noise  float64
+		body   func(c *CPE)
+		events uint64
+	}{
+		{"uniform", 0, func(c *CPE) { c.Compute(500) }, 1},
+		// 70 tiles over 64 CPEs: six CPEs take two, the rest one.
+		{"uniform tiling with remainder", 0, func(c *CPE) {
+			n := 1
+			if c.ID < 6 {
+				n = 2
+			}
+			c.RepeatTiles(n, 4096, 2048, 256)
+		}, 2},
+		{"four load classes", 0, func(c *CPE) { c.Compute(int64(c.ID%4) * 100) }, 4},
+		{"every CPE different", 0, func(c *CPE) { c.Compute(int64(c.ID) * 100) }, 64},
+		// Machine noise jitters each CPE's compute: nothing coincides and
+		// the gang is back to one event per CPE with no switch thrown.
+		{"uniform under noise", 0.05, func(c *CPE) { c.Compute(500) }, 64},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			p := perf.DefaultParams()
+			p.NoiseFraction = tc.noise
+			g := NewGroup(sw26010.NewMachine(eng, p, 1).CG(0))
+			flag := sim.NewCounter(eng, "flag")
+			done := g.Spawn(testSpec, 64, flag, tc.body)
+			if got := eventsOf(eng); got != tc.events {
+				t.Errorf("%d events, want %d", got, tc.events)
+			}
+			if flag.Value() != 64 || g.Busy() || eng.Now() != done {
+				t.Errorf("flag = %d busy = %v now = %v, want 64 false %v", flag.Value(), g.Busy(), eng.Now(), done)
+			}
+			if ops := g.CoreGroup().Counters.FaawOps; ops != 64 {
+				t.Errorf("FaawOps = %d, want one per CPE", ops)
+			}
+		})
+	}
+}
+
+// The group is freed by the same event as the last flag update, and not a
+// moment earlier.
+func TestBusyClearsWithTheLastIncrement(t *testing.T) {
+	eng, g := newGroup(t)
+	flag := sim.NewCounter(eng, "flag")
+	done := g.Spawn(testSpec, 64, flag, func(c *CPE) { c.Compute(int64(c.ID%2+1) * 100) })
+	var busyAtReach bool
+	flag.OnReach(64, func() { busyAtReach = g.Busy() })
+	eng.RunUntil(done - sim.Nanosecond)
+	if flag.Value() != 32 || !g.Busy() {
+		t.Fatalf("before the slow half: flag = %d busy = %v, want 32 true", flag.Value(), g.Busy())
+	}
+	eng.Run()
+	if flag.Value() != 64 || g.Busy() || busyAtReach {
+		t.Fatalf("flag = %d busy = %v, busy when the flag filled = %v", flag.Value(), g.Busy(), busyAtReach)
+	}
+}
+
+func TestAbortStalledGangMidFlight(t *testing.T) {
+	eng, g := newGroup(t)
+	cg := g.CoreGroup()
+	cg.Faults = faults.NewInjector(&faults.Plan{Stall: 1})
+	flag := sim.NewCounter(eng, "flag")
+	off := g.Launch(testSpec, 64, flag, func(c *CPE) { c.Compute(int64(c.ID%8+1) * 100) })
+	if !off.Stalled || off.Done != sim.Infinity || off.Estimate <= 0 {
+		t.Fatalf("offload = %+v, want a stalled gang with a healthy estimate", off)
+	}
+	if cg.Counters.FaawOps != 63 {
+		t.Fatalf("FaawOps = %d, want 63: the hung CPE never reports", cg.Counters.FaawOps)
+	}
+	eng.RunUntil(off.Estimate / 2)
+	mid := flag.Value()
+	if mid == 0 || mid >= 63 || !g.Busy() {
+		t.Fatalf("midway: flag = %d busy = %v", mid, g.Busy())
+	}
+	off.Abort()
+	if g.Busy() || eng.PendingEvents() != 0 {
+		t.Fatalf("after Abort: busy = %v, %d live events", g.Busy(), eng.PendingEvents())
+	}
+	off.Abort() // idempotent
+
+	// The next launch reuses the aborted one's list entries. Nothing of the
+	// old gang may reach either flag, and the old handle is inert.
+	cg.Faults = nil
+	flag2 := sim.NewCounter(eng, "flag2")
+	off2 := g.Launch(testSpec, 64, flag2, func(c *CPE) { c.Compute(100) })
+	off.Abort()
+	if !g.Busy() {
+		t.Fatal("a stale handle's Abort freed the group under a live offload")
+	}
+	if got := eventsOf(eng); got != 1 {
+		t.Errorf("relaunch ran %d events, want 1", got)
+	}
+	if flag.Value() != mid || flag2.Value() != 64 || g.Busy() {
+		t.Fatalf("flag = %d (was %d) flag2 = %d busy = %v", flag.Value(), mid, flag2.Value(), g.Busy())
+	}
+	if eng.Now() != off.Estimate/2+off2.Done {
+		t.Fatalf("relaunch completed at %v, want %v", eng.Now(), off.Estimate/2+off2.Done)
+	}
+}
+
+// A stalled gang that is never aborted holds the group forever: no entry
+// stands in for the hung CPE, whatever its finish time coincides with.
+func TestStalledGangNeverCompletes(t *testing.T) {
+	eng, g := newGroup(t)
+	g.CoreGroup().Faults = faults.NewInjector(&faults.Plan{Stall: 1})
+	flag := sim.NewCounter(eng, "flag")
+	g.Launch(testSpec, 64, flag, func(c *CPE) { c.Compute(100) })
+	if got := eventsOf(eng); got != 1 {
+		t.Errorf("%d events, want 1", got)
+	}
+	if flag.Value() != 63 || !g.Busy() {
+		t.Fatalf("flag = %d busy = %v, want 63 true", flag.Value(), g.Busy())
+	}
+}
+
+// A warm launch allocates its handle and nothing else: the CPE context, the
+// LDM records and the completion list belong to the group.
+func TestWarmLaunchAllocs(t *testing.T) {
+	eng, g := newGroup(t)
+	flag := sim.NewCounter(eng, "flag")
+	body := func(c *CPE) { c.RepeatTiles(1+c.ID%2, 4096, 2048, 256) }
+	launch := func() {
+		flag.Reset()
+		g.Launch(testSpec, 64, flag, body)
+		eng.Run()
+	}
+	launch()
+	if n := testing.AllocsPerRun(50, launch); n > 1 {
+		t.Fatalf("a warm Launch allocates %v times, want at most 1", n)
 	}
 }

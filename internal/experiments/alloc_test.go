@@ -9,8 +9,12 @@ import (
 
 // TestHaloSteadyStepAllocs bounds the host allocations of one warm timestep
 // of the bench's halo-steady case (128 ranks, timing-only, no trace). It
-// locks three things out of the step loop: a tiling re-derived per offload,
-// trace strings built with tracing off, and a goroutine per resumed rank.
+// locks four things out of the step loop: a tiling re-derived per offload,
+// trace strings built with tracing off, a goroutine per resumed rank, and
+// per-offload completion bookkeeping (handle list, CPE context, busy-clear
+// closure: three allocations an offload, 384 of a step's 2 772, before the
+// gang's completion list moved into the athread group). Measured 2 388; the
+// bound is that plus 10%.
 func TestHaloSteadyStepAllocs(t *testing.T) {
 	const window = 5
 	cfg, prob, err := SpecConfig(runner.Spec{Problem: "32x32x512", CGs: 128, Variant: "acc_simd.async", Steps: window})
@@ -27,8 +31,8 @@ func TestHaloSteadyStepAllocs(t *testing.T) {
 		}
 	}
 	run() // warm: tile plans, interned notes, event arena
-	if perStep := testing.AllocsPerRun(3, run) / window; perStep > 3500 {
-		t.Fatalf("%.0f allocations per warm step, want <= 3500", perStep)
+	if perStep := testing.AllocsPerRun(3, run) / window; perStep > 2630 {
+		t.Fatalf("%.0f allocations per warm step, want <= 2630", perStep)
 	} else {
 		t.Logf("%.0f allocations per warm step", perStep)
 	}

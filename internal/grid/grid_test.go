@@ -3,6 +3,8 @@ package grid
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -404,6 +406,117 @@ func TestAssignZCountsMatchAssignZ(t *testing.T) {
 		}
 		if total != tiling.NumTiles() {
 			t.Fatalf("counts sum to %d of %d tiles", total, tiling.NumTiles())
+		}
+	}
+}
+
+// randomLayout draws a small layout and a ghost width its patches can hold.
+func randomLayout(rng *rand.Rand) (*Layout, int) {
+	counts := IV(1+rng.Intn(4), 1+rng.Intn(4), 1+rng.Intn(3))
+	cellsPer := IV(2+rng.Intn(5), 2+rng.Intn(5), 2+rng.Intn(5))
+	lo := IV(rng.Intn(7)-3, rng.Intn(7)-3, rng.Intn(7)-3)
+	l, err := NewLayout(BoxFromSize(lo, counts.Mul(cellsPer)), counts)
+	if err != nil {
+		panic(err)
+	}
+	return l, 1 + rng.Intn(min(cellsPer.X, cellsPer.Y, cellsPer.Z))
+}
+
+// freshNeighbours is Neighbours as it was before the per-level table: the
+// distinct sources of a fresh decomposition, by a scan over all patch IDs.
+func freshNeighbours(l *Layout, p *Patch, width int) []*Patch {
+	seen := map[int]bool{}
+	for _, gr := range l.ghostRegions(p, width) {
+		if gr.Src != nil {
+			seen[gr.Src.ID] = true
+		}
+	}
+	var out []*Patch
+	for id := 0; id < l.NumPatches(); id++ {
+		if seen[id] {
+			out = append(out, l.Patch(id))
+		}
+	}
+	return out
+}
+
+// Property: what the table hands out equals a fresh computation, for every
+// patch and every width asked in any order, and asking again returns the
+// same shared slice rather than a second derivation.
+func TestPropertyGhostTableMatchesFreshComputation(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		l, maxWidth := randomLayout(rng)
+		for round := 0; round < 3; round++ {
+			width := 1 + rng.Intn(maxWidth)
+			for _, id := range rng.Perm(l.NumPatches()) {
+				p := l.Patch(id)
+				regions, nbrs := l.GhostRegions(p, width), l.Neighbours(p, width)
+				if !reflect.DeepEqual(regions, l.ghostRegions(p, width)) ||
+					!reflect.DeepEqual(nbrs, freshNeighbours(l, p, width)) {
+					return false
+				}
+				if len(regions) != cap(regions) || len(nbrs) != cap(nbrs) {
+					return false // an append would write into the shared table
+				}
+				if again := l.GhostRegions(p, width); len(regions) > 0 && &again[0] != &regions[0] {
+					return false
+				}
+			}
+		}
+		return l.GhostRegions(l.Patch(0), 0) == nil && len(l.Neighbours(l.Patch(0), 0)) == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A patch of another layout has no row in this one's table; it is still
+// decomposed from its own box, as before.
+func TestGhostRegionsOfForeignPatch(t *testing.T) {
+	l, _ := NewLayout(BoxFromSize(IV(0, 0, 0), IV(8, 8, 8)), IV(2, 2, 2))
+	other, _ := NewLayout(BoxFromSize(IV(0, 0, 0), IV(8, 8, 8)), IV(1, 1, 2))
+	p := other.Patch(1)
+	if got, want := l.GhostRegions(p, 1), l.ghostRegions(p, 1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("foreign patch regions %v, want %v", got, want)
+	}
+	if got := l.Neighbours(p, 1); len(got) != 4 {
+		t.Fatalf("foreign patch has %d neighbours in the 2x2x2 layout, want the 4 patches below it", len(got))
+	}
+}
+
+// A Layout was immutable, so its methods could be called from any goroutine;
+// the table must not take that away. First use of a width from many readers
+// at once builds one table and hands all of them the same slices. Run under
+// -race (make race).
+func TestGhostTableConcurrentReaders(t *testing.T) {
+	l, _ := NewLayout(BoxFromSize(IV(0, 0, 0), IV(32, 32, 16)), IV(8, 8, 2))
+	const readers = 8
+	firsts := make([][]*GhostRegion, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for width := 1; width <= 2; width++ {
+				for _, p := range l.Patches() {
+					regions := l.GhostRegions(p, width)
+					for _, q := range l.Neighbours(p, width) {
+						if len(l.GhostRegions(q, width)) == 0 {
+							t.Errorf("neighbour %v of %v has no ghost regions", q, p)
+						}
+					}
+					firsts[r] = append(firsts[r], &regions[0])
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	for r := 1; r < readers; r++ {
+		for i := range firsts[0] {
+			if firsts[r][i] != firsts[0][i] {
+				t.Fatalf("reader %d was handed a different slice than reader 0 (request %d)", r, i)
+			}
 		}
 	}
 }

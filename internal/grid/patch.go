@@ -1,6 +1,10 @@
 package grid
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync"
+)
 
 // Patch is one rectangular piece of the computational grid. Patches carry a
 // global ID (dense, 0-based, in z-major layout order) and their position in
@@ -27,6 +31,21 @@ type Layout struct {
 	Counts    IVec
 	PatchSize IVec
 	patches   []*Patch
+
+	// ghosts memoises the ghost geometry: one table per ghost width, built
+	// for every patch on the width's first use. Every rank's graph
+	// compilation asks for the regions of its patches and of all their
+	// neighbours, so without the table each patch's decomposition is
+	// derived 27 times per simulation. A table is immutable once built;
+	// ghostMu guards the map, so the layout stays usable from any goroutine.
+	ghostMu sync.Mutex
+	ghosts  map[int][]patchGhosts
+}
+
+// patchGhosts is one patch's ghost geometry at one width.
+type patchGhosts struct {
+	regions []GhostRegion
+	nbrs    []*Patch
 }
 
 // NewLayout partitions domain into counts patches per axis.
@@ -111,11 +130,58 @@ type GhostRegion struct {
 //
 // The decomposition walks the 26 (for width >= 1) neighbour offsets so each
 // returned region maps to exactly one source patch; regions are returned in
-// deterministic offset order (z-major).
+// deterministic offset order (z-major). The slice is computed once per
+// layout and shared between callers, concurrent ones included: it must not
+// be modified.
 func (l *Layout) GhostRegions(p *Patch, width int) []GhostRegion {
 	if width <= 0 {
 		return nil
 	}
+	return l.ghostsOf(p, width).regions
+}
+
+// ghostsOf returns p's ghost geometry at the given width from the width's
+// table, building the table on first use.
+func (l *Layout) ghostsOf(p *Patch, width int) patchGhosts {
+	if p.ID < 0 || p.ID >= len(l.patches) || l.patches[p.ID] != p {
+		// Not one of this layout's patches: nothing to index the table by.
+		return l.deriveGhosts(p, width)
+	}
+	l.ghostMu.Lock()
+	defer l.ghostMu.Unlock()
+	t, ok := l.ghosts[width]
+	if !ok {
+		t = make([]patchGhosts, len(l.patches))
+		for i, q := range l.patches {
+			t[i] = l.deriveGhosts(q, width)
+		}
+		if l.ghosts == nil {
+			l.ghosts = map[int][]patchGhosts{}
+		}
+		l.ghosts[width] = t
+	}
+	return t[p.ID]
+}
+
+// deriveGhosts computes one patch's regions and, from them, its distinct
+// source patches in ascending ID order.
+func (l *Layout) deriveGhosts(p *Patch, width int) patchGhosts {
+	regions := l.ghostRegions(p, width)
+	var nbrs []*Patch
+	for _, gr := range regions {
+		if gr.Src != nil {
+			nbrs = append(nbrs, gr.Src)
+		}
+	}
+	slices.SortFunc(nbrs, func(a, b *Patch) int { return a.ID - b.ID })
+	nbrs = slices.Compact(nbrs)
+	// Capacities clipped to length: a caller's append copies instead of
+	// writing into what the next caller reads.
+	return patchGhosts{regions: slices.Clip(regions), nbrs: slices.Clip(nbrs)}
+}
+
+// ghostRegions derives the decomposition GhostRegions hands out.
+func (l *Layout) ghostRegions(p *Patch, width int) []GhostRegion {
 	var out []GhostRegion
 	grown := p.Box.Grow(width)
 	for dz := -1; dz <= 1; dz++ {
@@ -217,19 +283,11 @@ func subtractBox(b, cut Box) []Box {
 }
 
 // Neighbours returns the distinct patches that contribute ghost data to p
-// for the given ghost width, in ascending ID order.
+// for the given ghost width, in ascending ID order. Like GhostRegions, the
+// slice is shared and must not be modified.
 func (l *Layout) Neighbours(p *Patch, width int) []*Patch {
-	seen := map[int]*Patch{}
-	for _, gr := range l.GhostRegions(p, width) {
-		if gr.Src != nil {
-			seen[gr.Src.ID] = gr.Src
-		}
+	if width <= 0 {
+		return nil
 	}
-	out := make([]*Patch, 0, len(seen))
-	for id := 0; id < l.NumPatches(); id++ {
-		if q, ok := seen[id]; ok {
-			out = append(out, q)
-		}
-	}
-	return out
+	return l.ghostsOf(p, width).nbrs
 }

@@ -236,7 +236,10 @@ func (p Params) BCFillTime(cells int64) float64 {
 
 // CPEComputeTime returns the pure compute time for one CPE processing the
 // given cells with the scalar or vectorised kernel, at relative weight.
-func (p Params) CPEComputeTime(cells int64, simd bool, weight float64) float64 {
+// It and the two DMA costs below have pointer receivers, unlike the rest:
+// they run several times per CPE per offload, and Params is large enough
+// that each by-value call is a block copy.
+func (p *Params) CPEComputeTime(cells int64, simd bool, weight float64) float64 {
 	cyc := p.CPECyclesPerCellScalar * weight
 	if simd {
 		cyc /= p.SIMDSpeedup
@@ -246,7 +249,7 @@ func (p Params) CPEComputeTime(cells int64, simd bool, weight float64) float64 {
 
 // DMATime returns the time for one synchronous DMA transfer of the given
 // bytes when active CPEs share the memory controller.
-func (p Params) DMATime(bytes int64, activeCPEs int) float64 {
+func (p *Params) DMATime(bytes int64, activeCPEs int) float64 {
 	if activeCPEs < 1 {
 		activeCPEs = 1
 	}
@@ -256,7 +259,7 @@ func (p Params) DMATime(bytes int64, activeCPEs int) float64 {
 
 // PackedDMATime is DMATime for transfers whose tiles were packed into
 // contiguous buffers (Section IX).
-func (p Params) PackedDMATime(bytes int64, activeCPEs int) float64 {
+func (p *Params) PackedDMATime(bytes int64, activeCPEs int) float64 {
 	if activeCPEs < 1 {
 		activeCPEs = 1
 	}

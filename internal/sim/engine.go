@@ -180,6 +180,15 @@ type Engine struct {
 	interrupted string
 	// executed counts events run, for measuring event-loop pressure.
 	executed uint64
+	// limit is how far the run loop now executing may take the clock:
+	// RunUntil's deadline (inclusive) or, with windowed set, RunWindow's end
+	// (exclusive). Outside a run loop it is -1, which no wake-up time
+	// satisfies. It exists for advance.
+	limit    Time
+	windowed bool
+	// viaCalendar makes advance refuse, so tests can compare the inline
+	// path against the calendar round trip it replaces.
+	viaCalendar bool
 
 	// free is the event arena: fired and cancelled events return here and
 	// are reissued by the schedule calls, so a steady-state simulation
@@ -214,7 +223,7 @@ type Engine struct {
 
 // NewEngine returns an empty simulation at time zero.
 func NewEngine() *Engine {
-	return &Engine{selfMailAt: Infinity, outMailAt: Infinity}
+	return &Engine{limit: -1, selfMailAt: Infinity, outMailAt: Infinity}
 }
 
 // Now returns the current virtual time.
@@ -367,9 +376,11 @@ func (e *Engine) Run() Time {
 // called, or the next event would fire strictly after the deadline. Events
 // exactly at the deadline are executed.
 func (e *Engine) RunUntil(deadline Time) Time {
+	e.limit, e.windowed = deadline, false
 	// A panic leaving the loop — a process body's, re-raised by its resume,
 	// or the deadlock report below — ends the run as surely as Stop does.
 	defer func() {
+		e.limit = -1
 		if r := recover(); r != nil {
 			e.releaseProcesses()
 			panic(r)
@@ -411,6 +422,8 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // true event times to compute the next lookahead window, and mail is
 // injected with absolute times at the barrier.
 func (e *Engine) RunWindow(end Time) {
+	e.limit, e.windowed = end, true
+	defer func() { e.limit = -1 }()
 	for !e.stopped && e.queue.Len() > 0 {
 		if e.selfMailAt < end {
 			end = e.selfMailAt
@@ -434,6 +447,36 @@ func (e *Engine) RunWindow(end Time) {
 		e.executed++
 		e.fire(next)
 	}
+}
+
+// advance moves the clock straight to w, the wake-up time of the running
+// process's sleep, and reports whether it did. It does so exactly when the
+// wake-up event the sleeper would otherwise schedule is what the run loop
+// would execute next: the newest event loses every tie, so it must be
+// strictly earlier than the calendar head (a cancelled head counts — the
+// refusal is only ever conservative), and it must be inside the loop's
+// bound, which for a window includes the two mail caps as RunWindow applies
+// them. The loop would then pop it, set the clock, count it and switch back
+// to the sleeper with nothing run in between; advance does the first three
+// and the sleeper simply carries on. Whenever it refuses, the calendar path
+// runs as it always has.
+func (e *Engine) advance(w Time) bool {
+	if e.stopped || e.viaCalendar || w < e.now {
+		return false
+	}
+	if len(e.queue.evs) > 0 && !(w < e.queue.evs[0].at) {
+		return false
+	}
+	if e.windowed {
+		if !(w < e.limit && w < e.selfMailAt && w < e.outMailAt) {
+			return false
+		}
+	} else if !(w <= e.limit) {
+		return false
+	}
+	e.now = w
+	e.executed++
+	return true
 }
 
 // injectMail appends a batch of barrier mail, already in canonical merge

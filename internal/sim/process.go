@@ -74,8 +74,16 @@ func (p *Process) Name() string { return p.name }
 
 // Sleep advances the process by d of virtual time. Other processes and
 // events run in the interim. A non-positive d yields the processor for the
-// current instant (other same-time events run) and resumes.
+// current instant (other same-time events run) and resumes. When nothing
+// else can run before the wake-up, the clock moves there without a trip
+// through the calendar (Engine.advance).
 func (p *Process) Sleep(d Time) {
+	if d < 0 {
+		d = 0
+	}
+	if p.eng.advance(p.eng.now + d) {
+		return
+	}
 	p.eng.CallAfter(d, p)
 	p.yield("sleep")
 }
@@ -85,6 +93,9 @@ func (p *Process) Sleep(d Time) {
 // from the subtract-then-add round trip — which batched operations rely on
 // to land on the same instant as the equivalent sequence of Sleeps.
 func (p *Process) SleepUntil(at Time) {
+	if p.eng.advance(at) {
+		return
+	}
 	p.eng.CallAt(at, p)
 	p.yield("sleep-until")
 }
