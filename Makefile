@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test examples race chaos workload loadcheck bench benchgate cover clean
+.PHONY: check vet build test examples race cover clean
 
-check: vet build test examples race chaos workload loadcheck benchgate cover
+check: vet build test examples race cover
 
 vet:
 	$(GO) vet ./...
@@ -26,65 +26,20 @@ examples:
 		echo "== $$d"; $(GO) run ./$$d > /dev/null; done
 	@echo "examples: all ok"
 
-# Race-check the concurrent subsystems: the sharded engine and the MPI
-# model it drives (the packages with real cross-goroutine traffic), the
-# runner package in full (including the determinism guard, which
-# exercises real simulations on concurrent workers), the fault plane, all
-# of core, and the experiments package's fast tests. The full-sweep
+# Race-check every package. Real cross-goroutine traffic lives in the
+# sharded engine and the MPI model it drives, the runner pool (its
+# determinism guard runs real simulations on concurrent workers), sunserver
+# and its journal, the tile worker pool of field/athread/scheduler (it
+# writes main-memory storage directly) and grid's build-on-first-use
+# ghost-geometry table; the rest cost a second each. The full-sweep
 # experiments tests are minutes-long under the race detector, hence -short
-# there. field, athread and scheduler are in because the tile worker pool
-# computes on windows of the warehouse fields: its goroutines write
-# main-memory storage directly; grid because a layout's ghost-geometry
-# table is built on first use, and Layout methods were callable from any
-# goroutine before there was a table. This is also the shard gate: core's
-# TestShardedBitIdentical holds the conservative engine byte-identical to
-# serial at shards 1/2/4/8, and sim's TestShardSet* cover the window/mail
-# machinery, the latency-matrix and the mail-storm edge cases.
+# there. This is also the shard gate: core's TestShardedBitIdentical holds
+# the conservative engine byte-identical to serial at shards 1/2/4/8, and
+# sim's TestShardSet* cover the window/mail machinery, the latency-matrix
+# and the mail-storm edge cases.
 race:
-	$(GO) test -race -count=1 ./internal/sim/... ./internal/mpisim/...
-	$(GO) test -race -count=1 ./internal/grid/... ./internal/field/... ./internal/athread/... ./internal/scheduler/...
-	$(GO) test -race -count=1 ./internal/runner/...
-	$(GO) test -race -count=1 ./internal/faults/...
-	$(GO) test -race -count=1 ./internal/trace/... ./internal/obs/...
-	$(GO) test -race -count=1 ./internal/rng/... ./internal/physics/... ./internal/heat3d/... ./internal/workload/...
-	$(GO) test -race -count=1 ./internal/core/
-	$(GO) test -race -short -count=1 ./internal/experiments/...
-	$(GO) test -race -count=1 ./internal/jobstore/... ./internal/admission/... ./internal/loadgen/... ./cmd/sunserver/
-
-# The chaos gate: run the short fault-matrix determinism test (byte-equal
-# artifact across worker counts, >= 95% of runs recovered at the default
-# fault rate).
-chaos:
-	$(GO) test -run TestChaos -count=1 ./internal/experiments/
-
-# The workload gate: the scenario sweep plus record-and-replay artifact
-# must render byte-identically across worker and shard counts.
-workload:
-	$(GO) test -run TestWorkloadArtifact -count=1 ./internal/experiments/
-
-# The load gate: the sunload harness (as a library) replays a compressed
-# workload scenario against an in-process sunserver and fails if any
-# submission errors, any accepted job never reaches a terminal state, or
-# the latency quantiles come back implausible. Bounded runtime: tiny
-# specs, instant executor, 60s hard deadline inside the test.
-loadcheck:
-	$(GO) test -run TestLoadCheck -count=1 ./cmd/sunserver/
-
-# Run every micro-benchmark, then refresh the committed performance
-# baseline. Commit the updated BENCH_baseline.json together with any
-# intentional performance change.
-bench:
-	$(GO) test -bench=. -benchtime=1x -benchmem ./...
-	$(GO) run ./cmd/benchgate -record -o BENCH_baseline.json
-
-# The perf-regression gate: remeasure the hot paths and fail on a large
-# calibration-adjusted slowdown, any steady-state allocation increase, or a
-# shards-vs-serial speedup below the machine's parallelism floor. The rate
-# tolerance is sized to the window-to-window noise of shared CI hosts
-# (spin-probe-gated medians still jitter ~25% there); alloc and speedup
-# checks are absolute and unaffected by it.
-benchgate:
-	$(GO) run ./cmd/benchgate -check BENCH_baseline.json -tol 0.35
+	$(GO) test -race -count=1 $$($(GO) list ./... | grep -v /internal/experiments)
+	$(GO) test -race -short -count=1 ./internal/experiments/
 
 # Coverage floor on the observability layer (the flight recorder and the
 # trace recorder): pure logic with deterministic outputs, kept above 80%.

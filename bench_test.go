@@ -13,7 +13,6 @@ package repro
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"sunuintah/internal/experiments"
@@ -148,48 +147,6 @@ func BenchmarkFig9FloatingPointPerformance(b *testing.B) {
 	}
 }
 
-// BenchmarkTimestepEndToEnd times one whole simulated case — build,
-// schedule, communicate, run benchSteps timesteps — at several rank
-// counts, on the serial engine and on the sharded conservative engine.
-// The serial/sharded pairs share a spec, so their s/step metrics expose
-// the parallel engine's wall-clock speedup directly (results are
-// bit-identical by construction; TestExecShardDeterminism enforces it).
-func BenchmarkTimestepEndToEnd(b *testing.B) {
-	engines := []struct {
-		name   string
-		shards int
-	}{
-		{"serial", 0},
-		{"shards4", 4},
-	}
-	for _, ranks := range []int{4, 16, 32} {
-		for _, eng := range engines {
-			b.Run(fmt.Sprintf("ranks%d/%s", ranks, eng.name), func(b *testing.B) {
-				layouts := map[int]string{4: "2x2x1", 16: "4x2x2", 32: "4x4x2"}
-				spec := runner.Spec{
-					Cells:   "64x64x128",
-					Layout:  layouts[ranks],
-					CGs:     ranks,
-					Variant: "acc_simd.async",
-					Steps:   benchSteps,
-					Shards:  eng.shards,
-				}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := experiments.Exec(context.Background(), spec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !res.Feasible {
-						b.Fatal("benchmark case infeasible")
-					}
-					b.ReportMetric(float64(res.Sim.PerStep), "simulated-s/step")
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkMixedPhysicsEndToEnd times a run with all three model
 // problems (Burgers, advection, heat3d) partitioned across the patch
 // layout — the per-patch task-filtering path the workload scenarios
@@ -246,54 +203,6 @@ func BenchmarkFig10FloatingPointEfficiency(b *testing.B) {
 			}
 		}
 		b.ReportMetric(best*100, "best-efficiency-%")
-	}
-}
-
-// BenchmarkShardMailMerge measures the batched cross-shard mail path in
-// isolation: one source shard posts a window's worth of envelopes to a
-// destination shard, the barrier merge (Flush) sorts and bulk-injects
-// them, and the destination drains. Steady state must not allocate —
-// outboxes, merge buffers and event slots are all recycled.
-func BenchmarkShardMailMerge(b *testing.B) {
-	const batch = 1024
-	ss := sim.NewShardSet(2, sim.Microsecond)
-	src, dst := ss.Engine(0), ss.Engine(1)
-	sink := sim.NewCounter(dst, "mail-sink")
-	round := func() {
-		at := dst.Now() + 2*sim.Microsecond
-		for i := 0; i < batch; i++ {
-			// Spread over 64 instants: ties and distinct times both on
-			// the sort path.
-			ss.PostCall(src, dst, at+sim.Time(i%64)*sim.Microsecond/256, sink)
-		}
-		ss.Flush()
-		dst.Run()
-	}
-	round() // warm the arenas
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		round()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "msgs/s")
-}
-
-// BenchmarkEventArena measures the engine's no-handle hot path: a
-// self-rescheduling Caller chain where every fired event's slot is
-// recycled through the arena. Zero allocs per event after warm-up.
-func BenchmarkEventArena(b *testing.B) {
-	e := sim.NewEngine()
-	cnt := sim.NewCounter(e, "arena")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.CallAfter(sim.Microsecond, cnt)
-		e.Run()
-	}
-	b.StopTimer()
-	if cnt.Value() != int64(b.N) {
-		b.Fatalf("fired %d events, want %d", cnt.Value(), b.N)
 	}
 }
 

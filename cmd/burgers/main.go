@@ -18,8 +18,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strconv"
-	"strings"
 
 	"sunuintah/internal/burgers"
 	"sunuintah/internal/core"
@@ -32,22 +30,6 @@ import (
 	"sunuintah/internal/taskgraph"
 	"sunuintah/internal/trace"
 )
-
-func parseIVec(s string) (grid.IVec, error) {
-	parts := strings.Split(s, "x")
-	if len(parts) != 3 {
-		return grid.IVec{}, fmt.Errorf("want AxBxC, got %q", s)
-	}
-	var v [3]int
-	for i, p := range parts {
-		n, err := strconv.Atoi(p)
-		if err != nil || n <= 0 {
-			return grid.IVec{}, fmt.Errorf("bad component %q in %q", p, s)
-		}
-		v[i] = n
-	}
-	return grid.IV(v[0], v[1], v[2]), nil
-}
 
 func main() {
 	problem := flag.String("problem", "", "paper problem size by patch name (e.g. 32x64x512); overrides -cells/-patches")
@@ -79,10 +61,10 @@ func main() {
 		}
 		cells = spec.GridSize
 	} else {
-		if cells, err = parseIVec(*cellsFlag); err != nil {
+		if cells, err = experiments.ParseIVec(*cellsFlag); err != nil {
 			fatal(err)
 		}
-		if patches, err = parseIVec(*patchesFlag); err != nil {
+		if patches, err = experiments.ParseIVec(*patchesFlag); err != nil {
 			fatal(err)
 		}
 	}

@@ -12,30 +12,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"sunuintah/internal/burgers"
+	"sunuintah/internal/experiments"
 	"sunuintah/internal/grid"
 	"sunuintah/internal/loadbalancer"
 	"sunuintah/internal/taskgraph"
 )
-
-func parseIVec(s string) (grid.IVec, error) {
-	parts := strings.Split(s, "x")
-	if len(parts) != 3 {
-		return grid.IVec{}, fmt.Errorf("want AxBxC, got %q", s)
-	}
-	var v [3]int
-	for i, p := range parts {
-		n, err := strconv.Atoi(p)
-		if err != nil || n <= 0 {
-			return grid.IVec{}, fmt.Errorf("bad component %q", p)
-		}
-		v[i] = n
-	}
-	return grid.IV(v[0], v[1], v[2]), nil
-}
 
 func main() {
 	cellsFlag := flag.String("cells", "32x32x32", "global grid size")
@@ -44,11 +27,11 @@ func main() {
 	rank := flag.Int("rank", 0, "rank whose graph portion to dump")
 	flag.Parse()
 
-	cells, err := parseIVec(*cellsFlag)
+	cells, err := experiments.ParseIVec(*cellsFlag)
 	if err != nil {
 		fatal(err)
 	}
-	patches, err := parseIVec(*patchesFlag)
+	patches, err := experiments.ParseIVec(*patchesFlag)
 	if err != nil {
 		fatal(err)
 	}

@@ -8,7 +8,7 @@
 //
 //  2. auto-rebalance from measured per-patch kernel costs and run 2 more,
 //
-//  3. write a checkpoint, restore it into a fresh simulation,
+//  3. take a checkpoint, restore it into a fresh simulation,
 //
 //  4. regrid to a finer patch layout, run 2 final steps,
 //
@@ -18,7 +18,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 
@@ -82,17 +81,15 @@ func main() {
 		float64(r2.PerStep), float64(r1.PerStep)/float64(r2.PerStep))
 
 	// 3. Checkpoint at step 4 and restore into a fresh simulation.
-	var ck bytes.Buffer
-	if err := s.WriteCheckpoint(&ck); err != nil {
+	ck, err := s.Checkpoint()
+	if err != nil {
 		log.Fatal(err)
 	}
-	ckBytes := ck.Len() // the decoder drains the buffer below
 	s2 := newSim()
-	if err := s2.RestoreCheckpoint(&ck); err != nil {
+	if err := s2.RestoreFromMemory(ck); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("checkpoint             %.1f KB, restored into a fresh simulation\n",
-		float64(ckBytes)/1024)
+	fmt.Printf("checkpoint             step %d, restored into a fresh simulation\n", ck.StepsDone)
 
 	// 4. Regrid: re-partition the same cells into 32 smaller patches.
 	if err := s2.Regrid(grid.IV(2, 4, 4)); err != nil {

@@ -22,7 +22,7 @@ import (
 
 // Advance applies one Burgers update over region with the monomorphic
 // fused kernel — the functional body the runtime executes. Exported for
-// external benchmarks and the perf-regression gate (cmd/benchgate).
+// external benchmarks (bench's burgers.cells_per_s probe).
 func Advance(uOld, uNew *field.Cell, region grid.Box, lv *grid.Level, t, dt float64, e Exp) {
 	advanceOpt(uOld, uNew, region, lv, t, dt, e)
 }

@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
-
-	"encoding/gob"
 
 	"sunuintah/internal/grid"
 	"sunuintah/internal/taskgraph"
@@ -12,13 +9,9 @@ import (
 
 // MemCheckpoint is a simulation's persistent state held in memory: the
 // step counter, simulated time level, and every old-warehouse variable's
-// interior values (ghosts are rebuilt each step). It is the incremental
-// sibling of the on-disk checkpoint — RunResilient restarts from it
-// without ever serialising, and WriteCheckpoint/RestoreCheckpoint are
-// thin gob wrappers around the same structure (the Uintah analogue is
-// the UDA data archive).
-//
-// The exported fields exist for gob; treat the value as opaque.
+// interior values (ghosts are rebuilt each step). RunResilient restarts
+// from it without ever serialising (the Uintah analogue is the UDA data
+// archive).
 type MemCheckpoint struct {
 	Cells       grid.IVec
 	PatchCounts grid.IVec
@@ -140,27 +133,4 @@ func (s *Simulation) RestoreFromMemory(f *MemCheckpoint) error {
 	s.stepsDone = f.StepsDone
 	s.timeDone = f.TimeDone
 	return nil
-}
-
-// WriteCheckpoint serialises the simulation's state (gob-encoded
-// Checkpoint). Functional mode only.
-func (s *Simulation) WriteCheckpoint(w io.Writer) error {
-	f, err := s.Checkpoint()
-	if err != nil {
-		return err
-	}
-	return gob.NewEncoder(w).Encode(f)
-}
-
-// RestoreCheckpoint loads state written by WriteCheckpoint (gob-decoded
-// RestoreFromMemory); see RestoreFromMemory for the matching rules.
-func (s *Simulation) RestoreCheckpoint(r io.Reader) error {
-	if !s.Cfg.Scheduler.Functional {
-		return fmt.Errorf("core: checkpointing requires functional mode")
-	}
-	var f MemCheckpoint
-	if err := gob.NewDecoder(r).Decode(&f); err != nil {
-		return fmt.Errorf("core: reading checkpoint: %w", err)
-	}
-	return s.RestoreFromMemory(&f)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"sunuintah/internal/burgers"
@@ -137,8 +136,8 @@ func TestCheckpointRestartMatchesUninterruptedRun(t *testing.T) {
 	if _, err := s1.Run(3); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := s1.WriteCheckpoint(&buf); err != nil {
+	ckpt, err := s1.Checkpoint()
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -154,7 +153,7 @@ func TestCheckpointRestartMatchesUninterruptedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.RestoreCheckpoint(&buf); err != nil {
+	if err := s2.RestoreFromMemory(ckpt); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s2.Run(3); err != nil {
@@ -180,16 +179,15 @@ func TestCheckpointValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := sT.WriteCheckpoint(&buf); err == nil {
+	if _, err := sT.Checkpoint(); err == nil {
 		t.Error("timing-only checkpoint should fail")
 	}
 
 	// Mismatched grids are rejected.
 	cfgA := functionalCfg(cells, grid.IV(2, 2, 2), 2, scheduler.ModeAsync, false)
 	sA, _ := NewSimulation(cfgA, prob)
-	buf.Reset()
-	if err := sA.WriteCheckpoint(&buf); err != nil {
+	ckpt, err := sA.Checkpoint()
+	if err != nil {
 		t.Fatal(err)
 	}
 	probB, _ := burgersProblem(grid.IV(32, 32, 32), grid.IV(2, 2, 2), false)
@@ -198,7 +196,7 @@ func TestCheckpointValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sB.RestoreCheckpoint(&buf); err == nil {
+	if err := sB.RestoreFromMemory(ckpt); err == nil {
 		t.Error("grid mismatch should fail")
 	}
 
@@ -211,11 +209,7 @@ func TestCheckpointValidation(t *testing.T) {
 	if _, err := sC.Run(1); err != nil {
 		t.Fatal(err)
 	}
-	buf.Reset()
-	if err := sA.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := sC.RestoreCheckpoint(&buf); err == nil {
+	if err := sC.RestoreFromMemory(ckpt); err == nil {
 		t.Error("restore after running should fail")
 	}
 }

@@ -132,7 +132,7 @@ func (s *Simulation) armCrashFromPlan(nSteps, incarnation int) {
 }
 
 // fastForward restores a timing-only simulation's progress markers (the
-// timing-only analogue of RestoreCheckpoint: there is no field data to
+// timing-only analogue of RestoreFromMemory: there is no field data to
 // reload, only the step counter and time level).
 func (s *Simulation) fastForward(steps int, time float64) {
 	s.stepsDone = steps

@@ -161,9 +161,9 @@ func EstimateCost(spec runner.Spec) float64 {
 
 // SpecConfig resolves a Spec into the core configuration and problem it
 // executes. Exec composes it with progress publishing and resilient
-// running; it is exported so harnesses (benchgate's observability
-// overhead metric) can run the same case with hand-controlled
-// instrumentation knobs that Spec does not expose.
+// running; it is exported so harnesses (bench's per-layer probes and its
+// observability overhead metric) can run the same case with
+// hand-controlled instrumentation knobs that Spec does not expose.
 func SpecConfig(spec runner.Spec) (core.Config, core.Problem, error) {
 	return specConfig(spec)
 }
@@ -254,15 +254,6 @@ func specConfig(spec runner.Spec) (core.Config, core.Problem, error) {
 		cfg.Obs = &obs.Options{Trace: spec.Trace}
 	}
 	return cfg, problem, nil
-}
-
-// buildSpecCase resolves a Spec into a ready-to-run simulation.
-func buildSpecCase(spec runner.Spec) (*core.Simulation, error) {
-	cfg, problem, err := specConfig(spec)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewSimulation(cfg, problem)
 }
 
 // progress is the process-wide live-progress bus. Executions publish one

@@ -279,39 +279,38 @@ func TestShapesLockIn(t *testing.T) {
 func TestNoiseAndBestOfRepeats(t *testing.T) {
 	prob := Problems[0]
 	v, _ := VariantByName("acc.async")
+	// Each call is a fresh sweep — its own pool and cache — so equal
+	// results are recomputed, not replayed.
+	perStep := func(opt Options) float64 {
+		t.Helper()
+		opt.Steps = 1
+		s := NewSweep(opt)
+		defer s.Close()
+		r, err := s.Run(prob, 1, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Feasible {
+			t.Fatal("case infeasible")
+		}
+		return r.PerStepSeconds()
+	}
 	// Without noise, runs are bit-identical.
-	a, err := RunCase(prob, 1, v, Options{Steps: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunCase(prob, 1, v, Options{Steps: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.PerStep != b.PerStep {
-		t.Fatalf("noise-free runs differ: %v vs %v", a.PerStep, b.PerStep)
+	a, b := perStep(Options{}), perStep(Options{})
+	if a != b {
+		t.Fatalf("noise-free runs differ: %v vs %v", a, b)
 	}
 	// Noise slows runs down; best-of-5 recovers part of it and is
 	// deterministic given the seeds.
-	noisy1, err := RunCase(prob, 1, v, Options{Steps: 1, Noise: 0.3})
-	if err != nil {
-		t.Fatal(err)
+	noisy1 := perStep(Options{Noise: 0.3})
+	if noisy1 <= a {
+		t.Fatalf("noisy run (%v) should be slower than clean (%v)", noisy1, a)
 	}
-	if noisy1.PerStep <= a.PerStep {
-		t.Fatalf("noisy run (%v) should be slower than clean (%v)", noisy1.PerStep, a.PerStep)
+	best5 := perStep(Options{Noise: 0.3, Repeats: 5})
+	if best5 > noisy1 {
+		t.Fatalf("best-of-5 (%v) worse than single noisy run (%v)", best5, noisy1)
 	}
-	best5, err := RunCase(prob, 1, v, Options{Steps: 1, Noise: 0.3, Repeats: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best5.PerStep > noisy1.PerStep {
-		t.Fatalf("best-of-5 (%v) worse than single noisy run (%v)", best5.PerStep, noisy1.PerStep)
-	}
-	again, err := RunCase(prob, 1, v, Options{Steps: 1, Noise: 0.3, Repeats: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best5.PerStep != again.PerStep {
+	if again := perStep(Options{Noise: 0.3, Repeats: 5}); best5 != again {
 		t.Fatal("best-of-repeats should be deterministic")
 	}
 }

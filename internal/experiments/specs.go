@@ -14,13 +14,9 @@ package experiments
 import (
 	"fmt"
 
-	"sunuintah/internal/burgers"
-	"sunuintah/internal/core"
 	"sunuintah/internal/faults"
 	"sunuintah/internal/grid"
-	"sunuintah/internal/perf"
 	"sunuintah/internal/scheduler"
-	"sunuintah/internal/taskgraph"
 )
 
 // Steps is the number of timesteps per evaluation run ("run for 10
@@ -124,7 +120,7 @@ type Options struct {
 	Repeats int
 
 	// Jobs is the worker count of a Sweep's own runner pool (0 means
-	// GOMAXPROCS). Ignored by the serial RunCase path.
+	// GOMAXPROCS).
 	Jobs int
 
 	// Shards runs each case on the conservative parallel engine with this
@@ -144,79 +140,4 @@ type Options struct {
 	// they never participate in the result-cache key.
 	Report bool
 	Trace  bool
-
-	// seed is the per-repeat noise seed set by RunCase.
-	seed uint64
-}
-
-// caseConfig assembles the configuration and problem of one experimental
-// cell, shared by the serial path (NewCase/RunCase) and resilient runs.
-func caseConfig(prob ProblemSpec, cgs int, v Variant, opt Options) (core.Config, core.Problem) {
-	u := burgers.NewULabel()
-	dx := 1.0 / float64(prob.GridSize.X)
-	dy := 1.0 / float64(prob.GridSize.Y)
-	dz := 1.0 / float64(prob.GridSize.Z)
-	problem := core.Problem{
-		Tasks: []*taskgraph.Task{burgers.NewAdvanceTask(u, burgers.FastExpLib, v.SIMD)},
-		Dt:    burgers.StableDt(dx, dy, dz),
-	}
-	cfg := core.Config{
-		Cells:       prob.GridSize,
-		PatchCounts: PatchCounts,
-		NumCGs:      cgs,
-		Scheduler: scheduler.Config{
-			Mode:        v.Mode,
-			SIMD:        v.SIMD,
-			TileSize:    opt.TileSize,
-			Functional:  false,
-			AsyncDMA:    opt.AsyncDMA,
-			TilePacking: opt.TilePacking,
-			CPEGroups:   opt.CPEGroups,
-		},
-	}
-	if opt.Noise > 0 {
-		params := perf.DefaultParams()
-		params.NoiseFraction = opt.Noise
-		params.NoiseSeed = opt.seed
-		cfg.Params = &params
-	}
-	if !opt.Faults.Zero() {
-		cfg.Faults = opt.Faults
-	}
-	cfg.Shards = opt.Shards
-	return cfg, problem
-}
-
-// NewCase assembles a timing-only simulation for one experimental cell.
-func NewCase(prob ProblemSpec, cgs int, v Variant, opt Options) (*core.Simulation, error) {
-	cfg, problem := caseConfig(prob, cgs, v, opt)
-	return core.NewSimulation(cfg, problem)
-}
-
-// RunCase builds and runs one experimental cell for the given number of
-// steps (Options.Steps, default Steps). With Noise and Repeats set it runs
-// the case once per noise seed and returns the fastest result, like the
-// paper.
-func RunCase(prob ProblemSpec, cgs int, v Variant, opt Options) (*core.Result, error) {
-	n := opt.Steps
-	if n <= 0 {
-		n = Steps
-	}
-	repeats := opt.Repeats
-	if repeats <= 1 || opt.Noise == 0 {
-		repeats = 1
-	}
-	var best *core.Result
-	for rep := 0; rep < repeats; rep++ {
-		opt.seed = uint64(rep + 1)
-		cfg, problem := caseConfig(prob, cgs, v, opt)
-		res, err := core.RunResilient(cfg, problem, n)
-		if err != nil {
-			return nil, err
-		}
-		if best == nil || res.PerStep < best.PerStep {
-			best = res
-		}
-	}
-	return best, nil
 }

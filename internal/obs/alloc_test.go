@@ -4,8 +4,8 @@ import "testing"
 
 // The disabled recorder must stay free: every hook on nil probes (the
 // state of every run without -report) is a no-op that allocates nothing,
-// so attaching the obs plumbing to the hot paths cannot regress the
-// benchgate e2e numbers.
+// so attaching the obs plumbing to the hot paths cannot regress bench's
+// end-to-end numbers.
 func TestNilProbesZeroAlloc(t *testing.T) {
 	var p *RankProbes
 	var s *Sampler

@@ -59,7 +59,7 @@ type Options struct {
 	// HooksOnly attaches every sampler probe but skips assembling
 	// Result.Obs when the run completes. It exists for
 	// benchmark harnesses that time the always-on hook cost in isolation
-	// from report assembly (benchgate's obs.overhead_frac gate); normal
+	// from report assembly (bench's obs.overhead_frac metric); normal
 	// runs leave it false.
 	HooksOnly bool `json:"-"`
 }
@@ -90,7 +90,7 @@ type Sampler struct {
 // here, before the run starts: hundreds of small lazily grown buffers
 // used to be allocated from inside the hooks, and the GC churn they
 // caused during the parallel run phase dominated the sampler's measured
-// overhead (the benchgate obs.overhead_frac gate).
+// overhead (bench's obs.overhead_frac metric).
 func NewSampler(opts Options, nRanks int) *Sampler {
 	s := &Sampler{opts: opts.normalized()}
 	if nRanks <= 0 {

@@ -107,8 +107,8 @@ func (s *Sampler) Report(end sim.Time) *Report {
 // share one per-rank edge sweep. (The naive per-rank
 // Recorder.OverlapTime calls each re-copy and re-scan the whole
 // multi-rank event list — 3 passes x nRanks turned the flight recorder
-// into the dominant cost of short observed runs, which the benchgate
-// obs.overhead_frac metric now guards against.)
+// into the dominant cost of short observed runs, which bench's
+// obs.overhead_frac metric now measures.)
 func (r *Report) AddOverlap(events []trace.Event, nRanks int) {
 	if r == nil {
 		return

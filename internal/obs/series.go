@@ -135,8 +135,8 @@ func (s *Series) Finalize(end float64) {
 // t itself. The hooks fire orders of magnitude more often than the grid
 // commits (event granularity is nanoseconds, the grid tens of
 // microseconds), so the everything-already-committed case must stay two
-// comparisons — that fast path is what keeps the sampler inside the
-// benchgate obs.overhead_frac budget.
+// comparisons — that fast path is the sampler's main lever on bench's
+// obs.overhead_frac.
 func (s *Series) advance(t float64) {
 	if len(s.pending) > 0 && s.pending[0].at <= t {
 		s.drainPending(t)

@@ -200,3 +200,34 @@ func TestShardSetWakesIdleShard(t *testing.T) {
 		t.Errorf("hashes (%x,%x), want (%x,%x)", g0.hash, g1.hash, w0.hash, w1.hash)
 	}
 }
+
+// TestShardMailRoundZeroAlloc locks the batched cross-shard mail path at
+// zero steady-state allocations: one source shard posts a window's worth
+// of envelopes, the barrier merge (Flush) sorts and bulk-injects them, and
+// the destination drains. Outboxes, merge buffers and event slots are all
+// recycled once warm.
+func TestShardMailRoundZeroAlloc(t *testing.T) {
+	const batch = 1024
+	ss := NewShardSet(2, Microsecond)
+	src, dst := ss.Engine(0), ss.Engine(1)
+	sink := NewCounter(dst, "mail-sink")
+	rounds := 0
+	round := func() {
+		rounds++
+		at := dst.Now() + 2*Microsecond
+		for i := 0; i < batch; i++ {
+			// Spread over 64 instants: ties and distinct times both on
+			// the sort path.
+			ss.PostCall(src, dst, at+Time(i%64)*Microsecond/256, sink)
+		}
+		ss.Flush()
+		dst.Run()
+	}
+	round() // warm the arenas and merge buffers
+	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+		t.Errorf("mail round allocates %v per run, want 0", allocs)
+	}
+	if want := int64(rounds * batch); sink.Value() != want {
+		t.Errorf("delivered %d envelopes, want %d", sink.Value(), want)
+	}
+}

@@ -1,89 +1,7 @@
-// Package stats provides the small numerical summaries the benchmark
-// harness and examples report: series summaries, speed-up/efficiency
-// helpers, and fixed-width table rendering.
+// Package stats provides fixed-width table rendering.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-)
-
-// Summary describes a sample of float64 values.
-type Summary struct {
-	N              int
-	Min, Max       float64
-	Mean           float64
-	Median         float64
-	StdDev         float64
-	GeometricMean  float64
-	geometricValid bool
-}
-
-// Summarize computes a Summary of values. An empty input yields a zero
-// Summary with N == 0.
-func Summarize(values []float64) Summary {
-	s := Summary{N: len(values)}
-	if len(values) == 0 {
-		return s
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	s.Min = sorted[0]
-	s.Max = sorted[len(sorted)-1]
-	if n := len(sorted); n%2 == 1 {
-		s.Median = sorted[n/2]
-	} else {
-		s.Median = (sorted[n/2-1] + sorted[n/2]) / 2
-	}
-	var sum float64
-	logOK := true
-	var logSum float64
-	for _, v := range values {
-		sum += v
-		if v > 0 {
-			logSum += math.Log(v)
-		} else {
-			logOK = false
-		}
-	}
-	s.Mean = sum / float64(len(values))
-	if logOK {
-		s.GeometricMean = math.Exp(logSum / float64(len(values)))
-		s.geometricValid = true
-	}
-	var sq float64
-	for _, v := range values {
-		d := v - s.Mean
-		sq += d * d
-	}
-	if len(values) > 1 {
-		s.StdDev = math.Sqrt(sq / float64(len(values)-1))
-	}
-	return s
-}
-
-// HasGeometricMean reports whether every sample was positive.
-func (s Summary) HasGeometricMean() bool { return s.geometricValid }
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	if s.N == 0 {
-		return "n=0"
-	}
-	return fmt.Sprintf("n=%d min=%.4g median=%.4g mean=%.4g max=%.4g sd=%.3g",
-		s.N, s.Min, s.Median, s.Mean, s.Max, s.StdDev)
-}
-
-// Speedup returns base/t — how many times faster t is than base.
-func Speedup(base, t float64) float64 { return base / t }
-
-// ParallelEfficiency returns the strong-scaling efficiency of scaling from
-// (t1, p1) to (t2, p2) resources: t1*p1 / (t2*p2).
-func ParallelEfficiency(t1 float64, p1 int, t2 float64, p2 int) float64 {
-	return t1 * float64(p1) / (t2 * float64(p2))
-}
+import "strings"
 
 // Table renders rows of cells in aligned columns. The first row is treated
 // as a header; align is per-column ('l' or 'r', defaulting to 'r' when
@@ -95,11 +13,6 @@ type Table struct {
 
 // AddRow appends a row of cells.
 func (t *Table) AddRow(cells ...string) { t.rows = append(t.rows, cells) }
-
-// AddRowf appends a row formatting each value with its verb pair.
-func (t *Table) AddRowf(format string, args ...any) {
-	t.AddRow(strings.Fields(fmt.Sprintf(format, args...))...)
-}
 
 // String renders the table.
 func (t *Table) String() string {

@@ -1,80 +1,9 @@
 package stats
 
 import (
-	"math"
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestSummarizeBasics(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2})
-	if s.N != 4 || s.Min != 1 || s.Max != 4 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if s.Mean != 2.5 || s.Median != 2.5 {
-		t.Fatalf("mean/median = %v/%v", s.Mean, s.Median)
-	}
-	want := math.Sqrt((2.25 + 0.25 + 0.25 + 2.25) / 3)
-	if math.Abs(s.StdDev-want) > 1e-15 {
-		t.Fatalf("sd = %v, want %v", s.StdDev, want)
-	}
-	if !s.HasGeometricMean() {
-		t.Fatal("positive samples should have a geometric mean")
-	}
-	gm := math.Pow(4*1*3*2, 0.25)
-	if math.Abs(s.GeometricMean-gm) > 1e-12 {
-		t.Fatalf("gm = %v, want %v", s.GeometricMean, gm)
-	}
-}
-
-func TestSummarizeOddMedianAndEmpty(t *testing.T) {
-	if m := Summarize([]float64{9, 1, 5}).Median; m != 5 {
-		t.Fatalf("median = %v", m)
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 || empty.String() != "n=0" {
-		t.Fatalf("empty = %+v", empty)
-	}
-}
-
-func TestSummarizeNonPositiveDisablesGeometric(t *testing.T) {
-	if Summarize([]float64{1, -2, 3}).HasGeometricMean() {
-		t.Fatal("negative sample should disable geometric mean")
-	}
-}
-
-func TestPropertySummaryBounds(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		if n == 0 {
-			return true
-		}
-		rng := rand.New(rand.NewSource(seed))
-		vals := make([]float64, int(n))
-		for i := range vals {
-			vals[i] = rng.NormFloat64() * 100
-		}
-		s := Summarize(vals)
-		return s.Min <= s.Median && s.Median <= s.Max &&
-			s.Min <= s.Mean && s.Mean <= s.Max && s.StdDev >= 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSpeedupAndEfficiency(t *testing.T) {
-	if Speedup(10, 2) != 5 {
-		t.Fatal("speedup wrong")
-	}
-	if got := ParallelEfficiency(10, 1, 1.25, 8); got != 1 {
-		t.Fatalf("efficiency = %v", got)
-	}
-	if got := ParallelEfficiency(10, 1, 2.5, 8); got != 0.5 {
-		t.Fatalf("efficiency = %v", got)
-	}
-}
 
 func TestTableAlignment(t *testing.T) {
 	var tb Table
