@@ -18,10 +18,12 @@
 //
 // Accepted jobs are journaled to the -store directory, so a crash or
 // restart resumes incomplete jobs — near-instantly when the on-disk
-// result cache is warm. Every submission passes admission control:
-// a bounded outstanding window, optional per-tenant token buckets
-// (keyed on the X-Tenant header) and cost-based load shedding; rejected
-// requests get 429 with a Retry-After estimated from observed exec times.
+// result cache is warm. Every submission passes admission control, one
+// check against a bounded outstanding window (-jobs running plus
+// -max-queued waiting): when it is full the request gets 429 with reason
+// "queue_full" and a Retry-After estimated from observed exec times. The
+// sunserver_admission_total counter records each decision (accepted,
+// queue_full). An X-Tenant header is recorded with the job.
 //
 // Requests run behind a per-request handler timeout; SIGINT/SIGTERM drains
 // in-flight jobs for -grace before cancelling them. A -faults plan is
@@ -70,9 +72,6 @@ func main() {
 	faultsFlag := flag.String("faults", "off", `default fault plan for specs that omit one: "off", "default", "default,scale=F" or "key=value,..."`)
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/")
 	maxQueued := flag.Int("max-queued", 256, "admission: max jobs waiting beyond the running window (<=0 uses the default)")
-	quotaRate := flag.Float64("quota-rate", 0, "admission: per-tenant sustained submissions/sec (0 disables tenant quotas)")
-	quotaBurst := flag.Float64("quota-burst", 0, "admission: per-tenant burst size (0 defaults to max(rate, 1))")
-	shedCost := flag.Float64("shed-cost", 0, "admission: estimated-cost threshold (seconds) above which specs are shed when the queue runs hot (0 disables)")
 	retain := flag.Int("retain", defaultRetain, "terminal jobs kept in memory and in the journal")
 	flag.Parse()
 
@@ -122,13 +121,7 @@ func main() {
 	}
 	sweep := experiments.NewSweepWithPool(experiments.Options{Steps: *steps, Shards: *shards}, pool)
 
-	adm := admission.New(admission.Config{
-		MaxQueued:  *maxQueued,
-		MaxRunning: *jobs,
-		Quota:      admission.Quota{Rate: *quotaRate, Burst: *quotaBurst},
-		Cost:       experiments.EstimateCost,
-		ShedCost:   *shedCost,
-	})
+	adm := admission.New(admission.Config{MaxQueued: *maxQueued, MaxRunning: *jobs})
 
 	// srvCtx is the collect-goroutine lifecycle: cancelled only after the
 	// pool has drained, so graceful shutdowns still record finished jobs;

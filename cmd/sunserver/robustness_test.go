@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,9 +18,7 @@ import (
 	"sunuintah/internal/admission"
 	"sunuintah/internal/experiments"
 	"sunuintah/internal/jobstore"
-	"sunuintah/internal/loadgen"
 	"sunuintah/internal/runner"
-	"sunuintah/internal/workload"
 )
 
 // instantExec completes immediately with a feasible result; the recorded
@@ -174,44 +173,6 @@ func TestOverloadReturns429WithRetryAfter(t *testing.T) {
 			t.Fatal("admission window never reopened after drain")
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestTenantQuotaExhaustion checks per-tenant token buckets: one tenant
-// exhausting its burst gets 429 reason "quota" while other tenants (and
-// the default tenant) are unaffected.
-func TestTenantQuotaExhaustion(t *testing.T) {
-	adm := admission.New(admission.Config{
-		MaxRunning: 8, MaxQueued: 64,
-		Quota: admission.Quota{Rate: 1e-9, Burst: 2},
-	})
-	ts, _, _ := newRobustServer(t, instantExec, 2, serverConfig{steps: 1, adm: adm})
-	spec := func(i int) string {
-		return fmt.Sprintf(smallSpec, fmt.Sprintf(`,"seed":%d`, i))
-	}
-
-	for i := 1; i <= 2; i++ {
-		if code, _, _ := postSpec(t, ts.URL, spec(i), "alice"); code != http.StatusAccepted {
-			t.Fatalf("alice submit %d = %d, want 202", i, code)
-		}
-	}
-	code, _, retryAfter := postSpec(t, ts.URL, spec(3), "alice")
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("alice over-quota = %d, want 429", code)
-	}
-	if retryAfter < 1 {
-		t.Fatalf("quota Retry-After = %d, want >= 1", retryAfter)
-	}
-	// Other tenants are unaffected by alice's exhaustion.
-	if code, _, _ := postSpec(t, ts.URL, spec(4), "bob"); code != http.StatusAccepted {
-		t.Fatalf("bob = %d, want 202", code)
-	}
-	if code, _, _ := postSpec(t, ts.URL, spec(5), ""); code != http.StatusAccepted {
-		t.Fatalf("default tenant = %d, want 202", code)
-	}
-	body, _ := getMetrics(t, ts.URL)
-	if v := promValue(t, body, `sunserver_admission_total{decision="quota"}`); v < 1 {
-		t.Fatalf("quota counter = %g", v)
 	}
 }
 
@@ -595,57 +556,126 @@ func TestRetentionGCDropsOldTerminalJobs(t *testing.T) {
 	}
 }
 
-// TestLoadCheck is the `make loadcheck` smoke gate: a compressed workload
-// scenario replayed by the loadgen harness against an in-process server.
-// It passes when the server stays coherent under concurrent load — every
-// submission is answered, every accepted job reaches a terminal state,
-// and nothing errors.
+// TestLoadCheck keeps the server coherent under concurrent load: six
+// clients each submit ten distinct-seed specs against a 2 running + 4
+// queued admission window whose executions are held until the window has
+// overflowed once. Every answer is 202 or a queue_full 429 with a
+// Retry-After, a rejected client gets in once jobs drain, every accepted
+// job finishes, and the admission metrics agree with what the clients saw.
 func TestLoadCheck(t *testing.T) {
-	adm := admission.New(admission.Config{MaxRunning: 4, MaxQueued: 256, Cost: experiments.EstimateCost})
-	ts, _, _ := newRobustServer(t, instantExec, 4, serverConfig{steps: 1, adm: adm})
+	const clients, perClient = 6, 10
+	release := make(chan struct{})
+	var opened sync.Once
+	open := func() { opened.Do(func() { close(release) }) }
+	defer open()
+	adm := admission.New(admission.Config{MaxRunning: 2, MaxQueued: 4})
+	ts, _, _ := newRobustServer(t, gatedExec(release), 2, serverConfig{steps: 1, adm: adm})
 
-	sc := &workload.Scenario{
-		Name: "loadcheck",
-		Seed: 7,
-		Base: workload.Template{Cells: "8x8x8", CGs: 1, Variant: "acc.async", Steps: 1},
-		Phases: []workload.Phase{
-			{Name: "steady", Duration: 2, Arrival: workload.Arrival{Pattern: workload.PatternConstant, Rate: 20}},
-			{Name: "burst", Duration: 1, Arrival: workload.Arrival{Pattern: workload.PatternBurst, Burst: 8, Every: 0.5}},
-		},
+	type answer struct {
+		ID     string `json:"id"`
+		Reason string `json:"reason"`
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	rep, err := loadgen.Run(ctx, loadgen.Config{
-		BaseURL:       ts.URL,
-		Scenario:      sc,
-		TimeScale:     0.02,
-		Clients:       6,
-		PollInterval:  5 * time.Millisecond,
-		Timeout:       45 * time.Second,
-		DistinctSeeds: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	post := func(seed int, tenant string) (int, answer, string, error) {
+		body := fmt.Sprintf(smallSpec, fmt.Sprintf(`,"seed":%d`, seed))
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/run", strings.NewReader(body))
+		if err != nil {
+			return 0, answer{}, "", err
+		}
+		req.Header.Set("X-Tenant", tenant)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return 0, answer{}, "", err
+		}
+		defer resp.Body.Close()
+		var a answer
+		err = json.NewDecoder(resp.Body).Decode(&a)
+		return resp.StatusCode, a, resp.Header.Get("Retry-After"), err
 	}
-	if rep.Jobs == 0 || rep.Submitted != rep.Jobs {
-		t.Fatalf("submitted %d of %d scheduled jobs", rep.Submitted, rep.Jobs)
+
+	var accepted, rejected atomic.Int64
+	ids := make(chan string, clients*perClient)
+	deadline := time.Now().Add(10 * time.Second)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tenant := fmt.Sprintf("client%d", c)
+			for i := 0; i < perClient; i++ {
+				seed := c*perClient + i + 1
+				for {
+					code, a, retryAfter, err := post(seed, tenant)
+					if err != nil {
+						t.Errorf("seed %d: %v", seed, err)
+						return
+					}
+					if code == http.StatusAccepted {
+						accepted.Add(1)
+						ids <- a.ID
+						break
+					}
+					if code != http.StatusTooManyRequests || a.Reason != admission.ReasonQueueFull {
+						t.Errorf("seed %d: status %d reason %q, want 202 or 429 %q", seed, code, a.Reason, admission.ReasonQueueFull)
+						return
+					}
+					if secs, err := strconv.Atoi(retryAfter); err != nil || secs < 1 {
+						t.Errorf("seed %d: Retry-After %q, want >= 1", seed, retryAfter)
+						return
+					}
+					rejected.Add(1)
+					// The window has overflowed: let the held jobs drain, and
+					// retry until the window reopens.
+					open()
+					if time.Now().After(deadline) {
+						t.Errorf("seed %d: admission window never reopened", seed)
+						return
+					}
+					time.Sleep(2 * time.Millisecond)
+				}
+			}
+		}()
 	}
-	if rep.Errors != 0 {
-		t.Fatalf("%d transport/protocol errors: %+v", rep.Errors, rep)
+	wg.Wait()
+	close(ids)
+	if t.Failed() {
+		t.FailNow()
 	}
-	// Zero dropped accepted jobs: everything accepted reaches terminal.
-	if rep.Incomplete != 0 {
-		t.Fatalf("%d accepted jobs never finished: %+v", rep.Incomplete, rep)
+	if rejected.Load() == 0 {
+		t.Fatal("the admission window never filled: no 429")
 	}
-	if rep.Done == 0 {
-		t.Fatalf("no jobs completed: %+v", rep)
+	for id := range ids {
+		waitJobState(t, ts.URL, id, "done")
 	}
-	if rep.Failed != 0 || rep.Canceled != 0 {
-		t.Fatalf("unexpected failures under load: %+v", rep)
+	// X-Tenant is job metadata, not an admission key: every client's jobs
+	// are listed under its tenant.
+	var list []struct{ Tenant string }
+	getJSON(t, ts.URL+"/jobs", &list)
+	perTenant := map[string]int{}
+	for _, j := range list {
+		perTenant[j.Tenant]++
 	}
-	if rep.CompleteLatency.P50 <= 0 || rep.CompleteLatency.P99 < rep.CompleteLatency.P50 {
-		t.Fatalf("implausible latency quantiles: %+v", rep.CompleteLatency)
+	for c := 0; c < clients; c++ {
+		if n := perTenant[fmt.Sprintf("client%d", c)]; n != perClient {
+			t.Fatalf("tenant client%d has %d listed jobs, want %d", c, n, perClient)
+		}
 	}
-	t.Logf("loadcheck: %d jobs, p50=%.3fs p99=%.3fs reject=%.1f%%",
-		rep.Jobs, rep.CompleteLatency.P50, rep.CompleteLatency.P99, 100*rep.RejectRate)
+
+	body, _ := getMetrics(t, ts.URL)
+	if v := promValue(t, body, `sunserver_admission_total{decision="accepted"}`); v != float64(accepted.Load()) {
+		t.Fatalf("accepted counter = %g, clients saw %d 202s", v, accepted.Load())
+	}
+	if v := promValue(t, body, `sunserver_admission_total{decision="queue_full"}`); v != float64(rejected.Load()) {
+		t.Fatalf("queue_full counter = %g, clients saw %d 429s", v, rejected.Load())
+	}
+	// A job turns done just before its collector releases the slot.
+	for {
+		body, _ := getMetrics(t, ts.URL)
+		if v := promValue(t, body, `sunserver_admission{name="outstanding"}`); v == 0 {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("outstanding = %g after every job finished", v)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Logf("loadcheck: %d accepted, %d rejected", accepted.Load(), rejected.Load())
 }

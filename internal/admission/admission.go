@@ -1,6 +1,5 @@
 // Package admission is the front door of a job service built on
-// runner.Pool: a bounded admission window, per-tenant token-bucket
-// quotas, and cost-based load shedding, with Retry-After hints computed
+// runner.Pool: a bounded admission window, with Retry-After hints computed
 // from an EWMA of observed execution times.
 //
 // The controller deliberately does not queue anything itself — the pool
@@ -17,25 +16,11 @@ package admission
 import (
 	"sync"
 	"time"
-
-	"sunuintah/internal/runner"
 )
 
-// Rejection reasons, also used as metric label values.
-const (
-	ReasonQueueFull = "queue_full"
-	ReasonQuota     = "quota"
-	ReasonShed      = "shed"
-)
-
-// Quota is a per-tenant token bucket: Rate tokens (job admissions) per
-// second with capacity Burst.
-type Quota struct {
-	// Rate is admissions per second per tenant; <= 0 disables quotas.
-	Rate float64
-	// Burst is the bucket capacity; <= 0 defaults to max(Rate, 1).
-	Burst float64
-}
+// ReasonQueueFull is the rejection reason, also used as a metric label
+// value.
+const ReasonQueueFull = "queue_full"
 
 // Config configures a Controller.
 type Config struct {
@@ -45,52 +30,24 @@ type Config struct {
 	// MaxRunning is the executing-slot count — normally the pool's worker
 	// count; <= 0 defaults to 1.
 	MaxRunning int
-	// Quota is the per-tenant admission quota (zero disables).
-	Quota Quota
-	// Cost estimates a spec's execution demand (seconds of simulated
-	// compute; any consistent unit works). Nil disables shedding.
-	Cost func(spec runner.Spec) float64
-	// ShedCost is the cost above which a spec counts as expensive; <= 0
-	// disables shedding.
-	ShedCost float64
-	// ShedFraction is the queue-fill fraction above which expensive specs
-	// are shed while cheap ones are still admitted; <= 0 defaults to 0.5.
-	// Expensive work is refused first as pressure rises; the hard
-	// MaxQueued bound refuses everything.
-	ShedFraction float64
-	// Now overrides the clock for tests.
-	Now func() time.Time
 }
 
 // Decision is the outcome of one Admit call.
 type Decision struct {
 	OK bool
-	// Reason is the rejection class (ReasonQueueFull, ReasonQuota,
-	// ReasonShed); empty on admission.
+	// Reason is the rejection class (ReasonQueueFull); empty on admission.
 	Reason string
 	// RetryAfter is the suggested client back-off: the estimated time for
-	// enough of the backlog (or the tenant's bucket) to drain.
+	// enough of the backlog to drain.
 	RetryAfter time.Duration
 }
 
-// Metrics is a point-in-time snapshot of the controller's counters.
+// Metrics is a point-in-time snapshot of the controller's state. Callers
+// count the decisions themselves.
 type Metrics struct {
-	Admitted    int64   `json:"admitted"`
-	QueueFull   int64   `json:"queueFull"`
-	Quota       int64   `json:"quota"`
-	Shed        int64   `json:"shed"`
 	Outstanding int     `json:"outstanding"`
 	ExecEWMA    float64 `json:"execEWMASeconds"`
 }
-
-type bucket struct {
-	tokens float64
-	last   time.Time
-}
-
-// maxTenants bounds the bucket map; beyond it, full stale buckets are
-// swept so a tenant-ID cardinality attack cannot grow memory unboundedly.
-const maxTenants = 4096
 
 // Controller applies the admission policy. Safe for concurrent use.
 type Controller struct {
@@ -99,12 +56,6 @@ type Controller struct {
 	mu          sync.Mutex
 	outstanding int // admitted jobs not yet released
 	ewma        float64
-	buckets     map[string]*bucket
-
-	admitted  int64
-	queueFull int64
-	quota     int64
-	shed      int64
 }
 
 // New builds a controller, applying Config defaults.
@@ -115,19 +66,7 @@ func New(cfg Config) *Controller {
 	if cfg.MaxRunning <= 0 {
 		cfg.MaxRunning = 1
 	}
-	if cfg.ShedFraction <= 0 {
-		cfg.ShedFraction = 0.5
-	}
-	if cfg.Quota.Rate > 0 && cfg.Quota.Burst <= 0 {
-		cfg.Quota.Burst = cfg.Quota.Rate
-		if cfg.Quota.Burst < 1 {
-			cfg.Quota.Burst = 1
-		}
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
-	return &Controller{cfg: cfg, buckets: map[string]*bucket{}}
+	return &Controller{cfg: cfg}
 }
 
 // execEstimate is the per-job drain estimate: the exec-time EWMA, or one
@@ -151,82 +90,22 @@ func clampRetry(sec float64) time.Duration {
 	return time.Duration(sec * float64(time.Second))
 }
 
-// Admit decides whether one more job from tenant may join the pool. On
-// admission the caller owes exactly one Release (or Done) call.
-func (c *Controller) Admit(tenant string, spec runner.Spec) Decision {
+// Admit decides whether one more job may join the pool. On admission the
+// caller owes exactly one Release (or Done) call.
+func (c *Controller) Admit() Decision {
 	if c == nil {
 		return Decision{OK: true}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	queued := c.outstanding - c.cfg.MaxRunning
-	if queued < 0 {
-		queued = 0
-	}
-	// Hard bound first: the window is full regardless of who asks.
 	if c.outstanding >= c.cfg.MaxRunning+c.cfg.MaxQueued {
-		c.queueFull++
+		queued := c.outstanding - c.cfg.MaxRunning
 		drain := c.execEstimate() * float64(queued+1) / float64(c.cfg.MaxRunning)
 		return Decision{Reason: ReasonQueueFull, RetryAfter: clampRetry(drain)}
 	}
-	// Shed expensive specs while the queue is merely loaded, so cheap
-	// work keeps flowing as pressure rises.
-	if c.cfg.Cost != nil && c.cfg.ShedCost > 0 &&
-		float64(queued) >= c.cfg.ShedFraction*float64(c.cfg.MaxQueued) {
-		if cost := c.cfg.Cost(spec); cost > c.cfg.ShedCost {
-			c.shed++
-			drain := c.execEstimate() * float64(queued) / float64(c.cfg.MaxRunning)
-			return Decision{Reason: ReasonShed, RetryAfter: clampRetry(drain)}
-		}
-	}
-	// Tenant quota last, so a rejected-anyway request never burns a token.
-	if c.cfg.Quota.Rate > 0 {
-		b := c.bucketFor(tenant)
-		if b.tokens < 1 {
-			c.quota++
-			wait := (1 - b.tokens) / c.cfg.Quota.Rate
-			return Decision{Reason: ReasonQuota, RetryAfter: clampRetry(wait)}
-		}
-		b.tokens--
-	}
 	c.outstanding++
-	c.admitted++
 	return Decision{OK: true}
-}
-
-// bucketFor returns tenant's refilled bucket. Caller holds c.mu.
-func (c *Controller) bucketFor(tenant string) *bucket {
-	now := c.cfg.Now()
-	b, ok := c.buckets[tenant]
-	if !ok {
-		if len(c.buckets) >= maxTenants {
-			c.sweepBuckets(now)
-		}
-		b = &bucket{tokens: c.cfg.Quota.Burst, last: now}
-		c.buckets[tenant] = b
-		return b
-	}
-	dt := now.Sub(b.last).Seconds()
-	if dt > 0 {
-		b.tokens += dt * c.cfg.Quota.Rate
-		if b.tokens > c.cfg.Quota.Burst {
-			b.tokens = c.cfg.Quota.Burst
-		}
-		b.last = now
-	}
-	return b
-}
-
-// sweepBuckets drops buckets that have fully refilled (their tenant is
-// idle and indistinguishable from a new one). Caller holds c.mu.
-func (c *Controller) sweepBuckets(now time.Time) {
-	for t, b := range c.buckets {
-		refilled := b.tokens + now.Sub(b.last).Seconds()*c.cfg.Quota.Rate
-		if refilled >= c.cfg.Quota.Burst {
-			delete(c.buckets, t)
-		}
-	}
 }
 
 // Reserve admits a job unconditionally — restart recovery readmitting
@@ -238,7 +117,6 @@ func (c *Controller) Reserve() {
 	}
 	c.mu.Lock()
 	c.outstanding++
-	c.admitted++
 	c.mu.Unlock()
 }
 
@@ -266,19 +144,12 @@ func (c *Controller) Done(execSeconds float64) {
 // Release is Done without an execution-time observation.
 func (c *Controller) Release() { c.Done(0) }
 
-// Metrics snapshots the controller's counters.
+// Metrics snapshots the controller's state.
 func (c *Controller) Metrics() Metrics {
 	if c == nil {
 		return Metrics{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Metrics{
-		Admitted:    c.admitted,
-		QueueFull:   c.queueFull,
-		Quota:       c.quota,
-		Shed:        c.shed,
-		Outstanding: c.outstanding,
-		ExecEWMA:    c.ewma,
-	}
+	return Metrics{Outstanding: c.outstanding, ExecEWMA: c.ewma}
 }

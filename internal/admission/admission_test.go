@@ -2,20 +2,19 @@ package admission
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
-
-	"sunuintah/internal/runner"
 )
 
 func TestNilControllerAdmitsEverything(t *testing.T) {
 	var c *Controller
-	if d := c.Admit("x", runner.Spec{}); !d.OK {
+	if d := c.Admit(); !d.OK {
 		t.Fatalf("nil controller rejected: %+v", d)
 	}
 	c.Done(1) // must not panic
 	c.Reserve()
-	if m := c.Metrics(); m.Admitted != 0 {
+	if m := c.Metrics(); m != (Metrics{}) {
 		t.Fatalf("nil metrics = %+v", m)
 	}
 }
@@ -23,11 +22,11 @@ func TestNilControllerAdmitsEverything(t *testing.T) {
 func TestQueueFullAndRetryAfter(t *testing.T) {
 	c := New(Config{MaxQueued: 2, MaxRunning: 1})
 	for i := 0; i < 3; i++ {
-		if d := c.Admit("a", runner.Spec{}); !d.OK {
+		if d := c.Admit(); !d.OK {
 			t.Fatalf("admit %d rejected: %+v", i, d)
 		}
 	}
-	d := c.Admit("a", runner.Spec{})
+	d := c.Admit()
 	if d.OK || d.Reason != ReasonQueueFull {
 		t.Fatalf("expected queue_full, got %+v", d)
 	}
@@ -40,7 +39,7 @@ func TestQueueFullAndRetryAfter(t *testing.T) {
 	// worker should be priced near 10s x 3 (clamped at 300s).
 	c.Done(10)
 	c.Reserve()
-	d = c.Admit("a", runner.Spec{})
+	d = c.Admit()
 	if d.OK {
 		t.Fatal("still full, should reject")
 	}
@@ -50,120 +49,32 @@ func TestQueueFullAndRetryAfter(t *testing.T) {
 
 	// Releasing a slot readmits.
 	c.Release()
-	if d := c.Admit("a", runner.Spec{}); !d.OK {
+	if d := c.Admit(); !d.OK {
 		t.Fatalf("admit after release rejected: %+v", d)
 	}
 }
 
-func TestTenantQuota(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	c := New(Config{MaxQueued: 100, MaxRunning: 4, Quota: Quota{Rate: 1, Burst: 2}, Now: clock})
-
-	// Tenant a burns its burst of 2; the third is refused with a quota
-	// Retry-After near the refill time.
-	for i := 0; i < 2; i++ {
-		if d := c.Admit("a", runner.Spec{}); !d.OK {
-			t.Fatalf("a admit %d rejected: %+v", i, d)
-		}
-	}
-	d := c.Admit("a", runner.Spec{})
-	if d.OK || d.Reason != ReasonQuota {
-		t.Fatalf("expected quota rejection, got %+v", d)
-	}
-	if d.RetryAfter < time.Second {
-		t.Fatalf("quota Retry-After %v below floor", d.RetryAfter)
-	}
-
-	// Tenant b is unaffected.
-	if d := c.Admit("b", runner.Spec{}); !d.OK {
-		t.Fatalf("b rejected by a's quota: %+v", d)
-	}
-
-	// After 1.5s the bucket holds 1.5 tokens; one admission passes, the
-	// next is refused again.
-	now = now.Add(1500 * time.Millisecond)
-	if d := c.Admit("a", runner.Spec{}); !d.OK {
-		t.Fatalf("a not refilled: %+v", d)
-	}
-	if d := c.Admit("a", runner.Spec{}); d.OK {
-		t.Fatal("a over quota admitted")
-	}
-
-	m := c.Metrics()
-	if m.Quota != 2 || m.Admitted != 4 {
-		t.Fatalf("metrics = %+v", m)
-	}
-}
-
-func TestCostShedding(t *testing.T) {
-	cost := func(s runner.Spec) float64 {
-		if s.Steps >= 100 {
-			return 50
-		}
-		return 0.1
-	}
-	c := New(Config{MaxQueued: 4, MaxRunning: 1, Cost: cost, ShedCost: 1, ShedFraction: 0.5})
-	cheap := runner.Spec{Steps: 1}
-	dear := runner.Spec{Steps: 100}
-
-	// Below the shed threshold everything is admitted, expensive or not.
-	if d := c.Admit("a", dear); !d.OK {
-		t.Fatalf("unloaded shed: %+v", d)
-	}
-	// Fill to the threshold: outstanding 3 = 1 running + 2 queued =
-	// ShedFraction 0.5 x MaxQueued 4.
-	c.Admit("a", cheap)
-	c.Admit("a", cheap)
-
-	if d := c.Admit("a", dear); d.OK || d.Reason != ReasonShed {
-		t.Fatalf("expected shed of expensive spec under load, got %+v", d)
-	}
-	if d := c.Admit("a", cheap); !d.OK {
-		t.Fatalf("cheap spec shed too: %+v", d)
-	}
-	if m := c.Metrics(); m.Shed != 1 {
-		t.Fatalf("shed count = %d", m.Shed)
-	}
-}
-
-func TestBucketSweepBoundsTenants(t *testing.T) {
-	now := time.Unix(0, 0)
-	c := New(Config{MaxQueued: 1 << 20, MaxRunning: 1, Quota: Quota{Rate: 100, Burst: 100}, Now: func() time.Time { return now }})
-	for i := 0; i < maxTenants+100; i++ {
-		tenant := string(rune('a'+i%26)) + string(rune('0'+i%10)) + time.Duration(i).String()
-		c.Admit(tenant, runner.Spec{})
-		now = now.Add(10 * time.Second) // every earlier bucket fully refills
-	}
-	c.mu.Lock()
-	n := len(c.buckets)
-	c.mu.Unlock()
-	if n > maxTenants {
-		t.Fatalf("bucket map grew to %d (> %d)", n, maxTenants)
-	}
-}
-
 func TestConcurrentAdmitReleaseRace(t *testing.T) {
-	c := New(Config{MaxQueued: 8, MaxRunning: 4, Quota: Quota{Rate: 1e6, Burst: 1e6}})
+	c := New(Config{MaxQueued: 8, MaxRunning: 4})
+	var admitted atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			tenant := string(rune('a' + g))
 			for i := 0; i < 500; i++ {
-				if d := c.Admit(tenant, runner.Spec{}); d.OK {
+				if d := c.Admit(); d.OK {
+					admitted.Add(1)
 					c.Done(0.001)
 				}
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
-	m := c.Metrics()
-	if m.Outstanding != 0 {
+	if m := c.Metrics(); m.Outstanding != 0 {
 		t.Fatalf("outstanding = %d after all released", m.Outstanding)
 	}
-	if m.Admitted == 0 {
+	if admitted.Load() == 0 {
 		t.Fatal("nothing admitted")
 	}
 }

@@ -117,9 +117,6 @@ func NewGroupN(cg *sw26010.CoreGroup, n int) *Group {
 // NumCPEs returns the number of CPEs in the group.
 func (g *Group) NumCPEs() int { return g.cpes }
 
-// CoreGroup returns the underlying core group.
-func (g *Group) CoreGroup() *sw26010.CoreGroup { return g.cg }
-
 // Busy reports whether an offload is in flight.
 func (g *Group) Busy() bool { return g.busy }
 
@@ -300,27 +297,7 @@ func (c *CPE) chargeDMA(bytes int64) {
 	c.group.cg.Counters.DMAOps++
 }
 
-// Spawn offloads body across the CPE cluster. body runs once per CPE (in
-// CPE-ID order, on the caller's goroutine — the emulation is sequential but
-// the accounted times are parallel). activeCPEs is the number of CPEs that
-// will issue DMA (for memory-controller contention); pass the number of
-// CPEs with nonempty tile assignments, or the full cluster size.
-//
-// On return, every CPE's work is accounted; flag receives one faaw
-// increment per CPE at that CPE's virtual finish time (CPEs finishing at the
-// same instant share one calendar event). Spawn itself
-// returns the cluster's completion time offset from "now" (launch overhead
-// plus the slowest CPE), which callers in synchronous mode may simply wait
-// for. The group is marked busy until the last increment fires.
-//
-// Under fault injection a stalled gang never completes; Spawn then returns
-// sim.Infinity. Callers that need to recover from stalls should use Launch
-// and the returned Offload handle instead.
-func (g *Group) Spawn(spec KernelSpec, activeCPEs int, flag *sim.Counter, body func(c *CPE)) sim.Time {
-	return g.Launch(spec, activeCPEs, flag, body).Done
-}
-
-// Offload is the handle of one in-flight Spawn/Launch: its (virtual)
+// Offload is the handle of one in-flight Launch: its (virtual)
 // completion offset, the healthy-cost estimate the scheduler derives
 // deadlines from, and the machinery to abort a failed gang so the cluster
 // can be reused.
@@ -356,10 +333,23 @@ func (o *Offload) Abort() {
 	g.busy = false
 }
 
-// Launch is Spawn returning the full offload handle. When the core group
-// has a fault injector attached, each launch draws a fate: a straggling
-// gang runs its compute a constant factor slower, and a stalled gang hangs
-// — its last CPE never reports completion — until the caller aborts it.
+// Launch offloads body across the CPE cluster. body runs once per CPE (in
+// CPE-ID order, on the caller's goroutine — the emulation is sequential but
+// the accounted times are parallel). activeCPEs is the number of CPEs that
+// will issue DMA (for memory-controller contention); pass the number of
+// CPEs with nonempty tile assignments, or the full cluster size.
+//
+// On return, every CPE's work is accounted; flag receives one faaw
+// increment per CPE at that CPE's virtual finish time (CPEs finishing at the
+// same instant share one calendar event). The handle's Done is the
+// cluster's completion time offset from "now" (launch overhead plus the
+// slowest CPE), which callers in synchronous mode may simply wait for. The
+// group is marked busy until the last increment fires.
+//
+// When the core group has a fault injector attached, each launch draws a
+// fate: a straggling gang runs its compute a constant factor slower, and a
+// stalled gang hangs — its last CPE never reports completion, Done is
+// sim.Infinity — until the caller aborts it through the handle.
 func (g *Group) Launch(spec KernelSpec, activeCPEs int, flag *sim.Counter, body func(c *CPE)) *Offload {
 	if g.busy {
 		panic("athread: overlapping offloads on one CPE cluster")

@@ -12,11 +12,11 @@ import (
 	"sunuintah/internal/sw26010"
 )
 
-func newGroup(t *testing.T) (*sim.Engine, *Group) {
+func newGroup(t *testing.T) (*sim.Engine, *Group, *sw26010.CoreGroup) {
 	t.Helper()
 	eng := sim.NewEngine()
-	m := sw26010.NewMachine(eng, perf.DefaultParams(), 1)
-	return eng, NewGroup(m.CG(0))
+	cg := sw26010.NewMachine(eng, perf.DefaultParams(), 1).CG(0)
+	return eng, NewGroup(cg), cg
 }
 
 var testSpec = KernelSpec{
@@ -28,10 +28,10 @@ var testSpec = KernelSpec{
 }
 
 func TestSpawnRunsBodyOncePerCPE(t *testing.T) {
-	eng, g := newGroup(t)
+	eng, g, _ := newGroup(t)
 	flag := sim.NewCounter(eng, "flag")
 	var ids []int
-	g.Spawn(testSpec, 64, flag, func(c *CPE) {
+	g.Launch(testSpec, 64, flag, func(c *CPE) {
 		ids = append(ids, c.ID)
 		c.Compute(10)
 	})
@@ -50,15 +50,15 @@ func TestSpawnRunsBodyOncePerCPE(t *testing.T) {
 }
 
 func TestSpawnCompletionTimeMatchesSlowestCPE(t *testing.T) {
-	eng, g := newGroup(t)
-	p := g.CoreGroup().Params
+	eng, g, cg := newGroup(t)
+	p := cg.Params
 	flag := sim.NewCounter(eng, "flag")
 	// CPE 7 computes 1000 cells; everyone else idles.
-	last := g.Spawn(testSpec, 64, flag, func(c *CPE) {
+	last := g.Launch(testSpec, 64, flag, func(c *CPE) {
 		if c.ID == 7 {
 			c.Compute(1000)
 		}
-	})
+	}).Done
 	want := sim.Time(p.OffloadCost) + sim.Time(p.CPEComputeTime(1000, false, 1)) + sim.Time(p.FaawCost)
 	if diff := float64(last - want); diff > 1e-15 || diff < -1e-15 {
 		t.Fatalf("last = %v, want %v", last, want)
@@ -70,13 +70,13 @@ func TestSpawnCompletionTimeMatchesSlowestCPE(t *testing.T) {
 }
 
 func TestFlagIncrementsSpreadOverTime(t *testing.T) {
-	eng, g := newGroup(t)
+	eng, g, cg := newGroup(t)
 	flag := sim.NewCounter(eng, "flag")
-	g.Spawn(testSpec, 64, flag, func(c *CPE) {
+	g.Launch(testSpec, 64, flag, func(c *CPE) {
 		c.Compute(int64(c.ID) * 100) // imbalanced load
 	})
 	// Midway through the run, some but not all CPEs have finished.
-	p := g.CoreGroup().Params
+	p := cg.Params
 	mid := sim.Time(p.OffloadCost) + sim.Time(p.CPEComputeTime(3200, false, 1))
 	eng.RunUntil(mid)
 	v := flag.Value()
@@ -90,9 +90,9 @@ func TestFlagIncrementsSpreadOverTime(t *testing.T) {
 }
 
 func TestOverlappingSpawnPanics(t *testing.T) {
-	eng, g := newGroup(t)
+	eng, g, _ := newGroup(t)
 	flag := sim.NewCounter(eng, "flag")
-	g.Spawn(testSpec, 64, flag, func(c *CPE) { c.Compute(1) })
+	g.Launch(testSpec, 64, flag, func(c *CPE) { c.Compute(1) })
 	if !g.Busy() {
 		t.Fatal("group should be busy after spawn")
 	}
@@ -101,20 +101,20 @@ func TestOverlappingSpawnPanics(t *testing.T) {
 			t.Fatal("expected panic on overlapping spawn")
 		}
 	}()
-	g.Spawn(testSpec, 64, flag, func(c *CPE) {})
+	g.Launch(testSpec, 64, flag, func(c *CPE) {})
 }
 
 func TestGroupBecomesIdleAfterCompletion(t *testing.T) {
-	eng, g := newGroup(t)
+	eng, g, _ := newGroup(t)
 	flag := sim.NewCounter(eng, "flag")
-	g.Spawn(testSpec, 64, flag, func(c *CPE) { c.Compute(5) })
+	g.Launch(testSpec, 64, flag, func(c *CPE) { c.Compute(5) })
 	eng.Run()
 	if g.Busy() {
 		t.Fatal("group still busy after completion")
 	}
 	// A second offload is now legal.
 	flag2 := sim.NewCounter(eng, "flag2")
-	g.Spawn(testSpec, 64, flag2, func(c *CPE) {})
+	g.Launch(testSpec, 64, flag2, func(c *CPE) {})
 	eng.Run()
 	if flag2.Value() != 64 {
 		t.Fatal("second offload did not complete")
@@ -122,7 +122,7 @@ func TestGroupBecomesIdleAfterCompletion(t *testing.T) {
 }
 
 func TestGetComputePutFunctional(t *testing.T) {
-	eng, g := newGroup(t)
+	eng, g, _ := newGroup(t)
 	flag := sim.NewCounter(eng, "flag")
 	interior := grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(16, 16, 8))
 	src := field.NewCellWithGhost(interior, 1)
@@ -131,7 +131,7 @@ func TestGetComputePutFunctional(t *testing.T) {
 	})
 	dst := field.NewCell(interior)
 
-	g.Spawn(testSpec, 1, flag, func(c *CPE) {
+	g.Launch(testSpec, 1, flag, func(c *CPE) {
 		if c.ID != 0 {
 			return
 		}
@@ -166,7 +166,7 @@ func TestGetComputePutFunctional(t *testing.T) {
 // deferred kernel body still computes on it), and drawn from a per-group
 // slab that later offloads reuse instead of allocating.
 func TestLDMBufIsBoundedWindowFromReusedSlab(t *testing.T) {
-	eng, g := newGroup(t)
+	eng, g, _ := newGroup(t)
 	patch := grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(16, 16, 8))
 	tile := grid.BoxFromSize(grid.IV(4, 4, 2), grid.IV(4, 4, 2))
 	src := field.NewCellWithGhost(patch, 1)
@@ -174,7 +174,7 @@ func TestLDMBufIsBoundedWindowFromReusedSlab(t *testing.T) {
 
 	var kept *field.Cell
 	offload := func() {
-		g.Spawn(testSpec, 64, sim.NewCounter(eng, "flag"), func(c *CPE) {
+		g.Launch(testSpec, 64, sim.NewCounter(eng, "flag"), func(c *CPE) {
 			in, err := c.Get(tile.Grow(1), src)
 			if err != nil {
 				t.Fatal(err)
@@ -212,10 +212,10 @@ func TestLDMBufIsBoundedWindowFromReusedSlab(t *testing.T) {
 }
 
 func TestLDMOverflowRejected(t *testing.T) {
-	_, g := newGroup(t)
-	flag := sim.NewCounter(g.CoreGroup().Engine(), "flag")
+	eng, g, _ := newGroup(t)
+	flag := sim.NewCounter(eng, "flag")
 	big := grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(32, 32, 16)) // 128 KiB
-	g.Spawn(testSpec, 64, flag, func(c *CPE) {
+	g.Launch(testSpec, 64, flag, func(c *CPE) {
 		buf, err := c.Get(big, nil)
 		if err == nil {
 			t.Fatal("oversized LDM buffer accepted")
@@ -230,10 +230,10 @@ func TestLDMOverflowRejected(t *testing.T) {
 }
 
 func TestLDMAccountingAcrossBuffers(t *testing.T) {
-	_, g := newGroup(t)
-	flag := sim.NewCounter(g.CoreGroup().Engine(), "flag")
+	eng, g, _ := newGroup(t)
+	flag := sim.NewCounter(eng, "flag")
 	tile := grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(16, 16, 8))
-	g.Spawn(testSpec, 64, flag, func(c *CPE) {
+	g.Launch(testSpec, 64, flag, func(c *CPE) {
 		in, err := c.Get(tile.Grow(1), nil) // 25920 B
 		if err != nil {
 			t.Fatal(err)
@@ -256,14 +256,14 @@ func TestLDMAccountingAcrossBuffers(t *testing.T) {
 }
 
 func TestLDMLeakPanics(t *testing.T) {
-	_, g := newGroup(t)
-	flag := sim.NewCounter(g.CoreGroup().Engine(), "flag")
+	eng, g, _ := newGroup(t)
+	flag := sim.NewCounter(eng, "flag")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on leaked LDM")
 		}
 	}()
-	g.Spawn(testSpec, 64, flag, func(c *CPE) {
+	g.Launch(testSpec, 64, flag, func(c *CPE) {
 		if _, err := c.Get(grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(4, 4, 4)), nil); err != nil {
 			t.Fatal(err)
 		}
@@ -272,10 +272,10 @@ func TestLDMLeakPanics(t *testing.T) {
 }
 
 func TestCountersCharged(t *testing.T) {
-	eng, g := newGroup(t)
+	eng, g, cg := newGroup(t)
 	flag := sim.NewCounter(eng, "flag")
 	tile := grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(16, 16, 8))
-	g.Spawn(testSpec, 64, flag, func(c *CPE) {
+	g.Launch(testSpec, 64, flag, func(c *CPE) {
 		in, _ := c.Get(tile.Grow(1), nil)
 		out, _ := c.NewBuf(tile, nil)
 		c.Compute(tile.NumCells())
@@ -283,7 +283,7 @@ func TestCountersCharged(t *testing.T) {
 		c.Release(in)
 		c.Release(out)
 	})
-	ctr := g.CoreGroup().Counters
+	ctr := cg.Counters
 	cells := tile.NumCells() * 64
 	if ctr.CellsComputed != cells {
 		t.Errorf("CellsComputed = %d, want %d", ctr.CellsComputed, cells)
@@ -307,14 +307,14 @@ func TestCountersCharged(t *testing.T) {
 }
 
 func TestSIMDSpecRunsFaster(t *testing.T) {
-	eng, g := newGroup(t)
+	eng, g, _ := newGroup(t)
 	flag := sim.NewCounter(eng, "f1")
-	scalarT := g.Spawn(testSpec, 64, flag, func(c *CPE) { c.Compute(1000) })
+	scalarT := g.Launch(testSpec, 64, flag, func(c *CPE) { c.Compute(1000) }).Done
 	eng.Run()
 	simdSpec := testSpec
 	simdSpec.SIMD = true
 	flag2 := sim.NewCounter(eng, "f2")
-	simdT := g.Spawn(simdSpec, 64, flag2, func(c *CPE) { c.Compute(1000) })
+	simdT := g.Launch(simdSpec, 64, flag2, func(c *CPE) { c.Compute(1000) }).Done
 	eng.Run()
 	if simdT >= scalarT {
 		t.Fatalf("simd %v not faster than scalar %v", simdT, scalarT)
@@ -322,14 +322,14 @@ func TestSIMDSpecRunsFaster(t *testing.T) {
 }
 
 func TestDMAContentionSlowsTransfers(t *testing.T) {
-	eng, g := newGroup(t)
+	eng, g, _ := newGroup(t)
 	tile := grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(16, 16, 8))
 	run := func(active int) sim.Time {
 		flag := sim.NewCounter(eng, "f")
-		d := g.Spawn(testSpec, active, flag, func(c *CPE) {
+		d := g.Launch(testSpec, active, flag, func(c *CPE) {
 			in, _ := c.Get(tile, nil)
 			c.Release(in)
-		})
+		}).Done
 		eng.Run()
 		return d
 	}
@@ -351,9 +351,9 @@ func TestOverlapDMAEndTileMatchesRepeatTiles(t *testing.T) {
 	const n = 5
 
 	run := func(perTile bool) sim.Time {
-		eng, g := newGroup(t)
+		eng, g, _ := newGroup(t)
 		flag := sim.NewCounter(eng, "f")
-		dur := g.Spawn(spec, 64, flag, func(c *CPE) {
+		dur := g.Launch(spec, 64, flag, func(c *CPE) {
 			if c.ID != 0 {
 				return
 			}
@@ -376,7 +376,7 @@ func TestOverlapDMAEndTileMatchesRepeatTiles(t *testing.T) {
 				c.Release(out)
 				c.EndTile()
 			}
-		})
+		}).Done
 		eng.Run()
 		return dur
 	}
@@ -392,12 +392,12 @@ func TestPackedDMACheaper(t *testing.T) {
 	packed.PackedDMA = true
 	tile := grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(16, 16, 8))
 	run := func(spec KernelSpec) sim.Time {
-		eng, g := newGroup(t)
+		eng, g, _ := newGroup(t)
 		flag := sim.NewCounter(eng, "f")
-		dur := g.Spawn(spec, 64, flag, func(c *CPE) {
+		dur := g.Launch(spec, 64, flag, func(c *CPE) {
 			in, _ := c.Get(tile, nil)
 			c.Release(in)
-		})
+		}).Done
 		eng.Run()
 		return dur
 	}
@@ -440,16 +440,17 @@ func TestOneCompletionEventPerDistinctFinishTime(t *testing.T) {
 			eng := sim.NewEngine()
 			p := perf.DefaultParams()
 			p.NoiseFraction = tc.noise
-			g := NewGroup(sw26010.NewMachine(eng, p, 1).CG(0))
+			cg := sw26010.NewMachine(eng, p, 1).CG(0)
+			g := NewGroup(cg)
 			flag := sim.NewCounter(eng, "flag")
-			done := g.Spawn(testSpec, 64, flag, tc.body)
+			done := g.Launch(testSpec, 64, flag, tc.body).Done
 			if got := eventsOf(eng); got != tc.events {
 				t.Errorf("%d events, want %d", got, tc.events)
 			}
 			if flag.Value() != 64 || g.Busy() || eng.Now() != done {
 				t.Errorf("flag = %d busy = %v now = %v, want 64 false %v", flag.Value(), g.Busy(), eng.Now(), done)
 			}
-			if ops := g.CoreGroup().Counters.FaawOps; ops != 64 {
+			if ops := cg.Counters.FaawOps; ops != 64 {
 				t.Errorf("FaawOps = %d, want one per CPE", ops)
 			}
 		})
@@ -459,9 +460,9 @@ func TestOneCompletionEventPerDistinctFinishTime(t *testing.T) {
 // The group is freed by the same event as the last flag update, and not a
 // moment earlier.
 func TestBusyClearsWithTheLastIncrement(t *testing.T) {
-	eng, g := newGroup(t)
+	eng, g, _ := newGroup(t)
 	flag := sim.NewCounter(eng, "flag")
-	done := g.Spawn(testSpec, 64, flag, func(c *CPE) { c.Compute(int64(c.ID%2+1) * 100) })
+	done := g.Launch(testSpec, 64, flag, func(c *CPE) { c.Compute(int64(c.ID%2+1) * 100) }).Done
 	var busyAtReach bool
 	flag.OnReach(64, func() { busyAtReach = g.Busy() })
 	eng.RunUntil(done - sim.Nanosecond)
@@ -475,8 +476,7 @@ func TestBusyClearsWithTheLastIncrement(t *testing.T) {
 }
 
 func TestAbortStalledGangMidFlight(t *testing.T) {
-	eng, g := newGroup(t)
-	cg := g.CoreGroup()
+	eng, g, cg := newGroup(t)
 	cg.Faults = faults.NewInjector(&faults.Plan{Stall: 1})
 	flag := sim.NewCounter(eng, "flag")
 	off := g.Launch(testSpec, 64, flag, func(c *CPE) { c.Compute(int64(c.ID%8+1) * 100) })
@@ -520,8 +520,8 @@ func TestAbortStalledGangMidFlight(t *testing.T) {
 // A stalled gang that is never aborted holds the group forever: no entry
 // stands in for the hung CPE, whatever its finish time coincides with.
 func TestStalledGangNeverCompletes(t *testing.T) {
-	eng, g := newGroup(t)
-	g.CoreGroup().Faults = faults.NewInjector(&faults.Plan{Stall: 1})
+	eng, g, cg := newGroup(t)
+	cg.Faults = faults.NewInjector(&faults.Plan{Stall: 1})
 	flag := sim.NewCounter(eng, "flag")
 	g.Launch(testSpec, 64, flag, func(c *CPE) { c.Compute(100) })
 	if got := eventsOf(eng); got != 1 {
@@ -535,7 +535,7 @@ func TestStalledGangNeverCompletes(t *testing.T) {
 // A warm launch allocates its handle and nothing else: the CPE context, the
 // LDM records and the completion list belong to the group.
 func TestWarmLaunchAllocs(t *testing.T) {
-	eng, g := newGroup(t)
+	eng, g, _ := newGroup(t)
 	flag := sim.NewCounter(eng, "flag")
 	body := func(c *CPE) { c.RepeatTiles(1+c.ID%2, 4096, 2048, 256) }
 	launch := func() {

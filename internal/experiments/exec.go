@@ -110,55 +110,6 @@ func ValidateSpec(spec runner.Spec) error {
 	return nil
 }
 
-// EstimateCost returns a cheap a-priori estimate of a spec's simulated
-// compute demand in CPE-cluster seconds per core group: total cell
-// updates times the calibrated per-cell kernel cost, spread over the
-// spec's CGs. It never builds the simulation, so an admission layer can
-// price a request in nanoseconds and shed expensive specs before cheap
-// ones. Unresolvable specs estimate as 0 (validation rejects them
-// elsewhere; admission should not double as a validator).
-func EstimateCost(spec runner.Spec) float64 {
-	var cells grid.IVec
-	switch {
-	case spec.Problem != "":
-		prob, err := ProblemByName(spec.Problem)
-		if err != nil {
-			return 0
-		}
-		layout := PatchCounts
-		if spec.Layout != "" {
-			if l, err := ParseIVec(spec.Layout); err == nil {
-				layout = l
-			}
-		}
-		cells = prob.PatchSize.Mul(layout)
-	case spec.Cells != "":
-		c, err := ParseIVec(spec.Cells)
-		if err != nil {
-			return 0
-		}
-		cells = c
-	default:
-		return 0
-	}
-	p := perf.DefaultParams()
-	cycles := p.CPECyclesPerCellScalar
-	if v, err := VariantByName(spec.Variant); err == nil && v.SIMD {
-		cycles /= p.SIMDSpeedup
-	}
-	cgs := float64(spec.CGs)
-	if cgs < 1 {
-		cgs = 1
-	}
-	steps := float64(spec.Steps)
-	if steps < 1 {
-		steps = 1
-	}
-	n := float64(cells.X) * float64(cells.Y) * float64(cells.Z)
-	clusterRate := p.CPEClockHz * float64(p.NumCPEs)
-	return n * steps * cycles / (clusterRate * cgs)
-}
-
 // SpecConfig resolves a Spec into the core configuration and problem it
 // executes. Exec composes it with progress publishing and resilient
 // running; it is exported so harnesses (bench's per-layer probes and its
