@@ -34,7 +34,9 @@ examples:
 # ghost-geometry table; the rest cost a second each. The full-sweep
 # experiments tests are minutes-long under the race detector, hence -short
 # there. This is also the shard gate: core's TestShardedBitIdentical holds
-# the conservative engine byte-identical to serial at shards 1/2/4/8, and
+# the conservative engine (core.Config.Shards, set only by bench/ and the
+# tests) byte-identical to serial at shards 1/2/4/8, experiments'
+# TestExecShardDeterminism does so end to end through SpecConfig, and
 # sim's TestShardSet* cover the window/mail machinery, the latency-matrix
 # and the mail-storm edge cases.
 race:

@@ -5,17 +5,14 @@
 //
 // Independent cases execute concurrently on -jobs workers, and results
 // are memoised by content hash; with -cache DIR the memo persists on
-// disk, so a second invocation skips every completed case. -shards N
-// additionally parallelises each case internally on the conservative
-// sharded engine; results stay bit-identical, so the knob composes freely
-// with the cache.
+// disk, so a second invocation skips every completed case.
 //
 // Usage:
 //
 //	sunbench [-steps N] [-noise f -repeats k] [-faults plan] [-jobs N]
-//	         [-shards N] [-cache dir|off] [-json file] [-scenario file]
-//	         [-report] [-metrics-out file] [-cpuprofile file]
-//	         [-memprofile file] [-v] <artifact>...
+//	         [-cache dir|off] [-json file] [-scenario file] [-report]
+//	         [-metrics-out file] [-cpuprofile file] [-memprofile file]
+//	         [-v] <artifact>...
 //
 // Artifacts: table1 table2 table3 table4 table5 table6 table7
 // fig5 fig6 fig7 fig8 fig9 fig10 ablation-dma ablation-packing
@@ -55,7 +52,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: sunbench [-steps N] [-noise f -repeats k] [-faults plan] [-jobs N] [-shards N] [-cache dir|off] [-json file] [-scenario file] [-report] [-metrics-out file] [-cpuprofile file] [-memprofile file] [-v] <artifact>...")
+	fmt.Fprintln(os.Stderr, "usage: sunbench [-steps N] [-noise f -repeats k] [-faults plan] [-jobs N] [-cache dir|off] [-json file] [-scenario file] [-report] [-metrics-out file] [-cpuprofile file] [-memprofile file] [-v] <artifact>...")
 	fmt.Fprintln(os.Stderr, "artifacts: table1..table7 fig5..fig10 ablation-dma ablation-packing ablation-groups ablation-tiles chaos workload summary all")
 }
 
@@ -86,7 +83,6 @@ func main() {
 	repeats := flag.Int("repeats", 1, "with -noise: repeat each case and keep the best, like the paper")
 	faultsFlag := flag.String("faults", "off", `fault plan: "off", "default", "default,scale=F" or "seed=N,drop=f,crash=f,..."`)
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent simulation jobs")
-	shards := flag.Int("shards", 0, "engine shards per simulation (0 = serial engine; results are bit-identical)")
 	cacheFlag := flag.String("cache", "off", `result cache: "off", or a directory for an on-disk store (e.g. .suncache)`)
 	jsonPath := flag.String("json", "", "also write the full evaluation as structured JSON to this file")
 	scenario := flag.String("scenario", "", "run a workload scenario JSON file through the pool and print its per-phase report")
@@ -100,10 +96,6 @@ func main() {
 	wantReport := *report || *metricsOut != ""
 	if len(args) == 0 && !wantReport && *scenario == "" {
 		usage()
-		os.Exit(2)
-	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "sunbench: -shards must be >= 0 (0 = serial engine), got %d\n", *shards)
 		os.Exit(2)
 	}
 
@@ -193,7 +185,7 @@ func main() {
 	pool := experiments.NewPool(*jobs, cache, onEvent)
 	defer pool.Close()
 	sweep := experiments.NewSweepWithPool(
-		experiments.Options{Steps: *steps, Noise: *noise, Repeats: *repeats, Faults: plan, Shards: *shards}, pool)
+		experiments.Options{Steps: *steps, Noise: *noise, Repeats: *repeats, Faults: plan}, pool)
 
 	// A full (or near-full) evaluation saturates the pool from the start;
 	// single artifacts prefetch their own cells.
@@ -231,7 +223,7 @@ func main() {
 	}
 
 	if wantReport {
-		if err := runFlightReport(pool, *steps, *shards, *metricsOut); err != nil {
+		if err := runFlightReport(pool, *steps, *metricsOut); err != nil {
 			fmt.Fprintln(os.Stderr, "sunbench:", err)
 			os.Exit(1)
 		}
@@ -268,10 +260,9 @@ func main() {
 // recorder attached and prints its run report. The run bypasses the result
 // cache deliberately: Report is excluded from the content hash, so a cached
 // result could legitimately lack the report this invocation asked for.
-func runFlightReport(pool *experiments.Pool, steps, shards int, metricsOut string) error {
+func runFlightReport(pool *experiments.Pool, steps int, metricsOut string) error {
 	spec := runner.Spec{Cells: "16x16x32", Layout: "2x2x2", CGs: 8,
-		Variant: "acc.async", Steps: steps, Shards: shards,
-		Report: true, Trace: true}
+		Variant: "acc.async", Steps: steps, Report: true, Trace: true}
 	res, err := experiments.Exec(context.Background(), spec)
 	if err != nil {
 		return err

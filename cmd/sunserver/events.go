@@ -82,20 +82,24 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 
+	// A live job's stream subscribes before its first frame, so no
+	// progress window is missed and a client that has read "state" is
+	// already subscribed. The heartbeat poll below catches a terminal
+	// transition that raced the snapshot.
+	terminal := jobstore.Terminal(cp.State)
+	var sub *obs.ProgressSub
+	if !terminal {
+		bus := experiments.Progress()
+		sub = bus.Subscribe(progressTopic(cp.Spec), 256)
+		defer bus.Unsubscribe(sub)
+	}
 	if err := sseEvent(w, f, "state", sseState{ID: cp.ID, State: cp.State, Spec: cp.Spec.String()}); err != nil {
 		return
 	}
-	if jobstore.Terminal(cp.State) {
+	if terminal {
 		sseEvent(w, f, "done", sseState{ID: cp.ID, State: cp.State, Spec: cp.Spec.String(), Error: cp.Error})
 		return
 	}
-
-	// Subscribe before anything else so no progress window is missed; the
-	// heartbeat poll below catches a terminal transition that raced the
-	// snapshot above.
-	bus := experiments.Progress()
-	sub := bus.Subscribe(progressTopic(cp.Spec), 256)
-	defer bus.Unsubscribe(sub)
 
 	hb := s.cfg.heartbeat
 	if hb <= 0 {

@@ -54,7 +54,7 @@ func (r *sseReader) next() (sseFrame, bool) {
 // newSSEServer wires a server around exec with a fast heartbeat, serving
 // through rootHandler with a short request timeout so the tests also prove
 // the SSE route is exempt from http.TimeoutHandler.
-func newSSEServer(t *testing.T, exec runner.ExecFunc) (*httptest.Server, *server) {
+func newSSEServer(t *testing.T, exec runner.ExecFunc) *httptest.Server {
 	t.Helper()
 	pool, err := runner.New(runner.Config{Workers: 1, Exec: exec, Cache: runner.NewMemoryCache(0)})
 	if err != nil {
@@ -70,31 +70,7 @@ func newSSEServer(t *testing.T, exec runner.ExecFunc) (*httptest.Server, *server
 		pool.Close()
 		srv.Drain()
 	})
-	return ts, srv
-}
-
-// jobTopic recovers the progress-bus topic of an accepted job so tests can
-// wait for the stream's subscription before letting the exec publish.
-func jobTopic(t *testing.T, srv *server, id string) string {
-	t.Helper()
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	j, ok := srv.jobs[id]
-	if !ok {
-		t.Fatalf("job %s not registered", id)
-	}
-	return progressTopic(j.Spec)
-}
-
-func waitSubscribed(t *testing.T, topic string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for experiments.Progress().Subscribers(topic) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("stream never subscribed to the progress topic")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	return ts
 }
 
 func openStream(t *testing.T, base, id string) *http.Response {
@@ -133,7 +109,7 @@ func TestJobEventsStreamsProgress(t *testing.T) {
 		}
 		return &runner.Result{Feasible: true, ExecSeconds: 0.01}, nil
 	}
-	ts, srv := newSSEServer(t, exec)
+	ts := newSSEServer(t, exec)
 
 	code, id, _ := postSpec(t, ts.URL, fmt.Sprintf(smallSpec, ""), "")
 	if code != http.StatusAccepted {
@@ -154,7 +130,7 @@ func TestJobEventsStreamsProgress(t *testing.T) {
 		t.Fatalf("state frame id = %q, want %q", st.ID, id)
 	}
 
-	waitSubscribed(t, jobTopic(t, srv, id))
+	// The stream subscribed before sending "state".
 	time.Sleep(150 * time.Millisecond) // past the 100ms handler timeout
 	close(release)
 
@@ -189,7 +165,7 @@ func TestJobEventsStreamsProgress(t *testing.T) {
 }
 
 func TestJobEventsUnknownJob(t *testing.T) {
-	ts, _ := newSSEServer(t, instantExec)
+	ts := newSSEServer(t, instantExec)
 	resp, err := http.Get(ts.URL + "/jobs/nope/events")
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +179,7 @@ func TestJobEventsUnknownJob(t *testing.T) {
 // A job that is already terminal gets its snapshot and an immediate
 // "done" — the stream closes without subscribing to anything.
 func TestJobEventsTerminalJobClosesImmediately(t *testing.T) {
-	ts, _ := newSSEServer(t, instantExec)
+	ts := newSSEServer(t, instantExec)
 	code, id, _ := postSpec(t, ts.URL, fmt.Sprintf(smallSpec, ""), "")
 	if code != http.StatusAccepted {
 		t.Fatalf("POST /run status = %d", code)
@@ -240,7 +216,7 @@ func TestJobEventsTerminalJobClosesImmediately(t *testing.T) {
 // within a heartbeat.
 func TestJobEventsCancelClosesStream(t *testing.T) {
 	release := make(chan struct{})
-	ts, _ := newSSEServer(t, gatedExec(release))
+	ts := newSSEServer(t, gatedExec(release))
 	defer close(release)
 
 	code, id, _ := postSpec(t, ts.URL, fmt.Sprintf(smallSpec, ""), "")
@@ -311,7 +287,7 @@ func TestJobEventsSlowConsumerDropsWithoutBlocking(t *testing.T) {
 		}
 		return &runner.Result{Feasible: true, ExecSeconds: 0.01}, nil
 	}
-	ts, srv := newSSEServer(t, exec)
+	ts := newSSEServer(t, exec)
 
 	code, id, _ := postSpec(t, ts.URL, fmt.Sprintf(smallSpec, ""), "")
 	if code != http.StatusAccepted {
@@ -322,8 +298,7 @@ func TestJobEventsSlowConsumerDropsWithoutBlocking(t *testing.T) {
 	if f, ok := rd.next(); !ok || f.event != "state" {
 		t.Fatalf("first frame = %+v, want state", f)
 	}
-	waitSubscribed(t, jobTopic(t, srv, id))
-	close(release)
+	close(release) // the stream subscribed before sending "state"
 
 	// The client is not reading: the whole burst must still publish
 	// promptly, because the bus drops instead of blocking.

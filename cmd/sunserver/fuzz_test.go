@@ -15,8 +15,10 @@ import (
 
 // FuzzRunRequestBody sends arbitrary POST /run bodies to an in-process
 // server on instantExec. The handler must never panic, must answer only
-// 202, 400 or 429, and every 202 must name a job GET /jobs/{id} can read.
-// The seed corpus lives in testdata/fuzz/FuzzRunRequestBody.
+// 202, 400 or 429, must answer 400 to a body naming a removed spec field
+// (the Time-Warp engine's "optimistic", the engine's "shards"), and every
+// 202 must name a job GET /jobs/{id} can read. The seed corpus lives in
+// testdata/fuzz/FuzzRunRequestBody.
 func FuzzRunRequestBody(f *testing.F) {
 	pool, err := runner.New(runner.Config{Workers: 2, Exec: instantExec, Cache: runner.NewMemoryCache(0)})
 	if err != nil {
@@ -37,6 +39,11 @@ func FuzzRunRequestBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", bytes.NewReader(body)))
+		var fields map[string]json.RawMessage
+		if json.Unmarshal(body, &fields) == nil && (fields["shards"] != nil || fields["optimistic"] != nil) &&
+			rec.Code != http.StatusBadRequest {
+			t.Fatalf("POST /run %q = %d, want 400 for a removed field", body, rec.Code)
+		}
 		switch rec.Code {
 		case http.StatusBadRequest, http.StatusTooManyRequests:
 			return

@@ -54,12 +54,6 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if req.Steps <= 0 {
 		req.Steps = s.steps
 	}
-	// Shards only changes wall-clock speed (results are bit-identical), so
-	// the server default fills in requests that don't choose; negative
-	// values are rejected below by ValidateSpec.
-	if req.Shards == 0 {
-		req.Shards = s.shards
-	}
 	// The server's default fault plan applies to specs that don't bring
 	// their own; an explicit all-zero plan opts a request out of it.
 	if req.Faults == nil && !s.faults.Zero() {

@@ -65,7 +65,6 @@ func main() {
 	cacheFlag := flag.String("cache", runner.DefaultCacheDir, `result cache: "off" (memory only) or an on-disk store directory`)
 	storeFlag := flag.String("store", ".sunjobs", `persistent job store: "off" (jobs forgotten on restart) or a journal directory`)
 	steps := flag.Int("steps", experiments.Steps, "default timesteps for requests that omit steps")
-	shards := flag.Int("shards", 0, "default engine shards for requests that omit them (0 = serial engine)")
 	timeout := flag.Duration("timeout", 10*time.Minute, "per-job execution timeout (0 disables)")
 	reqTimeout := flag.Duration("request-timeout", 2*time.Minute, "per-HTTP-request handler timeout")
 	grace := flag.Duration("grace", 30*time.Second, "drain window for in-flight jobs on SIGINT/SIGTERM")
@@ -80,10 +79,6 @@ func main() {
 	plan, err := faults.Parse(*faultsFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sunserver:", err)
-		os.Exit(2)
-	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "sunserver: -shards must be >= 0 (0 = serial engine), got %d\n", *shards)
 		os.Exit(2)
 	}
 
@@ -113,13 +108,12 @@ func main() {
 		Exec:    experiments.Exec,
 		Cache:   cache,
 		Timeout: *timeout,
-		Retries: 2,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sunserver:", err)
 		os.Exit(1)
 	}
-	sweep := experiments.NewSweepWithPool(experiments.Options{Steps: *steps, Shards: *shards}, pool)
+	sweep := experiments.NewSweepWithPool(experiments.Options{Steps: *steps}, pool)
 
 	adm := admission.New(admission.Config{MaxQueued: *maxQueued, MaxRunning: *jobs})
 
@@ -132,7 +126,6 @@ func main() {
 
 	srv := newServer(srvCtx, pool, sweep, serverConfig{
 		steps:  *steps,
-		shards: *shards,
 		faults: plan,
 		log:    logger,
 		pprof:  *pprofFlag,

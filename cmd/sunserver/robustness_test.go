@@ -325,72 +325,86 @@ func TestRestartRecovery(t *testing.T) {
 	// as collectors flush, so poll briefly.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if len(storeB.Incomplete()) == 0 {
+		var incomplete []jobstore.Record
+		for _, rec := range storeB.Records() {
+			if !rec.Terminal() {
+				incomplete = append(incomplete, rec)
+			}
+		}
+		if len(incomplete) == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("journal still has incomplete jobs: %+v", storeB.Incomplete())
+			t.Fatalf("journal still has incomplete jobs: %+v", incomplete)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
 // TestRecoversStoreWrittenWithRemovedSpecField: upgrading a server with a
-// non-empty -store and -cache must not drop jobs. The files under
+// live store and cache must not lose jobs. The files under
 // testdata/before-engine-removal were written by a sunserver whose
-// runner.Spec still had the Time-Warp field (see the README there). Replay
-// and disk-cache reads ignore the unknown key (plain json.Unmarshal, unlike
-// POST /run) and the content hash never covered either engine knob, so the
-// finished job is relisted with its cached result and the unfinished one
-// is resubmitted.
+// runner.Spec still had the Time-Warp field, those under
+// testdata/before-shards-removal by one that still had shards (see the
+// READMEs there). Replay and disk-cache reads ignore the unknown keys
+// (plain json.Unmarshal, unlike POST /run) and the content hash never
+// covered either engine knob, so the finished job is relisted with its
+// cached result and the unfinished one is resubmitted.
 func TestRecoversStoreWrittenWithRemovedSpecField(t *testing.T) {
-	storeDir, cacheDir := t.TempDir(), t.TempDir()
-	// Copies: the store compacts and the resubmitted job writes the cache.
-	for dst, name := range map[string]string{storeDir: "store", cacheDir: "cache"} {
-		src := filepath.Join("testdata", "before-engine-removal", name)
-		files, err := os.ReadDir(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range files {
-			data, err := os.ReadFile(filepath.Join(src, f.Name()))
+	for _, dir := range []string{"before-engine-removal", "before-shards-removal"} {
+		t.Run(dir, func(t *testing.T) {
+			storeDir, cacheDir := t.TempDir(), t.TempDir()
+			// Copies: the store compacts and the resubmitted job writes the cache.
+			for dst, name := range map[string]string{storeDir: "store", cacheDir: "cache"} {
+				src := filepath.Join("testdata", dir, name)
+				files, err := os.ReadDir(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range files {
+					data, err := os.ReadFile(filepath.Join(src, f.Name()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if name == "store" && !strings.Contains(string(data), `"shards"`) {
+						t.Fatalf("%s no longer carries a removed field", f.Name())
+					}
+					if err := os.WriteFile(filepath.Join(dst, f.Name()), data, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			store, err := jobstore.Open(storeDir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(dst, f.Name()), data, 0o644); err != nil {
+			t.Cleanup(func() { store.Close() })
+			cache, err := runner.NewDiskCache(cacheDir, 0)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	store, err := jobstore.Open(storeDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
-	cache, err := runner.NewDiskCache(cacheDir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, _, _ := newRobustServer(t, instantExec, 1, serverConfig{steps: 1, store: store, cache: cache})
+			ts, _, _ := newRobustServer(t, instantExec, 1, serverConfig{steps: 1, store: store, cache: cache})
 
-	var job struct {
-		State  string      `json:"state"`
-		Tenant string      `json:"tenant"`
-		Spec   runner.Spec `json:"spec"`
-		Result *struct {
-			Sim struct{ BytesOnWire int64 }
-		} `json:"result"`
+			var job struct {
+				State  string      `json:"state"`
+				Tenant string      `json:"tenant"`
+				Spec   runner.Spec `json:"spec"`
+				Result *struct {
+					Sim struct{ BytesOnWire int64 }
+				} `json:"result"`
+			}
+			if code := getJSON(t, ts.URL+"/jobs/j1", &job); code != http.StatusOK {
+				t.Fatalf("GET relisted j1 = %d", code)
+			}
+			if job.State != "done" || job.Tenant != "t1" || job.Spec.CGs != 2 || job.Spec.Layout != "2x1x1" {
+				t.Fatalf("relisted j1 = %+v", job)
+			}
+			if job.Result == nil || job.Result.Sim.BytesOnWire != 1024 {
+				t.Fatalf("relisted j1 lost its cached result: %+v", job.Result)
+			}
+			waitJobState(t, ts.URL, "j2", "done")
+		})
 	}
-	if code := getJSON(t, ts.URL+"/jobs/j1", &job); code != http.StatusOK {
-		t.Fatalf("GET relisted j1 = %d", code)
-	}
-	if job.State != "done" || job.Tenant != "t1" || job.Spec.Shards != 4 || job.Spec.CGs != 2 {
-		t.Fatalf("relisted j1 = %+v", job)
-	}
-	if job.Result == nil || job.Result.Sim.BytesOnWire != 1024 {
-		t.Fatalf("relisted j1 lost its cached result: %+v", job.Result)
-	}
-	waitJobState(t, ts.URL, "j2", "done")
 }
 
 // countingCache counts lookups on their way to the wrapped cache.

@@ -42,7 +42,6 @@ type apiJob struct {
 // an ephemeral, unthrottled server (what most tests want).
 type serverConfig struct {
 	steps  int          // default steps for requests that omit them
-	shards int          // default engine shards for requests that omit them
 	faults *faults.Plan // default fault plan for requests that omit one
 	log    *slog.Logger
 	pprof  bool                  // mount net/http/pprof under /debug/pprof/
@@ -74,7 +73,6 @@ type server struct {
 	sweep  *experiments.Sweep
 	cfg    serverConfig
 	steps  int
-	shards int
 	faults *faults.Plan
 	start  time.Time
 	log    *slog.Logger
@@ -125,7 +123,6 @@ func newServer(ctx context.Context, pool *experiments.Pool, sweep *experiments.S
 		sweep:  sweep,
 		cfg:    cfg,
 		steps:  cfg.steps,
-		shards: cfg.shards,
 		faults: cfg.faults,
 		start:  time.Now(),
 		log:    cfg.log,

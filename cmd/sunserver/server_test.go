@@ -272,34 +272,38 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 }
 
 // TestRunRejectsRemovedSpecField: a client still sending the spec field of
-// the deleted Time-Warp engine gets a 400 carrying the strict decoder's
-// complaint, which names the field — not a silently ignored knob.
+// the deleted Time-Warp engine or the removed shards knob gets a 400
+// carrying the strict decoder's complaint, which names the field — not a
+// silently ignored knob.
 func TestRunRejectsRemovedSpecField(t *testing.T) {
-	request, err := os.ReadFile(filepath.Join("testdata", "before-engine-removal", "run_request.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(request))
-	dec.DisallowUnknownFields()
-	unknown := dec.Decode(new(runner.Spec))
-	if unknown == nil {
-		t.Fatal("testdata request decodes cleanly: it no longer carries a removed field")
-	}
-
 	ts, _ := newTestServer(t)
-	resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(request))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Error string `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, unknown.Error()) {
-		t.Fatalf("status %d, error %q; want 400 with %q", resp.StatusCode, body.Error, unknown)
+	for _, dir := range []string{"before-engine-removal", "before-shards-removal"} {
+		request, err := os.ReadFile(filepath.Join("testdata", dir, "run_request.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := json.NewDecoder(bytes.NewReader(request))
+		dec.DisallowUnknownFields()
+		unknown := dec.Decode(new(runner.Spec))
+		if unknown == nil {
+			t.Fatalf("%s request decodes cleanly: it no longer carries a removed field", dir)
+		}
+
+		resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(request))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, unknown.Error()) {
+			t.Fatalf("%s: status %d, error %q; want 400 with %q", dir, resp.StatusCode, body.Error, unknown)
+		}
 	}
 }
 

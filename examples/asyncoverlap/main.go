@@ -16,6 +16,7 @@ import (
 	"sunuintah/internal/burgers"
 	"sunuintah/internal/core"
 	"sunuintah/internal/grid"
+	"sunuintah/internal/obs"
 	"sunuintah/internal/scheduler"
 	"sunuintah/internal/taskgraph"
 	"sunuintah/internal/trace"
@@ -33,6 +34,7 @@ func run(mode scheduler.Mode) (*core.Result, *trace.Recorder) {
 		PatchCounts: grid.IV(2, 2, 2),
 		NumCGs:      2,
 		Scheduler:   scheduler.Config{Mode: mode, Trace: rec},
+		Obs:         &obs.Options{},
 	}
 	sim, err := core.NewSimulation(cfg, prob)
 	if err != nil {
@@ -58,9 +60,8 @@ func main() {
 	var outs []outcome
 	for _, m := range []scheduler.Mode{scheduler.ModeSync, scheduler.ModeAsync} {
 		res, rec := run(m)
-		ov := float64(rec.OverlapTime(0, trace.KindKernel, trace.KindMPEWork)) +
-			float64(rec.OverlapTime(0, trace.KindKernel, trace.KindComm))
-		outs = append(outs, outcome{m.String(), res, rec, ov})
+		ov := res.Obs.Overlap[0]
+		outs = append(outs, outcome{m.String(), res, rec, ov.KernelMPEOverlap + ov.KernelCommOverlap})
 	}
 
 	for _, o := range outs {

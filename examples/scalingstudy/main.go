@@ -28,6 +28,7 @@ func main() {
 		prob.Name, prob.GridSize, experiments.Steps)
 
 	sweep := experiments.NewSweep(experiments.Options{})
+	defer sweep.Close()
 	fmt.Printf("%6s  %14s %9s %6s   %14s %9s %6s\n",
 		"CGs", "sync s/step", "speedup", "eff", "async s/step", "speedup", "eff")
 

@@ -91,7 +91,7 @@ func clampRetry(sec float64) time.Duration {
 }
 
 // Admit decides whether one more job may join the pool. On admission the
-// caller owes exactly one Release (or Done) call.
+// caller owes exactly one Done call.
 func (c *Controller) Admit() Decision {
 	if c == nil {
 		return Decision{OK: true}
@@ -110,7 +110,7 @@ func (c *Controller) Admit() Decision {
 
 // Reserve admits a job unconditionally — restart recovery readmitting
 // journaled jobs that were accepted by a previous incarnation. The caller
-// owes one Release (or Done) per Reserve.
+// owes one Done per Reserve.
 func (c *Controller) Reserve() {
 	if c == nil {
 		return
@@ -140,9 +140,6 @@ func (c *Controller) Done(execSeconds float64) {
 	}
 	c.mu.Unlock()
 }
-
-// Release is Done without an execution-time observation.
-func (c *Controller) Release() { c.Done(0) }
 
 // Metrics snapshots the controller's state.
 func (c *Controller) Metrics() Metrics {

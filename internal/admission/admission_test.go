@@ -48,7 +48,7 @@ func TestQueueFullAndRetryAfter(t *testing.T) {
 	}
 
 	// Releasing a slot readmits.
-	c.Release()
+	c.Done(0)
 	if d := c.Admit(); !d.OK {
 		t.Fatalf("admit after release rejected: %+v", d)
 	}

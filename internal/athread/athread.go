@@ -153,13 +153,6 @@ type LDMBuf struct {
 	bytes  int64
 }
 
-// Elapsed returns the virtual time this CPE has consumed so far in the
-// current offload.
-func (c *CPE) Elapsed() sim.Time { return c.elapsed }
-
-// LDMUsed returns the bytes of LDM currently allocated.
-func (c *CPE) LDMUsed() int64 { return c.ldmUsed }
-
 // Get reserves an LDM buffer for region and charges the synchronous DMA
 // read that fills it from src. src may be nil in timing-only mode. It
 // returns an error when the buffer does not fit in the remaining LDM.

@@ -96,9 +96,6 @@ func TestExactIsProductOfPhis(t *testing.T) {
 	if Initial(x, y, z) != Exact(x, y, z, 0) {
 		t.Error("Initial must be Exact at t=0")
 	}
-	if BoundaryCondition(x, y, z, tt) != Exact(x, y, z, tt) {
-		t.Error("BC must equal the exact solution")
-	}
 }
 
 // The label declares its boundary condition separable, and physics declares

@@ -124,14 +124,6 @@ func (e Exp) expSlice(dst, src []float64) {
 	FastExpSlice(dst, src)
 }
 
-// ExpFunc returns the chosen library's evaluation function.
-func (e Exp) ExpFunc() func(float64) float64 {
-	if e == IEEEExpLib {
-		return math.Exp
-	}
-	return FastExp
-}
-
 // Flops returns the counted operations per exponential for the library.
 func (e Exp) Flops() float64 {
 	if e == IEEEExpLib {

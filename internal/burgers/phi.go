@@ -78,10 +78,6 @@ func Initial(x, y, z float64) float64 { return Exact(x, y, z, 0) }
 // InitialProfile is Initial's factor along one axis, ExactProfile at t=0.
 func InitialProfile(axis int, s float64) float64 { return ExactProfile(axis, s, 0) }
 
-// BoundaryCondition is the time-dependent Dirichlet condition derived from
-// the exact solution, in the signature the task graph's labels expect.
-func BoundaryCondition(x, y, z, t float64) float64 { return Exact(x, y, z, t) }
-
 // StableDt returns a forward-Euler-stable timestep for the given cell
 // spacings: the diffusive limit dx^2/(2 nu) per direction combined with
 // the advective limit dx/|phi|max (|phi| <= 1), with a safety factor.

@@ -61,26 +61,15 @@ type Config struct {
 	// timing, or numerics, and the report is bit-identical across Shards
 	// and host-parallelism settings.
 	Obs *obs.Options
-	// Progress, when non-nil, receives one update per rank per completed
-	// timestep — the live feed behind sunserver's SSE endpoint. It is
-	// called from simulation goroutines (several concurrently under
-	// sharding), so it must be cheap and concurrency-safe; it can observe
-	// the run but never affect it, and like Obs it stays outside the
-	// runner's content hash.
-	Progress func(ProgressUpdate)
-}
-
-// ProgressUpdate is one Config.Progress callback payload: rank Rank just
-// finished 0-based global timestep Step. Done/Total count (rank, step)
-// pairs within the current Run segment, so Done/Total is the segment's
-// completion fraction.
-type ProgressUpdate struct {
-	Rank           int
-	Step           int
-	Steps          int // timesteps in this Run segment
-	Done           int64
-	Total          int64
-	VirtualSeconds float64 // the rank's clock at step completion
+	// Progress, when non-nil, receives one event per rank per completed
+	// timestep — the live feed behind sunserver's SSE endpoint. Step is
+	// the 0-based global timestep; Done/Total count (rank, step) pairs
+	// within the current Run segment; Seq and Dropped are left for the
+	// bus. It is called from simulation goroutines (several concurrently
+	// under sharding), so it must be cheap and concurrency-safe; it can
+	// observe the run but never affect it, and like Obs it stays outside
+	// the runner's content hash.
+	Progress func(obs.ProgressEvent)
 }
 
 // Problem is a user-defined simulation: its task list plus initial
@@ -246,7 +235,7 @@ func NewSimulation(cfg Config, prob Problem) (*Simulation, error) {
 		if cfg.Scheduler.Trace == nil {
 			cfg.Scheduler.Trace = trace.New()
 		}
-		sampler = obs.NewSampler(*cfg.Obs, cfg.NumCGs)
+		sampler = obs.NewSampler(cfg.NumCGs)
 		for i := 0; i < cfg.NumCGs; i++ {
 			machine.CG(i).Probes = sampler.Rank(i)
 		}
@@ -505,7 +494,7 @@ func (s *Simulation) Run(nSteps int) (*Result, error) {
 				prevDur = p.Now() - stepStart
 				stepEnds[r][i] = p.Now()
 				if s.Cfg.Progress != nil {
-					s.Cfg.Progress(ProgressUpdate{
+					s.Cfg.Progress(obs.ProgressEvent{
 						Rank: r, Step: step, Steps: nSteps,
 						Done: progDone.Add(1), Total: progTotal,
 						VirtualSeconds: float64(p.Now()),
@@ -602,6 +591,3 @@ func (s *Simulation) GatherField(l *taskgraph.Label) (*field.Cell, error) {
 	}
 	return out, nil
 }
-
-// Assignment returns the patch-to-rank mapping in use.
-func (s *Simulation) Assignment() []int { return s.assign }

@@ -71,7 +71,7 @@ func ExampleSimulation_Rebalance() {
 	if _, err := sim.Run(1); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("rank of patch 0:", sim.Assignment()[0])
+	fmt.Println("rank 1 now owns patch", sim.Ranks[1].Graph().LocalPatches[0].ID)
 	// Output:
-	// rank of patch 0: 1
+	// rank 1 now owns patch 0
 }

@@ -63,7 +63,7 @@ func TestRebalancePreservesSolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	moved := 0
-	for p, r := range s.Assignment() {
+	for p, r := range s.assign {
 		if r != newAssign[p] {
 			t.Fatalf("assignment not installed at patch %d", p)
 		}
@@ -94,12 +94,12 @@ func TestRebalanceChargesVirtualTime(t *testing.T) {
 	if _, err := s.Run(1); err != nil {
 		t.Fatal(err)
 	}
-	before := s.Machine.Engine().Now()
+	before := s.eng.Now()
 	newAssign := []int{1, 0, 1, 0, 1, 0, 1, 0} // everything moves
 	if err := s.Rebalance(newAssign); err != nil {
 		t.Fatal(err)
 	}
-	if s.Machine.Engine().Now() <= before {
+	if s.eng.Now() <= before {
 		t.Fatal("migration consumed no virtual time")
 	}
 }
@@ -230,11 +230,11 @@ func TestRegridPreservesSolution(t *testing.T) {
 	}
 	// Re-partition the same grid: 8 patches of 8x8x8 become 16 patches of
 	// 8x8x4 owned under a fresh block assignment.
-	before := s.Machine.Engine().Now()
+	before := s.eng.Now()
 	if err := s.Regrid(grid.IV(2, 2, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Machine.Engine().Now() <= before {
+	if s.eng.Now() <= before {
 		t.Fatal("regridding consumed no virtual time")
 	}
 	if s.Level.Layout.NumPatches() != 16 {

@@ -35,7 +35,6 @@ type varKey struct {
 type varEntry struct {
 	data  *field.Cell // nil in timing-only mode
 	bytes int64
-	ghost int
 }
 
 // Warehouse stores one timestep's variables for one rank.
@@ -50,9 +49,6 @@ func NewWarehouse(mode Mode, cg *sw26010.CoreGroup) *Warehouse {
 	return &Warehouse{mode: mode, cg: cg, vars: map[varKey]*varEntry{}}
 }
 
-// Mode returns the warehouse's storage mode.
-func (w *Warehouse) Mode() Mode { return w.mode }
-
 // Allocate creates the variable (label, patch) with the given ghost margin.
 // It returns sw26010.ErrOutOfMemory when the core group's usable memory is
 // exhausted. Allocating an existing variable is an error.
@@ -65,7 +61,7 @@ func (w *Warehouse) Allocate(label *taskgraph.Label, patch *grid.Patch, ghost in
 	if err := w.cg.Allocate(bytes); err != nil {
 		return err
 	}
-	e := &varEntry{bytes: bytes, ghost: ghost}
+	e := &varEntry{bytes: bytes}
 	if w.mode == Functional {
 		// Pooled storage: Free/FreeAll recycle the backing array, so the
 		// per-step allocate/free churn of the warehouse swap is
@@ -102,15 +98,6 @@ func (w *Warehouse) Bytes(label *taskgraph.Label, patch *grid.Patch) int64 {
 	return e.bytes
 }
 
-// Ghost returns the ghost margin the variable was allocated with.
-func (w *Warehouse) Ghost(label *taskgraph.Label, patch *grid.Patch) int {
-	e, ok := w.vars[varKey{label, patch.ID}]
-	if !ok {
-		return 0
-	}
-	return e.ghost
-}
-
 // Free releases one variable back to the core group (used when a patch
 // migrates to another rank) and recycles its storage — callers must not
 // retain references to the freed field's data (migration and
@@ -125,15 +112,6 @@ func (w *Warehouse) Free(label *taskgraph.Label, patch *grid.Patch) {
 	w.cg.Free(e.bytes)
 	e.data.Recycle()
 	delete(w.vars, k)
-}
-
-// TotalBytes returns the warehouse's accounted footprint.
-func (w *Warehouse) TotalBytes() int64 {
-	var n int64
-	for _, e := range w.vars {
-		n += e.bytes
-	}
-	return n
 }
 
 // FreeAll releases every variable back to the core group, recycling the

@@ -43,11 +43,8 @@ func TestAllocateGetFunctional(t *testing.T) {
 	if w.Bytes(u, p) != wantBytes {
 		t.Fatalf("bytes = %d, want %d", w.Bytes(u, p), wantBytes)
 	}
-	if cg.AllocatedBytes() != wantBytes {
-		t.Fatalf("cg accounting = %d", cg.AllocatedBytes())
-	}
-	if w.Ghost(u, p) != 1 {
-		t.Fatalf("ghost = %d", w.Ghost(u, p))
+	if inUse(t, cg) != wantBytes {
+		t.Fatalf("cg accounting = %d", inUse(t, cg))
 	}
 }
 
@@ -62,7 +59,7 @@ func TestTimingOnlyTracksSizesWithoutData(t *testing.T) {
 	if w.Get(u, p) != nil {
 		t.Fatal("timing-only warehouse should have nil data")
 	}
-	if w.Bytes(u, p) == 0 || cg.AllocatedBytes() == 0 {
+	if w.Bytes(u, p) == 0 || inUse(t, cg) == 0 {
 		t.Fatal("timing-only warehouse must still account memory")
 	}
 }
@@ -118,9 +115,9 @@ func TestSwapLifecycle(t *testing.T) {
 	}
 	pair.New.Get(u, p).Set(grid.IV(3, 3, 3), 2.5)
 
-	bytesOne := pair.Old.TotalBytes()
-	if cg.AllocatedBytes() != 2*bytesOne {
-		t.Fatalf("cg holds %d, want %d", cg.AllocatedBytes(), 2*bytesOne)
+	bytesOne := totalBytes(pair.Old)
+	if inUse(t, cg) != 2*bytesOne {
+		t.Fatalf("cg holds %d, want %d", inUse(t, cg), 2*bytesOne)
 	}
 
 	pair.Swap()
@@ -132,8 +129,8 @@ func TestSwapLifecycle(t *testing.T) {
 	if pair.New.Exists(u, p) {
 		t.Fatal("fresh new warehouse should be empty")
 	}
-	if cg.AllocatedBytes() != bytesOne {
-		t.Fatalf("after swap cg holds %d, want %d", cg.AllocatedBytes(), bytesOne)
+	if inUse(t, cg) != bytesOne {
+		t.Fatalf("after swap cg holds %d, want %d", inUse(t, cg), bytesOne)
 	}
 }
 
@@ -158,7 +155,27 @@ func TestRepeatedSwapsKeepAccountingBalanced(t *testing.T) {
 		}
 		pair.Swap()
 	}
-	if cg.AllocatedBytes() != pair.Old.TotalBytes() {
-		t.Fatalf("leak: cg %d vs warehouse %d", cg.AllocatedBytes(), pair.Old.TotalBytes())
+	if inUse(t, cg) != totalBytes(pair.Old) {
+		t.Fatalf("leak: cg %d vs warehouse %d", inUse(t, cg), totalBytes(pair.Old))
 	}
+}
+
+// inUse reads the core group's field-memory footprint from the error of an
+// allocation that cannot fit (a refused allocation changes nothing).
+func inUse(t *testing.T, cg *sw26010.CoreGroup) int64 {
+	t.Helper()
+	var oom *sw26010.ErrOutOfMemory
+	if !errors.As(cg.Allocate(cg.Params.UsableFieldBytesPerCG+1), &oom) {
+		t.Fatal("an allocation over the usable memory succeeded")
+	}
+	return oom.InUse
+}
+
+// totalBytes is the warehouse's accounted footprint.
+func totalBytes(w *Warehouse) int64 {
+	var n int64
+	for _, e := range w.vars {
+		n += e.bytes
+	}
+	return n
 }

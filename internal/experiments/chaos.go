@@ -47,18 +47,14 @@ type ChaosRow struct {
 	Fallbacks  int64
 }
 
-// chaosSpec is one cell of the chaos matrix. The sweep's Shards knob rides
-// along: it is excluded from the content hash, and the crash-capable cells
-// force serial execution anyway, so the matrix renders byte-identically
-// whatever the engine request was.
-func chaosSpec(opt Options, steps int, scale float64, seed uint64) runner.Spec {
+// chaosSpec is one cell of the chaos matrix.
+func chaosSpec(steps int, scale float64, seed uint64) runner.Spec {
 	spec := runner.Spec{
 		Cells:   chaosCells,
 		Layout:  chaosLayout,
 		CGs:     chaosCGs,
 		Variant: "acc.async",
 		Steps:   steps,
-		Shards:  opt.Shards,
 	}
 	if scale > 0 {
 		plan := faults.Default().Scaled(scale)
@@ -84,7 +80,7 @@ func ChaosRows(s *Sweep, steps int) ([]ChaosRow, error) {
 			n = 1
 		}
 		for seed := 1; seed <= n; seed++ {
-			jobs[scale] = append(jobs[scale], s.Pool().Submit(chaosSpec(s.opt, steps, scale, uint64(seed))))
+			jobs[scale] = append(jobs[scale], s.Pool().Submit(chaosSpec(steps, scale, uint64(seed))))
 		}
 	}
 

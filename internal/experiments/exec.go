@@ -44,7 +44,6 @@ func SpecFor(prob ProblemSpec, cgs int, v Variant, opt Options, seed uint64) run
 	if !opt.Faults.Zero() {
 		spec.Faults = opt.Faults
 	}
-	spec.Shards = opt.Shards
 	spec.Report = opt.Report
 	spec.Trace = opt.Trace
 	return spec
@@ -70,44 +69,62 @@ func ParseIVec(s string) (grid.IVec, error) {
 // ValidateSpec checks a spec's names and shape without building the
 // simulation, so services can reject bad requests up front.
 func ValidateSpec(spec runner.Spec) error {
-	if _, err := VariantByName(spec.Variant); err != nil {
-		return err
+	_, err := parseSpec(spec)
+	return err
+}
+
+// specShape is a validated spec's parsed names and sizes.
+type specShape struct {
+	variant       Variant
+	cells, layout grid.IVec
+	tileSize      grid.IVec // zero: the scheduler default
+	physics       physics.Selection
+}
+
+// parseSpec holds every spec rule: ValidateSpec reports its error and
+// specConfig builds from its result.
+func parseSpec(spec runner.Spec) (specShape, error) {
+	var sh specShape
+	var err error
+	if sh.variant, err = VariantByName(spec.Variant); err != nil {
+		return sh, err
 	}
+	var prob ProblemSpec
 	switch {
 	case spec.Problem != "":
-		if _, err := ProblemByName(spec.Problem); err != nil {
-			return err
+		if prob, err = ProblemByName(spec.Problem); err != nil {
+			return sh, err
 		}
+		sh.layout = PatchCounts
 	case spec.Cells != "":
-		if _, err := ParseIVec(spec.Cells); err != nil {
-			return err
+		if sh.cells, err = ParseIVec(spec.Cells); err != nil {
+			return sh, err
 		}
+		sh.layout = grid.IV(1, 1, 1)
 	default:
-		return errors.New("experiments: spec needs a problem name or custom cells")
+		return sh, errors.New("experiments: spec needs a problem name or custom cells")
 	}
 	if spec.Layout != "" {
-		if _, err := ParseIVec(spec.Layout); err != nil {
-			return err
+		if sh.layout, err = ParseIVec(spec.Layout); err != nil {
+			return sh, err
 		}
 	}
+	if spec.Problem != "" {
+		sh.cells = prob.PatchSize.Mul(sh.layout)
+	}
 	if spec.TileSize != "" {
-		if _, err := ParseIVec(spec.TileSize); err != nil {
-			return err
+		if sh.tileSize, err = ParseIVec(spec.TileSize); err != nil {
+			return sh, err
 		}
 	}
 	if spec.CGs <= 0 {
-		return fmt.Errorf("experiments: spec needs a positive CG count, got %d", spec.CGs)
+		return sh, fmt.Errorf("experiments: spec needs a positive CG count, got %d", spec.CGs)
 	}
 	if spec.Steps <= 0 {
-		return fmt.Errorf("experiments: spec needs positive steps, got %d", spec.Steps)
+		return sh, fmt.Errorf("experiments: spec needs positive steps, got %d", spec.Steps)
 	}
-	if spec.Shards < 0 {
-		return fmt.Errorf("experiments: spec shards must be >= 0 (0 = serial engine), got %d", spec.Shards)
-	}
-	if _, err := physics.Parse(spec.Physics); err != nil {
-		return err
-	}
-	return nil
+	sh.physics, err = physics.Parse(spec.Physics)
+	return sh, err
 }
 
 // SpecConfig resolves a Spec into the core configuration and problem it
@@ -122,74 +139,27 @@ func SpecConfig(spec runner.Spec) (core.Config, core.Problem, error) {
 // specConfig resolves a Spec into the configuration and problem of its
 // simulation.
 func specConfig(spec runner.Spec) (core.Config, core.Problem, error) {
-	fail := func(err error) (core.Config, core.Problem, error) {
+	sh, err := parseSpec(spec)
+	if err != nil {
 		return core.Config{}, core.Problem{}, err
 	}
-	v, err := VariantByName(spec.Variant)
+	problem, err := sh.physics.NewProblem(sh.cells, sh.layout, sh.variant.SIMD)
 	if err != nil {
-		return fail(err)
-	}
-	var cells, layout grid.IVec
-	switch {
-	case spec.Problem != "":
-		prob, err := ProblemByName(spec.Problem)
-		if err != nil {
-			return fail(err)
-		}
-		layout = PatchCounts
-		if spec.Layout != "" {
-			if layout, err = ParseIVec(spec.Layout); err != nil {
-				return fail(err)
-			}
-		}
-		cells = prob.PatchSize.Mul(layout)
-	case spec.Cells != "":
-		if cells, err = ParseIVec(spec.Cells); err != nil {
-			return fail(err)
-		}
-		layout = grid.IV(1, 1, 1)
-		if spec.Layout != "" {
-			if layout, err = ParseIVec(spec.Layout); err != nil {
-				return fail(err)
-			}
-		}
-	default:
-		return fail(errors.New("experiments: spec needs a problem name or custom cells"))
-	}
-	if spec.CGs <= 0 {
-		return fail(fmt.Errorf("experiments: spec needs a positive CG count, got %d", spec.CGs))
-	}
-	if spec.Steps <= 0 {
-		return fail(fmt.Errorf("experiments: spec needs positive steps, got %d", spec.Steps))
-	}
-
-	sel, err := physics.Parse(spec.Physics)
-	if err != nil {
-		return fail(err)
-	}
-	problem, err := sel.NewProblem(cells, layout, v.SIMD)
-	if err != nil {
-		return fail(err)
+		return core.Config{}, core.Problem{}, err
 	}
 	cfg := core.Config{
-		Cells:       cells,
-		PatchCounts: layout,
+		Cells:       sh.cells,
+		PatchCounts: sh.layout,
 		NumCGs:      spec.CGs,
 		Scheduler: scheduler.Config{
-			Mode:        v.Mode,
-			SIMD:        v.SIMD,
+			Mode:        sh.variant.Mode,
+			SIMD:        sh.variant.SIMD,
 			Functional:  spec.Functional,
 			AsyncDMA:    spec.AsyncDMA,
 			TilePacking: spec.TilePacking,
 			CPEGroups:   spec.CPEGroups,
+			TileSize:    sh.tileSize,
 		},
-	}
-	if spec.TileSize != "" {
-		ts, err := ParseIVec(spec.TileSize)
-		if err != nil {
-			return fail(err)
-		}
-		cfg.Scheduler.TileSize = ts
 	}
 	if spec.Noise > 0 {
 		params := perf.DefaultParams()
@@ -200,7 +170,6 @@ func specConfig(spec runner.Spec) (core.Config, core.Problem, error) {
 	if !spec.Faults.Zero() {
 		cfg.Faults = spec.Faults
 	}
-	cfg.Shards = spec.Shards
 	if spec.Report || spec.Trace {
 		cfg.Obs = &obs.Options{Trace: spec.Trace}
 	}
@@ -233,13 +202,7 @@ func Exec(ctx context.Context, spec runner.Spec) (*runner.Result, error) {
 			return nil, err
 		}
 		topic := spec.Hash()
-		cfg.Progress = func(u core.ProgressUpdate) {
-			progress.Publish(topic, obs.ProgressEvent{
-				Rank: u.Rank, Step: u.Step, Steps: u.Steps,
-				Done: u.Done, Total: u.Total,
-				VirtualSeconds: u.VirtualSeconds,
-			})
-		}
+		cfg.Progress = func(ev obs.ProgressEvent) { progress.Publish(topic, ev) }
 		// Fault-plan specs run resiliently: a CG crash tears the run down
 		// and checkpoint/restart carries it to completion. With no plan
 		// RunResilient is exactly NewSimulation + Run.
@@ -263,7 +226,6 @@ func NewPool(workers int, cache runner.Cache, onEvent func(runner.Event)) *Pool 
 		Workers: workers,
 		Exec:    Exec,
 		Cache:   cache,
-		Retries: 2,
 		OnEvent: onEvent,
 	})
 	if err != nil {

@@ -5,17 +5,34 @@ import (
 	"encoding/json"
 	"testing"
 
+	"sunuintah/internal/core"
 	"sunuintah/internal/faults"
 	"sunuintah/internal/runner"
 )
 
-// execJSON runs a spec uncached through Exec and returns the serialised
-// result. Exec (not a pool) on purpose: the content cache deliberately
-// ignores Shards, so cached runs would alias across shard counts and the
-// comparison would be vacuous.
-func execJSON(t *testing.T, spec runner.Spec) []byte {
+// shardedExec is Exec on the conservative sharded engine: the spec's
+// configuration from SpecConfig with cfg.Shards set, run by
+// core.RunResilient exactly as Exec runs it serially.
+func shardedExec(shards int) runner.ExecFunc {
+	return func(_ context.Context, spec runner.Spec) (*runner.Result, error) {
+		cfg, problem, err := SpecConfig(spec)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Shards = shards
+		res, err := core.RunResilient(cfg, problem, spec.Steps)
+		if err != nil {
+			return nil, err
+		}
+		return &runner.Result{Feasible: true, Sim: res}, nil
+	}
+}
+
+// execJSON runs a spec uncached through exec and returns the serialised
+// result.
+func execJSON(t *testing.T, exec runner.ExecFunc, spec runner.Spec) []byte {
 	t.Helper()
-	res, err := Exec(context.Background(), spec)
+	res, err := exec(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,8 +45,8 @@ func execJSON(t *testing.T, spec runner.Spec) []byte {
 
 // TestExecShardDeterminism sweeps a small case matrix — including a
 // faulted run — across shard counts and asserts byte-identical run
-// artifacts and identical simulated end times. `make race` reruns this
-// under the race detector.
+// artifacts and identical simulated end times against Exec's serial
+// engine. `make race` reruns this under the race detector.
 func TestExecShardDeterminism(t *testing.T) {
 	specs := []runner.Spec{
 		{Cells: "16x16x32", Layout: "2x2x2", CGs: 8, Variant: "acc.async", Steps: 3, Functional: true},
@@ -46,18 +63,13 @@ func TestExecShardDeterminism(t *testing.T) {
 	for _, spec := range specs {
 		spec := spec
 		t.Run(spec.String(), func(t *testing.T) {
-			ref := execJSON(t, spec)
+			ref := execJSON(t, Exec, spec)
 			var refRes runner.Result
 			if err := json.Unmarshal(ref, &refRes); err != nil {
 				t.Fatal(err)
 			}
 			for _, shards := range []int{1, 2, 4} {
-				s := spec
-				s.Shards = shards
-				if s.Hash() != spec.Hash() {
-					t.Fatalf("shards=%d changed the content hash: the cache key must ignore wall-clock knobs", shards)
-				}
-				got := execJSON(t, s)
+				got := execJSON(t, shardedExec(shards), spec)
 				if string(got) != string(ref) {
 					t.Fatalf("shards=%d: result differs from serial engine\nserial:  %s\nsharded: %s",
 						shards, ref, got)
@@ -75,32 +87,29 @@ func TestExecShardDeterminism(t *testing.T) {
 	}
 }
 
-// TestValidateSpecRejectsNegativeShards: bad shard counts fail validation
-// with a clear message (sunserver rejects such requests up front).
-func TestValidateSpecRejectsNegativeShards(t *testing.T) {
-	spec := runner.Spec{Cells: "16x16x32", Layout: "2x2x2", CGs: 2, Variant: "acc.async", Steps: 1, Shards: -1}
-	if err := ValidateSpec(spec); err == nil {
-		t.Fatal("want error for shards = -1, got nil")
-	}
-}
-
 // TestShardsWorkersReportBitIdentical runs a flight-recorder spec through
-// pools of different worker counts and different shard settings and asserts
-// every Result — sampled series included — is byte-identical. Workers and
-// Shards are the two host-parallelism knobs; neither may leak into the
-// virtual-time report. (Each run uses its own pool with a fresh cache, so
-// no comparison is served from a memoised result.)
+// pools of different worker counts, on the serial engine (Exec) and on
+// the sharded one, and asserts every Result — sampled series included — is
+// byte-identical. Workers and shards are the two host-parallelism knobs;
+// neither may leak into the virtual-time report. (Each run uses its own
+// pool with a fresh cache, so no comparison is served from a memoised
+// result.)
 func TestShardsWorkersReportBitIdentical(t *testing.T) {
 	spec := runner.Spec{Cells: "16x16x32", Layout: "2x2x2", CGs: 8, Variant: "acc.async",
 		Steps: 3, Report: true, Trace: true}
 
 	run := func(workers, shards int) []byte {
 		t.Helper()
-		s := spec
-		s.Shards = shards
-		pool := NewPool(workers, runner.NewMemoryCache(0), nil)
+		exec := Exec
+		if shards > 0 {
+			exec = shardedExec(shards)
+		}
+		pool, err := runner.New(runner.Config{Workers: workers, Exec: exec, Cache: runner.NewMemoryCache(0)})
+		if err != nil {
+			t.Fatal(err)
+		}
 		defer pool.Close()
-		res, err := pool.Submit(s).Wait(context.Background())
+		res, err := pool.Submit(spec).Wait(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

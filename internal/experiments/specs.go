@@ -123,12 +123,6 @@ type Options struct {
 	// GOMAXPROCS).
 	Jobs int
 
-	// Shards runs each case on the conservative parallel engine with this
-	// many shards (0 or 1 = serial engine). Like Jobs, it only changes
-	// wall-clock speed: results are bit-identical for every shard count,
-	// so it never participates in the result-cache key.
-	Shards int
-
 	// Faults injects deterministic chaos into every case: a non-zero plan
 	// routes runs through core.RunResilient (checkpoint/restart under CG
 	// crashes) and participates in the runner's content hash. Nil or
@@ -136,7 +130,7 @@ type Options struct {
 	Faults *faults.Plan
 
 	// Report attaches the flight recorder to every case; Trace additionally
-	// captures the full event timeline. Reporting knobs only — like Shards,
+	// captures the full event timeline. Reporting knobs only — like Jobs,
 	// they never participate in the result-cache key.
 	Report bool
 	Trace  bool

@@ -173,13 +173,6 @@ func (s *Sweep) Run(prob ProblemSpec, cgs int, v Variant) (*CaseResult, error) {
 	return r, nil
 }
 
-// RunSpec executes an arbitrary spec on the sweep's pool, bypassing the
-// cell memo (the pool's content-addressed cache still applies). Ablations
-// use it for cells outside the CaseKey space.
-func (s *Sweep) RunSpec(spec runner.Spec) (*runner.Result, error) {
-	return s.pool.Run(context.Background(), spec)
-}
-
 // PerStepSeconds returns the wall time per timestep of a feasible cell.
 func (r *CaseResult) PerStepSeconds() float64 {
 	if !r.Feasible {

@@ -10,15 +10,14 @@ import (
 
 // TestWorkloadArtifact is the "make workload" determinism gate: the
 // scenario sweep plus record-and-replay leg must render byte-identically
-// regardless of pool concurrency and engine sharding.
+// regardless of pool concurrency.
 func TestWorkloadArtifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workload artifact is not a -short test")
 	}
 	const steps = 2
-	render := func(workers, shards int) string {
-		s := NewSweepWithPool(Options{Shards: shards},
-			NewPool(workers, runner.NewMemoryCache(0), nil))
+	render := func(workers int) string {
+		s := NewSweepWithPool(Options{}, NewPool(workers, runner.NewMemoryCache(0), nil))
 		defer s.Pool().Close()
 		out, err := Workload(s, steps)
 		if err != nil {
@@ -26,14 +25,10 @@ func TestWorkloadArtifact(t *testing.T) {
 		}
 		return out
 	}
-	serial := render(1, 0)
-	parallel := render(4, 0)
+	serial := render(1)
+	parallel := render(4)
 	if serial != parallel {
 		t.Fatalf("workload artifact depends on worker count:\n--- 1 worker ---\n%s\n--- 4 workers ---\n%s", serial, parallel)
-	}
-	sharded := render(4, 2)
-	if serial != sharded {
-		t.Fatalf("workload artifact depends on shard count:\n--- serial ---\n%s\n--- 2 shards ---\n%s", serial, sharded)
 	}
 	for _, want := range []string{
 		"scenario mixed-default", "steady", "diurnal", "regrid-storm",

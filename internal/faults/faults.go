@@ -15,6 +15,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -120,11 +121,12 @@ func (p *Plan) Normalized() Plan {
 }
 
 // Canonical renders the normalized plan as a stable key string for content
-// hashing. Field order is fixed; two plans with the same effective
-// behaviour produce the same canonical form.
+// hashing, in Parse's syntax: Parse(p.Canonical()) is p.Normalized(). Field
+// order is fixed; two plans with the same effective behaviour produce the
+// same canonical form.
 func (p *Plan) Canonical() string {
 	n := p.Normalized()
-	return fmt.Sprintf("seed=%d;drop=%g;dup=%g;delay=%g;delayf=%g;degrade=%g;degradef=%g;stall=%g;straggle=%g;stragglef=%g;crash=%g;crashat=%d;crashrank=%d;restarts=%d;ckptevery=%d;ckptcost=%g;restartcost=%g;deadlinef=%d;retries=%d;unhealthy=%d",
+	return fmt.Sprintf("seed=%d,drop=%g,dup=%g,delay=%g,delay-factor=%g,degrade=%g,degrade-factor=%g,stall=%g,straggle=%g,straggle-factor=%g,crash=%g,crash-at=%d,crash-rank=%d,max-restarts=%d,ckpt-every=%d,ckpt-cost=%g,restart-cost=%g,deadline-factor=%d,max-retries=%d,unhealthy-after=%d",
 		n.Seed, n.Drop, n.Dup, n.Delay, n.DelayFactor, n.Degrade, n.DegradeFactor,
 		n.Stall, n.Straggle, n.StraggleFactor, n.Crash, n.CrashAtStep, n.CrashRank,
 		n.MaxRestarts, n.CheckpointEvery, n.CheckpointCost, n.RestartCost,
@@ -181,7 +183,8 @@ func Default() *Plan {
 // "key=value" sets one Plan field. Keys: seed, drop, dup, delay, degrade,
 // delay-factor, degrade-factor, stall, straggle, straggle-factor, crash,
 // crash-at, crash-rank, max-restarts, ckpt-every, ckpt-cost, restart-cost,
-// deadline-factor, max-retries, unhealthy-after.
+// deadline-factor, max-retries, unhealthy-after. Values must be finite and
+// non-negative.
 func Parse(s string) (*Plan, error) {
 	s = strings.TrimSpace(s)
 	if s == "" || s == "off" {
@@ -224,14 +227,14 @@ func Parse(s string) (*Plan, error) {
 			p.Seed = u
 		case "scale":
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 {
+			if err != nil || !(f >= 0) || math.IsInf(f, 1) {
 				return nil, fmt.Errorf("faults: bad scale %q", v)
 			}
 			*p = *p.Scaled(f)
 		default:
 			if fp, ok := setFloat[k]; ok {
 				f, err := strconv.ParseFloat(v, 64)
-				if err != nil || f < 0 {
+				if err != nil || !(f >= 0) || math.IsInf(f, 1) {
 					return nil, fmt.Errorf("faults: bad value %q for %s", v, k)
 				}
 				*fp = f

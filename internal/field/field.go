@@ -238,21 +238,6 @@ func MaxAbsDiff(f, g *Cell, region grid.Box) float64 {
 	return maxd
 }
 
-// L2Norm returns the root-mean-square of f over region.
-func L2Norm(f *Cell, region grid.Box) float64 {
-	var sum float64
-	var n int64
-	region.ForEach(func(c grid.IVec) {
-		v := f.At(c)
-		sum += v * v
-		n++
-	})
-	if n == 0 {
-		return 0
-	}
-	return math.Sqrt(sum / float64(n))
-}
-
 // MaxAbs returns the largest absolute value of f over region.
 func MaxAbs(f *Cell, region grid.Box) float64 {
 	maxv := 0.0

@@ -52,29 +52,11 @@ func (b Box) Intersect(o Box) Box {
 	return Box{Lo: b.Lo.Max(o.Lo), Hi: b.Hi.Min(o.Hi)}
 }
 
-// Intersects reports whether the boxes share at least one cell.
-func (b Box) Intersects(o Box) bool { return !b.Intersect(o).Empty() }
-
 // Grow returns the box expanded by g cells in every direction (ghost
 // margin). Negative g shrinks.
 func (b Box) Grow(g int) Box {
 	d := IV(g, g, g)
 	return Box{Lo: b.Lo.Sub(d), Hi: b.Hi.Add(d)}
-}
-
-// Translate returns the box shifted by d.
-func (b Box) Translate(d IVec) Box {
-	return Box{Lo: b.Lo.Add(d), Hi: b.Hi.Add(d)}
-}
-
-// SurfaceCells returns the number of cells on the one-cell-thick shell just
-// outside the box — the ghost-cell count for one ghost layer, faces, edges
-// and corners included.
-func (b Box) SurfaceCells() int64 {
-	if b.Empty() {
-		return 0
-	}
-	return b.Grow(1).NumCells() - b.NumCells()
 }
 
 // ForEach invokes fn for every cell in the box in k-outer, i-inner order

@@ -23,9 +23,6 @@ func TestIVecArithmetic(t *testing.T) {
 	if got := b.Div(a); got != IV(4, 2, 2) {
 		t.Errorf("Div = %v", got)
 	}
-	if got := a.Scale(3); got != IV(3, 6, 9) {
-		t.Errorf("Scale = %v", got)
-	}
 	if got := a.Min(IV(2, 1, 5)); got != IV(1, 1, 3) {
 		t.Errorf("Min = %v", got)
 	}
@@ -80,7 +77,7 @@ func TestBoxIntersect(t *testing.T) {
 		t.Errorf("Intersect = %v", got)
 	}
 	c := NewBox(IV(20, 20, 20), IV(30, 30, 30))
-	if a.Intersects(c) {
+	if !a.Intersect(c).Empty() {
 		t.Error("disjoint boxes intersect")
 	}
 }
@@ -91,9 +88,9 @@ func TestBoxGrowAndSurface(t *testing.T) {
 	if g.Size() != IV(18, 18, 10) {
 		t.Errorf("grown size = %v", g.Size())
 	}
-	want := g.NumCells() - b.NumCells()
-	if b.SurfaceCells() != want {
-		t.Errorf("SurfaceCells = %d, want %d", b.SurfaceCells(), want)
+	// The one-cell shell: faces, edges and corners.
+	if shell := g.NumCells() - b.NumCells(); shell != 2*(16*16+16*8+16*8)+4*(16+16+8)+8 {
+		t.Errorf("shell cells = %d", shell)
 	}
 	if got := b.Grow(-4).Size(); got != IV(8, 8, 0) {
 		t.Errorf("negative grow size = %v", got)
@@ -151,15 +148,38 @@ func TestLayoutRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// patchContaining returns the patch whose box holds cell c, or nil if c is
+// outside the domain, by scanning every patch.
+func patchContaining(l *Layout, c IVec) *Patch {
+	for _, p := range l.Patches() {
+		if p.Box.Contains(c) {
+			return p
+		}
+	}
+	return nil
+}
+
+// TestPatchContaining: the patch boxes tile the domain, and the cell at
+// c lies in the patch at position c / PatchSize.
 func TestPatchContaining(t *testing.T) {
 	l, _ := NewLayout(BoxFromSize(IV(0, 0, 0), IV(8, 8, 8)), IV(2, 2, 2))
-	p := l.PatchContaining(IV(5, 3, 7))
-	if p == nil || p.Pos != IV(1, 0, 1) {
-		t.Fatalf("PatchContaining = %v", p)
+	if p := patchContaining(l, IV(5, 3, 7)); p == nil || p.Pos != IV(1, 0, 1) {
+		t.Fatalf("patch of (5,3,7) = %v", p)
 	}
-	if l.PatchContaining(IV(8, 0, 0)) != nil {
-		t.Error("outside cell should return nil")
+	if patchContaining(l, IV(8, 0, 0)) != nil {
+		t.Error("outside cell should lie in no patch")
 	}
+	l.Domain.ForEach(func(c IVec) {
+		n := 0
+		for _, p := range l.Patches() {
+			if p.Box.Contains(c) {
+				n++
+			}
+		}
+		if p := l.PatchAt(c.Div(l.PatchSize)); n != 1 || !p.Box.Contains(c) {
+			t.Fatalf("cell %v: in %d patches, PatchAt gives %v", c, n, p)
+		}
+	})
 }
 
 func TestGhostRegionsCoverMarginExactly(t *testing.T) {
@@ -188,7 +208,7 @@ func TestGhostRegionsCoverMarginExactly(t *testing.T) {
 		// patch; out-of-domain cells must be boundary regions.
 		for _, gr := range regions {
 			gr.Region.ForEach(func(c IVec) {
-				owner := l.PatchContaining(c)
+				owner := patchContaining(l, c)
 				if owner == nil {
 					if gr.Src != nil {
 						t.Fatalf("cell %v outside domain attributed to %v", c, gr.Src)
@@ -238,7 +258,7 @@ func TestPropertyGhostRegions(t *testing.T) {
 		p := l.Patch(rng.Intn(l.NumPatches()))
 		var cells int64
 		for _, gr := range l.GhostRegions(p, width) {
-			if gr.Region.Intersects(p.Box) {
+			if !gr.Region.Intersect(p.Box).Empty() {
 				return false
 			}
 			if !p.Box.Grow(width).ContainsBox(gr.Region) {
@@ -260,7 +280,7 @@ func TestSubtractBox(t *testing.T) {
 	var cells int64
 	for _, p := range parts {
 		cells += p.NumCells()
-		if p.Intersects(cut) {
+		if !p.Intersect(cut).Empty() {
 			t.Fatalf("part %v overlaps cut", p)
 		}
 	}
@@ -299,8 +319,8 @@ func TestTilingPaperTileShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tl.NumTiles() != 64 || tl.Counts != IV(1, 1, 64) {
-		t.Fatalf("tiles = %d counts = %v", tl.NumTiles(), tl.Counts)
+	if int(tl.Counts.Volume()) != 64 || tl.Counts != IV(1, 1, 64) {
+		t.Fatalf("tiles = %d counts = %v", int(tl.Counts.Volume()), tl.Counts)
 	}
 	// The paper's working set: 41.3 KiB for a 16x16x8 tile with 1 ghost.
 	ws := WorkingSetBytes(tl.Tile(IV(0, 0, 0)), 1)
@@ -350,8 +370,8 @@ func TestAssignZCoversAllTilesOnce(t *testing.T) {
 			total++
 		}
 	}
-	if total != tl.NumTiles() {
-		t.Fatalf("assigned %d of %d tiles", total, tl.NumTiles())
+	if total != int(tl.Counts.Volume()) {
+		t.Fatalf("assigned %d of %d tiles", total, int(tl.Counts.Volume()))
 	}
 }
 
@@ -374,7 +394,7 @@ func TestPropertyAssignZPartition(t *testing.T) {
 		for _, tiles := range tl.AssignZ(workers) {
 			total += len(tiles)
 		}
-		return total == tl.NumTiles()
+		return total == int(tl.Counts.Volume())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -404,8 +424,8 @@ func TestAssignZCountsMatchAssignZ(t *testing.T) {
 			}
 			total += counts[w]
 		}
-		if total != tiling.NumTiles() {
-			t.Fatalf("counts sum to %d of %d tiles", total, tiling.NumTiles())
+		if total != int(tiling.Counts.Volume()) {
+			t.Fatalf("counts sum to %d of %d tiles", total, int(tiling.Counts.Volume()))
 		}
 	}
 }

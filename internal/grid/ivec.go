@@ -32,9 +32,6 @@ func (a IVec) Mul(b IVec) IVec { return IVec{a.X * b.X, a.Y * b.Y, a.Z * b.Z} }
 // Div returns the componentwise quotient a/b (truncated like Go's /).
 func (a IVec) Div(b IVec) IVec { return IVec{a.X / b.X, a.Y / b.Y, a.Z / b.Z} }
 
-// Scale returns a*s.
-func (a IVec) Scale(s int) IVec { return IVec{a.X * s, a.Y * s, a.Z * s} }
-
 // Min returns the componentwise minimum.
 func (a IVec) Min(b IVec) IVec {
 	return IVec{min(a.X, b.X), min(a.Y, b.Y), min(a.Z, b.Z)}

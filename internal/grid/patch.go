@@ -106,16 +106,6 @@ func (l *Layout) PatchAt(pos IVec) *Patch {
 	return l.patches[id]
 }
 
-// PatchContaining returns the patch owning cell c, or nil if c is outside
-// the domain.
-func (l *Layout) PatchContaining(c IVec) *Patch {
-	if !l.Domain.Contains(c) {
-		return nil
-	}
-	rel := c.Sub(l.Domain.Lo)
-	return l.PatchAt(rel.Div(l.PatchSize))
-}
-
 // GhostRegion describes one rectangular piece of a patch's ghost margin and
 // where its data comes from: either a neighbouring patch (Src != nil) or
 // the physical boundary (Src == nil), to be filled by boundary conditions.

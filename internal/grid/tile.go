@@ -30,27 +30,11 @@ func NewTiling(p *Patch, tileSize IVec) (*Tiling, error) {
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// NumTiles returns the total tile count.
-func (t *Tiling) NumTiles() int { return int(t.Counts.Volume()) }
-
 // Tile returns the tile at tile coordinates idx.
 func (t *Tiling) Tile(idx IVec) Tile {
 	lo := t.Patch.Box.Lo.Add(idx.Mul(t.TileSize))
 	hi := lo.Add(t.TileSize).Min(t.Patch.Box.Hi)
 	return Tile{Index: idx, Box: Box{Lo: lo, Hi: hi}}
-}
-
-// Tiles returns all tiles in z-major order (x fastest).
-func (t *Tiling) Tiles() []Tile {
-	out := make([]Tile, 0, t.NumTiles())
-	for tz := 0; tz < t.Counts.Z; tz++ {
-		for ty := 0; ty < t.Counts.Y; ty++ {
-			for tx := 0; tx < t.Counts.X; tx++ {
-				out = append(out, t.Tile(IV(tx, ty, tz)))
-			}
-		}
-	}
-	return out
 }
 
 // AssignZ partitions the tiles among nWorkers CPEs by naturally splitting

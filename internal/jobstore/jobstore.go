@@ -141,14 +141,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the backing directory ("" for a nil store).
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.dir
-}
-
 // apply folds one journal entry into the in-memory record set. Caller
 // holds s.mu (or is single-threaded during Open).
 func (s *Store) apply(e entry) {
@@ -228,18 +220,6 @@ func (s *Store) Records() []Record {
 	return out
 }
 
-// Incomplete returns the records that have not reached a terminal state,
-// sorted by numeric ID — the restart-recovery work list.
-func (s *Store) Incomplete() []Record {
-	var out []Record
-	for _, rec := range s.Records() {
-		if !rec.Terminal() {
-			out = append(out, rec)
-		}
-	}
-	return out
-}
-
 // Len reports the number of live records.
 func (s *Store) Len() int {
 	if s == nil {
@@ -286,17 +266,6 @@ func NumericID(id string) int {
 		return 0
 	}
 	return n
-}
-
-// Compact folds the journal into a fresh snapshot: the snapshot is
-// written atomically (temp file + rename), then the journal is truncated.
-func (s *Store) Compact() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compactLocked()
 }
 
 func (s *Store) compactLocked() error {

@@ -83,7 +83,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if recs[1].Spec.Steps != 2 {
 		t.Fatalf("j2 spec steps = %d", recs[1].Spec.Steps)
 	}
-	inc := s2.Incomplete()
+	inc := incomplete(s2)
 	if len(inc) != 1 || inc[0].ID != "j2" {
 		t.Fatalf("incomplete = %v", inc)
 	}
@@ -146,7 +146,10 @@ func TestCompactTruncatesJournal(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Accept(Record{ID: "j" + string(rune('0'+i)), Spec: spec(1), State: runner.StateQueued})
 	}
-	if err := s.Compact(); err != nil {
+	s.mu.Lock()
+	err := s.compactLocked()
+	s.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if n := s.JournalEntries(); n != 0 {
@@ -199,7 +202,7 @@ func TestConcurrentAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got := len(s2.Incomplete()); got != 0 {
+	if got := len(incomplete(s2)); got != 0 {
 		t.Fatalf("%d jobs incomplete after concurrent finish", got)
 	}
 }
@@ -210,4 +213,15 @@ func TestNumericID(t *testing.T) {
 			t.Errorf("NumericID(%q) = %d, want %d", id, got, want)
 		}
 	}
+}
+
+// incomplete returns the records that have not reached a terminal state.
+func incomplete(s *Store) []Record {
+	var out []Record
+	for _, rec := range s.Records() {
+		if !rec.Terminal() {
+			out = append(out, rec)
+		}
+	}
+	return out
 }

@@ -101,27 +101,3 @@ func AssignWeighted(weights []float64, nRanks int) ([]int, error) {
 	}
 	return out, nil
 }
-
-// Imbalance returns max/mean of per-rank weight sums (1.0 is perfect).
-func Imbalance(assign []int, weights []float64, nRanks int) float64 {
-	sums := make([]float64, nRanks)
-	for p, r := range assign {
-		w := 1.0
-		if weights != nil {
-			w = weights[p]
-		}
-		sums[r] += w
-	}
-	var maxs, total float64
-	for _, s := range sums {
-		if s > maxs {
-			maxs = s
-		}
-		total += s
-	}
-	mean := total / float64(nRanks)
-	if mean == 0 {
-		return 1
-	}
-	return maxs / mean
-}

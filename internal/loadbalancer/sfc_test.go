@@ -92,9 +92,17 @@ func TestAssignWeightedRespectsWeights(t *testing.T) {
 	if assign[1] != 1 {
 		t.Fatalf("assign = %v: light patches should move to rank 1", assign)
 	}
-	imb := Imbalance(assign, weights, 2)
+	// Imbalance is max/mean of the per-rank weight sums.
+	imbalance := func(assign []int) float64 {
+		sums := make([]float64, 2)
+		for p, r := range assign {
+			sums[r] += weights[p]
+		}
+		return max(sums[0], sums[1]) / ((sums[0] + sums[1]) / 2)
+	}
+	imb := imbalance(assign)
 	uniform, _ := Assign(Block, len(weights), 2)
-	if imb > Imbalance(uniform, weights, 2) {
+	if imb > imbalance(uniform) {
 		t.Fatalf("weighted imbalance %v worse than uniform blocks", imb)
 	}
 }

@@ -42,7 +42,7 @@ type Comm struct {
 	engs   []*sim.Engine
 	shards *sim.ShardSet
 
-	// coalesce enables batched completion polls (TestSweep). On by
+	// coalesce enables batched completion polls (TestSweepInto). On by
 	// default; the event-count experiments switch it off for comparison.
 	coalesce bool
 
@@ -103,7 +103,7 @@ func (c *Comm) Shard(ss *sim.ShardSet, engs []*sim.Engine) {
 	copy(c.engs, engs)
 }
 
-// SetTestCoalescing toggles batched completion polling (TestSweep). It is
+// SetTestCoalescing toggles batched completion polling (TestSweepInto). It is
 // on by default; switching it off restores one poll event per request, for
 // measuring the event-count saving.
 func (c *Comm) SetTestCoalescing(on bool) { c.coalesce = on }
@@ -241,7 +241,6 @@ type Request struct {
 	isSend  bool
 	src     int // sends: destination; receives: expected source
 	tag     int
-	bytes   int64
 	payload []float64 // receives: filled on match
 
 	matched bool
@@ -273,9 +272,6 @@ func (q *Request) Payload() []float64 { return q.payload }
 // per-rank pool is cold.
 func (q *Request) Signal() *sim.Signal { return &q.sig }
 
-// Bytes returns the message size.
-func (q *Request) Bytes() int64 { return q.bytes }
-
 // Isend posts a non-blocking send of payload (may be nil) with the given
 // on-wire size to rank dst with the given tag. The calling process is
 // charged the posting cost. The send completes locally once the data has
@@ -288,7 +284,7 @@ func (r *Rank) Isend(p *sim.Process, dst, tag int, payload []float64, bytes int6
 	now := r.eng().Now()
 	wire := sim.Time(r.comm.params.MessageTimeBetween(r.rank, dst, bytes))
 	req := r.getReq()
-	req.isSend, req.src, req.tag, req.bytes = true, dst, tag, bytes
+	req.isSend, req.src, req.tag = true, dst, tag
 	req.sig.Init(r.eng(), "send")
 	r.BytesSent += bytes
 	r.MsgsSent++
@@ -459,7 +455,6 @@ func (r *Rank) deliver(m *message) {
 func (r *Rank) complete(req *Request, m *message) {
 	now := r.eng().Now()
 	req.matched = true
-	req.bytes = m.bytes
 	req.payload = m.payload
 	if m.arrivesAt > now {
 		req.doneAt = m.arrivesAt
@@ -489,8 +484,9 @@ func (r *Rank) Test(p *sim.Process, req *Request) bool {
 	return req.matched && req.doneAt <= r.eng().Now()
 }
 
-// TestSweep tests a batch of already-posted send requests, semantically
-// identical to calling Test on each in order, and reports each result.
+// TestSweepInto tests a batch of already-posted send requests, semantically
+// identical to calling Test on each in order, and reports each result in
+// res (grown as needed, so steady-state pollers reuse one buffer).
 // With coalescing on and no fault injector, the per-request poll events
 // collapse into a single sleep covering the whole sweep: a send's doneAt
 // is fixed at post time, so the result of the i-th test is exactly
@@ -502,12 +498,6 @@ func (r *Rank) Test(p *sim.Process, req *Request) bool {
 // Under fault injection Test drives retransmission mid-sweep, so the
 // batched shortcut is disabled and the sweep degrades to per-request
 // polls.
-func (r *Rank) TestSweep(p *sim.Process, reqs []*Request) []bool {
-	return r.TestSweepInto(p, reqs, nil)
-}
-
-// TestSweepInto is TestSweep writing its results into res (grown as
-// needed), letting steady-state pollers reuse one buffer across sweeps.
 func (r *Rank) TestSweepInto(p *sim.Process, reqs []*Request, res []bool) []bool {
 	for len(res) < len(reqs) {
 		res = append(res, false)
@@ -533,18 +523,6 @@ func (r *Rank) TestSweepInto(p *sim.Process, reqs []*Request, res []bool) []bool
 	return res
 }
 
-// TestAll tests a batch of requests with a single charge per request,
-// returning the number completed.
-func (r *Rank) TestAll(p *sim.Process, reqs []*Request) int {
-	done := 0
-	for _, req := range reqs {
-		if r.Test(p, req) {
-			done++
-		}
-	}
-	return done
-}
-
 // Wait blocks the calling process until the request completes. Unlike
 // Test-polling, Wait models a blocking MPI_Wait (the library progresses the
 // request internally).
@@ -564,9 +542,6 @@ func (r *Rank) Wait(p *sim.Process, req *Request) {
 	}
 	req.sig.Wait(p)
 }
-
-// Done reports completion without charging any cost (for assertions).
-func (q *Request) Done(now sim.Time) bool { return q.matched && q.doneAt <= now }
 
 // ---- Collectives ----
 
@@ -671,9 +646,4 @@ func (r *Rank) Allreduce(p *sim.Process, x float64, op ReduceOp) float64 {
 	result := coll.result
 	c.collMu.Unlock()
 	return result
-}
-
-// Barrier blocks until every rank has entered it.
-func (r *Rank) Barrier(p *sim.Process) {
-	r.Allreduce(p, 0, OpSum)
 }

@@ -28,31 +28,28 @@
 //     known at post time) are queued inside the sender's own series and
 //     applied lazily, never by an event on another rank's engine.
 //
-// The result: every sampled series is byte-identical for every -shards
-// and -workers setting, which the shard bit-identity tests enforce.
+// The result: every sampled series is byte-identical for every engine
+// shard count and worker count, which the shard bit-identity tests
+// enforce.
 package obs
 
 import "sunuintah/internal/sim"
 
-// Defaults for Options fields left zero.
+// The sampler's grid.
 const (
 	// DefaultInterval is the sampling grid in virtual seconds.
 	DefaultInterval = 1e-5
 	// DefaultMaxSamples caps each series; on overflow every other sample
 	// is dropped and the grid interval doubles (so long runs degrade
-	// resolution instead of memory).
+	// resolution instead of memory). It is even, as NewSeries requires.
 	DefaultMaxSamples = 512
 )
 
-// Options configures run-report collection. The zero value of each field
-// selects its default. Like scheduler.Config.Workers and core Shards,
-// observability options are wall-clock/reporting knobs only: they never
-// change the simulated outcome and never enter the runner's content hash.
+// Options configures run-report collection. Like scheduler.Config.Workers
+// and core Shards, observability options are wall-clock/reporting knobs
+// only: they never change the simulated outcome and never enter the
+// runner's content hash.
 type Options struct {
-	// Interval is the sampling grid in virtual seconds.
-	Interval float64 `json:"interval,omitempty"`
-	// MaxSamples bounds each series before decimation.
-	MaxSamples int `json:"maxSamples,omitempty"`
 	// Trace additionally exports the canonically sorted event timeline
 	// into the run's Result, enabling Perfetto/Chrome trace download.
 	Trace bool `json:"trace,omitempty"`
@@ -64,24 +61,9 @@ type Options struct {
 	HooksOnly bool `json:"-"`
 }
 
-// normalized fills defaults.
-func (o Options) normalized() Options {
-	if o.Interval <= 0 {
-		o.Interval = DefaultInterval
-	}
-	if o.MaxSamples <= 0 {
-		o.MaxSamples = DefaultMaxSamples
-	}
-	if o.MaxSamples%2 != 0 {
-		o.MaxSamples++
-	}
-	return o
-}
-
 // Sampler owns one RankProbes per rank and assembles the final Report.
 // A nil Sampler is safe: Rank returns nil probes, whose hooks are no-ops.
 type Sampler struct {
-	opts  Options
 	ranks []*RankProbes
 }
 
@@ -91,18 +73,18 @@ type Sampler struct {
 // used to be allocated from inside the hooks, and the GC churn they
 // caused during the parallel run phase dominated the sampler's measured
 // overhead (bench's obs.overhead_frac metric).
-func NewSampler(opts Options, nRanks int) *Sampler {
-	s := &Sampler{opts: opts.normalized()}
+func NewSampler(nRanks int) *Sampler {
+	s := &Sampler{}
 	if nRanks <= 0 {
 		return s
 	}
 	ser := make([]Series, nRanks*eagerSeries)
-	buf := make([]float64, nRanks*eagerSeries*s.opts.MaxSamples)
+	buf := make([]float64, nRanks*eagerSeries*DefaultMaxSamples)
 	s.ranks = make([]*RankProbes, 0, nRanks)
 	for r := 0; r < nRanks; r++ {
 		off := r * eagerSeries
-		s.ranks = append(s.ranks, newRankProbes(r, s.opts,
-			ser[off:off+eagerSeries], buf[off*s.opts.MaxSamples:(off+eagerSeries)*s.opts.MaxSamples]))
+		s.ranks = append(s.ranks, newRankProbes(r,
+			ser[off:off+eagerSeries], buf[off*DefaultMaxSamples:(off+eagerSeries)*DefaultMaxSamples]))
 	}
 	return s
 }

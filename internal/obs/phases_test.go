@@ -6,7 +6,7 @@ import (
 )
 
 func TestFoldPhases(t *testing.T) {
-	s := NewSampler(Options{Interval: 1e-5}, 2)
+	s := NewSampler(2)
 	feed(s)
 	rep := s.Report(1e-4)
 
@@ -60,7 +60,7 @@ func TestFoldPhasesNilAndEmpty(t *testing.T) {
 	if rep.FoldPhases([]PhaseWindow{{Name: "x", End: 1}}) != nil {
 		t.Fatal("nil report must fold to nil")
 	}
-	s := NewSampler(Options{}, 1)
+	s := NewSampler(1)
 	s.Rank(0).QueueDepth(0, 1)
 	stats := s.Report(1e-4).FoldPhases([]PhaseWindow{{Name: "beyond", Start: 1, End: 2}})
 	if len(stats) != 1 || stats[0].Samples != 0 || stats[0].QueueMean != 0 {

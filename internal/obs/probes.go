@@ -10,7 +10,6 @@ import "sunuintah/internal/sim"
 // an AllocsPerRun test).
 type RankProbes struct {
 	rank int
-	opts Options
 
 	queue     *Series // ready/remaining task objects this step
 	prepared  *Series // work-ahead objects staged for offload
@@ -35,18 +34,18 @@ const eagerSeries = 7
 // arenas: ser holds eagerSeries Series structs, buf holds
 // eagerSeries*MaxSamples floats. Lazily created series (faults,
 // recoveries) still self-allocate — most runs never touch them.
-func newRankProbes(rank int, opts Options, ser []Series, buf []float64) *RankProbes {
+func newRankProbes(rank int, ser []Series, buf []float64) *RankProbes {
 	i := 0
 	mk := func() *Series {
 		s := &ser[i]
-		lo, hi := i*opts.MaxSamples, (i+1)*opts.MaxSamples
-		*s = Series{interval: opts.Interval, max: opts.MaxSamples,
+		lo, hi := i*DefaultMaxSamples, (i+1)*DefaultMaxSamples
+		*s = Series{interval: DefaultInterval, max: DefaultMaxSamples,
 			samples: buf[lo:lo:hi]}
 		i++
 		return s
 	}
 	return &RankProbes{
-		rank: rank, opts: opts,
+		rank:  rank,
 		queue: mk(), prepared: mk(), gangs: mk(),
 		inflight: mk(), inflightB: mk(), dma: mk(), mem: mk(),
 	}
@@ -118,7 +117,7 @@ func (p *RankProbes) Fault(t sim.Time) {
 		return
 	}
 	if p.faults == nil {
-		p.faults = NewSeries(p.opts.Interval, p.opts.MaxSamples)
+		p.faults = NewSeries(DefaultInterval, DefaultMaxSamples)
 	}
 	p.faults.Add(float64(t), 1)
 }
@@ -129,7 +128,7 @@ func (p *RankProbes) Recovery(t sim.Time) {
 		return
 	}
 	if p.recov == nil {
-		p.recov = NewSeries(p.opts.Interval, p.opts.MaxSamples)
+		p.recov = NewSeries(DefaultInterval, DefaultMaxSamples)
 	}
 	p.recov.Add(float64(t), 1)
 }

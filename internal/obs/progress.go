@@ -19,14 +19,6 @@ type ProgressEvent struct {
 	Dropped uint64 `json:"dropped,omitempty"`
 }
 
-// Frac is the fractional completion, 0 when Total is unknown.
-func (e ProgressEvent) Frac() float64 {
-	if e.Total <= 0 {
-		return 0
-	}
-	return float64(e.Done) / float64(e.Total)
-}
-
 // ProgressBus is a topic-keyed fan-out for ProgressEvents with bounded,
 // non-blocking delivery: each subscriber owns a fixed-capacity channel
 // (the ring buffer), and a publish that finds it full drops the event and
@@ -97,19 +89,6 @@ func (b *ProgressBus) Unsubscribe(sub *ProgressSub) {
 		}
 	}
 	b.mu.Unlock()
-}
-
-// Subscribers returns the current subscriber count for topic.
-func (b *ProgressBus) Subscribers(topic string) int {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if tp := b.topics[topic]; tp != nil {
-		return len(tp.subs)
-	}
-	return 0
 }
 
 // Publish stamps ev's Seq and delivers it to every subscriber of topic

@@ -17,9 +17,6 @@ func TestProgressBusDelivery(t *testing.T) {
 	if e1.Dropped != 0 || e2.Dropped != 0 {
 		t.Fatalf("unexpected drops: %d, %d", e1.Dropped, e2.Dropped)
 	}
-	if f := e2.Frac(); f != 1 {
-		t.Fatalf("frac = %v, want 1", f)
-	}
 	b.Unsubscribe(sub)
 	if _, ok := <-sub.C; ok {
 		t.Fatal("channel must be closed after Unsubscribe")
@@ -51,14 +48,11 @@ func TestProgressBusTopicsIsolatedAndNilSafe(t *testing.T) {
 	var nilBus *ProgressBus
 	nilBus.Publish("x", ProgressEvent{}) // no-op
 	nilBus.Unsubscribe(nil)
-	if nilBus.Subscribers("x") != 0 {
-		t.Fatal("nil bus has no subscribers")
-	}
 
 	b := NewProgressBus()
 	b.Publish("nobody", ProgressEvent{}) // cheap no-op, must not panic
 	a := b.Subscribe("a", 2)
-	if got := b.Subscribers("a"); got != 1 {
+	if got := len(b.topics["a"].subs); got != 1 {
 		t.Fatalf("subscribers(a) = %d, want 1", got)
 	}
 	b.Publish("b", ProgressEvent{Done: 9})
@@ -68,8 +62,8 @@ func TestProgressBusTopicsIsolatedAndNilSafe(t *testing.T) {
 	default:
 	}
 	b.Unsubscribe(a)
-	if got := b.Subscribers("a"); got != 0 {
-		t.Fatalf("subscribers(a) after unsubscribe = %d, want 0", got)
+	if _, ok := b.topics["a"]; ok {
+		t.Fatal("topic a kept after its last subscriber left")
 	}
 }
 

@@ -140,16 +140,6 @@ func (v *GaugeVec) Set(val float64, labelVals ...string) {
 	v.reg.mu.Unlock()
 }
 
-// Add adjusts the gauge by d.
-func (v *GaugeVec) Add(d float64, labelVals ...string) {
-	if v == nil {
-		return
-	}
-	v.reg.mu.Lock()
-	v.fam.sampleFor(labelVals).value += d
-	v.reg.mu.Unlock()
-}
-
 // HistogramVec is a fixed-bucket histogram family.
 type HistogramVec struct {
 	reg *Registry

@@ -95,7 +95,7 @@ func TestRegistryNilSafe(t *testing.T) {
 	var cv *CounterVec
 	cv.Add(1)
 	var gv *GaugeVec
-	gv.Add(1)
+	gv.Set(1)
 	var hv *HistogramVec
 	hv.Observe(1)
 }

@@ -104,11 +104,9 @@ func (s *Sampler) Report(end sim.Time) *Report {
 // the critical path walks, so the whole report costs one snapshot).
 //
 // One pass accumulates every rank's totals and the two overlap pairs
-// share one per-rank edge sweep. (The naive per-rank
-// Recorder.OverlapTime calls each re-copy and re-scan the whole
-// multi-rank event list — 3 passes x nRanks turned the flight recorder
-// into the dominant cost of short observed runs, which bench's
-// obs.overhead_frac metric now measures.)
+// share one per-rank edge sweep, so the cost is one pass over the event
+// list whatever the rank count (bench's obs.overhead_frac metric
+// measures it).
 func (r *Report) AddOverlap(events []trace.Event, nRanks int) {
 	if r == nil {
 		return
@@ -120,8 +118,7 @@ func (r *Report) AddOverlap(events []trace.Event, nRanks int) {
 
 	// Edge sweep per rank over the three overlap-relevant kinds. delta
 	// sorts close (-1) before open (+1) at equal times so adjacent
-	// intervals do not count as overlapping — same tie rule as
-	// trace.Recorder.OverlapTime.
+	// intervals do not count as overlapping.
 	type edge struct {
 		t     sim.Time
 		kind  int8 // 0 kernel, 1 comm, 2 mpe-work

@@ -30,7 +30,7 @@ func feed(s *Sampler) {
 }
 
 func TestSamplerReport(t *testing.T) {
-	s := NewSampler(Options{Interval: 1e-5}, 2)
+	s := NewSampler(2)
 	feed(s)
 	rep := s.Report(1e-4)
 	if rep.Samples == 0 || rep.IntervalSeconds != 1e-5 || len(rep.Ranks) != 2 {
@@ -65,7 +65,7 @@ func TestSamplerReport(t *testing.T) {
 
 func TestReportDeterministicAcrossFeedOrder(t *testing.T) {
 	mk := func(swap bool) []byte {
-		s := NewSampler(Options{}, 2)
+		s := NewSampler(2)
 		// Same virtual instants, opposite hook call order — as happens
 		// when shards execute an instant on different goroutines.
 		if swap {
@@ -89,7 +89,7 @@ func TestReportDeterministicAcrossFeedOrder(t *testing.T) {
 }
 
 func TestReportFoldsOverlapAndRoofline(t *testing.T) {
-	s := NewSampler(Options{}, 1)
+	s := NewSampler(1)
 	s.Rank(0).QueueDepth(0, 1)
 	rep := s.Report(1e-4)
 
@@ -121,8 +121,40 @@ func TestReportFoldsOverlapAndRoofline(t *testing.T) {
 	}
 }
 
+// TestAddOverlapDistinctKinds: only the time a kernel and an MPE-work
+// interval are open together on the same rank counts.
+func TestAddOverlapDistinctKinds(t *testing.T) {
+	var rep Report
+	rep.AddOverlap([]trace.Event{
+		{Rank: 0, Kind: trace.KindKernel, Start: 0, End: 10},
+		{Rank: 0, Kind: trace.KindMPEWork, Start: 4, End: 6},
+		{Rank: 0, Kind: trace.KindMPEWork, Start: 12, End: 14},
+		{Rank: 1, Kind: trace.KindMPEWork, Start: 0, End: 10},
+	}, 2)
+	if got := rep.Overlap[0].KernelMPEOverlap; got != 2 {
+		t.Fatalf("overlap = %v, want 2", got)
+	}
+	if got := rep.Overlap[1].KernelMPEOverlap; got != 0 {
+		t.Fatalf("rank 1 overlap = %v, want 0", got)
+	}
+}
+
+// TestAddOverlapAdjacentIntervalsDoNotCount: an interval closing at the
+// instant another opens is not an overlap.
+func TestAddOverlapAdjacentIntervalsDoNotCount(t *testing.T) {
+	var rep Report
+	rep.AddOverlap([]trace.Event{
+		{Rank: 0, Kind: trace.KindKernel, Start: 0, End: 5},
+		{Rank: 0, Kind: trace.KindMPEWork, Start: 5, End: 8},
+		{Rank: 0, Kind: trace.KindComm, Start: 5, End: 6},
+	}, 1)
+	if ov := rep.Overlap[0]; ov.KernelMPEOverlap != 0 || ov.KernelCommOverlap != 0 {
+		t.Fatalf("touching intervals overlap: %+v", ov)
+	}
+}
+
 func TestReportJSONRoundTrip(t *testing.T) {
-	s := NewSampler(Options{}, 2)
+	s := NewSampler(2)
 	feed(s)
 	rep := s.Report(1e-4)
 	b, err := json.Marshal(rep)

@@ -40,17 +40,10 @@ type transition struct {
 	delta float64
 }
 
-// NewSeries builds a series on the given grid. interval and max fall back
-// to the package defaults when non-positive; max is rounded up to even so
-// that decimation (keep the even indices, double the interval) lands the
-// next push exactly on the coarser grid.
+// NewSeries builds a series on the given grid. max is rounded up to even
+// so that decimation (keep the even indices, double the interval) lands
+// the next push exactly on the coarser grid.
 func NewSeries(interval float64, max int) *Series {
-	if interval <= 0 {
-		interval = DefaultInterval
-	}
-	if max <= 0 {
-		max = DefaultMaxSamples
-	}
 	if max%2 != 0 {
 		max++
 	}
@@ -88,14 +81,6 @@ func (s *Series) AddAt(t, at, dv float64) {
 	}
 	s.pseq++
 	s.pushPending(transition{at: at, seq: s.pseq, delta: dv})
-}
-
-// Value returns the current (uncommitted) value.
-func (s *Series) Value() float64 {
-	if s == nil {
-		return 0
-	}
-	return s.cur
 }
 
 // Interval returns the current grid interval (it doubles on decimation).

@@ -138,7 +138,7 @@ func TestSeriesNilSafe(t *testing.T) {
 	s.Add(1, 2)
 	s.AddAt(1, 2, 3)
 	s.Finalize(10)
-	if s.Samples() != nil || s.Value() != 0 || s.Interval() != 0 {
+	if s.Samples() != nil || s.Interval() != 0 {
 		t.Fatal("nil series must be inert")
 	}
 }

@@ -230,13 +230,6 @@ func (sel Selection) Canonical() string {
 	return "mix:" + strings.Join(parts, ",")
 }
 
-// IsDefault reports whether the selection is the historical Burgers
-// default (and therefore must hash and run identically to a spec with
-// no physics field at all).
-func (sel Selection) IsDefault() bool {
-	return len(sel.Shares) == 1 && sel.Shares[0].Name == "burgers"
-}
-
 // Mixed reports whether more than one model participates.
 func (sel Selection) Mixed() bool { return len(sel.Shares) > 1 }
 

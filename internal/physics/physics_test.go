@@ -25,7 +25,7 @@ func TestParseSingles(t *testing.T) {
 		}
 	}
 	sel, err := Parse("")
-	if err != nil || !sel.IsDefault() {
+	if err != nil || len(sel.Shares) != 1 || sel.Shares[0].Name != "burgers" {
 		t.Fatalf("empty selector: %+v, %v", sel, err)
 	}
 }

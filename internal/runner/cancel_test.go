@@ -39,14 +39,14 @@ func TestCancelQueuedJob(t *testing.T) {
 		t.Fatal("Cancel of queued job reported not pending")
 	}
 	select {
-	case <-queued.Done():
+	case <-queued.done:
 	case <-time.After(time.Second):
 		t.Fatal("canceled queued job did not finish")
 	}
 	if queued.State() != StateCanceled {
 		t.Fatalf("state = %s, want canceled", queued.State())
 	}
-	if _, err := queued.Result(); !errors.Is(err, ErrCanceled) {
+	if err := queued.err; !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	if m := p.Metrics(); m.Canceled != 1 {
@@ -113,7 +113,7 @@ func TestCancelDoesNotPoisonWorkerOrCache(t *testing.T) {
 	spec := Spec{Cells: "3x3x3", CGs: 1, Variant: "a", Steps: 1}
 	j := p.Submit(spec)
 	p.Cancel(j)
-	<-j.Done()
+	<-j.done
 
 	// The same spec resubmitted after a cancel executes fresh: a canceled
 	// outcome must never have been cached.
@@ -151,7 +151,7 @@ func TestCancelEventEmitted(t *testing.T) {
 	blocker := p.Submit(Spec{Cells: "1x1x1", CGs: 1, Variant: "a", Steps: 1})
 	queued := p.Submit(Spec{Cells: "2x2x2", CGs: 1, Variant: "a", Steps: 1})
 	p.Cancel(queued)
-	<-queued.Done()
+	<-queued.done
 	mu.Lock()
 	var seen bool
 	for _, k := range kinds {

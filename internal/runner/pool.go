@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,16 +56,14 @@ type Config struct {
 	// Timeout bounds each execution attempt; 0 disables. A timed-out
 	// attempt fails the job but never the process.
 	Timeout time.Duration
-	// Retries is the number of extra attempts for retryable failures:
-	// panics (always) and errors of jobs using the noise model. 0 means
-	// fail on the first error.
-	Retries int
-	// Backoff is the delay before the first retry, doubling per attempt.
-	Backoff time.Duration
 	// OnEvent, when non-nil, receives progress events. It may be called
 	// concurrently from worker goroutines and must be safe for that.
 	OnEvent func(Event)
 }
+
+// retries is the number of extra attempts for retryable failures: panics
+// (always) and errors of jobs using the noise model.
+const retries = 2
 
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("runner: pool closed")
@@ -119,9 +116,6 @@ type Job struct {
 // State reports the job's current lifecycle state.
 func (j *Job) State() JobState { return j.state.Load().(JobState) }
 
-// Done returns a channel closed when the job finishes.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
 // Wait blocks until the job finishes or ctx is cancelled.
 func (j *Job) Wait(ctx context.Context) (*Result, error) {
 	select {
@@ -131,10 +125,6 @@ func (j *Job) Wait(ctx context.Context) (*Result, error) {
 		return nil, ctx.Err()
 	}
 }
-
-// Result returns the outcome of a finished job without blocking; it is
-// only valid after Done is closed.
-func (j *Job) Result() (*Result, error) { return j.result, j.err }
 
 // Pool executes jobs concurrently with caching, dedup, panic recovery,
 // timeouts and bounded retry.
@@ -367,17 +357,11 @@ func (p *Pool) execute(j *Job) {
 	var err error
 	for attempt := 0; ; attempt++ {
 		res, err = p.attempt(jobCtx, j.Spec)
-		if err == nil || !p.retryable(j.Spec, err) || attempt >= p.cfg.Retries {
+		if err == nil || !p.retryable(j.Spec, err) || attempt >= retries {
 			break
 		}
 		atomic.AddInt64(&p.m.retries, 1)
 		p.emit(EventRetried, j.Spec, err)
-		if p.cfg.Backoff > 0 {
-			select {
-			case <-time.After(backoffDelay(p.cfg.Backoff, j.Hash, attempt)):
-			case <-jobCtx.Done():
-			}
-		}
 	}
 	atomic.AddInt64(&p.m.running, -1)
 	atomic.AddInt64(&p.m.executed, 1)
@@ -438,29 +422,6 @@ func (p *Pool) attempt(jobCtx context.Context, spec Spec) (*Result, error) {
 		atomic.AddInt64(&p.m.execNanos, int64(time.Since(start)))
 		return nil, fmt.Errorf("runner: job %s: %w", spec, ctx.Err())
 	}
-}
-
-// backoffDelay derives the pause before the next retry of a job from the
-// job's content hash: exponential doubling per attempt with a jitter
-// factor in [0.5, 1.5) drawn by splitmix64 from the hash and attempt
-// number. The jitter desynchronises retries of distinct jobs without any
-// wall-clock or global-rand dependence, so a given job's retry schedule is
-// reproducible across runs and processes.
-func backoffDelay(base time.Duration, hash string, attempt int) time.Duration {
-	d := base << uint(attempt)
-	if len(hash) < 16 {
-		return d
-	}
-	seed, err := strconv.ParseUint(hash[:16], 16, 64)
-	if err != nil {
-		return d
-	}
-	z := seed ^ uint64(attempt+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	frac := float64(z>>11) / float64(1<<53)
-	return time.Duration(float64(d) * (0.5 + frac))
 }
 
 // retryable reports whether a failed attempt should be retried: panics

@@ -32,29 +32,6 @@ func TestFaultPlanHash(t *testing.T) {
 	}
 }
 
-func TestBackoffDelayDeterministic(t *testing.T) {
-	const base = 10 * time.Millisecond
-	hash := Spec{Problem: "32x64x512", CGs: 1, Variant: "acc.async", Steps: 1}.Hash()
-	for attempt := 0; attempt < 4; attempt++ {
-		d1 := backoffDelay(base, hash, attempt)
-		d2 := backoffDelay(base, hash, attempt)
-		if d1 != d2 {
-			t.Fatalf("attempt %d: backoff not deterministic: %v vs %v", attempt, d1, d2)
-		}
-		exp := base << uint(attempt)
-		if d1 < exp/2 || d1 >= exp+exp/2 {
-			t.Fatalf("attempt %d: delay %v outside [%v, %v)", attempt, d1, exp/2, exp+exp/2)
-		}
-	}
-	other := Spec{Problem: "64x64x512", CGs: 1, Variant: "acc.async", Steps: 1}.Hash()
-	if backoffDelay(base, hash, 0) == backoffDelay(base, other, 0) {
-		t.Fatal("distinct jobs should jitter to distinct delays")
-	}
-	if got := backoffDelay(base, "nothex!", 1); got != base<<1 {
-		t.Fatalf("malformed hash should fall back to plain exponential, got %v", got)
-	}
-}
-
 func TestShutdownDrainsInFlightJobs(t *testing.T) {
 	p, err := New(Config{Workers: 2, Exec: func(ctx context.Context, spec Spec) (*Result, error) {
 		time.Sleep(20 * time.Millisecond)
@@ -73,7 +50,7 @@ func TestShutdownDrainsInFlightJobs(t *testing.T) {
 		t.Fatalf("graceful shutdown should drain, got %v", err)
 	}
 	for _, j := range jobs {
-		if r, err := j.Result(); err != nil || r == nil {
+		if r, err := j.result, j.err; err != nil || r == nil {
 			t.Fatalf("job %s not drained: %v", j.Spec, err)
 		}
 	}

@@ -183,28 +183,30 @@ func TestPoolPanicFailsOnlyThatJob(t *testing.T) {
 
 // TestPoolSurvivesPanickingRankBody: a panic inside a simulated rank — a
 // sim.Process body, not the exec function itself — must reach the pool's
-// recover as that job's error, on the serial engine (Shards 0) and on shard
-// workers (Shards 4 at GOMAXPROCS 4), and leave the pool serving.
+// recover as that job's error, on the serial engine and on shard workers
+// (4 shards at GOMAXPROCS 4), and leave the pool serving. A spec's CGs
+// beyond the four ranks selects the shard count.
 func TestPoolSurvivesPanickingRankBody(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	p, err := New(Config{
 		Workers: 2,
 		Exec: func(ctx context.Context, spec Spec) (*Result, error) {
 			engOf, run := func(int) *sim.Engine { return nil }, func() sim.Time { return 0 }
-			if spec.Shards > 1 {
-				ss := sim.NewShardSet(spec.Shards, sim.Microsecond)
+			if shards := spec.CGs - 4; shards > 1 {
+				ss := sim.NewShardSet(shards, sim.Microsecond)
 				engOf, run = ss.Engine, ss.Run
 			} else {
 				e := sim.NewEngine()
 				engOf, run = func(int) *sim.Engine { return e }, e.Run
 			}
 			for r := 0; r < 4; r++ {
+				r := r
 				engOf(r).Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Process) {
-					p.Sleep(sim.Millisecond)
-					if spec.Problem == "boom" && p.Name() == "rank3" {
+					p.Sleep(1e-3)
+					if spec.Problem == "boom" && r == 3 {
 						panic("kernel exploded")
 					}
-					p.Sleep(sim.Millisecond)
+					p.Sleep(1e-3)
 				})
 			}
 			return fakeResult(float64(run())), nil
@@ -216,14 +218,13 @@ func TestPoolSurvivesPanickingRankBody(t *testing.T) {
 	defer p.Close()
 
 	for _, shards := range []int{0, 4} {
-		// Shards is not part of a spec's identity; CGs keeps the jobs distinct.
-		bad := p.Submit(Spec{Problem: "boom", CGs: 4 + shards, Variant: "v", Steps: 1, Shards: shards})
+		bad := p.Submit(Spec{Problem: "boom", CGs: 4 + shards, Variant: "v", Steps: 1})
 		_, err := bad.Wait(context.Background())
 		var pe *PanicError
 		if !errors.As(err, &pe) || pe.Value != "kernel exploded" {
 			t.Fatalf("shards=%d: want the body's panic as a PanicError, got %v", shards, err)
 		}
-		good := p.Submit(Spec{Problem: "fine", CGs: 4 + shards, Variant: "v", Steps: 1, Shards: shards})
+		good := p.Submit(Spec{Problem: "fine", CGs: 4 + shards, Variant: "v", Steps: 1})
 		if _, err := good.Wait(context.Background()); err != nil {
 			t.Fatalf("shards=%d: pool stopped serving after the panic: %v", shards, err)
 		}
@@ -234,7 +235,6 @@ func TestPoolRetriesNoisyJobs(t *testing.T) {
 	var attempts int64
 	p, err := New(Config{
 		Workers: 1,
-		Retries: 2,
 		Exec: func(ctx context.Context, spec Spec) (*Result, error) {
 			if atomic.AddInt64(&attempts, 1) < 3 {
 				return nil, errors.New("transient")
@@ -266,7 +266,6 @@ func TestPoolDoesNotRetryDeterministicErrors(t *testing.T) {
 	var attempts int64
 	p, err := New(Config{
 		Workers: 1,
-		Retries: 3,
 		Exec: func(ctx context.Context, spec Spec) (*Result, error) {
 			atomic.AddInt64(&attempts, 1)
 			return nil, errors.New("bad spec")

@@ -72,18 +72,12 @@ type Spec struct {
 	// the field, so pre-existing cache entries stay valid.
 	Faults *faults.Plan `json:"faults,omitempty"`
 
-	// Shards selects the conservative parallel engine (0 or 1 = serial).
-	// It is a wall-clock knob only: results are bit-identical for every
-	// shard count, so — like the pool's worker count — it deliberately
-	// never enters the canonical form or the content hash.
-	Shards int `json:"shards,omitempty"`
-
 	// Report attaches the flight recorder (core's Result.Obs) and Trace
 	// additionally captures the full event timeline. Both are reporting
 	// knobs: they never change scheduling, timing or numerics, and the
-	// recorded series are bit-identical across Shards and worker counts —
-	// so, like Shards, they deliberately never enter the canonical form or
-	// the content hash. (A cached result may therefore lack a report the
+	// recorded series are bit-identical across worker counts — so, like
+	// the pool's worker count, they deliberately never enter the canonical
+	// form or the content hash. (A cached result may therefore lack a report the
 	// request asked for; callers that need one bypass the cache.)
 	Report bool `json:"report,omitempty"`
 	Trace  bool `json:"trace,omitempty"`

@@ -8,6 +8,7 @@ import (
 	"sunuintah/internal/burgers"
 	"sunuintah/internal/core"
 	"sunuintah/internal/grid"
+	"sunuintah/internal/obs"
 	"sunuintah/internal/scheduler"
 	"sunuintah/internal/taskgraph"
 	"sunuintah/internal/trace"
@@ -32,6 +33,14 @@ func timingSim(t *testing.T, cells grid.IVec, cgs int, cfg scheduler.Config) *co
 	return s
 }
 
+// overlaps folds a recorded timeline into per-rank overlap statistics,
+// the way the flight recorder's report does.
+func overlaps(rec *trace.Recorder, ranks int) []obs.RankOverlap {
+	var rep obs.Report
+	rep.AddOverlap(rec.Events(), ranks)
+	return rep.Overlap
+}
+
 func TestSyncModeNeverOverlapsKernelWithMPEWork(t *testing.T) {
 	rec := trace.New()
 	s := timingSim(t, grid.IV(64, 64, 64), 2,
@@ -39,9 +48,9 @@ func TestSyncModeNeverOverlapsKernelWithMPEWork(t *testing.T) {
 	if _, err := s.Run(2); err != nil {
 		t.Fatal(err)
 	}
-	for rank := 0; rank < 2; rank++ {
-		if ov := rec.OverlapTime(rank, trace.KindKernel, trace.KindMPEWork); ov > 0 {
-			t.Errorf("rank %d: sync scheduler overlapped %.6fs of MPE work with kernels", rank, float64(ov))
+	for rank, ov := range overlaps(rec, 2) {
+		if ov.KernelMPEOverlap > 0 {
+			t.Errorf("rank %d: sync scheduler overlapped %.6fs of MPE work with kernels", rank, ov.KernelMPEOverlap)
 		}
 	}
 }
@@ -53,11 +62,9 @@ func TestAsyncModeOverlapsKernelWithMPEWork(t *testing.T) {
 	if _, err := s.Run(2); err != nil {
 		t.Fatal(err)
 	}
-	total := trace.Kind("")
-	_ = total
 	anyOverlap := false
-	for rank := 0; rank < 2; rank++ {
-		if rec.OverlapTime(rank, trace.KindKernel, trace.KindMPEWork) > 0 {
+	for _, ov := range overlaps(rec, 2) {
+		if ov.KernelMPEOverlap > 0 {
 			anyOverlap = true
 		}
 	}
@@ -136,9 +143,20 @@ func TestCPEGroupsRunKernelsConcurrently(t *testing.T) {
 	if _, err := s.Run(1); err != nil {
 		t.Fatal(err)
 	}
-	if ov := rec.OverlapTime(0, trace.KindKernel, trace.KindKernel); ov <= 0 {
-		// Two kernel intervals of the same kind overlapping requires two
-		// slots busy at once.
+	// Two kernel intervals overlapping requires two slots busy at once.
+	var kernels []trace.Event
+	for _, e := range rec.Events() {
+		if e.Kind == trace.KindKernel {
+			kernels = append(kernels, e)
+		}
+	}
+	concurrent := false
+	for i, a := range kernels {
+		for _, b := range kernels[i+1:] {
+			concurrent = concurrent || (a.Start < b.End && b.Start < a.End)
+		}
+	}
+	if !concurrent {
 		t.Fatal("CPE groups never ran two kernels concurrently")
 	}
 }

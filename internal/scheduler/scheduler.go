@@ -150,14 +150,6 @@ type FaultStats struct {
 	UnhealthyGangs  int64 // CPE gangs marked unhealthy (kept off rotation)
 }
 
-// Add accumulates other into f.
-func (f *FaultStats) Add(other FaultStats) {
-	f.OffloadTimeouts += other.OffloadTimeouts
-	f.Reoffloads += other.Reoffloads
-	f.MPEFallbacks += other.MPEFallbacks
-	f.UnhealthyGangs += other.UnhealthyGangs
-}
-
 // faultStats lazily allocates the fault counters (only faulty runs carry
 // them, keeping fault-free JSON unchanged).
 func (s *Rank) faultStats() *FaultStats {

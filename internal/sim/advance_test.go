@@ -230,8 +230,8 @@ func TestAdvanceAroundCancelledHead(t *testing.T) {
 		e.Run()
 	})
 	wantLog(t, log, "0.500 a before", "1.500 a after")
-	if e.executed != 3 || e.PendingEvents() != 0 {
-		t.Fatalf("executed %d events with %d pending, want 3 and 0", e.executed, e.PendingEvents())
+	if e.executed != 3 || pendingEvents(e) != 0 {
+		t.Fatalf("executed %d events with %d pending, want 3 and 0", e.executed, pendingEvents(e))
 	}
 }
 
@@ -248,7 +248,7 @@ func TestAdvanceAtRunUntilDeadline(t *testing.T) {
 		if end := e.RunUntil(5); end != 5 {
 			log.add(e, "RunUntil returned %v", end)
 		}
-		log.add(e, "paused with %d pending", e.PendingEvents())
+		log.add(e, "paused with %d pending", pendingEvents(e))
 		e.Run()
 	})
 	wantLog(t, log, "5.000 a at the deadline", "5.000 paused with 1 pending", "6.000 a past it")

@@ -72,7 +72,7 @@ func TestProcessFinishesWhileOthersSleep(t *testing.T) {
 	var sawFinished bool
 	e.Spawn("long", func(p *Process) {
 		p.Sleep(2)
-		sawFinished = short.Finished() && e.ActiveProcesses() == 1
+		sawFinished = short.finished && e.active == 1
 		p.Sleep(2)
 	})
 	if end := e.Run(); end != 4 {
@@ -93,8 +93,8 @@ func TestRepeatedRunOnOneEngine(t *testing.T) {
 	if want := []Time{1.5, 3, 4.5}; !reflect.DeepEqual(ends, want) {
 		t.Fatalf("segment ends = %v, want %v", ends, want)
 	}
-	if e.ActiveProcesses() != 0 {
-		t.Fatalf("active = %d after three drained runs", e.ActiveProcesses())
+	if e.active != 0 {
+		t.Fatalf("active = %d after three drained runs", e.active)
 	}
 }
 
@@ -120,12 +120,12 @@ func TestSameInstantWakeOrder(t *testing.T) {
 func TestDeadlockRosterText(t *testing.T) {
 	e := NewEngine()
 	sig := NewSignal(e, "never")
-	box := NewMailbox[int](e, "inbox")
+	flag := NewCounter(e, "inbox")
 	e.Spawn("b-stuck", func(p *Process) { sig.Wait(p) })
-	e.Spawn("a-stuck", func(p *Process) { box.Recv(p) })
+	e.Spawn("a-stuck", func(p *Process) { flag.WaitFor(p, 1) })
 	e.Spawn("done", func(p *Process) { p.Sleep(1) })
 	defer func() {
-		want := `sim: deadlock: a-stuck(blocked at "mailbox:inbox"), b-stuck(blocked at "signal:never")`
+		want := `sim: deadlock: a-stuck(blocked at "counter:inbox"), b-stuck(blocked at "signal:never")`
 		if r := recover(); r != want {
 			t.Fatalf("panic = %v\nwant    %v", r, want)
 		}

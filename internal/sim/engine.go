@@ -23,13 +23,8 @@ type Time float64
 // Infinity is a sentinel time later than any event.
 const Infinity Time = Time(math.MaxFloat64)
 
-// Duration helpers for readability at call sites.
-const (
-	Nanosecond  Time = 1e-9
-	Microsecond Time = 1e-6
-	Millisecond Time = 1e-3
-	Second      Time = 1
-)
+// Microsecond is one microsecond of virtual time.
+const Microsecond Time = 1e-6
 
 // Caller is an allocation-free event target: scheduling a Caller instead of
 // a func() closure lets a long-lived actor (a process, a signal, a message
@@ -543,25 +538,6 @@ func (e *Engine) Interrupt(reason string) {
 	}
 	e.stopped = true
 }
-
-// Interrupted returns the reason passed to Interrupt, or "" if the engine
-// was not interrupted.
-func (e *Engine) Interrupted() string { return e.interrupted }
-
-// PendingEvents returns the number of live calendar entries (cancelled
-// events still in the heap are not counted).
-func (e *Engine) PendingEvents() int {
-	n := 0
-	for _, ev := range e.queue.evs {
-		if !ev.cancelled {
-			n++
-		}
-	}
-	return n
-}
-
-// ActiveProcesses returns the number of spawned, unfinished processes.
-func (e *Engine) ActiveProcesses() int { return e.active }
 
 func (e *Engine) blockedRoster() string {
 	var names []string

@@ -69,9 +69,6 @@ func (p *Process) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Process) Now() Time { return p.eng.now }
 
-// Name returns the process name given at Spawn.
-func (p *Process) Name() string { return p.name }
-
 // Sleep advances the process by d of virtual time. Other processes and
 // events run in the interim. A non-positive d yields the processor for the
 // current instant (other same-time events run) and resumes. When nothing
@@ -103,9 +100,6 @@ func (p *Process) SleepUntil(at Time) {
 // Done returns a signal fired when the process body returns. Other
 // processes may Wait on it to join this process.
 func (p *Process) Done() *Signal { return p.doneSig }
-
-// Finished reports whether the process body has returned.
-func (p *Process) Finished() bool { return p.finished }
 
 // Signal is a one-shot broadcast event: processes block on Wait until some
 // actor calls Fire, after which Wait returns immediately forever.
@@ -153,9 +147,6 @@ func (s *Signal) tag() string {
 // "schedule this signal to fire after the wire time" costs no closure.
 func (s *Signal) Call() { s.Fire() }
 
-// Fired reports whether Fire has been called.
-func (s *Signal) Fired() bool { return s.fired }
-
 // Fire triggers the signal, waking all waiters at the current virtual time.
 // Firing twice is a no-op.
 func (s *Signal) Fire() {
@@ -199,116 +190,6 @@ func (s *Signal) OnFire(fn func()) {
 		return
 	}
 	s.callbacks = append(s.callbacks, fn)
-}
-
-// Mailbox is an unbounded FIFO queue of messages with blocking receive.
-// Any actor (process or event callback) may Send; only processes Recv.
-type Mailbox[T any] struct {
-	eng     *Engine
-	name    string
-	waitTag string
-	items   []T
-	waiters []*Process
-}
-
-// NewMailbox creates an empty mailbox.
-func NewMailbox[T any](e *Engine, name string) *Mailbox[T] {
-	return &Mailbox[T]{eng: e, name: name, waitTag: "mailbox:" + name}
-}
-
-// Len returns the number of queued messages.
-func (m *Mailbox[T]) Len() int { return len(m.items) }
-
-// Send enqueues v and wakes one waiting receiver, if any.
-func (m *Mailbox[T]) Send(v T) {
-	m.items = append(m.items, v)
-	if len(m.waiters) > 0 {
-		w := m.waiters[0]
-		m.waiters = m.waiters[1:]
-		m.eng.CallAfter(0, w)
-	}
-}
-
-// Recv dequeues the oldest message, blocking the calling process until one
-// is available.
-func (m *Mailbox[T]) Recv(p *Process) T {
-	for len(m.items) == 0 {
-		m.waiters = append(m.waiters, p)
-		p.yield(m.waitTag)
-	}
-	v := m.items[0]
-	m.items = m.items[1:]
-	return v
-}
-
-// TryRecv dequeues a message without blocking. ok is false if empty.
-func (m *Mailbox[T]) TryRecv() (v T, ok bool) {
-	if len(m.items) == 0 {
-		return v, false
-	}
-	v = m.items[0]
-	m.items = m.items[1:]
-	return v, true
-}
-
-// Resource is a counting semaphore representing a pool of identical units
-// (for example DMA channels or memory-controller slots). Acquire blocks the
-// calling process while no unit is free.
-type Resource struct {
-	eng      *Engine
-	name     string
-	waitTag  string
-	capacity int
-	inUse    int
-	waiters  []*Process
-}
-
-// NewResource creates a resource with the given number of units.
-// Capacity must be positive.
-func NewResource(e *Engine, name string, capacity int) *Resource {
-	if capacity <= 0 {
-		panic("sim: resource capacity must be positive: " + name)
-	}
-	return &Resource{eng: e, name: name, waitTag: "resource:" + name, capacity: capacity}
-}
-
-// Acquire claims one unit, blocking until available.
-func (r *Resource) Acquire(p *Process) {
-	for r.inUse >= r.capacity {
-		r.waiters = append(r.waiters, p)
-		p.yield(r.waitTag)
-	}
-	r.inUse++
-}
-
-// Release returns one unit and wakes one waiter.
-func (r *Resource) Release() {
-	if r.inUse <= 0 {
-		panic("sim: release of idle resource " + r.name)
-	}
-	r.inUse--
-	if len(r.waiters) > 0 {
-		w := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		r.eng.CallAfter(0, w)
-	}
-}
-
-// InUse returns the number of currently held units.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Capacity returns the total number of units.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// Use runs fn while holding one unit of the resource for the given service
-// time: acquire, sleep(serviceTime), optional fn, release.
-func (r *Resource) Use(p *Process, serviceTime Time, fn func()) {
-	r.Acquire(p)
-	p.Sleep(serviceTime)
-	if fn != nil {
-		fn()
-	}
-	r.Release()
 }
 
 // Counter is a monotonically increasing integer with the ability to wait

@@ -117,8 +117,8 @@ func TestShardSetInterruptPropagates(t *testing.T) {
 		if !ss.Engine(i).Stopped() {
 			t.Fatalf("shard %d not stopped after interrupt", i)
 		}
-		if ss.Engine(i).Interrupted() != "cg0 crashed" {
-			t.Fatalf("shard %d reason = %q", i, ss.Engine(i).Interrupted())
+		if ss.Engine(i).interrupted != "cg0 crashed" {
+			t.Fatalf("shard %d reason = %q", i, ss.Engine(i).interrupted)
 		}
 	}
 }
@@ -153,7 +153,8 @@ func TestShardSetLoneRunner(t *testing.T) {
 // holding a long local event chain; shard 1's response would land in shard
 // 0's past without the outMailAt window cap.
 func TestShardSetWakesIdleShard(t *testing.T) {
-	const lat = 5 * Nanosecond
+	const ns Time = 1e-9
+	const lat = 5 * ns
 	const chain = 50
 
 	type side struct{ hash uint64 }
@@ -167,10 +168,10 @@ func TestShardSetWakesIdleShard(t *testing.T) {
 	model := func(e0, e1 *Engine, post func(src, dst *Engine, at Time, fn func())) (*side, *side) {
 		s0, s1 := &side{}, &side{}
 		for k := 1; k <= chain; k++ {
-			at := Time(k) * Nanosecond
+			at := Time(k) * ns
 			e0.ScheduleAt(at, func() { fold(s0, at, 1) })
 		}
-		e0.ScheduleAt(Nanosecond+Time(1e-12), func() {
+		e0.ScheduleAt(ns+Time(1e-12), func() {
 			wake := e0.Now() + lat
 			post(e0, e1, wake, func() {
 				fold(s1, e1.Now(), 2)

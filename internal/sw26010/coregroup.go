@@ -37,7 +37,6 @@ type CoreGroup struct {
 // one simulation engine and one parameter set.
 type Machine struct {
 	Params perf.Params
-	eng    *sim.Engine
 	cgs    []*CoreGroup
 }
 
@@ -59,7 +58,7 @@ func NewMachineWithEngines(engs []*sim.Engine, params perf.Params) *Machine {
 	if len(engs) == 0 {
 		panic("sw26010: need at least one core group")
 	}
-	m := &Machine{Params: params, eng: engs[0]}
+	m := &Machine{Params: params}
 	for i, eng := range engs {
 		m.cgs = append(m.cgs, &CoreGroup{
 			ID:         i,
@@ -89,14 +88,8 @@ func (cg *CoreGroup) Jitter() float64 {
 	return 1 + cg.Params.NoiseFraction*u
 }
 
-// NumCGs returns the number of core groups.
-func (m *Machine) NumCGs() int { return len(m.cgs) }
-
 // CG returns core group i.
 func (m *Machine) CG(i int) *CoreGroup { return m.cgs[i] }
-
-// Engine returns the simulation engine.
-func (m *Machine) Engine() *sim.Engine { return m.eng }
 
 // TotalCounters aggregates the counters of every core group.
 func (m *Machine) TotalCounters() Counters {
@@ -153,9 +146,6 @@ func (cg *CoreGroup) Free(bytes int64) {
 	}
 	cg.Probes.Mem(cg.eng.Now(), cg.allocBytes)
 }
-
-// AllocatedBytes returns the current field-memory footprint.
-func (cg *CoreGroup) AllocatedBytes() int64 { return cg.allocBytes }
 
 // PeakBytes returns the high-water field-memory footprint, for comparing
 // scrubbing policies.

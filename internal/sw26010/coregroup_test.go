@@ -11,16 +11,16 @@ import (
 func TestMachineConstruction(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMachine(eng, perf.DefaultParams(), 4)
-	if m.NumCGs() != 4 {
-		t.Fatalf("NumCGs = %d", m.NumCGs())
+	if len(m.cgs) != 4 {
+		t.Fatalf("core groups = %d", len(m.cgs))
 	}
 	for i := 0; i < 4; i++ {
 		if m.CG(i).ID != i {
 			t.Errorf("CG %d has ID %d", i, m.CG(i).ID)
 		}
-	}
-	if m.Engine() != eng {
-		t.Error("engine not shared")
+		if m.CG(i).Engine() != eng {
+			t.Errorf("CG %d does not share the engine", i)
+		}
 	}
 }
 
@@ -66,12 +66,12 @@ func TestAllocateFreeBalance(t *testing.T) {
 	if err := cg.Allocate(200); err != nil {
 		t.Fatal(err)
 	}
-	if cg.AllocatedBytes() != 300 {
-		t.Fatalf("allocated = %d", cg.AllocatedBytes())
+	if cg.allocBytes != 300 {
+		t.Fatalf("allocated = %d", cg.allocBytes)
 	}
 	cg.Free(300)
-	if cg.AllocatedBytes() != 0 {
-		t.Fatalf("allocated after free = %d", cg.AllocatedBytes())
+	if cg.allocBytes != 0 {
+		t.Fatalf("allocated after free = %d", cg.allocBytes)
 	}
 }
 

@@ -374,21 +374,3 @@ func (g *Graph) ResetForStep() {
 		o.ResetForStep()
 	}
 }
-
-// TotalRecvBytes sums the per-step incoming ghost traffic.
-func (g *Graph) TotalRecvBytes() int64 {
-	var n int64
-	for _, e := range g.Recvs {
-		n += e.Bytes
-	}
-	return n
-}
-
-// TotalSendBytes sums the per-step outgoing ghost traffic.
-func (g *Graph) TotalSendBytes() int64 {
-	var n int64
-	for _, e := range g.Sends {
-		n += e.Bytes
-	}
-	return n
-}

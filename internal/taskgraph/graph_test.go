@@ -372,8 +372,12 @@ func TestTotalBytesSymmetric(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sent += g.TotalSendBytes()
-		recvd += g.TotalRecvBytes()
+		for _, e := range g.Sends {
+			sent += e.Bytes
+		}
+		for _, e := range g.Recvs {
+			recvd += e.Bytes
+		}
 	}
 	if sent != recvd || sent == 0 {
 		t.Fatalf("sent %d, received %d", sent, recvd)

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -104,16 +103,6 @@ func (r *Recorder) Events() []Event {
 	return r.snapshot()
 }
 
-// Len returns the number of recorded events.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
-
 // Sorted returns a copy of events in canonical order: (Start, End, Rank,
 // Step, Kind, Name). Concurrent shard threads append in wall-clock
 // arrival order, so exported timelines must be canonicalised to stay
@@ -148,100 +137,6 @@ func SortEvents(events []Event) {
 			return strings.Compare(a.Name, b.Name)
 		}
 	})
-}
-
-// TotalByKind sums interval durations per kind, optionally filtered by
-// rank (rank < 0 means all ranks).
-func (r *Recorder) TotalByKind(rank int) map[Kind]sim.Time {
-	out := map[Kind]sim.Time{}
-	for _, e := range r.snapshot() {
-		if rank >= 0 && e.Rank != rank {
-			continue
-		}
-		out[e.Kind] += e.Duration()
-	}
-	return out
-}
-
-// OverlapTime returns, for one rank, the total virtual time during which
-// an interval of kind a and an interval of kind b are simultaneously open —
-// the quantity that demonstrates the asynchronous scheduler's
-// computation/communication overlap. With a == b it returns the time during
-// which at least two intervals of that kind are open (for example two
-// kernels in flight on different CPE groups).
-func (r *Recorder) OverlapTime(rank int, a, b Kind) sim.Time {
-	if r == nil {
-		return 0
-	}
-	if a == b {
-		return r.selfOverlap(rank, a)
-	}
-	type edge struct {
-		t     sim.Time
-		kind  Kind
-		delta int
-	}
-	var edges []edge
-	for _, e := range r.snapshot() {
-		if e.Rank != rank || (e.Kind != a && e.Kind != b) {
-			continue
-		}
-		edges = append(edges, edge{e.Start, e.Kind, +1}, edge{e.End, e.Kind, -1})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].t != edges[j].t {
-			return edges[i].t < edges[j].t
-		}
-		return edges[i].delta < edges[j].delta // close before open at ties
-	})
-	var total sim.Time
-	var openA, openB int
-	var since sim.Time
-	for _, ed := range edges {
-		if openA > 0 && openB > 0 {
-			total += ed.t - since
-		}
-		if ed.kind == a {
-			openA += ed.delta
-		} else {
-			openB += ed.delta
-		}
-		since = ed.t
-	}
-	return total
-}
-
-// selfOverlap returns the time during which two or more intervals of the
-// kind are open simultaneously on the rank.
-func (r *Recorder) selfOverlap(rank int, k Kind) sim.Time {
-	type edge struct {
-		t     sim.Time
-		delta int
-	}
-	var edges []edge
-	for _, e := range r.snapshot() {
-		if e.Rank != rank || e.Kind != k {
-			continue
-		}
-		edges = append(edges, edge{e.Start, +1}, edge{e.End, -1})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].t != edges[j].t {
-			return edges[i].t < edges[j].t
-		}
-		return edges[i].delta < edges[j].delta
-	})
-	var total sim.Time
-	open := 0
-	var since sim.Time
-	for _, ed := range edges {
-		if open >= 2 {
-			total += ed.t - since
-		}
-		open += ed.delta
-		since = ed.t
-	}
-	return total
 }
 
 // WriteTimeline renders a compact per-rank textual timeline, most useful
