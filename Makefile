@@ -32,16 +32,23 @@ examples:
 # and its journal, the tile worker pool of field/athread/scheduler (it
 # writes main-memory storage directly) and grid's build-on-first-use
 # ghost-geometry table; the rest cost a second each. The full-sweep
-# experiments tests are minutes-long under the race detector, hence -short
-# there. This is also the shard gate: core's TestShardedBitIdentical holds
-# the conservative engine (core.Config.Shards, set only by bench/ and the
-# tests) byte-identical to serial at shards 1/2/4/8, experiments'
-# TestExecShardDeterminism does so end to end through SpecConfig, and
-# sim's TestShardSet* cover the window/mail machinery, the latency-matrix
-# and the mail-storm edge cases.
+# experiments tests and sim's whole-simulation tests are minutes-long under
+# the race detector, hence -short there. This is also the shard gate:
+# core's TestShardedBitIdentical holds the conservative engine
+# (core.Config.Shards, set only by bench/ and the tests) byte-identical to
+# serial at shards 1/2/4/8, experiments' TestExecShardDeterminism does so
+# end to end through SpecConfig, and sim's TestShardSet* cover the
+# window/mail machinery, the latency-matrix and the mail-storm edge cases.
+# And it is the lazy-clock gate: two sim tests hold process clocks that
+# run ahead of the calendar (Process.Charge) exact.
+# TestLazyClocksMatchAlwaysSync runs whole simulations against the
+# unexported always-synchronise path (Engine.alwaysSync: every Charge a
+# Sleep) on both engines, and TestTieCensusPaperMatrix (skipped by -short;
+# tier-1 runs it) reads zero same-instant ties an ahead process could have
+# reordered over the paper's 250-case matrix.
 race:
-	$(GO) test -race -count=1 $$($(GO) list ./... | grep -v /internal/experiments)
-	$(GO) test -race -short -count=1 ./internal/experiments/
+	$(GO) test -race -count=1 $$($(GO) list ./... | grep -v -e /internal/experiments -e /internal/sim)
+	$(GO) test -race -short -count=1 ./internal/experiments/ ./internal/sim/
 
 # Coverage floor on the observability layer (the flight recorder and the
 # trace recorder): pure logic with deterministic outputs, kept above 80%.

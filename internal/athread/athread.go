@@ -308,7 +308,18 @@ type Offload struct {
 	Stalled bool
 
 	launch uint64 // the group's launch number this handle belongs to
+	// start is the launching process's clock; finish is the time of the
+	// last completion event (Infinity when stalled).
+	start, finish sim.Time
 }
+
+// DoneBy reports whether the offload's last completion event — the one that
+// brings the flag to the gang width and frees the group — precedes an
+// observation at clock t by a process that has charged since the launch:
+// it is due by t and was issued before t. A process whose clock is ahead
+// of the calendar may see true while that event is still pending, and must
+// meet the calendar (sim.Process.Sync) before it reads the flag.
+func (o *Offload) DoneBy(t sim.Time) bool { return o.finish <= t && o.start < t }
 
 // Abort cancels the offload's pending completion-flag increments (the
 // busy-clear rides on the last of them) and frees the cluster for a new
@@ -366,7 +377,8 @@ func (g *Group) Launch(spec KernelSpec, activeCPEs int, flag *sim.Counter, body 
 	}
 
 	launch := sim.Time(p.OffloadCost)
-	off := &Offload{group: g, Stalled: stall, launch: g.launches}
+	now := g.cg.Engine().Now()
+	off := &Offload{group: g, Stalled: stall, launch: g.launches, start: now}
 	dmaBefore := g.cg.Counters.DMABytes
 	var last, lastHealthy sim.Time
 	// One CPE context is reused across the gang: bodies run to completion
@@ -401,10 +413,10 @@ func (g *Group) Launch(spec KernelSpec, activeCPEs int, flag *sim.Counter, body 
 	// The CPE bodies accounted their memory<->LDM transfers above; feed
 	// the delta to the flight recorder (a plain method call on a possibly
 	// nil probe set — no obs dependency, no cost when disabled).
-	g.cg.Probes.DMA(g.cg.Engine().Now(), g.cg.Counters.DMABytes-dmaBefore)
-	off.Done = last
+	g.cg.Probes.DMA(now, g.cg.Counters.DMABytes-dmaBefore)
+	off.Done, off.finish = last, now+last
 	if stall {
-		off.Done = sim.Infinity
+		off.Done, off.finish = sim.Infinity, sim.Infinity
 	}
 	for i := range g.done {
 		c := &g.done[i]

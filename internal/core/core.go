@@ -483,6 +483,9 @@ func (s *Simulation) Run(nSteps int) (*Result, error) {
 				}
 				stepStart := p.Now()
 				if err := rk.ExecuteStep(p, step, t, s.Prob.Dt); err != nil {
+					// Fail at the rank's clock, so the first error in virtual
+					// time is the one reported.
+					p.Sync()
 					s.runMu.Lock()
 					if firstErr == nil {
 						firstErr = fmt.Errorf("rank %d step %d: %w", r, step, err)

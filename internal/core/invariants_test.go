@@ -1,13 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"sunuintah/internal/faults"
 	"sunuintah/internal/field"
 	"sunuintah/internal/grid"
 	"sunuintah/internal/scheduler"
+	"sunuintah/internal/sim"
 	"sunuintah/internal/taskgraph"
+	"sunuintah/internal/trace"
 )
 
 // TestTimingOnlyMatchesFunctionalWallTime locks in the central invariant
@@ -219,5 +223,55 @@ func TestScrubbingLowersMemoryHighWater(t *testing.T) {
 	dom := grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(16, 16, 16))
 	if d := field.MaxAbsDiff(fNo, fYes, dom); d != 0 {
 		t.Fatalf("scrubbing changed the solution by %g", d)
+	}
+}
+
+// TestRankClockMonotone: a rank's clock never runs backwards. Each rank's
+// scheduler runs ahead of the calendar between observations, so the trace
+// recorder receives different ranks' events in host order; but the events
+// one rank adds — in the order it adds them — must start at non-decreasing
+// virtual times, on both engines, with and without fault injection (which
+// turns the lazy charges off). Spans are recorded when they end and
+// fault-plane markers when they happen — a marker drawn inside an Isend
+// precedes the Isend's span — so the two are checked separately.
+func TestRankClockMonotone(t *testing.T) {
+	cells, patches := grid.IV(16, 16, 16), grid.IV(2, 2, 2)
+	for _, mode := range []scheduler.Mode{scheduler.ModeAsync, scheduler.ModeSync} {
+		for _, functional := range []bool{false, true} {
+			for _, plan := range []*faults.Plan{nil, {Seed: 7, Drop: 0.1, Dup: 0.1, Delay: 0.1, Straggle: 0.1, Stall: 0.05}} {
+				for _, shards := range []int{0, 4} {
+					name := fmt.Sprintf("%v/functional=%v/faults=%v/shards=%d", mode, functional, plan != nil, shards)
+					t.Run(name, func(t *testing.T) {
+						rec := trace.New()
+						prob, _ := burgersProblem(cells, patches, false)
+						s, err := NewSimulation(Config{
+							Cells: cells, PatchCounts: patches, NumCGs: 8, Shards: shards, Faults: plan,
+							Scheduler: scheduler.Config{Mode: mode, TileSize: grid.IV(8, 8, 4), Functional: functional, Trace: rec},
+						}, prob)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := s.Run(3); err != nil {
+							t.Fatal(err)
+						}
+						spans, marks := map[int]sim.Time{}, map[int]sim.Time{}
+						for i, ev := range rec.Events() {
+							last := spans
+							if ev.Kind == trace.KindFault || ev.Kind == trace.KindRecovery {
+								last = marks
+							}
+							if prev, ok := last[ev.Rank]; ok && ev.Start < prev {
+								t.Fatalf("event %d (rank %d, %s %q) starts at %v, after the rank's event at %v",
+									i, ev.Rank, ev.Kind, ev.Name, ev.Start, prev)
+							}
+							last[ev.Rank] = ev.Start
+						}
+						if len(spans) != 8 {
+							t.Fatalf("trace covers %d ranks, want 8", len(spans))
+						}
+					})
+				}
+			}
+		}
 	}
 }

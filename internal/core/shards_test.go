@@ -257,48 +257,3 @@ func TestShardsClampedToRanks(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestCoalescedPollingReducesEvents: the polling-coalescing satellite.
-// Batching a rank's same-instant completion polls into one event must
-// shrink the event count on the sync scheduler while leaving the Result
-// byte-identical.
-func TestCoalescedPollingReducesEvents(t *testing.T) {
-	cells := grid.IV(16, 16, 16)
-	patches := grid.IV(2, 2, 2)
-	const nSteps = 3
-
-	run := func(coalesce bool) ([]byte, uint64) {
-		prob, _ := burgersProblem(cells, patches, false)
-		cfg := Config{
-			Cells:       cells,
-			PatchCounts: patches,
-			NumCGs:      8,
-			Scheduler:   scheduler.Config{Mode: scheduler.ModeSync, TileSize: grid.IV(8, 8, 4), Functional: false},
-		}
-		s, err := NewSimulation(cfg, prob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Comm.SetTestCoalescing(coalesce)
-		res, err := s.Run(nSteps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob, s.eng.EventsExecuted()
-	}
-
-	onJSON, onEvents := run(true)
-	offJSON, offEvents := run(false)
-	if string(onJSON) != string(offJSON) {
-		t.Fatalf("coalescing changed the result:\non:  %s\noff: %s", onJSON, offJSON)
-	}
-	if onEvents >= offEvents {
-		t.Fatalf("coalescing did not reduce events: %d (on) >= %d (off)", onEvents, offEvents)
-	}
-	t.Logf("events: %d coalesced vs %d uncoalesced (%.1f%% fewer)",
-		onEvents, offEvents, 100*(1-float64(onEvents)/float64(offEvents)))
-}

@@ -42,17 +42,14 @@ type Comm struct {
 	engs   []*sim.Engine
 	shards *sim.ShardSet
 
-	// coalesce enables batched completion polls (TestSweepInto). On by
-	// default; the event-count experiments switch it off for comparison.
-	coalesce bool
-
 	// Fault plane. A nil injector leaves every legacy path untouched.
 	inj *faults.Injector
 	rec *trace.Recorder
 
-	// Collectives in flight, matched across ranks by call index.
+	// Collectives in flight, matched across ranks by call index; an entry
+	// is released once every rank has read its result.
 	collMu      sync.Mutex
-	collectives []*collective
+	collectives map[int]*collective
 }
 
 // SetFaults attaches a fault injector (and an optional trace recorder for
@@ -82,7 +79,7 @@ func NewComm(eng *sim.Engine, params perf.Params, size int) *Comm {
 	if size <= 0 {
 		panic("mpisim: communicator needs at least one rank")
 	}
-	c := &Comm{params: params, coalesce: true}
+	c := &Comm{params: params, collectives: map[int]*collective{}}
 	for r := 0; r < size; r++ {
 		c.ranks = append(c.ranks, &Rank{comm: c, rank: r})
 		c.engs = append(c.engs, eng)
@@ -102,11 +99,6 @@ func (c *Comm) Shard(ss *sim.ShardSet, engs []*sim.Engine) {
 	c.shards = ss
 	copy(c.engs, engs)
 }
-
-// SetTestCoalescing toggles batched completion polling (TestSweepInto). It is
-// on by default; switching it off restores one poll event per request, for
-// measuring the event-count saving.
-func (c *Comm) SetTestCoalescing(on bool) { c.coalesce = on }
 
 // Size returns the number of ranks.
 func (c *Comm) Size() int { return len(c.ranks) }
@@ -190,9 +182,12 @@ func (r *Rank) getReq() *Request {
 // later Isend/Irecv. Callers hand back a request only once they are done
 // with it entirely — completion observed, payload consumed, nobody left
 // waiting on its signal. Under fault injection requests stay heap-managed
-// (retry backstops may still reference them), so Free is a no-op there.
+// (retry backstops may still reference them), so Free is a no-op there. So
+// it is for a send its owner saw complete ahead of the calendar
+// (TestSweepInto): its completion signal's fire event is still pending and
+// holds the request until it runs.
 func (r *Rank) Free(req *Request) {
-	if r.comm.inj != nil || req == nil {
+	if r.comm.inj != nil || req == nil || !req.sig.Fired() {
 		return
 	}
 	*req = Request{}
@@ -204,6 +199,18 @@ func (r *Rank) RankID() int { return r.rank }
 
 // eng returns the engine owning this rank.
 func (r *Rank) eng() *sim.Engine { return r.comm.engs[r.rank] }
+
+// charge bills p for MPE time spent posting a request. Nothing outside the
+// rank observes the interim, so it is a lazy charge on the process's clock
+// (sim.Process.Charge); under fault injection, where resends and backstop
+// timers act on the clock, every charge synchronises.
+func (r *Rank) charge(p *sim.Process, d sim.Time) {
+	if r.comm.inj != nil {
+		p.Sleep(d)
+		return
+	}
+	p.Charge(d)
+}
 
 // sendCall schedules c on dst's engine after delay of this rank's virtual
 // time — directly when both ranks share an engine, as batched cross-shard
@@ -275,12 +282,13 @@ func (q *Request) Signal() *sim.Signal { return &q.sig }
 // Isend posts a non-blocking send of payload (may be nil) with the given
 // on-wire size to rank dst with the given tag. The calling process is
 // charged the posting cost. The send completes locally once the data has
-// left the sender (one wire time).
+// left the sender (one wire time). Its completion and the delivery are
+// scheduled from the sender's clock.
 func (r *Rank) Isend(p *sim.Process, dst, tag int, payload []float64, bytes int64) *Request {
 	if bytes < 0 {
 		panic("mpisim: negative message size")
 	}
-	p.Sleep(sim.Time(r.comm.params.MPIPostCost))
+	r.charge(p, sim.Time(r.comm.params.MPIPostCost))
 	now := r.eng().Now()
 	wire := sim.Time(r.comm.params.MessageTimeBetween(r.rank, dst, bytes))
 	req := r.getReq()
@@ -407,8 +415,17 @@ func (c *Comm) traceRecovery(rank int, name string, st *sendState) {
 // Irecv posts a non-blocking receive for a message from src with the given
 // tag. The calling process is charged the posting cost. Matching follows
 // posting order for identical (src, tag) pairs.
+//
+// Irecv reads the unexpected queue without meeting the calendar, so a
+// message that arrives between the calendar's time and the caller's clock
+// matches the posted receive on delivery instead of waiting in the queue.
+// The pairing is the same — per (src, tag), the k-th receive posted takes
+// the k-th message delivered, in either interleaving — and so is every
+// later observation: doneAt is then the arrival time rather than the post
+// time, both at or before any Test that follows, and nothing can have
+// registered on the fresh request's signal before it fires.
 func (r *Rank) Irecv(p *sim.Process, src, tag int) *Request {
-	p.Sleep(sim.Time(r.comm.params.MPIPostCost))
+	r.charge(p, sim.Time(r.comm.params.MPIPostCost))
 	req := r.getReq()
 	req.src, req.tag = src, tag
 	req.sig.Init(r.eng(), "recv")
@@ -469,7 +486,9 @@ func (r *Rank) complete(req *Request, m *message) {
 }
 
 // Test checks a request for completion, charging the calling process the
-// per-test cost. It reports whether the operation has finished.
+// per-test cost. It reports whether the operation has finished. A receive
+// completes when a delivery event runs, so the charge synchronises: the
+// caller meets the calendar before it looks.
 func (r *Rank) Test(p *sim.Process, req *Request) bool {
 	p.Sleep(sim.Time(r.comm.params.MPITestCost))
 	r.TestCalls++
@@ -487,39 +506,32 @@ func (r *Rank) Test(p *sim.Process, req *Request) bool {
 // TestSweepInto tests a batch of already-posted send requests, semantically
 // identical to calling Test on each in order, and reports each result in
 // res (grown as needed, so steady-state pollers reuse one buffer).
-// With coalescing on and no fault injector, the per-request poll events
-// collapse into a single sleep covering the whole sweep: a send's doneAt
-// is fixed at post time, so the result of the i-th test is exactly
-// req.matched && doneAt <= t_i, where t_i is the virtual instant the i-th
-// serial Test would have returned — reproduced by the same float
-// additions, so results and timestamps are bit-identical to the serial
-// sweep while executing one event instead of len(reqs).
+// With no fault injector, no test meets the calendar: a send's doneAt is
+// fixed at post time, so the result of the i-th test is exactly
+// req.matched && doneAt <= t_i, where t_i is the caller's clock after i
+// lazy charges of the per-test cost — the instant the i-th serial Test
+// would have returned, by the same float additions — and the sweep
+// executes no event at all.
 //
-// Under fault injection Test drives retransmission mid-sweep, so the
-// batched shortcut is disabled and the sweep degrades to per-request
-// polls.
+// Under fault injection Test drives retransmission mid-sweep, so the sweep
+// is per-request synchronising polls.
 func (r *Rank) TestSweepInto(p *sim.Process, reqs []*Request, res []bool) []bool {
 	for len(res) < len(reqs) {
 		res = append(res, false)
 	}
 	res = res[:len(reqs)]
-	if len(reqs) == 0 {
-		return res
-	}
-	if !r.comm.coalesce || r.comm.inj != nil {
+	if r.comm.inj != nil {
 		for i, req := range reqs {
 			res[i] = r.Test(p, req)
 		}
 		return res
 	}
 	cost := sim.Time(r.comm.params.MPITestCost)
-	t := r.eng().Now()
 	for i, req := range reqs {
-		t += cost // same accumulation as sequential Sleeps
-		res[i] = req.matched && req.doneAt <= t
+		p.Charge(cost)
+		res[i] = req.matched && req.doneAt <= p.Now()
 	}
 	r.TestCalls += int64(len(reqs))
-	p.SleepUntil(t)
 	return res
 }
 
@@ -558,6 +570,7 @@ const (
 type collective struct {
 	op      ReduceOp
 	arrived int
+	read    int           // ranks that have taken the result
 	contrib []float64     // staged per-rank contributions
 	sigs    []*sim.Signal // per-rank completion signal, on the rank's engine
 	lastAt  sim.Time      // latest virtual arrival
@@ -581,9 +594,6 @@ func (r *Rank) Allreduce(p *sim.Process, x float64, op ReduceOp) float64 {
 	p.Sleep(sim.Time(c.params.ReduceBaseCost))
 
 	c.collMu.Lock()
-	for len(c.collectives) <= idx {
-		c.collectives = append(c.collectives, nil)
-	}
 	coll := c.collectives[idx]
 	if coll == nil {
 		coll = &collective{op: op,
@@ -644,6 +654,10 @@ func (r *Rank) Allreduce(p *sim.Process, x float64, op ReduceOp) float64 {
 	sig.Wait(p)
 	c.collMu.Lock()
 	result := coll.result
+	coll.read++
+	if coll.read == c.Size() {
+		delete(c.collectives, idx)
+	}
 	c.collMu.Unlock()
 	return result
 }

@@ -230,6 +230,71 @@ func TestAllreduceSingleRank(t *testing.T) {
 	}
 }
 
+// TestAllreduceReleasesEntries: a collective's entry is dropped once every
+// rank has read its result, so a long run keeps none alive — and releasing
+// changes no result and no clock: every rank sees the sum and leaves each
+// collective at the tree latency after the last arrival.
+func TestAllreduceReleasesEntries(t *testing.T) {
+	const ranks, n = 8, 1000
+	eng, c := newComm(ranks)
+	params := perf.DefaultParams()
+	delay := sim.Time(2*3*params.LinkLatency + params.ReduceBaseCost) // ceil(log2 8) = 3
+	for r := 0; r < ranks; r++ {
+		r := r
+		eng.Spawn("rank", func(p *sim.Process) {
+			var want sim.Time
+			for i := 0; i < n; i++ {
+				p.Sleep(sim.Time(r) * 1e-7) // the last rank arrives last
+				got := c.Rank(r).Allreduce(p, float64(i+r), OpSum)
+				if got != float64(ranks*i+ranks*(ranks-1)/2) {
+					t.Errorf("rank %d allreduce %d = %v", r, i, got)
+				}
+				want = want + sim.Time(ranks-1)*1e-7 + sim.Time(params.ReduceBaseCost) + delay
+				if p.Now() != want {
+					t.Errorf("rank %d leaves allreduce %d at %v, want %v", r, i, p.Now(), want)
+				}
+			}
+		})
+	}
+	eng.Run()
+	if len(c.collectives) != 0 {
+		t.Fatalf("%d collective entries still live after %d allreduces", len(c.collectives), n)
+	}
+}
+
+// TestFreeKeepsSendWithPendingFire: a sweep ahead of the calendar can see
+// a send complete before its completion signal's fire event has run. Such a
+// request must not be pooled — the pending event would fire whatever
+// request reused it — while one whose signal has fired is.
+func TestFreeKeepsSendWithPendingFire(t *testing.T) {
+	eng, c := newComm(2)
+	params := perf.DefaultParams()
+	eng.Spawn("rank0", func(p *sim.Process) {
+		r := c.Rank(0)
+		req := r.Isend(p, 1, 1, nil, 8)
+		p.Charge(sim.Time(params.MessageTimeBetween(0, 1, 8)))
+		if ok := r.TestSweepInto(p, []*Request{req}, nil); !ok[0] {
+			t.Fatal("send not complete one wire time after posting")
+		}
+		r.Free(req)
+		if next := r.Isend(p, 1, 2, nil, 8); next == req {
+			t.Fatal("a request with a pending completion event was reused")
+		}
+		p.Sync()
+		r.Free(req)
+		if next := r.Irecv(p, 1, 3); next != req {
+			t.Fatal("a request whose completion fired was not pooled")
+		}
+	})
+	eng.Spawn("rank1", func(p *sim.Process) {
+		for tag := 1; tag <= 2; tag++ {
+			c.Rank(1).Wait(p, c.Rank(1).Irecv(p, 0, tag))
+		}
+		c.Rank(1).Isend(p, 0, 3, nil, 8)
+	})
+	eng.Run()
+}
+
 func TestBarrierSynchronises(t *testing.T) {
 	eng, c := newComm(3)
 	exits := make([]sim.Time, 3)

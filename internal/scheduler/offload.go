@@ -35,6 +35,23 @@ type slot struct {
 	retryAt     sim.Time          // absolute time of the next retry
 	consecFails int               // consecutive timed-out offloads on this gang
 	unhealthy   bool              // gang taken out of rotation; kernels go to the MPE
+
+	armed bool // the pooled wake is registered on flag for obj (waitForEvent)
+}
+
+// gangDone reports whether sl's completion flag has reached the gang width
+// at the process's clock. The flag is raised by calendar events, which a
+// rank running ahead of the calendar may not have met yet, but the launch
+// fixed when the last of them fires: the poll meets the calendar only when
+// that event is due by now and has not run. Otherwise the flag already
+// reads what a synchronising rank would read. Once it has been seen raised
+// the completion events have all run, so the group is free again.
+func (s *Rank) gangDone(p *sim.Process, sl *slot) bool {
+	n := int64(sl.group.NumCPEs())
+	if sl.flag.Value() < n && sl.off.DoneBy(p.Now()) {
+		p.Sync()
+	}
+	return sl.flag.Value() >= n
 }
 
 // initSlots builds the offload lanes; called from New.
@@ -256,6 +273,7 @@ func (s *Rank) offload(p *sim.Process, step int, t, dt float64, obj *taskgraph.O
 	obj.State = taskgraph.StateRunning
 	sl.obj = obj
 	sl.off = off
+	sl.armed = false
 	s.probeGangs()
 	if s.inj != nil {
 		sl.estimate = off.Estimate

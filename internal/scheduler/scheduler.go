@@ -180,7 +180,7 @@ type Rank struct {
 	// Per-step communication state.
 	recvs []pendingRecv
 	sends []pendingSend
-	// Scratch buffers for the coalesced send sweep, reused across polls so
+	// Scratch buffers for the lazy send sweep, reused across polls so
 	// the steady-state step loop allocates nothing.
 	sweepIdx  []int
 	sweepReqs []*mpisim.Request
@@ -237,14 +237,16 @@ func (s *Rank) note(prefix, name string) string {
 }
 
 type pendingRecv struct {
-	edge *taskgraph.Edge
-	req  *mpisim.Request
-	done bool
+	edge  *taskgraph.Edge
+	req   *mpisim.Request
+	done  bool
+	armed bool // the pooled wake is registered on req's signal (waitForEvent)
 }
 
 type pendingSend struct {
-	req  *mpisim.Request
-	done bool
+	req   *mpisim.Request
+	done  bool
+	armed bool
 }
 
 // New creates the scheduler for one rank. The graph must have been
@@ -369,13 +371,22 @@ func (s *Rank) noteConsumed(l *taskgraph.Label, patchID int) {
 }
 
 // charge advances the process by d and attributes it to a stats bucket and
-// the trace.
+// the trace. MPE work is invisible outside the rank until the scheduler
+// next observes something, so the charge only moves the rank's own clock
+// (sim.Process.Charge); the loop meets the calendar where it looks: a
+// receive test, a flag due to be raised, a park, a reduction. Under fault
+// injection every charge synchronises: deadlines, backoffs and resends act
+// on the clock.
 func (s *Rank) charge(p *sim.Process, d sim.Time, bucket *sim.Time, kind trace.Kind, step int, name string) {
 	if d <= 0 {
 		return
 	}
 	start := p.Now()
-	p.Sleep(d)
+	if s.inj != nil {
+		p.Sleep(d)
+	} else {
+		p.Charge(d)
+	}
 	*bucket += d
 	s.cfg.Trace.Add(trace.Event{
 		Rank: s.mpi.RankID(), Step: step, Kind: kind, Name: name,

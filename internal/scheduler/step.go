@@ -110,7 +110,7 @@ func (s *Rank) ExecuteStep(p *sim.Process, step int, t, dt float64) error {
 			}
 			s.charge(p, sim.Time(s.params.PollCost), &s.Stats.CommTime,
 				trace.KindComm, step, "poll flag")
-			if sl.flag.Value() >= int64(sl.group.NumCPEs()) {
+			if s.gangDone(p, sl) {
 				s.completeObject(sl.obj, &completed)
 				s.clearSlot(sl)
 				progressed = true
@@ -233,10 +233,11 @@ func (s *Rank) ExecuteStep(p *sim.Process, step int, t, dt float64) error {
 			progressed = true
 		}
 		// The send sweep only retires request handles — completed sends
-		// release no work — so its polls coalesce into one batched sweep
-		// (one engine event instead of one per request). The per-request
-		// spans are synthesized at the exact instants the serial polls
-		// would have occupied, so accounting and traces are unchanged.
+		// release no work, and a send's completion time is fixed when it
+		// is posted — so its polls are lazy charges that meet no event
+		// (TestSweepInto). The per-request spans are synthesized at the
+		// exact instants the serial polls would have occupied, so
+		// accounting and traces are unchanged.
 		s.sweepIdx = s.sweepIdx[:0]
 		s.sweepReqs = s.sweepReqs[:0]
 		for i := range s.sends {
@@ -247,8 +248,8 @@ func (s *Rank) ExecuteStep(p *sim.Process, step int, t, dt float64) error {
 		}
 		if len(s.sweepReqs) > 0 {
 			// Span boundaries accumulate the per-test cost exactly as the
-			// serial polls' clock did, so times and CommTime stay bitwise
-			// identical whether or not the sweep was coalesced.
+			// polls' clock did, so times and CommTime stay bitwise identical
+			// whether or not the sweep synchronises.
 			start := p.Now()
 			s.sweepOks = s.mpi.TestSweepInto(p, s.sweepReqs, s.sweepOks[:0])
 			for k, i := range s.sweepIdx {
@@ -561,8 +562,10 @@ func (s *Rank) commDrained() bool {
 // waitForEvent parks the MPE until something it is waiting on can make
 // progress: a completion flag reaching its threshold or an outstanding
 // request finishing on the wire. The virtual time spent corresponds to the
-// scheduler's idle polling.
+// scheduler's idle polling. It first meets the calendar: which requests and
+// flags have already fired is an observation.
 func (s *Rank) waitForEvent(p *sim.Process, step int) {
+	p.Sync()
 	eng := s.cg.Engine()
 	if s.wakeName == "" {
 		s.wakeName = fmt.Sprintf("rank%d.wake", s.mpi.RankID())
@@ -588,13 +591,25 @@ func (s *Rank) waitForEvent(p *sim.Process, step int) {
 		wake = sim.NewSignal(eng, s.wakeName)
 		fire = wake.Fire
 	}
+	// A pooled wake's registration outlives its park: if the request or
+	// flag fires while a later park waits, it fires that park's wake, at the
+	// instant a fresh registration would. So each is registered once, and
+	// again only if it already fired (its registration was spent on an
+	// earlier park, and a fresh one fires at once). A second live one would
+	// add a no-op callback event right behind the first. Fresh signals
+	// (fault injection) need fresh registrations every park.
+	once := s.inj == nil
 	armed := false
 	// Cancellable timer wake-ups (offload deadlines, retry backoffs) so
 	// stale timers don't linger once the rank is awake again.
 	var timers []sim.EventHandle
 	for _, sl := range s.slots {
 		if sl.obj != nil {
-			sl.flag.OnReach(int64(sl.group.NumCPEs()), fire)
+			n := int64(sl.group.NumCPEs())
+			if !sl.armed || sl.flag.Value() >= n {
+				sl.flag.OnReach(n, fire)
+			}
+			sl.armed = once
 			armed = true
 			if s.inj != nil {
 				// A stalled gang never fires the flag: the deadline is the
@@ -613,14 +628,14 @@ func (s *Rank) waitForEvent(p *sim.Process, step int) {
 		}
 	}
 	for i := range s.recvs {
-		if !s.recvs[i].done {
-			s.recvs[i].req.Signal().OnFire(fire)
+		if r := &s.recvs[i]; !r.done {
+			r.armed = arm(r.req.Signal(), r.armed, once, fire)
 			armed = true
 		}
 	}
 	for i := range s.sends {
-		if !s.sends[i].done {
-			s.sends[i].req.Signal().OnFire(fire)
+		if sd := &s.sends[i]; !sd.done {
+			sd.armed = arm(sd.req.Signal(), sd.armed, once, fire)
 			armed = true
 		}
 	}
@@ -635,4 +650,14 @@ func (s *Rank) waitForEvent(p *sim.Process, step int) {
 	s.Stats.IdleTime += p.Now() - t0
 	s.cfg.Trace.Add(trace.Event{Rank: s.mpi.RankID(), Step: step,
 		Kind: trace.KindIdle, Name: "wait", Start: t0, End: p.Now()})
+}
+
+// arm registers fire on a request's signal unless a live registration from
+// an earlier park is still pending there (see waitForEvent), and returns
+// the new armed state.
+func arm(sig *sim.Signal, armed, once bool, fire func()) bool {
+	if !armed || sig.Fired() {
+		sig.OnFire(fire)
+	}
+	return once
 }

@@ -4,13 +4,16 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
 // The tests in this file hold Engine.advance — a sleeper moving the clock
 // itself when its wake-up would be the loop's next event — to the calendar
 // round trip it replaces: same event log, same final clock, same
-// EventsExecuted. viaCalendar is the reference.
+// EventsExecuted. viaCalendar is the reference. They also hold lazy
+// process clocks (Process.Charge) to the synchronising reference
+// (alwaysSync): same per-process log, same final clocks, fewer events.
 
 // advLog is one engine's execution log. Shards run concurrently, so every
 // engine appends to its own.
@@ -20,29 +23,37 @@ func (l *advLog) add(e *Engine, format string, args ...any) {
 	*l = append(*l, fmt.Sprintf("%.3f ", float64(e.now))+fmt.Sprintf(format, args...))
 }
 
-// advOutcome is what the two paths must agree on, per engine.
+// advOutcome is what the paths must agree on. Logs is per engine, in
+// execution order. Steps and Fired are per process: its own lines, and the
+// callbacks it scheduled on its engine, each with the clock it saw. A
+// process running ahead of the calendar writes its lines before earlier
+// events run, so the lazy/synchronising comparison reads these two.
 type advOutcome struct {
-	Logs     []advLog
-	Clocks   []Time
-	Executed []uint64
+	Logs         []advLog
+	Steps, Fired []advLog
+	Clocks       []Time
+	Executed     []uint64
 }
 
 // logCaller is a Caller that logs: what PostTagged and CallAt deliver.
 type logCaller struct {
-	log  *advLog
-	eng  *Engine
-	what string
+	log, fired *advLog
+	eng        *Engine
+	what       string
 }
 
-func (c *logCaller) Call() { c.log.add(c.eng, "%s", c.what) }
+func (c *logCaller) Call() {
+	c.log.add(c.eng, "%s", c.what)
+	c.fired.add(c.eng, "%s", c.what)
+}
 
-// runAdvModel runs a seeded random model — processes that sleep, sleep
-// until, set and cancel timers, wait on signals fired by timers, send each
-// other mail and wait for the reply, and post tagged self-sends — on a
-// serial engine (shards 0) or a ShardSet. It returns the outcome and the
-// calendar sequence numbers consumed, which an inline advance does not
-// draw from.
-func runAdvModel(seed int64, shards int, viaCalendar bool) (advOutcome, uint64) {
+// runAdvModel runs a seeded random model — processes that charge ahead of
+// the calendar, sleep, sync, schedule callers at absolute times, set timers
+// and cancel them after a sync, wait on signals and counters fired by timers, send each other mail
+// and wait for the reply, and post tagged self-sends — on a serial engine
+// (shards 0) or a ShardSet. It returns the outcome and the calendar
+// sequence numbers consumed, which an inline advance does not draw from.
+func runAdvModel(seed int64, shards int, viaCalendar, alwaysSync bool) (advOutcome, uint64) {
 	const (
 		procs = 9
 		steps = 60
@@ -61,9 +72,10 @@ func runAdvModel(seed int64, shards int, viaCalendar bool) (advOutcome, uint64) 
 		engs = ss.engines
 	}
 	for _, e := range engs {
-		e.viaCalendar = viaCalendar
+		e.viaCalendar, e.alwaysSync = viaCalendar, alwaysSync
 	}
 	logs := make([]advLog, len(engs))
+	lines, fired := make([]advLog, procs), make([]advLog, procs)
 	shardOf := func(proc int) int { return proc % len(engs) }
 	// post delivers fn on dst's engine at the given time.
 	post := func(src, dst int, at Time, fn func()) {
@@ -78,29 +90,50 @@ func runAdvModel(seed int64, shards int, viaCalendar bool) (advOutcome, uint64) 
 		i := i
 		home := shardOf(i)
 		e, log := engs[home], &logs[home]
+		note := func(own *advLog, format string, args ...any) {
+			log.add(e, format, args...)
+			own.add(e, format, args...)
+		}
 		rng := rand.New(rand.NewSource(seed*131 + int64(i)))
 		dur := func() Time { return durs[rng.Intn(len(durs))] }
 		var timers []EventHandle
 		var tag uint64
 		e.Spawn(fmt.Sprintf("p%d", i), func(p *Process) {
 			for s := 0; s < steps; s++ {
-				switch rng.Intn(9) {
-				case 0, 1, 2:
+				switch rng.Intn(13) {
+				case 0, 1:
 					p.Sleep(dur())
-				case 3:
-					p.SleepUntil(p.Now() + dur())
-				case 4:
-					id := len(timers)
-					timers = append(timers, e.Schedule(dur(), func() { log.add(e, "p%d timer %d", i, id) }))
-				case 5:
-					if len(timers) > 0 {
-						log.add(e, "p%d cancel %v", i, timers[rng.Intn(len(timers))].Cancel())
-					}
+				case 2:
+					e.CallAt(p.Now()+dur(), &logCaller{log: log, fired: &fired[i], eng: e, what: fmt.Sprintf("p%d at", i)})
+				case 3, 4, 5:
+					p.Charge(dur())
 				case 6:
-					sig := NewSignal(e, "s")
-					e.CallAfter(dur(), sig)
-					sig.Wait(p)
+					p.Sync()
 				case 7:
+					id := len(timers)
+					timers = append(timers, e.Schedule(dur(), func() { note(&fired[i], "p%d timer %d", i, id) }))
+				case 8:
+					if len(timers) > 0 {
+						// Whether a timer has fired is an observation.
+						p.Sync()
+						note(&lines[i], "p%d cancel %v", i, timers[rng.Intn(len(timers))].Cancel())
+					}
+				case 9:
+					// The fire may land before the clock the charge reaches:
+					// the wait must meet the calendar before it looks.
+					if rng.Intn(2) == 0 {
+						sig := NewSignal(e, "s")
+						e.CallAfter(dur(), sig)
+						p.Charge(dur())
+						sig.Wait(p)
+					} else {
+						c := NewCounter(e, "c")
+						e.CallAfter(dur(), c)
+						e.CallAfter(dur(), c)
+						p.Charge(dur())
+						c.WaitFor(p, 2)
+					}
+				case 10:
 					// Ping another process's engine; its handler answers
 					// and the answer fires the signal this one waits on.
 					peer := shardOf(rng.Intn(procs))
@@ -112,17 +145,20 @@ func runAdvModel(seed int64, shards int, viaCalendar bool) (advOutcome, uint64) 
 						post(peer, home, pe.now+lat+back, sig.Fire)
 					})
 					sig.Wait(p)
-				case 8:
+				case 11:
 					tag++
-					c := &logCaller{log: log, eng: e, what: fmt.Sprintf("p%d tagged %d", i, tag)}
+					c := &logCaller{log: log, fired: &fired[i], eng: e, what: fmt.Sprintf("p%d tagged %d", i, tag)}
 					at := p.Now() + dur()
 					if ss == nil {
 						e.CallAt(at, c)
 					} else {
 						ss.PostTagged(e, e, at, p.Now(), uint64(i)<<32|tag, c)
 					}
+				case 12:
+					p.Charge(dur())
+					p.Sleep(dur())
 				}
-				log.add(e, "p%d step %d", i, s)
+				note(&lines[i], "p%d step %d", i, s)
 			}
 		})
 	}
@@ -132,7 +168,7 @@ func runAdvModel(seed int64, shards int, viaCalendar bool) (advOutcome, uint64) 
 	} else {
 		ss.Run()
 	}
-	out := advOutcome{Logs: logs}
+	out := advOutcome{Logs: logs, Steps: lines, Fired: fired}
 	var seqs uint64
 	for _, e := range engs {
 		out.Clocks = append(out.Clocks, e.now)
@@ -146,8 +182,8 @@ func TestAdvanceMatchesCalendarPath(t *testing.T) {
 	withGOMAXPROCS(t, func(t *testing.T) {
 		for _, shards := range []int{0, 1, 2, 4} {
 			for seed := int64(1); seed <= 16; seed++ {
-				want, wantSeqs := runAdvModel(seed, shards, true)
-				got, gotSeqs := runAdvModel(seed, shards, false)
+				want, wantSeqs := runAdvModel(seed, shards, true, false)
+				got, gotSeqs := runAdvModel(seed, shards, false, false)
 				if !reflect.DeepEqual(got, want) {
 					for i := range want.Logs {
 						for j := range want.Logs[i] {
@@ -311,17 +347,99 @@ func TestAdvanceRefusedAfterStop(t *testing.T) {
 	}
 }
 
-// SleepUntil into the past panics as before.
-func TestAdvanceSleepUntilPastStillPanics(t *testing.T) {
+// Scheduling into the past panics, and the past is the process's clock:
+// at time 1 on the calendar, a process that has charged to 2 may not
+// schedule for 1.
+func TestCallAtBeforeProcessClockPanics(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("a", func(p *Process) {
-		p.Sleep(2)
-		p.SleepUntil(1)
+		p.Sleep(1)
+		p.Charge(1)
+		e.CallAt(1, p)
 	})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("SleepUntil(1) at time 2 did not panic")
+			t.Fatal("CallAt(1) at process clock 2 did not panic")
 		}
 	}()
 	e.Run()
+}
+
+// TestChargeMatchesAlwaysSync runs the model with lazy charges and with
+// every charge synchronising: each process must see the same clock at every
+// step and callback, every engine must end at the same time, and the lazy
+// run must execute fewer events.
+func TestChargeMatchesAlwaysSync(t *testing.T) {
+	withGOMAXPROCS(t, func(t *testing.T) {
+		for _, shards := range []int{0, 1, 2, 4} {
+			for seed := int64(1); seed <= 16; seed++ {
+				want, _ := runAdvModel(seed, shards, false, true)
+				got, _ := runAdvModel(seed, shards, false, false)
+				for i := range want.Steps {
+					gotFired, wantFired := got.Fired[i], want.Fired[i]
+					if shards > 0 {
+						// Barrier mail takes its sequence number at the
+						// barrier, so a tagged self-send and a timer a
+						// process schedules at one clock for one instant run
+						// in an order that depends on where the windows
+						// fall, which a process ahead of the calendar moves.
+						// Serial runs keep program order.
+						gotFired, wantFired = sortedLog(gotFired), sortedLog(wantFired)
+					}
+					for _, l := range [][2]advLog{{got.Steps[i], want.Steps[i]}, {gotFired, wantFired}} {
+						if !reflect.DeepEqual(l[0], l[1]) {
+							t.Fatalf("shards %d seed %d p%d: lazy log\n%q\nsynchronising\n%q", shards, seed, i, l[0], l[1])
+						}
+					}
+				}
+				if !reflect.DeepEqual(got.Clocks, want.Clocks) {
+					t.Fatalf("shards %d seed %d: clocks %v, synchronising %v", shards, seed, got.Clocks, want.Clocks)
+				}
+				var gotN, wantN uint64
+				for k := range got.Executed {
+					gotN, wantN = gotN+got.Executed[k], wantN+want.Executed[k]
+				}
+				if gotN >= wantN {
+					t.Fatalf("shards %d seed %d: lazy run executed %d events, synchronising %d", shards, seed, gotN, wantN)
+				}
+			}
+		}
+	})
+}
+
+// sortedLog returns a sorted copy of l: its lines as a set, times included.
+func sortedLog(l advLog) advLog {
+	out := append(advLog(nil), l...)
+	sort.Strings(out)
+	return out
+}
+
+// TestTieCensusCountsObservationTie: the census sees the hazard it exists
+// to rule out. A process ahead of the calendar syncs onto (1, 0.5), the
+// (time, issue time) of an event a callback running at 0.5 schedules later
+// in host order; synchronising, the process would have slept through 0.5
+// behind that callback and woken after the event, lazily it wakes before.
+// With every charge synchronising there is nothing to count.
+func TestTieCensusCountsObservationTie(t *testing.T) {
+	for _, alwaysSync := range []bool{false, true} {
+		e := NewEngine()
+		e.alwaysSync = alwaysSync
+		ties := CountTies(e)
+		var order []string
+		e.After(0.5, func() { e.After(0.5, func() { order = append(order, "event") }) })
+		e.Spawn("a", func(p *Process) {
+			p.Charge(0.5)
+			p.Charge(0.5)
+			p.Sync()
+			order = append(order, "a")
+		})
+		e.Run()
+		want, wantOrder := uint64(1), []string{"a", "event"}
+		if alwaysSync {
+			want, wantOrder = 0, []string{"event", "a"}
+		}
+		if ties() != want || !reflect.DeepEqual(order, wantOrder) {
+			t.Fatalf("alwaysSync %v: %d ties, order %v; want %d, %v", alwaysSync, ties(), order, want, wantOrder)
+		}
+	}
 }

@@ -26,6 +26,7 @@ func (p *Process) start(body func(p *Process)) {
 			}
 		}()
 		body(p)
+		p.Sync() // finish at the process's clock, as a sleeper would
 		p.finished = true
 		p.eng.active--
 		p.doneSig.Fire()

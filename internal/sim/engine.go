@@ -1,14 +1,19 @@
 // Package sim implements a deterministic, process-model discrete-event
 // simulation engine. It is the substrate on which the Sunway machine model,
 // the simulated MPI library, and the Uintah schedulers execute: every
-// component that "takes time" is a Process whose delays advance a shared
-// virtual clock.
+// component that "takes time" is a Process, and every process keeps its own
+// virtual clock. A charge (Process.Charge) moves only the process's clock;
+// the process meets the engine's calendar — lets every earlier event run —
+// only where it observes state other actors change (Process.Sync, a Sleep,
+// a signal or counter wait). Events a process schedules are stamped with
+// the process's clock as their issue time.
 //
 // The engine is strictly cooperative. At any instant exactly one process
 // coroutine is running; all others are parked waiting for the engine to
-// switch back to them. Events that fire at the same virtual time are
-// executed in the order they were scheduled, so a simulation is
-// reproducible run to run.
+// switch back to them. Events execute in (time, issue time, schedule
+// order) order, so a simulation is reproducible run to run, and a process
+// running ahead of the calendar issues its events in the order they would
+// have had had it slept through every charge.
 package sim
 
 import (
@@ -38,10 +43,14 @@ type Caller interface{ Call() }
 // through a freelist, and gen invalidates stale EventHandles when a slot
 // is reused (see EventHandle.Cancel).
 type event struct {
-	at  Time
-	seq uint64 // tie-breaker: schedule order
-	fn  func()
-	c   Caller
+	at Time
+	// issue is the virtual instant the event was scheduled at: the issuing
+	// process's clock, or the executing event's time. It breaks time ties
+	// before seq does.
+	issue Time
+	seq   uint64 // tie-breaker: schedule order
+	fn    func()
+	c     Caller
 	// index in the queue, maintained by the heap operations; -1 when
 	// popped.
 	index     int
@@ -49,9 +58,14 @@ type event struct {
 	// gen counts reuses of this slot; an EventHandle carries the gen it
 	// was issued under and goes inert once they diverge.
 	gen uint32
+	// ahead marks an event issued by a process whose clock was past the
+	// calendar's, and by the process that issued it (nil: an event
+	// callback). Only the tie census sets and reads them.
+	ahead bool
+	by    *Process
 }
 
-// eventQueue is a typed, slice-backed 4-ary min-heap on (at, seq). It
+// eventQueue is a typed, slice-backed 4-ary min-heap on (at, issue, seq). It
 // replaces container/heap, whose any-typed Push/Pop box every event and
 // make an indirect interface call per sift comparison — this queue is
 // the hottest structure of the simulation (every DMA, message and poll
@@ -63,10 +77,16 @@ type eventQueue struct {
 	evs []*event
 }
 
-// less orders a before b by time, then by schedule order.
+// less orders a before b by time, then by issue time, then by schedule
+// order. Without processes running ahead of the calendar the issue key is
+// redundant — seq grows with the clock — so this is the (time, seq) order
+// of a single-clock engine.
 func (q *eventQueue) less(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
+	}
+	if a.issue != b.issue {
+		return a.issue < b.issue
 	}
 	return a.seq < b.seq
 }
@@ -162,7 +182,15 @@ func (q *eventQueue) reinit() {
 //
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
-	now     Time
+	// now is the clock Now reads and events are scheduled against: the
+	// executing event's time or, while a process body runs, that process's
+	// own clock, which lazy charges move past cal.
+	now Time
+	// cal is the calendar's clock: the time of the event the run loop is
+	// executing (or last executed). now > cal only while a process that has
+	// charged since it last met the calendar is running.
+	cal     Time
+	running *Process // the process whose body is executing, for the census
 	seq     uint64
 	queue   eventQueue
 	procs   []*Process
@@ -184,6 +212,12 @@ type Engine struct {
 	// viaCalendar makes advance refuse, so tests can compare the inline
 	// path against the calendar round trip it replaces.
 	viaCalendar bool
+	// alwaysSync makes every Process.Charge a synchronising Sleep: the
+	// reference the lazy process clocks are tested against.
+	alwaysSync bool
+	// census, when set (by the tie-census tests), sees every executed
+	// event, stamped with ahead and by.
+	census func(*event)
 
 	// free is the event arena: fired and cancelled events return here and
 	// are reissued by the schedule calls, so a steady-state simulation
@@ -225,8 +259,8 @@ func NewEngine() *Engine {
 func (e *Engine) Now() Time { return e.now }
 
 // getEvent issues a calendar entry at the given time from the arena,
-// assigning the next sequence number.
-func (e *Engine) getEvent(at Time) *event {
+// stamped with its issue time and the next sequence number.
+func (e *Engine) getEvent(at, issue Time) *event {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -237,8 +271,12 @@ func (e *Engine) getEvent(at Time) *event {
 		ev = &event{}
 	}
 	ev.at = at
+	ev.issue = issue
 	ev.seq = e.seq
 	e.seq++
+	if e.census != nil {
+		ev.ahead, ev.by = issue > e.cal, e.running
+	}
 	return ev
 }
 
@@ -248,6 +286,7 @@ func (e *Engine) getEvent(at Time) *event {
 func (e *Engine) putEvent(ev *event) {
 	ev.fn = nil
 	ev.c = nil
+	ev.by = nil
 	ev.gen++
 	e.free = append(e.free, ev)
 }
@@ -261,7 +300,7 @@ func (e *Engine) Schedule(delay Time, fn func()) EventHandle {
 	if delay < 0 {
 		delay = 0
 	}
-	ev := e.getEvent(e.now + delay)
+	ev := e.getEvent(e.now+delay, e.now)
 	ev.fn = fn
 	e.queue.push(ev)
 	return EventHandle{ev: ev, gen: ev.gen}
@@ -275,7 +314,7 @@ func (e *Engine) ScheduleAt(at Time, fn func()) EventHandle {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: ScheduleAt(%v) is before now %v", at, e.now))
 	}
-	ev := e.getEvent(at)
+	ev := e.getEvent(at, e.now)
 	ev.fn = fn
 	e.queue.push(ev)
 	return EventHandle{ev: ev, gen: ev.gen}
@@ -287,7 +326,7 @@ func (e *Engine) ScheduleCall(delay Time, c Caller) EventHandle {
 	if delay < 0 {
 		delay = 0
 	}
-	ev := e.getEvent(e.now + delay)
+	ev := e.getEvent(e.now+delay, e.now)
 	ev.c = c
 	e.queue.push(ev)
 	return EventHandle{ev: ev, gen: ev.gen}
@@ -299,7 +338,7 @@ func (e *Engine) After(delay Time, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
-	ev := e.getEvent(e.now + delay)
+	ev := e.getEvent(e.now+delay, e.now)
 	ev.fn = fn
 	e.queue.push(ev)
 }
@@ -312,7 +351,7 @@ func (e *Engine) CallAfter(delay Time, c Caller) {
 	if delay < 0 {
 		delay = 0
 	}
-	ev := e.getEvent(e.now + delay)
+	ev := e.getEvent(e.now+delay, e.now)
 	ev.c = c
 	e.queue.push(ev)
 }
@@ -323,7 +362,12 @@ func (e *Engine) CallAt(at Time, c Caller) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: CallAt(%v) is before now %v", at, e.now))
 	}
-	ev := e.getEvent(at)
+	e.callAt(at, e.now, c)
+}
+
+// callAt pushes c at time at with the given issue time.
+func (e *Engine) callAt(at, issue Time, c Caller) {
+	ev := e.getEvent(at, issue)
 	ev.c = c
 	e.queue.push(ev)
 }
@@ -348,10 +392,19 @@ func (h EventHandle) Cancel() bool {
 	return true
 }
 
-// fire runs a just-popped event's callback after recycling the slot: the
+// fire executes a just-popped live event: the clocks move to its time, it
+// is counted, and its callback runs after the slot is recycled — the
 // callback routinely schedules new events, and handing the slot back first
 // lets that schedule reuse it immediately.
 func (e *Engine) fire(ev *event) {
+	if ev.at < e.cal {
+		panic(fmt.Sprintf("sim: event at %v is before now %v", ev.at, e.cal))
+	}
+	e.now, e.cal = ev.at, ev.at
+	e.executed++
+	if e.census != nil {
+		e.census(ev)
+	}
 	fn, c := ev.fn, ev.c
 	e.putEvent(ev)
 	if c != nil {
@@ -384,7 +437,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	for !e.stopped && e.queue.Len() > 0 {
 		next := e.queue.evs[0]
 		if next.at > deadline {
-			e.now = deadline
+			e.now, e.cal = deadline, deadline
 			return e.now
 		}
 		e.queue.pop()
@@ -392,11 +445,6 @@ func (e *Engine) RunUntil(deadline Time) Time {
 			e.putEvent(next)
 			continue
 		}
-		if next.at < e.now {
-			panic(fmt.Sprintf("sim: event at %v is before now %v", next.at, e.now))
-		}
-		e.now = next.at
-		e.executed++
 		e.fire(next)
 	}
 	if e.active > 0 && !e.stopped && e.shardSet == nil {
@@ -435,26 +483,21 @@ func (e *Engine) RunWindow(end Time) {
 			e.putEvent(next)
 			continue
 		}
-		if next.at < e.now {
-			panic(fmt.Sprintf("sim: event at %v is before now %v", next.at, e.now))
-		}
-		e.now = next.at
-		e.executed++
 		e.fire(next)
 	}
 }
 
-// advance moves the clock straight to w, the wake-up time of the running
-// process's sleep, and reports whether it did. It does so exactly when the
-// wake-up event the sleeper would otherwise schedule is what the run loop
-// would execute next: the newest event loses every tie, so it must be
-// strictly earlier than the calendar head (a cancelled head counts — the
-// refusal is only ever conservative), and it must be inside the loop's
-// bound, which for a window includes the two mail caps as RunWindow applies
-// them. The loop would then pop it, set the clock, count it and switch back
-// to the sleeper with nothing run in between; advance does the first three
-// and the sleeper simply carries on. Whenever it refuses, the calendar path
-// runs as it always has.
+// advance moves the calendar straight to w, the wake-up time of the running
+// process's sleep or synchronisation, and reports whether it did. It does
+// so exactly when the wake-up event the process would otherwise schedule is
+// what the run loop would execute next: it must be strictly earlier than
+// the calendar head (a tie may go either way on the issue key, and a
+// cancelled head counts — the refusal is only ever conservative), and it
+// must be inside the loop's bound, which for a window includes the two mail
+// caps as RunWindow applies them. The loop would then pop it, set the
+// clock, count it and switch back to the process with nothing run in
+// between; advance does the first three and the process simply carries on.
+// Whenever it refuses, the calendar path runs as it always has.
 func (e *Engine) advance(w Time) bool {
 	if e.stopped || e.viaCalendar || w < e.now {
 		return false
@@ -469,17 +512,18 @@ func (e *Engine) advance(w Time) bool {
 	} else if !(w <= e.limit) {
 		return false
 	}
-	e.now = w
+	e.now, e.cal = w, w
 	e.executed++
 	return true
 }
 
 // injectMail appends a batch of barrier mail, already in canonical merge
-// order, to the calendar in one pass: each item takes the next sequence
-// number in batch order, so same-time ties at the receiver resolve
-// identically for every shard count. Large batches (relative to the
-// resident calendar) are appended raw and re-heapified in O(n); small
-// ones go through ordinary pushes.
+// order, to the calendar in one pass: each item is issued at its post time,
+// as the same event scheduled directly on a single engine would be, and
+// takes the next sequence number in batch order, so same-time ties at the
+// receiver resolve identically for every shard count. Large batches
+// (relative to the resident calendar) are appended raw and re-heapified in
+// O(n); small ones go through ordinary pushes.
 func (e *Engine) injectMail(items []mailItem) {
 	bulk := len(items) > e.queue.Len()
 	for i := range items {
@@ -487,7 +531,7 @@ func (e *Engine) injectMail(items []mailItem) {
 		if it.at < e.now {
 			panic(fmt.Sprintf("sim: mail at %v is before now %v", it.at, e.now))
 		}
-		ev := e.getEvent(it.at)
+		ev := e.getEvent(it.at, it.postTime)
 		ev.fn = it.fn
 		ev.c = it.c
 		if bulk {

@@ -8,11 +8,18 @@ import "fmt"
 // ...) and then switches straight back to whoever resumed it, on the same
 // thread, without a trip through the Go scheduler (coroutine.go).
 //
+// A process has its own clock. Charge moves it ahead of the calendar;
+// Sync, Sleep and the waits meet the calendar there first.
+//
 // All Process methods must be called from the process's own body function.
 type Process struct {
 	eng  *Engine
 	name string
 	pid  int
+	// from is where the last charge ahead of the calendar started: the
+	// issue time of the wake-up a process sleeping through it would have
+	// scheduled, which Sync's wake-up takes over.
+	from Time
 
 	next func() (struct{}, bool) // engine -> process: run until it parks or returns
 	park func(struct{}) bool     // process -> engine: I have blocked; false = unwind
@@ -49,7 +56,11 @@ func (p *Process) run() {
 	if p.finished {
 		panic(fmt.Sprintf("sim: resuming finished process %s", p.name))
 	}
+	e := p.eng
+	e.running = p
 	p.next()
+	// Parked or returned: the engine's clock is the calendar's again.
+	e.running, e.now = nil, e.cal
 }
 
 // yield parks the process and returns control to the engine. The process
@@ -66,8 +77,44 @@ func (p *Process) yield(why string) {
 // Engine returns the engine this process runs on.
 func (p *Process) Engine() *Engine { return p.eng }
 
-// Now returns the current virtual time.
+// Now returns the process's clock: the calendar's time plus whatever the
+// process has charged since it last met the calendar.
 func (p *Process) Now() Time { return p.eng.now }
+
+// Charge advances the process's clock by d without meeting the calendar:
+// no event is scheduled, nothing else runs, and the events the process
+// schedules meanwhile carry its clock as their issue time. It is Sleep for
+// work whose interim nobody can observe. Before the process reads state
+// that other processes or events change, it must meet the calendar (Sync,
+// Sleep, or a wait, which syncs first). A d that does not move the clock,
+// a RunUntil deadline the charge would cross, a stopped engine and the
+// engine's always-synchronise reference make it a Sleep.
+func (p *Process) Charge(d Time) {
+	e := p.eng
+	t := e.now + d
+	if !(t > e.now) || e.alwaysSync || e.stopped || (!e.windowed && t > e.limit) {
+		p.Sleep(d)
+		return
+	}
+	p.from, e.now = e.now, t
+}
+
+// Sync meets the calendar at the process's clock: it returns once every
+// event that would have run before the process woke from its last charge,
+// had it slept through it, has run. Its wake-up is issued where that charge
+// started. A process that has not charged since it last met the calendar
+// does not yield.
+func (p *Process) Sync() {
+	e := p.eng
+	if e.now == e.cal || e.stopped {
+		return
+	}
+	if e.advance(e.now) {
+		return
+	}
+	e.callAt(e.now, p.from, p)
+	p.yield("sync")
+}
 
 // Sleep advances the process by d of virtual time. Other processes and
 // events run in the interim. A non-positive d yields the processor for the
@@ -83,18 +130,6 @@ func (p *Process) Sleep(d Time) {
 	}
 	p.eng.CallAfter(d, p)
 	p.yield("sleep")
-}
-
-// SleepUntil suspends the process until the absolute virtual time at.
-// Unlike Sleep(at-Now()), the wake time is exactly at — no float rounding
-// from the subtract-then-add round trip — which batched operations rely on
-// to land on the same instant as the equivalent sequence of Sleeps.
-func (p *Process) SleepUntil(at Time) {
-	if p.eng.advance(at) {
-		return
-	}
-	p.eng.CallAt(at, p)
-	p.yield("sleep-until")
 }
 
 // Done returns a signal fired when the process body returns. Other
@@ -143,6 +178,9 @@ func (s *Signal) tag() string {
 	return s.waitTag
 }
 
+// Fired reports whether the signal has fired.
+func (s *Signal) Fired() bool { return s.fired }
+
 // Call fires the signal: a Signal is its own completion Caller, so
 // "schedule this signal to fire after the wire time" costs no closure.
 func (s *Signal) Call() { s.Fire() }
@@ -175,6 +213,7 @@ func (s *Signal) Fire() {
 
 // Wait blocks the calling process until the signal fires.
 func (s *Signal) Wait(p *Process) {
+	p.Sync()
 	if s.fired {
 		return
 	}
@@ -264,6 +303,7 @@ func (c *Counter) Reset() { c.value = 0 }
 // WaitFor blocks the calling process until the counter value is at least
 // threshold.
 func (c *Counter) WaitFor(p *Process, threshold int64) {
+	p.Sync()
 	if c.value >= threshold {
 		return
 	}

@@ -290,7 +290,7 @@ func (ss *ShardSet) AlignNow() Time {
 	max := ss.Now()
 	for _, e := range ss.engines {
 		if e.now < max {
-			e.now = max
+			e.now, e.cal = max, max
 		}
 	}
 	return max

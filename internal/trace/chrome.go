@@ -34,11 +34,16 @@ func laneOf(k Kind) int {
 
 // WriteChromeTrace serialises the recorder in the Chrome trace-event JSON
 // format: one process per rank, lane 0 for the MPE and lane 1 for the CPE
-// cluster. Virtual seconds map to microseconds of trace time.
+// cluster. Virtual seconds map to microseconds of trace time. Events are
+// written in canonical order (SortEvents): ranks record in host order,
+// which depends on the engine and on how far each rank runs ahead of the
+// calendar.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	events := []chromeEvent{}
 	if r != nil {
-		for _, e := range r.snapshot() {
+		snap := r.snapshot()
+		SortEvents(snap)
+		for _, e := range snap {
 			events = append(events, chromeEvent{
 				Name:     e.Name,
 				Category: string(e.Kind),

@@ -68,9 +68,10 @@ func NewFromEvents(events []Event) *Recorder {
 
 // Add records one interval. Safe on a nil receiver and safe for
 // concurrent use — the sharded engine records from several host threads.
-// Note that insertion order is then wall-clock arrival order, so
-// order-sensitive consumers (WriteTimeline) should sort; the aggregate
-// accessors are order-insensitive.
+// Insertion order is host order — across shard threads, and across ranks
+// running ahead of the calendar — so order-sensitive consumers sort; one
+// rank's own events arrive in its program order (WriteTimeline shows one
+// rank).
 func (r *Recorder) Add(ev Event) {
 	if r == nil {
 		return

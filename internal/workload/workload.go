@@ -239,7 +239,9 @@ func (sc *Scenario) Validate() error {
 			if a.Burst < 0 {
 				return fmt.Errorf("%s: burst size must be >= 0, got %d", where, a.Burst)
 			}
-			if int(ph.Duration/a.Every)+1 > maxBursts {
+			// Compared as floats: a huge duration over a tiny spacing is
+			// +Inf, whose int conversion wraps negative.
+			if ph.Duration/a.Every >= maxBursts {
 				return fmt.Errorf("%s: more than %d waves", where, maxBursts)
 			}
 			if a.Pattern == PatternStorm {

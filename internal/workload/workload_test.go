@@ -169,6 +169,9 @@ func TestParseRejections(t *testing.T) {
 		{"bad storm layout",
 			`{"name":"x","seed":1,` + base + `,"phases":[{"name":"p","duration":1,"arrival":{"pattern":"storm","every":1,"layouts":["4x4"]}}]}`,
 			"bad storm layout"},
+		{"wave count overflows int",
+			`{"name":"x","seed":1,` + base + `,"phases":[{"name":"p","duration":1e308,"arrival":{"pattern":"burst","every":1e-308}}]}`,
+			"more than 4096 waves"},
 		{"layouts on burst",
 			`{"name":"x","seed":1,` + base + `,"phases":[{"name":"p","duration":1,"arrival":{"pattern":"burst","every":1,"layouts":["2x2x2"]}}]}`,
 			"only apply to the storm"},
