@@ -200,11 +200,12 @@ func (r *Rank) RankID() int { return r.rank }
 // eng returns the engine owning this rank.
 func (r *Rank) eng() *sim.Engine { return r.comm.engs[r.rank] }
 
-// charge bills p for MPE time spent posting a request. Nothing outside the
-// rank observes the interim, so it is a lazy charge on the process's clock
+// Charge bills the rank's process p for d of MPE work: request posts here,
+// the scheduler's packs, polls and copies. Nothing outside the rank
+// observes the interim, so it is a lazy charge on the process's clock
 // (sim.Process.Charge); under fault injection, where resends and backstop
 // timers act on the clock, every charge synchronises.
-func (r *Rank) charge(p *sim.Process, d sim.Time) {
+func (r *Rank) Charge(p *sim.Process, d sim.Time) {
 	if r.comm.inj != nil {
 		p.Sleep(d)
 		return
@@ -288,7 +289,7 @@ func (r *Rank) Isend(p *sim.Process, dst, tag int, payload []float64, bytes int6
 	if bytes < 0 {
 		panic("mpisim: negative message size")
 	}
-	r.charge(p, sim.Time(r.comm.params.MPIPostCost))
+	r.Charge(p, sim.Time(r.comm.params.MPIPostCost))
 	now := r.eng().Now()
 	wire := sim.Time(r.comm.params.MessageTimeBetween(r.rank, dst, bytes))
 	req := r.getReq()
@@ -425,7 +426,7 @@ func (c *Comm) traceRecovery(rank int, name string, st *sendState) {
 // time, both at or before any Test that follows, and nothing can have
 // registered on the fresh request's signal before it fires.
 func (r *Rank) Irecv(p *sim.Process, src, tag int) *Request {
-	r.charge(p, sim.Time(r.comm.params.MPIPostCost))
+	r.Charge(p, sim.Time(r.comm.params.MPIPostCost))
 	req := r.getReq()
 	req.src, req.tag = src, tag
 	req.sig.Init(r.eng(), "recv")

@@ -373,20 +373,14 @@ func (s *Rank) noteConsumed(l *taskgraph.Label, patchID int) {
 // charge advances the process by d and attributes it to a stats bucket and
 // the trace. MPE work is invisible outside the rank until the scheduler
 // next observes something, so the charge only moves the rank's own clock
-// (sim.Process.Charge); the loop meets the calendar where it looks: a
-// receive test, a flag due to be raised, a park, a reduction. Under fault
-// injection every charge synchronises: deadlines, backoffs and resends act
-// on the clock.
+// (mpisim.Rank.Charge); the loop meets the calendar where it looks: a
+// receive test, a flag due to be raised, a park, a reduction.
 func (s *Rank) charge(p *sim.Process, d sim.Time, bucket *sim.Time, kind trace.Kind, step int, name string) {
 	if d <= 0 {
 		return
 	}
 	start := p.Now()
-	if s.inj != nil {
-		p.Sleep(d)
-	} else {
-		p.Charge(d)
-	}
+	s.mpi.Charge(p, d)
 	*bucket += d
 	s.cfg.Trace.Add(trace.Event{
 		Rank: s.mpi.RankID(), Step: step, Kind: kind, Name: name,

@@ -136,6 +136,9 @@ func TestLazyClocksMatchAlwaysSync(t *testing.T) {
 		}
 	}
 	cases = append(cases,
+		// The synchronous scheduler on eight ranks with no recorder attached,
+		// the only untraced case.
+		tc{spec: runner.Spec{Cells: "16x16x16", Layout: "2x2x2", TileSize: "8x8x4", CGs: 8, Variant: "acc.sync", Steps: 3}},
 		tc{spec: runner.Spec{Cells: "32x32x32", Layout: "2x2x2", CGs: 4, Variant: "host.sync", Steps: 3, Functional: true, Trace: true}},
 		tc{spec: runner.Spec{Cells: "32x32x32", Layout: "2x2x2", CGs: 4, Variant: "acc.async", Steps: 3, Functional: true, Trace: true,
 			Faults: &faults.Plan{Seed: 7, Drop: 0.1, Dup: 0.1, Delay: 0.1, Straggle: 0.1, Stall: 0.05}}, faulty: true},
