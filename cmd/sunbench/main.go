@@ -160,6 +160,8 @@ func main() {
 		cache = dc
 	}
 
+	// Cache hits print nothing: the cache is also the sweep's memo, so every
+	// artifact re-reading a cell is one. The final metrics line counts them.
 	var onEvent func(runner.Event)
 	if *verbose {
 		onEvent = func(ev runner.Event) {
@@ -169,9 +171,6 @@ func main() {
 					ev.Done, ev.Total, ev.HitRate*100, ev.Spec)
 			case runner.EventRetried:
 				fmt.Fprintf(os.Stderr, "[%d/%d] retrying %s: %v\n", ev.Done, ev.Total, ev.Spec, ev.Err)
-			case runner.EventCacheHit:
-				fmt.Fprintf(os.Stderr, "[%d/%d, %.0f%% hit] cached  %s\n",
-					ev.Done, ev.Total, ev.HitRate*100, ev.Spec)
 			}
 		}
 	}

@@ -28,13 +28,9 @@ import (
 // so "done" arrives within one heartbeat of the job finishing.
 
 // progressTopic maps an accepted spec to the bus topic Exec publishes
-// under. It mirrors startJob's repeat-seed stamping: the first repeat of
-// a noisy spec runs with Seed 1, so the stream follows that repeat.
+// under: the stream follows the first of its runner.Repeats.
 func progressTopic(spec runner.Spec) string {
-	if spec.Noise > 0 {
-		spec.Seed = 1
-	}
-	return spec.Hash()
+	return runner.Repeats(spec, 1)[0].Hash()
 }
 
 // sseEvent writes one SSE frame and flushes it through to the client.

@@ -67,10 +67,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "repeats must be <= %d, got %d", maxRepeats, req.Repeats)
 		return
 	}
-	repeats := req.Repeats
-	if repeats <= 1 || req.Noise == 0 {
-		repeats = 1
-	}
+	specs := runner.Repeats(req.Spec, req.Repeats)
 
 	tenant := tenantOf(r)
 	if dec := s.adm.Admit(); !dec.OK {
@@ -92,7 +89,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		ID:        fmt.Sprintf("j%d", s.nextID),
 		Tenant:    tenant,
 		Spec:      req.Spec,
-		Repeats:   repeats,
+		Repeats:   len(specs),
 		State:     runner.StateQueued,
 		Submitted: time.Now(),
 		admitted:  true,
@@ -100,28 +97,24 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.jobs[j.ID] = j
 	s.mu.Unlock()
 	if err := s.store.Accept(jobstore.Record{
-		ID: j.ID, Tenant: tenant, Spec: req.Spec, Repeats: repeats,
+		ID: j.ID, Tenant: tenant, Spec: req.Spec, Repeats: len(specs),
 		State: runner.StateQueued, Submitted: j.Submitted,
 	}); err != nil {
 		s.log.Error("jobstore accept", "job", j.ID, "err", err)
 	}
 
-	s.startJob(j.ID, req.Spec, repeats)
+	s.startJob(j.ID, specs)
 	s.writeJSON(w, http.StatusAccepted, map[string]string{"id": j.ID, "status": "/jobs/" + j.ID})
 }
 
-// startJob submits every repeat of a spec to the pool and spawns the
+// startJob submits a job's runner.Repeats set to the pool and spawns the
 // collector — the shared path of fresh submissions and restart recovery.
 // The paper's "best result is selected" protocol: all repeats up front,
 // reduced by min in the background.
-func (s *server) startJob(id string, spec runner.Spec, repeats int) {
-	jobs := make([]*runner.Job, repeats)
-	for rep := 0; rep < repeats; rep++ {
-		sp := spec
-		if sp.Noise > 0 {
-			sp.Seed = uint64(rep + 1)
-		}
-		jobs[rep] = s.pool.Submit(sp)
+func (s *server) startJob(id string, specs []runner.Spec) {
+	jobs := make([]*runner.Job, len(specs))
+	for i, spec := range specs {
+		jobs[i] = s.pool.Submit(spec)
 	}
 	s.mu.Lock()
 	if j, ok := s.jobs[id]; ok {

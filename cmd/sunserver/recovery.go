@@ -44,11 +44,7 @@ func (s *server) recoverJobs() {
 		// The previous incarnation admitted this job; reserve its slot so
 		// recovered backlog counts against the admission window.
 		s.adm.Reserve()
-		repeats := rec.Repeats
-		if repeats < 1 {
-			repeats = 1
-		}
-		s.startJob(j.ID, rec.Spec, repeats)
+		s.startJob(j.ID, runner.Repeats(rec.Spec, rec.Repeats))
 		resumed++
 	}
 	s.log.Info("job store recovered", "records", len(recs), "resumed", resumed)

@@ -224,6 +224,41 @@ func TestDeleteCancelsJob(t *testing.T) {
 	}
 }
 
+// TestRepeatedRunDoneWhilePoolSaturated: a repeated POST /run is answered
+// from the cache at submit, so it reaches done while another job holds the
+// only worker.
+func TestRepeatedRunDoneWhilePoolSaturated(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	gated := gatedExec(release)
+	exec := func(ctx context.Context, spec runner.Spec) (*runner.Result, error) {
+		if spec.CGs == 1 {
+			return instantExec(ctx, spec)
+		}
+		return gated(ctx, spec)
+	}
+	ts, _, pool := newRobustServer(t, exec, 1, serverConfig{steps: 1})
+
+	body := fmt.Sprintf(smallSpec, "")
+	_, first, _ := postSpec(t, ts.URL, body, "")
+	waitJobState(t, ts.URL, first, "done")
+	postSpec(t, ts.URL, `{"cells":"8x8x8","cgs":2,"variant":"acc.async","steps":1}`, "")
+	for deadline := time.Now().Add(10 * time.Second); pool.Metrics().Running != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the gated job never started")
+		}
+	}
+
+	code, again, _ := postSpec(t, ts.URL, body, "")
+	if code != http.StatusAccepted {
+		t.Fatalf("repeated POST /run = %d, want 202", code)
+	}
+	waitJobState(t, ts.URL, again, "done")
+	if m := pool.Metrics(); m.Running != 1 || m.Executed != 1 || m.CacheHits != 1 {
+		t.Fatalf("pool metrics = %+v, want the gated job still running and one cache hit", m)
+	}
+}
+
 // TestRestartRecovery is the crash-resume acceptance path: server A
 // journals two jobs (one finishes, one is killed mid-run), server B
 // opens the same store and cache, re-lists the finished job with its

@@ -23,9 +23,10 @@ type MemCheckpoint struct {
 	Data [][][]float64
 }
 
-// persistentLabels returns the labels that carry state between steps, in
-// deterministic order, erroring on duplicate names (the checkpoint format
-// identifies labels by name).
+// persistentLabels returns the labels that carry state between steps —
+// exactly those required from the old warehouse — in deterministic order,
+// erroring on duplicate names (the checkpoint format identifies labels by
+// name). Checkpoint, Regrid and Rebalance move this set.
 func (s *Simulation) persistentLabels() ([]*taskgraph.Label, error) {
 	var labels []*taskgraph.Label
 	seenPtr := map[*taskgraph.Label]bool{}

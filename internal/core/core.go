@@ -530,15 +530,8 @@ func (s *Simulation) Run(nSteps int) (*Result, error) {
 		}
 	}
 	res.WallTime = res.StepEnds[nSteps-1] - segmentStart
-	res.PerStep = res.WallTime / sim.Time(nSteps)
 	res.Counters = s.Machine.TotalCounters().Sub(countersBefore)
-	flops := float64(res.Counters.Flops + res.Counters.MPEFlops)
-	if res.WallTime > 0 {
-		res.Gflops = flops / float64(res.WallTime) / 1e9
-	}
-	res.Efficiency = res.Gflops * 1e9 / s.Machine.PeakFlops()
-	for r, rk := range s.Ranks {
-		res.RankStats = append(res.RankStats, rk.Stats)
+	for r := range s.Ranks {
 		res.BytesOnWire += s.Comm.Rank(r).BytesSent
 		if pk := s.Machine.CG(r).PeakBytes(); pk > res.PeakMemoryBytes {
 			res.PeakMemoryBytes = pk
@@ -546,8 +539,26 @@ func (s *Simulation) Run(nSteps int) (*Result, error) {
 	}
 	res.BytesOnWire -= bytesBefore
 	res.Faults = s.faultReport()
-	s.attachObs(res)
+	s.fold(res)
 	return res, nil
+}
+
+// fold completes a result from its Steps, WallTime and Counters: the
+// per-step time, the floating-point rate and efficiency, each rank's
+// scheduler statistics and the flight recorder.
+func (s *Simulation) fold(res *Result) {
+	if res.Steps > 0 {
+		res.PerStep = res.WallTime / sim.Time(res.Steps)
+	}
+	flops := float64(res.Counters.Flops + res.Counters.MPEFlops)
+	if res.WallTime > 0 {
+		res.Gflops = flops / float64(res.WallTime) / 1e9
+	}
+	res.Efficiency = res.Gflops * 1e9 / s.Machine.PeakFlops()
+	for _, rk := range s.Ranks {
+		res.RankStats = append(res.RankStats, rk.Stats)
+	}
+	s.attachObs(res)
 }
 
 // attachObs folds the flight recorder into a result: the sampled series

@@ -28,17 +28,9 @@ func (s *Simulation) Rebalance(newAssign []int) error {
 		}
 	}
 
-	// The labels that live across steps are exactly those required from
-	// the old warehouse (allocateInitial's set).
-	var labels []*taskgraph.Label
-	needed := map[*taskgraph.Label]bool{}
-	for _, t := range s.Prob.Tasks {
-		for _, d := range t.Requires {
-			if d.DW == taskgraph.OldDW && !needed[d.Label] {
-				needed[d.Label] = true
-				labels = append(labels, d.Label)
-			}
-		}
+	labels, err := s.persistentLabels()
+	if err != nil {
+		return err
 	}
 
 	type move struct {

@@ -284,19 +284,8 @@ func runResilient(cfg Config, prob Problem, nSteps int) (*Result, *Simulation, e
 	out := &Result{Steps: stepsDone, WallTime: wall, StepEnds: stepEnds,
 		Counters: counters, BytesOnWire: bytesOnWire, PeakMemoryBytes: peakMem,
 		Faults: merged}
-	if stepsDone > 0 {
-		out.PerStep = wall / sim.Time(stepsDone)
-	}
-	flops := float64(counters.Flops + counters.MPEFlops)
-	if wall > 0 {
-		out.Gflops = flops / float64(wall) / 1e9
-	}
-	out.Efficiency = out.Gflops * 1e9 / s.Machine.PeakFlops()
-	for _, rk := range s.Ranks {
-		out.RankStats = append(out.RankStats, rk.Stats)
-	}
-	// The surviving incarnation's flight recorder covers every step that
-	// made it into the folded result (crashed segments' work was redone).
-	s.attachObs(out)
+	// The surviving incarnation's ranks and flight recorder cover every step
+	// that made it into the folded result (crashed segments' work was redone).
+	s.fold(out)
 	return out, s, nil
 }

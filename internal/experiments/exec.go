@@ -18,7 +18,8 @@ import (
 )
 
 // SpecFor builds the runner.Spec of one experimental cell under the given
-// sweep options and noise seed. The Spec is self-contained: Exec needs
+// sweep options and noise seed (a sweep passes 0 and lets runner.Repeats
+// assign its best-of-k seeds). The Spec is self-contained: Exec needs
 // nothing else to reproduce the run.
 func SpecFor(prob ProblemSpec, cgs int, v Variant, opt Options, seed uint64) runner.Spec {
 	steps := opt.Steps

@@ -69,20 +69,27 @@ func TestMetricHelpers(t *testing.T) {
 	}
 }
 
+// TestSweepMemoises: the pool's cache is the sweep's memo, so a second Run
+// of a cell executes nothing.
 func TestSweepMemoises(t *testing.T) {
 	s := NewSweep(Options{Steps: 1})
-	runs := 0
-	s.Progress = func(CaseKey) { runs++ }
+	defer s.Close()
 	prob := Problems[0]
 	v, _ := VariantByName("acc.async")
-	if _, err := s.Run(prob, 1, v); err != nil {
+	first, err := s.Run(prob, 1, v)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(prob, 1, v); err != nil {
+	executed := s.Pool().Metrics().Executed
+	second, err := s.Run(prob, 1, v)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if runs != 1 {
-		t.Fatalf("sweep ran %d times, want memoised single run", runs)
+	if m := s.Pool().Metrics(); m.Executed != executed || m.CacheHits != 1 {
+		t.Fatalf("second Run: executed %d -> %d, %d cache hits; want a memoised single run", executed, m.Executed, m.CacheHits)
+	}
+	if second.Result != first.Result {
+		t.Fatal("second Run should return the cached result")
 	}
 }
 

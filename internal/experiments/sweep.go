@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"sunuintah/internal/core"
 	"sunuintah/internal/runner"
@@ -16,7 +15,7 @@ type CaseKey struct {
 	Variant string
 }
 
-// CaseResult is a memoised run outcome. Infeasible cells (the paper's
+// CaseResult is one cell's run outcome. Infeasible cells (the paper's
 // memory-allocation crashes) carry Feasible == false.
 type CaseResult struct {
 	Key      CaseKey
@@ -24,23 +23,15 @@ type CaseResult struct {
 	Result   *core.Result
 }
 
-// Sweep runs and memoises experimental cells on top of a runner pool:
-// independent cells execute concurrently across the pool's workers, and
-// the pool's content-addressed cache makes repeated artifacts (and, with
-// a disk cache, repeated invocations) near-free. Sweep is safe for
-// concurrent use.
+// Sweep runs experimental cells on top of a runner pool: independent
+// cells execute concurrently across the pool's workers, and the pool's
+// content-addressed cache is the sweep's memo, so repeated artifacts (and,
+// with a disk cache, repeated invocations) are near-free. Sweep keeps no
+// state of its own and is safe for concurrent use.
 type Sweep struct {
 	opt     Options
 	pool    *Pool
 	ownPool bool
-
-	mu   sync.Mutex
-	memo map[CaseKey]*CaseResult
-	jobs map[CaseKey][]*runner.Job // pending submissions, one job per repeat
-	// Progress, when non-nil, is called before each fresh (non-memoised)
-	// run. For richer progress (done/total, hit rate) attach an event
-	// handler to the pool instead.
-	Progress func(key CaseKey)
 }
 
 // NewSweep creates a sweep with its own pool: opt.Jobs workers (default
@@ -52,14 +43,11 @@ func NewSweep(opt Options) *Sweep {
 	return s
 }
 
-// NewSweepWithPool creates a sweep executing on an existing pool.
+// NewSweepWithPool creates a sweep executing on an existing pool. The pool
+// must have a cache: it is the sweep's only memo, and without one every
+// Run of a cell executes it again.
 func NewSweepWithPool(opt Options, pool *Pool) *Sweep {
-	return &Sweep{
-		opt:  opt,
-		pool: pool,
-		memo: map[CaseKey]*CaseResult{},
-		jobs: map[CaseKey][]*runner.Job{},
-	}
+	return &Sweep{opt: opt, pool: pool}
 }
 
 // Pool returns the sweep's underlying runner pool.
@@ -72,48 +60,21 @@ func (s *Sweep) Close() {
 	}
 }
 
-// specs expands one cell into its job specs: the paper's best-of-k
-// protocol turns a noisy case into k jobs with distinct seeds, reduced by
-// min at collection time.
-func (s *Sweep) specs(prob ProblemSpec, cgs int, v Variant) []runner.Spec {
-	repeats := s.opt.Repeats
-	if repeats <= 1 || s.opt.Noise == 0 {
-		repeats = 1
-	}
-	out := make([]runner.Spec, repeats)
-	for rep := 0; rep < repeats; rep++ {
-		out[rep] = SpecFor(prob, cgs, v, s.opt, uint64(rep+1))
-	}
-	return out
-}
-
-// submit returns the cell's jobs, submitting them on first use: each
-// cell is handed to the pool exactly once per sweep, whether it is first
-// touched by Prefetch or by Run.
-func (s *Sweep) submit(key CaseKey, prob ProblemSpec, cgs int, v Variant) []*runner.Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, done := s.memo[key]; done {
-		return nil
-	}
-	if jobs, ok := s.jobs[key]; ok {
-		return jobs
-	}
-	specs := s.specs(prob, cgs, v)
+// submit hands a cell's best-of-k repeat set to the pool, which coalesces
+// pending twins and answers cached ones at once.
+func (s *Sweep) submit(prob ProblemSpec, cgs int, v Variant) []*runner.Job {
+	specs := runner.Repeats(SpecFor(prob, cgs, v, s.opt, 0), s.opt.Repeats)
 	jobs := make([]*runner.Job, len(specs))
 	for i, spec := range specs {
 		jobs[i] = s.pool.Submit(spec)
 	}
-	s.jobs[key] = jobs
 	return jobs
 }
 
 // Prefetch submits a cell's jobs without waiting for them, so later Run
-// calls collect already-executing work. Memoised cells are skipped; the
-// pool dedups everything else.
+// calls collect already-executing work.
 func (s *Sweep) Prefetch(prob ProblemSpec, cgs int, v Variant) {
-	key := CaseKey{prob.Name, cgs, v.Name}
-	s.submit(key, prob, cgs, v)
+	s.submit(prob, cgs, v)
 }
 
 // PrefetchSeries submits a whole scaling series (every CG count from the
@@ -127,30 +88,13 @@ func (s *Sweep) PrefetchSeries(prob ProblemSpec, v Variant) {
 	}
 }
 
-// Run returns the memoised result of one cell, executing it on the pool
-// on first use. Out-of-memory failures are recorded as infeasible rather
-// than errors, mirroring the paper's starred Table III rows.
+// Run returns the result of one cell: the fastest of its repeats, from the
+// pool's cache or executed on first use. Out-of-memory failures are
+// recorded as infeasible rather than errors, mirroring the paper's starred
+// Table III rows.
 func (s *Sweep) Run(prob ProblemSpec, cgs int, v Variant) (*CaseResult, error) {
 	key := CaseKey{prob.Name, cgs, v.Name}
-	s.mu.Lock()
-	if r, ok := s.memo[key]; ok {
-		s.mu.Unlock()
-		return r, nil
-	}
-	_, pending := s.jobs[key]
-	progress := s.Progress
-	s.mu.Unlock()
-	if progress != nil && !pending {
-		progress(key)
-	}
-
-	jobs := s.submit(key, prob, cgs, v)
-	if jobs == nil { // memoised by a concurrent Run between the checks
-		s.mu.Lock()
-		r := s.memo[key]
-		s.mu.Unlock()
-		return r, nil
-	}
+	jobs := s.submit(prob, cgs, v)
 	results := make([]*runner.Result, len(jobs))
 	for i, j := range jobs {
 		res, err := j.Wait(context.Background())
@@ -160,17 +104,7 @@ func (s *Sweep) Run(prob ProblemSpec, cgs int, v Variant) (*CaseResult, error) {
 		results[i] = res
 	}
 	best := runner.MinResult(results)
-
-	r := &CaseResult{Key: key, Feasible: best.Feasible, Result: best.Sim}
-	s.mu.Lock()
-	if prev, ok := s.memo[key]; ok {
-		r = prev // a concurrent Run won the memoisation race
-	} else {
-		s.memo[key] = r
-		delete(s.jobs, key)
-	}
-	s.mu.Unlock()
-	return r, nil
+	return &CaseResult{Key: key, Feasible: best.Feasible, Result: best.Sim}, nil
 }
 
 // PerStepSeconds returns the wall time per timestep of a feasible cell.

@@ -115,10 +115,6 @@ type Params struct {
 	// PollCost is one check of the completion flag plus one trip around
 	// the scheduler's progress loop.
 	PollCost float64
-	// PollInterval is how long the asynchronous scheduler works on other
-	// business before rechecking the completion flag when it has nothing
-	// queued (idle backoff).
-	PollInterval float64
 
 	// ---- MPI costs (calibrated; Sections V-C and related work [18]) ----
 
@@ -182,7 +178,6 @@ func DefaultParams() Params {
 		StepFixedCost:          9e-3,
 		OffloadCost:            15e-6,
 		PollCost:               1.2e-6,
-		PollInterval:           20e-6,
 
 		MPIPostCost:    2.0e-6,
 		MPITestCost:    0.8e-6,

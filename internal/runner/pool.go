@@ -51,7 +51,8 @@ type Config struct {
 	Workers int
 	// Exec runs one spec. Required.
 	Exec ExecFunc
-	// Cache, when non-nil, memoises results by content hash.
+	// Cache, when non-nil, memoises results by content hash; Submit
+	// answers a cached spec without queueing it.
 	Cache Cache
 	// Timeout bounds each execution attempt; 0 disables. A timed-out
 	// attempt fails the job but never the process.
@@ -170,9 +171,12 @@ func (p *Pool) Workers() int { return p.cfg.Workers }
 // Metrics snapshots the pool's counters.
 func (p *Pool) Metrics() Metrics { return p.m.snapshot() }
 
-// Submit enqueues a spec and returns its job without blocking. A spec
-// already pending (same content hash) returns the pending job. After
-// Close, the returned job is already failed with ErrClosed.
+// Submit hands a spec to the pool and returns its job without blocking. A
+// spec already pending (same content hash) returns the pending job. A
+// spec the cache holds finishes at submit: the returned job is already
+// done, and never queues behind executions. Anything else is enqueued for
+// a worker. After Close, the returned job is already failed with
+// ErrClosed.
 func (p *Pool) Submit(spec Spec) *Job {
 	hash := spec.Hash()
 	p.mu.Lock()
@@ -189,11 +193,32 @@ func (p *Pool) Submit(spec Spec) *Job {
 	}
 	j := newJob(spec, hash)
 	p.inflight[hash] = j
-	p.queue = append(p.queue, j)
 	atomic.AddInt64(&p.m.submitted, 1)
-	p.cond.Signal()
 	p.mu.Unlock()
 	p.emit(EventQueued, spec, nil)
+
+	// The lookup runs outside the lock; twins coalesce onto j meanwhile. It
+	// cannot miss a finished twin's result, because execute Puts a result
+	// before finish takes the job out of inflight.
+	if p.cfg.Cache != nil {
+		if r, ok := p.cfg.Cache.Get(hash); ok {
+			atomic.AddInt64(&p.m.cacheHits, 1)
+			atomic.AddInt64(&p.m.savedNanos, int64(r.ExecSeconds*1e9))
+			p.finish(j, r, nil)
+			p.emit(EventCacheHit, spec, nil)
+			p.emit(EventDone, spec, nil)
+			return j
+		}
+	}
+	p.mu.Lock()
+	if p.closed { // closed during the lookup: the workers may be gone
+		p.mu.Unlock()
+		p.finish(j, nil, ErrClosed)
+		return j
+	}
+	p.queue = append(p.queue, j)
+	p.cond.Signal()
+	p.mu.Unlock()
 	return j
 }
 
@@ -316,7 +341,7 @@ func (p *Pool) worker() {
 	}
 }
 
-// execute runs one job to completion: cache lookup, bounded attempts with
+// execute runs one cache-missed job to completion: bounded attempts with
 // panic recovery and timeout, then result publication.
 func (p *Pool) execute(j *Job) {
 	// A cancel may have landed between dequeue and here (the worker holds
@@ -329,17 +354,6 @@ func (p *Pool) execute(j *Job) {
 		return
 	}
 	p.mu.Unlock()
-
-	if p.cfg.Cache != nil {
-		if r, ok := p.cfg.Cache.Get(j.Hash); ok {
-			atomic.AddInt64(&p.m.cacheHits, 1)
-			atomic.AddInt64(&p.m.savedNanos, int64(r.ExecSeconds*1e9))
-			p.finish(j, r, nil)
-			p.emit(EventCacheHit, j.Spec, nil)
-			p.emit(EventDone, j.Spec, nil)
-			return
-		}
-	}
 
 	// The job's own context layers per-job cancellation over the pool's
 	// base context; Cancel aborts this job alone, Shutdown aborts all.

@@ -26,10 +26,26 @@ func (r *Result) PerStepSeconds() float64 {
 	return float64(r.Sim.PerStep)
 }
 
-// MinResult returns the fastest feasible result of a best-of-k repeat set
-// (the paper's protocol: "each case is repeated multiple times and the
-// best result is selected"). If none is feasible it returns the first
-// non-nil result; if all are nil it returns nil.
+// Repeats expands a spec into its best-of-k repeat set, the paper's
+// protocol: "each case is repeated multiple times and the best result is
+// selected". A spec using the noise model becomes k specs with seeds 1..k
+// (k < 1 counts as 1); any other spec is deterministic and is its own set.
+// MinResult reduces the set's results.
+func Repeats(spec Spec, k int) []Spec {
+	if !(spec.Noise > 0) {
+		return []Spec{spec}
+	}
+	out := make([]Spec, max(k, 1))
+	for i := range out {
+		out[i] = spec
+		out[i].Seed = uint64(i + 1)
+	}
+	return out
+}
+
+// MinResult returns the fastest feasible result of a Repeats set. If none
+// is feasible it returns the first non-nil result; if all are nil it
+// returns nil.
 func MinResult(results []*Result) *Result {
 	var best *Result
 	for _, r := range results {

@@ -336,6 +336,138 @@ func TestPoolCacheHitsAndSavings(t *testing.T) {
 	}
 }
 
+// TestPoolCacheHitFinishesAtSubmit: while a gated execution holds the only
+// worker, a cached spec is answered by Submit itself instead of queueing
+// behind it.
+func TestPoolCacheHitFinishesAtSubmit(t *testing.T) {
+	gate := make(chan struct{})
+	cache := NewMemoryCache(0)
+	cached := Spec{Problem: "cached", CGs: 1, Variant: "v", Steps: 1}
+	cache.Put(cached.Hash(), fakeResult(1))
+	p, err := New(Config{Workers: 1, Cache: cache, Exec: func(ctx context.Context, spec Spec) (*Result, error) {
+		<-gate
+		return fakeResult(2), nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	defer close(gate)
+
+	busy := p.Submit(Spec{Problem: "busy", CGs: 1, Variant: "v", Steps: 1})
+	for busy.State() != StateRunning {
+		runtime.Gosched()
+	}
+	before := p.Metrics()
+	j := p.Submit(cached)
+	if j.State() != StateDone {
+		t.Fatalf("cached spec is %s after Submit, want done", j.State())
+	}
+	select {
+	case <-j.done:
+	default:
+		t.Fatal("cached spec's job has not finished at Submit")
+	}
+	after := p.Metrics()
+	if after.CacheHits != before.CacheHits+1 || after.Done != before.Done+1 ||
+		after.Submitted != before.Submitted+1 || after.Executed != before.Executed {
+		t.Fatalf("metrics before %+v\nafter %+v", before, after)
+	}
+}
+
+// TestPoolExecutesConcurrentSubmissionsOnce: many goroutines submitting one
+// uncached spec while it runs share a single execution.
+func TestPoolExecutesConcurrentSubmissionsOnce(t *testing.T) {
+	const submitters = 16
+	var runs atomic.Int64
+	started, gate := make(chan struct{}), make(chan struct{})
+	p, err := New(Config{Workers: 4, Cache: NewMemoryCache(0), Exec: func(ctx context.Context, spec Spec) (*Result, error) {
+		if runs.Add(1) == 1 {
+			close(started)
+		}
+		<-gate
+		return fakeResult(1), nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	spec := Spec{Problem: "p", CGs: 1, Variant: "v", Steps: 1}
+	first := p.Submit(spec)
+	<-started
+	var wg sync.WaitGroup
+	jobs := make([]*Job, submitters)
+	for i := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			jobs[i] = p.Submit(spec)
+		}()
+	}
+	wg.Wait()
+	close(gate)
+	for _, j := range append(jobs, first) {
+		if _, err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("exec ran %d times, want 1", n)
+	}
+	if m := p.Metrics(); m.Executed != 1 || m.Coalesced != submitters {
+		t.Fatalf("metrics = %+v", m)
+	}
+}
+
+// lookupHook is a cache that misses and runs a hook inside every lookup.
+type lookupHook func()
+
+func (h lookupHook) Get(string) (*Result, bool) { h(); return nil, false }
+func (h lookupHook) Put(string, *Result)        {}
+
+// TestSubmitClosedDuringLookup: a Close landing while Submit looks a spec
+// up fails the job with ErrClosed instead of leaving it in a queue no
+// worker drains any more.
+func TestSubmitClosedDuringLookup(t *testing.T) {
+	var p *Pool
+	p, err := New(Config{Workers: 1, Cache: lookupHook(func() { p.Close() }),
+		Exec: func(ctx context.Context, spec Spec) (*Result, error) { return fakeResult(1), nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := p.Submit(Spec{Problem: "p", CGs: 1, Variant: "v", Steps: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := j.Wait(ctx); !errors.Is(err, ErrClosed) {
+		t.Fatalf("want ErrClosed, got %v", err)
+	}
+	if m := p.Metrics(); m.Failed != 1 || m.Queued != 0 || m.Executed != 0 {
+		t.Fatalf("metrics = %+v", m)
+	}
+}
+
+func TestRepeats(t *testing.T) {
+	clean := Spec{Problem: "p", CGs: 1, Variant: "v", Steps: 1, Seed: 7}
+	if got := Repeats(clean, 5); len(got) != 1 || got[0] != clean {
+		t.Fatalf("noise-free spec: %v, want itself alone", got)
+	}
+	noisy := clean
+	noisy.Noise = 0.1
+	for _, k := range []int{0, 1, 3} {
+		got := Repeats(noisy, k)
+		if len(got) != max(k, 1) {
+			t.Fatalf("k=%d: %d specs", k, len(got))
+		}
+		for i, s := range got {
+			want := noisy
+			want.Seed = uint64(i + 1)
+			if s != want {
+				t.Fatalf("k=%d repeat %d = %+v, want %+v", k, i, s, want)
+			}
+		}
+	}
+}
+
 func TestPoolEventsAndProgress(t *testing.T) {
 	var mu sync.Mutex
 	counts := map[EventType]int{}

@@ -2,7 +2,9 @@
 // a Spec with a canonical content hash, executed by a worker pool across
 // GOMAXPROCS goroutines, memoised in a content-addressed result cache
 // (in-memory LRU plus an optional on-disk JSON store), and hardened with
-// per-job timeouts, panic recovery and bounded retry.
+// per-job timeouts, panic recovery and bounded retry. The cache is the
+// only memo: Submit answers a cached spec on the spot, with a job that is
+// already done, so hits never queue behind executions.
 //
 // The package is deliberately ignorant of how a Spec is executed: callers
 // supply an ExecFunc (internal/experiments provides the one that builds
@@ -45,7 +47,7 @@ type Spec struct {
 	Steps int `json:"steps"`
 	// Noise enables kernel jitter of up to this fraction; Seed selects
 	// the jitter stream. The paper's best-of-k protocol is k jobs with
-	// seeds 1..k reduced by min, not a Spec field.
+	// seeds 1..k reduced by min (Repeats, MinResult), not a Spec field.
 	Noise float64 `json:"noise,omitempty"`
 	Seed  uint64  `json:"seed,omitempty"`
 	// Functional computes real field data instead of timing-only mode.

@@ -2,7 +2,10 @@
 
 package sim
 
-import "iter"
+import (
+	"iter"
+	"slices"
+)
 
 // This file needs iter.Pull (go1.23). The module's go.mod stays at 1.22 —
 // bench/go.mod is frozen there and replaces this module — so the build tag
@@ -28,10 +31,12 @@ func (p *Process) start(body func(p *Process)) {
 		body(p)
 		p.Sync() // finish at the process's clock, as a sleeper would
 		p.finished = true
-		p.eng.active--
+		e := p.eng
+		i := slices.Index(e.procs, p)
+		e.procs = slices.Delete(e.procs, i, i+1)
 		p.doneSig.Fire()
-		// The engine keeps finished processes on its roster; do not let
-		// them pin the coroutine and everything body captured.
+		// A caller may still hold the process (to join it through Done); do
+		// not let it pin the coroutine and everything body captured.
 		p.next, p.park, p.stop = nil, nil, nil
 	})
 }
@@ -40,12 +45,9 @@ func (p *Process) start(body func(p *Process)) {
 // none outlives the run: stop() makes the pending park() return false and
 // yield panics processReleased up the body's stack, running its deferred
 // calls, into start's recover. (Not runtime.Goexit, which iter.Pull would
-// forward to this goroutine.) Never-started and finished processes cost a
-// no-op.
+// forward to this goroutine.) A never-started process costs a no-op.
 func (e *Engine) releaseProcesses() {
 	for _, p := range e.procs {
-		if !p.finished {
-			p.stop()
-		}
+		p.stop()
 	}
 }

@@ -72,14 +72,14 @@ func TestProcessFinishesWhileOthersSleep(t *testing.T) {
 	var sawFinished bool
 	e.Spawn("long", func(p *Process) {
 		p.Sleep(2)
-		sawFinished = short.finished && e.active == 1
+		sawFinished = short.finished && len(e.procs) == 1
 		p.Sleep(2)
 	})
 	if end := e.Run(); end != 4 {
 		t.Fatalf("end = %v, want 4", end)
 	}
 	if !sawFinished {
-		t.Fatal("short should have finished (and left the active count) while long slept")
+		t.Fatal("short should have finished (and left the roster) while long slept")
 	}
 }
 
@@ -93,9 +93,36 @@ func TestRepeatedRunOnOneEngine(t *testing.T) {
 	if want := []Time{1.5, 3, 4.5}; !reflect.DeepEqual(ends, want) {
 		t.Fatalf("segment ends = %v, want %v", ends, want)
 	}
-	if e.active != 0 {
-		t.Fatalf("active = %d after three drained runs", e.active)
+	if n := len(e.procs); n != 0 {
+		t.Fatalf("roster holds %d processes after three drained runs", n)
 	}
+}
+
+// TestRosterDropsFinishedProcesses: a simulation stepped in many short Run
+// calls keeps no finished process on its engine's roster.
+func TestRosterDropsFinishedProcesses(t *testing.T) {
+	e := NewEngine()
+	sig := NewSignal(e, "never")
+	for run := 0; run < 1000; run++ {
+		for i := 0; i < 8; i++ {
+			e.Spawn(fmt.Sprintf("rank%d", i), func(p *Process) {
+				p.Charge(Time(i+1) * Microsecond)
+				p.Sleep(Microsecond)
+			})
+		}
+		e.Run()
+	}
+	if n := len(e.procs); n != 0 {
+		t.Fatalf("roster holds %d processes after 1000 drained runs of 8, want 0", n)
+	}
+	// The roster still names the live processes of a deadlock.
+	e.Spawn("stuck", func(p *Process) { sig.Wait(p) })
+	defer func() {
+		if r := recover(); r != `sim: deadlock: stuck(blocked at "signal:never")` {
+			t.Fatalf("panic = %v", r)
+		}
+	}()
+	e.Run()
 }
 
 // TestSameInstantWakeOrder: processes woken at one instant resume in the

@@ -193,12 +193,10 @@ type Engine struct {
 	running *Process // the process whose body is executing, for the census
 	seq     uint64
 	queue   eventQueue
+	// procs is the roster of live processes (spawned, not yet finished), in
+	// spawn order, for the deadlock report and the release on teardown.
 	procs   []*Process
 	stopped bool
-	// nextPID numbers processes for deterministic diagnostics.
-	nextPID int
-	// active counts live (spawned, not yet finished) processes.
-	active int
 	// interrupted records the reason passed to Interrupt, if any.
 	interrupted string
 	// executed counts events run, for measuring event-loop pressure.
@@ -447,7 +445,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		}
 		e.fire(next)
 	}
-	if e.active > 0 && !e.stopped && e.shardSet == nil {
+	if len(e.procs) > 0 && !e.stopped && e.shardSet == nil {
 		// Every runnable process is blocked and no event can wake any of
 		// them: the model has deadlocked. Surface it loudly with a roster.
 		// (A shard engine legitimately idles here waiting for cross-shard
@@ -586,9 +584,7 @@ func (e *Engine) Interrupt(reason string) {
 func (e *Engine) blockedRoster() string {
 	var names []string
 	for _, p := range e.procs {
-		if !p.finished {
-			names = append(names, fmt.Sprintf("%s(blocked at %q)", p.name, p.blockedOn))
-		}
+		names = append(names, fmt.Sprintf("%s(blocked at %q)", p.name, p.blockedOn))
 	}
 	sort.Strings(names)
 	if len(names) == 0 {

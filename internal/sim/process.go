@@ -15,7 +15,6 @@ import "fmt"
 type Process struct {
 	eng  *Engine
 	name string
-	pid  int
 	// from is where the last charge ahead of the calendar started: the
 	// issue time of the wake-up a process sleeping through it would have
 	// scheduled, which Sync's wake-up takes over.
@@ -38,11 +37,9 @@ func (p *Process) Call() { p.run() }
 // current virtual time, after the currently executing event/process yields.
 // The name appears in deadlock diagnostics.
 func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
-	p := &Process{eng: e, name: name, pid: e.nextPID}
+	p := &Process{eng: e, name: name}
 	p.doneSig = NewSignal(e, name+".done")
-	e.nextPID++
 	e.procs = append(e.procs, p)
-	e.active++
 	p.start(body)
 	e.CallAfter(0, p)
 	return p

@@ -181,12 +181,12 @@ func TestActiveProcessesAccounting(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("p1", func(p *Process) { p.Sleep(1) })
 	e.Spawn("p2", func(p *Process) { p.Sleep(2) })
-	if e.active != 2 {
-		t.Fatalf("active = %d, want 2", e.active)
+	if n := len(e.procs); n != 2 {
+		t.Fatalf("active = %d, want 2", n)
 	}
 	e.Run()
-	if e.active != 0 {
-		t.Fatalf("active after run = %d, want 0", e.active)
+	if n := len(e.procs); n != 0 {
+		t.Fatalf("active after run = %d, want 0", n)
 	}
 }
 

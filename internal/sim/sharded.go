@@ -384,12 +384,12 @@ func (ss *ShardSet) Run() Time {
 		if idle {
 			active := 0
 			for _, e := range ss.engines {
-				active += e.active
+				active += len(e.procs)
 			}
 			if active > 0 {
 				var rosters []string
 				for _, e := range ss.engines {
-					if e.active > 0 {
+					if len(e.procs) > 0 {
 						rosters = append(rosters, e.blockedRoster())
 					}
 				}
