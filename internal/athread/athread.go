@@ -383,10 +383,13 @@ func (g *Group) Launch(spec KernelSpec, activeCPEs int, flag *sim.Counter, body 
 	var last, lastHealthy sim.Time
 	// One CPE context is reused across the gang: bodies run to completion
 	// serially and never retain their context, so a single object stands in
-	// for all 64 CPEs.
+	// for all 64 CPEs. The launch-wide fields are set once; only the
+	// per-CPE ones are reset.
 	cpe := &g.cpe
+	cpe.group, cpe.spec, cpe.active = g, spec, activeCPEs
 	for id := 0; id < g.cpes; id++ {
-		*cpe = CPE{ID: id, group: g, spec: spec, active: activeCPEs, firstTile: true}
+		cpe.ID, cpe.elapsed, cpe.ldmUsed = id, 0, 0
+		cpe.firstTile, cpe.tileDMA, cpe.tileCompute = true, 0, 0
 		body(cpe)
 		if cpe.ldmUsed != 0 {
 			panic(fmt.Sprintf("athread: CPE %d leaked %d B of LDM", id, cpe.ldmUsed))

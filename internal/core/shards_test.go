@@ -102,6 +102,9 @@ func TestShardedBitIdentical(t *testing.T) {
 					// shards=8 on the 8-CG cases puts exactly one rank in
 					// every shard — the single-rank-shard edge of the latency
 					// matrix (every pair crosses shards, none shares an engine).
+					// It is also the unfolded reference for mpisim's shared-engine
+					// send: with no pair on one engine, every send completion is
+					// its own event, never folded into the message's delivery.
 					for _, shards := range []int{1, 2, 4, 8} {
 						cfg := tc.cfg
 						cfg.Shards = shards

@@ -38,6 +38,37 @@ func TestHaloSteadyStepAllocs(t *testing.T) {
 	}
 }
 
+// TestHaloSteadyEventsPerStep bounds the calendar events of one warm
+// timestep of the same case on the serial engine. An already-complete
+// receive test charges lazily and a message fires its send's completion
+// from its own delivery event; without either, a step executes 9 501.4
+// events. Measured 6 031; the bound leaves under 3% of headroom.
+func TestHaloSteadyEventsPerStep(t *testing.T) {
+	const window = 5
+	cfg, prob, err := SpecConfig(runner.Spec{Problem: "32x32x512", CGs: 128, Variant: "acc_simd.async", Steps: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := core.NewSimulation(cfg, prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := s.Run(window); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm
+	eng := s.Machine.CG(0).Engine()
+	ev0 := eng.EventsExecuted()
+	run()
+	if perStep := float64(eng.EventsExecuted()-ev0) / window; perStep > 6200 {
+		t.Fatalf("%.1f events per warm step, want <= 6200", perStep)
+	} else {
+		t.Logf("%.1f events per warm step", perStep)
+	}
+}
+
 // TestFunctionalStepAllocs bounds the host allocations of one warm
 // functional timestep: 128 LDM tiles, each with an input and an output
 // buffer and a kernel invocation. What it locks out is per-tile garbage —

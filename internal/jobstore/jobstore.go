@@ -15,14 +15,13 @@
 package jobstore
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -82,8 +81,10 @@ type Store struct {
 }
 
 // Open loads (creating if needed) the store at dir: snapshot first, then
-// the journal replayed on top. A torn trailing journal line (crash during
-// append) is ignored; any other corruption is an error.
+// the journal replayed on top. Replay stops at the first unparsable journal
+// line (a crash mid-append tears the last one), and a journal that does not
+// end in a whole line is compacted before Open returns; a corrupt snapshot
+// is an error.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("jobstore: empty directory")
@@ -107,30 +108,28 @@ func Open(dir string) (*Store, error) {
 	}
 
 	jpath := filepath.Join(dir, journalFile)
-	if f, err := os.Open(jpath); err == nil {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" {
-				continue
-			}
-			var e entry
-			if err := json.Unmarshal([]byte(line), &e); err != nil {
-				// A torn final line is the expected crash artifact; a
-				// torn middle line would have been followed by more
-				// appends and is equally safe to stop at.
-				break
-			}
-			s.apply(e)
-			s.appended++
-		}
-		f.Close()
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("jobstore: reading journal: %w", err)
-		}
-	} else if !os.IsNotExist(err) {
+	data, err := os.ReadFile(jpath)
+	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("jobstore: %w", err)
+	}
+	// Replay stops at the first line that does not parse: a torn final line
+	// is the expected crash artifact, and a torn middle line is equally safe
+	// to stop at. No later replay would read past it, so an append after it
+	// would be lost — glued onto the fragment when the file does not end in
+	// a newline. Such a journal is folded into a fresh snapshot before use.
+	torn := len(data) > 0 && data[len(data)-1] != '\n'
+	for _, line := range bytes.Split(data, []byte{'\n'}) {
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 {
+			continue
+		}
+		var e entry
+		if err := json.Unmarshal(line, &e); err != nil {
+			torn = true
+			break
+		}
+		s.apply(e)
+		s.appended++
 	}
 
 	j, err := os.OpenFile(jpath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -138,6 +137,12 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("jobstore: %w", err)
 	}
 	s.journal = j
+	if torn {
+		if err := s.compactLocked(); err != nil {
+			s.journal.Close()
+			return nil, err
+		}
+	}
 	return s, nil
 }
 

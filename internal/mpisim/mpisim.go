@@ -184,8 +184,9 @@ func (r *Rank) getReq() *Request {
 // waiting on its signal. Under fault injection requests stay heap-managed
 // (retry backstops may still reference them), so Free is a no-op there. So
 // it is for a send its owner saw complete ahead of the calendar
-// (TestSweepInto): its completion signal's fire event is still pending and
-// holds the request until it runs.
+// (TestSweepInto): the event that fires its completion signal — on one
+// engine, the message's delivery — is still pending and holds the request
+// until it runs.
 func (r *Rank) Free(req *Request) {
 	if r.comm.inj != nil || req == nil || !req.sig.Fired() {
 		return
@@ -237,12 +238,23 @@ type message struct {
 	// seq identifies the logical transmission for duplicate suppression;
 	// 0 when no injector is attached.
 	seq int64
+	// sent is the sender's completion signal when the delivery fires it
+	// (Isend on a shared engine); nil when the signal has its own event.
+	sent *sim.Signal
 }
 
 // Call delivers the message at its destination: the envelope is its own
-// wire-arrival Caller, so a send schedules no closure. Envelopes are
+// wire-arrival Caller, so a send schedules no closure. It fires the send's
+// completion first when it carries it: the two events would have had the
+// same time, issue time and consecutive sequence numbers, so nothing could
+// run between them, and Fire only schedules its waiters. Envelopes are
 // freelist-managed per rank (getMsg/putMsg) and recycled once consumed.
-func (m *message) Call() { m.dst.deliver(m) }
+func (m *message) Call() {
+	if m.sent != nil {
+		m.sent.Fire()
+	}
+	m.dst.deliver(m)
+}
 
 // Request is the handle of a non-blocking operation.
 type Request struct {
@@ -284,7 +296,8 @@ func (q *Request) Signal() *sim.Signal { return &q.sig }
 // on-wire size to rank dst with the given tag. The calling process is
 // charged the posting cost. The send completes locally once the data has
 // left the sender (one wire time). Its completion and the delivery are
-// scheduled from the sender's clock.
+// scheduled from the sender's clock, as one event when both ranks share an
+// engine (see message.Call).
 func (r *Rank) Isend(p *sim.Process, dst, tag int, payload []float64, bytes int64) *Request {
 	if bytes < 0 {
 		panic("mpisim: negative message size")
@@ -309,10 +322,14 @@ func (r *Rank) Isend(p *sim.Process, dst, tag int, payload []float64, bytes int6
 
 	req.matched = true
 	req.doneAt = now + wire
-	r.eng().CallAfter(wire, &req.sig)
 	m := r.getMsg()
 	*m = message{dst: r.comm.Rank(dst), src: r.rank, tag: tag, bytes: bytes,
 		payload: payload, arrivesAt: now + wire}
+	if r.comm.engs[dst] == r.eng() {
+		m.sent = &req.sig
+	} else {
+		r.eng().CallAfter(wire, &req.sig)
+	}
 	r.sendCall(dst, wire, m)
 	r.probes.MsgSent(now, bytes, now+wire)
 	return req
@@ -489,9 +506,18 @@ func (r *Rank) complete(req *Request, m *message) {
 // Test checks a request for completion, charging the calling process the
 // per-test cost. It reports whether the operation has finished. A receive
 // completes when a delivery event runs, so the charge synchronises: the
-// caller meets the calendar before it looks.
+// caller meets the calendar before it looks. A request already complete by
+// the caller's clock is the exception: matched never reverts and doneAt is
+// fixed, so the answer is true whatever the calendar holds, and the charge
+// is lazy (Charge).
 func (r *Rank) Test(p *sim.Process, req *Request) bool {
-	p.Sleep(sim.Time(r.comm.params.MPITestCost))
+	cost := sim.Time(r.comm.params.MPITestCost)
+	if req.matched && req.doneAt <= p.Now() {
+		r.Charge(p, cost)
+		r.TestCalls++
+		return true
+	}
+	p.Sleep(cost)
 	r.TestCalls++
 	if r.comm.inj != nil && req.isSend && req.pending != nil &&
 		r.eng().Now() >= req.retryAfter {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sunuintah/internal/faults"
 	"sunuintah/internal/perf"
 	"sunuintah/internal/sim"
 )
@@ -293,6 +294,139 @@ func TestFreeKeepsSendWithPendingFire(t *testing.T) {
 		c.Rank(1).Isend(p, 0, 3, nil, 8)
 	})
 	eng.Run()
+}
+
+// TestDecidedReceiveTestIsLazy: a receive already complete by the caller's
+// clock is answered without meeting the calendar — no event runs and the
+// clock moves by exactly the test cost — while an incomplete one still
+// synchronises and so sees a delivery that lands inside its charge.
+func TestDecidedReceiveTestIsLazy(t *testing.T) {
+	eng, c := newComm(2)
+	params := perf.DefaultParams()
+	cost := sim.Time(params.MPITestCost)
+	wire := sim.Time(params.MessageTimeBetween(0, 1, 8))
+	eng.Spawn("rank0", func(p *sim.Process) {
+		c.Rank(0).Isend(p, 1, 1, []float64{7}, 8)
+		c.Rank(0).Isend(p, 1, 2, []float64{8}, 8)
+	})
+	eng.Spawn("rank1", func(p *sim.Process) {
+		r := c.Rank(1)
+		// Both ranks post at the same instant, so this charge brings rank 1
+		// to the arrival of tag 1, whose delivery has not run.
+		pending := r.Irecv(p, 0, 1)
+		p.Charge(wire)
+		ev := eng.EventsExecuted()
+		if !r.Test(p, pending) {
+			t.Fatal("a test at the arrival instant missed the delivery")
+		}
+		if eng.EventsExecuted() == ev {
+			t.Error("a test of an incomplete receive did not meet the calendar")
+		}
+
+		p.Sleep(1e-3)
+		req := r.Irecv(p, 0, 2) // matches the message already delivered
+		ev, t0 := eng.EventsExecuted(), p.Now()
+		if !r.Test(p, req) || req.Payload()[0] != 8 {
+			t.Fatal("a receive of a delivered message is not complete")
+		}
+		if got := eng.EventsExecuted() - ev; got != 0 {
+			t.Errorf("a test of a complete receive executed %d events", got)
+		}
+		if p.Now() != t0+cost {
+			t.Errorf("a test of a complete receive moved the clock %v, want %v", p.Now()-t0, cost)
+		}
+		if r.TestCalls != 2 {
+			t.Errorf("TestCalls = %d, want 2", r.TestCalls)
+		}
+	})
+	eng.Run()
+}
+
+// TestOneEventPerMessageOnOneEngine: on a shared engine a message's delivery
+// fires its send's completion, so a send costs one event, and Free refuses
+// the send until that event has run.
+func TestOneEventPerMessageOnOneEngine(t *testing.T) {
+	const n = 4
+	eng, c := newComm(2)
+	wire := sim.Time(perf.DefaultParams().MessageTimeBetween(0, 1, 8))
+	eng.Spawn("rank0", func(p *sim.Process) {
+		r := c.Rank(0)
+		ev := eng.EventsExecuted()
+		reqs := make([]*Request, n)
+		for i := range reqs {
+			reqs[i] = r.Isend(p, 1, i, nil, 8)
+		}
+		p.Charge(wire)
+		if !r.Test(p, reqs[0]) {
+			t.Fatal("send not complete one wire time after posting")
+		}
+		r.Free(reqs[0])
+		if next := r.Isend(p, 1, n, nil, 8); next == reqs[0] {
+			t.Fatal("a send whose delivery is pending was reused")
+		}
+		// The sync runs the first n deliveries and then wakes the rank.
+		p.Sync()
+		if got := eng.EventsExecuted() - ev; got != n+1 {
+			t.Errorf("%d sends executed %d events, want %d", n, got, n+1)
+		}
+		for i, req := range reqs {
+			if !req.Signal().Fired() {
+				t.Errorf("send %d delivered without firing its completion", i)
+			}
+		}
+		if got := len(c.Rank(1).unexpected); got != n {
+			t.Errorf("%d messages delivered, want %d", got, n)
+		}
+		r.Free(reqs[0])
+		if next := r.Irecv(p, 1, 0); next != reqs[0] {
+			t.Fatal("a send whose delivery ran was not pooled")
+		}
+	})
+	eng.Run()
+}
+
+// TestFaultPlanEventCounts pins a faulted exchange — drops and their
+// resends, duplicates, delays and degraded links, polled with Test — to the
+// event count, clock and recovery counters recorded before a message and
+// its send completion shared an event: the fault plane keeps two events
+// per transmission and synchronises every charge.
+func TestFaultPlanEventCounts(t *testing.T) {
+	const n = 6
+	eng, c := newComm(n)
+	c.SetFaults(faults.NewInjector(&faults.Plan{Seed: 3, Drop: 0.2, Dup: 0.2, Delay: 0.2, Degrade: 0.2}), nil)
+	for r := 0; r < n; r++ {
+		r := r
+		eng.Spawn("rank", func(p *sim.Process) {
+			rk := c.Rank(r)
+			var reqs []*Request
+			for round := 0; round < 3; round++ {
+				for s := 0; s < n; s++ {
+					if s != r {
+						reqs = append(reqs, rk.Irecv(p, s, round))
+						reqs = append(reqs, rk.Isend(p, s, round, nil, int64(8<<(4*round))))
+					}
+				}
+				for _, req := range reqs {
+					for !rk.Test(p, req) {
+					}
+				}
+				reqs = reqs[:0]
+			}
+		})
+	}
+	eng.Run()
+	var resends, dups int64
+	for r := 0; r < n; r++ {
+		resends += c.Rank(r).Resends
+		dups += c.Rank(r).DupsDiscarded
+	}
+	want := [3]int64{595, 25, 15}
+	if got := [3]int64{int64(eng.EventsExecuted()), resends, dups}; got != want {
+		t.Errorf("events, resends, duplicates = %v, want %v", got, want)
+	}
+	if end := sim.Time(8.879999999999999e-05); eng.Now() != end {
+		t.Errorf("final clock %v, want %v", eng.Now(), end)
+	}
 }
 
 func TestBarrierSynchronises(t *testing.T) {

@@ -222,8 +222,12 @@ type Rank struct {
 
 type noteKey struct{ prefix, name string }
 
-// note returns the interned concatenation prefix+name.
+// note returns the interned concatenation prefix+name, or "" when there is
+// no trace to carry it.
 func (s *Rank) note(prefix, name string) string {
+	if s.cfg.Trace == nil {
+		return ""
+	}
 	k := noteKey{prefix, name}
 	if v, ok := s.notes[k]; ok {
 		return v
