@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"sunuintah/internal/grid"
 	"sunuintah/internal/taskgraph"
@@ -26,7 +27,7 @@ type MemCheckpoint struct {
 // persistentLabels returns the labels that carry state between steps —
 // exactly those required from the old warehouse — in deterministic order,
 // erroring on duplicate names (the checkpoint format identifies labels by
-// name). Checkpoint, Regrid and Rebalance move this set.
+// name). Checkpoint and RestoreFromMemory move this set.
 func (s *Simulation) persistentLabels() ([]*taskgraph.Label, error) {
 	var labels []*taskgraph.Label
 	seenPtr := map[*taskgraph.Label]bool{}
@@ -109,24 +110,43 @@ func (s *Simulation) RestoreFromMemory(f *MemCheckpoint) error {
 	if len(f.Labels) != len(labels) {
 		return fmt.Errorf("core: checkpoint has %d labels, simulation has %d", len(f.Labels), len(labels))
 	}
+	if len(f.Data) != len(f.Labels) {
+		return fmt.Errorf("core: checkpoint has data for %d labels, names %d", len(f.Data), len(f.Labels))
+	}
+	// Check the whole checkpoint before any value lands in a warehouse, so a
+	// rejected restore leaves the simulation as it was.
+	restored := make([]*taskgraph.Label, len(f.Labels))
 	for li, name := range f.Labels {
 		l, ok := byName[name]
 		if !ok {
 			return fmt.Errorf("core: checkpoint label %q not in this problem", name)
 		}
+		if slices.Contains(restored, l) {
+			return fmt.Errorf("core: checkpoint label %q appears twice", name)
+		}
+		restored[li] = l
+		if n := len(f.Data[li]); n != s.Level.Layout.NumPatches() {
+			return fmt.Errorf("core: checkpoint label %q covers %d patches, layout has %d",
+				name, n, s.Level.Layout.NumPatches())
+		}
 		for _, rk := range s.Ranks {
 			for _, p := range rk.Graph().LocalPatches {
-				data := f.Data[li][p.ID]
-				if len(data) == 0 && !rk.DWs.Old.Exists(l, p) {
-					continue // foreign-physics patch: nothing saved, nothing allocated
+				// A foreign-physics patch has nothing saved and nothing allocated.
+				var want int64
+				if rk.DWs.Old.Exists(l, p) {
+					want = p.NumCells()
 				}
-				if int64(len(data)) != p.NumCells() {
-					return fmt.Errorf("core: checkpoint patch %d has %d values, want %d",
-						p.ID, len(data), p.NumCells())
+				if got := int64(len(f.Data[li][p.ID])); got != want {
+					return fmt.Errorf("core: checkpoint patch %d has %d values, want %d", p.ID, got, want)
 				}
-				rest := rk.DWs.Old.Get(l, p).Unpack(p.Box, data)
-				if len(rest) != 0 {
-					return fmt.Errorf("core: checkpoint patch %d unpack mismatch", p.ID)
+			}
+		}
+	}
+	for li, l := range restored {
+		for _, rk := range s.Ranks {
+			for _, p := range rk.Graph().LocalPatches {
+				if data := f.Data[li][p.ID]; len(data) > 0 {
+					rk.DWs.Old.Get(l, p).Unpack(p.Box, data)
 				}
 			}
 		}

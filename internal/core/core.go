@@ -91,7 +91,8 @@ type Problem struct {
 }
 
 // Simulation is a configured run: grid, machine, communicator and one
-// scheduler per rank.
+// scheduler per rank. The level, the patch assignment and every rank's
+// compiled graph are fixed from NewSimulation on.
 type Simulation struct {
 	Cfg     Config
 	Prob    Problem
@@ -108,11 +109,9 @@ type Simulation struct {
 	shards *sim.ShardSet
 	// runMu guards the error/crash fields written by concurrently
 	// executing shard goroutines.
-	runMu  sync.Mutex
-	assign []int
+	runMu sync.Mutex
 	// stepsDone and timeDone track progress across multiple Run calls, so
-	// a simulation can be advanced, rebalanced or checkpointed, and
-	// advanced further.
+	// a simulation can be advanced, checkpointed, and advanced further.
 	stepsDone int
 	timeDone  float64
 
@@ -246,7 +245,6 @@ func NewSimulation(cfg Config, prob Problem) (*Simulation, error) {
 		Cfg: cfg, Prob: prob, Level: level,
 		Machine: machine, Comm: comm,
 		eng: engs[0], engs: engs, shards: shards,
-		assign:  assign,
 		sampler: sampler,
 	}
 	// Attach the fault plane before the schedulers are built (they capture
@@ -425,8 +423,8 @@ func (s *Simulation) allocateInitial() error {
 // Run executes nSteps further timesteps and returns the result for this
 // segment. Each rank runs as its own simulated MPE process; ranks
 // synchronise only through their MPI dependencies, exactly as on the
-// machine. Run may be called repeatedly (interleaved with Rebalance or
-// checkpointing); step numbering and simulated time carry across calls.
+// machine. Run may be called repeatedly (interleaved with checkpointing);
+// step numbering and simulated time carry across calls.
 func (s *Simulation) Run(nSteps int) (*Result, error) {
 	if nSteps <= 0 {
 		return nil, fmt.Errorf("core: nSteps must be positive")

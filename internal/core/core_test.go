@@ -1,8 +1,12 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"sunuintah/internal/burgers"
@@ -378,5 +382,90 @@ func TestGatherFieldRequiresFunctional(t *testing.T) {
 	}
 	if _, err := s.GatherField(u); err == nil {
 		t.Fatal("GatherField in timing-only mode should fail")
+	}
+}
+
+func TestRunSegmentsEqualSingleRun(t *testing.T) {
+	cells := grid.IV(16, 16, 16)
+	patches := grid.IV(2, 2, 2)
+	lv, _ := grid.NewUnitCubeLevel(cells, patches)
+	prob, u := burgersProblem(cells, patches, false)
+	ref := burgers.SerialSolve(lv, 6, prob.Dt, burgers.FastExpLib)
+
+	cfg := functionalCfg(cells, patches, 4, scheduler.ModeAsync, false)
+	s, err := NewSimulation(cfg, prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(4); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.GatherField(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := field.MaxAbsDiff(got, ref, lv.Layout.Domain); d > 1e-13 {
+		t.Fatalf("segmented run differs from reference by %g", d)
+	}
+}
+
+// TestTilePlanMatchesRecordedOutput pins the scheduler's per-patch tile
+// plans: for each tiling, two-step runs on four patch layouts (a patch ID
+// names a different box in each) and under a round-robin assignment must
+// reproduce, byte for byte, results recorded from the code that still had
+// live regrid and rebalance.
+func TestTilePlanMatchesRecordedOutput(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("hashes recorded on amd64; other ports may fuse multiply-adds in the timing model")
+	}
+	cases := []struct {
+		name       string
+		tile       grid.IVec
+		functional bool
+		want       string
+	}{
+		{"uniform", grid.IV(8, 8, 4), false, "10c427daa6296fb917a585838381f48835c3c36640984a25f066996a0195c153"},
+		{"clipped-tiles", grid.IV(8, 8, 3), false, "e9fd1f4d16f216e69c9554d5d4ab491d10d944b6ccbac07fa2cf7ec03e06354e"},
+		{"functional", grid.IV(8, 8, 4), true, "046d2f4bc1206918b4eb6c668a9d5f10d9e4a389d22bd7f8ef32cd71a1559ecb"},
+	}
+	cells := grid.IV(32, 32, 32)
+	runs := []struct {
+		patches  grid.IVec
+		balancer loadbalancer.Strategy
+	}{
+		{grid.IV(2, 2, 2), loadbalancer.Block},
+		{grid.IV(2, 2, 4), loadbalancer.Block},
+		{grid.IV(4, 2, 2), loadbalancer.Block},
+		{grid.IV(1, 2, 2), loadbalancer.Block},
+		{grid.IV(2, 2, 2), loadbalancer.RoundRobin},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := sha256.New()
+			for _, r := range runs {
+				prob, _ := burgersProblem(cells, r.patches, false)
+				s, err := NewSimulation(Config{Cells: cells, PatchCounts: r.patches, NumCGs: 4, Balancer: r.balancer,
+					Scheduler: scheduler.Config{Mode: scheduler.ModeAsync, TileSize: tc.tile, Functional: tc.functional},
+				}, prob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := s.Run(2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				blob, err := json.Marshal(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.Write(blob)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Fatalf("run results hash %s, recorded %s", got, tc.want)
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"sunuintah/internal/burgers"
 	"sunuintah/internal/core"
+	"sunuintah/internal/field"
 	"sunuintah/internal/grid"
 	"sunuintah/internal/scheduler"
 	"sunuintah/internal/taskgraph"
@@ -43,35 +44,51 @@ func Example() {
 	// cells computed: 12288
 }
 
-// ExampleSimulation_Rebalance moves every patch to a new owner mid-run;
-// the solution is unaffected.
-func ExampleSimulation_Rebalance() {
+// ExampleSimulation_Checkpoint moves a run from four core groups to two
+// between steps: the checkpoint carries the fields, not their owners.
+func ExampleSimulation_Checkpoint() {
+	cells, patches := grid.IV(16, 16, 16), grid.IV(2, 2, 2)
 	u := burgers.NewULabel()
 	prob := core.Problem{
 		Tasks:   []*taskgraph.Task{burgers.NewAdvanceTask(u, burgers.FastExpLib, false)},
 		Initial: map[*taskgraph.Label]func(x, y, z float64) float64{u: burgers.Initial},
 		Dt:      burgers.StableDt(1.0/16, 1.0/16, 1.0/16),
 	}
-	sim, err := core.NewSimulation(core.Config{
-		Cells:       grid.IV(16, 16, 16),
-		PatchCounts: grid.IV(2, 2, 2),
-		NumCGs:      2,
-		Scheduler:   scheduler.Config{Mode: scheduler.ModeAsync, Functional: true},
-	}, prob)
+	newSim := func(cgs int) *core.Simulation {
+		sim, err := core.NewSimulation(core.Config{
+			Cells:       cells,
+			PatchCounts: patches,
+			NumCGs:      cgs,
+			Scheduler:   scheduler.Config{Mode: scheduler.ModeAsync, Functional: true},
+		}, prob)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return sim
+	}
+	first := newSim(4)
+	if _, err := first.Run(2); err != nil {
+		log.Fatal(err)
+	}
+	ckpt, err := first.Checkpoint()
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := sim.Run(1); err != nil {
+	second := newSim(2)
+	if err := second.RestoreFromMemory(ckpt); err != nil {
 		log.Fatal(err)
 	}
-	// Swap the two ranks' patches.
-	if err := sim.Rebalance([]int{1, 1, 1, 1, 0, 0, 0, 0}); err != nil {
+	if _, err := second.Run(2); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := sim.Run(1); err != nil {
+	got, err := second.GatherField(u)
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("rank 1 now owns patch", sim.Ranks[1].Graph().LocalPatches[0].ID)
+	ref := burgers.SerialSolve(second.Level, 4, prob.Dt, burgers.FastExpLib)
+	fmt.Println("checkpoint after step", ckpt.StepsDone, "holds", ckpt.Labels)
+	fmt.Println("restored run matches a serial solve of 4 steps:", field.MaxAbsDiff(got, ref, second.Level.Layout.Domain) <= 1e-13)
 	// Output:
-	// rank 1 now owns patch 0
+	// checkpoint after step 2 holds [u]
+	// restored run matches a serial solve of 4 steps: true
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"sunuintah/internal/faults"
 	"sunuintah/internal/field"
@@ -251,5 +253,30 @@ func TestZeroPlanResultHasNoFaultFields(t *testing.T) {
 	}
 	if strings.Contains(string(b), "Fault") || strings.Contains(string(b), "Recovery") {
 		t.Fatalf("zero-plan result JSON leaks fault fields: %s", b)
+	}
+}
+
+func TestResilientRunLeaksNoGoroutines(t *testing.T) {
+	cells, patches := grid.IV(32, 32, 64), grid.IV(2, 2, 2)
+	prob, _ := burgersProblem(cells, patches, false)
+	cfg := Config{Cells: cells, PatchCounts: patches, NumCGs: 8,
+		Scheduler: scheduler.Config{Mode: scheduler.ModeAsync, TileSize: grid.IV(8, 8, 8)},
+		Faults:    &faults.Plan{Seed: 3, CrashAtStep: 3, CheckpointEvery: 2},
+	}
+	base := runtime.NumGoroutine()
+	res, err := RunResilient(cfg, prob, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := res.Faults.Recovery; rec == nil || rec.Crashes != 1 {
+		t.Fatalf("the plan should crash the run once: %+v", rec)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the run, %d before: the crashed incarnation's ranks leaked",
+				runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
 	}
 }

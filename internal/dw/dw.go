@@ -98,11 +98,10 @@ func (w *Warehouse) Bytes(label *taskgraph.Label, patch *grid.Patch) int64 {
 	return e.bytes
 }
 
-// Free releases one variable back to the core group (used when a patch
-// migrates to another rank) and recycles its storage — callers must not
-// retain references to the freed field's data (migration and
-// checkpointing pack copies before freeing). Freeing an absent variable
-// is a no-op.
+// Free releases one variable back to the core group (the scheduler scrubs
+// a new-warehouse variable after its last reader) and recycles its
+// storage — callers must not retain references to the freed field's data.
+// Freeing an absent variable is a no-op.
 func (w *Warehouse) Free(label *taskgraph.Label, patch *grid.Patch) {
 	k := varKey{label, patch.ID}
 	e, ok := w.vars[k]

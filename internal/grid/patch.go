@@ -131,11 +131,11 @@ func (l *Layout) GhostRegions(p *Patch, width int) []GhostRegion {
 }
 
 // ghostsOf returns p's ghost geometry at the given width from the width's
-// table, building the table on first use.
+// table, building the table on first use. p must be one of l's own
+// patches; another layout's patch is a caller bug.
 func (l *Layout) ghostsOf(p *Patch, width int) patchGhosts {
 	if p.ID < 0 || p.ID >= len(l.patches) || l.patches[p.ID] != p {
-		// Not one of this layout's patches: nothing to index the table by.
-		return l.deriveGhosts(p, width)
+		panic(fmt.Sprintf("grid: %v is not a patch of this layout", p))
 	}
 	l.ghostMu.Lock()
 	defer l.ghostMu.Unlock()

@@ -69,12 +69,3 @@ func rankOfBlock(p, nPatches, nRanks int) int {
 	}
 	return r
 }
-
-// Counts returns how many patches each rank received.
-func Counts(assign []int, nRanks int) []int {
-	c := make([]int, nRanks)
-	for _, r := range assign {
-		c[r]++
-	}
-	return c
-}

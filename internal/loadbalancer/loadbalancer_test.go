@@ -5,12 +5,21 @@ import (
 	"testing/quick"
 )
 
+// perRank returns how many patches each rank received.
+func perRank(assign []int, nRanks int) []int {
+	c := make([]int, nRanks)
+	for _, r := range assign {
+		c[r]++
+	}
+	return c
+}
+
 func TestBlockAssignmentEvenSplit(t *testing.T) {
 	assign, err := Assign(Block, 128, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := Counts(assign, 8)
+	counts := perRank(assign, 8)
 	for r, c := range counts {
 		if c != 16 {
 			t.Fatalf("rank %d has %d patches, want 16", r, c)
@@ -30,7 +39,7 @@ func TestBlockAssignmentAllPaperCGCounts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cgs=%d: %v", cgs, err)
 		}
-		counts := Counts(assign, cgs)
+		counts := perRank(assign, cgs)
 		want := 128 / cgs
 		for r, c := range counts {
 			if c != want {
@@ -81,7 +90,7 @@ func TestPropertyBlockBalanced(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		counts := Counts(assign, nRanks)
+		counts := perRank(assign, nRanks)
 		lo, hi := nPatches, 0
 		for _, c := range counts {
 			if c < lo {

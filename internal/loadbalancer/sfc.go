@@ -62,42 +62,3 @@ func interleave(v uint64) uint64 {
 	v = (v | v<<2) & 0x1249249249249249
 	return v
 }
-
-// AssignWeighted partitions patches (in ID order) into contiguous rank
-// segments whose weight sums are as even as a greedy threshold scan makes
-// them. Weights model per-patch cost estimates from a previous timestep —
-// the "help from the load balancer" of scheduler step 2 when patches are
-// not uniform.
-func AssignWeighted(weights []float64, nRanks int) ([]int, error) {
-	n := len(weights)
-	if n == 0 || nRanks <= 0 || nRanks > n {
-		return nil, fmt.Errorf("loadbalancer: %d ranks for %d weighted patches", nRanks, n)
-	}
-	var total float64
-	for i, w := range weights {
-		if w < 0 {
-			return nil, fmt.Errorf("loadbalancer: negative weight %v at patch %d", w, i)
-		}
-		total += w
-	}
-	out := make([]int, n)
-	rank := 0
-	var acc float64
-	for p := 0; p < n; p++ {
-		out[p] = rank
-		acc += weights[p]
-		if rank == nRanks-1 {
-			continue
-		}
-		// Advance to the next rank when this one's share is filled, or
-		// when the remaining patches are only just enough to give every
-		// remaining rank one patch.
-		remainingAfter := n - p - 1
-		ranksAfter := nRanks - 1 - rank
-		threshold := total / float64(nRanks) * float64(rank+1)
-		if acc >= threshold || remainingAfter == ranksAfter {
-			rank++
-		}
-	}
-	return out, nil
-}

@@ -1,9 +1,7 @@
 package loadbalancer
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"sunuintah/internal/grid"
 )
@@ -24,7 +22,7 @@ func TestAssignSFCBalancedAndComplete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts := Counts(assign, ranks)
+		counts := perRank(assign, ranks)
 		for r, c := range counts {
 			if c != 128/ranks {
 				t.Fatalf("ranks=%d: rank %d got %d patches", ranks, r, c)
@@ -73,84 +71,5 @@ func TestMortonKeyOrdering(t *testing.T) {
 	}
 	if mortonKey(grid.IV(1, 1, 0)) >= mortonKey(grid.IV(0, 0, 1)) {
 		t.Fatal("z most significant")
-	}
-}
-
-func TestAssignWeightedRespectsWeights(t *testing.T) {
-	// One heavy patch: the greedy scan should give the heavy patch its
-	// own rank region and pack light ones together.
-	weights := []float64{10, 1, 1, 1, 1, 1, 1, 1, 1, 1}
-	assign, err := AssignWeighted(weights, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if assign[0] != 0 {
-		t.Fatal("first patch must be on rank 0")
-	}
-	// The heavy patch alone is over half the total, so rank 0 should end
-	// quickly.
-	if assign[1] != 1 {
-		t.Fatalf("assign = %v: light patches should move to rank 1", assign)
-	}
-	// Imbalance is max/mean of the per-rank weight sums.
-	imbalance := func(assign []int) float64 {
-		sums := make([]float64, 2)
-		for p, r := range assign {
-			sums[r] += weights[p]
-		}
-		return max(sums[0], sums[1]) / ((sums[0] + sums[1]) / 2)
-	}
-	imb := imbalance(assign)
-	uniform, _ := Assign(Block, len(weights), 2)
-	if imb > imbalance(uniform) {
-		t.Fatalf("weighted imbalance %v worse than uniform blocks", imb)
-	}
-}
-
-func TestAssignWeightedErrors(t *testing.T) {
-	if _, err := AssignWeighted(nil, 1); err == nil {
-		t.Error("empty weights should fail")
-	}
-	if _, err := AssignWeighted([]float64{1, -1}, 1); err == nil {
-		t.Error("negative weight should fail")
-	}
-	if _, err := AssignWeighted([]float64{1}, 2); err == nil {
-		t.Error("more ranks than patches should fail")
-	}
-}
-
-// Property: weighted assignment is contiguous, covers all ranks, and every
-// rank gets at least one patch.
-func TestPropertyWeightedAssignment(t *testing.T) {
-	f := func(seed int64, n, r uint8) bool {
-		nPatches := 1 + int(n)%64
-		nRanks := 1 + int(r)%16
-		if nRanks > nPatches {
-			nRanks = nPatches
-		}
-		rng := rand.New(rand.NewSource(seed))
-		weights := make([]float64, nPatches)
-		for i := range weights {
-			weights[i] = rng.Float64() * 10
-		}
-		assign, err := AssignWeighted(weights, nRanks)
-		if err != nil {
-			return false
-		}
-		counts := Counts(assign, nRanks)
-		for _, c := range counts {
-			if c == 0 {
-				return false
-			}
-		}
-		for i := 1; i < len(assign); i++ {
-			if assign[i] < assign[i-1] || assign[i] > assign[i-1]+1 {
-				return false
-			}
-		}
-		return assign[len(assign)-1] == nRanks-1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

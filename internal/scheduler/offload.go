@@ -165,8 +165,8 @@ type tilePlan struct {
 	assign  [][]grid.Tile
 }
 
-// planKey is keyed on patch identity, not ID: a regrid or rebalance
-// installs new *grid.Patch values, which can never see a stale plan.
+// planKey is keyed on patch and gang width. A rank's patches are fixed for
+// its simulation's life, so a cached plan never goes stale.
 type planKey struct {
 	patch *grid.Patch
 	cpes  int
@@ -264,12 +264,6 @@ func (s *Rank) offload(p *sim.Process, step int, t, dt float64, obj *taskgraph.O
 		return tileErr
 	}
 	runTiles(s.cfg.Workers, s.tiles, task.Kernel.Compute)
-	// A stalled gang never completes; account its healthy estimate so the
-	// trace and the load balancer never see Infinity.
-	dur := off.Done
-	if off.Stalled {
-		dur = off.Estimate
-	}
 	obj.State = taskgraph.StateRunning
 	sl.obj = obj
 	sl.off = off
@@ -279,9 +273,14 @@ func (s *Rank) offload(p *sim.Process, step int, t, dt float64, obj *taskgraph.O
 		sl.estimate = off.Estimate
 		sl.deadline = start + off.Estimate*sim.Time(s.inj.Plan().DeadlineFactor)
 	}
-	s.patchCost[patch.ID] += dur
 	s.Stats.Offloads++
 	if s.cfg.Trace != nil {
+		// A stalled gang never completes; trace its healthy estimate so the
+		// timeline never sees Infinity.
+		dur := off.Done
+		if off.Stalled {
+			dur = off.Estimate
+		}
 		s.cfg.Trace.Add(trace.Event{Rank: s.mpi.RankID(), Step: step, Kind: trace.KindKernel,
 			Name: fmt.Sprintf("%s p%d", task.Name, patch.ID), Start: start, End: start + dur})
 	}
@@ -362,7 +361,6 @@ func (s *Rank) runOnMPE(p *sim.Process, step int, t, dt float64, obj *taskgraph.
 		w = 1
 	}
 	kernelTime := sim.Time(s.params.MPEKernelTime(cells, w))
-	s.patchCost[obj.Patch.ID] += kernelTime
 	s.charge(p, kernelTime, &s.Stats.MPEKernelTime,
 		trace.KindMPEKern, step, fmt.Sprintf("%s p%d (mpe)", task.Name, obj.Patch.ID))
 	if s.cfg.Functional && task.Kernel.Compute != nil {

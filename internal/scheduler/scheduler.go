@@ -196,10 +196,6 @@ type Rank struct {
 	// keeps the steady-state loop free of string allocation.
 	notes map[noteKey]string
 
-	// patchCost accumulates each local patch's kernel time, feeding the
-	// measurement-based load balancer.
-	patchCost map[int]sim.Time
-
 	// slots are the offload lanes (one per CPE group).
 	slots []*slot
 	// plans caches each patch's tile plan from its first offload on.
@@ -283,7 +279,6 @@ func New(cfg Config, graph *taskgraph.Graph, cg *sw26010.CoreGroup, mpi *mpisim.
 		flag:   sim.NewCounter(cg.Engine(), fmt.Sprintf("rank%d.flag", mpi.RankID())),
 	}
 	s.inj = cg.Faults
-	s.patchCost = map[int]sim.Time{}
 	s.maxGhost = map[*taskgraph.Label]int{}
 	for _, t := range graph.Tasks {
 		for _, d := range t.Requires {
@@ -304,32 +299,12 @@ func New(cfg Config, graph *taskgraph.Graph, cg *sw26010.CoreGroup, mpi *mpisim.
 // Graph returns the rank's compiled task graph.
 func (s *Rank) Graph() *taskgraph.Graph { return s.graph }
 
-// SetGraph installs a newly compiled graph (after load balancing or
-// regridding changed the patch assignment). The warehouses are untouched:
-// the caller is responsible for having migrated variable data to match the
-// new assignment.
-func (s *Rank) SetGraph(g *taskgraph.Graph) error {
-	if g.Rank != s.mpi.RankID() {
-		return fmt.Errorf("scheduler: graph compiled for rank %d, MPI rank is %d", g.Rank, s.mpi.RankID())
-	}
-	s.graph = g
-	s.prepared = s.prepared[:0]
-	return nil
-}
-
 // MaxGhost returns the allocation ghost width of a label (the maximum any
 // task requires).
 func (s *Rank) MaxGhost(l *taskgraph.Label) int { return s.maxGhost[l] }
 
 // CoreGroup returns the rank's core group.
 func (s *Rank) CoreGroup() *sw26010.CoreGroup { return s.cg }
-
-// PatchCosts returns the accumulated kernel time of each local patch, the
-// per-patch cost estimates a measurement-based load balancer consumes.
-func (s *Rank) PatchCosts() map[int]sim.Time { return s.patchCost }
-
-// ResetPatchCosts clears the measurements (after a rebalance).
-func (s *Rank) ResetPatchCosts() { s.patchCost = map[int]sim.Time{} }
 
 // scrubKey identifies a new-warehouse variable instance.
 type scrubKey struct {
