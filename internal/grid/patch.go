@@ -141,10 +141,7 @@ func (l *Layout) ghostsOf(p *Patch, width int) patchGhosts {
 	defer l.ghostMu.Unlock()
 	t, ok := l.ghosts[width]
 	if !ok {
-		t = make([]patchGhosts, len(l.patches))
-		for i, q := range l.patches {
-			t[i] = l.deriveGhosts(q, width)
-		}
+		t = l.buildGhosts(width)
 		if l.ghosts == nil {
 			l.ghosts = map[int][]patchGhosts{}
 		}
@@ -153,27 +150,47 @@ func (l *Layout) ghostsOf(p *Patch, width int) patchGhosts {
 	return t[p.ID]
 }
 
-// deriveGhosts computes one patch's regions and, from them, its distinct
-// source patches in ascending ID order.
-func (l *Layout) deriveGhosts(p *Patch, width int) patchGhosts {
-	regions := l.ghostRegions(p, width)
-	var nbrs []*Patch
-	for _, gr := range regions {
-		if gr.Src != nil {
-			nbrs = append(nbrs, gr.Src)
+// buildGhosts derives every patch's regions and, from them, its distinct
+// source patches in ascending ID order. All patches share one slab of
+// regions and one of neighbours, sized for 26 regions a patch (one per
+// direction whenever the width fits in a patch).
+func (l *Layout) buildGhosts(width int) []patchGhosts {
+	t := make([]patchGhosts, len(l.patches))
+	regions := make([]GhostRegion, 0, 26*len(l.patches))
+	nbrs := make([]*Patch, 0, 26*len(l.patches))
+	for i, p := range l.patches {
+		r0, n0 := len(regions), len(nbrs)
+		regions = l.appendGhostRegions(regions, p, width)
+		for _, gr := range regions[r0:] {
+			if gr.Src != nil {
+				nbrs = append(nbrs, gr.Src)
+			}
 		}
+		slices.SortFunc(nbrs[n0:], func(a, b *Patch) int { return a.ID - b.ID })
+		nbrs = nbrs[:n0+len(slices.Compact(nbrs[n0:]))]
+		t[i] = patchGhosts{regions: clipFrom(regions, r0), nbrs: clipFrom(nbrs, n0)}
 	}
-	slices.SortFunc(nbrs, func(a, b *Patch) int { return a.ID - b.ID })
-	nbrs = slices.Compact(nbrs)
-	// Capacities clipped to length: a caller's append copies instead of
-	// writing into what the next caller reads.
-	return patchGhosts{regions: slices.Clip(regions), nbrs: slices.Clip(nbrs)}
+	return t
+}
+
+// clipFrom returns s[from:] capacity-clipped, so a caller's append copies
+// instead of writing into the next patch's window; nil when it is empty.
+func clipFrom[T any](s []T, from int) []T {
+	if len(s) == from {
+		return nil
+	}
+	return s[from:len(s):len(s)]
 }
 
 // ghostRegions derives the decomposition GhostRegions hands out.
 func (l *Layout) ghostRegions(p *Patch, width int) []GhostRegion {
-	var out []GhostRegion
+	return l.appendGhostRegions(nil, p, width)
+}
+
+// appendGhostRegions appends p's decomposition at the given width to out.
+func (l *Layout) appendGhostRegions(out []GhostRegion, p *Patch, width int) []GhostRegion {
 	grown := p.Box.Grow(width)
+	var outside [6]Box
 	for dz := -1; dz <= 1; dz++ {
 		for dy := -1; dy <= 1; dy++ {
 			for dx := -1; dx <= 1; dx++ {
@@ -189,12 +206,13 @@ func (l *Layout) ghostRegions(p *Patch, width int) []GhostRegion {
 					// One neighbour patch owns the whole in-domain part
 					// because ghost width never exceeds the patch size in
 					// practice; split defensively if it straddles patches.
-					out = append(out, l.splitByOwners(inDomain)...)
+					out = l.splitByOwners(out, inDomain)
 				}
-				// The rest (outside the domain) is physical boundary.
-				outside := subtractBox(region, l.Domain)
-				for _, ob := range outside {
-					out = append(out, GhostRegion{Region: ob, Src: nil})
+				if inDomain != region {
+					// The rest (outside the domain) is physical boundary.
+					for _, ob := range SubtractBox(outside[:0], region, l.Domain) {
+						out = append(out, GhostRegion{Region: ob, Src: nil})
+					}
 				}
 			}
 		}
@@ -204,26 +222,27 @@ func (l *Layout) ghostRegions(p *Patch, width int) []GhostRegion {
 
 // sideRegion returns the part of grown \ box lying in direction dir.
 func sideRegion(box, grown Box, dir IVec) Box {
-	r := grown
-	for axis := 0; axis < 3; axis++ {
-		switch dir.Comp(axis) {
-		case -1:
-			r.Lo = r.Lo.WithComp(axis, grown.Lo.Comp(axis))
-			r.Hi = r.Hi.WithComp(axis, box.Lo.Comp(axis))
-		case 0:
-			r.Lo = r.Lo.WithComp(axis, box.Lo.Comp(axis))
-			r.Hi = r.Hi.WithComp(axis, box.Hi.Comp(axis))
-		case 1:
-			r.Lo = r.Lo.WithComp(axis, box.Hi.Comp(axis))
-			r.Hi = r.Hi.WithComp(axis, grown.Hi.Comp(axis))
-		}
-	}
+	var r Box
+	r.Lo.X, r.Hi.X = sideSpan(dir.X, box.Lo.X, box.Hi.X, grown.Lo.X, grown.Hi.X)
+	r.Lo.Y, r.Hi.Y = sideSpan(dir.Y, box.Lo.Y, box.Hi.Y, grown.Lo.Y, grown.Hi.Y)
+	r.Lo.Z, r.Hi.Z = sideSpan(dir.Z, box.Lo.Z, box.Hi.Z, grown.Lo.Z, grown.Hi.Z)
 	return r
 }
 
-// splitByOwners decomposes an in-domain box into per-owning-patch pieces.
-func (l *Layout) splitByOwners(b Box) []GhostRegion {
-	var out []GhostRegion
+// sideSpan is one axis of sideRegion: the span below (d = -1), across
+// (0) or above (1) [lo, hi) within [glo, ghi).
+func sideSpan(d, lo, hi, glo, ghi int) (int, int) {
+	switch d {
+	case -1:
+		return glo, lo
+	case 1:
+		return hi, ghi
+	}
+	return lo, hi
+}
+
+// splitByOwners appends an in-domain box's per-owning-patch pieces to out.
+func (l *Layout) splitByOwners(out []GhostRegion, b Box) []GhostRegion {
 	// Patches owning b's corners bound the patch-position range to scan.
 	rel := b.Lo.Sub(l.Domain.Lo)
 	lop := rel.Div(l.PatchSize)
@@ -243,16 +262,15 @@ func (l *Layout) splitByOwners(b Box) []GhostRegion {
 	return out
 }
 
-// subtractBox returns b minus cut as a list of disjoint boxes.
-func subtractBox(b, cut Box) []Box {
+// SubtractBox appends b minus cut, as disjoint boxes, to out.
+func SubtractBox(out []Box, b, cut Box) []Box {
 	inter := b.Intersect(cut)
 	if inter.Empty() {
-		return []Box{b}
+		return append(out, b)
 	}
 	if inter == b {
-		return nil
+		return out
 	}
-	var out []Box
 	rest := b
 	for axis := 0; axis < 3; axis++ {
 		// Slice off the parts of rest below and above inter on this axis.

@@ -1,0 +1,550 @@
+package taskgraph_test
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+	"testing/quick"
+
+	"sunuintah/internal/experiments"
+	"sunuintah/internal/grid"
+	"sunuintah/internal/loadbalancer"
+	"sunuintah/internal/runner"
+	. "sunuintah/internal/taskgraph"
+)
+
+// referenceCompile is the map-based compiler Compile replaced: edges keyed
+// by (label, src, dst) in maps, every Edge, Object and slice allocated on
+// its own, send edges derived task-major. It is the oracle the differential
+// tests hold Compile to; it keeps the old duplicate-only region dedup, so
+// compare it only on task sets that require each label at one width.
+func referenceCompile(level *grid.Level, tasks []*Task, assign []int, rank int) (*Graph, error) {
+	layout := level.Layout
+	if len(assign) != layout.NumPatches() {
+		return nil, fmt.Errorf("taskgraph: assignment covers %d patches, layout has %d",
+			len(assign), layout.NumPatches())
+	}
+	for _, t := range tasks {
+		if err := t.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	g := &Graph{Level: level, Tasks: tasks, Assign: assign, Rank: rank,
+		Persistent: map[*Label]bool{}}
+	for _, t := range tasks {
+		for _, d := range t.Requires {
+			if d.DW == OldDW {
+				g.Persistent[d.Label] = true
+			}
+		}
+	}
+
+	labelIdx := map[*Label]int{}
+	addLabel := func(l *Label) {
+		if _, ok := labelIdx[l]; !ok {
+			labelIdx[l] = len(g.Labels)
+			g.Labels = append(g.Labels, l)
+		}
+	}
+	for _, t := range tasks {
+		for _, d := range t.Requires {
+			addLabel(d.Label)
+		}
+		for _, d := range t.Computes {
+			addLabel(d.Label)
+		}
+	}
+
+	for _, p := range layout.Patches() {
+		if assign[p.ID] == rank {
+			g.LocalPatches = append(g.LocalPatches, p)
+		}
+	}
+
+	producer := map[*Label]*Task{}
+	producerObjs := map[refProducerKey]*Object{}
+	recvKey := map[refEdgeKey]*Edge{}
+
+	for _, t := range tasks {
+		switch t.Kind {
+		case KindOffload, KindMPE:
+			for _, p := range g.LocalPatches {
+				if !t.AppliesTo(p.ID) {
+					continue
+				}
+				obj := &Object{Index: len(g.Objects), Task: t, Patch: p}
+				g.Objects = append(g.Objects, obj)
+				for _, d := range t.Requires {
+					switch {
+					case d.DW == NewDW:
+						prod := producer[d.Label]
+						if prod == nil {
+							return nil, fmt.Errorf("taskgraph: task %q requires %q from the new warehouse but no earlier task computes it",
+								t.Name, d.Label.Name())
+						}
+						up := producerObjs[refProducerKey{prod, p.ID}]
+						if up == nil {
+							return nil, fmt.Errorf("taskgraph: task %q requires %q from the new warehouse on patch %d but producer %q is excluded there by its patch predicate",
+								t.Name, d.Label.Name(), p.ID, prod.Name)
+						}
+						obj.Upstream = append(obj.Upstream, up)
+						up.Downstream = append(up.Downstream, obj)
+					case d.Ghost > 0:
+						refAddGhostDeps(g, obj, d, recvKey, labelIdx)
+					}
+				}
+				for _, d := range t.Computes {
+					producer[d.Label] = t
+					producerObjs[refProducerKey{t, p.ID}] = obj
+				}
+			}
+		case KindReduction:
+			obj := &Object{Index: len(g.Objects), Task: t}
+			g.Objects = append(g.Objects, obj)
+			d := t.Requires[0]
+			if d.DW == NewDW {
+				prod := producer[d.Label]
+				if prod == nil {
+					return nil, fmt.Errorf("taskgraph: reduction %q requires %q before it is computed",
+						t.Name, d.Label.Name())
+				}
+				for _, p := range g.LocalPatches {
+					if !t.AppliesTo(p.ID) || !prod.AppliesTo(p.ID) {
+						continue
+					}
+					up := producerObjs[refProducerKey{prod, p.ID}]
+					obj.Upstream = append(obj.Upstream, up)
+					up.Downstream = append(up.Downstream, obj)
+				}
+			}
+		}
+	}
+
+	sendKey := map[refEdgeKey]*Edge{}
+	for _, t := range tasks {
+		for _, d := range t.Requires {
+			if d.DW != OldDW || d.Ghost == 0 {
+				continue
+			}
+			for _, q := range g.LocalPatches {
+				if !t.AppliesTo(q.ID) {
+					continue
+				}
+				for _, p := range layout.Neighbours(q, d.Ghost) {
+					if assign[p.ID] == rank || !t.AppliesTo(p.ID) {
+						continue
+					}
+					for _, gr := range layout.GhostRegions(p, d.Ghost) {
+						if gr.Src == nil || gr.Src.ID != q.ID {
+							continue
+						}
+						k := refEdgeKey{labelIdx[d.Label], q.ID, p.ID}
+						e := sendKey[k]
+						if e == nil {
+							e = &Edge{Label: d.Label, LabelIdx: k.label,
+								Src: q, Dst: p, SrcRank: rank, DstRank: assign[p.ID]}
+							sendKey[k] = e
+							g.Sends = append(g.Sends, e)
+						}
+						refAddRegion(e, gr.Region)
+					}
+				}
+			}
+		}
+	}
+
+	refSortEdges(g.Recvs, layout.NumPatches())
+	refSortEdges(g.Sends, layout.NumPatches())
+	return g, nil
+}
+
+type refProducerKey struct {
+	task    *Task
+	patchID int
+}
+
+type refEdgeKey struct {
+	label    int
+	src, dst int
+}
+
+func refAddRegion(e *Edge, r grid.Box) {
+	for _, have := range e.Regions {
+		if have == r {
+			return
+		}
+	}
+	e.Regions = append(e.Regions, r)
+	e.Cells += r.NumCells()
+	e.Bytes += r.NumCells() * 8
+}
+
+func refAddGhostDeps(g *Graph, obj *Object, d Dep, recvKey map[refEdgeKey]*Edge, labelIdx map[*Label]int) {
+	layout := g.Level.Layout
+	copies := map[int]*CopyReq{}
+	var bc *BCReq
+	for _, gr := range layout.GhostRegions(obj.Patch, d.Ghost) {
+		switch {
+		case gr.Src == nil || !obj.Task.AppliesTo(gr.Src.ID):
+			if bc == nil {
+				bc = &BCReq{Label: d.Label}
+			}
+			bc.Regions = append(bc.Regions, gr.Region)
+			bc.Cells += gr.Region.NumCells()
+		case g.Assign[gr.Src.ID] == g.Rank:
+			cr := copies[gr.Src.ID]
+			if cr == nil {
+				cr = &CopyReq{Label: d.Label, Src: gr.Src}
+				copies[gr.Src.ID] = cr
+			}
+			cr.Regions = append(cr.Regions, gr.Region)
+			cr.Bytes += gr.Region.NumCells() * 8
+		default:
+			k := refEdgeKey{labelIdx[d.Label], gr.Src.ID, obj.Patch.ID}
+			e := recvKey[k]
+			if e == nil {
+				e = &Edge{Label: d.Label, LabelIdx: k.label,
+					Src: gr.Src, Dst: obj.Patch,
+					SrcRank: g.Assign[gr.Src.ID], DstRank: g.Rank}
+				recvKey[k] = e
+				g.Recvs = append(g.Recvs, e)
+			}
+			refAddRegion(e, gr.Region)
+			attached := false
+			for _, o := range e.DstObjs {
+				if o == obj {
+					attached = true
+					break
+				}
+			}
+			if !attached {
+				e.DstObjs = append(e.DstObjs, obj)
+				obj.NumRecvs++
+			}
+		}
+	}
+	var srcIDs []int
+	for id := range copies {
+		srcIDs = append(srcIDs, id)
+	}
+	sort.Ints(srcIDs)
+	for _, id := range srcIDs {
+		obj.LocalCopies = append(obj.LocalCopies, *copies[id])
+	}
+	if bc != nil {
+		obj.BCFills = append(obj.BCFills, *bc)
+	}
+}
+
+func refSortEdges(edges []*Edge, nPatches int) {
+	sort.Slice(edges, func(i, j int) bool {
+		return edges[i].BaseTag(nPatches) < edges[j].BaseTag(nPatches)
+	})
+}
+
+// graphDiff returns the first difference between two graphs of the same
+// inputs, field by field, with Object pointers compared by Index and Edge
+// pointers by position; "" when they are equal.
+func graphDiff(got, want *Graph) string {
+	if !reflect.DeepEqual(got.Labels, want.Labels) {
+		return "Labels differ"
+	}
+	if !reflect.DeepEqual(got.LocalPatches, want.LocalPatches) {
+		return "LocalPatches differ"
+	}
+	if !reflect.DeepEqual(got.Persistent, want.Persistent) {
+		return "Persistent differs"
+	}
+	if len(got.Objects) != len(want.Objects) {
+		return fmt.Sprintf("%d objects, want %d", len(got.Objects), len(want.Objects))
+	}
+	for i, o := range got.Objects {
+		w := want.Objects[i]
+		switch {
+		case o.Index != i || w.Index != i:
+			return fmt.Sprintf("object %d: Index %d, want %d", i, o.Index, w.Index)
+		case o.Task != w.Task || o.Patch != w.Patch:
+			return fmt.Sprintf("object %d: task or patch differs", i)
+		case !reflect.DeepEqual(indices(o.Upstream), indices(w.Upstream)):
+			return fmt.Sprintf("object %d: Upstream %v, want %v", i, indices(o.Upstream), indices(w.Upstream))
+		case !reflect.DeepEqual(indices(o.Downstream), indices(w.Downstream)):
+			return fmt.Sprintf("object %d: Downstream %v, want %v", i, indices(o.Downstream), indices(w.Downstream))
+		case o.NumRecvs != w.NumRecvs:
+			return fmt.Sprintf("object %d: NumRecvs %d, want %d", i, o.NumRecvs, w.NumRecvs)
+		case !reflect.DeepEqual(o.LocalCopies, w.LocalCopies):
+			return fmt.Sprintf("object %d: LocalCopies %v, want %v", i, o.LocalCopies, w.LocalCopies)
+		case !reflect.DeepEqual(o.BCFills, w.BCFills):
+			return fmt.Sprintf("object %d: BCFills %v, want %v", i, o.BCFills, w.BCFills)
+		case o.State != w.State || o.PendingDeps != w.PendingDeps:
+			return fmt.Sprintf("object %d: scheduler state differs", i)
+		}
+	}
+	for _, side := range []struct {
+		name      string
+		got, want []*Edge
+	}{{"recv", got.Recvs, want.Recvs}, {"send", got.Sends, want.Sends}} {
+		if len(side.got) != len(side.want) {
+			return fmt.Sprintf("%d %s edges, want %d", len(side.got), side.name, len(side.want))
+		}
+		for i, e := range side.got {
+			w := side.want[i]
+			if e.Label != w.Label || e.LabelIdx != w.LabelIdx || e.Src != w.Src || e.Dst != w.Dst ||
+				e.SrcRank != w.SrcRank || e.DstRank != w.DstRank {
+				return fmt.Sprintf("%s edge %d: endpoints %v->%v, want %v->%v", side.name, i, e.Src, e.Dst, w.Src, w.Dst)
+			}
+			if !reflect.DeepEqual(e.Regions, w.Regions) || e.Cells != w.Cells || e.Bytes != w.Bytes {
+				return fmt.Sprintf("%s edge %d: regions %v (%d cells), want %v (%d cells)",
+					side.name, i, e.Regions, e.Cells, w.Regions, w.Cells)
+			}
+			if !reflect.DeepEqual(indices(e.DstObjs), indices(w.DstObjs)) {
+				return fmt.Sprintf("%s edge %d: DstObjs %v, want %v", side.name, i, indices(e.DstObjs), indices(w.DstObjs))
+			}
+		}
+	}
+	return ""
+}
+
+// indices maps objects to their Index; nil and empty map alike.
+func indices(objs []*Object) []int {
+	var out []int
+	for _, o := range objs {
+		out = append(out, o.Index)
+	}
+	return out
+}
+
+// compileBoth compiles every rank with Compile and referenceCompile and
+// reports the first difference, errors included.
+func compileBoth(t *testing.T, name string, lv *grid.Level, tasks []*Task, assign []int, ranks int) bool {
+	t.Helper()
+	for r := 0; r < ranks; r++ {
+		got, err := Compile(lv, tasks, assign, r)
+		want, wantErr := referenceCompile(lv, tasks, assign, r)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("%s rank %d: error %v, reference %v", name, r, err, wantErr)
+			return false
+		}
+		if err != nil {
+			continue
+		}
+		if d := graphDiff(got, want); d != "" {
+			t.Errorf("%s rank %d: %s", name, r, d)
+			return false
+		}
+	}
+	return true
+}
+
+// Every rank of every case of the paper's 250-case matrix compiles to the
+// graph the reference derives.
+func TestCompileMatchesReferenceOnPaperMatrix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles every rank of 250 cases twice")
+	}
+	cases := 0
+	for _, prob := range experiments.Problems {
+		for _, cgs := range experiments.CGCounts {
+			if cgs < prob.MinCGs {
+				continue
+			}
+			for _, v := range experiments.Variants {
+				spec := experiments.SpecFor(prob, cgs, v, experiments.Options{Steps: experiments.Steps}, 0)
+				if !compileSpec(t, spec) {
+					return
+				}
+				cases++
+			}
+		}
+	}
+	if cases != 250 {
+		t.Fatalf("matrix has %d cases, want 250", cases)
+	}
+}
+
+func compileSpec(t *testing.T, spec runner.Spec) bool {
+	t.Helper()
+	cfg, prob, err := experiments.SpecConfig(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv, err := grid.NewUnitCubeLevel(cfg.Cells, cfg.PatchCounts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign, err := loadbalancer.AssignWithLayout(cfg.Balancer, lv.Layout, cfg.NumCGs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return compileBoth(t, spec.String(), lv, prob.Tasks, assign, cfg.NumCGs)
+}
+
+// randomProblem is a random level, assignment and task set: 1–4 patches
+// per axis of 1–4 cells, Block or SFC over 1–8 ranks, tasks requiring
+// old-warehouse labels (some twice) at ghost widths 0–2 under random patch
+// predicates, chained
+// through new-warehouse labels, with an optional reduction at the end.
+// With oneWidth every label is required at a single width.
+type randomProblem struct {
+	level  *grid.Level
+	tasks  []*Task
+	assign []int
+	ranks  int
+}
+
+func newRandomProblem(rng *rand.Rand, oneWidth bool) (randomProblem, error) {
+	counts := grid.IV(1+rng.Intn(4), 1+rng.Intn(4), 1+rng.Intn(4))
+	// Patches as thin as one cell: a width-2 margin then spans two
+	// patches, so one source owns several regions of it.
+	size := grid.IV(1+rng.Intn(4), 1+rng.Intn(4), 1+rng.Intn(4))
+	lv, err := grid.NewUnitCubeLevel(counts.Mul(size), counts)
+	if err != nil {
+		return randomProblem{}, err
+	}
+	n := lv.Layout.NumPatches()
+	ranks := 1 + rng.Intn(8)
+	if ranks > n {
+		ranks = n
+	}
+	strategy := loadbalancer.Block
+	if rng.Intn(2) == 0 {
+		strategy = loadbalancer.SFC
+	}
+	assign, err := loadbalancer.AssignWithLayout(strategy, lv.Layout, ranks)
+	if err != nil {
+		return randomProblem{}, err
+	}
+	olds := []*Label{NewLabel("u", nil), NewLabel("v", nil)}
+	width := map[*Label]int{}
+	var news []*Label
+	var tasks []*Task
+	for i, nt := 0, 1+rng.Intn(4); i < nt; i++ {
+		t := &Task{Name: fmt.Sprintf("t%d", i), Kind: KindOffload, Kernel: &Kernel{Weight: 1}}
+		if rng.Intn(3) == 0 {
+			// A pure, rank-independent predicate: every rank agrees.
+			mod, rem := 2+rng.Intn(3), rng.Intn(2)
+			t.Patches = func(id int) bool { return id%mod != rem }
+		}
+		for _, l := range olds {
+			// Zero, one or two requirements of each label.
+			for k := rng.Intn(3); k > 0; k-- {
+				w, ok := width[l]
+				if !ok || !oneWidth {
+					w = rng.Intn(3)
+					width[l] = w
+				}
+				t.Requires = append(t.Requires, Dep{Label: l, DW: OldDW, Ghost: w})
+			}
+		}
+		if len(news) > 0 && rng.Intn(2) == 0 {
+			t.Requires = append(t.Requires, Dep{Label: news[rng.Intn(len(news))], DW: NewDW})
+		}
+		out := NewLabel(fmt.Sprintf("n%d", i), nil)
+		news = append(news, out)
+		t.Computes = []Dep{{Label: out, DW: NewDW}}
+		tasks = append(tasks, t)
+	}
+	if rng.Intn(2) == 0 {
+		tasks = append(tasks, &Task{Name: "reduce", Kind: KindReduction, Reduce: &ReduceSpec{},
+			Requires: []Dep{{Label: news[rng.Intn(len(news))], DW: NewDW}}})
+	}
+	return randomProblem{level: lv, tasks: tasks, assign: assign, ranks: ranks}, nil
+}
+
+// Property: on random problems that require each label at one width,
+// Compile and the reference agree field for field on every rank,
+// compile errors (a chain through a predicate-excluded producer) included.
+func TestPropertyCompileMatchesReference(t *testing.T) {
+	f := func(seed int64) bool {
+		p, err := newRandomProblem(rand.New(rand.NewSource(seed)), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return compileBoth(t, fmt.Sprintf("seed %d", seed), p.level, p.tasks, p.assign, p.ranks)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// disjoint reports whether e's regions are pairwise disjoint and add up
+// to its Cells and Bytes: each ghost cell crosses once, even when a label
+// is required at two widths.
+func disjoint(e *Edge) bool {
+	var cells int64
+	for i, r := range e.Regions {
+		cells += r.NumCells()
+		for _, o := range e.Regions[:i] {
+			if !r.Intersect(o).Empty() {
+				return false
+			}
+		}
+	}
+	return cells == e.Cells && e.Bytes == 8*cells
+}
+
+// Property: every send edge has exactly one matching recv edge on the
+// destination rank, with the same tag, ranks, byte count and regions in the
+// same order — the functional unpack walks the sender's pack order — and
+// no edge carries a ghost cell twice, widths mixed or not.
+func TestCompileSendRecvSymmetry(t *testing.T) {
+	sends := 0
+	f := func(seed int64) bool {
+		p, err := newRandomProblem(rand.New(rand.NewSource(seed)), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := p.level.Layout.NumPatches()
+		recvByTag := map[int]*Edge{}
+		var graphs []*Graph
+		for r := 0; r < p.ranks; r++ {
+			g, err := Compile(p.level, p.tasks, p.assign, r)
+			if err != nil {
+				return true // a chain excluded by a predicate: no graph to check
+			}
+			graphs = append(graphs, g)
+			for _, e := range g.Recvs {
+				if recvByTag[e.BaseTag(n)] != nil {
+					t.Errorf("seed %d: duplicate recv tag %d", seed, e.BaseTag(n))
+					return false
+				}
+				recvByTag[e.BaseTag(n)] = e
+				if !disjoint(e) {
+					t.Errorf("seed %d: edge %v->%v carries a cell twice: %v", seed, e.Src, e.Dst, e.Regions)
+					return false
+				}
+			}
+		}
+		matched := 0
+		for _, g := range graphs {
+			for _, e := range g.Sends {
+				matched++
+				r := recvByTag[e.BaseTag(n)]
+				switch {
+				case r == nil:
+					t.Errorf("seed %d: send %v->%v has no matching recv", seed, e.Src, e.Dst)
+				case e.Src != r.Src || e.Dst != r.Dst || e.SrcRank != r.SrcRank || e.DstRank != r.DstRank:
+					t.Errorf("seed %d: edge endpoints differ: send %v->%v, recv %v->%v", seed, e.Src, e.Dst, r.Src, r.Dst)
+				case e.Bytes != r.Bytes || e.Cells != r.Cells || !reflect.DeepEqual(e.Regions, r.Regions):
+					t.Errorf("seed %d: edge %v->%v: send %v (%d B), recv %v (%d B)", seed, e.Src, e.Dst, e.Regions, e.Bytes, r.Regions, r.Bytes)
+				default:
+					continue
+				}
+				return false
+			}
+		}
+		if matched != len(recvByTag) {
+			t.Errorf("seed %d: %d sends vs %d recvs", seed, matched, len(recvByTag))
+			return false
+		}
+		sends += matched
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if sends == 0 {
+		t.Fatal("no cross-rank edges in any random problem")
+	}
+}

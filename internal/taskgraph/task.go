@@ -222,6 +222,10 @@ func (t *Task) Validate() error {
 		if len(t.Requires) != 1 {
 			return fmt.Errorf("taskgraph: reduction task %q must require exactly one variable", t.Name)
 		}
+		if t.Requires[0].Ghost != 0 {
+			// A reduction runs on no patch, so it has no ghost margin.
+			return fmt.Errorf("taskgraph: reduction task %q requires %q with ghost cells", t.Name, t.Requires[0].Label.Name())
+		}
 	default:
 		return fmt.Errorf("taskgraph: task %q has unknown kind %d", t.Name, t.Kind)
 	}
