@@ -17,11 +17,21 @@
 // Payloads are real []float64 slices, so the simulated application's
 // numerics are correct across ranks; timing-only runs pass nil payloads
 // with an explicit byte count.
+//
+// Matching follows MPI's non-overtaking rule: per (source, tag), the k-th
+// receive posted takes the k-th message. On a shared engine with no fault
+// injector a message and its receive pair when the later of the two is
+// posted, so the receive knows its arrival while the message is on the
+// wire; across shards and under faults they match on delivery. The orders
+// agree when messages with one (source, tag) arrive in send order: always
+// for equal sizes, and for all scheduler traffic, whose tags are unique per
+// (step, label, source patch, destination patch).
 package mpisim
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"sunuintah/internal/faults"
@@ -116,8 +126,9 @@ type Rank struct {
 	comm *Comm
 	rank int
 
-	recvs      []*Request // posted, unmatched receives
-	unexpected []*message // arrived or in-flight messages with no receive yet
+	recvs      []*Request // posted receives with no message yet
+	unexpected []*message // delivered messages with no receive yet
+	inflight   []*message // unclaimed messages on the wire from this engine
 
 	// nextColl indexes this rank's next collective call, for in-order
 	// matching across ranks (the objects live on the Comm).
@@ -167,32 +178,41 @@ func (r *Rank) putMsg(m *message) {
 	r.msgFree = append(r.msgFree, m)
 }
 
-// getReq issues a zeroed request from this rank's freelist.
+// getReq issues a cleared request from this rank's freelist.
 func (r *Rank) getReq() *Request {
 	if n := len(r.reqFree); n > 0 {
 		q := r.reqFree[n-1]
 		r.reqFree[n-1] = nil
 		r.reqFree = r.reqFree[:n-1]
+		q.freed = nil
 		return q
 	}
 	return &Request{}
 }
 
+// putReq pools a request: its fired signal keeps its drained capacity, freed
+// marks it pooled and the rest is cleared.
+func (r *Rank) putReq(q *Request) {
+	q.reqState = reqState{freed: r}
+	r.reqFree = append(r.reqFree, q)
+}
+
 // Free retires a completed request into this rank's pool for reuse by a
 // later Isend/Irecv. Callers hand back a request only once they are done
 // with it entirely — completion observed, payload consumed, nobody left
-// waiting on its signal. Under fault injection requests stay heap-managed
-// (retry backstops may still reference them), so Free is a no-op there. So
-// it is for a send its owner saw complete ahead of the calendar
-// (TestSweepInto): the event that fires its completion signal — on one
-// engine, the message's delivery — is still pending and holds the request
-// until it runs.
+// waiting on its signal. A send its owner saw complete ahead of the
+// calendar (TestSweepInto) still has its completion event pending; that
+// event retires it when it runs (Call). Freeing twice is a no-op. Under
+// fault injection requests stay heap-managed (retry backstops may still
+// reference them), so Free is a no-op there.
 func (r *Rank) Free(req *Request) {
-	if r.comm.inj != nil || req == nil || !req.sig.Fired() {
+	if r.comm.inj != nil || req == nil || req.freed != nil {
 		return
 	}
-	*req = Request{}
-	r.reqFree = append(r.reqFree, req)
+	req.freed = r
+	if req.sig.Fired() {
+		r.putReq(req)
+	}
 }
 
 // RankID returns this endpoint's rank number.
@@ -238,9 +258,9 @@ type message struct {
 	// seq identifies the logical transmission for duplicate suppression;
 	// 0 when no injector is attached.
 	seq int64
-	// sent is the sender's completion signal when the delivery fires it
-	// (Isend on a shared engine); nil when the signal has its own event.
-	sent *sim.Signal
+	// sent is the send the delivery completes (one engine; else nil), and
+	// recv the receive paired with the message before delivery.
+	sent, recv *Request
 }
 
 // Call delivers the message at its destination: the envelope is its own
@@ -251,21 +271,29 @@ type message struct {
 // freelist-managed per rank (getMsg/putMsg) and recycled once consumed.
 func (m *message) Call() {
 	if m.sent != nil {
-		m.sent.Fire()
+		m.sent.Call()
 	}
 	m.dst.deliver(m)
 }
 
 // Request is the handle of a non-blocking operation.
 type Request struct {
+	sig sim.Signal
+	reqState
+}
+
+type reqState struct {
 	isSend  bool
 	src     int // sends: destination; receives: expected source
 	tag     int
 	payload []float64 // receives: filled on match
 
+	// matched: sends once transmitted, receives once delivered. doneAt,
+	// once set, never changes: a receive paired before delivery holds its
+	// message's arrival there while matched is still false.
 	matched bool
 	doneAt  sim.Time
-	sig     sim.Signal
+	freed   *Rank // the pool that takes it: set by Free, kept while pooled
 
 	// Fault-plane state for dropped sends awaiting retransmission.
 	pending    *sendState      // non-nil while the last transmission was lost
@@ -280,6 +308,15 @@ type sendState struct {
 	bytes    int64
 	seq      int64
 	attempt  int
+}
+
+// Call fires the request's completion: a Request is its own completion
+// Caller. A request its owner freed before this event ran retires now.
+func (q *Request) Call() {
+	q.sig.Fire()
+	if r := q.freed; r != nil {
+		r.putReq(q)
+	}
 }
 
 // Payload returns the received data (nil for sends, timing-only transfers,
@@ -297,7 +334,8 @@ func (q *Request) Signal() *sim.Signal { return &q.sig }
 // charged the posting cost. The send completes locally once the data has
 // left the sender (one wire time). Its completion and the delivery are
 // scheduled from the sender's clock, as one event when both ranks share an
-// engine (see message.Call).
+// engine (see message.Call), where it also pairs with a posted receive
+// (see Irecv).
 func (r *Rank) Isend(p *sim.Process, dst, tag int, payload []float64, bytes int64) *Request {
 	if bytes < 0 {
 		panic("mpisim: negative message size")
@@ -325,10 +363,16 @@ func (r *Rank) Isend(p *sim.Process, dst, tag int, payload []float64, bytes int6
 	m := r.getMsg()
 	*m = message{dst: r.comm.Rank(dst), src: r.rank, tag: tag, bytes: bytes,
 		payload: payload, arrivesAt: now + wire}
-	if r.comm.engs[dst] == r.eng() {
-		m.sent = &req.sig
+	if d := m.dst; r.comm.engs[dst] == r.eng() {
+		m.sent = req
+		if i := slices.IndexFunc(d.recvs, m.matches); i >= 0 {
+			pair(d.recvs[i], m)
+			d.recvs = slices.Delete(d.recvs, i, i+1)
+		} else {
+			d.inflight = append(d.inflight, m)
+		}
 	} else {
-		r.eng().CallAfter(wire, &req.sig)
+		r.eng().CallAfter(wire, req)
 	}
 	r.sendCall(dst, wire, m)
 	r.probes.MsgSent(now, bytes, now+wire)
@@ -432,13 +476,13 @@ func (c *Comm) traceRecovery(rank int, name string, st *sendState) {
 
 // Irecv posts a non-blocking receive for a message from src with the given
 // tag. The calling process is charged the posting cost. Matching follows
-// posting order for identical (src, tag) pairs.
+// posting order for identical (src, tag) pairs (see the package doc).
 //
-// Irecv reads the unexpected queue without meeting the calendar, so a
-// message that arrives between the calendar's time and the caller's clock
-// matches the posted receive on delivery instead of waiting in the queue.
-// The pairing is the same — per (src, tag), the k-th receive posted takes
-// the k-th message delivered, in either interleaving — and so is every
+// Irecv claims a delivered message first, then pairs with one on the wire
+// from this engine, without meeting the calendar: a message that arrives
+// between the calendar's time and the caller's clock completes the receive
+// on delivery. The pairing is the same — per (src, tag), the k-th receive
+// posted takes the k-th message, in either interleaving — and so is every
 // later observation: doneAt is then the arrival time rather than the post
 // time, both at or before any Test that follows, and nothing can have
 // registered on the fresh request's signal before it fires.
@@ -447,17 +491,27 @@ func (r *Rank) Irecv(p *sim.Process, src, tag int) *Request {
 	req := r.getReq()
 	req.src, req.tag = src, tag
 	req.sig.Init(r.eng(), "recv")
-	// Check the unexpected queue first (message already arrived or is in
-	// flight).
-	for i, m := range r.unexpected {
-		if m.src == src && m.tag == tag {
-			r.unexpected = append(r.unexpected[:i], r.unexpected[i+1:]...)
-			r.complete(req, m)
-			return req
-		}
+	if i := slices.IndexFunc(r.unexpected, req.matches); i >= 0 {
+		r.complete(req, r.unexpected[i])
+		r.unexpected = slices.Delete(r.unexpected, i, i+1)
+	} else if i := slices.IndexFunc(r.inflight, req.matches); i >= 0 {
+		pair(req, r.inflight[i])
+		r.inflight = slices.Delete(r.inflight, i, i+1)
+	} else {
+		r.recvs = append(r.recvs, req)
 	}
-	r.recvs = append(r.recvs, req)
 	return req
+}
+
+// matches reports whether receive q takes message m (m.matches: converse).
+func (q *Request) matches(m *message) bool { return q.src == m.src && q.tag == m.tag }
+func (m *message) matches(q *Request) bool { return q.matches(m) }
+
+// pair binds a receive to a message still on the wire: the delivery
+// completes it, at the arrival time it now knows.
+func pair(q *Request, m *message) {
+	m.recv = q
+	q.doneAt = m.arrivesAt
 }
 
 // deliver matches an arriving message against posted receives. It runs on
@@ -465,6 +519,17 @@ func (r *Rank) Irecv(p *sim.Process, src, tag int) *Request {
 // freelist (unmatched ones wait on the unexpected queue and retire when a
 // receive claims them).
 func (r *Rank) deliver(m *message) {
+	if q := m.recv; q != nil {
+		r.complete(q, m)
+		return
+	}
+	if m.sent != nil {
+		// Unclaimed on this engine: no posted receive can match it either.
+		i := slices.Index(r.inflight, m)
+		r.inflight = slices.Delete(r.inflight, i, i+1)
+		r.unexpected = append(r.unexpected, m)
+		return
+	}
 	if r.comm.inj != nil {
 		// Suppress duplicate deliveries of the same logical transmission.
 		if r.seen[m.seq] {
@@ -487,17 +552,12 @@ func (r *Rank) deliver(m *message) {
 	r.unexpected = append(r.unexpected, m)
 }
 
+// complete finishes a receive at the delivery instant or a later Irecv's.
 func (r *Rank) complete(req *Request, m *message) {
-	now := r.eng().Now()
 	req.matched = true
 	req.payload = m.payload
-	if m.arrivesAt > now {
-		req.doneAt = m.arrivesAt
-		r.eng().CallAt(m.arrivesAt, &req.sig)
-	} else {
-		req.doneAt = now
-		req.sig.Fire()
-	}
+	req.doneAt = r.eng().Now()
+	req.sig.Fire()
 	r.BytesReceived += m.bytes
 	r.MsgsReceived++
 	r.putMsg(m)
@@ -506,16 +566,16 @@ func (r *Rank) complete(req *Request, m *message) {
 // Test checks a request for completion, charging the calling process the
 // per-test cost. It reports whether the operation has finished. A receive
 // completes when a delivery event runs, so the charge synchronises: the
-// caller meets the calendar before it looks. A request already complete by
-// the caller's clock is the exception: matched never reverts and doneAt is
-// fixed, so the answer is true whatever the calendar holds, and the charge
-// is lazy (Charge).
+// caller meets the calendar before it looks. Decided answers charge lazily
+// (Charge): true for a request complete by the caller's clock (matched
+// never reverts), false for one whose fixed doneAt falls strictly after
+// the test ends. A tie synchronises: delivery and wake-up share an instant.
 func (r *Rank) Test(p *sim.Process, req *Request) bool {
 	cost := sim.Time(r.comm.params.MPITestCost)
-	if req.matched && req.doneAt <= p.Now() {
+	if done := req.matched && req.doneAt <= p.Now(); done || req.doneAt > p.Now()+cost {
 		r.Charge(p, cost)
 		r.TestCalls++
-		return true
+		return done
 	}
 	p.Sleep(cost)
 	r.TestCalls++
