@@ -45,7 +45,11 @@ examples:
 # unexported always-synchronise path (Engine.alwaysSync: every Charge a
 # Sleep) on both engines, and TestTieCensusPaperMatrix (skipped by -short;
 # tier-1 runs it) reads zero same-instant ties an ahead process could have
-# reordered over the paper's 250-case matrix.
+# reordered over the paper's 250-case matrix. It is the park gate too: a
+# message between ranks on one engine is no calendar event, and mpisim's
+# TestPropertyParkMatchesDeliveryMatching holds a parked rank's wake
+# clocks, Test answers and doneAts equal to a run with one rank per shard,
+# where every message is delivered by an event that fires its receive.
 race:
 	$(GO) test -race -count=1 $$($(GO) list ./... | grep -v -e /internal/experiments -e /internal/sim)
 	$(GO) test -race -short -count=1 ./internal/experiments/ ./internal/sim/

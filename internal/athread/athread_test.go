@@ -458,20 +458,26 @@ func TestOneCompletionEventPerDistinctFinishTime(t *testing.T) {
 }
 
 // The group is freed by the same event as the last flag update, and not a
-// moment earlier.
+// moment earlier: a process parked on the flag wakes at the fill instant
+// and finds the group free.
 func TestBusyClearsWithTheLastIncrement(t *testing.T) {
 	eng, g, _ := newGroup(t)
 	flag := sim.NewCounter(eng, "flag")
 	done := g.Launch(testSpec, 64, flag, func(c *CPE) { c.Compute(int64(c.ID%2+1) * 100) }).Done
-	var busyAtReach bool
-	flag.OnReach(64, func() { busyAtReach = g.Busy() })
+	busyAtReach, wokeAt := true, sim.Time(-1)
+	eng.Spawn("waiter", func(p *sim.Process) {
+		flag.NotifyAt(p, 64)
+		p.Park(sim.Infinity)
+		busyAtReach, wokeAt = g.Busy(), p.Now()
+	})
 	eng.RunUntil(done - 1e-9)
 	if flag.Value() != 32 || !g.Busy() {
 		t.Fatalf("before the slow half: flag = %d busy = %v, want 32 true", flag.Value(), g.Busy())
 	}
 	eng.Run()
-	if flag.Value() != 64 || g.Busy() || busyAtReach {
-		t.Fatalf("flag = %d busy = %v, busy when the flag filled = %v", flag.Value(), g.Busy(), busyAtReach)
+	if flag.Value() != 64 || g.Busy() || busyAtReach || wokeAt != done {
+		t.Fatalf("flag = %d busy = %v, busy when the flag filled = %v at %v, want %v",
+			flag.Value(), g.Busy(), busyAtReach, wokeAt, done)
 	}
 }
 

@@ -26,6 +26,15 @@
 // agree when messages with one (source, tag) arrive in send order: always
 // for equal sizes, and for all scheduler traffic, whose tags are unique per
 // (step, label, source patch, destination patch).
+//
+// On a shared engine with no fault injector a message is a decided value,
+// not a calendar event: a send and a paired receive carry their completion
+// instant (doneAt) and the sender's clock at the post (sentAt), every Test
+// of them is arithmetic on the two, and a rank with nothing to do parks
+// until the earliest completion (Watch). The one event left is the fire of
+// a receive's signal when its message pairs with it while its owner is
+// parked on it. Across shards and under faults a message is delivered by
+// an event, as is the fault plane's send completion.
 package mpisim
 
 import (
@@ -128,7 +137,7 @@ type Rank struct {
 
 	recvs      []*Request // posted receives with no message yet
 	unexpected []*message // delivered messages with no receive yet
-	inflight   []*message // unclaimed messages on the wire from this engine
+	inflight   []message  // unclaimed messages on the wire from this engine
 
 	// nextColl indexes this rank's next collective call, for in-order
 	// matching across ranks (the objects live on the Comm).
@@ -152,10 +161,12 @@ type Rank struct {
 	// races on it.
 	probes *obs.RankProbes
 
-	// msgFree is this rank's envelope freelist. A sender issues envelopes
+	// msgFree is this rank's envelope freelist, for messages delivered by
+	// an event (across shards, under faults). A sender issues envelopes
 	// from its own pool (on its own engine) and the receiver retires them
 	// into its pool (on its engine) once consumed, so neither end ever
-	// locks and halo-exchange traffic recycles envelopes steadily.
+	// locks. A message between ranks on one engine needs no envelope: it
+	// waits on the receiver's inflight list by value.
 	msgFree []*message
 	// reqFree is the request freelist (see Free).
 	reqFree []*Request
@@ -190,8 +201,8 @@ func (r *Rank) getReq() *Request {
 	return &Request{}
 }
 
-// putReq pools a request: its fired signal keeps its drained capacity, freed
-// marks it pooled and the rest is cleared.
+// putReq pools a request: its signal keeps its waiter list's capacity,
+// freed marks it pooled and the rest is cleared.
 func (r *Rank) putReq(q *Request) {
 	q.reqState = reqState{freed: r}
 	r.reqFree = append(r.reqFree, q)
@@ -200,17 +211,17 @@ func (r *Rank) putReq(q *Request) {
 // Free retires a completed request into this rank's pool for reuse by a
 // later Isend/Irecv. Callers hand back a request only once they are done
 // with it entirely — completion observed, payload consumed, nobody left
-// waiting on its signal. A send its owner saw complete ahead of the
-// calendar (TestSweepInto) still has its completion event pending; that
-// event retires it when it runs (Call). Freeing twice is a no-op. Under
-// fault injection requests stay heap-managed (retry backstops may still
-// reference them), so Free is a no-op there.
+// waiting on its signal. A receive its owner saw complete before the fire
+// of its signal ran (it woke for something else) is retired by that fire
+// (Call). Freeing twice is a no-op. Under fault injection requests stay
+// heap-managed (retry backstops may still reference them), so Free is a
+// no-op there.
 func (r *Rank) Free(req *Request) {
 	if r.comm.inj != nil || req == nil || req.freed != nil {
 		return
 	}
 	req.freed = r
-	if req.sig.Fired() {
+	if !req.firing {
 		r.putReq(req)
 	}
 }
@@ -250,31 +261,20 @@ func (r *Rank) sendCall(dst int, delay sim.Time, c sim.Caller) {
 }
 
 type message struct {
-	dst       *Rank
-	src, tag  int
-	bytes     int64
-	payload   []float64
-	arrivesAt sim.Time
+	dst               *Rank
+	src, tag          int
+	bytes             int64
+	payload           []float64
+	sentAt, arrivesAt sim.Time
 	// seq identifies the logical transmission for duplicate suppression;
 	// 0 when no injector is attached.
 	seq int64
-	// sent is the send the delivery completes (one engine; else nil), and
-	// recv the receive paired with the message before delivery.
-	sent, recv *Request
 }
 
 // Call delivers the message at its destination: the envelope is its own
-// wire-arrival Caller, so a send schedules no closure. It fires the send's
-// completion first when it carries it: the two events would have had the
-// same time, issue time and consecutive sequence numbers, so nothing could
-// run between them, and Fire only schedules its waiters. Envelopes are
+// wire-arrival Caller, so a send schedules no closure. Envelopes are
 // freelist-managed per rank (getMsg/putMsg) and recycled once consumed.
-func (m *message) Call() {
-	if m.sent != nil {
-		m.sent.Call()
-	}
-	m.dst.deliver(m)
-}
+func (m *message) Call() { m.dst.deliver(m) }
 
 // Request is the handle of a non-blocking operation.
 type Request struct {
@@ -288,12 +288,14 @@ type reqState struct {
 	tag     int
 	payload []float64 // receives: filled on match
 
-	// matched: sends once transmitted, receives once delivered. doneAt,
-	// once set, never changes: a receive paired before delivery holds its
-	// message's arrival there while matched is still false.
-	matched bool
-	doneAt  sim.Time
-	freed   *Rank // the pool that takes it: set by Free, kept while pooled
+	// decided: doneAt and sentAt are final and every Test is arithmetic
+	// on them — a send with no injector, a receive paired with its message
+	// on one engine. matched: a receive delivered by an event, a
+	// fault-plane send once transmitted; doneAt is then final too.
+	decided, matched bool
+	doneAt, sentAt   sim.Time
+	firing           bool  // a fire of sig is scheduled (Call)
+	freed            *Rank // the pool that takes it: set by Free, kept while pooled
 
 	// Fault-plane state for dropped sends awaiting retransmission.
 	pending    *sendState      // non-nil while the last transmission was lost
@@ -310,9 +312,12 @@ type sendState struct {
 	attempt  int
 }
 
-// Call fires the request's completion: a Request is its own completion
-// Caller. A request its owner freed before this event ran retires now.
+// Call fires the request's signal: a Request is its own Caller for the
+// fire an Isend schedules when it pairs a receive whose owner is parked on
+// it (Isend, Watch). A request its owner freed before this event ran
+// retires now.
 func (q *Request) Call() {
+	q.firing = false
 	q.sig.Fire()
 	if r := q.freed; r != nil {
 		r.putReq(q)
@@ -323,19 +328,16 @@ func (q *Request) Call() {
 // or before completion).
 func (q *Request) Payload() []float64 { return q.payload }
 
-// Signal returns the signal fired when the request completes, for callers
-// that want to block or register wake-ups instead of polling. The signal is
-// embedded in the request, so a request costs one allocation even when the
-// per-rank pool is cold.
-func (q *Request) Signal() *sim.Signal { return &q.sig }
-
 // Isend posts a non-blocking send of payload (may be nil) with the given
 // on-wire size to rank dst with the given tag. The calling process is
 // charged the posting cost. The send completes locally once the data has
-// left the sender (one wire time). Its completion and the delivery are
-// scheduled from the sender's clock, as one event when both ranks share an
-// engine (see message.Call), where it also pairs with a posted receive
-// (see Irecv).
+// left the sender (one wire time), which with no injector is decided here.
+// When both ranks share an engine the message pairs with the destination's
+// first posted receive for (src, tag) or waits on its inflight list for
+// one (see Irecv), and no event is scheduled, unless the paired receive's
+// owner is parked on it: then its signal fires at the arrival, issued at
+// the sender's clock. Across engines the delivery is scheduled from the
+// sender's clock.
 func (r *Rank) Isend(p *sim.Process, dst, tag int, payload []float64, bytes int64) *Request {
 	if bytes < 0 {
 		panic("mpisim: negative message size")
@@ -358,23 +360,26 @@ func (r *Rank) Isend(p *sim.Process, dst, tag int, payload []float64, bytes int6
 		return req
 	}
 
-	req.matched = true
-	req.doneAt = now + wire
-	m := r.getMsg()
-	*m = message{dst: r.comm.Rank(dst), src: r.rank, tag: tag, bytes: bytes,
-		payload: payload, arrivesAt: now + wire}
+	req.decided, req.sentAt, req.doneAt = true, now, now+wire
+	m := message{dst: r.comm.Rank(dst), src: r.rank, tag: tag, bytes: bytes,
+		payload: payload, sentAt: now, arrivesAt: now + wire}
 	if d := m.dst; r.comm.engs[dst] == r.eng() {
-		m.sent = req
 		if i := slices.IndexFunc(d.recvs, m.matches); i >= 0 {
-			pair(d.recvs[i], m)
+			q := d.recvs[i]
 			d.recvs = slices.Delete(d.recvs, i, i+1)
+			d.pair(q, &m)
+			if q.sig.Waiting() {
+				q.firing = true
+				r.eng().CallAfter(wire, q)
+			}
 		} else {
 			d.inflight = append(d.inflight, m)
 		}
 	} else {
-		r.eng().CallAfter(wire, req)
+		env := r.getMsg()
+		*env = m
+		r.sendCall(dst, wire, env)
 	}
-	r.sendCall(dst, wire, m)
 	r.probes.MsgSent(now, bytes, now+wire)
 	return req
 }
@@ -479,13 +484,12 @@ func (c *Comm) traceRecovery(rank int, name string, st *sendState) {
 // posting order for identical (src, tag) pairs (see the package doc).
 //
 // Irecv claims a delivered message first, then pairs with one on the wire
-// from this engine, without meeting the calendar: a message that arrives
-// between the calendar's time and the caller's clock completes the receive
-// on delivery. The pairing is the same — per (src, tag), the k-th receive
-// posted takes the k-th message, in either interleaving — and so is every
-// later observation: doneAt is then the arrival time rather than the post
-// time, both at or before any Test that follows, and nothing can have
-// registered on the fresh request's signal before it fires.
+// from this engine, without meeting the calendar. The pairing is the same
+// in either interleaving — per (src, tag), the k-th receive posted takes
+// the k-th message — and so is every later observation: a message claimed
+// from the inflight list completes the receive at its arrival, which may
+// lie before the Irecv's clock, where a delivered one completes it at the
+// Irecv's clock; every Test compares doneAt with a clock after the Irecv.
 func (r *Rank) Irecv(p *sim.Process, src, tag int) *Request {
 	r.Charge(p, sim.Time(r.comm.params.MPIPostCost))
 	req := r.getReq()
@@ -494,12 +498,16 @@ func (r *Rank) Irecv(p *sim.Process, src, tag int) *Request {
 	if i := slices.IndexFunc(r.unexpected, req.matches); i >= 0 {
 		r.complete(req, r.unexpected[i])
 		r.unexpected = slices.Delete(r.unexpected, i, i+1)
-	} else if i := slices.IndexFunc(r.inflight, req.matches); i >= 0 {
-		pair(req, r.inflight[i])
-		r.inflight = slices.Delete(r.inflight, i, i+1)
-	} else {
-		r.recvs = append(r.recvs, req)
+		return req
 	}
+	for i := range r.inflight {
+		if m := &r.inflight[i]; req.matches(m) {
+			r.pair(req, m)
+			r.inflight = slices.Delete(r.inflight, i, i+1)
+			return req
+		}
+	}
+	r.recvs = append(r.recvs, req)
 	return req
 }
 
@@ -507,29 +515,21 @@ func (r *Rank) Irecv(p *sim.Process, src, tag int) *Request {
 func (q *Request) matches(m *message) bool { return q.src == m.src && q.tag == m.tag }
 func (m *message) matches(q *Request) bool { return q.matches(m) }
 
-// pair binds a receive to a message still on the wire: the delivery
-// completes it, at the arrival time it now knows.
-func pair(q *Request, m *message) {
-	m.recv = q
-	q.doneAt = m.arrivesAt
+// pair completes receive q with message m, still on the wire from this
+// engine: q knows its arrival, the sender's clock at the post and the
+// payload, and the message counts as received.
+func (r *Rank) pair(q *Request, m *message) {
+	q.decided = true
+	q.doneAt, q.sentAt, q.payload = m.arrivesAt, m.sentAt, m.payload
+	r.BytesReceived += m.bytes
+	r.MsgsReceived++
 }
 
-// deliver matches an arriving message against posted receives. It runs on
-// the receiving rank's engine; consumed envelopes retire into this rank's
-// freelist (unmatched ones wait on the unexpected queue and retire when a
-// receive claims them).
+// deliver matches a message arriving across engines or under faults
+// against posted receives. It runs on the receiving rank's engine; consumed
+// envelopes retire into this rank's freelist (unmatched ones wait on the
+// unexpected queue and retire when a receive claims them).
 func (r *Rank) deliver(m *message) {
-	if q := m.recv; q != nil {
-		r.complete(q, m)
-		return
-	}
-	if m.sent != nil {
-		// Unclaimed on this engine: no posted receive can match it either.
-		i := slices.Index(r.inflight, m)
-		r.inflight = slices.Delete(r.inflight, i, i+1)
-		r.unexpected = append(r.unexpected, m)
-		return
-	}
 	if r.comm.inj != nil {
 		// Suppress duplicate deliveries of the same logical transmission.
 		if r.seen[m.seq] {
@@ -564,30 +564,62 @@ func (r *Rank) complete(req *Request, m *message) {
 }
 
 // Test checks a request for completion, charging the calling process the
-// per-test cost. It reports whether the operation has finished. A receive
-// completes when a delivery event runs, so the charge synchronises: the
-// caller meets the calendar before it looks. Decided answers charge lazily
-// (Charge): true for a request complete by the caller's clock (matched
-// never reverts), false for one whose fixed doneAt falls strictly after
-// the test ends. A tie synchronises: delivery and wake-up share an instant.
+// per-test cost. It reports whether the operation has finished.
+//
+// A decided request is answered with a lazy charge (Charge) by its doneAt
+// and sentAt alone. The delivery event that used to complete it had the
+// calendar key (doneAt, sentAt, its sequence number at the post), and the
+// synchronising test's wake-up the key (end, clock, a later number), where
+// clock is the caller's clock and end = clock + the test cost: the message
+// had arrived by the test's return exactly when doneAt < end, or doneAt ==
+// end and sentAt <= clock. A send's own sentAt is at or before its owner's
+// clock, so its answer is doneAt <= end.
+//
+// Any other request completes when an event runs, so the charge
+// synchronises and the caller meets the calendar before it looks, unless
+// the answer is already decided: true for a request matched by the
+// caller's clock (matched never reverts), false for one whose fixed doneAt
+// falls strictly after the test ends. A receive that pairs while the test
+// sleeps was posted after the wake-up was scheduled, so its tie goes the
+// other way: sentAt must be strictly before clock.
 func (r *Rank) Test(p *sim.Process, req *Request) bool {
 	cost := sim.Time(r.comm.params.MPITestCost)
-	if done := req.matched && req.doneAt <= p.Now(); done || req.doneAt > p.Now()+cost {
+	clock, end := p.Now(), p.Now()+cost
+	r.TestCalls++
+	if req.decided {
 		r.Charge(p, cost)
-		r.TestCalls++
+		return req.doneAt < end || req.doneAt == end && req.sentAt <= clock
+	}
+	if done := req.matched && req.doneAt <= clock; done || req.doneAt > end {
+		r.Charge(p, cost)
 		return done
 	}
 	p.Sleep(cost)
-	r.TestCalls++
-	if r.comm.inj != nil && req.isSend && req.pending != nil &&
-		r.eng().Now() >= req.retryAfter {
+	if req.decided {
+		return req.doneAt < end || req.doneAt == end && req.sentAt < clock
+	}
+	if r.comm.inj != nil && req.isSend && req.pending != nil && end >= req.retryAfter {
 		// Host attention progresses the library: a send whose transmission
 		// was lost is retried here, ahead of the autonomous backstop.
 		if req.retryEvent.Cancel() {
 			r.resend(req)
 		}
 	}
-	return req.matched && req.doneAt <= r.eng().Now()
+	return req.matched && req.doneAt <= end
+}
+
+// Watch prepares a park of p, the owner of req, on req (sim.Process.Park),
+// after p has met the calendar: a decided request lowers *until to its
+// doneAt, and any other registers p on the request's signal, which its
+// completion fires — the delivery across engines or under faults, or, for
+// a receive still waiting for its send on one engine, the fire the pairing
+// Isend schedules at the arrival.
+func (r *Rank) Watch(p *sim.Process, req *Request, until *sim.Time) {
+	if req.decided {
+		*until = min(*until, req.doneAt)
+		return
+	}
+	req.sig.Notify(p)
 }
 
 // TestSweepInto tests a batch of already-posted send requests, semantically
@@ -595,7 +627,7 @@ func (r *Rank) Test(p *sim.Process, req *Request) bool {
 // res (grown as needed, so steady-state pollers reuse one buffer).
 // With no fault injector, no test meets the calendar: a send's doneAt is
 // fixed at post time, so the result of the i-th test is exactly
-// req.matched && doneAt <= t_i, where t_i is the caller's clock after i
+// doneAt <= t_i, where t_i is the caller's clock after i
 // lazy charges of the per-test cost — the instant the i-th serial Test
 // would have returned, by the same float additions — and the sweep
 // executes no event at all.
@@ -616,30 +648,10 @@ func (r *Rank) TestSweepInto(p *sim.Process, reqs []*Request, res []bool) []bool
 	cost := sim.Time(r.comm.params.MPITestCost)
 	for i, req := range reqs {
 		p.Charge(cost)
-		res[i] = req.matched && req.doneAt <= p.Now()
+		res[i] = req.decided && req.doneAt <= p.Now()
 	}
 	r.TestCalls += int64(len(reqs))
 	return res
-}
-
-// Wait blocks the calling process until the request completes. Unlike
-// Test-polling, Wait models a blocking MPI_Wait (the library progresses the
-// request internally).
-func (r *Rank) Wait(p *sim.Process, req *Request) {
-	r.TestCalls++
-	p.Sleep(sim.Time(r.comm.params.MPITestCost))
-	if req.matched && req.doneAt <= r.eng().Now() {
-		return
-	}
-	if r.comm.inj != nil && req.isSend && req.pending != nil {
-		// A blocking wait keeps the library progressing: pull the resend
-		// forward to the earliest retry time instead of the late backstop.
-		if req.retryEvent.Cancel() {
-			delay := req.retryAfter - r.eng().Now()
-			r.eng().Schedule(delay, func() { r.resend(req) })
-		}
-	}
-	req.sig.Wait(p)
 }
 
 // ---- Collectives ----

@@ -25,7 +25,7 @@ func TestSendRecvDeliversPayload(t *testing.T) {
 	})
 	eng.Spawn("rank1", func(p *sim.Process) {
 		req := c.Rank(1).Irecv(p, 0, 7)
-		c.Rank(1).Wait(p, req)
+		await(p, c.Rank(1), req)
 		got = req.Payload()
 	})
 	eng.Run()
@@ -39,7 +39,7 @@ func TestRecvBeforeSendMatches(t *testing.T) {
 	var doneAt sim.Time
 	eng.Spawn("rank1", func(p *sim.Process) {
 		req := c.Rank(1).Irecv(p, 0, 1)
-		c.Rank(1).Wait(p, req)
+		await(p, c.Rank(1), req)
 		doneAt = p.Now()
 	})
 	eng.Spawn("rank0", func(p *sim.Process) {
@@ -90,9 +90,9 @@ func TestTagAndSourceMatching(t *testing.T) {
 		r1 := c.Rank(1).Irecv(p, 0, 1)
 		r2 := c.Rank(1).Irecv(p, 0, 2)
 		r3 := c.Rank(1).Irecv(p, 2, 1)
-		c.Rank(1).Wait(p, r1)
-		c.Rank(1).Wait(p, r2)
-		c.Rank(1).Wait(p, r3)
+		await(p, c.Rank(1), r1)
+		await(p, c.Rank(1), r2)
+		await(p, c.Rank(1), r3)
 		fromTag1, fromTag2, fromRank2 = r1.Payload()[0], r2.Payload()[0], r3.Payload()[0]
 	})
 	eng.Run()
@@ -111,8 +111,8 @@ func TestSameTagFIFOOrder(t *testing.T) {
 	eng.Spawn("rank1", func(p *sim.Process) {
 		a := c.Rank(1).Irecv(p, 0, 5)
 		b := c.Rank(1).Irecv(p, 0, 5)
-		c.Rank(1).Wait(p, a)
-		c.Rank(1).Wait(p, b)
+		await(p, c.Rank(1), a)
+		await(p, c.Rank(1), b)
 		first, second = a.Payload()[0], b.Payload()[0]
 	})
 	eng.Run()
@@ -173,10 +173,10 @@ func TestSendRequestCompletesAfterWire(t *testing.T) {
 		if c.Rank(0).Test(p, req) {
 			t.Error("send of 16 MB should not complete instantly")
 		}
-		c.Rank(0).Wait(p, req)
+		await(p, c.Rank(0), req)
 	})
 	eng.Spawn("rank1", func(p *sim.Process) {
-		c.Rank(1).Wait(p, c.Rank(1).Irecv(p, 0, 1))
+		await(p, c.Rank(1), c.Rank(1).Irecv(p, 0, 1))
 	})
 	eng.Run()
 }
@@ -263,43 +263,65 @@ func TestAllreduceReleasesEntries(t *testing.T) {
 	}
 }
 
-// TestFreeKeepsSendWithPendingFire: a sweep ahead of the calendar can see
-// a send complete before its completion signal's fire event has run. Such a
-// request must not be pooled — the pending event would fire whatever
-// request reused it — while one whose signal has fired is.
-func TestFreeKeepsSendWithPendingFire(t *testing.T) {
-	eng, c := newComm(2)
-	params := perf.DefaultParams()
+// TestFreeKeepsReceiveWithPendingFire: a decided send has no completion
+// event, so Free pools it at once. A receive paired while its owner was
+// parked on it has its signal's fire scheduled at the arrival; an owner
+// woken earlier by its deadline that sees the receive complete before that
+// fire has run must not get it pooled — the pending event would fire
+// whatever request reused it — until the fire has run. The fire then wakes
+// nobody: the park it was for is over.
+func TestFreeKeepsReceiveWithPendingFire(t *testing.T) {
+	eng := sim.NewEngine()
+	c := NewComm(eng, exactParams(), 2)
+	eng.Spawn("rank1", func(p *sim.Process) {
+		r := c.Rank(1)
+		req := r.Irecv(p, 0, 1)
+		p.Sync()
+		until := sim.Time(0.75)
+		r.Watch(p, req, &until)
+		p.Park(until) // rank 0 posts at 0.75 meanwhile: the message arrives at 2.75
+		if p.Now() != 0.75 || !req.decided || req.doneAt != 2.75 || !req.firing {
+			t.Fatalf("woke at %v with decided %v doneAt %v firing %v, want 0.75 true 2.75 true",
+				p.Now(), req.decided, req.doneAt, req.firing)
+		}
+		p.Charge(2)
+		if !r.Test(p, req) {
+			t.Fatal("receive not complete at its arrival")
+		}
+		r.Free(req)
+		if next := r.Irecv(p, 0, 2); next == req {
+			t.Fatal("a receive with a pending fire was reused")
+		}
+		p.Sync()
+		if req.firing {
+			t.Fatal("the fire did not run by the arrival")
+		}
+		if next := r.Irecv(p, 0, 3); next != req {
+			t.Fatal("a receive whose fire ran was not pooled")
+		}
+	})
 	eng.Spawn("rank0", func(p *sim.Process) {
 		r := c.Rank(0)
+		p.Sleep(0.5)
 		req := r.Isend(p, 1, 1, nil, 8)
-		p.Charge(sim.Time(params.MessageTimeBetween(0, 1, 8)))
+		p.Charge(2)
 		if ok := r.TestSweepInto(p, []*Request{req}, nil); !ok[0] {
 			t.Fatal("send not complete one wire time after posting")
 		}
 		r.Free(req)
-		if next := r.Isend(p, 1, 2, nil, 8); next == req {
-			t.Fatal("a request with a pending completion event was reused")
+		if next := r.Isend(p, 1, 2, nil, 8); next != req {
+			t.Fatal("a complete send with no event was not pooled at once")
 		}
-		p.Sync()
-		r.Free(req)
-		if next := r.Irecv(p, 1, 3); next != req {
-			t.Fatal("a request whose completion fired was not pooled")
-		}
-	})
-	eng.Spawn("rank1", func(p *sim.Process) {
-		for tag := 1; tag <= 2; tag++ {
-			c.Rank(1).Wait(p, c.Rank(1).Irecv(p, 0, tag))
-		}
-		c.Rank(1).Isend(p, 0, 3, nil, 8)
 	})
 	eng.Run()
 }
 
-// TestDecidedReceiveTestIsLazy: a receive already complete by the caller's
-// clock is answered without meeting the calendar — no event runs and the
-// clock moves by exactly the test cost — while an incomplete one still
-// synchronises and so sees a delivery that lands inside its charge.
+// TestDecidedReceiveTestIsLazy: a receive whose message is on the wire from
+// this engine is decided — paired at its post, it knows the arrival — so
+// its test is answered without meeting the calendar: no event runs and the
+// clock moves by exactly the test cost, whether the test ends after the
+// arrival or the receive claims a message that arrived before it was
+// posted.
 func TestDecidedReceiveTestIsLazy(t *testing.T) {
 	eng, c := newComm(2)
 	params := perf.DefaultParams()
@@ -312,22 +334,23 @@ func TestDecidedReceiveTestIsLazy(t *testing.T) {
 	eng.Spawn("rank1", func(p *sim.Process) {
 		r := c.Rank(1)
 		// Both ranks post at the same instant, so this charge brings rank 1
-		// to the arrival of tag 1, whose delivery has not run.
+		// to the arrival of tag 1.
 		pending := r.Irecv(p, 0, 1)
 		p.Charge(wire)
-		ev := eng.EventsExecuted()
-		if !r.Test(p, pending) {
-			t.Fatal("a test at the arrival instant missed the delivery")
+		ev, t0 := eng.EventsExecuted(), p.Now()
+		if !r.Test(p, pending) || pending.Payload()[0] != 7 {
+			t.Fatal("a test at the arrival instant missed the message")
 		}
-		if eng.EventsExecuted() == ev {
-			t.Error("a test of an incomplete receive did not meet the calendar")
+		if got := eng.EventsExecuted() - ev; got != 0 || p.Now() != t0+cost {
+			t.Errorf("a test of a decided receive executed %d events and moved the clock %v, want 0 and %v",
+				got, p.Now()-t0, cost)
 		}
 
 		p.Sleep(1e-3)
-		req := r.Irecv(p, 0, 2) // matches the message already delivered
-		ev, t0 := eng.EventsExecuted(), p.Now()
+		req := r.Irecv(p, 0, 2) // claims the message that arrived meanwhile
+		ev, t0 = eng.EventsExecuted(), p.Now()
 		if !r.Test(p, req) || req.Payload()[0] != 8 {
-			t.Fatal("a receive of a delivered message is not complete")
+			t.Fatal("a receive of an arrived message is not complete")
 		}
 		if got := eng.EventsExecuted() - ev; got != 0 {
 			t.Errorf("a test of a complete receive executed %d events", got)
@@ -342,10 +365,11 @@ func TestDecidedReceiveTestIsLazy(t *testing.T) {
 	eng.Run()
 }
 
-// TestOneEventPerMessageOnOneEngine: on a shared engine a message's delivery
-// fires its send's completion, so a send costs one event, and Free refuses
-// the send until that event has run.
-func TestOneEventPerMessageOnOneEngine(t *testing.T) {
+// TestNoEventPerMessageOnOneEngine: on a shared engine a message is not a
+// calendar event — neither a delivery nor a send completion runs — so a
+// complete send is pooled the moment it is freed, and unclaimed messages
+// wait on the receiver's inflight list.
+func TestNoEventPerMessageOnOneEngine(t *testing.T) {
 	const n = 4
 	eng, c := newComm(2)
 	wire := sim.Time(perf.DefaultParams().MessageTimeBetween(0, 1, 8))
@@ -360,26 +384,17 @@ func TestOneEventPerMessageOnOneEngine(t *testing.T) {
 		if !r.Test(p, reqs[0]) {
 			t.Fatal("send not complete one wire time after posting")
 		}
-		r.Free(reqs[0])
-		if next := r.Isend(p, 1, n, nil, 8); next == reqs[0] {
-			t.Fatal("a send whose delivery is pending was reused")
-		}
-		// The sync runs the first n deliveries and then wakes the rank.
+		// Every arrival is past: the sync is the rank's one calendar step.
 		p.Sync()
-		if got := eng.EventsExecuted() - ev; got != n+1 {
-			t.Errorf("%d sends executed %d events, want %d", n, got, n+1)
+		if got := eng.EventsExecuted() - ev; got != 1 {
+			t.Errorf("%d sends and a sync executed %d events, want 1", n, got)
 		}
-		for i, req := range reqs {
-			if !req.Signal().Fired() {
-				t.Errorf("send %d delivered without firing its completion", i)
-			}
-		}
-		if got := len(c.Rank(1).unexpected); got != n {
-			t.Errorf("%d messages delivered, want %d", got, n)
+		if got := len(c.Rank(1).inflight); got != n || len(c.Rank(1).unexpected) != 0 {
+			t.Errorf("%d messages in flight and %d delivered, want %d and 0", got, len(c.Rank(1).unexpected), n)
 		}
 		r.Free(reqs[0])
 		if next := r.Irecv(p, 1, 0); next != reqs[0] {
-			t.Fatal("a send whose delivery ran was not pooled")
+			t.Fatal("a complete send was not pooled")
 		}
 	})
 	eng.Run()
@@ -389,7 +404,8 @@ func TestOneEventPerMessageOnOneEngine(t *testing.T) {
 // resends, duplicates, delays and degraded links, polled with Test — to the
 // event count, clock and recovery counters recorded before a message and
 // its send completion shared an event: the fault plane keeps two events
-// per transmission and synchronises every charge.
+// per transmission (delivery and send completion) and synchronises every
+// charge.
 func TestFaultPlanEventCounts(t *testing.T) {
 	const n = 6
 	eng, c := newComm(n)
@@ -456,8 +472,8 @@ func TestStatsAccounting(t *testing.T) {
 		c.Rank(0).Isend(p, 1, 2, nil, 200)
 	})
 	eng.Spawn("rank1", func(p *sim.Process) {
-		c.Rank(1).Wait(p, c.Rank(1).Irecv(p, 0, 1))
-		c.Rank(1).Wait(p, c.Rank(1).Irecv(p, 0, 2))
+		await(p, c.Rank(1), c.Rank(1).Irecv(p, 0, 1))
+		await(p, c.Rank(1), c.Rank(1).Irecv(p, 0, 2))
 	})
 	eng.Run()
 	if c.Rank(0).BytesSent != 300 || c.Rank(0).MsgsSent != 2 {
@@ -502,7 +518,7 @@ func TestPropertyRandomExchange(t *testing.T) {
 					c.Rank(r).Isend(p, d, 1, payload, 8)
 				}
 				for i, req := range reqs {
-					c.Rank(r).Wait(p, req)
+					await(p, c.Rank(r), req)
 					got[slots[i]] = req.Payload()
 				}
 			})
@@ -536,12 +552,12 @@ func TestIntraNodeMessagesFasterThanInterNode(t *testing.T) {
 	})
 	eng.Spawn("rank1", func(p *sim.Process) {
 		start := p.Now()
-		c.Rank(1).Wait(p, c.Rank(1).Irecv(p, 0, 1))
+		await(p, c.Rank(1), c.Rank(1).Irecv(p, 0, 1))
 		intra = p.Now() - start
 	})
 	eng.Spawn("rank4", func(p *sim.Process) {
 		start := p.Now()
-		c.Rank(4).Wait(p, c.Rank(4).Irecv(p, 0, 2))
+		await(p, c.Rank(4), c.Rank(4).Irecv(p, 0, 2))
 		inter = p.Now() - start
 	})
 	eng.Run()

@@ -22,12 +22,25 @@ func exactParams() perf.Params {
 	return params
 }
 
+// await parks p until req is complete, the way a scheduler rank with
+// nothing else to do waits: meet the calendar, Watch the request, Park,
+// and look again. It charges nothing, so p leaves at the completion instant
+// (at once if that has passed).
+func await(p *sim.Process, r *Rank, req *Request) {
+	p.Sync()
+	for !((req.decided || req.matched) && req.doneAt <= p.Now()) {
+		until := sim.Infinity
+		r.Watch(p, req, &until)
+		p.Park(until)
+	}
+}
+
 // TestPairedReceiveTestIsLazy: a receive paired with a message that
 // arrives after the test ends is answered false without meeting the
 // calendar — no event runs and the clock moves by exactly the test cost —
 // whether the send was posted first (the receive claims it from the
-// in-flight list) or the receive was (the send pairs with it). The
-// delivery still completes the receive at the arrival instant.
+// in-flight list) or the receive was (the send pairs with it). A park on
+// the receive ends at the arrival instant, with the payload in place.
 func TestPairedReceiveTestIsLazy(t *testing.T) {
 	for _, recvFirst := range []bool{false, true} {
 		eng := sim.NewEngine()
@@ -51,7 +64,7 @@ func TestPairedReceiveTestIsLazy(t *testing.T) {
 			if p.Now() != t0+0.25 {
 				t.Errorf("recvFirst=%v: the test moved the clock %v, want 0.25", recvFirst, p.Now()-t0)
 			}
-			r.Wait(p, req)
+			await(p, r, req)
 			if p.Now() != 2.25 || req.Payload()[0] != 7 {
 				t.Errorf("recvFirst=%v: receive completed at %v with %v, want 2.25 and [7]", recvFirst, p.Now(), req.Payload())
 			}
@@ -75,27 +88,138 @@ func TestPairedReceiveTestIsLazy(t *testing.T) {
 	}
 }
 
-// TestPairedReceiveTieMeetsCalendar: a test ending exactly at the paired
-// message's arrival synchronises — the delivery and the caller's wake-up
-// share an instant, so only the calendar knows which comes first.
-func TestPairedReceiveTieMeetsCalendar(t *testing.T) {
+// TestPairedReceiveTieIsArithmetic: a test ending exactly at a paired
+// message's arrival is answered from the sender's clock at the post, with no
+// event: the delivery event it replaces had the key (arrival, sentAt, its
+// number at the post), the test's wake-up (end, clock, a later number), so
+// the message is in when the sender posted before or at the tester's clock
+// and not when it posted after. The sender runs ahead and posts at 3.25
+// (arrival 5.25); the test cost sets where the tester's clock lands.
+func TestPairedReceiveTieIsArithmetic(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cost sim.Time
+		want bool
+	}{
+		{"posted before", 1, true},
+		{"posted at", 2, true},
+		{"posted after", 4, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			params := exactParams()
+			params.MPITestCost = float64(tc.cost)
+			eng := sim.NewEngine()
+			c := NewComm(eng, params, 2)
+			eng.Spawn("rank0", func(p *sim.Process) {
+				p.Charge(3)
+				c.Rank(0).Isend(p, 1, 1, nil, 8)
+			})
+			eng.Spawn("rank1", func(p *sim.Process) {
+				r := c.Rank(1)
+				req := r.Irecv(p, 0, 1)
+				p.Charge(5.25 - tc.cost - p.Now())
+				if p.Now()+tc.cost != req.doneAt || req.sentAt != 3.25 {
+					t.Fatalf("test would end at %v, arrival %v posted at %v: not a tie at 5.25 from 3.25",
+						p.Now()+tc.cost, req.doneAt, req.sentAt)
+				}
+				ev, t0 := eng.EventsExecuted(), p.Now()
+				if got := r.Test(p, req); got != tc.want {
+					t.Errorf("test from %v = %v, want %v", t0, got, tc.want)
+				}
+				if eng.EventsExecuted() != ev || p.Now() != t0+tc.cost {
+					t.Errorf("a tied test executed %d events and moved the clock %v, want 0 and %v",
+						eng.EventsExecuted()-ev, p.Now()-t0, tc.cost)
+				}
+			})
+			eng.Run()
+		})
+	}
+}
+
+// TestReceivePairedDuringTestSleep: an unpaired receive's test meets the
+// calendar, and a send that pairs with it while the test sleeps was posted
+// after the test's wake-up was scheduled, so on a tie with the test's end
+// the wake-up comes first unless the sender's clock was strictly earlier.
+// The tester sits ahead at 3.25; the sender wakes inside the test's sleep
+// and posts so that its message lands exactly at the test's end.
+func TestReceivePairedDuringTestSleep(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cost sim.Time
+		want bool
+	}{
+		{"posted before", 1, true},
+		{"posted at", 2, false},
+		{"posted after", 4, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			params := exactParams()
+			params.MPITestCost = float64(tc.cost)
+			eng := sim.NewEngine()
+			c := NewComm(eng, params, 2)
+			end := 3.25 + tc.cost
+			eng.Spawn("rank1", func(p *sim.Process) {
+				r := c.Rank(1)
+				req := r.Irecv(p, 0, 1)
+				p.Charge(3)
+				if got := r.Test(p, req); got != tc.want {
+					t.Errorf("test from 3.25 = %v, want %v", got, tc.want)
+				}
+				if !req.decided || req.doneAt != end || req.sentAt != end-2 {
+					t.Errorf("paired %v with arrival %v from %v, want true %v from %v",
+						req.decided, req.doneAt, req.sentAt, end, end-2)
+				}
+				if p.Now() != end {
+					t.Errorf("test returned at %v, want %v", p.Now(), end)
+				}
+			})
+			eng.Spawn("rank0", func(p *sim.Process) {
+				p.Sleep(end - 2.25)
+				c.Rank(0).Isend(p, 1, 1, nil, 8)
+			})
+			eng.Run()
+		})
+	}
+}
+
+// TestParkedReceiveWokenAtArrival: a rank parked on a receive whose send is
+// not posted yet is woken by the later Isend exactly at the arrival: the
+// pairing schedules the receive's signal to fire there, and the fire wakes
+// the rank directly — two events, no delivery.
+func TestParkedReceiveWokenAtArrival(t *testing.T) {
 	eng := sim.NewEngine()
 	c := NewComm(eng, exactParams(), 2)
-	eng.Spawn("rank0", func(p *sim.Process) {
-		c.Rank(0).Isend(p, 1, 1, nil, 8) // arrives at 2.25
-	})
 	eng.Spawn("rank1", func(p *sim.Process) {
 		r := c.Rank(1)
 		req := r.Irecv(p, 0, 1)
-		p.Charge(1.75)
-		if p.Now()+0.25 != req.doneAt {
-			t.Fatalf("test would end at %v, arrival %v: not a tie", p.Now()+0.25, req.doneAt)
+		p.Sync()
+		until := sim.Infinity
+		r.Watch(p, req, &until)
+		if until != sim.Infinity {
+			t.Fatalf("an unpaired receive set the deadline to %v", until)
 		}
 		ev := eng.EventsExecuted()
-		r.Test(p, req)
-		if eng.EventsExecuted() == ev {
-			t.Error("a test tied with the arrival did not meet the calendar")
+		p.Park(until)
+		// rank 0 wakes at 1, posts at 1.25 and meets the calendar there as
+		// it exits; then come the fire and this wake-up.
+		if p.Now() != 3.25 || eng.EventsExecuted()-ev != 4 {
+			t.Errorf("woke at %v after %d events, want 3.25 after 4", p.Now(), eng.EventsExecuted()-ev)
 		}
+		if req.firing || req.Payload()[0] != 9 {
+			t.Errorf("firing %v payload %v, want false [9]", req.firing, req.Payload())
+		}
+		ev, t0 := eng.EventsExecuted(), p.Now()
+		if !r.Test(p, req) || eng.EventsExecuted() != ev || p.Now() != t0+0.25 {
+			t.Error("the woken receive did not test complete lazily")
+		}
+		r.Free(req)
+		if next := r.Irecv(p, 0, 2); next != req {
+			t.Error("the woken receive was not pooled")
+		}
+	})
+	eng.Spawn("rank0", func(p *sim.Process) {
+		p.Sleep(1)
+		c.Rank(0).Isend(p, 1, 1, []float64{9}, 8)
 	})
 	eng.Run()
 }
@@ -139,8 +263,8 @@ func TestSameTagPairsInPostOrder(t *testing.T) {
 		if a.doneAt != 2.25 || b.doneAt != 2.5 {
 			t.Errorf("paired arrivals %v, %v, want 2.25, 2.5", a.doneAt, b.doneAt)
 		}
-		r.Wait(p, a)
-		r.Wait(p, b)
+		await(p, r, a)
+		await(p, r, b)
 		if a.Payload()[0] != 1 || b.Payload()[0] != 2 {
 			t.Errorf("payloads %v, %v, want [1], [2]", a.Payload(), b.Payload())
 		}
@@ -152,23 +276,22 @@ func TestSameTagPairsInPostOrder(t *testing.T) {
 	eng.Run()
 }
 
-// TestFreedSendRetiresOnCompletion: a send freed before its completion
-// event runs is pooled by that event, so the next request reuses it.
-func TestFreedSendRetiresOnCompletion(t *testing.T) {
+// TestFreedSendRetiresAtOnce: a send is decided at its post and has no
+// completion event, so Free pools it at once; freeing twice pools it once.
+func TestFreedSendRetiresAtOnce(t *testing.T) {
 	eng := sim.NewEngine()
 	c := NewComm(eng, exactParams(), 2)
 	eng.Spawn("rank0", func(p *sim.Process) {
 		r := c.Rank(0)
 		req := r.Isend(p, 1, 1, nil, 8)
 		p.Charge(2)
-		if !r.Test(p, req) || req.Signal().Fired() {
-			t.Fatal("want a send complete by the caller's clock with its event pending")
+		if !r.Test(p, req) || eng.EventsExecuted() != 1 {
+			t.Fatal("want a send complete by the caller's clock with no event past the spawn")
 		}
 		r.Free(req)
 		r.Free(req)
-		p.Sync()
 		if next := r.Irecv(p, 1, 2); next != req {
-			t.Fatal("a freed send was not pooled when its completion ran")
+			t.Fatal("a freed send was not pooled")
 		}
 		if len(r.reqFree) != 0 {
 			t.Errorf("a request freed twice sits in the pool %d more times", len(r.reqFree))
@@ -179,7 +302,8 @@ func TestFreedSendRetiresOnCompletion(t *testing.T) {
 
 // exchangeLog is what a run of the random exchange model observes: per
 // message its send's and its receive's doneAt, per rank the sequence of
-// Test results with the clock after each, the final clocks and the stats.
+// Test results with the clock after each and the clock at each wake from a
+// park, the final clocks and the stats.
 // A receive's doneAt is taken no earlier than its post: a message that
 // arrived before the post completes at the post when it was delivered
 // before the Irecv ran, at its arrival when the Irecv ran ahead of the
@@ -187,6 +311,7 @@ func TestFreedSendRetiresOnCompletion(t *testing.T) {
 type exchangeLog struct {
 	SendDone, RecvDone []sim.Time
 	Tests              [][]testObs
+	Wakes              [][]sim.Time
 	Clocks             []sim.Time
 	Stats              [][4]int64
 }
@@ -203,7 +328,8 @@ type exchangeMsg struct {
 }
 
 // exchangeOp is one step of a rank's script: post the send or receive of
-// message msg, charge d, or test the k-th outstanding request.
+// message msg, charge d, test the k-th outstanding request, or park for at
+// most d on every outstanding request.
 type exchangeOp struct {
 	kind int
 	msg  int
@@ -216,6 +342,7 @@ const (
 	opRecv
 	opCharge
 	opTest
+	opPark
 )
 
 // newExchangeModel draws 1-8 ranks, messages with unique tags and random
@@ -241,6 +368,19 @@ func newExchangeModel(rng *rand.Rand) ([]exchangeMsg, [][]exchangeOp) {
 		rng.Shuffle(len(scripts[r]), func(i, j int) { scripts[r][i], scripts[r][j] = scripts[r][j], scripts[r][i] })
 	}
 	return msgs, scripts
+}
+
+// addParks inserts park ops at random places of every rank's script. Each
+// is bounded by a random span of up to 20 us — several wire times — so
+// ranks parked on each other's messages always move on, and most parks end
+// at a completion rather than the bound.
+func addParks(rng *rand.Rand, scripts [][]exchangeOp) {
+	for r := range scripts {
+		for k := rng.Intn(len(scripts[r])/2 + 2); k > 0; k-- {
+			op := exchangeOp{kind: opPark, d: sim.Time(rng.Intn(20000)) * 1e-9}
+			scripts[r] = slices.Insert(scripts[r], rng.Intn(len(scripts[r])+1), op)
+		}
+	}
 }
 
 // runExchange runs the model on one serial engine, or with sharded set on
@@ -275,7 +415,8 @@ func runExchange(msgs []exchangeMsg, scripts [][]exchangeOp, sharded bool) excha
 		c.Shard(ss, engs)
 	}
 	log := exchangeLog{SendDone: make([]sim.Time, len(msgs)), RecvDone: make([]sim.Time, len(msgs)),
-		Tests: make([][]testObs, n), Clocks: make([]sim.Time, n), Stats: make([][4]int64, n)}
+		Tests: make([][]testObs, n), Wakes: make([][]sim.Time, n), Clocks: make([]sim.Time, n),
+		Stats: make([][4]int64, n)}
 	for r := 0; r < n; r++ {
 		r := r
 		engs[r].Spawn("rank", func(p *sim.Process) {
@@ -316,6 +457,16 @@ func runExchange(msgs []exchangeMsg, scripts [][]exchangeOp, sharded bool) excha
 					if len(reqs) > 0 {
 						test(op.k % len(reqs))
 					}
+				case opPark:
+					if len(reqs) > 0 {
+						p.Sync()
+						until := p.Now() + op.d
+						for _, q := range reqs {
+							rk.Watch(p, q, &until)
+						}
+						p.Park(until)
+						log.Wakes[r] = append(log.Wakes[r], p.Now())
+					}
 				}
 			}
 			for len(reqs) > 0 {
@@ -354,6 +505,32 @@ func TestPropertyPairAtPostMatchesDeliveryMatching(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(33))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPropertyParkMatchesDeliveryMatching: the random exchanges of
+// TestPropertyPairAtPostMatchesDeliveryMatching with park ops added — a
+// rank meets the calendar, Watches every outstanding request and Parks —
+// wake at the same clocks and observe the same doneAt, Test answers and
+// final clocks whether a receive pairs at post and a parked rank is woken
+// by its deadline or by the fire the pairing Isend schedules (one serial
+// engine), or every message between two ranks matches on delivery, which
+// fires the receive's signal (one rank per shard).
+func TestPropertyParkMatchesDeliveryMatching(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		msgs, scripts := newExchangeModel(rng)
+		addParks(rng, scripts)
+		serial := runExchange(msgs, scripts, false)
+		sharded := runExchange(msgs, scripts, true)
+		if !reflect.DeepEqual(serial, sharded) {
+			t.Logf("seed %d, %d ranks, %d messages:\nserial  %+v\nsharded %+v", seed, len(scripts), len(msgs), serial, sharded)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(34))}); err != nil {
 		t.Fatal(err)
 	}
 }

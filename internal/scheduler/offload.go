@@ -35,8 +35,6 @@ type slot struct {
 	retryAt     sim.Time          // absolute time of the next retry
 	consecFails int               // consecutive timed-out offloads on this gang
 	unhealthy   bool              // gang taken out of rotation; kernels go to the MPE
-
-	armed bool // the pooled wake is registered on flag for obj (waitForEvent)
 }
 
 // gangDone reports whether sl's completion flag has reached the gang width
@@ -267,7 +265,6 @@ func (s *Rank) offload(p *sim.Process, step int, t, dt float64, obj *taskgraph.O
 	obj.State = taskgraph.StateRunning
 	sl.obj = obj
 	sl.off = off
-	sl.armed = false
 	s.probeGangs()
 	if s.inj != nil {
 		sl.estimate = off.Estimate

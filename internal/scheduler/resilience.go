@@ -117,7 +117,6 @@ func (s *Rank) drainToMPE(p *sim.Process, step int, t, dt float64, completed *in
 // retried (after backoff, still blocking) or degraded to the MPE. Used in
 // place of the plain flag spin when an injector is attached.
 func (s *Rank) syncOffloadWait(p *sim.Process, step int, t, dt float64, sl *slot, completed *int) error {
-	eng := s.cg.Engine()
 	n := int64(sl.group.NumCPEs())
 	for {
 		if sl.flag.Value() >= n {
@@ -125,18 +124,11 @@ func (s *Rank) syncOffloadWait(p *sim.Process, step int, t, dt float64, sl *slot
 			s.clearSlot(sl)
 			return nil
 		}
-		wake := sim.NewSignal(eng, fmt.Sprintf("rank%d.syncwait", s.mpi.RankID()))
-		sl.flag.OnReach(n, wake.Fire)
-		var dl sim.EventHandle
-		if sl.deadline > p.Now() {
-			dl = eng.Schedule(sl.deadline-p.Now(), wake.Fire)
-		} else {
-			dl = eng.Schedule(0, wake.Fire)
-		}
 		t0 := p.Now()
-		wake.Wait(p)
+		p.Sync()
+		sl.flag.NotifyAt(p, n)
+		p.Park(sl.deadline)
 		s.Stats.KernelWaitTime += p.Now() - t0
-		dl.Cancel()
 		if sl.flag.Value() >= n {
 			s.completeObject(sl.obj, completed)
 			s.clearSlot(sl)

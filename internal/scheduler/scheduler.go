@@ -185,12 +185,6 @@ type Rank struct {
 	sweepIdx  []int
 	sweepReqs []*mpisim.Request
 	sweepOks  []bool
-	// wakeName is the precomputed diagnostic name for waitForEvent's
-	// one-shot wake signal; wake/wakeFire are the pooled signal and its
-	// method value, reused across parks in fault-free runs.
-	wakeName string
-	wake     *sim.Signal
-	wakeFire func()
 	// notes interns "prefix + label" trace annotations: the step loop
 	// emits the same few dozen strings every step, and building them once
 	// keeps the steady-state loop free of string allocation.
@@ -237,16 +231,14 @@ func (s *Rank) note(prefix, name string) string {
 }
 
 type pendingRecv struct {
-	edge  *taskgraph.Edge
-	req   *mpisim.Request
-	done  bool
-	armed bool // the pooled wake is registered on req's signal (waitForEvent)
+	edge *taskgraph.Edge
+	req  *mpisim.Request
+	done bool
 }
 
 type pendingSend struct {
-	req   *mpisim.Request
-	done  bool
-	armed bool
+	req  *mpisim.Request
+	done bool
 }
 
 // New creates the scheduler for one rank. The graph must have been

@@ -560,104 +560,55 @@ func (s *Rank) commDrained() bool {
 }
 
 // waitForEvent parks the MPE until something it is waiting on can make
-// progress: a completion flag reaching its threshold or an outstanding
-// request finishing on the wire. The virtual time spent corresponds to the
-// scheduler's idle polling. It first meets the calendar: which requests and
-// flags have already fired is an observation.
+// progress: a completion flag reaching its threshold, an outstanding
+// request finishing on the wire or, under fault injection, an offload
+// deadline or a retry falling due. The virtual time spent corresponds to
+// the scheduler's idle polling. It first meets the calendar — which flags
+// have been raised is an observation — and then parks once (sim.Process.Park):
+// decided requests and fault-mode timers set the deadline, and flags and
+// undecided requests register to end the park when they fire.
 func (s *Rank) waitForEvent(p *sim.Process, step int) {
 	p.Sync()
-	eng := s.cg.Engine()
-	if s.wakeName == "" {
-		s.wakeName = fmt.Sprintf("rank%d.wake", s.mpi.RankID())
-	}
-	// In fault-free runs the one-shot wake signal is pooled: stale
-	// registrations only live on still-unfired request signals and flag
-	// counters that this park re-arms anyway, so an extra Fire from an old
-	// registration is an idempotent no-op at the exact instant a fresh
-	// registration would have fired. Under fault injection aborted
-	// offloads can leave registrations on counters that reach their
-	// threshold much later, so each park gets a fresh signal there.
-	var wake *sim.Signal
-	var fire func()
-	if s.inj == nil {
-		if s.wake == nil {
-			s.wake = sim.NewSignal(eng, s.wakeName)
-			s.wakeFire = s.wake.Fire
-		} else {
-			s.wake.Init(eng, s.wakeName)
-		}
-		wake, fire = s.wake, s.wakeFire
-	} else {
-		wake = sim.NewSignal(eng, s.wakeName)
-		fire = wake.Fire
-	}
-	// A pooled wake's registration outlives its park: if the request or
-	// flag fires while a later park waits, it fires that park's wake, at the
-	// instant a fresh registration would. So each is registered once, and
-	// again only if it already fired (its registration was spent on an
-	// earlier park, and a fresh one fires at once). A second live one would
-	// add a no-op callback event right behind the first. Fresh signals
-	// (fault injection) need fresh registrations every park.
-	once := s.inj == nil
-	armed := false
-	// Cancellable timer wake-ups (offload deadlines, retry backoffs) so
-	// stale timers don't linger once the rank is awake again.
-	var timers []sim.EventHandle
+	until := sim.Infinity
+	waiting := false
 	for _, sl := range s.slots {
 		if sl.obj != nil {
-			n := int64(sl.group.NumCPEs())
-			if !sl.armed || sl.flag.Value() >= n {
-				sl.flag.OnReach(n, fire)
-			}
-			sl.armed = once
-			armed = true
+			sl.flag.NotifyAt(p, int64(sl.group.NumCPEs()))
+			waiting = true
 			if s.inj != nil {
 				// A stalled gang never fires the flag: the deadline is the
 				// guaranteed wake-up that lets the scheduler recover.
-				timers = append(timers, eng.Schedule(sl.deadline-p.Now(), fire))
+				until = min(until, sl.deadline)
 			}
 		}
 		if s.inj != nil && sl.pending != nil {
+			// An unhealthy gang's object is handled on the next loop pass.
 			if sl.unhealthy {
-				// Handled immediately on the next loop pass.
-				timers = append(timers, eng.Schedule(0, fire))
+				until = p.Now()
 			} else {
-				timers = append(timers, eng.Schedule(sl.retryAt-p.Now(), fire))
+				until = min(until, sl.retryAt)
 			}
-			armed = true
+			waiting = true
 		}
 	}
 	for i := range s.recvs {
 		if r := &s.recvs[i]; !r.done {
-			r.armed = arm(r.req.Signal(), r.armed, once, fire)
-			armed = true
+			s.mpi.Watch(p, r.req, &until)
+			waiting = true
 		}
 	}
 	for i := range s.sends {
 		if sd := &s.sends[i]; !sd.done {
-			sd.armed = arm(sd.req.Signal(), sd.armed, once, fire)
-			armed = true
+			s.mpi.Watch(p, sd.req, &until)
+			waiting = true
 		}
 	}
-	if !armed {
+	if !waiting {
 		panic(fmt.Sprintf("scheduler: rank %d stalled with nothing to wait for", s.mpi.RankID()))
 	}
 	t0 := p.Now()
-	wake.Wait(p)
-	for _, h := range timers {
-		h.Cancel()
-	}
+	p.Park(until)
 	s.Stats.IdleTime += p.Now() - t0
 	s.cfg.Trace.Add(trace.Event{Rank: s.mpi.RankID(), Step: step,
 		Kind: trace.KindIdle, Name: "wait", Start: t0, End: p.Now()})
-}
-
-// arm registers fire on a request's signal unless a live registration from
-// an earlier park is still pending there (see waitForEvent), and returns
-// the new armed state.
-func arm(sig *sim.Signal, armed, once bool, fire func()) bool {
-	if !armed || sig.Fired() {
-		sig.OnFire(fire)
-	}
-	return once
 }

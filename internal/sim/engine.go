@@ -5,7 +5,7 @@
 // virtual clock. A charge (Process.Charge) moves only the process's clock;
 // the process meets the engine's calendar — lets every earlier event run —
 // only where it observes state other actors change (Process.Sync, a Sleep,
-// a signal or counter wait). Events a process schedules are stamped with
+// a park, a signal or counter wait). Events a process schedules are stamped with
 // the process's clock as their issue time.
 //
 // The engine is strictly cooperative. At any instant exactly one process
@@ -364,10 +364,11 @@ func (e *Engine) CallAt(at Time, c Caller) {
 }
 
 // callAt pushes c at time at with the given issue time.
-func (e *Engine) callAt(at, issue Time, c Caller) {
+func (e *Engine) callAt(at, issue Time, c Caller) EventHandle {
 	ev := e.getEvent(at, issue)
 	ev.c = c
 	e.queue.push(ev)
+	return EventHandle{ev: ev, gen: ev.gen}
 }
 
 // EventHandle allows cancelling a scheduled callback.

@@ -27,10 +27,22 @@ type Process struct {
 	finished  bool
 	blockedOn string // diagnostics: what the process is waiting for
 	doneSig   *Signal
+
+	// Park state (Park). gen numbers the process's parks: registrations
+	// carry the number of the park they are for. parked is set from the
+	// park's yield until the first wake is scheduled, due marks a
+	// registration that found its fire already done, and timer is the
+	// deadline wake-up of the last park that had one (a handle to an event
+	// that has run cancels nothing).
+	gen    uint32
+	parked bool
+	due    bool
+	timer  EventHandle
 }
 
 // Call resumes the process: a Process is its own wake-up Caller, so
-// sleeps and signal fires schedule it without allocating a closure.
+// sleeps, park deadlines and signal fires schedule it without allocating a
+// closure.
 func (p *Process) Call() { p.run() }
 
 // Spawn starts a new process executing body. The body begins running at the
@@ -129,6 +141,73 @@ func (p *Process) Sleep(d Time) {
 	p.yield("sleep")
 }
 
+// Park blocks the process until the earliest of until and the first fire
+// of a Signal or Counter it registered on (Signal.Notify,
+// Counter.NotifyAt) since its last park, and yields once. A fire wakes it
+// at the fire's instant, issued there, and cancels the deadline; the
+// deadline wakes it at until, issued at until, with the process as its own
+// Caller; a registration that found its fire already done, or an until in
+// the past, makes it resume at once, at (now, now). Each registration
+// carries the number of the park it is for, so a fire after the process
+// has woken — a second one, or one after the deadline — does nothing.
+//
+// A registration observes state that events change, so the process meets
+// the calendar (Sync) before it registers; Park itself never syncs. A park
+// with no registration and an infinite until never returns: the run loop
+// reports the deadlock.
+func (p *Process) Park(until Time) { p.block(until, "park") }
+
+func (p *Process) block(until Time, why string) {
+	e := p.eng
+	if p.due || until < e.now {
+		until = e.now
+	}
+	p.due = false
+	if until < Infinity {
+		p.timer = e.callAt(until, until, p)
+	}
+	p.parked = true
+	p.yield(why)
+	p.parked = false
+	p.gen++
+}
+
+// waiter is a process registered for one of its parks: gen is that park's
+// number. A counter waiter also carries its threshold.
+type waiter struct {
+	p         *Process
+	gen       uint32
+	threshold int64
+}
+
+// live reports whether w's park is still ahead or under way.
+func (w waiter) live() bool { return w.gen == w.p.gen }
+
+// wake resumes w's process at the current instant if it is parked in the
+// park w is for and nothing has woken it yet, cancelling its deadline.
+func (w waiter) wake(e *Engine) {
+	p := w.p
+	if !w.live() || !p.parked {
+		return
+	}
+	p.parked = false
+	p.timer.Cancel()
+	e.CallAfter(0, p)
+}
+
+// enrol appends w to ws after dropping the registrations of parks that are
+// over, so a signal re-registered at every park of a long wait holds one.
+func enrol(ws []waiter, w waiter) []waiter {
+	keep := ws[:0]
+	for _, x := range ws {
+		if x.live() {
+			keep = append(keep, x)
+		}
+	}
+	clear(ws[len(keep):])
+	return append(keep, w)
+}
+
 // Done returns a signal fired when the process body returns. Other
 // processes may Wait on it to join this process.
 func (p *Process) Done() *Signal { return p.doneSig }
@@ -136,12 +215,11 @@ func (p *Process) Done() *Signal { return p.doneSig }
 // Signal is a one-shot broadcast event: processes block on Wait until some
 // actor calls Fire, after which Wait returns immediately forever.
 type Signal struct {
-	eng       *Engine
-	name      string
-	waitTag   string // precomputed yield diagnostic, built once per signal
-	fired     bool
-	waiters   []*Process
-	callbacks []func()
+	eng     *Engine
+	name    string
+	waitTag string // precomputed yield diagnostic, built once per signal
+	fired   bool
+	waiters []waiter
 }
 
 // NewSignal creates an unfired signal.
@@ -151,9 +229,8 @@ func NewSignal(e *Engine, name string) *Signal {
 
 // Init (re)initialises a signal in place to the unfired state, for callers
 // that embed Signals in pooled structures instead of allocating with
-// NewSignal. The caller must only reuse a signal after it has fired and its
-// waiters have drained; the drained waiter/callback capacity is kept, so a
-// pooled request's signal stops allocating once warm.
+// NewSignal. The waiter list's capacity is kept, so a pooled request's
+// signal stops allocating once warm; registrations still on it are dropped.
 func (s *Signal) Init(e *Engine, name string) {
 	if s.name != name {
 		s.waitTag = ""
@@ -161,8 +238,8 @@ func (s *Signal) Init(e *Engine, name string) {
 	s.eng = e
 	s.name = name
 	s.fired = false
+	clear(s.waiters)
 	s.waiters = s.waiters[:0]
-	s.callbacks = s.callbacks[:0]
 }
 
 // tag returns the yield diagnostic for Wait, built on first use: most
@@ -175,37 +252,44 @@ func (s *Signal) tag() string {
 	return s.waitTag
 }
 
-// Fired reports whether the signal has fired.
-func (s *Signal) Fired() bool { return s.fired }
+// Waiting reports whether a process is parked on the signal, so that a
+// fire would wake it.
+func (s *Signal) Waiting() bool {
+	for _, w := range s.waiters {
+		if w.live() && w.p.parked {
+			return true
+		}
+	}
+	return false
+}
 
 // Call fires the signal: a Signal is its own completion Caller, so
 // "schedule this signal to fire after the wire time" costs no closure.
 func (s *Signal) Call() { s.Fire() }
 
-// Fire triggers the signal, waking all waiters at the current virtual time.
-// Firing twice is a no-op.
+// Fire triggers the signal, waking every process parked on it at the
+// current virtual time. Firing twice is a no-op.
 func (s *Signal) Fire() {
 	if s.fired {
 		return
 	}
 	s.fired = true
 	for _, w := range s.waiters {
-		s.eng.CallAfter(0, w)
+		w.wake(s.eng)
 	}
-	for _, fn := range s.callbacks {
-		s.eng.After(0, fn)
-	}
-	// Drop the references but keep the capacity: once fired, Wait and
-	// OnFire never append again (they act immediately), and a pooled
-	// owner's Init reuses the drained storage.
-	for i := range s.waiters {
-		s.waiters[i] = nil
-	}
+	clear(s.waiters)
 	s.waiters = s.waiters[:0]
-	for i := range s.callbacks {
-		s.callbacks[i] = nil
+}
+
+// Notify registers p for its next park (Process.Park): the signal's first
+// fire ends it. A signal that has already fired makes the park resume at
+// once.
+func (s *Signal) Notify(p *Process) {
+	if s.fired {
+		p.due = true
+		return
 	}
-	s.callbacks = s.callbacks[:0]
+	s.waiters = enrol(s.waiters, waiter{p: p, gen: p.gen})
 }
 
 // Wait blocks the calling process until the signal fires.
@@ -214,45 +298,24 @@ func (s *Signal) Wait(p *Process) {
 	if s.fired {
 		return
 	}
-	s.waiters = append(s.waiters, p)
-	p.yield(s.tag())
-}
-
-// OnFire schedules fn to run when the signal fires (immediately, at the
-// current time, if it already has). Each registered callback runs once.
-func (s *Signal) OnFire(fn func()) {
-	if s.fired {
-		s.eng.After(0, fn)
-		return
-	}
-	s.callbacks = append(s.callbacks, fn)
+	s.Notify(p)
+	p.block(Infinity, s.tag())
 }
 
 // Counter is a monotonically increasing integer with the ability to wait
 // until it reaches a threshold. It models completion flags updated with the
 // SW26010 faaw (fetch-and-add word) instruction.
 type Counter struct {
-	eng      *Engine
-	name     string
-	waitTag  string
-	value    int64
-	waiters  []counterWaiter
-	reachCBs []counterCallback
+	eng     *Engine
+	name    string
+	waitTag string
+	value   int64
+	waiters []waiter
 }
 
 // Call increments the counter by one: a Counter is its own faaw-style
 // Caller, so per-CPE completion-flag updates schedule without a closure.
 func (c *Counter) Call() { c.Add(1) }
-
-type counterWaiter struct {
-	threshold int64
-	proc      *Process
-}
-
-type counterCallback struct {
-	threshold int64
-	fn        func()
-}
 
 // NewCounter creates a counter at zero.
 func NewCounter(e *Engine, name string) *Counter {
@@ -262,40 +325,38 @@ func NewCounter(e *Engine, name string) *Counter {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.value }
 
-// Add increments the counter and wakes waiters whose threshold is reached.
-// Unreached waiters are compacted in place, so the steady-state faaw path
-// (64 CPE flag updates per offload, one waiter) never allocates.
+// Add increments the counter and wakes the processes whose threshold is
+// reached. The rest are compacted in place, dropping registrations of parks
+// that are over, so the steady-state faaw path (64 CPE flag updates per
+// offload, one waiter) never allocates.
 func (c *Counter) Add(delta int64) {
 	c.value += delta
 	keep := c.waiters[:0]
 	for _, w := range c.waiters {
 		if c.value >= w.threshold {
-			c.eng.CallAfter(0, w.proc)
-		} else {
+			w.wake(c.eng)
+		} else if w.live() {
 			keep = append(keep, w)
 		}
 	}
-	for i := len(keep); i < len(c.waiters); i++ {
-		c.waiters[i] = counterWaiter{}
-	}
+	clear(c.waiters[len(keep):])
 	c.waiters = keep
-	keepCB := c.reachCBs[:0]
-	for _, cb := range c.reachCBs {
-		if c.value >= cb.threshold {
-			c.eng.After(0, cb.fn)
-		} else {
-			keepCB = append(keepCB, cb)
-		}
-	}
-	for i := len(keepCB); i < len(c.reachCBs); i++ {
-		c.reachCBs[i] = counterCallback{}
-	}
-	c.reachCBs = keepCB
 }
 
 // Reset sets the counter back to zero. Waiters are unaffected (they keep
 // their absolute thresholds against the new value).
 func (c *Counter) Reset() { c.value = 0 }
+
+// NotifyAt registers p for its next park (Process.Park): the counter
+// reaching threshold ends it. A counter already there makes the park resume
+// at once.
+func (c *Counter) NotifyAt(p *Process, threshold int64) {
+	if c.value >= threshold {
+		p.due = true
+		return
+	}
+	c.waiters = enrol(c.waiters, waiter{p: p, gen: p.gen, threshold: threshold})
+}
 
 // WaitFor blocks the calling process until the counter value is at least
 // threshold.
@@ -304,16 +365,6 @@ func (c *Counter) WaitFor(p *Process, threshold int64) {
 	if c.value >= threshold {
 		return
 	}
-	c.waiters = append(c.waiters, counterWaiter{threshold: threshold, proc: p})
-	p.yield(c.waitTag)
-}
-
-// OnReach schedules fn once the counter value reaches threshold
-// (immediately if it already has). Each registered callback runs once.
-func (c *Counter) OnReach(threshold int64, fn func()) {
-	if c.value >= threshold {
-		c.eng.After(0, fn)
-		return
-	}
-	c.reachCBs = append(c.reachCBs, counterCallback{threshold: threshold, fn: fn})
+	c.NotifyAt(p, threshold)
+	p.block(Infinity, c.waitTag)
 }

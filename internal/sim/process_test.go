@@ -190,24 +190,46 @@ func TestActiveProcessesAccounting(t *testing.T) {
 	}
 }
 
-func TestSignalOnFireAfterFired(t *testing.T) {
+// TestSignalNotifyAfterFired: a registration on a signal that has already
+// fired makes the park resume at once, at the instant it parked, through
+// one calendar event.
+func TestSignalNotifyAfterFired(t *testing.T) {
 	e := NewEngine()
 	s := NewSignal(e, "s")
 	s.Fire()
 	ran := false
-	s.OnFire(func() { ran = true })
+	e.Spawn("p", func(p *Process) {
+		p.Sleep(1)
+		ev := e.EventsExecuted()
+		s.Notify(p)
+		p.Park(Infinity)
+		ran = true
+		if p.Now() != 1 || e.EventsExecuted()-ev != 1 {
+			t.Errorf("resumed at %v after %d events, want 1 and 1", p.Now(), e.EventsExecuted()-ev)
+		}
+	})
 	e.Run()
 	if !ran {
-		t.Fatal("OnFire after Fire did not run")
+		t.Fatal("a park on a fired signal did not resume")
 	}
 }
 
-func TestCounterOnReachMultipleThresholds(t *testing.T) {
+// TestCounterNotifyAtMultipleThresholds: processes parked on one counter at
+// different thresholds each wake when theirs is reached, in order.
+func TestCounterNotifyAtMultipleThresholds(t *testing.T) {
 	e := NewEngine()
 	c := NewCounter(e, "c")
 	var hits []int64
-	c.OnReach(2, func() { hits = append(hits, 2) })
-	c.OnReach(5, func() { hits = append(hits, 5) })
+	var at []Time
+	for _, n := range []int64{5, 2} {
+		n := n
+		e.Spawn("waiter", func(p *Process) {
+			c.NotifyAt(p, n)
+			p.Park(Infinity)
+			hits = append(hits, n)
+			at = append(at, p.Now())
+		})
+	}
 	e.Spawn("adder", func(p *Process) {
 		for i := 0; i < 5; i++ {
 			p.Sleep(1)
@@ -215,7 +237,84 @@ func TestCounterOnReachMultipleThresholds(t *testing.T) {
 		}
 	})
 	e.Run()
-	if len(hits) != 2 || hits[0] != 2 || hits[1] != 5 {
-		t.Fatalf("hits = %v", hits)
+	if len(hits) != 2 || hits[0] != 2 || hits[1] != 5 || at[0] != 2 || at[1] != 5 {
+		t.Fatalf("hits = %v at %v, want [2 5] at [2 5]", hits, at)
+	}
+}
+
+// TestParkDeadline: a park with no fire resumes at its deadline through one
+// event, and a deadline already past resumes it at once.
+func TestParkDeadline(t *testing.T) {
+	e := NewEngine()
+	sig := NewSignal(e, "never")
+	e.Spawn("p", func(p *Process) {
+		ev := e.EventsExecuted()
+		sig.Notify(p)
+		p.Park(2.5)
+		if p.Now() != 2.5 || e.EventsExecuted()-ev != 1 {
+			t.Errorf("woke at %v after %d events, want 2.5 and 1", p.Now(), e.EventsExecuted()-ev)
+		}
+		p.Park(1)
+		if p.Now() != 2.5 {
+			t.Errorf("a past deadline resumed at %v, want 2.5", p.Now())
+		}
+	})
+	e.Run()
+}
+
+// TestParkFireCancelsDeadline: a fire before the deadline wakes the process
+// at the fire's instant, and the deadline event never runs: the run counts
+// the spawn, the fire, the wake-up and the final sleep, nothing else.
+func TestParkFireCancelsDeadline(t *testing.T) {
+	e := NewEngine()
+	sig := NewSignal(e, "s")
+	c := NewCounter(e, "c")
+	e.Spawn("p", func(p *Process) {
+		sig.Notify(p)
+		c.NotifyAt(p, 1)
+		p.Park(5)
+		if p.Now() != 2 {
+			t.Errorf("woke at %v, want the fire at 2", p.Now())
+		}
+		p.Sleep(10)
+	})
+	e.CallAt(2, sig)
+	e.CallAt(2, c) // a second fire for the same park, at the same instant
+	e.Run()
+	if got := e.EventsExecuted(); got != 5 {
+		t.Errorf("%d events, want 5 (spawn, two fires, one wake-up, sleep)", got)
+	}
+}
+
+// TestLateFireDoesNothing: a fire after the deadline has woken the process
+// finds its registration stale — it neither resumes the process, which is
+// sleeping elsewhere, nor schedules any event — and a registration from an
+// earlier park does not end a later one.
+func TestLateFireDoesNothing(t *testing.T) {
+	e := NewEngine()
+	sig := NewSignal(e, "s")
+	var woke []Time
+	e.Spawn("p", func(p *Process) {
+		sig.Notify(p)
+		p.Park(1)
+		woke = append(woke, p.Now())
+		p.Sleep(2) // the fire at 2 lands here
+		woke = append(woke, p.Now())
+		p.Park(4) // no registration: only the deadline ends it
+		woke = append(woke, p.Now())
+	})
+	var before uint64
+	e.After(2, func() {
+		before = e.EventsExecuted()
+		sig.Fire()
+	})
+	e.Run()
+	if len(woke) != 3 || woke[0] != 1 || woke[1] != 3 || woke[2] != 4 {
+		t.Fatalf("woke at %v, want [1 3 4]", woke)
+	}
+	// After the fire's own event: the sleep's wake-up at 3 and the deadline
+	// at 4.
+	if got := e.EventsExecuted() - before; got != 2 {
+		t.Errorf("%d events after the late fire, want 2", got)
 	}
 }
