@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"text/tabwriter"
 
 	"sunuintah/internal/burgers"
 	"sunuintah/internal/core"
@@ -26,7 +27,6 @@ import (
 	"sunuintah/internal/grid"
 	"sunuintah/internal/loadbalancer"
 	"sunuintah/internal/scheduler"
-	"sunuintah/internal/stats"
 	"sunuintah/internal/taskgraph"
 	"sunuintah/internal/trace"
 )
@@ -160,21 +160,16 @@ func main() {
 
 	if *breakdown {
 		fmt.Printf("\nper-rank scheduler breakdown (seconds over the whole run):\n")
-		var tb stats.Table
-		tb.Align = "rrrrrrr"
-		tb.AddRow("rank", "mpe-work", "mpe-kernel", "kernel-wait", "comm", "idle", "tasks")
+		// Right-aligned columns; every cell after the first carries its
+		// two-space gap, so the first column starts at the margin.
+		tw := tabwriter.NewWriter(os.Stdout, 0, 0, 0, ' ', tabwriter.AlignRight)
+		fmt.Fprint(tw, "rank\t  mpe-work\t  mpe-kernel\t  kernel-wait\t  comm\t  idle\t  tasks\t\n")
 		for r, st := range res.RankStats {
-			tb.AddRow(
-				fmt.Sprint(r),
-				fmt.Sprintf("%.4f", float64(st.MPEWorkTime)),
-				fmt.Sprintf("%.4f", float64(st.MPEKernelTime)),
-				fmt.Sprintf("%.4f", float64(st.KernelWaitTime)),
-				fmt.Sprintf("%.4f", float64(st.CommTime)),
-				fmt.Sprintf("%.4f", float64(st.IdleTime)),
-				fmt.Sprint(st.TasksRun),
-			)
+			fmt.Fprintf(tw, "%d\t  %.4f\t  %.4f\t  %.4f\t  %.4f\t  %.4f\t  %d\t\n", r,
+				float64(st.MPEWorkTime), float64(st.MPEKernelTime), float64(st.KernelWaitTime),
+				float64(st.CommTime), float64(st.IdleTime), st.TasksRun)
 		}
-		fmt.Print(tb.String())
+		tw.Flush()
 	}
 
 	if *chromeTrace != "" {

@@ -11,16 +11,17 @@ import (
 	"sunuintah/internal/taskgraph"
 )
 
-// copyTask builds an MPE task that carries label l through the step
-// unchanged — the minimal persistent-state problem.
+// copyTask builds a kernel that copies its tile of label l through the
+// step unchanged — the minimal persistent-state problem. The checkpoint
+// simulations run in ModeMPEOnly, so it runs on the MPE.
 func copyTask(name string, l *taskgraph.Label) *taskgraph.Task {
 	return &taskgraph.Task{
-		Name: name, Kind: taskgraph.KindMPE,
+		Name: name, Kind: taskgraph.KindOffload,
 		Requires: []taskgraph.Dep{{Label: l, DW: taskgraph.OldDW}},
 		Computes: []taskgraph.Dep{{Label: l, DW: taskgraph.NewDW}},
-		MPERun: func(patch *grid.Patch, in, out map[*taskgraph.Label]*field.Cell) {
-			out[l].CopyRegion(in[l], patch.Box)
-		},
+		Kernel: &taskgraph.Kernel{Weight: 0.1, Compute: func(tc *taskgraph.TileContext) {
+			tc.Out.Get(l).CopyRegion(tc.In.Get(l), tc.Tile.Box)
+		}},
 	}
 }
 

@@ -63,7 +63,7 @@ func (w *Warehouse) Allocate(label *taskgraph.Label, patch *grid.Patch, ghost in
 	}
 	e := &varEntry{bytes: bytes}
 	if w.mode == Functional {
-		// Pooled storage: Free/FreeAll recycle the backing array, so the
+		// Pooled storage: FreeAll recycles the backing array, so the
 		// per-step allocate/free churn of the warehouse swap is
 		// allocation-free in steady state. The pool zeroes on reuse,
 		// preserving NewCell's zero-value contract.
@@ -98,23 +98,8 @@ func (w *Warehouse) Bytes(label *taskgraph.Label, patch *grid.Patch) int64 {
 	return e.bytes
 }
 
-// Free releases one variable back to the core group (the scheduler scrubs
-// a new-warehouse variable after its last reader) and recycles its
-// storage — callers must not retain references to the freed field's data.
-// Freeing an absent variable is a no-op.
-func (w *Warehouse) Free(label *taskgraph.Label, patch *grid.Patch) {
-	k := varKey{label, patch.ID}
-	e, ok := w.vars[k]
-	if !ok {
-		return
-	}
-	w.cg.Free(e.bytes)
-	e.data.Recycle()
-	delete(w.vars, k)
-}
-
-// FreeAll releases every variable back to the core group, recycling the
-// storage like Free.
+// FreeAll releases every variable back to the core group and recycles its
+// storage — callers must not retain references to a freed field's data.
 func (w *Warehouse) FreeAll() {
 	for k, e := range w.vars {
 		w.cg.Free(e.bytes)

@@ -24,64 +24,48 @@ func submitAll(s *Sweep, specs []runner.Spec) []*runner.Job {
 // double-buffered DMA (Section IX) on the medium problem: tile transfers
 // overlap tile compute within each CPE.
 func AblationAsyncDMA(s *Sweep, steps int) (string, error) {
-	prob, _ := ProblemByName("32x64x512")
-	v, _ := VariantByName("acc_simd.async")
-	cgCounts := []int{1, 8, 64}
-	var specs []runner.Spec
-	for _, cgs := range cgCounts {
-		specs = append(specs,
-			SpecFor(prob, cgs, v, Options{Steps: steps}, 0),
-			SpecFor(prob, cgs, v, Options{Steps: steps, AsyncDMA: true}, 0))
-	}
-	jobs := submitAll(s, specs)
-	var b strings.Builder
-	fmt.Fprintf(&b, "ABLATION: asynchronous memory<->LDM DMA (double buffering), %s, acc_simd.async\n", prob.Name)
-	fmt.Fprintf(&b, "  %-6s %14s %14s %9s\n", "CGs", "sync DMA (s)", "async DMA (s)", "speedup")
-	for i, cgs := range cgCounts {
-		base, err := jobs[2*i].Wait(context.Background())
-		if err != nil {
-			return "", err
-		}
-		dma, err := jobs[2*i+1].Wait(context.Background())
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "  %-6d %14.4f %14.4f %8.2fx\n",
-			cgs, base.PerStepSeconds(), dma.PerStepSeconds(),
-			base.PerStepSeconds()/dma.PerStepSeconds())
-	}
-	return b.String(), nil
+	return ablateOption(s, steps, Options{AsyncDMA: true},
+		"asynchronous memory<->LDM DMA (double buffering)", "sync DMA (s)", "async DMA (s)", 14)
 }
 
 // AblationTilePacking measures the future-work packed tile transfers
 // (Section IX: "it is also possible to pack the tiles to improve data
 // transfer performance").
 func AblationTilePacking(s *Sweep, steps int) (string, error) {
+	return ablateOption(s, steps, Options{TilePacking: true},
+		"packed tile transfers", "strided (s)", "packed (s)", 15)
+}
+
+// ablateOption compares acc_simd.async on the medium problem at 1, 8 and
+// 64 CGs without and with the future-work option set in on, printing each
+// per-step time in a column of the given width.
+func ablateOption(s *Sweep, steps int, on Options, title, offCol, onCol string, width int) (string, error) {
 	prob, _ := ProblemByName("32x64x512")
 	v, _ := VariantByName("acc_simd.async")
 	cgCounts := []int{1, 8, 64}
+	on.Steps = steps
 	var specs []runner.Spec
 	for _, cgs := range cgCounts {
 		specs = append(specs,
 			SpecFor(prob, cgs, v, Options{Steps: steps}, 0),
-			SpecFor(prob, cgs, v, Options{Steps: steps, TilePacking: true}, 0))
+			SpecFor(prob, cgs, v, on, 0))
 	}
 	jobs := submitAll(s, specs)
 	var b strings.Builder
-	fmt.Fprintf(&b, "ABLATION: packed tile transfers, %s, acc_simd.async\n", prob.Name)
-	fmt.Fprintf(&b, "  %-6s %15s %15s %9s\n", "CGs", "strided (s)", "packed (s)", "speedup")
+	fmt.Fprintf(&b, "ABLATION: %s, %s, acc_simd.async\n", title, prob.Name)
+	fmt.Fprintf(&b, "  %-6s %*s %*s %9s\n", "CGs", width, offCol, width, onCol, "speedup")
 	for i, cgs := range cgCounts {
 		base, err := jobs[2*i].Wait(context.Background())
 		if err != nil {
 			return "", err
 		}
-		packed, err := jobs[2*i+1].Wait(context.Background())
+		opt, err := jobs[2*i+1].Wait(context.Background())
 		if err != nil {
 			return "", err
 		}
-		fmt.Fprintf(&b, "  %-6d %15.4f %15.4f %8.2fx\n",
-			cgs, base.PerStepSeconds(), packed.PerStepSeconds(),
-			base.PerStepSeconds()/packed.PerStepSeconds())
+		fmt.Fprintf(&b, "  %-6d %*.4f %*.4f %8.2fx\n",
+			cgs, width, base.PerStepSeconds(), width, opt.PerStepSeconds(),
+			base.PerStepSeconds()/opt.PerStepSeconds())
 	}
 	return b.String(), nil
 }

@@ -45,8 +45,6 @@ func SpecFor(prob ProblemSpec, cgs int, v Variant, opt Options, seed uint64) run
 	if !opt.Faults.Zero() {
 		spec.Faults = opt.Faults
 	}
-	spec.Report = opt.Report
-	spec.Trace = opt.Trace
 	return spec
 }
 

@@ -7,14 +7,17 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"sunuintah/internal/runner"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the export golden file")
 
 func buildExportBytes(t *testing.T, jobs int) []byte {
 	t.Helper()
-	s := NewSweep(Options{Steps: 1, Jobs: jobs})
-	defer s.Close()
+	pool := NewPool(jobs, runner.NewMemoryCache(0), nil)
+	defer pool.Close()
+	s := NewSweepWithPool(Options{Steps: 1}, pool)
 	e, err := BuildExport(s, 1)
 	if err != nil {
 		t.Fatal(err)

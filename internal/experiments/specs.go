@@ -119,19 +119,9 @@ type Options struct {
 	Noise   float64
 	Repeats int
 
-	// Jobs is the worker count of a Sweep's own runner pool (0 means
-	// GOMAXPROCS).
-	Jobs int
-
 	// Faults injects deterministic chaos into every case: a non-zero plan
 	// routes runs through core.RunResilient (checkpoint/restart under CG
 	// crashes) and participates in the runner's content hash. Nil or
 	// all-zero runs fault-free.
 	Faults *faults.Plan
-
-	// Report attaches the flight recorder to every case; Trace additionally
-	// captures the full event timeline. Reporting knobs only — like Jobs,
-	// they never participate in the result-cache key.
-	Report bool
-	Trace  bool
 }

@@ -34,11 +34,11 @@ type Sweep struct {
 	ownPool bool
 }
 
-// NewSweep creates a sweep with its own pool: opt.Jobs workers (default
-// GOMAXPROCS) and an in-memory result cache. Use NewSweepWithPool to
-// share a pool (and its cache) across sweeps or with a server.
+// NewSweep creates a sweep with its own pool: GOMAXPROCS workers and an
+// in-memory result cache. Use NewSweepWithPool to choose the worker count
+// or to share a pool (and its cache) across sweeps or with a server.
 func NewSweep(opt Options) *Sweep {
-	s := NewSweepWithPool(opt, NewPool(opt.Jobs, runner.NewMemoryCache(0), nil))
+	s := NewSweepWithPool(opt, NewPool(0, runner.NewMemoryCache(0), nil))
 	s.ownPool = true
 	return s
 }

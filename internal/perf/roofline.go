@@ -6,19 +6,6 @@ package perf
 // Flop/Byte, and is still memory-bounded compared to that of the SW26010
 // processor."
 
-// KernelProfile describes a kernel's per-cell resource use.
-type KernelProfile struct {
-	FlopsPerCell float64
-	// BytesPerCell is the main-memory traffic per cell (the Burgers
-	// kernel streams u in and u_new out: 16 bytes).
-	BytesPerCell float64
-}
-
-// ArithmeticIntensity returns flops per byte of memory traffic.
-func (k KernelProfile) ArithmeticIntensity() float64 {
-	return k.FlopsPerCell / k.BytesPerCell
-}
-
 // Roofline is the classic two-segment performance bound of one core group.
 type Roofline struct {
 	PeakFlops    float64 // compute roof (CG peak)
@@ -33,19 +20,3 @@ func (p Params) CGRoofline() Roofline {
 // RidgeIntensity is the arithmetic intensity where the memory roof meets
 // the compute roof; kernels below it are memory-bound at peak.
 func (r Roofline) RidgeIntensity() float64 { return r.PeakFlops / r.MemBandwidth }
-
-// Bound returns the attainable flop rate for a kernel of the given
-// arithmetic intensity.
-func (r Roofline) Bound(intensity float64) float64 {
-	mem := intensity * r.MemBandwidth
-	if mem < r.PeakFlops {
-		return mem
-	}
-	return r.PeakFlops
-}
-
-// MemoryBound reports whether the kernel sits left of the ridge — the
-// paper's observation for the Burgers kernel (AI 19.4 vs ridge 22.5).
-func (r Roofline) MemoryBound(k KernelProfile) bool {
-	return k.ArithmeticIntensity() < r.RidgeIntensity()
-}

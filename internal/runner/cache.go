@@ -72,13 +72,6 @@ func (c *MemoryCache) Put(hash string, r *Result) {
 	}
 }
 
-// Len reports the number of cached entries.
-func (c *MemoryCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
 // DiskCache layers a MemoryCache over a directory of JSON files, one
 // result per file named <hash>.json. It survives process restarts, so a
 // second sunbench invocation with a warm cache skips completed jobs.

@@ -69,8 +69,8 @@ func TestMemoryCacheLRU(t *testing.T) {
 	if _, ok := c.Get("c"); !ok {
 		t.Error("c should be present")
 	}
-	if c.Len() != 2 {
-		t.Errorf("len = %d, want 2", c.Len())
+	if n := c.order.Len(); n != 2 {
+		t.Errorf("len = %d, want 2", n)
 	}
 }
 

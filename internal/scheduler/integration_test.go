@@ -255,23 +255,6 @@ func TestTilePackingFasterThanStrided(t *testing.T) {
 	}
 }
 
-func TestInOrderNeverFasterThanOutOfOrder(t *testing.T) {
-	run := func(inOrder bool) float64 {
-		s := timingSim(t, grid.IV(64, 64, 64), 2, scheduler.Config{
-			Mode:    scheduler.ModeAsync,
-			InOrder: inOrder,
-		})
-		res, err := s.Run(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return float64(res.PerStep)
-	}
-	if ordered, free := run(true), run(false); ordered < free {
-		t.Fatalf("in-order (%.6f) faster than out-of-order (%.6f)", ordered, free)
-	}
-}
-
 // A kernel sees each input through a window bounded to its tile grown by
 // the declared ghost width. Reading one cell further must panic even
 // though the cell exists — it belongs to the neighbouring tile of the same

@@ -85,10 +85,6 @@ type Config struct {
 	// computing a different patch concurrently (future-work task+data
 	// parallelism). 0 or 1 means the whole cluster works one patch.
 	CPEGroups int
-	// Scrub frees non-persistent new-warehouse variables as soon as their
-	// last intra-step consumer completes (Uintah's data-warehouse variable
-	// scrubbing), lowering the memory high-water mark for task chains.
-	Scrub bool
 	// Workers bounds the host worker pool that executes the numeric
 	// bodies of independent tiles in functional mode — the software
 	// analogue of the CPE gangs computing tiles in parallel. 0 means
@@ -97,11 +93,6 @@ type Config struct {
 	// cross-tile combining happens on the pool, so this is a wall-clock
 	// knob only (it never enters the runner's spec hash).
 	Workers int
-	// InOrder forces strict task-declaration x patch-ID execution order,
-	// disabling the out-of-order selection Uintah normally allows ("in
-	// ordered or possibly out of order fashion" — Section II). Useful as a
-	// baseline for measuring what out-of-order readiness buys.
-	InOrder bool
 }
 
 // DefaultTileSize is the paper's tile shape.
@@ -203,9 +194,6 @@ type Rank struct {
 	// prepared queues objects whose MPE part was processed ahead of time
 	// while the CPEs were busy (asynchronous mode's work-ahead).
 	prepared []*taskgraph.Object
-	// consumers counts this step's outstanding intra-step readers of each
-	// new-warehouse variable, for scrubbing.
-	consumers map[scrubKey]int
 
 	Stats Stats
 }
@@ -294,52 +282,6 @@ func (s *Rank) Graph() *taskgraph.Graph { return s.graph }
 // MaxGhost returns the allocation ghost width of a label (the maximum any
 // task requires).
 func (s *Rank) MaxGhost(l *taskgraph.Label) int { return s.maxGhost[l] }
-
-// CoreGroup returns the rank's core group.
-func (s *Rank) CoreGroup() *sw26010.CoreGroup { return s.cg }
-
-// scrubKey identifies a new-warehouse variable instance.
-type scrubKey struct {
-	label   *taskgraph.Label
-	patchID int
-}
-
-// resetConsumers rebuilds the intra-step consumer counts for scrubbing.
-func (s *Rank) resetConsumers() {
-	s.consumers = map[scrubKey]int{}
-	for _, o := range s.graph.Objects {
-		for _, d := range o.Task.Requires {
-			if d.DW != taskgraph.NewDW {
-				continue
-			}
-			if o.Patch != nil {
-				s.consumers[scrubKey{d.Label, o.Patch.ID}]++
-			} else {
-				for _, p := range s.graph.LocalPatches {
-					if !o.Task.AppliesTo(p.ID) {
-						continue
-					}
-					s.consumers[scrubKey{d.Label, p.ID}]++
-				}
-			}
-		}
-	}
-}
-
-// noteConsumed decrements a variable's outstanding readers and scrubs it
-// when the last one finishes (non-persistent labels only).
-func (s *Rank) noteConsumed(l *taskgraph.Label, patchID int) {
-	k := scrubKey{l, patchID}
-	n, ok := s.consumers[k]
-	if !ok {
-		return
-	}
-	n--
-	s.consumers[k] = n
-	if n == 0 && !s.graph.Persistent[l] {
-		s.DWs.New.Free(l, s.graph.Level.Layout.Patch(patchID))
-	}
-}
 
 // charge advances the process by d and attributes it to a stats bucket and
 // the trace. MPE work is invisible outside the rank until the scheduler

@@ -32,9 +32,6 @@ const bcFlopsPerCell = 221
 func (s *Rank) ExecuteStep(p *sim.Process, step int, t, dt float64) error {
 	g := s.graph
 	g.ResetForStep()
-	if s.cfg.Scrub {
-		s.resetConsumers()
-	}
 	nPatches := g.Level.Layout.NumPatches()
 	tagOf := func(e *taskgraph.Edge) int { return step*g.NumTags() + e.BaseTag(nPatches) }
 
@@ -267,13 +264,13 @@ func (s *Rank) ExecuteStep(p *sim.Process, step int, t, dt float64) error {
 			}
 		}
 
-		// Step 3d: execute ready MPE tasks (reductions, small kernels).
+		// Step 3d: execute ready MPE tasks (reductions).
 		for {
 			obj := s.nextReady(false)
 			if obj == nil {
 				break
 			}
-			if err := s.runMPEObject(p, step, t, obj); err != nil {
+			if err := s.runReduction(p, step, obj); err != nil {
 				return err
 			}
 			s.completeObject(obj, &completed)
@@ -314,29 +311,19 @@ func (s *Rank) noteCommSpan(start, end sim.Time, step int, name string) {
 }
 
 // nextReady returns the lowest-index ready object, selecting offloadable
-// kernels or MPE-side tasks. In in-order mode, an object is only eligible
-// once every lower-index object of the same class has at least started.
+// kernels or reductions.
 func (s *Rank) nextReady(offloadable bool) *taskgraph.Object {
 	for _, o := range s.graph.Objects {
 		isKernel := o.Task.Kind == taskgraph.KindOffload
-		if isKernel != offloadable {
-			continue
-		}
-		if o.State == taskgraph.StateReady {
+		if isKernel == offloadable && o.State == taskgraph.StateReady {
 			return o
-		}
-		if s.cfg.InOrder && o.State == taskgraph.StateWaiting {
-			// The next-in-order object is not ready yet: wait for it
-			// rather than skipping ahead.
-			return nil
 		}
 	}
 	return nil
 }
 
-// completeObject marks an object done, releases its downstream
-// dependencies, and scrubs any new-warehouse inputs whose last consumer
-// this was.
+// completeObject marks an object done and releases its downstream
+// dependencies.
 func (s *Rank) completeObject(o *taskgraph.Object, completed *int) {
 	o.State = taskgraph.StateCompleted
 	*completed++
@@ -346,24 +333,6 @@ func (s *Rank) completeObject(o *taskgraph.Object, completed *int) {
 		d.PendingDeps--
 		if d.PendingDeps == 0 && d.State == taskgraph.StateWaiting {
 			d.State = taskgraph.StateReady
-		}
-	}
-	if !s.cfg.Scrub {
-		return
-	}
-	for _, d := range o.Task.Requires {
-		if d.DW != taskgraph.NewDW {
-			continue
-		}
-		if o.Patch != nil {
-			s.noteConsumed(d.Label, o.Patch.ID)
-		} else {
-			for _, p := range s.graph.LocalPatches {
-				if !o.Task.AppliesTo(p.ID) {
-					continue
-				}
-				s.noteConsumed(d.Label, p.ID)
-			}
 		}
 	}
 }
@@ -457,45 +426,8 @@ func (s *Rank) unpackRecv(p *sim.Process, step int, r *pendingRecv) {
 	}
 }
 
-// runMPEObject executes a ready MPE-side object: a small MPE task or a
-// reduction.
-func (s *Rank) runMPEObject(p *sim.Process, step int, t float64, obj *taskgraph.Object) error {
-	switch obj.Task.Kind {
-	case taskgraph.KindMPE:
-		return s.runMPETask(p, step, obj)
-	case taskgraph.KindReduction:
-		return s.runReduction(p, step, obj)
-	}
-	return fmt.Errorf("scheduler: object %q is not an MPE task", obj.Task.Name)
-}
-
-func (s *Rank) runMPETask(p *sim.Process, step int, obj *taskgraph.Object) error {
-	task := obj.Task
-	for _, d := range task.Computes {
-		if s.DWs.New.Exists(d.Label, obj.Patch) {
-			continue
-		}
-		if err := s.DWs.New.Allocate(d.Label, obj.Patch, s.maxGhost[d.Label]); err != nil {
-			return err
-		}
-	}
-	cells := obj.Patch.NumCells()
-	s.charge(p, sim.Time(s.params.MPEKernelTime(cells, task.MPECostWeight)),
-		&s.Stats.MPEKernelTime, trace.KindMPEKern, step, task.Name)
-	if s.cfg.Functional && task.MPERun != nil {
-		ins := map[*taskgraph.Label]*field.Cell{}
-		outs := map[*taskgraph.Label]*field.Cell{}
-		for _, d := range task.Requires {
-			ins[d.Label] = s.DWs.Select(d.DW).Get(d.Label, obj.Patch)
-		}
-		for _, d := range task.Computes {
-			outs[d.Label] = s.DWs.New.Get(d.Label, obj.Patch)
-		}
-		task.MPERun(obj.Patch, ins, outs)
-	}
-	return nil
-}
-
+// runReduction executes a ready reduction: it folds the rank's patches
+// into a partial and combines it across ranks.
 func (s *Rank) runReduction(p *sim.Process, step int, obj *taskgraph.Object) error {
 	task := obj.Task
 	d := task.Requires[0]

@@ -342,9 +342,8 @@ func (e *Engine) After(delay Time, fn func()) {
 }
 
 // CallAfter registers c to run at now+delay: no handle, no closure. This is
-// the engine's cheapest scheduling primitive and the one every built-in
-// synchronisation object (Process sleeps, Signal fires, Mailbox sends,
-// Resource releases, Counter thresholds) runs on.
+// the engine's cheapest scheduling primitive: Process starts and sleeps
+// and mpisim's message and collective fires run on it.
 func (e *Engine) CallAfter(delay Time, c Caller) {
 	if delay < 0 {
 		delay = 0

@@ -147,8 +147,8 @@ func (cg *CoreGroup) Free(bytes int64) {
 	cg.Probes.Mem(cg.eng.Now(), cg.allocBytes)
 }
 
-// PeakBytes returns the high-water field-memory footprint, for comparing
-// scrubbing policies.
+// PeakBytes returns the high-water field-memory footprint (a run's
+// PeakMemoryBytes).
 func (cg *CoreGroup) PeakBytes() int64 { return cg.peakBytes }
 
 // Engine returns the simulation engine the core group runs on.

@@ -109,10 +109,6 @@ type Graph struct {
 
 	// LocalPatches are the patches assigned to this rank, in ID order.
 	LocalPatches []*grid.Patch
-
-	// Persistent marks labels that survive the warehouse swap (required
-	// from the old warehouse by some task); they must never be scrubbed.
-	Persistent map[*Label]bool
 }
 
 // NumTags returns the size of the step-invariant tag space, used by the
@@ -135,15 +131,11 @@ func Compile(level *grid.Level, tasks []*Task, assign []int, rank int) (*Graph, 
 			return nil, err
 		}
 	}
-	g := &Graph{Level: level, Tasks: tasks, Assign: assign, Rank: rank,
-		Persistent: map[*Label]bool{}}
+	g := &Graph{Level: level, Tasks: tasks, Assign: assign, Rank: rank}
 	// Canonical label table: first appearance across task declarations.
 	for _, t := range tasks {
 		for _, deps := range [][]Dep{t.Requires, t.Computes} {
 			for _, d := range deps {
-				if d.DW == OldDW {
-					g.Persistent[d.Label] = true
-				}
 				if g.labelIdx(d.Label) < 0 {
 					g.Labels = append(g.Labels, d.Label)
 				}
@@ -166,7 +158,7 @@ func Compile(level *grid.Level, tasks []*Task, assign []int, rank int) (*Graph, 
 	producer := make([]int, len(g.Labels))
 	for ti, t := range tasks {
 		switch t.Kind {
-		case KindOffload, KindMPE:
+		case KindOffload:
 			for i, p := range g.LocalPatches {
 				if !t.AppliesTo(p.ID) {
 					continue

@@ -51,7 +51,6 @@ func TestValidateRejectsBadTasks(t *testing.T) {
 		{Name: "in-place", Kind: KindOffload, Kernel: &Kernel{},
 			Requires: []Dep{{Label: u, DW: NewDW}},
 			Computes: []Dep{{Label: u, DW: NewDW}}},
-		{Name: "empty-mpe", Kind: KindMPE},
 		{Name: "bad-reduce", Kind: KindReduction, Reduce: &ReduceSpec{},
 			Requires: []Dep{{Label: u, DW: NewDW}, {Label: u, DW: OldDW}}},
 		{Name: "ghost-reduce", Kind: KindReduction, Reduce: &ReduceSpec{},

@@ -31,15 +31,7 @@ func referenceCompile(level *grid.Level, tasks []*Task, assign []int, rank int) 
 			return nil, err
 		}
 	}
-	g := &Graph{Level: level, Tasks: tasks, Assign: assign, Rank: rank,
-		Persistent: map[*Label]bool{}}
-	for _, t := range tasks {
-		for _, d := range t.Requires {
-			if d.DW == OldDW {
-				g.Persistent[d.Label] = true
-			}
-		}
-	}
+	g := &Graph{Level: level, Tasks: tasks, Assign: assign, Rank: rank}
 
 	labelIdx := map[*Label]int{}
 	addLabel := func(l *Label) {
@@ -69,7 +61,7 @@ func referenceCompile(level *grid.Level, tasks []*Task, assign []int, rank int) 
 
 	for _, t := range tasks {
 		switch t.Kind {
-		case KindOffload, KindMPE:
+		case KindOffload:
 			for _, p := range g.LocalPatches {
 				if !t.AppliesTo(p.ID) {
 					continue
@@ -253,9 +245,6 @@ func graphDiff(got, want *Graph) string {
 	}
 	if !reflect.DeepEqual(got.LocalPatches, want.LocalPatches) {
 		return "LocalPatches differ"
-	}
-	if !reflect.DeepEqual(got.Persistent, want.Persistent) {
-		return "Persistent differs"
 	}
 	if len(got.Objects) != len(want.Objects) {
 		return fmt.Sprintf("%d objects, want %d", len(got.Objects), len(want.Objects))

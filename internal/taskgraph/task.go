@@ -80,12 +80,11 @@ type Dep struct {
 // Kind classifies tasks by where they execute.
 type Kind int
 
-// Task kinds: offloadable numerical kernels run on the CPE cluster, MPE
-// tasks run on the management element, reductions combine a value across
-// ranks.
+// Task kinds: offloadable numerical kernels run on the CPE cluster (or on
+// the MPE in host mode); reductions run on the management element and
+// combine a value across ranks.
 const (
 	KindOffload Kind = iota
-	KindMPE
 	KindReduction
 )
 
@@ -143,10 +142,6 @@ type Kernel struct {
 	Compute func(tc *TileContext)
 }
 
-// MPEFunc is the body of an MPE task, invoked once per (task, patch) with
-// the patch's fields (nil values in timing-only mode).
-type MPEFunc func(patch *grid.Patch, in, out map[*Label]*field.Cell)
-
 // ReduceSpec describes a reduction task: each rank extracts a local
 // partial from its patches' fields and the result is combined with MPI.
 type ReduceSpec struct {
@@ -158,8 +153,8 @@ type ReduceSpec struct {
 	Result func(step int, v float64)
 }
 
-// Task is a user-level coarse task. Exactly one of Kernel, MPERun, Reduce
-// must be set, matching Kind.
+// Task is a user-level coarse task. Exactly one of Kernel and Reduce must
+// be set, matching Kind.
 type Task struct {
 	Name     string
 	Kind     Kind
@@ -167,11 +162,7 @@ type Task struct {
 	Computes []Dep
 
 	Kernel *Kernel
-	MPERun MPEFunc
-	// MPECostWeight scales the MPE-kernel cost model for KindMPE tasks
-	// (cells × MPE per-cell time × weight). Zero means negligible cost.
-	MPECostWeight float64
-	Reduce        *ReduceSpec
+	Reduce *ReduceSpec
 
 	// Patches restricts the task to the patches for which the predicate
 	// returns true; nil means every patch (the common case). The
@@ -210,10 +201,6 @@ func (t *Task) Validate() error {
 		}
 		if len(t.Computes) == 0 {
 			return fmt.Errorf("taskgraph: offload task %q computes nothing", t.Name)
-		}
-	case KindMPE:
-		if t.MPERun == nil && t.MPECostWeight == 0 {
-			return fmt.Errorf("taskgraph: MPE task %q has no body and no cost", t.Name)
 		}
 	case KindReduction:
 		if t.Reduce == nil {

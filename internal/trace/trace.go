@@ -143,18 +143,18 @@ func SortEvents(events []Event) {
 // WriteTimeline renders a compact per-rank textual timeline, most useful
 // for small runs.
 func (r *Recorder) WriteTimeline(w io.Writer, rank int, maxEvents int) {
-	events := r.snapshot()
 	n := 0
-	for _, e := range events {
+	for _, e := range r.snapshot() {
 		if e.Rank != rank {
 			continue
 		}
-		if maxEvents > 0 && n >= maxEvents {
-			fmt.Fprintf(w, "  ... (%d more events)\n", len(events)-n)
-			return
+		if maxEvents <= 0 || n < maxEvents {
+			fmt.Fprintf(w, "  [%12.6f, %12.6f] step %2d %-8s %s\n",
+				float64(e.Start)*1e3, float64(e.End)*1e3, e.Step, e.Kind, e.Name)
 		}
-		fmt.Fprintf(w, "  [%12.6f, %12.6f] step %2d %-8s %s\n",
-			float64(e.Start)*1e3, float64(e.End)*1e3, e.Step, e.Kind, e.Name)
 		n++
+	}
+	if maxEvents > 0 && n > maxEvents {
+		fmt.Fprintf(w, "  ... (%d more events)\n", n-maxEvents)
 	}
 }

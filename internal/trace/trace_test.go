@@ -35,8 +35,23 @@ func TestWriteTimelineFiltersAndLimits(t *testing.T) {
 	if strings.Contains(out, "other") {
 		t.Fatal("timeline leaked another rank's events")
 	}
-	if !strings.Contains(out, "more events") {
-		t.Fatal("timeline missing truncation marker")
+	// Rank 0 has 5 events, 3 shown; rank 1's event is not left over.
+	if !strings.HasSuffix(out, "  ... (2 more events)\n") {
+		t.Fatalf("timeline does not end with rank 0's 2 remaining events: %q", out)
+	}
+}
+
+func TestWriteTimelineUnlimited(t *testing.T) {
+	r := New()
+	for i := 0; i < 4; i++ {
+		r.Add(Event{Rank: 1, Step: i, Kind: KindKernel, Name: "k", Start: 0, End: 1})
+	}
+	r.Add(Event{Rank: 0, Kind: KindComm, Name: "other", Start: 0, End: 1})
+	var sb strings.Builder
+	r.WriteTimeline(&sb, 1, 0)
+	out := sb.String()
+	if strings.Count(out, "\n") != 4 || strings.Contains(out, "more events") || strings.Contains(out, "other") {
+		t.Fatalf("maxEvents 0 should list all 4 of rank 1's events and nothing else: %q", out)
 	}
 }
 
