@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test examples race cover clean
+.PHONY: check vet build test examples race cover bench-module clean
 
-check: vet build test examples race cover
+check: vet build test examples race cover bench-module
 
 vet:
 	$(GO) vet ./...
@@ -61,6 +61,14 @@ cover:
 	@$(GO) tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $$3); \
 		if ($$3+0 < 80) { printf "coverage %.1f%% is below the 80%% floor\n", $$3; exit 1 } \
 		else { printf "observability coverage %.1f%% (floor 80%%)\n", $$3 } }'
+
+# The benchmark module's own gate. bench/ is a separate module (it pins
+# go 1.22 and replaces sunuintah with ../), so the root's vet and test never
+# enter it, and the root api_test.go only catches build breaks. This runs its
+# vet and unit tests, so a change that breaks the benchmark's logic fails
+# here, before any benchmark run.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 clean:
 	rm -rf .suncache .sunjobs cover.out

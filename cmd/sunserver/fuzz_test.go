@@ -16,8 +16,10 @@ import (
 // FuzzRunRequestBody sends arbitrary POST /run bodies to an in-process
 // server on instantExec. The handler must never panic, must answer only
 // 202, 400 or 429, must answer 400 to a body naming a removed spec field
-// (the Time-Warp engine's "optimistic", the engine's "shards"), and every
-// 202 must name a job GET /jobs/{id} can read. The seed corpus lives in
+// (the Time-Warp engine's "optimistic", the engine's "shards", a fault
+// plan's fixed magnitudes and recovery policy) or carrying a fault plan
+// that fails faults.Plan.Validate, and every 202 must name a job
+// GET /jobs/{id} can read. The seed corpus lives in
 // testdata/fuzz/FuzzRunRequestBody.
 func FuzzRunRequestBody(f *testing.F) {
 	pool, err := runner.New(runner.Config{Workers: 2, Exec: instantExec, Cache: runner.NewMemoryCache(0)})
@@ -40,9 +42,13 @@ func FuzzRunRequestBody(f *testing.F) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", bytes.NewReader(body)))
 		var fields map[string]json.RawMessage
-		if json.Unmarshal(body, &fields) == nil && (fields["shards"] != nil || fields["optimistic"] != nil) &&
-			rec.Code != http.StatusBadRequest {
+		if json.Unmarshal(body, &fields) == nil && (fields["shards"] != nil || fields["optimistic"] != nil ||
+			removedFaultKey(fields["faults"])) && rec.Code != http.StatusBadRequest {
 			t.Fatalf("POST /run %q = %d, want 400 for a removed field", body, rec.Code)
+		}
+		var spec runner.Spec
+		if json.Unmarshal(body, &spec) == nil && spec.Faults.Validate() != nil && rec.Code != http.StatusBadRequest {
+			t.Fatalf("POST /run %q = %d, want 400 for an invalid fault plan", body, rec.Code)
 		}
 		switch rec.Code {
 		case http.StatusBadRequest, http.StatusTooManyRequests:
@@ -65,4 +71,20 @@ func FuzzRunRequestBody(f *testing.F) {
 			t.Fatalf("GET /jobs/%s body %q: id %q, %v", accepted.ID, rec.Body, job.ID, err)
 		}
 	})
+}
+
+// removedFaultKey reports whether a fault plan object names one of the
+// magnitudes or recovery settings that are now constants of package faults.
+func removedFaultKey(plan json.RawMessage) bool {
+	var keys map[string]json.RawMessage
+	if json.Unmarshal(plan, &keys) != nil {
+		return false
+	}
+	for _, k := range []string{"delayFactor", "degradeFactor", "straggleFactor", "maxRestarts",
+		"checkpointEvery", "checkpointCost", "restartCost", "deadlineFactor", "maxRetries", "unhealthyAfter"} {
+		if keys[k] != nil {
+			return true
+		}
+	}
+	return false
 }

@@ -380,13 +380,20 @@ func TestRestartRecovery(t *testing.T) {
 // live store and cache must not lose jobs. The files under
 // testdata/before-engine-removal were written by a sunserver whose
 // runner.Spec still had the Time-Warp field, those under
-// testdata/before-shards-removal by one that still had shards (see the
-// READMEs there). Replay and disk-cache reads ignore the unknown keys
-// (plain json.Unmarshal, unlike POST /run) and the content hash never
-// covered either engine knob, so the finished job is relisted with its
-// cached result and the unfinished one is resubmitted.
+// testdata/before-shards-removal by one that still had shards, and those
+// under testdata/before-fault-policy-removal by one whose fault plans
+// still carried recovery keys (see the READMEs there). Replay and
+// disk-cache reads ignore the unknown keys (plain json.Unmarshal, unlike
+// POST /run). The content hash never covered either engine knob, and a
+// fault plan's canonical form still prints the fixed policy where its keys
+// were, so the finished job is relisted with its cached result and the
+// unfinished one is resubmitted.
 func TestRecoversStoreWrittenWithRemovedSpecField(t *testing.T) {
-	for _, dir := range []string{"before-engine-removal", "before-shards-removal"} {
+	for dir, removed := range map[string]string{
+		"before-engine-removal":       `"shards"`,
+		"before-shards-removal":       `"shards"`,
+		"before-fault-policy-removal": `"checkpointEvery"`,
+	} {
 		t.Run(dir, func(t *testing.T) {
 			storeDir, cacheDir := t.TempDir(), t.TempDir()
 			// Copies: the store compacts and the resubmitted job writes the cache.
@@ -401,7 +408,7 @@ func TestRecoversStoreWrittenWithRemovedSpecField(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if name == "store" && !strings.Contains(string(data), `"shards"`) {
+					if name == "store" && !strings.Contains(string(data), removed) {
 						t.Fatalf("%s no longer carries a removed field", f.Name())
 					}
 					if err := os.WriteFile(filepath.Join(dst, f.Name()), data, 0o644); err != nil {

@@ -195,7 +195,7 @@ func TestDefaultFaultPlanApplied(t *testing.T) {
 		t.Fatal(err)
 	}
 	sweep := experiments.NewSweepWithPool(experiments.Options{Steps: 2}, pool)
-	plan := &faults.Plan{Seed: 1, CrashAtStep: 3, CheckpointEvery: 2}
+	plan := &faults.Plan{Seed: 1, CrashAtStep: 3}
 	ts := httptest.NewServer(newServer(context.Background(), pool, sweep, serverConfig{steps: 2, faults: plan}).handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -242,6 +242,35 @@ func TestDefaultFaultPlanApplied(t *testing.T) {
 	}
 }
 
+// TestRunRejectsInvalidFaultPlan: a fault plan that arrives as JSON meets
+// the rule faults.Parse applies to the CLIs' plans. A negative crash rank
+// would force the slow path without ever crashing; a negative rate is no
+// probability.
+func TestRunRejectsInvalidFaultPlan(t *testing.T) {
+	ts, _ := newTestServer(t)
+	for key, plan := range map[string]string{
+		"crash-rank": `{"crashAtStep":1,"crashRank":-1}`,
+		"drop":       `{"drop":-0.5}`,
+	} {
+		body := `{"cells":"8x8x8","cgs":1,"variant":"acc.async","steps":1,"faults":` + plan + `}`
+		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(got.Error, key) {
+			t.Errorf("POST %s: status %d, error %q; want 400 naming %s", body, resp.StatusCode, got.Error, key)
+		}
+	}
+}
+
 func TestRunRejectsBadSpecs(t *testing.T) {
 	ts, _ := newTestServer(t)
 	for _, body := range []string{
@@ -272,12 +301,12 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 }
 
 // TestRunRejectsRemovedSpecField: a client still sending the spec field of
-// the deleted Time-Warp engine or the removed shards knob gets a 400
-// carrying the strict decoder's complaint, which names the field — not a
-// silently ignored knob.
+// the deleted Time-Warp engine, the removed shards knob or a fault plan's
+// removed recovery key gets a 400 carrying the strict decoder's complaint,
+// which names the field — not a silently ignored knob.
 func TestRunRejectsRemovedSpecField(t *testing.T) {
 	ts, _ := newTestServer(t)
-	for _, dir := range []string{"before-engine-removal", "before-shards-removal"} {
+	for _, dir := range []string{"before-engine-removal", "before-shards-removal", "before-fault-policy-removal"} {
 		request, err := os.ReadFile(filepath.Join("testdata", dir, "run_request.json"))
 		if err != nil {
 			t.Fatal(err)

@@ -98,12 +98,6 @@ func (c *completion) Call() {
 	}
 }
 
-// NewGroup initialises the athread environment across all of a core
-// group's CPEs.
-func NewGroup(cg *sw26010.CoreGroup) *Group {
-	return NewGroupN(cg, cg.Params.NumCPEs)
-}
-
 // NewGroupN initialises an athread environment over a subset of n CPEs,
 // supporting the paper's future-work CPE grouping (several patches in
 // flight on disjoint CPE groups).

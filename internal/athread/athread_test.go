@@ -16,7 +16,7 @@ func newGroup(t *testing.T) (*sim.Engine, *Group, *sw26010.CoreGroup) {
 	t.Helper()
 	eng := sim.NewEngine()
 	cg := sw26010.NewMachine(eng, perf.DefaultParams(), 1).CG(0)
-	return eng, NewGroup(cg), cg
+	return eng, NewGroupN(cg, cg.Params.NumCPEs), cg
 }
 
 var testSpec = KernelSpec{
@@ -441,7 +441,7 @@ func TestOneCompletionEventPerDistinctFinishTime(t *testing.T) {
 			p := perf.DefaultParams()
 			p.NoiseFraction = tc.noise
 			cg := sw26010.NewMachine(eng, p, 1).CG(0)
-			g := NewGroup(cg)
+			g := NewGroupN(cg, cg.Params.NumCPEs)
 			flag := sim.NewCounter(eng, "flag")
 			done := g.Launch(testSpec, 64, flag, tc.body).Done
 			if got := eventsOf(eng); got != tc.events {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"sunuintah/internal/field"
@@ -10,18 +11,19 @@ import (
 )
 
 // TestParallelTileExecutionDeterministic proves the host worker pool that
-// runs tile numerics in parallel changes no bits: for every Workers
-// value, the gathered global field is float-for-float identical (compared
-// by IEEE bit pattern), and identical to the fully serial configuration.
+// runs tile numerics in parallel changes no bits: the scheduler sizes it
+// to GOMAXPROCS, and for every value the gathered global field is
+// float-for-float identical (compared by IEEE bit pattern) to the fully
+// serial run at GOMAXPROCS 1.
 func TestParallelTileExecutionDeterministic(t *testing.T) {
 	cells := grid.IV(32, 32, 16)
 	patches := grid.IV(2, 2, 2)
 	const nSteps = 3
 
 	run := func(workers int) *field.Cell {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 		prob, u := burgersProblem(cells, patches, false)
 		cfg := functionalCfg(cells, patches, 2, scheduler.ModeAsync, false)
-		cfg.Scheduler.Workers = workers
 		got, _ := runAndGather(t, cfg, prob, u, nSteps)
 		return got
 	}
@@ -52,14 +54,13 @@ func TestParallelTileExecutionDefaultWorkers(t *testing.T) {
 	prob, u := burgersProblem(cells, patches, false)
 	const nSteps = 2
 
-	serial := functionalCfg(cells, patches, 1, scheduler.ModeSync, false)
-	serial.Scheduler.Workers = 1
-	want, _ := runAndGather(t, serial, prob, u, nSteps)
+	cfg := functionalCfg(cells, patches, 1, scheduler.ModeSync, false)
+	procs := runtime.GOMAXPROCS(1)
+	want, _ := runAndGather(t, cfg, prob, u, nSteps)
+	runtime.GOMAXPROCS(procs)
 
 	prob2, u2 := burgersProblem(cells, patches, false)
-	pooled := functionalCfg(cells, patches, 1, scheduler.ModeSync, false)
-	pooled.Scheduler.Workers = 0 // default: GOMAXPROCS
-	got, _ := runAndGather(t, pooled, prob2, u2, nSteps)
+	got, _ := runAndGather(t, cfg, prob2, u2, nSteps)
 
 	wd, gd := want.Data(), got.Data()
 	for i := range wd {

@@ -146,11 +146,11 @@ const incarnationStride = 0x9e3779b9
 
 // RunResilient executes nSteps of the problem under the configuration's
 // fault plan with checkpoint/restart: progress is checkpointed every
-// Plan.CheckpointEvery steps, an injected CG crash tears the simulation
+// faults.CheckpointEvery steps, an injected CG crash tears the simulation
 // down (CrashError), and the run rebuilds from the last checkpoint — in
 // functional mode through the DataWarehouse checkpoint archive, in
 // timing-only mode by fast-forwarding the progress markers — until the run
-// completes or Plan.MaxRestarts is exhausted. The returned Result covers
+// completes or faults.MaxRestarts is exhausted. The returned Result covers
 // the whole run; WallTime includes checkpoint, restart, and lost-work
 // overhead, and Result.Faults.Recovery tells the recovery story.
 //
@@ -174,14 +174,13 @@ func runResilient(cfg Config, prob Problem, nSteps int) (*Result, *Simulation, e
 	if nSteps <= 0 {
 		return nil, nil, fmt.Errorf("core: nSteps must be positive")
 	}
-	plan := cfg.Faults.Normalized()
 
 	// build constructs incarnation inc resumed at the given progress (ckpt
 	// is the in-memory checkpoint; nil before the first one).
 	build := func(inc, stepsDone int, timeDone float64, ckpt *MemCheckpoint) (*Simulation, error) {
 		c := cfg
-		fp := plan
-		fp.Seed = plan.Seed + uint64(inc)*incarnationStride
+		fp := *cfg.Faults
+		fp.Seed += uint64(inc) * incarnationStride
 		c.Faults = &fp
 		s, err := NewSimulation(c, prob)
 		if err != nil {
@@ -221,7 +220,7 @@ func runResilient(cfg Config, prob Problem, nSteps int) (*Result, *Simulation, e
 	}
 
 	for stepsDone < nSteps {
-		seg := plan.CheckpointEvery
+		seg := faults.CheckpointEvery
 		if remaining := nSteps - stepsDone; seg > remaining {
 			seg = remaining
 		}
@@ -232,14 +231,14 @@ func runResilient(cfg Config, prob Problem, nSteps int) (*Result, *Simulation, e
 			rec.LostWork += ce.Elapsed
 			wall += ce.Elapsed
 			merged.add(s.faultReport()) // the dead incarnation's tally
-			if restarts >= plan.MaxRestarts {
+			if restarts >= faults.MaxRestarts {
 				rec.Recovered = false
 				break
 			}
 			restarts++
 			rec.Restarts++
-			rec.RestartOverhead += sim.Time(plan.RestartCost)
-			wall += sim.Time(plan.RestartCost)
+			rec.RestartOverhead += faults.RestartCost
+			wall += faults.RestartCost
 			inc++
 			s, err = build(inc, stepsDone, timeDone, ckpt)
 			if err != nil {
@@ -274,8 +273,8 @@ func runResilient(cfg Config, prob Problem, nSteps int) (*Result, *Simulation, e
 				ckpt = c
 			}
 			rec.Checkpoints++
-			rec.CheckpointOverhead += sim.Time(plan.CheckpointCost)
-			wall += sim.Time(plan.CheckpointCost)
+			rec.CheckpointOverhead += faults.CheckpointCost
+			wall += faults.CheckpointCost
 		}
 	}
 

@@ -10,7 +10,10 @@ import (
 	"sunuintah/internal/faults"
 	"sunuintah/internal/field"
 	"sunuintah/internal/grid"
+	"sunuintah/internal/obs"
 	"sunuintah/internal/scheduler"
+	"sunuintah/internal/sim"
+	"sunuintah/internal/trace"
 )
 
 // A forced mid-run CG crash must recover through checkpoint/restart and
@@ -22,7 +25,7 @@ func TestResilientCrashRestartMatchesHealthyRun(t *testing.T) {
 	cfg := functionalCfg(cells, patches, 2, scheduler.ModeAsync, false)
 	ref, _ := runAndGather(t, cfg, prob, u, nSteps)
 
-	cfg.Faults = &faults.Plan{Seed: 1, CrashAtStep: 4, CrashRank: 1, CheckpointEvery: 2}
+	cfg.Faults = &faults.Plan{Seed: 1, CrashAtStep: 4, CrashRank: 1}
 	res, s, err := runResilient(cfg, prob, nSteps)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +56,7 @@ func TestResilientCrashTimingOnly(t *testing.T) {
 	prob, _ := burgersProblem(cells, patches, false)
 	cfg := Config{Cells: cells, PatchCounts: patches, NumCGs: 2,
 		Scheduler: scheduler.Config{Mode: scheduler.ModeAsync, TileSize: grid.IV(8, 8, 8)},
-		Faults:    &faults.Plan{Seed: 3, CrashAtStep: 3, CheckpointEvery: 2},
+		Faults:    &faults.Plan{Seed: 3, CrashAtStep: 3},
 	}
 	res, err := RunResilient(cfg, prob, nSteps)
 	if err != nil {
@@ -123,7 +126,7 @@ func TestMPEFallbackNumericsMatchHealthyRun(t *testing.T) {
 		cfg := functionalCfg(cells, patches, 2, mode, false)
 		ref, _ := runAndGather(t, cfg, prob, u, nSteps)
 
-		cfg.Faults = &faults.Plan{Seed: 1, Stall: 1, MaxRetries: 1, UnhealthyAfter: 1}
+		cfg.Faults = &faults.Plan{Seed: 1, Stall: 1}
 		s, err := NewSimulation(cfg, prob)
 		if err != nil {
 			t.Fatal(err)
@@ -142,6 +145,43 @@ func TestMPEFallbackNumericsMatchHealthyRun(t *testing.T) {
 		}
 		if d := field.MaxAbsDiff(got, ref, s.Level.Layout.Domain); d != 0 {
 			t.Fatalf("%v: MPE-fallback run differs from healthy run by %g", mode, d)
+		}
+	}
+}
+
+// TestSyncWaitTracedAsSpins: the synchronous mode has one wait, with or
+// without faults. Each offload blocks the MPE once, that wait is one "spin"
+// span, and KernelWaitTime is the spans' summed length. Under stall=1 every
+// offload runs into its deadline, so every wait is a timeout.
+func TestSyncWaitTracedAsSpins(t *testing.T) {
+	cells, patches := grid.IV(32, 32, 64), grid.IV(2, 2, 2)
+	prob, _ := burgersProblem(cells, patches, false)
+	for _, plan := range []*faults.Plan{nil, {Seed: 1, Stall: 1}} {
+		cfg := Config{Cells: cells, PatchCounts: patches, NumCGs: 4,
+			Scheduler: scheduler.Config{Mode: scheduler.ModeSync, TileSize: grid.IV(8, 8, 8)},
+			Faults:    plan, Obs: &obs.Options{Trace: true}}
+		res, err := RunResilient(cfg, prob, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spins := make([]int64, cfg.NumCGs)
+		waited := make([]sim.Time, cfg.NumCGs)
+		for _, e := range res.Trace {
+			if e.Kind == trace.KindKernel && strings.HasPrefix(e.Name, "spin ") {
+				spins[e.Rank]++
+				waited[e.Rank] += e.End - e.Start
+			}
+		}
+		for r, st := range res.RankStats {
+			if st.Offloads == 0 || spins[r] != st.Offloads {
+				t.Errorf("plan %+v rank %d: %d spin spans for %d offloads", plan, r, spins[r], st.Offloads)
+			}
+			if waited[r] <= 0 || waited[r] != st.KernelWaitTime {
+				t.Errorf("plan %+v rank %d: spins last %v, KernelWaitTime %v", plan, r, waited[r], st.KernelWaitTime)
+			}
+			if plan != nil && (st.Faults == nil || st.Faults.OffloadTimeouts != st.Offloads) {
+				t.Errorf("rank %d: stall=1 should time out all %d offloads: %+v", r, st.Offloads, st.Faults)
+			}
 		}
 	}
 }
@@ -220,17 +260,17 @@ func TestResilientGivesUpAfterMaxRestarts(t *testing.T) {
 	prob, _ := burgersProblem(cells, patches, false)
 	cfg := Config{Cells: cells, PatchCounts: patches, NumCGs: 2,
 		Scheduler: scheduler.Config{Mode: scheduler.ModeAsync, TileSize: grid.IV(8, 8, 8)},
-		// Crash every incarnation (rate 1 redraws a crash point each
-		// restart) and allow no restarts.
-		Faults: &faults.Plan{Seed: 5, Crash: 1, MaxRestarts: 1, CheckpointEvery: 2},
+		// Rate 1 redraws a crash point each restart. Seed 2's land past
+		// the checkpoint every time, so the run crashes MaxRestarts+1 times.
+		Faults: &faults.Plan{Seed: 2, Crash: 1},
 	}
 	res, err := RunResilient(cfg, prob, nSteps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := res.Faults.Recovery
-	if rec == nil || rec.Recovered {
-		t.Fatalf("run with certain repeated crashes should be lost: %+v", rec)
+	if rec == nil || rec.Recovered || rec.Restarts != faults.MaxRestarts {
+		t.Fatalf("run with certain repeated crashes should be lost after %d restarts: %+v", faults.MaxRestarts, rec)
 	}
 	if res.Steps >= nSteps {
 		t.Fatalf("lost run reports full completion: %d steps", res.Steps)
@@ -261,7 +301,7 @@ func TestResilientRunLeaksNoGoroutines(t *testing.T) {
 	prob, _ := burgersProblem(cells, patches, false)
 	cfg := Config{Cells: cells, PatchCounts: patches, NumCGs: 8,
 		Scheduler: scheduler.Config{Mode: scheduler.ModeAsync, TileSize: grid.IV(8, 8, 8)},
-		Faults:    &faults.Plan{Seed: 3, CrashAtStep: 3, CheckpointEvery: 2},
+		Faults:    &faults.Plan{Seed: 3, CrashAtStep: 3},
 	}
 	base := runtime.NumGoroutine()
 	res, err := RunResilient(cfg, prob, 5)

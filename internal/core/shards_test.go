@@ -142,12 +142,12 @@ func TestShardedCrashPlanForcesSerial(t *testing.T) {
 		PatchCounts: patches,
 		NumCGs:      4,
 		Scheduler:   scheduler.Config{Mode: scheduler.ModeAsync, TileSize: grid.IV(8, 8, 4), Functional: true},
-		Faults:      &faults.Plan{Seed: 3, CrashAtStep: 2, CheckpointEvery: 2},
+		Faults:      &faults.Plan{Seed: 3, CrashAtStep: 2},
 	}
 
 	// Both ways a plan can crash a core group: a pinned step and a per-run
 	// probability.
-	for _, plan := range []*faults.Plan{cfg.Faults, {Seed: 3, Crash: 0.5, CheckpointEvery: 2}} {
+	for _, plan := range []*faults.Plan{cfg.Faults, {Seed: 3, Crash: 0.5}} {
 		c := cfg
 		c.Shards = 4
 		c.Faults = plan
@@ -189,7 +189,7 @@ func TestShardsReportUnderCrashPlan(t *testing.T) {
 		PatchCounts: patches,
 		NumCGs:      4,
 		Scheduler:   scheduler.Config{Mode: scheduler.ModeAsync, TileSize: grid.IV(8, 8, 4), Functional: true},
-		Faults:      &faults.Plan{Seed: 3, CrashAtStep: 2, CheckpointEvery: 2},
+		Faults:      &faults.Plan{Seed: 3, CrashAtStep: 2},
 		Obs:         &obs.Options{Trace: true},
 	}
 

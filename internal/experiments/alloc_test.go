@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 
 	"sunuintah/internal/core"
@@ -100,8 +101,11 @@ func TestFunctionalStepAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2} {
-		cfg.Scheduler.Workers = workers
+		// The scheduler sizes its tile pool to GOMAXPROCS, read once when
+		// the simulation is built.
+		procs := runtime.GOMAXPROCS(workers)
 		s, err := core.NewSimulation(cfg, prob)
+		runtime.GOMAXPROCS(procs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"sunuintah/internal/core"
@@ -66,7 +67,8 @@ func TestFunctionalBitIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg.Scheduler.Workers = workers
+				// The scheduler sizes its tile pool to GOMAXPROCS.
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 				s, err := core.NewSimulation(cfg, prob)
 				if err != nil {
 					t.Fatal(err)

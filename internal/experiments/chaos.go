@@ -136,7 +136,7 @@ func FormatChaos(rows []ChaosRow, steps int) string {
 	fmt.Fprintf(&b, "Chaos matrix: %s cells (%s patches) @ %d CGs, acc.async, %d steps, %d seeds/scale\n",
 		chaosCells, chaosLayout, chaosCGs, steps, chaosSeeds)
 	fmt.Fprintf(&b, "fault plan: default rates x scale (crash %.2f/run at x1), checkpoint every %d steps\n\n",
-		faults.Default().Crash, faults.Default().Normalized().CheckpointEvery)
+		faults.Default().Crash, faults.CheckpointEvery)
 	fmt.Fprintf(&b, "%5s %5s %9s %7s %8s %10s %9s %6s %7s %7s %7s %7s\n",
 		"scale", "runs", "recovered", "crashes", "restarts", "wall(ms)", "overhead",
 		"drops", "resends", "stalls", "re-off", "mpe-fb")

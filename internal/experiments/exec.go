@@ -122,6 +122,9 @@ func parseSpec(spec runner.Spec) (specShape, error) {
 	if spec.Steps <= 0 {
 		return sh, fmt.Errorf("experiments: spec needs positive steps, got %d", spec.Steps)
 	}
+	if err := spec.Faults.Validate(); err != nil {
+		return sh, err
+	}
 	sh.physics, err = physics.Parse(spec.Physics)
 	return sh, err
 }

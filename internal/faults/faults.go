@@ -25,10 +25,11 @@ import (
 	"sunuintah/internal/rng"
 )
 
-// Plan declares what to inject. The zero value injects nothing; rates are
+// Plan declares what to inject: a seed, one probability per failure mode
+// and an optional forced crash. The zero value injects nothing; rates are
 // probabilities in [0,1] drawn per event (per message transmission, per
-// offload, per run for crashes). Factors and costs that are zero take the
-// documented defaults when the plan is used.
+// offload, per run for crashes). How hard a fault strikes and how the
+// runtime recovers are fixed (the constants below), not part of a plan.
 type Plan struct {
 	// Seed selects the fault streams. Identical seed + plan => identical
 	// fault history.
@@ -39,16 +40,10 @@ type Plan struct {
 	Dup     float64 `json:"dup,omitempty"`     // message delivered twice
 	Delay   float64 `json:"delay,omitempty"`   // wire time multiplied by DelayFactor
 	Degrade float64 `json:"degrade,omitempty"` // wire time multiplied by DegradeFactor
-	// DelayFactor and DegradeFactor scale the wire time of delayed and
-	// degraded transmissions. Defaults 4 and 3.
-	DelayFactor   float64 `json:"delayFactor,omitempty"`
-	DegradeFactor float64 `json:"degradeFactor,omitempty"`
 
 	// CPE-side faults, drawn per offload.
 	Stall    float64 `json:"stall,omitempty"`    // gang hangs; completion flag never fills
 	Straggle float64 `json:"straggle,omitempty"` // gang finishes StraggleFactor slower
-	// StraggleFactor multiplies a straggling gang's compute time. Default 3.
-	StraggleFactor float64 `json:"straggleFactor,omitempty"`
 
 	// Crash is the probability that a whole core group fails during a
 	// resilient run (core.RunResilient); the failing rank, step and
@@ -58,18 +53,35 @@ type Plan struct {
 	Crash       float64 `json:"crash,omitempty"`
 	CrashAtStep int     `json:"crashAtStep,omitempty"`
 	CrashRank   int     `json:"crashRank,omitempty"`
-
-	// Recovery policy.
-	MaxRestarts     int     `json:"maxRestarts,omitempty"`     // restarts before a run is lost (default 4)
-	CheckpointEvery int     `json:"checkpointEvery,omitempty"` // steps between checkpoints (default 2)
-	CheckpointCost  float64 `json:"checkpointCost,omitempty"`  // virtual seconds per checkpoint (default 2ms)
-	RestartCost     float64 `json:"restartCost,omitempty"`     // virtual seconds per restart (default 20ms)
-
-	// Scheduler resilience tuning.
-	DeadlineFactor int `json:"deadlineFactor,omitempty"` // offload deadline as a multiple of the healthy estimate (default 4)
-	MaxRetries     int `json:"maxRetries,omitempty"`     // re-offload attempts before MPE fallback (default 2)
-	UnhealthyAfter int `json:"unhealthyAfter,omitempty"` // consecutive failures that mark a gang unhealthy (default 3)
 }
+
+// The fault magnitudes and the recovery policy. Every plan shares them;
+// Canonical prints them where a plan once carried them as keys.
+const (
+	// DelayFactor and DegradeFactor multiply the wire time of a delayed and
+	// of a degraded transmission; StraggleFactor a straggling gang's
+	// compute time.
+	DelayFactor    float64 = 4
+	DegradeFactor  float64 = 3
+	StraggleFactor float64 = 3
+
+	// MaxRestarts is how often core.RunResilient restarts a crashed run
+	// before it is lost. It checkpoints every CheckpointEvery steps, and a
+	// checkpoint and a restart add CheckpointCost and RestartCost virtual
+	// seconds to the run's wall clock.
+	MaxRestarts     = 4
+	CheckpointEvery = 2
+	CheckpointCost  = 2e-3
+	RestartCost     = 20e-3
+
+	// An offload's deadline is DeadlineFactor times its healthy estimate.
+	// The scheduler re-offloads a timed-out kernel MaxRetries times before
+	// running it on the MPE, and takes a gang out of rotation after
+	// UnhealthyAfter consecutive timeouts.
+	DeadlineFactor = 4
+	MaxRetries     = 2
+	UnhealthyAfter = 3
+)
 
 // Zero reports whether the plan injects nothing (all rates zero and no
 // forced crash). A nil or zero plan leaves every fault path disabled and
@@ -82,59 +94,42 @@ func (p *Plan) Zero() bool {
 		p.Stall == 0 && p.Straggle == 0 && p.Crash == 0 && p.CrashAtStep == 0
 }
 
-// Normalized returns a copy with every defaultable field filled in, the
-// form Canonical and the Injector consume (so an explicitly-set default
-// hashes identically to an unset one).
-func (p *Plan) Normalized() Plan {
-	n := *p
-	if n.DelayFactor <= 0 {
-		n.DelayFactor = 4
+// Validate reports the first value that is not finite and non-negative:
+// the rule Parse applies to every key and a plan decoded from JSON must
+// meet too. A nil plan is valid.
+func (p *Plan) Validate() error {
+	if p == nil {
+		return nil
 	}
-	if n.DegradeFactor <= 0 {
-		n.DegradeFactor = 3
+	for _, v := range []struct {
+		key string
+		val float64
+	}{
+		{"drop", p.Drop}, {"dup", p.Dup}, {"delay", p.Delay}, {"degrade", p.Degrade},
+		{"stall", p.Stall}, {"straggle", p.Straggle}, {"crash", p.Crash},
+		{"crash-at", float64(p.CrashAtStep)}, {"crash-rank", float64(p.CrashRank)},
+	} {
+		if !(v.val >= 0) || math.IsInf(v.val, 1) {
+			return fmt.Errorf("faults: %s is %g, want a finite non-negative value", v.key, v.val)
+		}
 	}
-	if n.StraggleFactor <= 0 {
-		n.StraggleFactor = 3
-	}
-	if n.MaxRestarts <= 0 {
-		n.MaxRestarts = 4
-	}
-	if n.CheckpointEvery <= 0 {
-		n.CheckpointEvery = 2
-	}
-	if n.CheckpointCost <= 0 {
-		n.CheckpointCost = 2e-3
-	}
-	if n.RestartCost <= 0 {
-		n.RestartCost = 20e-3
-	}
-	if n.DeadlineFactor <= 0 {
-		n.DeadlineFactor = 4
-	}
-	if n.MaxRetries <= 0 {
-		n.MaxRetries = 2
-	}
-	if n.UnhealthyAfter <= 0 {
-		n.UnhealthyAfter = 3
-	}
-	return n
+	return nil
 }
 
-// Canonical renders the normalized plan as a stable key string for content
-// hashing, in Parse's syntax: Parse(p.Canonical()) is p.Normalized(). Field
-// order is fixed; two plans with the same effective behaviour produce the
-// same canonical form.
+// Canonical renders the plan as a stable key string for content hashing.
+// Field order is fixed, and the fixed magnitudes and recovery policy are
+// printed where plans once set them, so the hash of every stored spec
+// stays what it was when they were keys. Parse does not read those keys.
 func (p *Plan) Canonical() string {
-	n := p.Normalized()
 	return fmt.Sprintf("seed=%d,drop=%g,dup=%g,delay=%g,delay-factor=%g,degrade=%g,degrade-factor=%g,stall=%g,straggle=%g,straggle-factor=%g,crash=%g,crash-at=%d,crash-rank=%d,max-restarts=%d,ckpt-every=%d,ckpt-cost=%g,restart-cost=%g,deadline-factor=%d,max-retries=%d,unhealthy-after=%d",
-		n.Seed, n.Drop, n.Dup, n.Delay, n.DelayFactor, n.Degrade, n.DegradeFactor,
-		n.Stall, n.Straggle, n.StraggleFactor, n.Crash, n.CrashAtStep, n.CrashRank,
-		n.MaxRestarts, n.CheckpointEvery, n.CheckpointCost, n.RestartCost,
-		n.DeadlineFactor, n.MaxRetries, n.UnhealthyAfter)
+		p.Seed, p.Drop, p.Dup, p.Delay, DelayFactor, p.Degrade, DegradeFactor,
+		p.Stall, p.Straggle, StraggleFactor, p.Crash, p.CrashAtStep, p.CrashRank,
+		MaxRestarts, CheckpointEvery, CheckpointCost, RestartCost,
+		DeadlineFactor, MaxRetries, UnhealthyAfter)
 }
 
 // Scaled returns a copy with every fault rate multiplied by f (clamped to
-// [0,1]); recovery policy and factors are unchanged. Scaled(0) is a zero
+// [0,1]); the seed and the forced crash are unchanged. Scaled(0) is a zero
 // plan. Used by the chaos artifact's overhead-vs-rate sweep.
 func (p *Plan) Scaled(f float64) *Plan {
 	n := *p
@@ -181,10 +176,8 @@ func Default() *Plan {
 // Tokens are applied left to right: "default" loads Default(), "off"/""
 // yields a nil plan, "scale=F" multiplies the rates accumulated so far, and
 // "key=value" sets one Plan field. Keys: seed, drop, dup, delay, degrade,
-// delay-factor, degrade-factor, stall, straggle, straggle-factor, crash,
-// crash-at, crash-rank, max-restarts, ckpt-every, ckpt-cost, restart-cost,
-// deadline-factor, max-retries, unhealthy-after. Values must be finite and
-// non-negative.
+// stall, straggle, crash, crash-at, crash-rank. Every value must pass
+// Validate.
 func Parse(s string) (*Plan, error) {
 	s = strings.TrimSpace(s)
 	if s == "" || s == "off" {
@@ -193,16 +186,9 @@ func Parse(s string) (*Plan, error) {
 	p := &Plan{}
 	setFloat := map[string]*float64{
 		"drop": &p.Drop, "dup": &p.Dup, "delay": &p.Delay, "degrade": &p.Degrade,
-		"delay-factor": &p.DelayFactor, "degrade-factor": &p.DegradeFactor,
-		"stall": &p.Stall, "straggle": &p.Straggle, "straggle-factor": &p.StraggleFactor,
-		"crash": &p.Crash, "ckpt-cost": &p.CheckpointCost, "restart-cost": &p.RestartCost,
+		"stall": &p.Stall, "straggle": &p.Straggle, "crash": &p.Crash,
 	}
-	setInt := map[string]*int{
-		"crash-at": &p.CrashAtStep, "crash-rank": &p.CrashRank,
-		"max-restarts": &p.MaxRestarts, "ckpt-every": &p.CheckpointEvery,
-		"deadline-factor": &p.DeadlineFactor, "max-retries": &p.MaxRetries,
-		"unhealthy-after": &p.UnhealthyAfter,
-	}
+	setInt := map[string]*int{"crash-at": &p.CrashAtStep, "crash-rank": &p.CrashRank}
 	for _, tok := range strings.Split(s, ",") {
 		tok = strings.TrimSpace(tok)
 		if tok == "" {
@@ -218,37 +204,31 @@ func Parse(s string) (*Plan, error) {
 		}
 		k = strings.TrimSpace(k)
 		v = strings.TrimSpace(v)
-		switch k {
-		case "seed":
-			u, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
+		var err error
+		switch fp, ip := setFloat[k], setInt[k]; {
+		case k == "seed":
+			if p.Seed, err = strconv.ParseUint(v, 10, 64); err != nil {
 				return nil, fmt.Errorf("faults: bad seed %q: %v", v, err)
 			}
-			p.Seed = u
-		case "scale":
+		case k == "scale":
 			f, err := strconv.ParseFloat(v, 64)
 			if err != nil || !(f >= 0) || math.IsInf(f, 1) {
 				return nil, fmt.Errorf("faults: bad scale %q", v)
 			}
 			*p = *p.Scaled(f)
+		case fp != nil:
+			if *fp, err = strconv.ParseFloat(v, 64); err != nil {
+				return nil, fmt.Errorf("faults: bad value %q for %s", v, k)
+			}
+		case ip != nil:
+			if *ip, err = strconv.Atoi(v); err != nil {
+				return nil, fmt.Errorf("faults: bad value %q for %s", v, k)
+			}
 		default:
-			if fp, ok := setFloat[k]; ok {
-				f, err := strconv.ParseFloat(v, 64)
-				if err != nil || !(f >= 0) || math.IsInf(f, 1) {
-					return nil, fmt.Errorf("faults: bad value %q for %s", v, k)
-				}
-				*fp = f
-				continue
-			}
-			if ip, ok := setInt[k]; ok {
-				i, err := strconv.Atoi(v)
-				if err != nil || i < 0 {
-					return nil, fmt.Errorf("faults: bad value %q for %s", v, k)
-				}
-				*ip = i
-				continue
-			}
 			return nil, fmt.Errorf("faults: unknown key %q (known: %s)", k, knownKeys(setFloat, setInt))
+		}
+		if err := p.Validate(); err != nil {
+			return nil, err
 		}
 	}
 	if p.Zero() {
@@ -328,7 +308,7 @@ func NewInjector(p *Plan) *Injector {
 		return nil
 	}
 	inj := &Injector{
-		plan:      p.Normalized(),
+		plan:      *p,
 		msgStates: make(map[int]*rng.Stream),
 		offStates: make(map[int]*rng.Stream),
 	}
@@ -352,7 +332,7 @@ func (i *Injector) state(m map[int]*rng.Stream, stream, rank int) *rng.Stream {
 	return st
 }
 
-// Plan returns the injector's normalized plan.
+// Plan returns the injector's plan.
 func (i *Injector) Plan() Plan { return i.plan }
 
 // MsgFate draws the fate of one message transmission sent by rank. Exactly
@@ -396,7 +376,7 @@ func (i *Injector) OffloadFate(rank int) (stall bool, factor float64) {
 	}
 	if straggleDraw {
 		atomic.AddInt64(&i.Counts.Stragglers, 1)
-		return false, i.plan.StraggleFactor
+		return false, StraggleFactor
 	}
 	return false, 1
 }

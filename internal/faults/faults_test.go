@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -85,31 +87,58 @@ func TestZeroAndNilPlans(t *testing.T) {
 	}
 }
 
-func TestNormalizedDefaults(t *testing.T) {
-	n := (&Plan{Drop: 0.1}).Normalized()
-	if n.DelayFactor != 4 || n.DegradeFactor != 3 || n.StraggleFactor != 3 {
-		t.Fatalf("factor defaults wrong: %+v", n)
+// TestCanonicalPinned pins the canonical form to the text written when the
+// magnitudes and the recovery policy were still plan keys: it is hashed
+// into every stored spec's content hash, so a disk-cache entry or a
+// journaled result of a faulted spec stays findable only while it holds.
+func TestCanonicalPinned(t *testing.T) {
+	const policy = "max-restarts=4,ckpt-every=2,ckpt-cost=0.002,restart-cost=0.02,deadline-factor=4,max-retries=2,unhealthy-after=3"
+	if got, want := Default().Canonical(), "seed=1,drop=0.02,dup=0.01,delay=0.05,delay-factor=4,degrade=0.05,degrade-factor=3,stall=0.02,straggle=0.05,straggle-factor=3,crash=0.25,crash-at=0,crash-rank=0,"+policy; got != want {
+		t.Errorf("Default().Canonical() =\n%s\nwant\n%s", got, want)
 	}
-	if n.MaxRestarts != 4 || n.CheckpointEvery != 2 || n.DeadlineFactor != 4 ||
-		n.MaxRetries != 2 || n.UnhealthyAfter != 3 {
-		t.Fatalf("policy defaults wrong: %+v", n)
+	p, err := Parse("crash-at=4,crash-rank=1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n.CheckpointCost != 2e-3 || n.RestartCost != 20e-3 {
-		t.Fatalf("cost defaults wrong: %+v", n)
+	if got, want := p.Canonical(), "seed=0,drop=0,dup=0,delay=0,delay-factor=4,degrade=0,degrade-factor=3,stall=0,straggle=0,straggle-factor=3,crash=0,crash-at=4,crash-rank=1,"+policy; got != want {
+		t.Errorf("crash-at=4,crash-rank=1 canonical =\n%s\nwant\n%s", got, want)
 	}
 }
 
-// Canonical must be stable and must not distinguish explicit defaults from
-// implied ones.
+// Canonical must be stable and reflect every plan value.
 func TestCanonical(t *testing.T) {
 	a := &Plan{Drop: 0.1}
-	b := &Plan{Drop: 0.1, DelayFactor: 4, MaxRetries: 2}
-	if a.Canonical() != b.Canonical() {
-		t.Fatalf("explicit default changed canonical form:\n%s\n%s", a.Canonical(), b.Canonical())
+	if a.Canonical() != (&Plan{Drop: 0.1}).Canonical() {
+		t.Fatal("canonical form is not stable")
 	}
-	c := &Plan{Drop: 0.1, Seed: 9}
-	if a.Canonical() == c.Canonical() {
-		t.Fatal("seed not reflected in canonical form")
+	for _, b := range []*Plan{{Drop: 0.1, Seed: 9}, {Drop: 0.1, Stall: 0.1}, {Drop: 0.1, CrashAtStep: 2}, {Drop: 0.1, CrashRank: 1}} {
+		if a.Canonical() == b.Canonical() {
+			t.Fatalf("%+v not reflected in canonical form", *b)
+		}
+	}
+}
+
+// Validate holds a plan built in Go or decoded from JSON to Parse's rule.
+func TestValidate(t *testing.T) {
+	for _, ok := range []*Plan{{}, Default(), {CrashAtStep: 3, CrashRank: 1}, {Drop: 2}} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v", *ok, err)
+		}
+	}
+	for _, bad := range []struct {
+		plan Plan
+		key  string
+	}{
+		{Plan{Drop: -0.5}, "drop"},
+		{Plan{Straggle: math.NaN()}, "straggle"},
+		{Plan{Crash: math.Inf(1)}, "crash"},
+		{Plan{CrashAtStep: 1, CrashRank: -1}, "crash-rank"},
+		{Plan{CrashAtStep: -2}, "crash-at"},
+	} {
+		err := bad.plan.Validate()
+		if err == nil || !strings.Contains(err.Error(), bad.key) {
+			t.Errorf("Validate(%+v) = %v, want an error naming %s", bad.plan, err, bad.key)
+		}
 	}
 }
 
@@ -125,8 +154,8 @@ func TestScaled(t *testing.T) {
 	if big := p.Scaled(1000); big.Drop != 1 || big.Crash != 1 {
 		t.Fatalf("Scaled must clamp rates to 1: %+v", big)
 	}
-	if p.Scaled(2).MaxRestarts != p.MaxRestarts {
-		t.Fatal("Scaled must not touch recovery policy")
+	if q := (&Plan{Seed: 4, Drop: 0.1, CrashAtStep: 2, CrashRank: 1}).Scaled(2); q.Seed != 4 || q.CrashAtStep != 2 || q.CrashRank != 1 {
+		t.Fatalf("Scaled must touch only the rates: %+v", q)
 	}
 }
 
@@ -151,18 +180,24 @@ func TestParse(t *testing.T) {
 	if p.Seed != 7 || p.Drop != Default().Drop*0.5 || p.CrashAtStep != 3 || p.CrashRank != 1 {
 		t.Fatalf("composite spec mismatch: %+v", p)
 	}
-	p, err = Parse("drop=0.25,stall=0.1,max-retries=5")
+	p, err = Parse("drop=0.25,stall=0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Drop != 0.25 || p.Stall != 0.1 || p.MaxRetries != 5 {
+	if p.Drop != 0.25 || p.Stall != 0.1 {
 		t.Fatalf("key=value spec mismatch: %+v", p)
 	}
 	// A spec that scales everything to zero is a nil plan.
 	if p, err := Parse("default,scale=0"); err != nil || p != nil {
 		t.Fatalf("scaled-to-zero spec should be nil: %v %v", p, err)
 	}
-	for _, bad := range []string{"nope", "drop=x", "scale=-1", "frob=1", "seed=-2"} {
+	bad := []string{"nope", "drop=x", "scale=-1", "frob=1", "seed=-2", "crash-rank=-1", "drop=-1,scale=0"}
+	// The magnitudes and the recovery policy are constants, not keys.
+	for _, k := range []string{"delay-factor", "degrade-factor", "straggle-factor", "max-restarts",
+		"ckpt-every", "ckpt-cost", "restart-cost", "deadline-factor", "max-retries", "unhealthy-after"} {
+		bad = append(bad, "drop=0.1,"+k+"=2")
+	}
+	for _, bad := range bad {
 		if _, err := Parse(bad); err == nil {
 			t.Fatalf("Parse(%q) should fail", bad)
 		}

@@ -399,19 +399,19 @@ func (r *Rank) transmit(req *Request, st *sendState) {
 		drop = false
 	}
 	if delay {
-		wire *= sim.Time(c.inj.Plan().DelayFactor)
-		c.traceFault(r.rank, "msg-delay", st)
+		wire *= sim.Time(faults.DelayFactor)
+		c.mark(r.rank, trace.KindFault, "msg-delay", st)
 	}
 	if degrade {
-		wire *= sim.Time(c.inj.Plan().DegradeFactor)
-		c.traceFault(r.rank, "msg-degrade", st)
+		wire *= sim.Time(faults.DegradeFactor)
+		c.mark(r.rank, trace.KindFault, "msg-degrade", st)
 	}
 
 	if drop {
 		// Lost on the wire: the send stays incomplete, and retransmission
 		// is driven by the sender's Test/Wait progression (with an
 		// autonomous backstop so a rank blocked elsewhere still recovers).
-		c.traceFault(r.rank, "msg-drop", st)
+		c.mark(r.rank, trace.KindFault, "msg-drop", st)
 		req.pending = st
 		req.retryAfter = now + 2*wire
 		req.retryEvent = r.eng().Schedule(4*wire, func() { r.resend(req) })
@@ -429,7 +429,7 @@ func (r *Rank) transmit(req *Request, st *sendState) {
 	if dup {
 		// A duplicate of the same transmission lands a little later; the
 		// receiver suppresses it by sequence number.
-		c.traceFault(r.rank, "msg-dup", st)
+		c.mark(r.rank, trace.KindFault, "msg-dup", st)
 		d := r.getMsg()
 		*d = *m
 		d.arrivesAt = now + wire*3/2
@@ -450,31 +450,25 @@ func (r *Rank) resend(req *Request) {
 	req.retryEvent = sim.EventHandle{}
 	st.attempt++
 	r.Resends++
-	r.comm.traceRecovery(r.rank, "msg-resend", st)
+	r.comm.mark(r.rank, trace.KindRecovery, "msg-resend", st)
 	r.transmit(req, st)
 }
 
-// traceFault and traceRecovery emit zero-duration fault-plane markers and
-// bump the flight recorder's per-rank counters. Both run on the faulting
-// rank's own engine.
-func (c *Comm) traceFault(rank int, name string, st *sendState) {
-	c.ranks[rank].probes.Fault(c.engs[rank].Now())
+// mark emits a zero-duration fault-plane marker of kind (KindFault or
+// KindRecovery) and bumps the flight recorder's matching per-rank counter.
+// It runs on the faulting rank's engine, so the marker carries that rank's
+// clock.
+func (c *Comm) mark(rank int, kind trace.Kind, name string, st *sendState) {
+	now := c.engs[rank].Now()
+	if kind == trace.KindFault {
+		c.ranks[rank].probes.Fault(now)
+	} else {
+		c.ranks[rank].probes.Recovery(now)
+	}
 	if c.rec == nil {
 		return
 	}
-	now := c.engs[rank].Now()
-	c.rec.Add(trace.Event{Rank: rank, Step: -1, Kind: trace.KindFault,
-		Name:  fmt.Sprintf("%s dst=%d tag=%d try=%d", name, st.dst, st.tag, st.attempt),
-		Start: now, End: now})
-}
-
-func (c *Comm) traceRecovery(rank int, name string, st *sendState) {
-	c.ranks[rank].probes.Recovery(c.engs[rank].Now())
-	if c.rec == nil {
-		return
-	}
-	now := c.engs[rank].Now()
-	c.rec.Add(trace.Event{Rank: rank, Step: -1, Kind: trace.KindRecovery,
+	c.rec.Add(trace.Event{Rank: rank, Step: -1, Kind: kind,
 		Name:  fmt.Sprintf("%s dst=%d tag=%d try=%d", name, st.dst, st.tag, st.attempt),
 		Start: now, End: now})
 }

@@ -45,10 +45,9 @@ const (
 	DefaultMaxSamples = 512
 )
 
-// Options configures run-report collection. Like scheduler.Config.Workers
-// and core Shards, observability options are wall-clock/reporting knobs
-// only: they never change the simulated outcome and never enter the
-// runner's content hash.
+// Options configures run-report collection. Like core Shards,
+// observability options are wall-clock/reporting knobs only: they never
+// change the simulated outcome and never enter the runner's content hash.
 type Options struct {
 	// Trace additionally exports the canonically sorted event timeline
 	// into the run's Result, enabling Perfetto/Chrome trace download.

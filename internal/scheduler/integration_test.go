@@ -2,6 +2,7 @@ package scheduler_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -261,6 +262,8 @@ func TestTilePackingFasterThanStrided(t *testing.T) {
 // warehouse field — on the inline path and on the worker pool alike.
 func TestKernelReadPastDeclaredGhostPanics(t *testing.T) {
 	run := func(reach, workers int) (panicked any) {
+		// The scheduler sizes its tile pool to GOMAXPROCS.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 		u := taskgraph.NewLabel("u", nil)
 		probe := &taskgraph.Task{
 			Name: "probe", Kind: taskgraph.KindOffload,
@@ -281,7 +284,7 @@ func TestKernelReadPastDeclaredGhostPanics(t *testing.T) {
 		s, err := core.NewSimulation(core.Config{
 			Cells: grid.IV(16, 16, 8), PatchCounts: grid.IV(1, 1, 1), NumCGs: 1,
 			Scheduler: scheduler.Config{Mode: scheduler.ModeAsync, Functional: true,
-				TileSize: grid.IV(8, 8, 4), Workers: workers},
+				TileSize: grid.IV(8, 8, 4)},
 		}, core.Problem{
 			Tasks:   []*taskgraph.Task{probe},
 			Initial: map[*taskgraph.Label]func(x, y, z float64) float64{u: func(x, y, z float64) float64 { return x }},

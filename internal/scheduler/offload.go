@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"sunuintah/internal/athread"
+	"sunuintah/internal/faults"
 	"sunuintah/internal/field"
 	"sunuintah/internal/grid"
 	"sunuintah/internal/sim"
@@ -28,8 +29,7 @@ type slot struct {
 
 	// Resilience state (meaningful only under fault injection).
 	off         *athread.Offload  // handle of the in-flight offload
-	deadline    sim.Time          // absolute abort time for the in-flight offload
-	estimate    sim.Time          // healthy completion estimate of the last launch
+	deadline    sim.Time          // absolute abort time for the in-flight offload; Infinity without faults
 	attempts    int               // launches of the current object so far
 	pending     *taskgraph.Object // aborted object awaiting its backoff retry
 	retryAt     sim.Time          // absolute time of the next retry
@@ -261,14 +261,16 @@ func (s *Rank) offload(p *sim.Process, step int, t, dt float64, obj *taskgraph.O
 	if tileErr != nil {
 		return tileErr
 	}
-	runTiles(s.cfg.Workers, s.tiles, task.Kernel.Compute)
+	runTiles(s.workers, s.tiles, task.Kernel.Compute)
 	obj.State = taskgraph.StateRunning
 	sl.obj = obj
 	sl.off = off
 	s.probeGangs()
+	// Only an injector can stall a gang: without one the deadline never
+	// falls due.
+	sl.deadline = sim.Infinity
 	if s.inj != nil {
-		sl.estimate = off.Estimate
-		sl.deadline = start + off.Estimate*sim.Time(s.inj.Plan().DeadlineFactor)
+		sl.deadline = start + off.Estimate*faults.DeadlineFactor
 	}
 	s.Stats.Offloads++
 	if s.cfg.Trace != nil {

@@ -3,6 +3,7 @@ package scheduler
 import (
 	"fmt"
 
+	"sunuintah/internal/faults"
 	"sunuintah/internal/sim"
 	"sunuintah/internal/taskgraph"
 	"sunuintah/internal/trace"
@@ -13,8 +14,9 @@ import (
 // deadline miss (an injected stall, or a straggler beyond the deadline
 // factor) aborts the gang and retries with exponential backoff; gangs that
 // keep failing are marked unhealthy and their kernels degrade to MPE
-// execution, so the rank always makes progress. All entry points are gated
-// on s.inj != nil — fault-free runs never reach this code.
+// execution, so the rank always makes progress. Without an injector the
+// deadline is Infinity, so fault-free runs never reach the recovery paths;
+// they share only syncOffloadWait, the synchronous mode's one wait.
 
 // mark emits a zero-duration fault-plane trace marker.
 func (s *Rank) mark(step int, kind trace.Kind, name string, at sim.Time) {
@@ -29,6 +31,7 @@ func (s *Rank) handleOffloadTimeout(p *sim.Process, step int, t, dt float64, sl 
 	obj := sl.obj
 	fs := s.faultStats()
 	fs.OffloadTimeouts++
+	estimate := sl.off.Estimate
 	sl.off.Abort()
 	sl.off = nil
 	sl.obj = nil
@@ -39,20 +42,19 @@ func (s *Rank) handleOffloadTimeout(p *sim.Process, step int, t, dt float64, sl 
 	s.cfg.Probes.Fault(now)
 	s.mark(step, trace.KindFault, fmt.Sprintf("offload-timeout %s try=%d", obj.Task.Name, sl.attempts), now)
 
-	plan := s.inj.Plan()
-	if !sl.unhealthy && sl.consecFails >= plan.UnhealthyAfter {
+	if !sl.unhealthy && sl.consecFails >= faults.UnhealthyAfter {
 		// The gang failed too many offloads in a row: take it out of
 		// rotation for the rest of the run.
 		sl.unhealthy = true
 		fs.UnhealthyGangs++
 		s.mark(step, trace.KindFault, "gang-unhealthy", now)
 	}
-	if sl.unhealthy || sl.attempts > plan.MaxRetries {
+	if sl.unhealthy || sl.attempts > faults.MaxRetries {
 		sl.attempts = 0
 		return s.fallbackToMPE(p, step, t, dt, obj, completed)
 	}
 	// Exponential backoff from half the healthy estimate.
-	backoff := sl.estimate / 2 * sim.Time(int64(1)<<uint(sl.attempts-1))
+	backoff := estimate / 2 * sim.Time(int64(1)<<uint(sl.attempts-1))
 	sl.pending = obj
 	sl.retryAt = now + backoff
 	return nil
@@ -85,58 +87,30 @@ func (s *Rank) fallbackToMPE(p *sim.Process, step int, t, dt float64, obj *taskg
 	return nil
 }
 
-// drainToMPE runs every prepared and ready kernel object on the MPE: the
-// degraded mode once all gangs are unhealthy. Reports whether it executed
-// anything.
-func (s *Rank) drainToMPE(p *sim.Process, step int, t, dt float64, completed *int) (bool, error) {
-	progressed := false
-	for {
-		var obj *taskgraph.Object
-		if len(s.prepared) > 0 {
-			obj = s.prepared[0]
-			s.prepared = s.prepared[1:]
-			s.cfg.Probes.Prepared(p.Now(), len(s.prepared))
-		} else {
-			obj = s.nextReady(true)
-			if obj == nil {
-				return progressed, nil
-			}
-			if err := s.processMPEPart(p, step, t, obj); err != nil {
-				return progressed, err
-			}
-		}
-		if err := s.fallbackToMPE(p, step, t, dt, obj, completed); err != nil {
-			return progressed, err
-		}
-		progressed = true
-	}
-}
-
-// syncOffloadWait blocks on a sync-mode offload's completion flag with the
-// fault deadline armed: on a timeout the gang is aborted and the kernel is
-// retried (after backoff, still blocking) or degraded to the MPE. Used in
-// place of the plain flag spin when an injector is attached.
+// syncOffloadWait is the synchronous mode's wait: the MPE spins on the
+// offload's completion flag, overlapping nothing (Section V-C), and the
+// spin is one "spin" span in the trace. Under fault injection the wait
+// ends at the offload's deadline too: the gang is aborted and the kernel
+// is retried (after backoff, still blocking, as the synchronous scheduler
+// cannot do anything else) or degraded to the MPE.
 func (s *Rank) syncOffloadWait(p *sim.Process, step int, t, dt float64, sl *slot, completed *int) error {
 	n := int64(sl.group.NumCPEs())
 	for {
-		if sl.flag.Value() >= n {
-			s.completeObject(sl.obj, completed)
-			s.clearSlot(sl)
-			return nil
-		}
 		t0 := p.Now()
 		p.Sync()
-		sl.flag.NotifyAt(p, n)
-		p.Park(sl.deadline)
+		if sl.flag.Value() < n {
+			sl.flag.NotifyAt(p, n)
+			p.Park(sl.deadline)
+		}
 		s.Stats.KernelWaitTime += p.Now() - t0
+		s.cfg.Trace.Add(trace.Event{Rank: s.mpi.RankID(), Step: step,
+			Kind: trace.KindKernel, Name: s.note("spin ", sl.obj.Task.Name),
+			Start: t0, End: p.Now()})
 		if sl.flag.Value() >= n {
 			s.completeObject(sl.obj, completed)
 			s.clearSlot(sl)
 			return nil
 		}
-		// Deadline hit: abort and either retry (blocking through the
-		// backoff, as the synchronous scheduler cannot do anything else)
-		// or fall back to the MPE.
 		if err := s.handleOffloadTimeout(p, step, t, dt, sl, completed); err != nil {
 			return err
 		}

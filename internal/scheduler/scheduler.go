@@ -69,9 +69,9 @@ type Config struct {
 	Trace *trace.Recorder
 	// Probes is this rank's flight-recorder probe set: virtual-time series
 	// of queue depth, work-ahead backlog and gang occupancy. nil disables
-	// sampling at zero cost. Like Workers, it is a reporting knob only —
-	// it never changes the simulated outcome and never enters the
-	// runner's spec hash.
+	// sampling at zero cost. It is a reporting knob only: it never
+	// changes the simulated outcome and never enters the runner's spec
+	// hash.
 	Probes *obs.RankProbes
 
 	// AsyncDMA enables the paper's future-work double-buffered
@@ -85,14 +85,6 @@ type Config struct {
 	// computing a different patch concurrently (future-work task+data
 	// parallelism). 0 or 1 means the whole cluster works one patch.
 	CPEGroups int
-	// Workers bounds the host worker pool that executes the numeric
-	// bodies of independent tiles in functional mode — the software
-	// analogue of the CPE gangs computing tiles in parallel. 0 means
-	// GOMAXPROCS; 1 runs the bodies inline (serial). Results are
-	// byte-identical for every value: tile outputs are disjoint and no
-	// cross-tile combining happens on the pool, so this is a wall-clock
-	// knob only (it never enters the runner's spec hash).
-	Workers int
 }
 
 // DefaultTileSize is the paper's tile shape.
@@ -157,15 +149,13 @@ type Rank struct {
 	params perf.Params
 	graph  *taskgraph.Graph
 	cg     *sw26010.CoreGroup
-	group  *athread.Group
 	mpi    *mpisim.Rank
 	DWs    *dw.Pair
 
-	flag     *sim.Counter
 	maxGhost map[*taskgraph.Label]int
 
-	// inj mirrors cg.Faults; nil on fault-free runs (every resilience path
-	// is gated on it, so the fault-free schedule is untouched).
+	// inj mirrors cg.Faults; nil on fault-free runs. offload arms a finite
+	// deadline only with it, so without one no recovery path is reached.
 	inj *faults.Injector
 
 	// Per-step communication state.
@@ -183,6 +173,8 @@ type Rank struct {
 
 	// slots are the offload lanes (one per CPE group).
 	slots []*slot
+	// workers is the width of the pool that runs tile bodies (runTiles).
+	workers int
 	// plans caches each patch's tile plan from its first offload on.
 	plans map[planKey]*tilePlan
 	// tiles and vars are the current offload's tile contexts and the
@@ -241,9 +233,6 @@ func New(cfg Config, graph *taskgraph.Graph, cg *sw26010.CoreGroup, mpi *mpisim.
 	if cfg.CPEGroups < 1 {
 		cfg.CPEGroups = 1
 	}
-	if cfg.Workers < 1 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	mode := dw.TimingOnly
 	if cfg.Functional {
 		mode = dw.Functional
@@ -253,10 +242,13 @@ func New(cfg Config, graph *taskgraph.Graph, cg *sw26010.CoreGroup, mpi *mpisim.
 		params: cg.Params,
 		graph:  graph,
 		cg:     cg,
-		group:  athread.NewGroup(cg),
 		mpi:    mpi,
 		DWs:    dw.NewPair(mode, cg),
-		flag:   sim.NewCounter(cg.Engine(), fmt.Sprintf("rank%d.flag", mpi.RankID())),
+		// The numeric bodies of an offload's tiles run on a host worker
+		// pool, the software analogue of the CPEs computing tiles in
+		// parallel. Tile outputs are disjoint, so results are
+		// byte-identical for every width.
+		workers: runtime.GOMAXPROCS(0),
 	}
 	s.inj = cg.Faults
 	s.maxGhost = map[*taskgraph.Label]int{}

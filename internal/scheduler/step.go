@@ -111,7 +111,7 @@ func (s *Rank) ExecuteStep(p *sim.Process, step int, t, dt float64) error {
 				s.completeObject(sl.obj, &completed)
 				s.clearSlot(sl)
 				progressed = true
-			} else if s.inj != nil && p.Now() >= sl.deadline {
+			} else if p.Now() >= sl.deadline {
 				if err := s.handleOffloadTimeout(p, step, t, dt, sl, &completed); err != nil {
 					return err
 				}
@@ -119,22 +119,14 @@ func (s *Rank) ExecuteStep(p *sim.Process, step int, t, dt float64) error {
 			}
 		}
 
-		// Graceful degradation: with every gang unhealthy no slot will ever
-		// be free again, so kernels execute on the MPE instead.
-		if s.inj != nil && s.cfg.Mode != ModeMPEOnly && s.allUnhealthy() {
-			did, err := s.drainToMPE(p, step, t, dt, &completed)
-			if err != nil {
-				return err
-			}
-			progressed = progressed || did
-		}
-
 		// Offload ready kernels into free slots (or run them on the MPE).
 		// Objects prepared ahead of time go first — their MPE part is
-		// already done.
+		// already done. Once every gang is unhealthy no slot will ever be
+		// free again, and kernels degrade to the MPE instead.
+		degraded := s.allUnhealthy()
 		for {
 			sl := s.freeSlot()
-			if sl == nil {
+			if sl == nil && !degraded {
 				break
 			}
 			var obj *taskgraph.Object
@@ -151,36 +143,22 @@ func (s *Rank) ExecuteStep(p *sim.Process, step int, t, dt float64) error {
 					return err
 				}
 			}
-			if s.cfg.Mode == ModeMPEOnly {
-				if err := s.runOnMPE(p, step, t, dt, obj); err != nil {
-					return err
+			var err error
+			switch {
+			case s.cfg.Mode == ModeMPEOnly:
+				if err = s.runOnMPE(p, step, t, dt, obj); err == nil {
+					s.completeObject(obj, &completed)
 				}
-				s.completeObject(obj, &completed)
-			} else {
-				if err := s.offload(p, step, t, dt, obj, sl); err != nil {
-					return err
+			case degraded:
+				err = s.fallbackToMPE(p, step, t, dt, obj, &completed)
+			default:
+				err = s.offload(p, step, t, dt, obj, sl)
+				if err == nil && s.cfg.Mode == ModeSync {
+					err = s.syncOffloadWait(p, step, t, dt, sl, &completed)
 				}
-				if s.cfg.Mode == ModeSync {
-					if s.inj != nil {
-						// Blocking wait with the fault deadline armed, so a
-						// stalled gang is aborted and recovered.
-						if err := s.syncOffloadWait(p, step, t, dt, sl, &completed); err != nil {
-							return err
-						}
-					} else {
-						// Spin until the completion flag is set: no overlap
-						// of computation with other work (Section V-C).
-						t0 := p.Now()
-						sl.flag.WaitFor(p, int64(sl.group.NumCPEs()))
-						s.Stats.KernelWaitTime += p.Now() - t0
-						s.cfg.Trace.Add(trace.Event{Rank: s.mpi.RankID(), Step: step,
-							Kind: trace.KindKernel, Name: "spin " + obj.Task.Name,
-							Start: t0, End: p.Now()})
-						s.completeObject(sl.obj, &completed)
-						sl.obj = nil
-						s.probeGangs()
-					}
-				}
+			}
+			if err != nil {
+				return err
 			}
 			progressed = true
 		}
@@ -507,13 +485,11 @@ func (s *Rank) waitForEvent(p *sim.Process, step int) {
 		if sl.obj != nil {
 			sl.flag.NotifyAt(p, int64(sl.group.NumCPEs()))
 			waiting = true
-			if s.inj != nil {
-				// A stalled gang never fires the flag: the deadline is the
-				// guaranteed wake-up that lets the scheduler recover.
-				until = min(until, sl.deadline)
-			}
+			// A stalled gang never fires the flag: the deadline is the
+			// guaranteed wake-up that lets the scheduler recover.
+			until = min(until, sl.deadline)
 		}
-		if s.inj != nil && sl.pending != nil {
+		if sl.pending != nil {
 			// An unhealthy gang's object is handled on the next loop pass.
 			if sl.unhealthy {
 				until = p.Now()

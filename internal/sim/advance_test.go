@@ -131,7 +131,7 @@ func runAdvModel(seed int64, shards int, viaCalendar, alwaysSync bool) (advOutco
 						e.CallAfter(dur(), c)
 						e.CallAfter(dur(), c)
 						p.Charge(dur())
-						c.WaitFor(p, 2)
+						waitFor(p, c, 2)
 					}
 				case 10:
 					// Ping another process's engine; its handler answers

@@ -134,7 +134,7 @@ func TestSameInstantWakeOrder(t *testing.T) {
 	var order []string
 	e.Spawn("sleeper", func(p *Process) { p.Sleep(5); order = append(order, "sleeper") })
 	e.Spawn("waiter", func(p *Process) { sig.Wait(p); order = append(order, "waiter") })
-	e.Spawn("counter", func(p *Process) { ctr.WaitFor(p, 1); order = append(order, "counter") })
+	e.Spawn("counter", func(p *Process) { waitFor(p, ctr, 1); order = append(order, "counter") })
 	e.Schedule(5, func() { ctr.Add(1); sig.Fire() })
 	e.Run()
 	// sleeper's wake-up was put on the calendar first (at t=0); the t=5
@@ -149,10 +149,10 @@ func TestDeadlockRosterText(t *testing.T) {
 	sig := NewSignal(e, "never")
 	flag := NewCounter(e, "inbox")
 	e.Spawn("b-stuck", func(p *Process) { sig.Wait(p) })
-	e.Spawn("a-stuck", func(p *Process) { flag.WaitFor(p, 1) })
+	e.Spawn("a-stuck", func(p *Process) { waitFor(p, flag, 1) })
 	e.Spawn("done", func(p *Process) { p.Sleep(1) })
 	defer func() {
-		want := `sim: deadlock: a-stuck(blocked at "counter:inbox"), b-stuck(blocked at "signal:never")`
+		want := `sim: deadlock: a-stuck(blocked at "park"), b-stuck(blocked at "signal:never")`
 		if r := recover(); r != want {
 			t.Fatalf("panic = %v\nwant    %v", r, want)
 		}

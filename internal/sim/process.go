@@ -302,13 +302,13 @@ func (s *Signal) Wait(p *Process) {
 	p.block(Infinity, s.tag())
 }
 
-// Counter is a monotonically increasing integer with the ability to wait
-// until it reaches a threshold. It models completion flags updated with the
-// SW26010 faaw (fetch-and-add word) instruction.
+// Counter is a monotonically increasing integer a process can park on
+// until it reaches a threshold (NotifyAt, then Process.Park). It models
+// completion flags updated with the SW26010 faaw (fetch-and-add word)
+// instruction.
 type Counter struct {
 	eng     *Engine
 	name    string
-	waitTag string
 	value   int64
 	waiters []waiter
 }
@@ -319,7 +319,7 @@ func (c *Counter) Call() { c.Add(1) }
 
 // NewCounter creates a counter at zero.
 func NewCounter(e *Engine, name string) *Counter {
-	return &Counter{eng: e, name: name, waitTag: "counter:" + name}
+	return &Counter{eng: e, name: name}
 }
 
 // Value returns the current count.
@@ -356,15 +356,4 @@ func (c *Counter) NotifyAt(p *Process, threshold int64) {
 		return
 	}
 	c.waiters = enrol(c.waiters, waiter{p: p, gen: p.gen, threshold: threshold})
-}
-
-// WaitFor blocks the calling process until the counter value is at least
-// threshold.
-func (c *Counter) WaitFor(p *Process, threshold int64) {
-	p.Sync()
-	if c.value >= threshold {
-		return
-	}
-	c.NotifyAt(p, threshold)
-	p.block(Infinity, c.waitTag)
 }

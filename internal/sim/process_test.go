@@ -117,12 +117,22 @@ func TestProcessDoneJoin(t *testing.T) {
 	}
 }
 
-func TestCounterWaitFor(t *testing.T) {
+// waitFor parks p until c reaches threshold, the way the scheduler's
+// synchronous wait does: meet the calendar, look, register, park.
+func waitFor(p *Process, c *Counter, threshold int64) {
+	p.Sync()
+	if c.Value() < threshold {
+		c.NotifyAt(p, threshold)
+		p.Park(Infinity)
+	}
+}
+
+func TestCounterParkUntilThreshold(t *testing.T) {
 	e := NewEngine()
 	c := NewCounter(e, "flag")
 	reached := Time(-1)
 	e.Spawn("waiter", func(p *Process) {
-		c.WaitFor(p, 3)
+		waitFor(p, c, 3)
 		reached = p.Now()
 	})
 	e.Spawn("adder", func(p *Process) {
@@ -140,13 +150,13 @@ func TestCounterWaitFor(t *testing.T) {
 	}
 }
 
-func TestCounterWaitForAlreadyReached(t *testing.T) {
+func TestCounterParkAlreadyReached(t *testing.T) {
 	e := NewEngine()
 	c := NewCounter(e, "flag")
 	c.Add(5)
 	ran := false
 	e.Spawn("w", func(p *Process) {
-		c.WaitFor(p, 5)
+		waitFor(p, c, 5)
 		ran = true
 	})
 	e.Run()
