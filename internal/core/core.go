@@ -508,6 +508,12 @@ func (s *Simulation) Run(nSteps int) (*Result, error) {
 			crashEv.Cancel()
 		})
 	}
+	// However the run ends, no tile numerics outlive it (scheduler.Rank.Drain).
+	defer func() {
+		for _, rk := range s.Ranks {
+			rk.Drain()
+		}
+	}()
 	s.drive()
 	if s.crashed != nil {
 		return nil, s.crashed

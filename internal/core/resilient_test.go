@@ -2,8 +2,10 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"sunuintah/internal/obs"
 	"sunuintah/internal/scheduler"
 	"sunuintah/internal/sim"
+	"sunuintah/internal/taskgraph"
 	"sunuintah/internal/trace"
 )
 
@@ -299,24 +302,81 @@ func TestZeroPlanResultHasNoFaultFields(t *testing.T) {
 func TestResilientRunLeaksNoGoroutines(t *testing.T) {
 	cells, patches := grid.IV(32, 32, 64), grid.IV(2, 2, 2)
 	prob, _ := burgersProblem(cells, patches, false)
-	cfg := Config{Cells: cells, PatchCounts: patches, NumCGs: 8,
+	timing := Config{Cells: cells, PatchCounts: patches, NumCGs: 8,
 		Scheduler: scheduler.Config{Mode: scheduler.ModeAsync, TileSize: grid.IV(8, 8, 8)},
 		Faults:    &faults.Plan{Seed: 3, CrashAtStep: 3},
 	}
-	base := runtime.NumGoroutine()
-	res, err := RunResilient(cfg, prob, 5)
+	// The functional case also has tile workers behind the gangs when the
+	// crash lands.
+	functional := functionalCfg(grid.IV(16, 16, 16), grid.IV(2, 2, 1), 2, scheduler.ModeAsync, false)
+	functional.Faults = &faults.Plan{Seed: 1, CrashAtStep: 4, CrashRank: 1}
+	fprob, _ := burgersProblem(functional.Cells, functional.PatchCounts, false)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		prob Problem
+	}{{"timing", timing, prob}, {"functional", functional, fprob}} {
+		t.Run(c.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+			base := runtime.NumGoroutine()
+			res, err := RunResilient(c.cfg, c.prob, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec := res.Faults.Recovery; rec == nil || rec.Crashes != 1 {
+				t.Fatalf("the plan should crash the run once: %+v", rec)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the run, %d before: the crashed incarnation's ranks leaked",
+						runtime.NumGoroutine(), base)
+				}
+				runtime.Gosched()
+			}
+		})
+	}
+}
+
+// A crash stops the engine with offloads in flight, whose tile numerics
+// run behind the simulated gangs. Run must wait for them on its way out,
+// as on every other path: once it returns no kernel is running, so a
+// restore or a restart never races a late write into a warehouse field.
+func TestCrashedRunDrainsTileWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cells, patches := grid.IV(32, 32, 32), grid.IV(2, 1, 1)
+	prob, _ := burgersProblem(cells, patches, false)
+	var running, ran atomic.Int64
+	task := *prob.Tasks[0]
+	kernel := *task.Kernel
+	compute := kernel.Compute
+	kernel.Compute = func(tc *taskgraph.TileContext) {
+		running.Add(1)
+		defer running.Add(-1)
+		ran.Add(1)
+		if tc.Tile.Box.Lo == tc.Patch.Box.Lo {
+			time.Sleep(5 * time.Millisecond) // keep the job in flight well past its launch
+		}
+		compute(tc)
+	}
+	task.Kernel = &kernel
+	prob.Tasks = []*taskgraph.Task{&task}
+	cfg := functionalCfg(cells, patches, 2, scheduler.ModeAsync, false)
+	cfg.Faults = &faults.Plan{Seed: 1, CrashAtStep: 4, CrashRank: 1}
+	s, err := NewSimulation(cfg, prob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := res.Faults.Recovery; rec == nil || rec.Crashes != 1 {
-		t.Fatalf("the plan should crash the run once: %+v", rec)
+	s.armCrash(1, 4, 0.8) // late in the step, while both gangs compute
+	_, err = s.Run(6)
+	var ce *CrashError
+	if !errors.As(err, &ce) {
+		t.Fatalf("want a crash, got %v", err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after the run, %d before: the crashed incarnation's ranks leaked",
-				runtime.NumGoroutine(), base)
-		}
-		runtime.Gosched()
+	if n := running.Load(); n != 0 {
+		t.Fatalf("%d tiles still computing after the crashed Run returned", n)
+	}
+	if ran.Load() == 0 {
+		t.Fatal("no kernel ran before the crash")
 	}
 }

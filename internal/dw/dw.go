@@ -41,12 +41,12 @@ type varEntry struct {
 type Warehouse struct {
 	mode Mode
 	cg   *sw26010.CoreGroup
-	vars map[varKey]*varEntry
+	vars map[varKey]varEntry
 }
 
 // NewWarehouse creates an empty warehouse accounted against cg.
 func NewWarehouse(mode Mode, cg *sw26010.CoreGroup) *Warehouse {
-	return &Warehouse{mode: mode, cg: cg, vars: map[varKey]*varEntry{}}
+	return &Warehouse{mode: mode, cg: cg, vars: map[varKey]varEntry{}}
 }
 
 // Allocate creates the variable (label, patch) with the given ghost margin.
@@ -61,7 +61,7 @@ func (w *Warehouse) Allocate(label *taskgraph.Label, patch *grid.Patch, ghost in
 	if err := w.cg.Allocate(bytes); err != nil {
 		return err
 	}
-	e := &varEntry{bytes: bytes}
+	e := varEntry{bytes: bytes}
 	if w.mode == Functional {
 		// Pooled storage: FreeAll recycles the backing array, so the
 		// per-step allocate/free churn of the warehouse swap is
@@ -110,20 +110,13 @@ func (w *Warehouse) FreeAll() {
 
 // Pair is the old/new warehouse pair of one rank.
 type Pair struct {
-	mode Mode
-	cg   *sw26010.CoreGroup
-	Old  *Warehouse
-	New  *Warehouse
+	Old *Warehouse
+	New *Warehouse
 }
 
 // NewPair creates an empty warehouse pair.
 func NewPair(mode Mode, cg *sw26010.CoreGroup) *Pair {
-	return &Pair{
-		mode: mode,
-		cg:   cg,
-		Old:  NewWarehouse(mode, cg),
-		New:  NewWarehouse(mode, cg),
-	}
+	return &Pair{Old: NewWarehouse(mode, cg), New: NewWarehouse(mode, cg)}
 }
 
 // Select returns the warehouse named by the dependency selector.
@@ -135,9 +128,8 @@ func (p *Pair) Select(sel taskgraph.DWSel) *Warehouse {
 }
 
 // Swap completes a timestep: the old warehouse's variables are freed, the
-// new warehouse becomes old, and a fresh new warehouse is installed.
+// new warehouse becomes old, and the emptied one is the new warehouse.
 func (p *Pair) Swap() {
 	p.Old.FreeAll()
-	p.Old = p.New
-	p.New = NewWarehouse(p.mode, p.cg)
+	p.Old, p.New = p.New, p.Old
 }

@@ -21,8 +21,10 @@ import (
 // engine needs no envelope at all: one that arrives before its receive is
 // posted waits on the receiver's inflight list by value, so no envelope
 // drifts from the sender's pool into the receiver's (with pooled envelopes
-// retired by the receiver, that drift read 1 650). Measured 1 359; the bound
-// is that plus 10%.
+// retired by the receiver, that drift read 1 650). A warehouse swap now
+// reuses the emptied warehouse, its entries are held by value and gatherIO
+// fills rank-owned scratch: 1 359 before those three, measured 591 after;
+// the bound is that plus 10%.
 func TestHaloSteadyStepAllocs(t *testing.T) {
 	const window = 5
 	cfg, prob, err := SpecConfig(runner.Spec{Problem: "32x32x512", CGs: 128, Variant: "acc_simd.async", Steps: window})
@@ -39,8 +41,8 @@ func TestHaloSteadyStepAllocs(t *testing.T) {
 		}
 	}
 	run() // warm: tile plans, interned notes, event arena
-	if perStep := testing.AllocsPerRun(3, run) / window; perStep > 1495 {
-		t.Fatalf("%.0f allocations per warm step, want <= 1495", perStep)
+	if perStep := testing.AllocsPerRun(3, run) / window; perStep > 650 {
+		t.Fatalf("%.0f allocations per warm step, want <= 650", perStep)
 	} else {
 		t.Logf("%.0f allocations per warm step", perStep)
 	}
@@ -93,7 +95,10 @@ func TestHaloSteadyEventsPerStep(t *testing.T) {
 // draws cost 14-16 allocations a tile when each tile made its own (1,750
 // to 2,100 a step on this case, by worker count); they now live in
 // per-offload arrays that are rewound, so what remains is per step, per
-// message and per patch (about 90 and 135).
+// message and per patch. With the tile numerics running behind the gang
+// (the slot's job, started without allocating) and the warehouse swap
+// reusing its emptied warehouse this read 33 at both widths, down from 63
+// and 111; the bound is that plus 10%.
 func TestFunctionalStepAllocs(t *testing.T) {
 	const window = 4
 	cfg, prob, err := SpecConfig(runner.Spec{Cells: "64x64x64", Layout: "2x2x2", CGs: 2, Variant: "acc_simd.async", Steps: window, Functional: true})
@@ -115,8 +120,8 @@ func TestFunctionalStepAllocs(t *testing.T) {
 			}
 		}
 		run() // warm: tile plans, per-offload arrays, pools
-		if perStep := testing.AllocsPerRun(3, run) / window; perStep > 400 {
-			t.Errorf("workers=%d: %.0f allocations per warm step, want <= 400", workers, perStep)
+		if perStep := testing.AllocsPerRun(3, run) / window; perStep > 36 {
+			t.Errorf("workers=%d: %.0f allocations per warm step, want <= 36", workers, perStep)
 		} else {
 			t.Logf("workers=%d: %.0f allocations per warm step", workers, perStep)
 		}

@@ -61,7 +61,7 @@ var functionalGolden = []struct {
 
 func TestFunctionalBitIdentity(t *testing.T) {
 	for _, g := range functionalGolden {
-		for _, workers := range []int{1, 2} {
+		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", g.name, workers), func(t *testing.T) {
 				cfg, prob, err := SpecConfig(g.spec)
 				if err != nil {

@@ -259,7 +259,8 @@ func TestTilePackingFasterThanStrided(t *testing.T) {
 // A kernel sees each input through a window bounded to its tile grown by
 // the declared ghost width. Reading one cell further must panic even
 // though the cell exists — it belongs to the neighbouring tile of the same
-// warehouse field — on the inline path and on the worker pool alike.
+// warehouse field — and the panic, raised on a tile worker behind the gang,
+// must come out of Run with one worker and with two.
 func TestKernelReadPastDeclaredGhostPanics(t *testing.T) {
 	run := func(reach, workers int) (panicked any) {
 		// The scheduler sizes its tile pool to GOMAXPROCS.

@@ -19,13 +19,14 @@ var (
 )
 
 // slot is one offload lane: a (sub-)cluster of CPEs with its completion
-// flag and the object currently running on it. With CPEGroups == 1 there
-// is a single slot spanning all 64 CPEs, as in the paper; more slots
-// implement the future-work CPE grouping.
+// flag, the object running on it and the job computing its tiles. With
+// CPEGroups == 1 there is a single slot spanning all 64 CPEs, as in the
+// paper; more slots implement the future-work CPE grouping.
 type slot struct {
 	group *athread.Group
 	flag  *sim.Counter
 	obj   *taskgraph.Object
+	job   job
 
 	// Resilience state (meaningful only under fault injection).
 	off         *athread.Offload  // handle of the in-flight offload
@@ -97,8 +98,11 @@ type ioVar struct {
 }
 
 // gatherIO resolves a task object's inputs and outputs against the
-// warehouses. Fields are nil in timing-only mode.
+// warehouses, into the rank's scratch: they are valid until its next call.
+// Fields are nil in timing-only mode.
 func (s *Rank) gatherIO(obj *taskgraph.Object) (ins, outs []ioVar) {
+	ins, outs = s.ins[:0], s.outs[:0]
+	defer func() { s.ins, s.outs = ins, outs }()
 	for _, d := range obj.Task.Requires {
 		var f *field.Cell
 		if s.cfg.Functional {
@@ -237,10 +241,12 @@ func (s *Rank) offload(p *sim.Process, step int, t, dt float64, obj *taskgraph.O
 	var tileErr error
 	// The launch body charges virtual time and counters serially, in tile
 	// order (deterministic accounting), and records each tile's context in
-	// s.tiles. The numerics — pure per-tile functions over disjoint output
-	// regions — then run on the worker pool before offload returns, so
-	// downstream tasks always observe completed outputs.
-	s.tiles, s.vars = s.tiles[:0], s.vars[:0]
+	// the slot's job. The numerics — pure per-tile functions over disjoint
+	// output regions — then run on the worker pool while the rank goes on;
+	// the rank waits for them where it sees the flag raised or the launch
+	// aborted, before it releases the object (see job).
+	j := &sl.job
+	j.tiles, j.vars = j.tiles[:0], j.vars[:0]
 	start := p.Now()
 	off := sl.group.Launch(spec, plan.active, sl.flag, func(c *athread.CPE) {
 		n := plan.counts[c.ID]
@@ -255,13 +261,13 @@ func (s *Rank) offload(p *sim.Process, step int, t, dt float64, obj *taskgraph.O
 			if tileErr != nil {
 				return
 			}
-			tileErr = s.runTile(c, obj, tile, step, t, dt, ins, outs)
+			tileErr = s.runTile(c, j, obj, tile, step, t, dt, ins, outs)
 		}
 	})
 	if tileErr != nil {
 		return tileErr
 	}
-	runTiles(s.workers, s.tiles, task.Kernel.Compute)
+	j.start(s.workers, task.Kernel.Compute)
 	obj.State = taskgraph.StateRunning
 	sl.obj = obj
 	sl.off = off
@@ -296,12 +302,12 @@ func tilingUniform(patch *grid.Patch, tileSize grid.IVec) bool {
 // runTile accounts one tile's get/compute/put round trip on a CPE: LDM
 // reservation, DMA charges, compute time and counters, in that order. In
 // functional mode it also appends the tile's context — windows onto the
-// warehouse fields, as athread hands them out — to s.tiles; offload runs
-// the kernel over them once the launch is accounted.
-func (s *Rank) runTile(c *athread.CPE, obj *taskgraph.Object, tile grid.Tile,
+// warehouse fields, as athread hands them out — to j; offload starts the
+// kernel over them once the launch is accounted.
+func (s *Rank) runTile(c *athread.CPE, j *job, obj *taskgraph.Object, tile grid.Tile,
 	step int, t, dt float64, ins, outs []ioVar) error {
 	bufs := s.bufs[:0]
-	first := len(s.vars)
+	first := len(j.vars)
 	record := s.cfg.Functional && obj.Task.Kernel.Compute != nil
 	reserve := func(buf *athread.LDMBuf, err error, l *taskgraph.Label) error {
 		if err != nil {
@@ -312,7 +318,7 @@ func (s *Rank) runTile(c *athread.CPE, obj *taskgraph.Object, tile grid.Tile,
 		}
 		bufs = append(bufs, buf)
 		if record {
-			s.vars = append(s.vars, taskgraph.TileVar{Label: l, Data: buf.Data})
+			j.vars = append(j.vars, taskgraph.TileVar{Label: l, Data: buf.Data})
 		}
 		return nil
 	}
@@ -330,9 +336,9 @@ func (s *Rank) runTile(c *athread.CPE, obj *taskgraph.Object, tile grid.Tile,
 	}
 	if record {
 		mid := first + len(ins)
-		s.tiles = append(s.tiles, taskgraph.TileContext{
+		j.tiles = append(j.tiles, taskgraph.TileContext{
 			Patch: obj.Patch, Tile: tile,
-			In: s.vars[first:mid], Out: s.vars[mid:],
+			In: j.vars[first:mid], Out: j.vars[mid:],
 			Step: step, Time: t, Dt: dt,
 			Level: s.graph.Level,
 		})

@@ -27,6 +27,8 @@ func (s *Rank) mark(step int, kind trace.Kind, name string, at sim.Time) {
 // handleOffloadTimeout aborts a slot's overdue offload and either schedules
 // a backed-off retry or degrades the task to the MPE.
 func (s *Rank) handleOffloadTimeout(p *sim.Process, step int, t, dt float64, sl *slot, completed *int) error {
+	sl.job.wait() // an aborted launch's writes end before a retry or the MPE rewrites them
+
 	now := p.Now()
 	obj := sl.obj
 	fs := s.faultStats()
@@ -107,6 +109,7 @@ func (s *Rank) syncOffloadWait(p *sim.Process, step int, t, dt float64, sl *slot
 			Kind: trace.KindKernel, Name: s.note("spin ", sl.obj.Task.Name),
 			Start: t0, End: p.Now()})
 		if sl.flag.Value() >= n {
+			sl.job.wait()
 			s.completeObject(sl.obj, completed)
 			s.clearSlot(sl)
 			return nil

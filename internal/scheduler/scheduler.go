@@ -173,16 +173,16 @@ type Rank struct {
 
 	// slots are the offload lanes (one per CPE group).
 	slots []*slot
-	// workers is the width of the pool that runs tile bodies (runTiles).
+	// workers is how many goroutines run a slot's tile bodies.
 	workers int
 	// plans caches each patch's tile plan from its first offload on.
 	plans map[planKey]*tilePlan
-	// tiles and vars are the current offload's tile contexts and the
-	// variable views they slice; bufs is runTile's per-tile scratch. All
-	// three are rewound, not reallocated, from one offload to the next.
-	tiles []taskgraph.TileContext
-	vars  []taskgraph.TileVar
-	bufs  []*athread.LDMBuf
+	// bufs is runTile's per-tile scratch, and ins and outs gatherIO's;
+	// all three are rewound, not reallocated, from one use to the next.
+	bufs      []*athread.LDMBuf
+	ins, outs []ioVar
+	// patchWaits counts awaitPatch's waits on a job in flight.
+	patchWaits int64
 	// prepared queues objects whose MPE part was processed ahead of time
 	// while the CPEs were busy (asynchronous mode's work-ahead).
 	prepared []*taskgraph.Object
@@ -245,9 +245,9 @@ func New(cfg Config, graph *taskgraph.Graph, cg *sw26010.CoreGroup, mpi *mpisim.
 		mpi:    mpi,
 		DWs:    dw.NewPair(mode, cg),
 		// The numeric bodies of an offload's tiles run on a host worker
-		// pool, the software analogue of the CPEs computing tiles in
-		// parallel. Tile outputs are disjoint, so results are
-		// byte-identical for every width.
+		// pool behind the simulated gang, the software analogue of the CPEs
+		// computing tiles in parallel while the MPE goes on. Tile outputs
+		// are disjoint, so results are byte-identical for every width.
 		workers: runtime.GOMAXPROCS(0),
 	}
 	s.inj = cg.Faults
@@ -266,6 +266,16 @@ func New(cfg Config, graph *taskgraph.Graph, cg *sw26010.CoreGroup, mpi *mpisim.
 	}
 	s.initSlots()
 	return s, nil
+}
+
+// Drain waits for every tile still computing on the rank's slots. Only a
+// failed run (a crash, an error on some rank) leaves one, and a kernel
+// panic it finds goes with that run.
+func (s *Rank) Drain() {
+	for _, sl := range s.slots {
+		sl.job.wg.Wait()
+		sl.job.panicked.Store(nil)
+	}
 }
 
 // Graph returns the rank's compiled task graph.

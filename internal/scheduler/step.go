@@ -108,6 +108,7 @@ func (s *Rank) ExecuteStep(p *sim.Process, step int, t, dt float64) error {
 			s.charge(p, sim.Time(s.params.PollCost), &s.Stats.CommTime,
 				trace.KindComm, step, "poll flag")
 			if s.gangDone(p, sl) {
+				sl.job.wait()
 				s.completeObject(sl.obj, &completed)
 				s.clearSlot(sl)
 				progressed = true
@@ -321,6 +322,7 @@ func (s *Rank) completeObject(o *taskgraph.Object, completed *int) {
 func (s *Rank) processMPEPart(p *sim.Process, step int, t float64, obj *taskgraph.Object) error {
 	s.charge(p, sim.Time(s.params.TaskFixedCost), &s.Stats.MPEWorkTime,
 		trace.KindMPEWork, step, s.note("select ", obj.Task.Name))
+	s.awaitPatch(obj.Patch)
 
 	for _, d := range obj.Task.Computes {
 		if s.DWs.New.Exists(d.Label, obj.Patch) {
@@ -372,11 +374,24 @@ func (s *Rank) processMPEPart(p *sim.Process, step int, t float64, obj *taskgrap
 	return nil
 }
 
+// awaitPatch waits for the job of any object in flight on patch: the MPE
+// is about to write the patch's old fields, which its kernel may be
+// reading (a second task requiring the same label at a wider ghost).
+func (s *Rank) awaitPatch(patch *grid.Patch) {
+	for _, sl := range s.slots {
+		if sl.obj != nil && sl.obj.Patch == patch {
+			s.patchWaits++
+			sl.job.wait()
+		}
+	}
+}
+
 // unpackRecv copies a completed receive's payload into the destination
 // patch's ghost margin and releases dependent tasks.
 func (s *Rank) unpackRecv(p *sim.Process, step int, r *pendingRecv) {
 	e := r.edge
 	if s.cfg.Functional {
+		s.awaitPatch(e.Dst)
 		f := s.DWs.Old.Get(e.Label, e.Dst)
 		payload := r.req.Payload()
 		buf := payload
