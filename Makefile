@@ -39,17 +39,13 @@ examples:
 # serial at shards 1/2/4/8, experiments' TestExecShardDeterminism does so
 # end to end through SpecConfig, and sim's TestShardSet* cover the
 # window/mail machinery, the latency-matrix and the mail-storm edge cases.
-# And it is the lazy-clock gate: two sim tests hold process clocks that
-# run ahead of the calendar (Process.Charge) exact.
-# TestLazyClocksMatchAlwaysSync runs whole simulations against the
-# unexported always-synchronise path (Engine.alwaysSync: every Charge a
-# Sleep) on both engines, and TestTieCensusPaperMatrix (skipped by -short;
-# tier-1 runs it) reads zero same-instant ties an ahead process could have
-# reordered over the paper's 250-case matrix. It is the park gate too: a
-# message between ranks on one engine is no calendar event, and mpisim's
-# TestPropertyParkMatchesDeliveryMatching holds a parked rank's wake
-# clocks, Test answers and doneAts equal to a run with one rank per shard,
-# where every message is delivered by an event that fires its receive.
+# And it is the reference gate: sim's TestLazyClocksMatchReference (both
+# engines), core's TestShardedBitIdentical cases on the serial engine and
+# mpisim's three exchange properties hold every fast path (lazy process
+# clocks, messages decided at post, one park per wait) byte-identical to the
+# engine's reference mode (Engine.SetReference: every Charge a Sleep, every
+# message an event); sim's run at its -short sizes, and its 250-case
+# comparison, TestPaperMatrixMatchesReference, is skipped (tier-1 runs it).
 race:
 	$(GO) test -race -count=1 $$($(GO) list ./... | grep -v -e /internal/experiments -e /internal/sim)
 	$(GO) test -race -short -count=1 ./internal/experiments/ ./internal/sim/

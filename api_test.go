@@ -23,6 +23,7 @@ var uncalled = map[string]string{
 	"runner.Job.State":         "a job's lifecycle state for library users; runner's tests read it",
 	"scheduler.Config.Variant": "the variant name reports print for a config; scheduler's tests read it",
 	"sim.Process.Done":         "whether a process body returned; sim's tests read it",
+	"sim.Engine.SetReference":  "the reference-mode switch every fast path is tested against; only tests set it",
 
 	"burgers.VectorSystem.VectorSerialSolve": "the runtime-free reference the coupled system's tests compare against",
 	"heat3d.SerialSolve":                     "the runtime-free reference heat3d's tests compare the scheduled runs against",

@@ -4,24 +4,33 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"sunuintah/internal/faults"
 	"sunuintah/internal/grid"
 	"sunuintah/internal/obs"
 	"sunuintah/internal/scheduler"
+	"sunuintah/internal/sim"
 )
 
-// shardRun executes one case and returns its Result serialised to JSON
-// plus the packed final field (nil in timing-only mode). Byte-equality of
-// these artifacts is the sharded engine's contract: shards change only
-// wall-clock speed, never the simulated outcome.
-func shardRun(t *testing.T, cfg Config, nSteps int) ([]byte, []float64) {
+// shardRun executes one case, fast or with every engine in its reference
+// mode (sim.Engine.SetReference), and returns its Result serialised to
+// JSON, the packed final field (nil in timing-only mode) and the events
+// its engines executed. Byte-equality of the first two is the contract of
+// the sharded engine and of every fast path: shards change only wall-clock
+// speed, the fast paths only the event count, never the simulated outcome.
+func shardRun(t *testing.T, cfg Config, nSteps int, reference bool) ([]byte, []float64, uint64) {
 	t.Helper()
 	prob, u := burgersProblem(cfg.Cells, cfg.PatchCounts, cfg.Scheduler.SIMD)
 	s, err := NewSimulation(cfg, prob)
 	if err != nil {
 		t.Fatal(err)
+	}
+	engs := map[*sim.Engine]bool{}
+	for _, e := range s.engs {
+		e.SetReference(reference)
+		engs[e] = true
 	}
 	res, err := s.Run(nSteps)
 	if err != nil {
@@ -31,14 +40,18 @@ func shardRun(t *testing.T, cfg Config, nSteps int) ([]byte, []float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var events uint64
+	for e := range engs {
+		events += e.EventsExecuted()
+	}
 	if !cfg.Scheduler.Functional {
-		return blob, nil
+		return blob, nil, events
 	}
 	f, err := s.GatherField(u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return blob, f.Pack(s.Level.Layout.Domain, nil)
+	return blob, f.Pack(s.Level.Layout.Domain, nil), events
 }
 
 // TestShardedBitIdentical is the tentpole determinism guarantee: for every
@@ -46,7 +59,9 @@ func shardRun(t *testing.T, cfg Config, nSteps int) ([]byte, []float64) {
 // Result JSON (timings, counters, stats) and, in functional mode, every
 // field value — to the serial engine. It runs at 1, 2 and 8 threads so the
 // shard counts meet both window dispatches (inline when GOMAXPROCS < shards,
-// workers otherwise) on any host.
+// workers otherwise) on any host. The serial engine's run of each case is
+// first held to the reference mode: the same bytes, from more events
+// (as many under a fault plan, whose messages are events already).
 func TestShardedBitIdentical(t *testing.T) {
 	cells := grid.IV(16, 16, 16)
 	patches := grid.IV(2, 2, 2)
@@ -95,20 +110,24 @@ func TestShardedBitIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			refJSON, refField := shardRun(t, tc.cfg, nSteps)
+			refJSON, refField, refEvents := shardRun(t, tc.cfg, nSteps, false)
+			wantJSON, wantField, wantEvents := shardRun(t, tc.cfg, nSteps, true)
+			if string(refJSON) != string(wantJSON) || !slices.Equal(refField, wantField) {
+				t.Fatalf("serial engine differs from the reference mode\nserial:    %s\nreference: %s", refJSON, wantJSON)
+			}
+			if faulty := tc.cfg.Faults != nil; faulty && refEvents != wantEvents || !faulty && refEvents >= wantEvents {
+				t.Fatalf("serial engine executed %d events, reference mode %d", refEvents, wantEvents)
+			}
 			for _, procs := range []int{1, 2, 8} {
 				t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 					// shards=8 on the 8-CG cases puts exactly one rank in
 					// every shard — the single-rank-shard edge of the latency
 					// matrix (every pair crosses shards, none shares an engine).
-					// It is also the unfolded reference for mpisim's shared-engine
-					// send: with no pair on one engine, every send completion is
-					// its own event, never folded into the message's delivery.
 					for _, shards := range []int{1, 2, 4, 8} {
 						cfg := tc.cfg
 						cfg.Shards = shards
-						gotJSON, gotField := shardRun(t, cfg, nSteps)
+						gotJSON, gotField, _ := shardRun(t, cfg, nSteps, false)
 						if string(gotJSON) != string(refJSON) {
 							t.Fatalf("shards=%d: result JSON differs from serial engine\nserial:  %s\nsharded: %s",
 								shards, refJSON, gotJSON)

@@ -34,7 +34,9 @@
 // until the earliest completion (Watch). The one event left is the fire of
 // a receive's signal when its message pairs with it while its owner is
 // parked on it. Across shards and under faults a message is delivered by
-// an event, as is the fault plane's send completion.
+// an event, as is the fault plane's send completion; so is every message
+// in the engine's reference mode, the run the decided path is tested
+// against.
 package mpisim
 
 import (
@@ -215,9 +217,10 @@ func (r *Rank) putReq(q *Request) {
 // of its signal ran (it woke for something else) is retired by that fire
 // (Call). Freeing twice is a no-op. Under fault injection requests stay
 // heap-managed (retry backstops may still reference them), so Free is a
-// no-op there.
+// no-op there, and in the engine's reference mode, where a send's
+// completion is an event too.
 func (r *Rank) Free(req *Request) {
-	if r.comm.inj != nil || req == nil || req.freed != nil {
+	if r.comm.inj != nil || r.eng().Reference() || req == nil || req.freed != nil {
 		return
 	}
 	req.freed = r
@@ -332,6 +335,10 @@ func (q *Request) Payload() []float64 { return q.payload }
 // on-wire size to rank dst with the given tag. The calling process is
 // charged the posting cost. The send completes locally once the data has
 // left the sender (one wire time), which with no injector is decided here.
+// Under an injector, and in the engine's reference mode
+// (sim.Engine.SetReference), every send goes down the fault plane's path
+// instead (transmit): an event delivers the message and another completes
+// the send.
 // When both ranks share an engine the message pairs with the destination's
 // first posted receive for (src, tag) or waits on its inflight list for
 // one (see Irecv), and no event is scheduled, unless the paired receive's
@@ -351,7 +358,7 @@ func (r *Rank) Isend(p *sim.Process, dst, tag int, payload []float64, bytes int6
 	r.BytesSent += bytes
 	r.MsgsSent++
 
-	if r.comm.inj != nil {
+	if r.comm.inj != nil || r.eng().Reference() {
 		// Transmission seqs are rank-local (disambiguated by the rank in
 		// the high bits) so concurrent shards never contend on a counter.
 		r.sendSeq++
@@ -389,12 +396,16 @@ func (r *Rank) Isend(p *sim.Process, dst, tag int, payload []float64, bytes int6
 // forever (the substrate models transient faults, not partitions).
 const maxSendAttempts = 6
 
-// transmit performs one on-wire attempt of a send under fault injection.
+// transmit performs one on-wire attempt of a send under fault injection,
+// or of every send in the engine's reference mode, where no fault is drawn.
 func (r *Rank) transmit(req *Request, st *sendState) {
 	c := r.comm
 	now := r.eng().Now()
 	wire := sim.Time(c.params.MessageTimeBetween(r.rank, st.dst, st.bytes))
-	drop, dup, delay, degrade := c.inj.MsgFate(r.rank)
+	var drop, dup, delay, degrade bool
+	if c.inj != nil {
+		drop, dup, delay, degrade = c.inj.MsgFate(r.rank)
+	}
 	if st.attempt >= maxSendAttempts {
 		drop = false
 	}
@@ -561,12 +572,16 @@ func (r *Rank) complete(req *Request, m *message) {
 // per-test cost. It reports whether the operation has finished.
 //
 // A decided request is answered with a lazy charge (Charge) by its doneAt
-// and sentAt alone. The delivery event that used to complete it had the
-// calendar key (doneAt, sentAt, its sequence number at the post), and the
-// synchronising test's wake-up the key (end, clock, a later number), where
-// clock is the caller's clock and end = clock + the test cost: the message
-// had arrived by the test's return exactly when doneAt < end, or doneAt ==
-// end and sentAt <= clock. A send's own sentAt is at or before its owner's
+// and sentAt alone. In the engine's reference mode the delivery event that
+// completes it has the calendar key (doneAt, sentAt, its sequence number
+// at the post), and the synchronising test's wake-up the key (end, clock,
+// a number taken later), where clock is the caller's clock and end =
+// clock + the test cost: the message has arrived by the test's return
+// exactly when doneAt < end, or doneAt == end and sentAt <= clock. The
+// premise fails at one tie: a tester that reached clock on a wake-up
+// issued before the one that brought the sender to sentAt == clock takes
+// the earlier number, which needs a test cost at or above a wire time
+// (DESIGN §3, "Ties"). A send's own sentAt is at or before its owner's
 // clock, so its answer is doneAt <= end.
 //
 // Any other request completes when an event runs, so the charge
@@ -614,38 +629,6 @@ func (r *Rank) Watch(p *sim.Process, req *Request, until *sim.Time) {
 		return
 	}
 	req.sig.Notify(p)
-}
-
-// TestSweepInto tests a batch of already-posted send requests, semantically
-// identical to calling Test on each in order, and reports each result in
-// res (grown as needed, so steady-state pollers reuse one buffer).
-// With no fault injector, no test meets the calendar: a send's doneAt is
-// fixed at post time, so the result of the i-th test is exactly
-// doneAt <= t_i, where t_i is the caller's clock after i
-// lazy charges of the per-test cost — the instant the i-th serial Test
-// would have returned, by the same float additions — and the sweep
-// executes no event at all.
-//
-// Under fault injection Test drives retransmission mid-sweep, so the sweep
-// is per-request synchronising polls.
-func (r *Rank) TestSweepInto(p *sim.Process, reqs []*Request, res []bool) []bool {
-	for len(res) < len(reqs) {
-		res = append(res, false)
-	}
-	res = res[:len(reqs)]
-	if r.comm.inj != nil {
-		for i, req := range reqs {
-			res[i] = r.Test(p, req)
-		}
-		return res
-	}
-	cost := sim.Time(r.comm.params.MPITestCost)
-	for i, req := range reqs {
-		p.Charge(cost)
-		res[i] = req.decided && req.doneAt <= p.Now()
-	}
-	r.TestCalls += int64(len(reqs))
-	return res
 }
 
 // ---- Collectives ----

@@ -305,7 +305,7 @@ func TestFreeKeepsReceiveWithPendingFire(t *testing.T) {
 		p.Sleep(0.5)
 		req := r.Isend(p, 1, 1, nil, 8)
 		p.Charge(2)
-		if ok := r.TestSweepInto(p, []*Request{req}, nil); !ok[0] {
+		if !r.Test(p, req) {
 			t.Fatal("send not complete one wire time after posting")
 		}
 		r.Free(req)

@@ -161,11 +161,6 @@ type Rank struct {
 	// Per-step communication state.
 	recvs []pendingRecv
 	sends []pendingSend
-	// Scratch buffers for the lazy send sweep, reused across polls so
-	// the steady-state step loop allocates nothing.
-	sweepIdx  []int
-	sweepReqs []*mpisim.Request
-	sweepOks  []bool
 	// notes interns "prefix + label" trace annotations: the step loop
 	// emits the same few dozen strings every step, and building them once
 	// keeps the steady-state loop free of string allocation.

@@ -208,39 +208,22 @@ func (s *Rank) ExecuteStep(p *sim.Process, step int, t, dt float64) error {
 			r.req = nil
 			progressed = true
 		}
-		// The send sweep only retires request handles — completed sends
-		// release no work, and a send's completion time is fixed when it
-		// is posted — so its polls are lazy charges that meet no event
-		// (TestSweepInto). The per-request spans are synthesized at the
-		// exact instants the serial polls would have occupied, so
-		// accounting and traces are unchanged.
-		s.sweepIdx = s.sweepIdx[:0]
-		s.sweepReqs = s.sweepReqs[:0]
 		for i := range s.sends {
-			if !s.sends[i].done {
-				s.sweepIdx = append(s.sweepIdx, i)
-				s.sweepReqs = append(s.sweepReqs, s.sends[i].req)
+			sd := &s.sends[i]
+			if sd.done {
+				continue
 			}
-		}
-		if len(s.sweepReqs) > 0 {
-			// Span boundaries accumulate the per-test cost exactly as the
-			// polls' clock did, so times and CommTime stay bitwise identical
-			// whether or not the sweep synchronises.
-			start := p.Now()
-			s.sweepOks = s.mpi.TestSweepInto(p, s.sweepReqs, s.sweepOks[:0])
-			for k, i := range s.sweepIdx {
-				sd := &s.sends[i]
-				if s.sweepOks[k] {
-					sd.done = true
-					// Send requests carry no payload to read back: retire
-					// the handle into the rank's pool right away.
-					s.mpi.Free(sd.req)
-					sd.req = nil
-				}
-				end := start + sim.Time(s.params.MPITestCost)
-				s.noteCommSpan(start, end, step, "test send")
-				start = end
+			t0 := p.Now()
+			ok := s.mpi.Test(p, sd.req)
+			s.noteComm(p, t0, step, "test send")
+			if !ok {
+				continue
 			}
+			sd.done = true
+			// Send requests carry no payload to read back: retire the
+			// handle into the rank's pool right away.
+			s.mpi.Free(sd.req)
+			sd.req = nil
 		}
 
 		// Step 3d: execute ready MPE tasks (reductions).
@@ -273,20 +256,14 @@ func (s *Rank) ExecuteStep(p *sim.Process, step int, t, dt float64) error {
 // noteComm attributes the virtual time an MPI call consumed to the
 // communication bucket.
 func (s *Rank) noteComm(p *sim.Process, t0 sim.Time, step int, name string) {
-	s.noteCommSpan(t0, p.Now(), step, name)
-}
-
-// noteCommSpan attributes an explicit [start, end) interval to the
-// communication bucket — used by batched sweeps, which synthesize the
-// per-request spans the serial polls would have produced.
-func (s *Rank) noteCommSpan(start, end sim.Time, step int, name string) {
-	d := end - start
+	end := p.Now()
+	d := end - t0
 	if d <= 0 {
 		return
 	}
 	s.Stats.CommTime += d
 	s.cfg.Trace.Add(trace.Event{Rank: s.mpi.RankID(), Step: step,
-		Kind: trace.KindComm, Name: name, Start: start, End: end})
+		Kind: trace.KindComm, Name: name, Start: t0, End: end})
 }
 
 // nextReady returns the lowest-index ready object, selecting offloadable

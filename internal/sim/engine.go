@@ -12,8 +12,10 @@
 // coroutine is running; all others are parked waiting for the engine to
 // switch back to them. Events execute in (time, issue time, schedule
 // order) order, so a simulation is reproducible run to run, and a process
-// running ahead of the calendar issues its events in the order they would
-// have had had it slept through every charge.
+// running ahead of the calendar issues its events with the keys they would
+// have had had it slept through every charge. The engine's reference mode
+// (Engine.SetReference) is that run: every charge sleeps, and mpisim
+// delivers every message by an event. Tests hold every fast path to it.
 package sim
 
 import (
@@ -58,11 +60,6 @@ type event struct {
 	// gen counts reuses of this slot; an EventHandle carries the gen it
 	// was issued under and goes inert once they diverge.
 	gen uint32
-	// ahead marks an event issued by a process whose clock was past the
-	// calendar's, and by the process that issued it (nil: an event
-	// callback). Only the tie census sets and reads them.
-	ahead bool
-	by    *Process
 }
 
 // eventQueue is a typed, slice-backed 4-ary min-heap on (at, issue, seq). It
@@ -189,10 +186,9 @@ type Engine struct {
 	// cal is the calendar's clock: the time of the event the run loop is
 	// executing (or last executed). now > cal only while a process that has
 	// charged since it last met the calendar is running.
-	cal     Time
-	running *Process // the process whose body is executing, for the census
-	seq     uint64
-	queue   eventQueue
+	cal   Time
+	seq   uint64
+	queue eventQueue
 	// procs is the roster of live processes (spawned, not yet finished), in
 	// spawn order, for the deadlock report and the release on teardown.
 	procs   []*Process
@@ -210,12 +206,8 @@ type Engine struct {
 	// viaCalendar makes advance refuse, so tests can compare the inline
 	// path against the calendar round trip it replaces.
 	viaCalendar bool
-	// alwaysSync makes every Process.Charge a synchronising Sleep: the
-	// reference the lazy process clocks are tested against.
-	alwaysSync bool
-	// census, when set (by the tie-census tests), sees every executed
-	// event, stamped with ahead and by.
-	census func(*event)
+	// reference is the reference mode (SetReference).
+	reference bool
 
 	// free is the event arena: fired and cancelled events return here and
 	// are reissued by the schedule calls, so a steady-state simulation
@@ -272,9 +264,6 @@ func (e *Engine) getEvent(at, issue Time) *event {
 	ev.issue = issue
 	ev.seq = e.seq
 	e.seq++
-	if e.census != nil {
-		ev.ahead, ev.by = issue > e.cal, e.running
-	}
 	return ev
 }
 
@@ -284,7 +273,6 @@ func (e *Engine) getEvent(at, issue Time) *event {
 func (e *Engine) putEvent(ev *event) {
 	ev.fn = nil
 	ev.c = nil
-	ev.by = nil
 	ev.gen++
 	e.free = append(e.free, ev)
 }
@@ -400,9 +388,6 @@ func (e *Engine) fire(ev *event) {
 	}
 	e.now, e.cal = ev.at, ev.at
 	e.executed++
-	if e.census != nil {
-		e.census(ev)
-	}
 	fn, c := ev.fn, ev.c
 	e.putEvent(ev)
 	if c != nil {
@@ -557,6 +542,16 @@ func (e *Engine) NextEventTime() Time {
 	}
 	return Infinity
 }
+
+// SetReference turns the engine's reference mode on or off. It is the run
+// every fast path is checked against: every Process.Charge is a
+// synchronising Sleep, and mpisim delivers every message on the engine by
+// an event (Reference), so no outcome is decided ahead of the calendar.
+// Only tests set it; a simulation's outputs are the same either way.
+func (e *Engine) SetReference(on bool) { e.reference = on }
+
+// Reference reports whether the engine runs in its reference mode.
+func (e *Engine) Reference() bool { return e.reference }
 
 // EventsExecuted returns the number of events the engine has run — the
 // denominator of event-loop efficiency measurements (for example the

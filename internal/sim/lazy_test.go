@@ -20,11 +20,11 @@ import (
 	"sunuintah/internal/taskgraph"
 )
 
-// The tests in this file hold lazy rank clocks to whole simulations: the
-// scheduler, the MPI model and athread charging ahead of the calendar must
-// produce what they produce when every charge synchronises
-// (sim.AlwaysSync), and no run of the paper's matrix may rest on a
-// same-instant order that only a synchronising run would fix.
+// The tests in this file hold every fast path to whole simulations: the
+// scheduler, the MPI model and athread charging ahead of the calendar, and
+// messages decided at their post, must produce what the engine's reference
+// mode produces (Engine.SetReference), where every charge synchronises and
+// every message is delivered by an event.
 
 // simEngines returns s's distinct engines in rank order.
 func simEngines(s *core.Simulation) []*sim.Engine {
@@ -40,11 +40,13 @@ func simEngines(s *core.Simulation) []*sim.Engine {
 }
 
 // lazyRun executes spec on the serial engine (shards 0) or a ShardSet,
-// lazily or with every charge synchronising. It returns the result JSON —
-// timings, counters, per-rank stats, the flight recorder's series and the
-// canonical trace — followed in functional mode by every field's bits, and
-// each engine's final clock and executed-event count.
-func lazyRun(t *testing.T, spec runner.Spec, shards int, alwaysSync bool) ([]byte, []sim.Time, uint64) {
+// fast or in the reference mode. It returns the result JSON — timings,
+// counters, per-rank stats, the flight recorder's series and the canonical
+// trace — followed by the run's error, if it ran out of memory, and in
+// functional mode every field's bits; then each engine's final clock and
+// the executed-event count. A case that does not fit in memory at all
+// (Table III) returns nil.
+func lazyRun(t *testing.T, spec runner.Spec, shards int, reference bool) ([]byte, []sim.Time, uint64) {
 	t.Helper()
 	cfg, prob, err := experiments.SpecConfig(spec)
 	if err != nil {
@@ -52,29 +54,27 @@ func lazyRun(t *testing.T, spec runner.Spec, shards int, alwaysSync bool) ([]byt
 	}
 	cfg.Shards = shards
 	s, err := core.NewSimulation(cfg, prob)
+	var oom *sw26010.ErrOutOfMemory
+	if errors.As(err, &oom) {
+		return nil, nil, 0
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	engs := simEngines(s)
-	var ties []func() uint64
 	for _, e := range engs {
-		if alwaysSync {
-			sim.AlwaysSync(e)
-		}
-		ties = append(ties, sim.CountTies(e))
+		e.SetReference(reference)
 	}
 	res, err := s.Run(spec.Steps)
-	if err != nil {
+	if err != nil && !errors.As(err, &oom) {
 		t.Fatal(err)
 	}
-	for _, n := range ties {
-		if n() > 0 {
-			t.Errorf("%d calendar pops tie with an event issued ahead of the calendar", n())
-		}
+	out, jerr := json.Marshal(res)
+	if jerr != nil {
+		t.Fatal(jerr)
 	}
-	out, err := json.Marshal(res)
 	if err != nil {
-		t.Fatal(err)
+		out = append(out, err.Error()...)
 	}
 	if spec.Functional {
 		var labels []*taskgraph.Label
@@ -101,13 +101,14 @@ func lazyRun(t *testing.T, spec runner.Spec, shards int, alwaysSync bool) ([]byt
 	return out, clocks, events
 }
 
-// TestLazyClocksMatchAlwaysSync runs 1, 4 and 128 ranks, asynchronous and
+// TestLazyClocksMatchReference runs 1, 4 and 128 ranks, asynchronous and
 // synchronous, timing-only and functional, on the serial engine and on four
-// shards, both ways, and compares results, traces, fields and clocks byte
-// for byte, with the tie census reading zero. Lazy runs must also execute
-// fewer events; under fault injection every charge synchronises, so there
-// the counts are equal. -short (the race gate) drops the 128-rank cases.
-func TestLazyClocksMatchAlwaysSync(t *testing.T) {
+// shards, fast and in the reference mode, and compares results, traces,
+// fields and clocks byte for byte. Fast runs must also execute fewer
+// events; under fault injection every charge synchronises and every message
+// is an event already, so there the counts are equal. -short (the race
+// gate) drops the 128-rank cases.
+func TestLazyClocksMatchReference(t *testing.T) {
 	type tc struct {
 		spec   runner.Spec
 		faulty bool
@@ -163,15 +164,16 @@ func TestLazyClocksMatchAlwaysSync(t *testing.T) {
 	}
 }
 
-// TestTieCensusPaperMatrix runs every case of the paper's 250-case matrix
-// for two steps with the tie census on: no calendar pop may share its
-// (time, issue time) with an event issued ahead of the calendar by another
-// issuer. Cases that do not fit in memory (Table III) stop where they fail.
-func TestTieCensusPaperMatrix(t *testing.T) {
+// TestPaperMatrixMatchesReference runs every case of the paper's 250-case
+// matrix for two steps fast and in the reference mode and compares the two
+// byte for byte; the reference must execute more events. Cases that do not
+// fit in memory (Table III) stop where they fail, alike in both runs.
+func TestPaperMatrixMatchesReference(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the 250-case matrix")
+		t.Skip("runs the 250-case matrix twice")
 	}
-	var cases, ties uint64
+	var cases int
+	var fastEvents, refEvents uint64
 	for _, prob := range experiments.Problems {
 		for _, cgs := range experiments.CGCounts {
 			if cgs < prob.MinCGs {
@@ -180,31 +182,21 @@ func TestTieCensusPaperMatrix(t *testing.T) {
 			for _, v := range experiments.Variants {
 				cases++
 				spec := experiments.SpecFor(prob, cgs, v, experiments.Options{Steps: 2}, 0)
-				cfg, problem, err := experiments.SpecConfig(spec)
-				if err != nil {
-					t.Fatal(err)
+				want, _, wantEvents := lazyRun(t, spec, 0, true)
+				got, _, gotEvents := lazyRun(t, spec, 0, false)
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s: fast run differs from the reference:\nfast:      %.2000s\nreference: %.2000s", spec, got, want)
 				}
-				s, err := core.NewSimulation(cfg, problem)
-				var oom *sw26010.ErrOutOfMemory
-				if errors.As(err, &oom) {
-					continue
+				if want != nil && gotEvents >= wantEvents {
+					t.Errorf("%s: fast run executed %d events, reference %d", spec, gotEvents, wantEvents)
 				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				n := sim.CountTies(simEngines(s)[0])
-				if _, err := s.Run(spec.Steps); err != nil && !errors.As(err, &oom) {
-					t.Fatalf("%s: %v", spec, err)
-				}
-				if n() > 0 {
-					t.Errorf("%s: %d calendar pops tie with an event issued ahead of the calendar", spec, n())
-				}
-				ties += n()
+				fastEvents += gotEvents
+				refEvents += wantEvents
 			}
 		}
 	}
 	if cases != 250 {
 		t.Fatalf("matrix has %d cases, want 250", cases)
 	}
-	t.Logf("%d cases, %d lazy ties", cases, ties)
+	t.Logf("%d cases: %d events fast, %d in the reference mode", cases, fastEvents, refEvents)
 }

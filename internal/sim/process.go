@@ -65,11 +65,9 @@ func (p *Process) run() {
 	if p.finished {
 		panic(fmt.Sprintf("sim: resuming finished process %s", p.name))
 	}
-	e := p.eng
-	e.running = p
 	p.next()
 	// Parked or returned: the engine's clock is the calendar's again.
-	e.running, e.now = nil, e.cal
+	p.eng.now = p.eng.cal
 }
 
 // yield parks the process and returns control to the engine. The process
@@ -97,11 +95,11 @@ func (p *Process) Now() Time { return p.eng.now }
 // that other processes or events change, it must meet the calendar (Sync,
 // Sleep, or a wait, which syncs first). A d that does not move the clock,
 // a RunUntil deadline the charge would cross, a stopped engine and the
-// engine's always-synchronise reference make it a Sleep.
+// engine's reference mode (Engine.SetReference) make it a Sleep.
 func (p *Process) Charge(d Time) {
 	e := p.eng
 	t := e.now + d
-	if !(t > e.now) || e.alwaysSync || e.stopped || (!e.windowed && t > e.limit) {
+	if !(t > e.now) || e.reference || e.stopped || (!e.windowed && t > e.limit) {
 		p.Sleep(d)
 		return
 	}
