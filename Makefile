@@ -29,14 +29,17 @@ examples:
 # Race-check every package. Real cross-goroutine traffic lives in the
 # sharded engine and the MPI model it drives, the runner pool (its
 # determinism guard runs real simulations on concurrent workers), sunserver
-# and its journal, the tile worker pool of field/athread/scheduler (it
-# writes main-memory storage directly) and grid's build-on-first-use
-# ghost-geometry table; the rest cost a second each. The full-sweep
-# experiments tests and sim's whole-simulation tests are minutes-long under
-# the race detector, hence -short there. This is also the shard gate:
-# core's TestShardedBitIdentical holds the conservative engine
-# (core.Config.Shards, set only by bench/ and the tests) byte-identical to
-# serial at shards 1/2/4/8, experiments' TestExecShardDeterminism does so
+# and its journal, scheduler's tile queue (its workers, and the ranks that
+# run queued tiles while they wait, write main-memory storage directly
+# through field/athread windows; scheduler's and core's tests drive it at
+# GOMAXPROCS 1 and 2), burgers' phi cache (shared by every tile of a task)
+# and grid's build-on-first-use ghost-geometry table; the rest cost a
+# second each. The full-sweep experiments tests and sim's whole-simulation
+# tests are minutes-long under the race detector, hence -short there. This
+# is also the shard gate: core's TestShardedBitIdentical holds the
+# conservative engine (core.Config.Shards, set only by bench/ and the
+# tests) byte-identical to serial at shards 1/2/4/8, experiments'
+# TestExecShardDeterminism does so
 # end to end through SpecConfig, and sim's TestShardSet* cover the
 # window/mail machinery, the latency-matrix and the mail-storm edge cases.
 # And it is the reference gate: sim's TestLazyClocksMatchReference (both

@@ -81,7 +81,7 @@ func main() {
 	case "scalar":
 		u = burgers.NewULabel()
 		prob = core.Problem{
-			Tasks:   []*taskgraph.Task{burgers.NewAdvanceTask(u, expLib, v.SIMD)},
+			Tasks:   []*taskgraph.Task{burgers.NewAdvanceTask(u, expLib)},
 			Initial: map[*taskgraph.Label]func(x, y, z float64) float64{u: burgers.Initial},
 			Dt:      dt,
 		}

@@ -51,7 +51,7 @@ func run(w io.Writer, args []string) error {
 	// would; nothing is stepped.
 	u := burgers.NewULabel()
 	s, err := core.NewSimulation(core.Config{Cells: cells, PatchCounts: patches, NumCGs: *ranks},
-		core.Problem{Tasks: []*taskgraph.Task{burgers.NewAdvanceTask(u, burgers.FastExpLib, false)}, Dt: 1})
+		core.Problem{Tasks: []*taskgraph.Task{burgers.NewAdvanceTask(u, burgers.FastExpLib)}, Dt: 1})
 	if err != nil {
 		return err
 	}

@@ -26,7 +26,7 @@ func run(mode scheduler.Mode) (*core.Result, *trace.Recorder) {
 	u := burgers.NewULabel()
 	rec := trace.New()
 	prob := core.Problem{
-		Tasks: []*taskgraph.Task{burgers.NewAdvanceTask(u, burgers.FastExpLib, false)},
+		Tasks: []*taskgraph.Task{burgers.NewAdvanceTask(u, burgers.FastExpLib)},
 		Dt:    1e-5,
 	}
 	cfg := core.Config{

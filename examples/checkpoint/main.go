@@ -32,7 +32,7 @@ func main() {
 	u := burgers.NewULabel()
 	dt := burgers.StableDt(1.0/16, 1.0/16, 1.0/32)
 	prob := core.Problem{
-		Tasks:   []*taskgraph.Task{burgers.NewAdvanceTask(u, burgers.FastExpLib, false)},
+		Tasks:   []*taskgraph.Task{burgers.NewAdvanceTask(u, burgers.FastExpLib)},
 		Initial: map[*taskgraph.Label]func(x, y, z float64) float64{u: burgers.Initial},
 		Dt:      dt,
 	}

@@ -29,7 +29,7 @@ func solveError(n int, finalT float64) float64 {
 	dt = finalT / float64(steps)
 
 	prob := core.Problem{
-		Tasks:   []*taskgraph.Task{burgers.NewAdvanceTask(u, burgers.FastExpLib, true)},
+		Tasks:   []*taskgraph.Task{burgers.NewAdvanceTask(u, burgers.FastExpLib)},
 		Initial: map[*taskgraph.Label]func(x, y, z float64) float64{u: burgers.Initial},
 		Dt:      dt,
 	}

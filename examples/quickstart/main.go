@@ -30,7 +30,7 @@ func main() {
 	// ghost layer and computes u into the new warehouse on the CPEs.
 	prob := core.Problem{
 		Tasks: []*taskgraph.Task{
-			burgers.NewAdvanceTask(u, burgers.FastExpLib, false),
+			burgers.NewAdvanceTask(u, burgers.FastExpLib),
 		},
 		Initial: map[*taskgraph.Label]func(x, y, z float64) float64{
 			u: burgers.Initial,

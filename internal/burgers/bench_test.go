@@ -35,7 +35,7 @@ func BenchmarkPhi(b *testing.B) {
 	}
 }
 
-func benchKernel(b *testing.B, simd bool) {
+func BenchmarkKernelScalar(b *testing.B) {
 	lv, err := grid.NewUnitCubeLevel(grid.IV(32, 32, 32), grid.IV(1, 1, 1))
 	if err != nil {
 		b.Fatal(err)
@@ -51,16 +51,9 @@ func benchKernel(b *testing.B, simd bool) {
 	b.SetBytes(dom.NumCells() * 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if simd {
-			advanceSIMD(in, out, dom, lv, 0, dt, FastExp)
-		} else {
-			advance(in, out, dom, lv, 0, dt, FastExp)
-		}
+		advance(in, out, dom, lv, 0, dt, FastExp)
 	}
 }
-
-func BenchmarkKernelScalar(b *testing.B) { benchKernel(b, false) }
-func BenchmarkKernelSIMD(b *testing.B)   { benchKernel(b, true) }
 
 // benchKernelOpt measures the monomorphic fused kernel per exponential
 // library, reporting cells/s (the paper's kernel throughput unit) and

@@ -165,9 +165,9 @@ func newLevel(t *testing.T, cells grid.IVec) *grid.Level {
 	return lv
 }
 
-// applyKernel runs one step of the given kernel body over the whole grid
-// with exact ghost values.
-func applyKernel(lv *grid.Level, simd bool, t0, dt float64) *field.Cell {
+// applyKernel runs one step of the scalar reference kernel over the whole
+// grid with exact ghost values.
+func applyKernel(lv *grid.Level, t0, dt float64) *field.Cell {
 	dom := lv.Layout.Domain
 	old := field.NewCellWithGhost(dom, 1)
 	old.FillFunc(old.Alloc(), func(c grid.IVec) float64 {
@@ -175,23 +175,8 @@ func applyKernel(lv *grid.Level, simd bool, t0, dt float64) *field.Cell {
 		return Exact(x, y, z, t0)
 	})
 	out := field.NewCell(dom)
-	if simd {
-		advanceSIMD(old, out, dom, lv, t0, dt, FastExp)
-	} else {
-		advance(old, out, dom, lv, t0, dt, FastExp)
-	}
+	advance(old, out, dom, lv, t0, dt, FastExp)
 	return out
-}
-
-func TestSIMDKernelBitIdenticalToScalar(t *testing.T) {
-	// Width 10 exercises both the 4-wide body and the remainder loop.
-	lv := newLevel(t, grid.IV(10, 6, 6))
-	dt := StableDt(lv.Spacing[0], lv.Spacing[1], lv.Spacing[2])
-	a := applyKernel(lv, false, 0.003, dt)
-	b := applyKernel(lv, true, 0.003, dt)
-	if d := field.MaxAbsDiff(a, b, lv.Layout.Domain); d != 0 {
-		t.Fatalf("simd kernel differs from scalar by %g", d)
-	}
 }
 
 func TestOneStepTruncationShrinksWithResolution(t *testing.T) {
@@ -201,7 +186,7 @@ func TestOneStepTruncationShrinksWithResolution(t *testing.T) {
 	oneStepErr := func(n int) float64 {
 		lv := newLevel(t, grid.IV(n, n, n))
 		dt := StableDt(lv.Spacing[0], lv.Spacing[1], lv.Spacing[2])
-		got := applyKernel(lv, false, 0, dt)
+		got := applyKernel(lv, 0, dt)
 		maxErr := 0.0
 		lv.Layout.Domain.ForEach(func(c grid.IVec) {
 			x, y, z := lv.CellCenter(c)

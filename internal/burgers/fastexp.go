@@ -9,9 +9,10 @@
 // manufactured solution u(x,y,z,t) = phi(x,t) phi(y,t) phi(z,t) supplies
 // the initial and boundary conditions and the correctness reference.
 //
-// The package provides the scalar and 4-wide "SIMD" kernels of Section VI,
-// the fast non-IEEE exponential of Section VI-C, and the counted
-// floating-point costs that feed the simulated hardware FLOP counters.
+// The package provides the scalar reference kernel and the fused kernel
+// the runtime executes (Section VI), the fast non-IEEE exponential of
+// Section VI-C, and the counted floating-point costs that feed the
+// simulated hardware FLOP counters.
 package burgers
 
 import "math"
@@ -81,7 +82,14 @@ func FastExp(x float64) float64 {
 	p = p*r + 0.5
 	p = p*r + 1.0
 	p = p*r + 1.0
-	return math.Ldexp(p, int(n))
+	// p·2^n: with n >= -1021 both 2^n and the product are normal (p > 0.7),
+	// so one multiply by 2^n built from its exponent bits is exact and
+	// equals math.Ldexp, which handles the subnormal tail.
+	k := int(n)
+	if k >= -1021 {
+		return p * math.Float64frombits(uint64(k+1023)<<52)
+	}
+	return math.Ldexp(p, k)
 }
 
 // FastExpSlice evaluates dst[i] = FastExp(src[i]) over contiguous spans,

@@ -77,71 +77,14 @@ func advance(uOld, uNew *field.Cell, region grid.Box, lv *grid.Level, t, dt floa
 	}
 }
 
-// advanceSIMD is the vectorised kernel of Section VI-B: the i loop is
-// unrolled by the SIMD width of 4, mirroring the structure of the manual
-// intrinsics port (Algorithm 2). Lane arithmetic is element-wise and
-// bit-identical to the scalar kernel; the remainder loop handles tile
-// widths that are not multiples of four.
-func advanceSIMD(uOld, uNew *field.Cell, region grid.Box, lv *grid.Level, t, dt float64, exp func(float64) float64) {
-	const width = 4
-	dx, dy, dz := lv.Spacing[0], lv.Spacing[1], lv.Spacing[2]
-	rdx, rdy, rdz := 1/dx, 1/dy, 1/dz
-	rdx2, rdy2, rdz2 := rdx*rdx, rdy*rdy, rdz*rdz
-	ys, zs := uOld.Strides()
-	data := uOld.Data()
-	var u, um, up, vy0, vy1, vz0, vz1, phix, du [width]float64
-	for k := region.Lo.Z; k < region.Hi.Z; k++ {
-		z := lv.Origin[2] + (float64(k)+0.5)*dz
-		phiz := Phi(z, t, exp)
-		for j := region.Lo.Y; j < region.Hi.Y; j++ {
-			y := lv.Origin[1] + (float64(j)+0.5)*dy
-			phiy := Phi(y, t, exp)
-			base := uOld.Index(grid.IV(region.Lo.X, j, k))
-			i := region.Lo.X
-			for ; i+width <= region.Hi.X; i += width {
-				idx := base + (i - region.Lo.X)
-				// SIMD_LOADU-style vector loads.
-				for l := 0; l < width; l++ {
-					u[l] = data[idx+l]
-					um[l] = data[idx+l-1]
-					up[l] = data[idx+l+1]
-					vy0[l] = data[idx+l-ys]
-					vy1[l] = data[idx+l+ys]
-					vz0[l] = data[idx+l-zs]
-					vz1[l] = data[idx+l+zs]
-					x := lv.Origin[0] + (float64(i+l)+0.5)*dx
-					phix[l] = Phi(x, t, exp)
-				}
-				for l := 0; l < width; l++ {
-					uDudx := phix[l] * (um[l] - u[l]) * rdx
-					uDudy := phiy * (vy0[l] - u[l]) * rdy
-					uDudz := phiz * (vz0[l] - u[l]) * rdz
-					d2udx2 := (-2*u[l] + um[l] + up[l]) * rdx2
-					d2udy2 := (-2*u[l] + vy0[l] + vy1[l]) * rdy2
-					d2udz2 := (-2*u[l] + vz0[l] + vz1[l]) * rdz2
-					du[l] = (uDudx + uDudy + uDudz) + Nu*(d2udx2+d2udy2+d2udz2)
-				}
-				for l := 0; l < width; l++ {
-					uNew.Set(grid.IV(i+l, j, k), u[l]+dt*du[l])
-				}
-			}
-			if i < region.Hi.X {
-				tail := grid.NewBox(grid.IV(i, j, k), grid.IV(region.Hi.X, j+1, k+1))
-				advance(uOld, uNew, tail, lv, t, dt, exp)
-			}
-		}
-	}
-}
-
 // NewAdvanceTask builds the Burgers timestep task: it requires u from the
 // old warehouse with one ghost layer and computes u into the new
-// warehouse on the CPE cluster. The functional body is always the
-// monomorphic fused kernel (advanceOpt), which is bit-identical to both
-// the scalar and 4-wide reference kernels; simd selects only the
-// vectorised *cost model* (chosen by the scheduler configuration), since
-// the numerics cannot differ.
-func NewAdvanceTask(u *taskgraph.Label, e Exp, simd bool) *taskgraph.Task {
-	_ = simd
+// warehouse on the CPE cluster. The functional body is the fused kernel
+// over φ profiles the task computes once per time level (phiCache),
+// bit-identical to advance; the vectorised cost model is the scheduler's
+// (KernelSpec.SIMD), since the numerics cannot differ.
+func NewAdvanceTask(u *taskgraph.Label, e Exp) *taskgraph.Task {
+	phi := &phiCache{e: e}
 	return &taskgraph.Task{
 		Name: "burgers.advance",
 		Kind: taskgraph.KindOffload,
@@ -156,7 +99,7 @@ func NewAdvanceTask(u *taskgraph.Label, e Exp, simd bool) *taskgraph.Task {
 			ExpFlopsPerCell: ExpFlopsPerCell(e),
 			Weight:          KernelWeight(e),
 			Compute: func(tc *taskgraph.TileContext) {
-				advanceOpt(tc.In.Get(u), tc.Out.Get(u), tc.Tile.Box, tc.Level, tc.Time, tc.Dt, e)
+				phi.advance(tc.In.Get(u), tc.Out.Get(u), tc.Tile.Box, tc.Level, tc.Time, tc.Dt)
 			},
 		},
 	}

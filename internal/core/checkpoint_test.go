@@ -231,7 +231,7 @@ func TestCheckpointTimingOnlyRejected(t *testing.T) {
 func TestCheckpointMemoryRoundTrip(t *testing.T) {
 	cells := grid.IV(16, 16, 16)
 	patches := grid.IV(2, 2, 2)
-	prob, u := burgersProblem(cells, patches, false)
+	prob, u := burgersProblem(cells, patches)
 	cfg := functionalCfg(cells, patches, 4, scheduler.ModeAsync, false)
 
 	s1, err := NewSimulation(cfg, prob)
@@ -280,7 +280,7 @@ func TestCheckpointRestartMatchesUninterruptedRun(t *testing.T) {
 	cells := grid.IV(16, 16, 16)
 	patches := grid.IV(2, 2, 2)
 	lv, _ := grid.NewUnitCubeLevel(cells, patches)
-	prob, u := burgersProblem(cells, patches, false)
+	prob, u := burgersProblem(cells, patches)
 	ref := burgers.SerialSolve(lv, 6, prob.Dt, burgers.FastExpLib)
 
 	// Run 3 steps, checkpoint.
@@ -299,7 +299,7 @@ func TestCheckpointRestartMatchesUninterruptedRun(t *testing.T) {
 
 	// Restore into a DIFFERENT configuration: 2 ranks, synchronous
 	// scheduler — the checkpoint is layout-portable.
-	prob2, u2 := burgersProblem(cells, patches, false)
+	prob2, u2 := burgersProblem(cells, patches)
 	_ = u2
 	cfg2 := functionalCfg(cells, patches, 2, scheduler.ModeSync, false)
 	// Reuse the same label so GatherField works: rebuild problem with u.
@@ -326,7 +326,7 @@ func TestCheckpointRestartMatchesUninterruptedRun(t *testing.T) {
 
 func TestCheckpointValidation(t *testing.T) {
 	cells := grid.IV(16, 16, 16)
-	prob, _ := burgersProblem(cells, grid.IV(2, 2, 2), false)
+	prob, _ := burgersProblem(cells, grid.IV(2, 2, 2))
 
 	// Timing-only simulations cannot checkpoint.
 	cfgT := functionalCfg(cells, grid.IV(2, 2, 2), 2, scheduler.ModeAsync, false)
@@ -346,7 +346,7 @@ func TestCheckpointValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probB, _ := burgersProblem(grid.IV(32, 32, 32), grid.IV(2, 2, 2), false)
+	probB, _ := burgersProblem(grid.IV(32, 32, 32), grid.IV(2, 2, 2))
 	cfgB := functionalCfg(grid.IV(32, 32, 32), grid.IV(2, 2, 2), 2, scheduler.ModeAsync, false)
 	sB, err := NewSimulation(cfgB, probB)
 	if err != nil {
@@ -358,7 +358,7 @@ func TestCheckpointValidation(t *testing.T) {
 
 	// Restore into an already-run simulation is rejected.
 	cfgC := functionalCfg(cells, grid.IV(2, 2, 2), 2, scheduler.ModeAsync, false)
-	probC, _ := burgersProblem(cells, grid.IV(2, 2, 2), false)
+	probC, _ := burgersProblem(cells, grid.IV(2, 2, 2))
 	probC.Tasks = prob.Tasks
 	probC.Initial = prob.Initial
 	sC, _ := NewSimulation(cfgC, probC)

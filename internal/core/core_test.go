@@ -19,13 +19,13 @@ import (
 )
 
 // burgersProblem builds a functional Burgers setup on an n^3 grid.
-func burgersProblem(cells, patches grid.IVec, simd bool) (Problem, *taskgraph.Label) {
+func burgersProblem(cells, patches grid.IVec) (Problem, *taskgraph.Label) {
 	u := burgers.NewULabel()
 	dx := 1.0 / float64(cells.X)
 	dy := 1.0 / float64(cells.Y)
 	dz := 1.0 / float64(cells.Z)
 	return Problem{
-		Tasks:   []*taskgraph.Task{burgers.NewAdvanceTask(u, burgers.FastExpLib, simd)},
+		Tasks:   []*taskgraph.Task{burgers.NewAdvanceTask(u, burgers.FastExpLib)},
 		Initial: map[*taskgraph.Label]func(x, y, z float64) float64{u: burgers.Initial},
 		Dt:      burgers.StableDt(dx, dy, dz),
 	}, u
@@ -68,7 +68,7 @@ func TestFunctionalMatchesSerialReferenceAllVariants(t *testing.T) {
 	patches := grid.IV(2, 2, 2)
 	const nSteps = 4
 	lv, _ := grid.NewUnitCubeLevel(cells, patches)
-	prob, u := burgersProblem(cells, patches, false)
+	prob, u := burgersProblem(cells, patches)
 	ref := burgers.SerialSolve(lv, nSteps, prob.Dt, burgers.FastExpLib)
 
 	cases := []struct {
@@ -87,7 +87,7 @@ func TestFunctionalMatchesSerialReferenceAllVariants(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			prob, u := burgersProblem(cells, patches, tc.simd)
+			prob, u := burgersProblem(cells, patches)
 			cfg := functionalCfg(cells, patches, tc.cgs, tc.mode, tc.simd)
 			got, _ := runAndGather(t, cfg, prob, u, nSteps)
 			if d := field.MaxAbsDiff(got, ref, lv.Layout.Domain); d > 1e-13 {
@@ -102,7 +102,7 @@ func TestFunctionalMatchesSerialReferenceAllVariants(t *testing.T) {
 func TestSolutionApproachesExact(t *testing.T) {
 	cells := grid.IV(24, 24, 24)
 	patches := grid.IV(2, 2, 2)
-	prob, u := burgersProblem(cells, patches, false)
+	prob, u := burgersProblem(cells, patches)
 	cfg := functionalCfg(cells, patches, 4, scheduler.ModeAsync, false)
 	const nSteps = 6
 	got, _ := runAndGather(t, cfg, prob, u, nSteps)
@@ -142,7 +142,7 @@ func TestReductionTaskRuns(t *testing.T) {
 	dx := 1.0 / 16
 	prob := Problem{
 		Tasks: []*taskgraph.Task{
-			burgers.NewAdvanceTask(u, burgers.FastExpLib, false),
+			burgers.NewAdvanceTask(u, burgers.FastExpLib),
 			red,
 		},
 		Initial: map[*taskgraph.Label]func(x, y, z float64) float64{u: burgers.Initial},
@@ -178,7 +178,7 @@ func TestReductionTaskRuns(t *testing.T) {
 func TestTableIIIOutOfMemoryReproduced(t *testing.T) {
 	// 64x64x512 patches on 1 CG (the whole 512x512x1024 grid, 4 GB of
 	// fields) must fail with a memory allocation error; 2 CGs must work.
-	prob, _ := burgersProblem(grid.IV(512, 512, 1024), grid.IV(8, 8, 2), false)
+	prob, _ := burgersProblem(grid.IV(512, 512, 1024), grid.IV(8, 8, 2))
 	cfg := Config{
 		Cells:       grid.IV(512, 512, 1024),
 		PatchCounts: grid.IV(8, 8, 2),
@@ -207,7 +207,7 @@ func TestTableIIIOutOfMemoryReproduced(t *testing.T) {
 }
 
 func TestTimingOnlyRunProducesSaneResult(t *testing.T) {
-	prob, _ := burgersProblem(grid.IV(128, 128, 1024), grid.IV(8, 8, 2), false)
+	prob, _ := burgersProblem(grid.IV(128, 128, 1024), grid.IV(8, 8, 2))
 	cfg := Config{
 		Cells:       grid.IV(128, 128, 1024),
 		PatchCounts: grid.IV(8, 8, 2),
@@ -247,7 +247,7 @@ func TestAsyncNotSlowerThanSyncMidSize(t *testing.T) {
 	// The headline claim: asynchronous scheduling beats synchronous on a
 	// medium problem at a moderate CG count.
 	run := func(mode scheduler.Mode) *Result {
-		prob, _ := burgersProblem(grid.IV(256, 512, 1024), grid.IV(8, 8, 2), false)
+		prob, _ := burgersProblem(grid.IV(256, 512, 1024), grid.IV(8, 8, 2))
 		cfg := Config{
 			Cells:       grid.IV(256, 512, 1024),
 			PatchCounts: grid.IV(8, 8, 2),
@@ -273,7 +273,7 @@ func TestAsyncNotSlowerThanSyncMidSize(t *testing.T) {
 
 func TestHostModeSlowerThanOffload(t *testing.T) {
 	run := func(mode scheduler.Mode) *Result {
-		prob, _ := burgersProblem(grid.IV(128, 128, 1024), grid.IV(8, 8, 2), false)
+		prob, _ := burgersProblem(grid.IV(128, 128, 1024), grid.IV(8, 8, 2))
 		cfg := Config{
 			Cells:       grid.IV(128, 128, 1024),
 			PatchCounts: grid.IV(8, 8, 2),
@@ -299,7 +299,7 @@ func TestHostModeSlowerThanOffload(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	prob, _ := burgersProblem(grid.IV(8, 8, 8), grid.IV(1, 1, 1), false)
+	prob, _ := burgersProblem(grid.IV(8, 8, 8), grid.IV(1, 1, 1))
 	if _, err := NewSimulation(Config{Cells: grid.IV(8, 8, 8), PatchCounts: grid.IV(1, 1, 1)}, prob); err == nil {
 		t.Error("zero CGs should fail")
 	}
@@ -333,7 +333,7 @@ func TestCarryForwardValidation(t *testing.T) {
 
 func TestDeterministicResults(t *testing.T) {
 	run := func() *Result {
-		prob, _ := burgersProblem(grid.IV(64, 64, 128), grid.IV(4, 4, 2), false)
+		prob, _ := burgersProblem(grid.IV(64, 64, 128), grid.IV(4, 4, 2))
 		cfg := Config{
 			Cells:       grid.IV(64, 64, 128),
 			PatchCounts: grid.IV(4, 4, 2),
@@ -360,7 +360,7 @@ func TestBalancerStrategiesGiveIdenticalSolutions(t *testing.T) {
 	cells := grid.IV(16, 16, 16)
 	patches := grid.IV(2, 2, 2)
 	lv, _ := grid.NewUnitCubeLevel(cells, patches)
-	prob, u := burgersProblem(cells, patches, false)
+	prob, u := burgersProblem(cells, patches)
 	ref := burgers.SerialSolve(lv, 3, prob.Dt, burgers.FastExpLib)
 	for _, strat := range []loadbalancer.Strategy{loadbalancer.Block, loadbalancer.RoundRobin, loadbalancer.SFC} {
 		cfg := functionalCfg(cells, patches, 4, scheduler.ModeAsync, false)
@@ -373,7 +373,7 @@ func TestBalancerStrategiesGiveIdenticalSolutions(t *testing.T) {
 }
 
 func TestGatherFieldRequiresFunctional(t *testing.T) {
-	prob, u := burgersProblem(grid.IV(16, 16, 16), grid.IV(2, 2, 2), false)
+	prob, u := burgersProblem(grid.IV(16, 16, 16), grid.IV(2, 2, 2))
 	cfg := functionalCfg(grid.IV(16, 16, 16), grid.IV(2, 2, 2), 2, scheduler.ModeAsync, false)
 	cfg.Scheduler.Functional = false
 	s, err := NewSimulation(cfg, prob)
@@ -389,7 +389,7 @@ func TestRunSegmentsEqualSingleRun(t *testing.T) {
 	cells := grid.IV(16, 16, 16)
 	patches := grid.IV(2, 2, 2)
 	lv, _ := grid.NewUnitCubeLevel(cells, patches)
-	prob, u := burgersProblem(cells, patches, false)
+	prob, u := burgersProblem(cells, patches)
 	ref := burgers.SerialSolve(lv, 6, prob.Dt, burgers.FastExpLib)
 
 	cfg := functionalCfg(cells, patches, 4, scheduler.ModeAsync, false)
@@ -446,7 +446,7 @@ func TestTilePlanMatchesRecordedOutput(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			h := sha256.New()
 			for _, r := range runs {
-				prob, _ := burgersProblem(cells, r.patches, false)
+				prob, _ := burgersProblem(cells, r.patches)
 				s, err := NewSimulation(Config{Cells: cells, PatchCounts: r.patches, NumCGs: 4, Balancer: r.balancer,
 					Scheduler: scheduler.Config{Mode: scheduler.ModeAsync, TileSize: tc.tile, Functional: tc.functional},
 				}, prob)

@@ -34,7 +34,7 @@ func TestShardsCriticalPathIdentity(t *testing.T) {
 			Shards:      shards,
 			Obs:         &obs.Options{Trace: true},
 		}
-		prob, _ := burgersProblem(cells, patches, false)
+		prob, _ := burgersProblem(cells, patches)
 		s, err := NewSimulation(cfg, prob)
 		if err != nil {
 			t.Fatal(err)

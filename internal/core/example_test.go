@@ -17,7 +17,7 @@ import (
 func Example() {
 	u := burgers.NewULabel()
 	prob := core.Problem{
-		Tasks:   []*taskgraph.Task{burgers.NewAdvanceTask(u, burgers.FastExpLib, false)},
+		Tasks:   []*taskgraph.Task{burgers.NewAdvanceTask(u, burgers.FastExpLib)},
 		Initial: map[*taskgraph.Label]func(x, y, z float64) float64{u: burgers.Initial},
 		Dt:      burgers.StableDt(1.0/16, 1.0/16, 1.0/16),
 	}
@@ -50,7 +50,7 @@ func ExampleSimulation_Checkpoint() {
 	cells, patches := grid.IV(16, 16, 16), grid.IV(2, 2, 2)
 	u := burgers.NewULabel()
 	prob := core.Problem{
-		Tasks:   []*taskgraph.Task{burgers.NewAdvanceTask(u, burgers.FastExpLib, false)},
+		Tasks:   []*taskgraph.Task{burgers.NewAdvanceTask(u, burgers.FastExpLib)},
 		Initial: map[*taskgraph.Label]func(x, y, z float64) float64{u: burgers.Initial},
 		Dt:      burgers.StableDt(1.0/16, 1.0/16, 1.0/16),
 	}

@@ -37,7 +37,7 @@ func TestTimingOnlyMatchesFunctionalWallTime(t *testing.T) {
 				t.Fatal("bad test config")
 			}
 			run := func(functional bool) *Result {
-				prob, _ := burgersProblem(tc.cells, patches, false)
+				prob, _ := burgersProblem(tc.cells, patches)
 				cfg := Config{
 					Cells:       tc.cells,
 					PatchCounts: patches,
@@ -77,7 +77,7 @@ func TestTimingOnlyMatchesFunctionalWallTime(t *testing.T) {
 func TestSIMDVariantFasterButSameFlops(t *testing.T) {
 	run := func(simd bool) *Result {
 		cells := grid.IV(64, 64, 128)
-		prob, _ := burgersProblem(cells, grid.IV(2, 2, 2), simd)
+		prob, _ := burgersProblem(cells, grid.IV(2, 2, 2))
 		cfg := Config{
 			Cells:       cells,
 			PatchCounts: grid.IV(2, 2, 2),
@@ -110,7 +110,7 @@ func TestMoreCGsNeverSlower(t *testing.T) {
 	cells := grid.IV(64, 64, 128)
 	prev := math.Inf(1)
 	for _, cgs := range []int{1, 2, 4, 8} {
-		prob, _ := burgersProblem(cells, grid.IV(2, 2, 2), false)
+		prob, _ := burgersProblem(cells, grid.IV(2, 2, 2))
 		cfg := Config{
 			Cells:       cells,
 			PatchCounts: grid.IV(2, 2, 2),
@@ -136,7 +136,7 @@ func TestMoreCGsNeverSlower(t *testing.T) {
 func TestStepsScaleLinearly(t *testing.T) {
 	run := func(steps int) float64 {
 		cells := grid.IV(32, 32, 64)
-		prob, _ := burgersProblem(cells, grid.IV(2, 2, 2), false)
+		prob, _ := burgersProblem(cells, grid.IV(2, 2, 2))
 		cfg := Config{
 			Cells:       cells,
 			PatchCounts: grid.IV(2, 2, 2),
@@ -236,7 +236,7 @@ func TestRankClockMonotone(t *testing.T) {
 					name := fmt.Sprintf("%v/functional=%v/faults=%v/shards=%d", mode, functional, plan != nil, shards)
 					t.Run(name, func(t *testing.T) {
 						rec := trace.New()
-						prob, _ := burgersProblem(cells, patches, false)
+						prob, _ := burgersProblem(cells, patches)
 						s, err := NewSimulation(Config{
 							Cells: cells, PatchCounts: patches, NumCGs: 8, Shards: shards, Faults: plan,
 							Scheduler: scheduler.Config{Mode: mode, TileSize: grid.IV(8, 8, 4), Functional: functional, Trace: rec},

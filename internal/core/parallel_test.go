@@ -10,7 +10,7 @@ import (
 	"sunuintah/internal/scheduler"
 )
 
-// TestParallelTileExecutionDeterministic proves the host worker pool that
+// TestParallelTileExecutionDeterministic proves the host tile queue that
 // runs tile numerics in parallel changes no bits: the scheduler sizes it
 // to GOMAXPROCS, and for every value the gathered global field is
 // float-for-float identical (compared by IEEE bit pattern) to the fully
@@ -22,7 +22,7 @@ func TestParallelTileExecutionDeterministic(t *testing.T) {
 
 	run := func(workers int) *field.Cell {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
-		prob, u := burgersProblem(cells, patches, false)
+		prob, u := burgersProblem(cells, patches)
 		cfg := functionalCfg(cells, patches, 2, scheduler.ModeAsync, false)
 		got, _ := runAndGather(t, cfg, prob, u, nSteps)
 		return got
@@ -51,7 +51,7 @@ func TestParallelTileExecutionDeterministic(t *testing.T) {
 func TestParallelTileExecutionDefaultWorkers(t *testing.T) {
 	cells := grid.IV(16, 16, 16)
 	patches := grid.IV(2, 2, 1)
-	prob, u := burgersProblem(cells, patches, false)
+	prob, u := burgersProblem(cells, patches)
 	const nSteps = 2
 
 	cfg := functionalCfg(cells, patches, 1, scheduler.ModeSync, false)
@@ -59,7 +59,7 @@ func TestParallelTileExecutionDefaultWorkers(t *testing.T) {
 	want, _ := runAndGather(t, cfg, prob, u, nSteps)
 	runtime.GOMAXPROCS(procs)
 
-	prob2, u2 := burgersProblem(cells, patches, false)
+	prob2, u2 := burgersProblem(cells, patches)
 	got, _ := runAndGather(t, cfg, prob2, u2, nSteps)
 
 	wd, gd := want.Data(), got.Data()

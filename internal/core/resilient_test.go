@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -24,7 +25,7 @@ import (
 func TestResilientCrashRestartMatchesHealthyRun(t *testing.T) {
 	cells, patches := grid.IV(16, 16, 16), grid.IV(2, 2, 1)
 	const nSteps = 6
-	prob, u := burgersProblem(cells, patches, false)
+	prob, u := burgersProblem(cells, patches)
 	cfg := functionalCfg(cells, patches, 2, scheduler.ModeAsync, false)
 	ref, _ := runAndGather(t, cfg, prob, u, nSteps)
 
@@ -56,7 +57,7 @@ func TestResilientCrashRestartMatchesHealthyRun(t *testing.T) {
 func TestResilientCrashTimingOnly(t *testing.T) {
 	cells, patches := grid.IV(32, 32, 64), grid.IV(2, 2, 2)
 	const nSteps = 5
-	prob, _ := burgersProblem(cells, patches, false)
+	prob, _ := burgersProblem(cells, patches)
 	cfg := Config{Cells: cells, PatchCounts: patches, NumCGs: 2,
 		Scheduler: scheduler.Config{Mode: scheduler.ModeAsync, TileSize: grid.IV(8, 8, 8)},
 		Faults:    &faults.Plan{Seed: 3, CrashAtStep: 3},
@@ -88,7 +89,7 @@ func TestResilientCrashTimingOnly(t *testing.T) {
 func TestReoffloadAfterInjectedStall(t *testing.T) {
 	cells, patches := grid.IV(16, 16, 16), grid.IV(2, 2, 1)
 	const nSteps = 3
-	prob, u := burgersProblem(cells, patches, false)
+	prob, u := burgersProblem(cells, patches)
 	cfg := functionalCfg(cells, patches, 2, scheduler.ModeAsync, false)
 	ref, _ := runAndGather(t, cfg, prob, u, nSteps)
 
@@ -124,7 +125,7 @@ func TestReoffloadAfterInjectedStall(t *testing.T) {
 func TestMPEFallbackNumericsMatchHealthyRun(t *testing.T) {
 	cells, patches := grid.IV(16, 16, 16), grid.IV(2, 2, 1)
 	const nSteps = 3
-	prob, u := burgersProblem(cells, patches, false)
+	prob, u := burgersProblem(cells, patches)
 	for _, mode := range []scheduler.Mode{scheduler.ModeAsync, scheduler.ModeSync} {
 		cfg := functionalCfg(cells, patches, 2, mode, false)
 		ref, _ := runAndGather(t, cfg, prob, u, nSteps)
@@ -158,7 +159,7 @@ func TestMPEFallbackNumericsMatchHealthyRun(t *testing.T) {
 // offload runs into its deadline, so every wait is a timeout.
 func TestSyncWaitTracedAsSpins(t *testing.T) {
 	cells, patches := grid.IV(32, 32, 64), grid.IV(2, 2, 2)
-	prob, _ := burgersProblem(cells, patches, false)
+	prob, _ := burgersProblem(cells, patches)
 	for _, plan := range []*faults.Plan{nil, {Seed: 1, Stall: 1}} {
 		cfg := Config{Cells: cells, PatchCounts: patches, NumCGs: 4,
 			Scheduler: scheduler.Config{Mode: scheduler.ModeSync, TileSize: grid.IV(8, 8, 8)},
@@ -194,7 +195,7 @@ func TestSyncWaitTracedAsSpins(t *testing.T) {
 func TestMessageFaultsRecovered(t *testing.T) {
 	cells, patches := grid.IV(16, 16, 16), grid.IV(2, 2, 2)
 	const nSteps = 4
-	prob, u := burgersProblem(cells, patches, false)
+	prob, u := burgersProblem(cells, patches)
 	cfg := functionalCfg(cells, patches, 4, scheduler.ModeAsync, false)
 	ref, _ := runAndGather(t, cfg, prob, u, nSteps)
 
@@ -231,7 +232,7 @@ func TestMessageFaultsRecovered(t *testing.T) {
 func TestResilientDeterminism(t *testing.T) {
 	cells, patches := grid.IV(32, 32, 64), grid.IV(2, 2, 2)
 	const nSteps = 4
-	prob, _ := burgersProblem(cells, patches, false)
+	prob, _ := burgersProblem(cells, patches)
 	run := func(seed uint64) string {
 		cfg := Config{Cells: cells, PatchCounts: patches, NumCGs: 2,
 			Scheduler: scheduler.Config{Mode: scheduler.ModeAsync, TileSize: grid.IV(8, 8, 8)},
@@ -260,7 +261,7 @@ func TestResilientDeterminism(t *testing.T) {
 func TestResilientGivesUpAfterMaxRestarts(t *testing.T) {
 	cells, patches := grid.IV(32, 32, 32), grid.IV(2, 2, 1)
 	const nSteps = 4
-	prob, _ := burgersProblem(cells, patches, false)
+	prob, _ := burgersProblem(cells, patches)
 	cfg := Config{Cells: cells, PatchCounts: patches, NumCGs: 2,
 		Scheduler: scheduler.Config{Mode: scheduler.ModeAsync, TileSize: grid.IV(8, 8, 8)},
 		// Rate 1 redraws a crash point each restart. Seed 2's land past
@@ -283,7 +284,7 @@ func TestResilientGivesUpAfterMaxRestarts(t *testing.T) {
 // Fault-free results must not mention the fault plane at all.
 func TestZeroPlanResultHasNoFaultFields(t *testing.T) {
 	cells, patches := grid.IV(32, 32, 32), grid.IV(2, 2, 1)
-	prob, _ := burgersProblem(cells, patches, false)
+	prob, _ := burgersProblem(cells, patches)
 	cfg := Config{Cells: cells, PatchCounts: patches, NumCGs: 2,
 		Scheduler: scheduler.Config{Mode: scheduler.ModeAsync, TileSize: grid.IV(8, 8, 8)}}
 	res, err := RunResilient(cfg, prob, 2)
@@ -301,7 +302,7 @@ func TestZeroPlanResultHasNoFaultFields(t *testing.T) {
 
 func TestResilientRunLeaksNoGoroutines(t *testing.T) {
 	cells, patches := grid.IV(32, 32, 64), grid.IV(2, 2, 2)
-	prob, _ := burgersProblem(cells, patches, false)
+	prob, _ := burgersProblem(cells, patches)
 	timing := Config{Cells: cells, PatchCounts: patches, NumCGs: 8,
 		Scheduler: scheduler.Config{Mode: scheduler.ModeAsync, TileSize: grid.IV(8, 8, 8)},
 		Faults:    &faults.Plan{Seed: 3, CrashAtStep: 3},
@@ -310,7 +311,7 @@ func TestResilientRunLeaksNoGoroutines(t *testing.T) {
 	// crash lands.
 	functional := functionalCfg(grid.IV(16, 16, 16), grid.IV(2, 2, 1), 2, scheduler.ModeAsync, false)
 	functional.Faults = &faults.Plan{Seed: 1, CrashAtStep: 4, CrashRank: 1}
-	fprob, _ := burgersProblem(functional.Cells, functional.PatchCounts, false)
+	fprob, _ := burgersProblem(functional.Cells, functional.PatchCounts)
 	for _, c := range []struct {
 		name string
 		cfg  Config
@@ -338,45 +339,82 @@ func TestResilientRunLeaksNoGoroutines(t *testing.T) {
 	}
 }
 
-// A crash stops the engine with offloads in flight, whose tile numerics
-// run behind the simulated gangs. Run must wait for them on its way out,
-// as on every other path: once it returns no kernel is running, so a
-// restore or a restart never races a late write into a warehouse field.
+// However Run ends — normally, on a rank's error or on a crash — it runs
+// or waits out every tile its offloads queued: once it returns no kernel is
+// running, so a restore or a restart never races a late write into a
+// warehouse field, and the queue's workers, which exit once it is empty,
+// leave the goroutine count where it was. A crash and an error both stop
+// the engine with offloads in flight.
 func TestCrashedRunDrainsTileWorkers(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	cells, patches := grid.IV(32, 32, 32), grid.IV(2, 1, 1)
-	prob, _ := burgersProblem(cells, patches, false)
-	var running, ran atomic.Int64
-	task := *prob.Tasks[0]
-	kernel := *task.Kernel
-	compute := kernel.Compute
-	kernel.Compute = func(tc *taskgraph.TileContext) {
-		running.Add(1)
-		defer running.Add(-1)
-		ran.Add(1)
-		if tc.Tile.Box.Lo == tc.Patch.Box.Lo {
-			time.Sleep(5 * time.Millisecond) // keep the job in flight well past its launch
+	for _, procs := range []int{1, 2} {
+		for _, end := range []string{"normal", "rank error", "crash"} {
+			t.Run(fmt.Sprintf("%s/GOMAXPROCS=%d", end, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				base := runtime.NumGoroutine()
+				prob, _ := burgersProblem(cells, patches)
+				var running, ran atomic.Int64
+				task := *prob.Tasks[0]
+				kernel := *task.Kernel
+				compute := kernel.Compute
+				kernel.Compute = func(tc *taskgraph.TileContext) {
+					running.Add(1)
+					defer running.Add(-1)
+					ran.Add(1)
+					if tc.Tile.Box.Lo == tc.Patch.Box.Lo {
+						time.Sleep(5 * time.Millisecond) // keep the job in flight well past its launch
+					}
+					compute(tc)
+				}
+				task.Kernel = &kernel
+				prob.Tasks = []*taskgraph.Task{&task}
+				cfg := functionalCfg(cells, patches, 2, scheduler.ModeAsync, false)
+				cfg.Scheduler.CPEGroups = 2
+				switch end {
+				case "rank error":
+					// A second label's kernel needs far more LDM than a CPE
+					// has; its first offload fails the rank's step while the
+					// Burgers kernel runs on the other gang.
+					v := taskgraph.NewLabel("v", nil)
+					prob.Tasks = append(prob.Tasks, &taskgraph.Task{
+						Name: "ldm-hog", Kind: taskgraph.KindOffload,
+						Requires: []taskgraph.Dep{{Label: v, DW: taskgraph.OldDW, Ghost: 8}},
+						Computes: []taskgraph.Dep{{Label: v, DW: taskgraph.NewDW}},
+						Kernel:   &taskgraph.Kernel{Weight: 1, Compute: func(*taskgraph.TileContext) {}},
+					})
+					prob.Initial[v] = func(x, y, z float64) float64 { return 0 }
+				case "crash":
+					cfg.Faults = &faults.Plan{Seed: 1, CrashAtStep: 4, CrashRank: 1}
+				}
+				s, err := NewSimulation(cfg, prob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if end == "crash" {
+					s.armCrash(1, 4, 0.8) // late in the step, while both gangs compute
+				}
+				_, err = s.Run(6)
+				var ce *CrashError
+				switch {
+				case end == "normal" && err != nil,
+					end == "rank error" && (err == nil || !strings.Contains(err.Error(), "LDM")),
+					end == "crash" && !errors.As(err, &ce):
+					t.Fatalf("want a %s end, got %v", end, err)
+				}
+				if n := running.Load(); n != 0 {
+					t.Fatalf("%d tiles still computing after Run returned", n)
+				}
+				if ran.Load() == 0 {
+					t.Fatal("no kernel ran")
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				for runtime.NumGoroutine() > base {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), base)
+					}
+					runtime.Gosched()
+				}
+			})
 		}
-		compute(tc)
-	}
-	task.Kernel = &kernel
-	prob.Tasks = []*taskgraph.Task{&task}
-	cfg := functionalCfg(cells, patches, 2, scheduler.ModeAsync, false)
-	cfg.Faults = &faults.Plan{Seed: 1, CrashAtStep: 4, CrashRank: 1}
-	s, err := NewSimulation(cfg, prob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.armCrash(1, 4, 0.8) // late in the step, while both gangs compute
-	_, err = s.Run(6)
-	var ce *CrashError
-	if !errors.As(err, &ce) {
-		t.Fatalf("want a crash, got %v", err)
-	}
-	if n := running.Load(); n != 0 {
-		t.Fatalf("%d tiles still computing after the crashed Run returned", n)
-	}
-	if ran.Load() == 0 {
-		t.Fatal("no kernel ran before the crash")
 	}
 }

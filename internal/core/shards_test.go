@@ -22,7 +22,7 @@ import (
 // speed, the fast paths only the event count, never the simulated outcome.
 func shardRun(t *testing.T, cfg Config, nSteps int, reference bool) ([]byte, []float64, uint64) {
 	t.Helper()
-	prob, u := burgersProblem(cfg.Cells, cfg.PatchCounts, cfg.Scheduler.SIMD)
+	prob, u := burgersProblem(cfg.Cells, cfg.PatchCounts)
 	s, err := NewSimulation(cfg, prob)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestShardedBitIdentical(t *testing.T) {
 func TestShardedCrashPlanForcesSerial(t *testing.T) {
 	cells := grid.IV(16, 16, 16)
 	patches := grid.IV(2, 2, 2)
-	prob, _ := burgersProblem(cells, patches, false)
+	prob, _ := burgersProblem(cells, patches)
 	cfg := Config{
 		Cells:       cells,
 		PatchCounts: patches,
@@ -202,7 +202,7 @@ func TestShardedCrashPlanForcesSerial(t *testing.T) {
 func TestShardsReportUnderCrashPlan(t *testing.T) {
 	cells := grid.IV(16, 16, 16)
 	patches := grid.IV(2, 2, 2)
-	prob, _ := burgersProblem(cells, patches, false)
+	prob, _ := burgersProblem(cells, patches)
 	cfg := Config{
 		Cells:       cells,
 		PatchCounts: patches,
@@ -242,7 +242,7 @@ func TestShardsReportUnderCrashPlan(t *testing.T) {
 // in the engine.
 func TestNegativeShardsRejected(t *testing.T) {
 	cells := grid.IV(8, 8, 8)
-	prob, _ := burgersProblem(cells, grid.IV(1, 1, 1), false)
+	prob, _ := burgersProblem(cells, grid.IV(1, 1, 1))
 	cfg := Config{
 		Cells:       cells,
 		PatchCounts: grid.IV(1, 1, 1),
@@ -260,7 +260,7 @@ func TestNegativeShardsRejected(t *testing.T) {
 func TestShardsClampedToRanks(t *testing.T) {
 	cells := grid.IV(16, 16, 16)
 	patches := grid.IV(2, 2, 2)
-	prob, _ := burgersProblem(cells, patches, false)
+	prob, _ := burgersProblem(cells, patches)
 	cfg := Config{
 		Cells:       cells,
 		PatchCounts: patches,

@@ -106,8 +106,8 @@ func TestFunctionalStepAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2} {
-		// The scheduler sizes its tile pool to GOMAXPROCS, read once when
-		// the simulation is built.
+		// The scheduler allows GOMAXPROCS−1 tile-queue workers, read once
+		// when the simulation is built.
 		procs := runtime.GOMAXPROCS(workers)
 		s, err := core.NewSimulation(cfg, prob)
 		runtime.GOMAXPROCS(procs)

@@ -67,7 +67,7 @@ func TestFunctionalBitIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The scheduler sizes its tile pool to GOMAXPROCS.
+				// The scheduler sizes its tile queue to GOMAXPROCS.
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 				s, err := core.NewSimulation(cfg, prob)
 				if err != nil {

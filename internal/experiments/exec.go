@@ -145,7 +145,7 @@ func specConfig(spec runner.Spec) (core.Config, core.Problem, error) {
 	if err != nil {
 		return core.Config{}, core.Problem{}, err
 	}
-	problem, err := sh.physics.NewProblem(sh.cells, sh.layout, sh.variant.SIMD)
+	problem, err := sh.physics.NewProblem(sh.cells, sh.layout)
 	if err != nil {
 		return core.Config{}, core.Problem{}, err
 	}

@@ -49,7 +49,7 @@ type model struct {
 	// taskPrefix is how the model's intervals are named in traces
 	// ("burgers." for "burgers.advance"), used by workload trace replay.
 	taskPrefix string
-	build      func(simd bool) (*taskgraph.Task, *taskgraph.Label, InitFunc)
+	build      func() (*taskgraph.Task, *taskgraph.Label, InitFunc)
 	stableDt   func(dx, dy, dz float64) float64
 	// initProfile, when set, is the initial condition as one factor per
 	// axis (core.Problem.InitialProfile).
@@ -62,9 +62,9 @@ var models = []model{
 	{
 		name:       "burgers",
 		taskPrefix: "burgers.",
-		build: func(simd bool) (*taskgraph.Task, *taskgraph.Label, InitFunc) {
+		build: func() (*taskgraph.Task, *taskgraph.Label, InitFunc) {
 			u := burgers.NewULabel()
-			return burgers.NewAdvanceTask(u, burgers.FastExpLib, simd), u, burgers.Initial
+			return burgers.NewAdvanceTask(u, burgers.FastExpLib), u, burgers.Initial
 		},
 		stableDt:    burgers.StableDt,
 		initProfile: burgers.InitialProfile,
@@ -72,7 +72,7 @@ var models = []model{
 	{
 		name:       "advection",
 		taskPrefix: "advection.",
-		build: func(simd bool) (*taskgraph.Task, *taskgraph.Label, InitFunc) {
+		build: func() (*taskgraph.Task, *taskgraph.Label, InitFunc) {
 			v := advection.DefaultVelocity
 			q := v.NewLabel()
 			return v.NewAdvanceTask(q), q, v.Initial
@@ -82,7 +82,7 @@ var models = []model{
 	{
 		name:       "heat3d",
 		taskPrefix: "heat.",
-		build: func(simd bool) (*taskgraph.Task, *taskgraph.Label, InitFunc) {
+		build: func() (*taskgraph.Task, *taskgraph.Label, InitFunc) {
 			u := heat3d.NewLabel()
 			return heat3d.NewAdvanceTask(u), u, heat3d.Initial
 		},
@@ -265,7 +265,7 @@ func (sel Selection) Assign(nPatches int) []int {
 // predicates); a mixture assigns each patch one model, restricts every
 // model's task to its own patches and steps all models with the
 // smallest participating stable Dt so every region is stable.
-func (sel Selection) NewProblem(cells, layout grid.IVec, simd bool) (core.Problem, error) {
+func (sel Selection) NewProblem(cells, layout grid.IVec) (core.Problem, error) {
 	if len(sel.Shares) == 0 {
 		return core.Problem{}, fmt.Errorf("physics: empty selection")
 	}
@@ -284,7 +284,7 @@ func (sel Selection) NewProblem(cells, layout grid.IVec, simd bool) (core.Proble
 			return core.Problem{}, err
 		}
 		m := models[mi]
-		task, label, init := m.build(simd)
+		task, label, init := m.build()
 		if sel.Mixed() {
 			i := i // capture the share index, not the loop variable
 			task.Patches = func(patchID int) bool { return assign[patchID] == i }

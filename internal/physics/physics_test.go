@@ -103,7 +103,7 @@ func TestAssignDeterministicAndCovering(t *testing.T) {
 func TestDefaultProblemMatchesHistoricalBurgers(t *testing.T) {
 	cells := grid.IV(32, 32, 64)
 	sel := Default()
-	prob, err := sel.NewProblem(cells, grid.IV(2, 2, 2), true)
+	prob, err := sel.NewProblem(cells, grid.IV(2, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestDefaultProblemMatchesHistoricalBurgers(t *testing.T) {
 // spacings.
 func TestSeparableInitialFillMatchesInitial(t *testing.T) {
 	cells, layout := grid.IV(24, 20, 12), grid.IV(2, 2, 1)
-	prob, err := Default().NewProblem(cells, layout, false)
+	prob, err := Default().NewProblem(cells, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func runMixed(t *testing.T, shards int) (*core.Simulation, Selection, int) {
 	}
 	cells := grid.IV(16, 16, 32)
 	layout := grid.IV(2, 2, 4)
-	prob, err := sel.NewProblem(cells, layout, false)
+	prob, err := sel.NewProblem(cells, layout)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func timingSim(t *testing.T, cells grid.IVec, cgs int, cfg scheduler.Config) *co
 	t.Helper()
 	u := burgers.NewULabel()
 	prob := core.Problem{
-		Tasks: []*taskgraph.Task{burgers.NewAdvanceTask(u, burgers.FastExpLib, cfg.SIMD)},
+		Tasks: []*taskgraph.Task{burgers.NewAdvanceTask(u, burgers.FastExpLib)},
 		Dt:    1e-5,
 	}
 	s, err := core.NewSimulation(core.Config{
@@ -259,11 +259,11 @@ func TestTilePackingFasterThanStrided(t *testing.T) {
 // A kernel sees each input through a window bounded to its tile grown by
 // the declared ghost width. Reading one cell further must panic even
 // though the cell exists — it belongs to the neighbouring tile of the same
-// warehouse field — and the panic, raised on a tile worker behind the gang,
-// must come out of Run with one worker and with two.
+// warehouse field — and the panic, raised in a tile behind the gang,
+// must come out of Run at GOMAXPROCS 1 and 2.
 func TestKernelReadPastDeclaredGhostPanics(t *testing.T) {
 	run := func(reach, workers int) (panicked any) {
-		// The scheduler sizes its tile pool to GOMAXPROCS.
+		// The scheduler sizes its tile queue to GOMAXPROCS.
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 		u := taskgraph.NewLabel("u", nil)
 		probe := &taskgraph.Task{

@@ -242,7 +242,7 @@ func (s *Rank) offload(p *sim.Process, step int, t, dt float64, obj *taskgraph.O
 	// The launch body charges virtual time and counters serially, in tile
 	// order (deterministic accounting), and records each tile's context in
 	// the slot's job. The numerics — pure per-tile functions over disjoint
-	// output regions — then run on the worker pool while the rank goes on;
+	// output regions — then run from the tile queue while the rank goes on;
 	// the rank waits for them where it sees the flag raised or the launch
 	// aborted, before it releases the object (see job).
 	j := &sl.job

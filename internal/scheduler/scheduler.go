@@ -168,7 +168,8 @@ type Rank struct {
 
 	// slots are the offload lanes (one per CPE group).
 	slots []*slot
-	// workers is how many goroutines run a slot's tile bodies.
+	// workers is how many queue workers the rank's launches may keep
+	// running besides the ranks that help while they wait.
 	workers int
 	// plans caches each patch's tile plan from its first offload on.
 	plans map[planKey]*tilePlan
@@ -239,11 +240,12 @@ func New(cfg Config, graph *taskgraph.Graph, cg *sw26010.CoreGroup, mpi *mpisim.
 		cg:     cg,
 		mpi:    mpi,
 		DWs:    dw.NewPair(mode, cg),
-		// The numeric bodies of an offload's tiles run on a host worker
-		// pool behind the simulated gang, the software analogue of the CPEs
-		// computing tiles in parallel while the MPE goes on. Tile outputs
-		// are disjoint, so results are byte-identical for every width.
-		workers: runtime.GOMAXPROCS(0),
+		// The numeric bodies of an offload's tiles run behind the simulated
+		// gang, the software analogue of the CPEs computing tiles in
+		// parallel while the MPE goes on: one CPU is left to the rank
+		// loop, which runs queued tiles whenever it waits. Tile outputs are disjoint,
+		// so results are byte-identical for every width.
+		workers: runtime.GOMAXPROCS(0) - 1,
 	}
 	s.inj = cg.Faults
 	s.maxGhost = map[*taskgraph.Label]int{}
@@ -263,12 +265,12 @@ func New(cfg Config, graph *taskgraph.Graph, cg *sw26010.CoreGroup, mpi *mpisim.
 	return s, nil
 }
 
-// Drain waits for every tile still computing on the rank's slots. Only a
-// failed run (a crash, an error on some rank) leaves one, and a kernel
-// panic it finds goes with that run.
+// Drain runs or waits out every tile still queued or computing for the
+// rank's slots. Only a failed run (a crash, an error on some rank) leaves
+// one, and a kernel panic it finds goes with that run.
 func (s *Rank) Drain() {
 	for _, sl := range s.slots {
-		sl.job.wg.Wait()
+		sl.job.help()
 		sl.job.panicked.Store(nil)
 	}
 }
