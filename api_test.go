@@ -131,6 +131,8 @@ type program struct {
 	std   types.Importer
 	pkgs  map[string]*types.Package
 	files []*ast.File
+	// pkgOf is each checked file's package.
+	pkgOf map[*ast.File]*types.Package
 }
 
 const modulePath = "sunuintah"
@@ -177,6 +179,9 @@ func (p *program) check(path, dir string) (*types.Package, error) {
 	}
 	p.pkgs[path] = pkg
 	p.files = append(p.files, files...)
+	for _, f := range files {
+		p.pkgOf[f] = pkg
+	}
 	return pkg, nil
 }
 
@@ -188,8 +193,9 @@ func buildAPIReport() apiReport {
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		},
-		std:  importer.Default(),
-		pkgs: map[string]*types.Package{},
+		std:   importer.Default(),
+		pkgs:  map[string]*types.Package{},
+		pkgOf: map[*ast.File]*types.Package{},
 	}
 	var internal []*types.Package
 	for _, root := range []string{"internal", "cmd", "examples", "bench"} {
@@ -288,7 +294,14 @@ func callableThrough(named *types.Named, m *types.Func, ifaceMethods []*types.Fu
 	return false
 }
 
-// writtenFields returns every struct field some checked file writes.
+// writtenFields returns every struct field some checked file writes. A
+// field's own package defaulting it, as in
+//
+//	if cfg.X <= 0 { cfg.X = 4 }
+//
+// is not a write: an assignment in an if body to a field of the file's
+// package, whose condition compares that field with a constant or nil,
+// sets no value a caller chose.
 func (p *program) writtenFields() map[*types.Var]bool {
 	written := map[*types.Var]bool{}
 	// chain marks every field selected along an addressable expression
@@ -309,10 +322,34 @@ func (p *program) writtenFields() map[*types.Var]bool {
 			chain(x.X)
 		}
 	}
+	field := func(e ast.Expr) *types.Var {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			if v, ok := p.info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+				return v.Origin()
+			}
+		}
+		return nil
+	}
 	for _, f := range p.files {
+		defaults := map[*ast.AssignStmt]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
+			case *ast.IfStmt:
+				unset := map[*types.Var]bool{}
+				if !p.unsetTests(x.Cond, field, unset) {
+					break
+				}
+				for _, st := range x.Body.List {
+					if as, ok := st.(*ast.AssignStmt); ok && len(as.Lhs) == 1 {
+						if v := field(as.Lhs[0]); v != nil && unset[v] && v.Pkg() == p.pkgOf[f] {
+							defaults[as] = true
+						}
+					}
+				}
 			case *ast.AssignStmt:
+				if defaults[x] {
+					return true
+				}
 				for _, lhs := range x.Lhs {
 					chain(lhs)
 				}
@@ -361,4 +398,30 @@ func (p *program) writtenFields() map[*types.Var]bool {
 		})
 	}
 	return written
+}
+
+// unsetTests reports whether cond is a test that a field is unset: a
+// comparison of a field with a constant or nil by <, <= or ==, or an ||
+// chain of them. It adds the fields tested to unset.
+func (p *program) unsetTests(cond ast.Expr, field func(ast.Expr) *types.Var, unset map[*types.Var]bool) bool {
+	b, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	if !ok {
+		return false
+	}
+	switch b.Op {
+	case token.LOR:
+		return p.unsetTests(b.X, field, unset) && p.unsetTests(b.Y, field, unset)
+	case token.LSS, token.LEQ, token.EQL:
+		fixed := func(e ast.Expr) bool {
+			tv := p.info.Types[e]
+			return tv.Value != nil || tv.IsNil()
+		}
+		for _, v := range []*types.Var{field(b.X), field(b.Y)} {
+			if v != nil && (fixed(b.X) || fixed(b.Y)) {
+				unset[v] = true
+				return true
+			}
+		}
+	}
+	return false
 }

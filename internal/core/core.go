@@ -394,7 +394,7 @@ func (s *Simulation) allocateInitial() error {
 				if !applies {
 					continue
 				}
-				if err := rk.DWs.Old.Allocate(l, p, rk.MaxGhost(l)); err != nil {
+				if err := rk.DWs.Old.Allocate(l, p, rk.Graph().GhostWidth(l)); err != nil {
 					return err
 				}
 				if !s.Cfg.Scheduler.Functional {

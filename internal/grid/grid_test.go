@@ -277,7 +277,7 @@ func TestPropertyGhostRegions(t *testing.T) {
 func TestSubtractBox(t *testing.T) {
 	b := BoxFromSize(IV(0, 0, 0), IV(4, 4, 4))
 	cut := BoxFromSize(IV(1, 1, 1), IV(2, 2, 2))
-	parts := SubtractBox(nil, b, cut)
+	parts := subtractBox(nil, b, cut)
 	var cells int64
 	for _, p := range parts {
 		cells += p.NumCells()
@@ -289,11 +289,11 @@ func TestSubtractBox(t *testing.T) {
 		t.Fatalf("cells = %d", cells)
 	}
 	// Disjoint cut returns the box unchanged.
-	if parts := SubtractBox(nil, b, BoxFromSize(IV(10, 10, 10), IV(1, 1, 1))); len(parts) != 1 || parts[0] != b {
+	if parts := subtractBox(nil, b, BoxFromSize(IV(10, 10, 10), IV(1, 1, 1))); len(parts) != 1 || parts[0] != b {
 		t.Fatalf("disjoint subtract = %v", parts)
 	}
 	// Full cut removes everything.
-	if parts := SubtractBox(nil, b, b); parts != nil {
+	if parts := subtractBox(nil, b, b); parts != nil {
 		t.Fatalf("full subtract = %v", parts)
 	}
 }

@@ -210,7 +210,7 @@ func (l *Layout) appendGhostRegions(out []GhostRegion, p *Patch, width int) []Gh
 				}
 				if inDomain != region {
 					// The rest (outside the domain) is physical boundary.
-					for _, ob := range SubtractBox(outside[:0], region, l.Domain) {
+					for _, ob := range subtractBox(outside[:0], region, l.Domain) {
 						out = append(out, GhostRegion{Region: ob, Src: nil})
 					}
 				}
@@ -262,8 +262,8 @@ func (l *Layout) splitByOwners(out []GhostRegion, b Box) []GhostRegion {
 	return out
 }
 
-// SubtractBox appends b minus cut, as disjoint boxes, to out.
-func SubtractBox(out []Box, b, cut Box) []Box {
+// subtractBox appends b minus cut, as disjoint boxes, to out.
+func subtractBox(out []Box, b, cut Box) []Box {
 	inter := b.Intersect(cut)
 	if inter.Empty() {
 		return append(out, b)

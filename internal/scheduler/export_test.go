@@ -6,10 +6,6 @@ import (
 	"sunuintah/internal/taskgraph"
 )
 
-// PatchWaits returns how often the rank's MPE found a job in flight on the
-// patch whose old fields it was about to write, and waited for it.
-func (s *Rank) PatchWaits() int64 { return s.patchWaits }
-
 // QueueCounts is the tile queue's traffic while a count runs: its lock
 // acquisitions and the tiles run by queue workers and by waiting ranks.
 type QueueCounts struct{ Locks, ByWorker, ByWaiter int64 }

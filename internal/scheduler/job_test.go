@@ -10,17 +10,12 @@ import (
 	"sunuintah/internal/core"
 	"sunuintah/internal/field"
 	"sunuintah/internal/grid"
+	"sunuintah/internal/perf"
 	"sunuintah/internal/scheduler"
+	"sunuintah/internal/sim"
 	"sunuintah/internal/taskgraph"
+	"sunuintah/internal/trace"
 )
-
-// patchWaits sums the patch waits over a simulation's ranks.
-func patchWaits(s *core.Simulation) (n int64) {
-	for _, rk := range s.Ranks {
-		n += rk.PatchWaits()
-	}
-	return n
-}
 
 // sleepyFirstTile returns a copy of task whose kernel sleeps a millisecond
 // on each patch's first tile. Whoever runs that tile yields its CPU, so at
@@ -53,10 +48,8 @@ func checkQueue(t *testing.T, procs int, c scheduler.QueueCounts) {
 }
 
 // twoWidthProblem has two kernels on every patch requiring one label at
-// ghost 1 and ghost 2. With a gang for each of a rank's two patches, both
-// "near" objects run while the MPE prepares the "far" ones, whose ghost
-// copies and boundary fills rewrite the ghost-1 layer the running kernels
-// read.
+// ghost 1 and ghost 2. With a gang for each of a rank's two patches, one
+// object runs while the MPE prepares the other on the same patch.
 func twoWidthProblem() (core.Problem, *taskgraph.Label, *taskgraph.Label) {
 	u := taskgraph.NewLabel("u", func(x, y, z, t float64) float64 { return x - 2*y + 3*z + t })
 	w := taskgraph.NewLabel("w", nil)
@@ -93,43 +86,45 @@ func twoWidthProblem() (core.Problem, *taskgraph.Label, *taskgraph.Label) {
 	}, u, w
 }
 
-// TestMPEWriteWaitsForKernelOnPatch runs the two-width problem with the
-// tile numerics behind the gangs. The MPE must wait for a patch's running
-// kernel before its ghost copies and boundary fills rewrite that patch's
-// old field — under -race a missing wait is a reported race — and the
-// fields must match the inline run bit for bit.
-func TestMPEWriteWaitsForKernelOnPatch(t *testing.T) {
-	run := func(procs int) (u, w *field.Cell, waits int64) {
+// TestTwoWidthReadersShareOneGhostSet runs the two-width problem with the
+// tile numerics behind the gangs. Both readers of u on a patch share one
+// ghost set at width 2, so each patch-step charges one widest set of
+// copies and one fill, in whichever reader the MPE selects first, before
+// either kernel runs: no MPE write reaches a field a running kernel reads
+// (under -race a late write is a reported race), and the fields match the
+// inline run bit for bit.
+func TestTwoWidthReadersShareOneGhostSet(t *testing.T) {
+	const steps = 3
+	run := func(procs int) (u, w *field.Cell) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		prob, lu, lw := twoWidthProblem()
 		prob.Tasks[0] = sleepyFirstTile(prob.Tasks[0])
+		rec := trace.New()
 		s, err := core.NewSimulation(core.Config{
 			Cells: grid.IV(32, 32, 16), PatchCounts: grid.IV(2, 2, 1), NumCGs: 2,
 			Scheduler: scheduler.Config{Mode: scheduler.ModeAsync, Functional: true,
-				TileSize: grid.IV(8, 8, 4), CPEGroups: 2},
+				TileSize: grid.IV(8, 8, 4), CPEGroups: 2, Trace: rec},
 		}, prob)
 		if err != nil {
 			t.Fatal(err)
 		}
 		stop := scheduler.CountQueue()
-		_, err = s.Run(3)
+		_, err = s.Run(steps)
 		checkQueue(t, procs, stop())
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkOneSetPerPatchStep(t, s, rec, lu, steps)
 		if u, err = s.GatherField(lu); err != nil {
 			t.Fatal(err)
 		}
 		if w, err = s.GatherField(lw); err != nil {
 			t.Fatal(err)
 		}
-		return u, w, patchWaits(s)
+		return u, w
 	}
-	refU, refW, refWaits := run(1)
-	u, w, waits := run(2)
-	if waits == 0 || waits != refWaits {
-		t.Fatalf("patch waits %d at GOMAXPROCS=2, %d at 1: want equal and > 0", waits, refWaits)
-	}
+	refU, refW := run(1)
+	u, w := run(2)
 	for _, c := range [][2]*field.Cell{{u, refU}, {w, refW}} {
 		got, want := c[0].Data(), c[1].Data()
 		for i := range want {
@@ -138,13 +133,70 @@ func TestMPEWriteWaitsForKernelOnPatch(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d patch waits", waits)
 }
 
-// A one-task graph never prepares a second object on a patch whose kernel
-// runs, so Burgers never waits for a patch, with one gang or two, at any
-// width.
-func TestBurgersNeverWaitsForAPatch(t *testing.T) {
+// checkOneSetPerPatchStep requires each rank-step of the trace to charge
+// l's ghost copies and boundary fills once per local patch, from the set
+// the graph compiled at width 2: one copy charge per same-rank source, one
+// fill charge per patch, and fill time for the set's cells.
+func checkOneSetPerPatchStep(t *testing.T, s *core.Simulation, rec *trace.Recorder, l *taskgraph.Label, steps int) {
+	t.Helper()
+	type rankStep struct{ rank, step int }
+	copies, fills := map[rankStep]int{}, map[rankStep]int{}
+	fillTime := map[rankStep]sim.Time{}
+	for _, ev := range rec.Events() {
+		k := rankStep{ev.Rank, ev.Step}
+		switch ev.Name {
+		case "ghost copy " + l.Name():
+			copies[k]++
+		case "bc fill " + l.Name():
+			fills[k]++
+			fillTime[k] += ev.Duration()
+		}
+	}
+	for r, rk := range s.Ranks {
+		wantCopies, wantFills, cells := 0, 0, int64(0)
+		sets := map[*taskgraph.GhostSet]bool{}
+		for _, o := range rk.Graph().Objects {
+			if len(o.Ghosts) != 1 || o.Ghosts[0].Label != l {
+				t.Fatalf("rank %d: %s on %v reads %d ghost sets, want one of %s", r, o.Task.Name, o.Patch, len(o.Ghosts), l.Name())
+			}
+			var boundary int64 // the width-2 margin's cells outside the domain
+			for _, gr := range s.Level.Layout.GhostRegions(o.Patch, 2) {
+				if gr.Src == nil {
+					boundary += gr.Region.NumCells()
+				}
+			}
+			if gs := o.Ghosts[0]; gs.FillCells != boundary {
+				t.Fatalf("rank %d: the set on %v fills %d cells, want the width-2 boundary's %d", r, o.Patch, gs.FillCells, boundary)
+			}
+			if gs := o.Ghosts[0]; !sets[gs] {
+				sets[gs] = true
+				wantCopies += len(gs.Copies)
+				if gs.Fill != nil {
+					wantFills++
+					cells += gs.FillCells
+				}
+			}
+		}
+		if len(sets) != len(rk.Graph().LocalPatches) {
+			t.Fatalf("rank %d: %d ghost sets for %d patches", r, len(sets), len(rk.Graph().LocalPatches))
+		}
+		want := sim.Time(perf.DefaultParams().BCFillTime(cells))
+		for step := 0; step < steps; step++ {
+			k := rankStep{r, step}
+			if copies[k] != wantCopies || fills[k] != wantFills || math.Abs(float64(fillTime[k]-want)) > 1e-9*float64(want) {
+				t.Errorf("rank %d step %d: %d copies, %d fills over %v; want %d, %d over %v",
+					r, step, copies[k], fills[k], fillTime[k], wantCopies, wantFills, want)
+			}
+		}
+	}
+}
+
+// The tile queue's traffic matches its width for Burgers with one gang or
+// two: at GOMAXPROCS 1 the waiting ranks run every tile, at 2 a worker
+// runs some.
+func TestBurgersTileQueueTraffic(t *testing.T) {
 	for _, c := range []struct{ groups, procs int }{{1, 1}, {2, 1}, {1, 2}, {2, 2}} {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
@@ -166,9 +218,6 @@ func TestBurgersNeverWaitsForAPatch(t *testing.T) {
 			checkQueue(t, c.procs, stop())
 			if err != nil {
 				t.Fatal(err)
-			}
-			if n := patchWaits(s); n != 0 {
-				t.Errorf("groups=%d GOMAXPROCS=%d: %d patch waits, want 0", c.groups, c.procs, n)
 			}
 		}()
 	}

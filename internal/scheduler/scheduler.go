@@ -152,8 +152,6 @@ type Rank struct {
 	mpi    *mpisim.Rank
 	DWs    *dw.Pair
 
-	maxGhost map[*taskgraph.Label]int
-
 	// inj mirrors cg.Faults; nil on fault-free runs. offload arms a finite
 	// deadline only with it, so without one no recovery path is reached.
 	inj *faults.Injector
@@ -177,8 +175,6 @@ type Rank struct {
 	// all three are rewound, not reallocated, from one use to the next.
 	bufs      []*athread.LDMBuf
 	ins, outs []ioVar
-	// patchWaits counts awaitPatch's waits on a job in flight.
-	patchWaits int64
 	// prepared queues objects whose MPE part was processed ahead of time
 	// while the CPEs were busy (asynchronous mode's work-ahead).
 	prepared []*taskgraph.Object
@@ -248,19 +244,6 @@ func New(cfg Config, graph *taskgraph.Graph, cg *sw26010.CoreGroup, mpi *mpisim.
 		workers: runtime.GOMAXPROCS(0) - 1,
 	}
 	s.inj = cg.Faults
-	s.maxGhost = map[*taskgraph.Label]int{}
-	for _, t := range graph.Tasks {
-		for _, d := range t.Requires {
-			if d.Ghost > s.maxGhost[d.Label] {
-				s.maxGhost[d.Label] = d.Ghost
-			}
-		}
-		for _, d := range t.Computes {
-			if _, ok := s.maxGhost[d.Label]; !ok {
-				s.maxGhost[d.Label] = 0
-			}
-		}
-	}
 	s.initSlots()
 	return s, nil
 }
@@ -277,10 +260,6 @@ func (s *Rank) Drain() {
 
 // Graph returns the rank's compiled task graph.
 func (s *Rank) Graph() *taskgraph.Graph { return s.graph }
-
-// MaxGhost returns the allocation ghost width of a label (the maximum any
-// task requires).
-func (s *Rank) MaxGhost(l *taskgraph.Label) int { return s.maxGhost[l] }
 
 // charge advances the process by d and attributes it to a stats bucket and
 // the trace. MPE work is invisible outside the rank until the scheduler

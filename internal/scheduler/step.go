@@ -299,13 +299,12 @@ func (s *Rank) completeObject(o *taskgraph.Object, completed *int) {
 func (s *Rank) processMPEPart(p *sim.Process, step int, t float64, obj *taskgraph.Object) error {
 	s.charge(p, sim.Time(s.params.TaskFixedCost), &s.Stats.MPEWorkTime,
 		trace.KindMPEWork, step, s.note("select ", obj.Task.Name))
-	s.awaitPatch(obj.Patch)
 
 	for _, d := range obj.Task.Computes {
 		if s.DWs.New.Exists(d.Label, obj.Patch) {
 			continue
 		}
-		if err := s.DWs.New.Allocate(d.Label, obj.Patch, s.maxGhost[d.Label]); err != nil {
+		if err := s.DWs.New.Allocate(d.Label, obj.Patch, s.graph.GhostWidth(d.Label)); err != nil {
 			return err
 		}
 		bytes := s.DWs.New.Bytes(d.Label, obj.Patch)
@@ -313,24 +312,40 @@ func (s *Rank) processMPEPart(p *sim.Process, step int, t float64, obj *taskgrap
 			trace.KindMPEWork, step, s.note("touch ", d.Label.Name()))
 	}
 
-	for _, cr := range obj.LocalCopies {
-		if s.cfg.Functional {
-			dst := s.DWs.Old.Get(cr.Label, obj.Patch)
-			src := s.DWs.Old.Get(cr.Label, cr.Src)
-			for _, r := range cr.Regions {
-				dst.CopyRegion(src, r)
-			}
+	// A ghost set's copies and fill run in the first of its readers' MPE
+	// parts, all copies before any fill. Its recvs released no reader
+	// before they were unpacked, so no write to an old field follows a
+	// kernel that reads it.
+	for _, gs := range obj.Ghosts {
+		if gs.Done {
+			continue
 		}
-		s.charge(p, sim.Time(s.params.LocalCopyTime(2*cr.Bytes)), &s.Stats.MPEWorkTime,
-			trace.KindMPEWork, step, s.note("ghost copy ", cr.Label.Name()))
+		for _, cr := range gs.Copies {
+			if s.cfg.Functional {
+				dst := s.DWs.Old.Get(gs.Label, gs.Patch)
+				src := s.DWs.Old.Get(gs.Label, cr.Src)
+				for _, r := range cr.Regions {
+					dst.CopyRegion(src, r)
+				}
+			}
+			s.charge(p, sim.Time(s.params.LocalCopyTime(2*cr.Bytes)), &s.Stats.MPEWorkTime,
+				trace.KindMPEWork, step, s.note("ghost copy ", gs.Label.Name()))
+		}
 	}
 
-	for _, bc := range obj.BCFills {
+	for _, gs := range obj.Ghosts {
+		if gs.Done {
+			continue
+		}
+		gs.Done = true
+		if gs.Fill == nil {
+			continue
+		}
 		if s.cfg.Functional {
-			f := s.DWs.Old.Get(bc.Label, obj.Patch)
+			f := s.DWs.Old.Get(gs.Label, gs.Patch)
 			lv := s.graph.Level
-			fill, profile := bc.Label.BC, bc.Label.Profile
-			for _, r := range bc.Regions {
+			fill, profile := gs.Label.BC, gs.Label.Profile
+			for _, r := range gs.Fill {
 				switch {
 				case profile != nil:
 					f.FillSeparable(r, lv, func(axis int, x float64) float64 { return profile(axis, x, t) })
@@ -344,23 +359,11 @@ func (s *Rank) processMPEPart(p *sim.Process, step int, t float64, obj *taskgrap
 				}
 			}
 		}
-		s.charge(p, sim.Time(s.params.BCFillTime(bc.Cells)), &s.Stats.MPEWorkTime,
-			trace.KindMPEWork, step, s.note("bc fill ", bc.Label.Name()))
-		s.cg.Counters.MPEFlops += bc.Cells * bcFlopsPerCell
+		s.charge(p, sim.Time(s.params.BCFillTime(gs.FillCells)), &s.Stats.MPEWorkTime,
+			trace.KindMPEWork, step, s.note("bc fill ", gs.Label.Name()))
+		s.cg.Counters.MPEFlops += gs.FillCells * bcFlopsPerCell
 	}
 	return nil
-}
-
-// awaitPatch waits for the job of any object in flight on patch: the MPE
-// is about to write the patch's old fields, which its kernel may be
-// reading (a second task requiring the same label at a wider ghost).
-func (s *Rank) awaitPatch(patch *grid.Patch) {
-	for _, sl := range s.slots {
-		if sl.obj != nil && sl.obj.Patch == patch {
-			s.patchWaits++
-			sl.job.wait()
-		}
-	}
 }
 
 // unpackRecv copies a completed receive's payload into the destination
@@ -368,7 +371,6 @@ func (s *Rank) awaitPatch(patch *grid.Patch) {
 func (s *Rank) unpackRecv(p *sim.Process, step int, r *pendingRecv) {
 	e := r.edge
 	if s.cfg.Functional {
-		s.awaitPatch(e.Dst)
 		f := s.DWs.Old.Get(e.Label, e.Dst)
 		payload := r.req.Payload()
 		buf := payload

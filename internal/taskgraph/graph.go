@@ -22,17 +22,25 @@ const (
 // CopyReq is a same-rank ghost dependency: regions of Src's data copied
 // into a patch's ghost margin by the MPE.
 type CopyReq struct {
-	Label   *Label
 	Src     *grid.Patch
 	Regions []grid.Box
 	Bytes   int64
 }
 
-// BCReq is a physical-boundary ghost fill.
-type BCReq struct {
-	Label   *Label
-	Regions []grid.Box
-	Cells   int64
+// GhostSet produces an old-warehouse label's ghost margin on a local patch
+// at the widest width its readers (the objects there reading it with ghost
+// cells) require: same-rank copies by source ID, boundary-condition fill
+// regions, and the recv edges into the patch, whose DstObjs are Readers.
+// The patch holds one copy of the label, so the MPE runs the copies and
+// the fill once a step, in the first reader it selects, and marks Done.
+type GhostSet struct {
+	Label     *Label
+	Patch     *grid.Patch
+	Copies    []CopyReq
+	Fill      []grid.Box
+	FillCells int64
+	Readers   []*Object
+	Done      bool
 }
 
 // Object is one task instantiated on one patch (Uintah's "task object"; a
@@ -50,22 +58,13 @@ type Object struct {
 	// before this object is ready.
 	NumRecvs int
 
-	// MPE-side work attached to this object.
-	LocalCopies []CopyReq
-	BCFills     []BCReq
+	// Ghosts are the ghost sets of the old-warehouse labels the object
+	// reads with ghost cells, in label order.
+	Ghosts []*GhostSet
 
 	// State is managed by the scheduler at run time.
 	State       ObjState
 	PendingDeps int // recvs + upstream objects outstanding this step
-}
-
-// ResetForStep restores per-step scheduler state.
-func (o *Object) ResetForStep() {
-	o.State = StateWaiting
-	o.PendingDeps = o.NumRecvs + len(o.Upstream)
-	if o.PendingDeps == 0 {
-		o.State = StateReady
-	}
 }
 
 // Edge is a ghost-data message between two patches owned by different
@@ -78,7 +77,6 @@ type Edge struct {
 	SrcRank  int
 	DstRank  int
 	Regions  []grid.Box
-	Cells    int64
 	Bytes    int64
 	// DstObjs are the receiving rank's objects unblocked by this edge.
 	DstObjs []*Object
@@ -106,6 +104,8 @@ type Graph struct {
 	// Labels is the canonical label table (identical ordering on every
 	// rank); LabelIdx indexes into it.
 	Labels []*Label
+	// widths holds GhostWidth's answers, indexed like Labels.
+	widths []int
 
 	// LocalPatches are the patches assigned to this rank, in ID order.
 	LocalPatches []*grid.Patch
@@ -117,6 +117,10 @@ func (g *Graph) NumTags() int {
 	n := g.Level.Layout.NumPatches()
 	return len(g.Labels) * n * n
 }
+
+// GhostWidth returns l's allocation ghost width: the widest any task
+// requires it at.
+func (g *Graph) GhostWidth(l *Label) int { return g.widths[g.labelIdx(l)] }
 
 // Compile builds rank's portion of the task graph for the given tasks on
 // level, with patch p owned by rank assign[p].
@@ -138,7 +142,10 @@ func Compile(level *grid.Level, tasks []*Task, assign []int, rank int) (*Graph, 
 			for _, d := range deps {
 				if g.labelIdx(d.Label) < 0 {
 					g.Labels = append(g.Labels, d.Label)
+					g.widths = append(g.widths, 0)
 				}
+				li := g.labelIdx(d.Label)
+				g.widths[li] = max(g.widths[li], d.Ghost)
 			}
 		}
 	}
@@ -200,37 +207,47 @@ func Compile(level *grid.Level, tasks []*Task, assign []int, rank int) (*Graph, 
 				for i, p := range g.LocalPatches {
 					// The reduction folds only the patches where both it
 					// and the producer run.
-					if !t.AppliesTo(p.ID) || !tasks[prod].AppliesTo(p.ID) {
-						continue
+					if up := objAt[prod*nLocal+i]; up != nil && t.AppliesTo(p.ID) {
+						obj.Upstream = append(obj.Upstream, up)
+						up.Downstream = append(up.Downstream, obj)
 					}
-					up := objAt[prod*nLocal+i]
-					obj.Upstream = append(obj.Upstream, up)
-					up.Downstream = append(up.Downstream, obj)
 				}
 			}
 		}
 	}
 
-	// Ghost dependencies patch by patch, so a local patch's recv and send
-	// edges sit together and are found by a short scan. Tasks and their
-	// requirements keep declaration order within a patch, so regions and
-	// DstObjs come out in the order a task-major walk gives.
+	// Ghost sets patch by patch, in label order. The first widest reader
+	// decides where each ghost cell comes from; a reader that would take a
+	// cell of its own margin from the other source is an error, since the
+	// patch's one copy of the label cannot hold both.
 	for i, q := range g.LocalPatches {
-		recv0, send0 := len(s.recvs), len(s.sends)
-		for ti, t := range tasks {
-			obj := objAt[ti*nLocal+i]
-			if obj == nil {
+		for li, l := range g.Labels {
+			dec, w := g.widest(l, q)
+			if dec == nil {
 				continue
 			}
-			copy0, bc0 := len(s.copies), len(s.bcs)
-			for _, d := range t.Requires {
-				if d.DW == OldDW && d.Ghost > 0 {
-					g.addGhostDeps(&s, obj, d, recv0)
-					g.addSends(&s, q, t, d, send0)
+			s.ghosts = append(s.ghosts, GhostSet{Label: l, Patch: q})
+			gs := &s.ghosts[len(s.ghosts)-1]
+			for ti := range tasks {
+				obj := objAt[ti*nLocal+i]
+				for _, d := range tasks[ti].Requires {
+					if obj == nil || d.Label != l || d.DW != OldDW || d.Ghost == 0 {
+						continue
+					}
+					for _, src := range layout.Neighbours(q, d.Ghost) {
+						if obj.Task.AppliesTo(src.ID) != dec.AppliesTo(src.ID) {
+							return nil, fmt.Errorf("taskgraph: tasks %q and %q both read %q on patch %d with ghost cells but disagree on where some come from: only one runs on the neighbour that owns them",
+								obj.Task.Name, dec.Name, l.Name(), q.ID)
+						}
+					}
+					if gs.Readers == nil || gs.Readers[len(gs.Readers)-1] != obj {
+						obj.Ghosts = add(&s.sets, obj.Ghosts, gs)
+						gs.Readers = add(&s.readers, gs.Readers, obj)
+					}
 				}
 			}
-			obj.LocalCopies = carve(s.copies, copy0)
-			obj.BCFills = carve(s.bcs, bc0)
+			g.addGhostSet(&s, gs, dec, w, li)
+			g.addSends(&s, q, l, li)
 		}
 	}
 	g.Recvs = sortedEdges(s.recvs, layout.NumPatches())
@@ -245,46 +262,47 @@ func Compile(level *grid.Level, tasks []*Task, assign []int, rank int) (*Graph, 
 // copies out instead of overwriting a neighbour.
 type slabs struct {
 	objects      []Object
+	ghosts       []GhostSet
 	recvs, sends []Edge
 	copies       []CopyReq
-	bcs          []BCReq
 	boxes        []grid.Box
-	dstObjs      []*Object
+	sets         []*GhostSet
+	readers      []*Object
 }
 
 func (g *Graph) newSlabs() slabs {
 	layout := g.Level.Layout
-	var nRegion, nEdge, nCopy, nFill int
+	var nRegion, nEdge, nCopy, nRead int
 	for _, t := range g.Tasks {
 		for _, q := range g.LocalPatches {
 			for _, d := range t.Requires {
 				if d.DW != OldDW || d.Ghost == 0 || !t.AppliesTo(q.ID) {
 					continue
 				}
-				nFill++
+				nRead++
 				nRegion += len(layout.GhostRegions(q, d.Ghost))
 				for _, p := range layout.Neighbours(q, d.Ghost) {
-					switch {
-					case !t.AppliesTo(p.ID):
-					case g.Assign[p.ID] == g.Rank:
+					if g.Assign[p.ID] == g.Rank {
 						nCopy++
-					default:
+					} else {
 						nEdge++
 					}
 				}
 			}
 		}
 	}
-	// A task has an object on each local patch it runs on, or one in all.
+	// An object per task and local patch (or one in all); per requires-with-
+	// ghost at most one set (objects point into it: it must not grow), reader
+	// and set pointer; a ghost region in one copy, recv or fill, or a send.
 	nObj := len(g.Tasks) * max(len(g.LocalPatches), 1)
 	return slabs{
 		objects: make([]Object, 0, nObj),
+		ghosts:  make([]GhostSet, 0, nRead),
 		recvs:   make([]Edge, 0, nEdge), sends: make([]Edge, 0, nEdge),
-		copies: make([]CopyReq, 0, nCopy), bcs: make([]BCReq, 0, nFill),
-		// A ghost region lands in at most one copy, recv or fill; a send
-		// edge carries one region unless a width splits it.
+		copies:  make([]CopyReq, 0, nCopy),
 		boxes:   make([]grid.Box, 0, nRegion+nEdge),
-		dstObjs: make([]*Object, 0, nEdge),
+		sets:    make([]*GhostSet, 0, nRead),
+		readers: make([]*Object, 0, nRead),
 	}
 }
 
@@ -335,92 +353,83 @@ func (g *Graph) labelIdx(l *Label) int {
 	return -1
 }
 
-// addRegion adds the cells of r the edge does not carry yet, as disjoint
-// boxes: a label required at two widths asks for nested regions, and a
-// ghost cell must cross the network once. Both sides add the same regions
-// in the same order, so they derive the same pieces.
-func (e *Edge) addRegion(s *slabs, r grid.Box) {
-	pieces := []grid.Box{r}
-	for _, have := range e.Regions {
-		var rest []grid.Box
-		for _, pc := range pieces {
-			rest = grid.SubtractBox(rest, pc, have)
+// widest returns the first task to read l on patch p at the widest ghost
+// width, and that width; nil and 0 if no task reads l there with ghost
+// cells.
+func (g *Graph) widest(l *Label, p *grid.Patch) (dec *Task, w int) {
+	for _, t := range g.Tasks {
+		for _, d := range t.Requires {
+			if d.Label == l && d.DW == OldDW && d.Ghost > w && t.AppliesTo(p.ID) {
+				dec, w = t, d.Ghost
+			}
 		}
-		pieces = rest
 	}
-	for _, pc := range pieces {
-		e.Regions = add(&s.boxes, e.Regions, pc)
-		e.Cells += pc.NumCells()
-		e.Bytes += pc.NumCells() * 8
-	}
+	return dec, w
 }
 
-// addGhostDeps attaches the ghost dependencies of one requires-with-ghost
-// declaration to obj: recv edges for remote sources (among the patch's
-// edges from recv0 on), local copies for same-rank sources, boundary fills
-// for out-of-domain regions.
-func (g *Graph) addGhostDeps(s *slabs, obj *Object, d Dep, recv0 int) {
-	regions := g.Level.Layout.GhostRegions(obj.Patch, d.Ghost)
+// addGhostSet derives gs's copies, fill and recv edges at width w from
+// dec, its widest reader: a region owned by a patch dec does not run on is a
+// physical (or physics-interface) boundary, filled from the label's BC.
+func (g *Graph) addGhostSet(s *slabs, gs *GhostSet, dec *Task, w, li int) {
+	layout, q := g.Level.Layout, gs.Patch
+	regions := layout.GhostRegions(q, w)
 	boundary := func(gr grid.GhostRegion) bool {
-		// Out of the domain, or sourced from a patch the task is excluded
-		// from: the region is a physical (or physics-interface) boundary,
-		// filled from the label's BC.
-		return gr.Src == nil || !obj.Task.AppliesTo(gr.Src.ID)
+		return gr.Src == nil || !dec.AppliesTo(gr.Src.ID)
 	}
-	// Boundary regions first, so one fill's regions lie together.
-	bc, box0 := BCReq{Label: d.Label}, len(s.boxes)
+	// Boundary regions first, so the fill's regions lie together.
+	box0 := len(s.boxes)
 	for _, gr := range regions {
 		if boundary(gr) {
 			s.boxes = append(s.boxes, gr.Region)
-			bc.Cells += gr.Region.NumCells()
+			gs.FillCells += gr.Region.NumCells()
 		}
 	}
-	if bc.Regions = carve(s.boxes, box0); bc.Regions != nil {
-		s.bcs = append(s.bcs, bc)
-	}
-	copy0, li := len(s.copies), g.labelIdx(d.Label)
+	gs.Fill = carve(s.boxes, box0)
+	copy0, recv0 := len(s.copies), len(s.recvs)
 	for _, gr := range regions {
 		switch {
 		case boundary(gr):
 		case g.Assign[gr.Src.ID] == g.Rank:
-			cr := find(&s.copies, copy0, CopyReq{Label: d.Label, Src: gr.Src},
+			cr := find(&s.copies, copy0, CopyReq{Src: gr.Src},
 				func(c *CopyReq) bool { return c.Src == gr.Src })
 			cr.Regions = add(&s.boxes, cr.Regions, gr.Region)
 			cr.Bytes += gr.Region.NumCells() * 8
 		default:
-			e := find(&s.recvs, recv0, Edge{Label: d.Label, LabelIdx: li, Src: gr.Src, Dst: obj.Patch,
-				SrcRank: g.Assign[gr.Src.ID], DstRank: g.Rank},
-				func(x *Edge) bool { return x.LabelIdx == li && x.Src == gr.Src })
-			e.addRegion(s, gr.Region)
-			// The edge may already serve another object; attach once.
-			if !slices.Contains(e.DstObjs, obj) {
-				e.DstObjs = add(&s.dstObjs, e.DstObjs, obj)
-				obj.NumRecvs++
-			}
+			e := find(&s.recvs, recv0, Edge{Label: gs.Label, LabelIdx: li, Src: gr.Src, Dst: q,
+				SrcRank: g.Assign[gr.Src.ID], DstRank: g.Rank, DstObjs: gs.Readers},
+				func(x *Edge) bool { return x.Src == gr.Src })
+			e.Regions = add(&s.boxes, e.Regions, gr.Region)
+			e.Bytes += gr.Region.NumCells() * 8
 		}
 	}
+	for _, r := range gs.Readers {
+		r.NumRecvs += len(s.recvs) - recv0
+	}
 	slices.SortFunc(s.copies[copy0:], func(a, b CopyReq) int { return a.Src.ID - b.Src.ID })
+	gs.Copies = carve(s.copies, copy0)
 }
 
-// addSends attaches the send edges of local patch q for one
-// requires-with-ghost declaration of t: one per remote patch p, running t,
-// whose ghost margin includes q's data (among q's edges from send0 on).
-func (g *Graph) addSends(s *slabs, q *grid.Patch, t *Task, d Dep, send0 int) {
-	layout, li := g.Level.Layout, g.labelIdx(d.Label)
-	for _, p := range layout.Neighbours(q, d.Ghost) {
-		// Only patches the task runs on exchange its ghosts: an excluded
-		// source patch never holds the label, and an excluded destination
-		// fills from boundary conditions.
-		if g.Assign[p.ID] == g.Rank || !t.AppliesTo(p.ID) {
+// addSends attaches local patch q's send edges of label l: for each remote
+// patch p near q, the regions of p's ghost set that q owns, when p's widest
+// reader runs on q. That reader reads l on q too, so q has a set of l.
+func (g *Graph) addSends(s *slabs, q *grid.Patch, l *Label, li int) {
+	layout := g.Level.Layout
+	for _, p := range layout.Neighbours(q, g.widths[li]) {
+		dec, w := g.widest(l, p)
+		if g.Assign[p.ID] == g.Rank || dec == nil || !dec.AppliesTo(q.ID) {
 			continue
 		}
-		for _, gr := range layout.GhostRegions(p, d.Ghost) {
+		s.sends = append(s.sends, Edge{Label: l, LabelIdx: li, Src: q, Dst: p,
+			SrcRank: g.Rank, DstRank: g.Assign[p.ID]})
+		e := &s.sends[len(s.sends)-1]
+		for _, gr := range layout.GhostRegions(p, w) {
 			if gr.Src == q {
-				e := find(&s.sends, send0, Edge{Label: d.Label, LabelIdx: li, Src: q, Dst: p,
-					SrcRank: g.Rank, DstRank: g.Assign[p.ID]},
-					func(x *Edge) bool { return x.LabelIdx == li && x.Dst == p })
-				e.addRegion(s, gr.Region)
+				e.Regions = add(&s.boxes, e.Regions, gr.Region)
+				e.Bytes += gr.Region.NumCells() * 8
 			}
+		}
+		if e.Regions == nil { // q is beyond p's margin
+			s.sends = s.sends[:len(s.sends)-1]
 		}
 	}
 }
@@ -435,10 +444,17 @@ func sortedEdges(edges []Edge, nPatches int) []*Edge {
 	return out
 }
 
-// ResetForStep re-initialises every object's scheduling state for a new
-// timestep.
+// ResetForStep re-initialises every object's scheduling state, and its
+// ghost sets' marks, for a new timestep.
 func (g *Graph) ResetForStep() {
 	for _, o := range g.Objects {
-		o.ResetForStep()
+		for _, gs := range o.Ghosts {
+			gs.Done = false
+		}
+		o.State = StateWaiting
+		o.PendingDeps = o.NumRecvs + len(o.Upstream)
+		if o.PendingDeps == 0 {
+			o.State = StateReady
+		}
 	}
 }

@@ -82,48 +82,106 @@ func TestCompileSingleRankHasNoMessages(t *testing.T) {
 		if o.NumRecvs != 0 {
 			t.Errorf("object %v has %d recvs", o.Patch, o.NumRecvs)
 		}
+		if len(o.Ghosts) != 1 {
+			t.Fatalf("object on %v has %d ghost sets, want 1", o.Patch, len(o.Ghosts))
+		}
 		// Every patch of a 2x2x2 layout touches 7 local neighbours.
-		if len(o.LocalCopies) != 7 {
-			t.Errorf("object on %v has %d local copies, want 7", o.Patch, len(o.LocalCopies))
+		if gs := o.Ghosts[0]; len(gs.Copies) != 7 {
+			t.Errorf("object on %v has %d local copies, want 7", o.Patch, len(gs.Copies))
 		}
 		// Every patch touches the physical boundary.
-		if len(o.BCFills) != 1 {
-			t.Errorf("object on %v has %d BC fills, want 1", o.Patch, len(o.BCFills))
+		if o.Ghosts[0].FillCells == 0 {
+			t.Errorf("object on %v has no BC fill", o.Patch)
 		}
 	}
 }
 
+// For each ghost set, local copy cells + recv cells + BC cells must equal
+// the full ghost margin. Two tasks reading the label at the same width
+// share one set on each patch, and both wait on each of its recv edges.
 func TestCompileGhostAccountingExact(t *testing.T) {
-	// For each object: local copy cells + recv cells + BC cells must equal
-	// the full ghost margin.
 	lv := level(t, grid.IV(16, 16, 16), grid.IV(2, 2, 2))
 	u := NewLabel("u", nil)
+	second := &Task{Name: "second", Kind: KindOffload, Kernel: &Kernel{Weight: 1},
+		Requires: []Dep{{Label: u, DW: OldDW, Ghost: 1}},
+		Computes: []Dep{{Label: NewLabel("v", nil), DW: NewDW}}}
 	assign := []int{0, 0, 0, 0, 1, 1, 1, 1}
-	for rank := 0; rank < 2; rank++ {
-		g, err := Compile(lv, []*Task{advanceTask(u)}, assign, rank)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recvCells := map[int]int64{} // patch ID -> cells arriving
-		for _, e := range g.Recvs {
-			recvCells[e.Dst.ID] += e.Cells
-		}
-		for _, o := range g.Objects {
-			var cells int64
-			for _, cr := range o.LocalCopies {
-				for _, r := range cr.Regions {
-					cells += r.NumCells()
+	for _, tasks := range [][]*Task{{advanceTask(u)}, {advanceTask(u), second}} {
+		for rank := 0; rank < 2; rank++ {
+			g, err := Compile(lv, tasks, assign, rank)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recvCells := map[int]int64{} // patch ID -> cells arriving
+			for _, e := range g.Recvs {
+				recvCells[e.Dst.ID] += e.Bytes / 8
+				if len(e.DstObjs) != len(tasks) {
+					t.Fatalf("%d tasks, rank %d: edge %v->%v releases %d objects", len(tasks), rank, e.Src, e.Dst, len(e.DstObjs))
+				}
+				for i, o := range e.DstObjs {
+					if o.Task != tasks[i] || o.Patch != e.Dst {
+						t.Errorf("%d tasks, rank %d: edge %v->%v releases %s on %v", len(tasks), rank, e.Src, e.Dst, o.Task.Name, o.Patch)
+					}
 				}
 			}
-			for _, bc := range o.BCFills {
-				cells += bc.Cells
-			}
-			cells += recvCells[o.Patch.ID]
-			want := o.Patch.Box.Grow(1).NumCells() - o.Patch.Box.NumCells()
-			if cells != want {
-				t.Errorf("rank %d patch %v: ghost cells %d, want %d", rank, o.Patch, cells, want)
+			sets := map[*grid.Patch]*GhostSet{}
+			for _, o := range g.Objects {
+				if len(o.Ghosts) != 1 {
+					t.Fatalf("%d tasks, rank %d: object on %v has %d ghost sets, want 1", len(tasks), rank, o.Patch, len(o.Ghosts))
+				}
+				gs := o.Ghosts[0]
+				if have := sets[o.Patch]; have != nil {
+					if have != gs {
+						t.Errorf("%d tasks, rank %d: two sets of u on %v", len(tasks), rank, o.Patch)
+					}
+					continue
+				}
+				sets[o.Patch] = gs
+				if gs.Label != u || gs.Patch != o.Patch || len(gs.Readers) != len(tasks) {
+					t.Errorf("%d tasks, rank %d: set on %v: label %s, patch %v, %d readers",
+						len(tasks), rank, o.Patch, gs.Label.Name(), gs.Patch, len(gs.Readers))
+				}
+				cells := gs.FillCells + recvCells[o.Patch.ID]
+				for _, cr := range gs.Copies {
+					for _, r := range cr.Regions {
+						cells += r.NumCells()
+					}
+				}
+				want := o.Patch.Box.Grow(1).NumCells() - o.Patch.Box.NumCells()
+				if cells != want {
+					t.Errorf("%d tasks, rank %d patch %v: ghost cells %d, want %d", len(tasks), rank, o.Patch, cells, want)
+				}
 			}
 		}
+	}
+}
+
+// Two readers of one label on one patch that disagree about where a ghost
+// cell comes from — one runs on the neighbour owning it, the other fills
+// it from the boundary condition — cannot share the patch's one copy of
+// the label: Compile names the label, the patch and both tasks.
+func TestCompileRejectsReadersDisagreeingOnGhostSource(t *testing.T) {
+	lv := level(t, grid.IV(16, 8, 8), grid.IV(2, 1, 1))
+	u := NewLabel("u", nil)
+	everywhere := &Task{Name: "everywhere", Kind: KindOffload, Kernel: &Kernel{},
+		Requires: []Dep{{Label: u, DW: OldDW, Ghost: 1}},
+		Computes: []Dep{{Label: NewLabel("a", nil), DW: NewDW}}}
+	leftOnly := &Task{Name: "leftOnly", Kind: KindOffload, Kernel: &Kernel{},
+		Patches:  func(id int) bool { return id == 0 },
+		Requires: []Dep{{Label: u, DW: OldDW, Ghost: 1}},
+		Computes: []Dep{{Label: NewLabel("b", nil), DW: NewDW}}}
+	_, err := Compile(lv, []*Task{everywhere, leftOnly}, []int{0, 1}, 0)
+	if err == nil {
+		t.Fatal("readers disagreeing on a ghost source compiled")
+	}
+	for _, want := range []string{`"everywhere"`, `"leftOnly"`, `"u"`, "patch 0"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+	// Rank 1 holds only patch 1, where leftOnly does not run.
+	if _, err := Compile(lv, []*Task{everywhere, leftOnly}, []int{0, 1}, 1); err != nil {
+		t.Fatalf("rank 1: %v", err)
 	}
 }
 
@@ -161,10 +219,9 @@ func TestEdgeCarriesEachGhostCellOnce(t *testing.T) {
 				cells += r.NumCells()
 				r.ForEach(func(c grid.IVec) { carried[c] = true })
 			}
-			if e.Cells != int64(len(union)) || cells != e.Cells || e.Bytes != 8*e.Cells ||
-				!reflect.DeepEqual(carried, union) {
+			if cells != int64(len(union)) || e.Bytes != 8*cells || !reflect.DeepEqual(carried, union) {
 				t.Errorf("rank %d edge %v->%v: %d cells (%d B) in %v, union of the widths is %d cells",
-					rank, e.Src, e.Dst, e.Cells, e.Bytes, e.Regions, len(union))
+					rank, e.Src, e.Dst, cells, e.Bytes, e.Regions, len(union))
 			}
 		}
 	}
@@ -332,8 +389,8 @@ func TestPaperConfigurationEdgeCounts(t *testing.T) {
 	if o.NumRecvs != len(nbrs) {
 		t.Errorf("recvs = %d, want %d (all neighbours remote)", o.NumRecvs, len(nbrs))
 	}
-	if len(o.LocalCopies) != 0 {
-		t.Errorf("local copies = %d, want 0", len(o.LocalCopies))
+	if len(o.Ghosts[0].Copies) != 0 {
+		t.Errorf("local copies = %d, want 0", len(o.Ghosts[0].Copies))
 	}
 	if len(g.Sends) != len(nbrs) {
 		t.Errorf("sends = %d, want %d", len(g.Sends), len(nbrs))

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -15,11 +16,12 @@ import (
 	. "sunuintah/internal/taskgraph"
 )
 
-// referenceCompile is the map-based compiler Compile replaced: edges keyed
-// by (label, src, dst) in maps, every Edge, Object and slice allocated on
-// its own, send edges derived task-major. It is the oracle the differential
-// tests hold Compile to; it keeps the old duplicate-only region dedup, so
-// compare it only on task sets that require each label at one width.
+// referenceCompile is the map-based compiler Compile replaced, moved to
+// one ghost set per (label, patch): edges and sets keyed in maps, every
+// Edge, Object, set and slice allocated on its own, deciding tasks found
+// for every patch of the level up front, send edges derived patch-major
+// from them, and readers' disagreements found cell by cell. It is the
+// oracle the differential tests hold Compile to.
 func referenceCompile(level *grid.Level, tasks []*Task, assign []int, rank int) (*Graph, error) {
 	layout := level.Layout
 	if len(assign) != layout.NumPatches() {
@@ -57,7 +59,6 @@ func referenceCompile(level *grid.Level, tasks []*Task, assign []int, rank int) 
 
 	producer := map[*Label]*Task{}
 	producerObjs := map[refProducerKey]*Object{}
-	recvKey := map[refEdgeKey]*Edge{}
 
 	for _, t := range tasks {
 		switch t.Kind {
@@ -69,23 +70,21 @@ func referenceCompile(level *grid.Level, tasks []*Task, assign []int, rank int) 
 				obj := &Object{Index: len(g.Objects), Task: t, Patch: p}
 				g.Objects = append(g.Objects, obj)
 				for _, d := range t.Requires {
-					switch {
-					case d.DW == NewDW:
-						prod := producer[d.Label]
-						if prod == nil {
-							return nil, fmt.Errorf("taskgraph: task %q requires %q from the new warehouse but no earlier task computes it",
-								t.Name, d.Label.Name())
-						}
-						up := producerObjs[refProducerKey{prod, p.ID}]
-						if up == nil {
-							return nil, fmt.Errorf("taskgraph: task %q requires %q from the new warehouse on patch %d but producer %q is excluded there by its patch predicate",
-								t.Name, d.Label.Name(), p.ID, prod.Name)
-						}
-						obj.Upstream = append(obj.Upstream, up)
-						up.Downstream = append(up.Downstream, obj)
-					case d.Ghost > 0:
-						refAddGhostDeps(g, obj, d, recvKey, labelIdx)
+					if d.DW != NewDW {
+						continue
 					}
+					prod := producer[d.Label]
+					if prod == nil {
+						return nil, fmt.Errorf("taskgraph: task %q requires %q from the new warehouse but no earlier task computes it",
+							t.Name, d.Label.Name())
+					}
+					up := producerObjs[refProducerKey{prod, p.ID}]
+					if up == nil {
+						return nil, fmt.Errorf("taskgraph: task %q requires %q from the new warehouse on patch %d but producer %q is excluded there by its patch predicate",
+							t.Name, d.Label.Name(), p.ID, prod.Name)
+					}
+					obj.Upstream = append(obj.Upstream, up)
+					up.Downstream = append(up.Downstream, obj)
 				}
 				for _, d := range t.Computes {
 					producer[d.Label] = t
@@ -114,34 +113,67 @@ func referenceCompile(level *grid.Level, tasks []*Task, assign []int, rank int) 
 		}
 	}
 
-	sendKey := map[refEdgeKey]*Edge{}
+	// The deciding task of every (label, patch) of the level: the first, in
+	// declaration order, to read the label there at the widest width.
+	decider := map[refSetKey]*Task{}
+	width := map[refSetKey]int{}
 	for _, t := range tasks {
 		for _, d := range t.Requires {
 			if d.DW != OldDW || d.Ghost == 0 {
 				continue
 			}
-			for _, q := range g.LocalPatches {
-				if !t.AppliesTo(q.ID) {
+			for _, p := range layout.Patches() {
+				k := refSetKey{d.Label, p.ID}
+				if t.AppliesTo(p.ID) && d.Ghost > width[k] {
+					decider[k], width[k] = t, d.Ghost
+				}
+			}
+		}
+	}
+
+	// Sets, local patch by local patch, in label order.
+	for _, p := range g.LocalPatches {
+		for _, l := range g.Labels {
+			k := refSetKey{l, p.ID}
+			if decider[k] == nil {
+				continue
+			}
+			gs := &GhostSet{Label: l, Patch: p}
+			for _, obj := range g.Objects {
+				for _, d := range obj.Task.Requires {
+					if obj.Patch == p && d.Label == l && d.DW == OldDW && d.Ghost > 0 && !refHasSet(obj, gs) {
+						obj.Ghosts = append(obj.Ghosts, gs)
+						gs.Readers = append(gs.Readers, obj)
+					}
+				}
+			}
+			if err := refFillSet(g, gs, decider[k], width[k], labelIdx); err != nil {
+				return nil, err
+			}
+		}
+	}
+
+	for _, q := range g.LocalPatches {
+		for _, p := range layout.Patches() {
+			if assign[p.ID] == rank {
+				continue
+			}
+			for _, l := range g.Labels {
+				k := refSetKey{l, p.ID}
+				dec := decider[k]
+				if dec == nil || !dec.AppliesTo(q.ID) {
 					continue
 				}
-				for _, p := range layout.Neighbours(q, d.Ghost) {
-					if assign[p.ID] == rank || !t.AppliesTo(p.ID) {
+				var e *Edge
+				for _, gr := range layout.GhostRegions(p, width[k]) {
+					if gr.Src != q {
 						continue
 					}
-					for _, gr := range layout.GhostRegions(p, d.Ghost) {
-						if gr.Src == nil || gr.Src.ID != q.ID {
-							continue
-						}
-						k := refEdgeKey{labelIdx[d.Label], q.ID, p.ID}
-						e := sendKey[k]
-						if e == nil {
-							e = &Edge{Label: d.Label, LabelIdx: k.label,
-								Src: q, Dst: p, SrcRank: rank, DstRank: assign[p.ID]}
-							sendKey[k] = e
-							g.Sends = append(g.Sends, e)
-						}
-						refAddRegion(e, gr.Region)
+					if e == nil {
+						e = &Edge{Label: l, LabelIdx: labelIdx[l], Src: q, Dst: p, SrcRank: rank, DstRank: assign[p.ID]}
+						g.Sends = append(g.Sends, e)
 					}
+					refAddRegion(e, gr.Region)
 				}
 			}
 		}
@@ -162,59 +194,92 @@ type refEdgeKey struct {
 	src, dst int
 }
 
-func refAddRegion(e *Edge, r grid.Box) {
-	for _, have := range e.Regions {
-		if have == r {
-			return
+type refSetKey struct {
+	label   *Label
+	patchID int
+}
+
+func refHasSet(obj *Object, gs *GhostSet) bool {
+	for _, have := range obj.Ghosts {
+		if have == gs {
+			return true
 		}
 	}
+	return false
+}
+
+func refAddRegion(e *Edge, r grid.Box) {
 	e.Regions = append(e.Regions, r)
-	e.Cells += r.NumCells()
 	e.Bytes += r.NumCells() * 8
 }
 
-func refAddGhostDeps(g *Graph, obj *Object, d Dep, recvKey map[refEdgeKey]*Edge, labelIdx map[*Label]int) {
-	layout := g.Level.Layout
-	copies := map[int]*CopyReq{}
-	var bc *BCReq
-	for _, gr := range layout.GhostRegions(obj.Patch, d.Ghost) {
-		switch {
-		case gr.Src == nil || !obj.Task.AppliesTo(gr.Src.ID):
-			if bc == nil {
-				bc = &BCReq{Label: d.Label}
+// refOwner returns the patch owning cell c, or nil outside the domain.
+func refOwner(layout *grid.Layout, c grid.IVec) *grid.Patch {
+	if !layout.Domain.Contains(c) {
+		return nil
+	}
+	return layout.PatchAt(c.Sub(layout.Domain.Lo).Div(layout.PatchSize))
+}
+
+// refFillSet checks gs's readers against its deciding task cell by cell,
+// then derives its copies, fill and recv edges from the decider's view of
+// the widest margin.
+func refFillSet(g *Graph, gs *GhostSet, dec *Task, w int, labelIdx map[*Label]int) error {
+	layout, p := g.Level.Layout, gs.Patch
+	for _, r := range gs.Readers {
+		if r.Task == dec {
+			continue
+		}
+		rw := 0
+		for _, d := range r.Task.Requires {
+			if d.Label == gs.Label && d.DW == OldDW && d.Ghost > rw {
+				rw = d.Ghost
 			}
-			bc.Regions = append(bc.Regions, gr.Region)
-			bc.Cells += gr.Region.NumCells()
+		}
+		conflict := false
+		p.Box.Grow(rw).ForEach(func(c grid.IVec) {
+			if src := refOwner(layout, c); src != nil && src != p &&
+				r.Task.AppliesTo(src.ID) != dec.AppliesTo(src.ID) {
+				conflict = true
+			}
+		})
+		if conflict {
+			return fmt.Errorf("taskgraph: tasks %q and %q both read %q on patch %d with ghost cells but disagree on where some come from: only one runs on the neighbour that owns them",
+				r.Task.Name, dec.Name, gs.Label.Name(), p.ID)
+		}
+	}
+	copies := map[int]*CopyReq{}
+	for _, gr := range layout.GhostRegions(p, w) {
+		switch {
+		case gr.Src == nil || !dec.AppliesTo(gr.Src.ID):
+			gs.Fill = append(gs.Fill, gr.Region)
+			gs.FillCells += gr.Region.NumCells()
 		case g.Assign[gr.Src.ID] == g.Rank:
 			cr := copies[gr.Src.ID]
 			if cr == nil {
-				cr = &CopyReq{Label: d.Label, Src: gr.Src}
+				cr = &CopyReq{Src: gr.Src}
 				copies[gr.Src.ID] = cr
 			}
 			cr.Regions = append(cr.Regions, gr.Region)
 			cr.Bytes += gr.Region.NumCells() * 8
 		default:
-			k := refEdgeKey{labelIdx[d.Label], gr.Src.ID, obj.Patch.ID}
-			e := recvKey[k]
-			if e == nil {
-				e = &Edge{Label: d.Label, LabelIdx: k.label,
-					Src: gr.Src, Dst: obj.Patch,
-					SrcRank: g.Assign[gr.Src.ID], DstRank: g.Rank}
-				recvKey[k] = e
-				g.Recvs = append(g.Recvs, e)
-			}
-			refAddRegion(e, gr.Region)
-			attached := false
-			for _, o := range e.DstObjs {
-				if o == obj {
-					attached = true
-					break
+			k := refEdgeKey{labelIdx[gs.Label], gr.Src.ID, p.ID}
+			var e *Edge
+			for _, have := range g.Recvs {
+				if (refEdgeKey{have.LabelIdx, have.Src.ID, have.Dst.ID}) == k {
+					e = have
 				}
 			}
-			if !attached {
-				e.DstObjs = append(e.DstObjs, obj)
-				obj.NumRecvs++
+			if e == nil {
+				e = &Edge{Label: gs.Label, LabelIdx: k.label, Src: gr.Src, Dst: p,
+					SrcRank: g.Assign[gr.Src.ID], DstRank: g.Rank}
+				g.Recvs = append(g.Recvs, e)
+				for _, r := range gs.Readers {
+					e.DstObjs = append(e.DstObjs, r)
+					r.NumRecvs++
+				}
 			}
+			refAddRegion(e, gr.Region)
 		}
 	}
 	var srcIDs []int
@@ -223,11 +288,9 @@ func refAddGhostDeps(g *Graph, obj *Object, d Dep, recvKey map[refEdgeKey]*Edge,
 	}
 	sort.Ints(srcIDs)
 	for _, id := range srcIDs {
-		obj.LocalCopies = append(obj.LocalCopies, *copies[id])
+		gs.Copies = append(gs.Copies, *copies[id])
 	}
-	if bc != nil {
-		obj.BCFills = append(obj.BCFills, *bc)
-	}
+	return nil
 }
 
 func refSortEdges(edges []*Edge, nPatches int) {
@@ -262,12 +325,21 @@ func graphDiff(got, want *Graph) string {
 			return fmt.Sprintf("object %d: Downstream %v, want %v", i, indices(o.Downstream), indices(w.Downstream))
 		case o.NumRecvs != w.NumRecvs:
 			return fmt.Sprintf("object %d: NumRecvs %d, want %d", i, o.NumRecvs, w.NumRecvs)
-		case !reflect.DeepEqual(o.LocalCopies, w.LocalCopies):
-			return fmt.Sprintf("object %d: LocalCopies %v, want %v", i, o.LocalCopies, w.LocalCopies)
-		case !reflect.DeepEqual(o.BCFills, w.BCFills):
-			return fmt.Sprintf("object %d: BCFills %v, want %v", i, o.BCFills, w.BCFills)
+		case len(o.Ghosts) != len(w.Ghosts):
+			return fmt.Sprintf("object %d: %d ghost sets, want %d", i, len(o.Ghosts), len(w.Ghosts))
 		case o.State != w.State || o.PendingDeps != w.PendingDeps:
 			return fmt.Sprintf("object %d: scheduler state differs", i)
+		}
+		for k, gs := range o.Ghosts {
+			if d := setDiff(gs, w.Ghosts[k]); d != "" {
+				return fmt.Sprintf("object %d: ghost set %d: %s", i, k, d)
+			}
+			// One set per (label, patch): every reader holds this very set.
+			for _, r := range gs.Readers {
+				if !refHasSet(r, gs) {
+					return fmt.Sprintf("object %d: ghost set %d: reader %d holds another set", i, k, r.Index)
+				}
+			}
 		}
 	}
 	for _, side := range []struct {
@@ -283,14 +355,32 @@ func graphDiff(got, want *Graph) string {
 				e.SrcRank != w.SrcRank || e.DstRank != w.DstRank {
 				return fmt.Sprintf("%s edge %d: endpoints %v->%v, want %v->%v", side.name, i, e.Src, e.Dst, w.Src, w.Dst)
 			}
-			if !reflect.DeepEqual(e.Regions, w.Regions) || e.Cells != w.Cells || e.Bytes != w.Bytes {
-				return fmt.Sprintf("%s edge %d: regions %v (%d cells), want %v (%d cells)",
-					side.name, i, e.Regions, e.Cells, w.Regions, w.Cells)
+			if !reflect.DeepEqual(e.Regions, w.Regions) || e.Bytes != w.Bytes {
+				return fmt.Sprintf("%s edge %d: regions %v (%d B), want %v (%d B)",
+					side.name, i, e.Regions, e.Bytes, w.Regions, w.Bytes)
 			}
 			if !reflect.DeepEqual(indices(e.DstObjs), indices(w.DstObjs)) {
 				return fmt.Sprintf("%s edge %d: DstObjs %v, want %v", side.name, i, indices(e.DstObjs), indices(w.DstObjs))
 			}
 		}
+	}
+	return ""
+}
+
+// setDiff returns the first difference between two ghost sets, readers
+// compared by Index; "" when they are equal.
+func setDiff(got, want *GhostSet) string {
+	switch {
+	case got.Label != want.Label || got.Patch != want.Patch:
+		return fmt.Sprintf("%s on %v, want %s on %v", got.Label.Name(), got.Patch, want.Label.Name(), want.Patch)
+	case !reflect.DeepEqual(got.Copies, want.Copies):
+		return fmt.Sprintf("copies %v, want %v", got.Copies, want.Copies)
+	case !reflect.DeepEqual(got.Fill, want.Fill) || got.FillCells != want.FillCells:
+		return fmt.Sprintf("fill %v (%d cells), want %v (%d cells)", got.Fill, got.FillCells, want.Fill, want.FillCells)
+	case !reflect.DeepEqual(indices(got.Readers), indices(want.Readers)):
+		return fmt.Sprintf("readers %v, want %v", indices(got.Readers), indices(want.Readers))
+	case got.Done != want.Done:
+		return "done marks differ"
 	}
 	return ""
 }
@@ -372,9 +462,8 @@ func compileSpec(t *testing.T, spec runner.Spec) bool {
 // randomProblem is a random level, assignment and task set: 1–4 patches
 // per axis of 1–4 cells, Block or SFC over 1–8 ranks, tasks requiring
 // old-warehouse labels (some twice) at ghost widths 0–2 under random patch
-// predicates, chained
-// through new-warehouse labels, with an optional reduction at the end.
-// With oneWidth every label is required at a single width.
+// predicates, chained through new-warehouse labels, with an optional
+// reduction at the end.
 type randomProblem struct {
 	level  *grid.Level
 	tasks  []*Task
@@ -382,7 +471,7 @@ type randomProblem struct {
 	ranks  int
 }
 
-func newRandomProblem(rng *rand.Rand, oneWidth bool) (randomProblem, error) {
+func newRandomProblem(rng *rand.Rand) (randomProblem, error) {
 	counts := grid.IV(1+rng.Intn(4), 1+rng.Intn(4), 1+rng.Intn(4))
 	// Patches as thin as one cell: a width-2 margin then spans two
 	// patches, so one source owns several regions of it.
@@ -405,7 +494,6 @@ func newRandomProblem(rng *rand.Rand, oneWidth bool) (randomProblem, error) {
 		return randomProblem{}, err
 	}
 	olds := []*Label{NewLabel("u", nil), NewLabel("v", nil)}
-	width := map[*Label]int{}
 	var news []*Label
 	var tasks []*Task
 	for i, nt := 0, 1+rng.Intn(4); i < nt; i++ {
@@ -418,12 +506,7 @@ func newRandomProblem(rng *rand.Rand, oneWidth bool) (randomProblem, error) {
 		for _, l := range olds {
 			// Zero, one or two requirements of each label.
 			for k := rng.Intn(3); k > 0; k-- {
-				w, ok := width[l]
-				if !ok || !oneWidth {
-					w = rng.Intn(3)
-					width[l] = w
-				}
-				t.Requires = append(t.Requires, Dep{Label: l, DW: OldDW, Ghost: w})
+				t.Requires = append(t.Requires, Dep{Label: l, DW: OldDW, Ghost: rng.Intn(3)})
 			}
 		}
 		if len(news) > 0 && rng.Intn(2) == 0 {
@@ -441,25 +524,42 @@ func newRandomProblem(rng *rand.Rand, oneWidth bool) (randomProblem, error) {
 	return randomProblem{level: lv, tasks: tasks, assign: assign, ranks: ranks}, nil
 }
 
-// Property: on random problems that require each label at one width,
-// Compile and the reference agree field for field on every rank,
-// compile errors (a chain through a predicate-excluded producer) included.
+// Property: on random problems, Compile and the reference agree field for
+// field on every rank, compile errors included: a chain through a
+// predicate-excluded producer, and two readers of a label on one patch
+// that disagree about where a ghost cell comes from.
 func TestPropertyCompileMatchesReference(t *testing.T) {
+	conflicts := 0
 	f := func(seed int64) bool {
-		p, err := newRandomProblem(rand.New(rand.NewSource(seed)), true)
+		p, err := newRandomProblem(rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if conflicted(p) {
+			conflicts++
 		}
 		return compileBoth(t, fmt.Sprintf("seed %d", seed), p.level, p.tasks, p.assign, p.ranks)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("%d of 300 problems end in the conflicting-readers error", conflicts)
+}
+
+// conflicted reports whether some rank of p fails to compile because two
+// readers of a label disagree about a ghost cell's source.
+func conflicted(p randomProblem) bool {
+	for r := 0; r < p.ranks; r++ {
+		if _, err := Compile(p.level, p.tasks, p.assign, r); err != nil && strings.Contains(err.Error(), "disagree on where") {
+			return true
+		}
+	}
+	return false
 }
 
 // disjoint reports whether e's regions are pairwise disjoint and add up
-// to its Cells and Bytes: each ghost cell crosses once, even when a label
-// is required at two widths.
+// to its Bytes: each ghost cell crosses once, even when a label is
+// required at two widths.
 func disjoint(e *Edge) bool {
 	var cells int64
 	for i, r := range e.Regions {
@@ -470,7 +570,7 @@ func disjoint(e *Edge) bool {
 			}
 		}
 	}
-	return cells == e.Cells && e.Bytes == 8*cells
+	return e.Bytes == 8*cells
 }
 
 // Property: every send edge has exactly one matching recv edge on the
@@ -478,11 +578,14 @@ func disjoint(e *Edge) bool {
 // same order — the functional unpack walks the sender's pack order — and
 // no edge carries a ghost cell twice, widths mixed or not.
 func TestCompileSendRecvSymmetry(t *testing.T) {
-	sends := 0
+	sends, conflicts := 0, 0
 	f := func(seed int64) bool {
-		p, err := newRandomProblem(rand.New(rand.NewSource(seed)), false)
+		p, err := newRandomProblem(rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if conflicted(p) {
+			conflicts++
 		}
 		n := p.level.Layout.NumPatches()
 		recvByTag := map[int]*Edge{}
@@ -515,7 +618,7 @@ func TestCompileSendRecvSymmetry(t *testing.T) {
 					t.Errorf("seed %d: send %v->%v has no matching recv", seed, e.Src, e.Dst)
 				case e.Src != r.Src || e.Dst != r.Dst || e.SrcRank != r.SrcRank || e.DstRank != r.DstRank:
 					t.Errorf("seed %d: edge endpoints differ: send %v->%v, recv %v->%v", seed, e.Src, e.Dst, r.Src, r.Dst)
-				case e.Bytes != r.Bytes || e.Cells != r.Cells || !reflect.DeepEqual(e.Regions, r.Regions):
+				case e.Bytes != r.Bytes || !reflect.DeepEqual(e.Regions, r.Regions):
 					t.Errorf("seed %d: edge %v->%v: send %v (%d B), recv %v (%d B)", seed, e.Src, e.Dst, e.Regions, e.Bytes, r.Regions, r.Bytes)
 				default:
 					continue
@@ -536,4 +639,5 @@ func TestCompileSendRecvSymmetry(t *testing.T) {
 	if sends == 0 {
 		t.Fatal("no cross-rank edges in any random problem")
 	}
+	t.Logf("%d of 300 problems end in the conflicting-readers error", conflicts)
 }

@@ -11,6 +11,7 @@ package taskgraph
 
 import (
 	"fmt"
+	"slices"
 
 	"sunuintah/internal/field"
 	"sunuintah/internal/grid"
@@ -62,13 +63,6 @@ const (
 	OldDW DWSel = iota
 	NewDW
 )
-
-func (d DWSel) String() string {
-	if d == OldDW {
-		return "old"
-	}
-	return "new"
-}
 
 // Dep is one requires/computes declaration.
 type Dep struct {
@@ -182,16 +176,6 @@ func (t *Task) AppliesTo(patchID int) bool {
 	return t.Patches == nil || t.Patches(patchID)
 }
 
-// computes reports whether the task declares l as an output.
-func (t *Task) computes(l *Label) bool {
-	for _, d := range t.Computes {
-		if d.Label == l {
-			return true
-		}
-	}
-	return false
-}
-
 // Validate checks structural consistency of the declaration.
 func (t *Task) Validate() error {
 	switch t.Kind {
@@ -231,7 +215,7 @@ func (t *Task) Validate() error {
 		if d.DW == NewDW && d.Ghost != 0 {
 			return fmt.Errorf("taskgraph: task %q requires %q from the new warehouse with ghost cells (intra-step halo exchange is not supported)", t.Name, d.Label.Name())
 		}
-		if d.DW == NewDW && t.computes(d.Label) {
+		if d.DW == NewDW && slices.ContainsFunc(t.Computes, func(c Dep) bool { return c.Label == d.Label }) {
 			// Kernels work on views of the warehouse fields and the tiles
 			// of one offload run concurrently: updated in place, a
 			// variable would change under the kernels still reading it.
