@@ -124,8 +124,8 @@ func (rp *randomProblem) reference(lv *grid.Level, init func(x, y, z float64) fl
 				ins = append(ins, taskgraph.TileVar{Label: d.Label, Data: f})
 			}
 			task.Kernel.Compute(&taskgraph.TileContext{
-				Patch: lv.Layout.Patch(0), Tile: grid.Tile{Box: dom},
-				In: ins, Out: taskgraph.TileVars{{Label: outLabel, Data: out}}, Step: s, Level: lv,
+				Tile: grid.Tile{Box: dom}, In: ins,
+				Out: taskgraph.TileVars{{Label: outLabel, Data: out}}, Level: lv,
 			})
 			newVars[outLabel] = out
 		}

@@ -361,7 +361,7 @@ func TestCrashedRunDrainsTileWorkers(t *testing.T) {
 					running.Add(1)
 					defer running.Add(-1)
 					ran.Add(1)
-					if tc.Tile.Box.Lo == tc.Patch.Box.Lo {
+					if tc.Tile.Index == (grid.IVec{}) { // the patch's first tile
 						time.Sleep(5 * time.Millisecond) // keep the job in flight well past its launch
 					}
 					compute(tc)

@@ -27,6 +27,13 @@
 // for equal sizes, and for all scheduler traffic, whose tags are unique per
 // (step, label, source patch, destination patch).
 //
+// A rank's posted receives, its messages waiting on the wire from its
+// engine and its delivered ones are each a posting-order queue (queue)
+// that holds every entry's (source, tag) inline. A match scans the keys
+// from the first live entry and marks the match gone; the queue compacts,
+// order kept, once half its slots are gone. So a match costs its position
+// in the queue plus amortised O(1), not a shift of every later entry.
+//
 // On a shared engine with no fault injector a message is a decided value,
 // not a calendar event: a send and a paired receive carry their completion
 // instant (doneAt) and the sender's clock at the post (sentAt), every Test
@@ -42,7 +49,6 @@ package mpisim
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"sunuintah/internal/faults"
@@ -137,9 +143,9 @@ type Rank struct {
 	comm *Comm
 	rank int
 
-	recvs      []*Request // posted receives with no message yet
-	unexpected []*message // delivered messages with no receive yet
-	inflight   []message  // unclaimed messages on the wire from this engine
+	recvs      queue[*Request] // posted receives with no message yet
+	unexpected queue[*message] // delivered messages with no receive yet
+	inflight   queue[message]  // unclaimed messages on the wire from this engine
 
 	// nextColl indexes this rank's next collective call, for in-order
 	// matching across ranks (the objects live on the Comm).
@@ -168,7 +174,7 @@ type Rank struct {
 	// from its own pool (on its own engine) and the receiver retires them
 	// into its pool (on its engine) once consumed, so neither end ever
 	// locks. A message between ranks on one engine needs no envelope: it
-	// waits on the receiver's inflight list by value.
+	// waits on the receiver's inflight queue by value.
 	msgFree []*message
 	// reqFree is the request freelist (see Free).
 	reqFree []*Request
@@ -371,16 +377,14 @@ func (r *Rank) Isend(p *sim.Process, dst, tag int, payload []float64, bytes int6
 	m := message{dst: r.comm.Rank(dst), src: r.rank, tag: tag, bytes: bytes,
 		payload: payload, sentAt: now, arrivesAt: now + wire}
 	if d := m.dst; r.comm.engs[dst] == r.eng() {
-		if i := slices.IndexFunc(d.recvs, m.matches); i >= 0 {
-			q := d.recvs[i]
-			d.recvs = slices.Delete(d.recvs, i, i+1)
+		if q, ok := d.recvs.take(r.rank, tag); ok {
 			d.pair(q, &m)
 			if q.sig.Waiting() {
 				q.firing = true
 				r.eng().CallAfter(wire, q)
 			}
 		} else {
-			d.inflight = append(d.inflight, m)
+			d.inflight.push(r.rank, tag, m)
 		}
 	} else {
 		env := r.getMsg()
@@ -500,25 +504,17 @@ func (r *Rank) Irecv(p *sim.Process, src, tag int) *Request {
 	req := r.getReq()
 	req.src, req.tag = src, tag
 	req.sig.Init(r.eng(), "recv")
-	if i := slices.IndexFunc(r.unexpected, req.matches); i >= 0 {
-		r.complete(req, r.unexpected[i])
-		r.unexpected = slices.Delete(r.unexpected, i, i+1)
+	if m, ok := r.unexpected.take(src, tag); ok {
+		r.complete(req, m)
 		return req
 	}
-	for i := range r.inflight {
-		if m := &r.inflight[i]; req.matches(m) {
-			r.pair(req, m)
-			r.inflight = slices.Delete(r.inflight, i, i+1)
-			return req
-		}
+	if m, ok := r.inflight.take(src, tag); ok {
+		r.pair(req, &m)
+		return req
 	}
-	r.recvs = append(r.recvs, req)
+	r.recvs.push(src, tag, req)
 	return req
 }
-
-// matches reports whether receive q takes message m (m.matches: converse).
-func (q *Request) matches(m *message) bool { return q.src == m.src && q.tag == m.tag }
-func (m *message) matches(q *Request) bool { return q.matches(m) }
 
 // pair completes receive q with message m, still on the wire from this
 // engine: q knows its arrival, the sender's clock at the post and the
@@ -547,14 +543,11 @@ func (r *Rank) deliver(m *message) {
 		}
 		r.seen[m.seq] = true
 	}
-	for i, req := range r.recvs {
-		if req.src == m.src && req.tag == m.tag {
-			r.recvs = append(r.recvs[:i], r.recvs[i+1:]...)
-			r.complete(req, m)
-			return
-		}
+	if req, ok := r.recvs.take(m.src, m.tag); ok {
+		r.complete(req, m)
+		return
 	}
-	r.unexpected = append(r.unexpected, m)
+	r.unexpected.push(m.src, m.tag, m)
 }
 
 // complete finishes a receive at the delivery instant or a later Irecv's.

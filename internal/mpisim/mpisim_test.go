@@ -372,7 +372,8 @@ func TestDecidedReceiveTestIsLazy(t *testing.T) {
 func TestNoEventPerMessageOnOneEngine(t *testing.T) {
 	const n = 4
 	eng, c := newComm(2)
-	wire := sim.Time(perf.DefaultParams().MessageTimeBetween(0, 1, 8))
+	params := perf.DefaultParams()
+	wire := sim.Time(params.MessageTimeBetween(0, 1, 8))
 	eng.Spawn("rank0", func(p *sim.Process) {
 		r := c.Rank(0)
 		ev := eng.EventsExecuted()
@@ -389,8 +390,8 @@ func TestNoEventPerMessageOnOneEngine(t *testing.T) {
 		if got := eng.EventsExecuted() - ev; got != 1 {
 			t.Errorf("%d sends and a sync executed %d events, want 1", n, got)
 		}
-		if got := len(c.Rank(1).inflight); got != n || len(c.Rank(1).unexpected) != 0 {
-			t.Errorf("%d messages in flight and %d delivered, want %d and 0", got, len(c.Rank(1).unexpected), n)
+		if got := c.Rank(1).inflight.len(); got != n || c.Rank(1).unexpected.len() != 0 {
+			t.Errorf("%d messages in flight and %d delivered, want %d and 0", got, c.Rank(1).unexpected.len(), n)
 		}
 		r.Free(reqs[0])
 		if next := r.Irecv(p, 1, 0); next != reqs[0] {

@@ -74,7 +74,7 @@ func TestPairedReceiveTestIsLazy(t *testing.T) {
 		}
 		eng.Spawn("rank0", func(p *sim.Process) {
 			c.Rank(0).Isend(p, 1, 1, []float64{7}, 8)
-			if !recvFirst && len(c.Rank(1).inflight) != 1 {
+			if !recvFirst && c.Rank(1).inflight.len() != 1 {
 				t.Errorf("an unclaimed send is not on the in-flight list")
 			}
 		})
@@ -82,7 +82,7 @@ func TestPairedReceiveTestIsLazy(t *testing.T) {
 			eng.Spawn("rank1", recv)
 		}
 		eng.Run()
-		if n := len(c.Rank(1).inflight) + len(c.Rank(1).recvs) + len(c.Rank(1).unexpected); n != 0 {
+		if n := c.Rank(1).inflight.len() + c.Rank(1).recvs.len() + c.Rank(1).unexpected.len(); n != 0 {
 			t.Errorf("recvFirst=%v: %d entries left on rank 1's queues", recvFirst, n)
 		}
 	}
@@ -125,7 +125,7 @@ func TestReferenceReceiveIsAnEvent(t *testing.T) {
 		}
 		eng.Spawn("rank0", func(p *sim.Process) {
 			req := c.Rank(0).Isend(p, 1, 1, []float64{7}, 8)
-			if req.decided || len(c.Rank(1).inflight) != 0 {
+			if req.decided || c.Rank(1).inflight.len() != 0 {
 				t.Errorf("recvFirst=%v: the send is decided (%v) or on the in-flight list", recvFirst, req.decided)
 			}
 		})
@@ -133,7 +133,7 @@ func TestReferenceReceiveIsAnEvent(t *testing.T) {
 			eng.Spawn("rank1", recv)
 		}
 		eng.Run()
-		if n := len(c.Rank(1).inflight) + len(c.Rank(1).recvs) + len(c.Rank(1).unexpected); n != 0 {
+		if n := c.Rank(1).inflight.len() + c.Rank(1).recvs.len() + c.Rank(1).unexpected.len(); n != 0 {
 			t.Errorf("recvFirst=%v: %d entries left on rank 1's queues", recvFirst, n)
 		}
 	}

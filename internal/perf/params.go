@@ -189,16 +189,20 @@ func DefaultParams() Params {
 // (765.6 Gflop/s), the denominator of the paper's Figure 10 efficiency.
 func (p Params) CGPeakFlops() float64 { return p.MPEPeakFlops + p.CPEClusterPeakFlops }
 
+// The cost methods below have pointer receivers: they run per message,
+// per tile and per MPE part, and Params is large enough that a by-value
+// call copies a block even when it is inlined.
+
 // MessageTime returns the wire time for a point-to-point message of the
 // given size over the interconnect: latency plus serialisation at link
 // bandwidth.
-func (p Params) MessageTime(bytes int64) float64 {
+func (p *Params) MessageTime(bytes int64) float64 {
 	return p.LinkLatency + float64(bytes)/p.LinkBandwidth
 }
 
 // MessageTimeBetween returns the wire time between two ranks, using the
 // on-chip path when both core groups live on the same SW26010 processor.
-func (p Params) MessageTimeBetween(src, dst int, bytes int64) float64 {
+func (p *Params) MessageTimeBetween(src, dst int, bytes int64) float64 {
 	if p.CGsPerNode > 1 && src/p.CGsPerNode == dst/p.CGsPerNode {
 		return p.IntraNodeLatency + float64(bytes)/p.IntraNodeBandwidth
 	}
@@ -207,33 +211,30 @@ func (p Params) MessageTimeBetween(src, dst int, bytes int64) float64 {
 
 // LocalCopyTime returns the MPE time to copy the given bytes within one
 // core group's memory (same-rank "message" or ghost pack/unpack).
-func (p Params) LocalCopyTime(bytes int64) float64 {
+func (p *Params) LocalCopyTime(bytes int64) float64 {
 	return float64(bytes) / p.MPECopyBandwidth
 }
 
 // TouchTime returns the MPE time to allocate and first-touch bytes of a
 // new data-warehouse variable.
-func (p Params) TouchTime(bytes int64) float64 {
+func (p *Params) TouchTime(bytes int64) float64 {
 	return float64(bytes) / p.MPETouchBandwidth
 }
 
 // MPEKernelTime returns the MPE-only execution time of a kernel over cells
 // cells with the given relative cost weight (1.0 = the Burgers kernel).
-func (p Params) MPEKernelTime(cells int64, weight float64) float64 {
+func (p *Params) MPEKernelTime(cells int64, weight float64) float64 {
 	return float64(cells) * p.MPECyclesPerCellScalar * weight / p.MPEClockHz
 }
 
 // BCFillTime returns the MPE time to evaluate boundary conditions on the
 // given number of ghost cells.
-func (p Params) BCFillTime(cells int64) float64 {
+func (p *Params) BCFillTime(cells int64) float64 {
 	return float64(cells) * p.MPEBCCyclesPerCell / p.MPEClockHz
 }
 
 // CPEComputeTime returns the pure compute time for one CPE processing the
 // given cells with the scalar or vectorised kernel, at relative weight.
-// It and the two DMA costs below have pointer receivers, unlike the rest:
-// they run several times per CPE per offload, and Params is large enough
-// that each by-value call is a block copy.
 func (p *Params) CPEComputeTime(cells int64, simd bool, weight float64) float64 {
 	cyc := p.CPECyclesPerCellScalar * weight
 	if simd {

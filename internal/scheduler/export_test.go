@@ -38,12 +38,9 @@ func PanicJobs() (owner, helper func(), ran *int) {
 	ran = new(int)
 	queued := func(panics bool) *job {
 		j := &job{tiles: make([]taskgraph.TileContext, 2)}
-		for i := range j.tiles {
-			j.tiles[i].Step = i
-		}
 		j.start(0, func(tc *taskgraph.TileContext) {
 			*ran++
-			if panics && tc.Step == 0 {
+			if panics && tc == &j.tiles[0] {
 				panic("tile 0")
 			}
 		})

@@ -266,6 +266,8 @@ func TestKernelReadPastDeclaredGhostPanics(t *testing.T) {
 		// The scheduler sizes its tile queue to GOMAXPROCS.
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 		u := taskgraph.NewLabel("u", nil)
+		// The level is one patch of these cells.
+		cells := grid.IV(16, 16, 8)
 		probe := &taskgraph.Task{
 			Name: "probe", Kind: taskgraph.KindOffload,
 			Requires: []taskgraph.Dep{{Label: u, DW: taskgraph.OldDW, Ghost: 1}},
@@ -274,7 +276,7 @@ func TestKernelReadPastDeclaredGhostPanics(t *testing.T) {
 				in, out := tc.In.Get(u), tc.Out.Get(u)
 				// Only cells the warehouse field really holds are read, so
 				// a refusal can come from nothing but the window.
-				held := tc.Patch.Box.Grow(1)
+				held := grid.NewBox(grid.IVec{}, cells).Grow(1)
 				tc.Tile.Box.ForEach(func(c grid.IVec) {
 					if far := c.Add(grid.IV(reach, 0, 0)); held.Contains(far) {
 						out.Set(c, in.At(far))
@@ -283,7 +285,7 @@ func TestKernelReadPastDeclaredGhostPanics(t *testing.T) {
 			}},
 		}
 		s, err := core.NewSimulation(core.Config{
-			Cells: grid.IV(16, 16, 8), PatchCounts: grid.IV(1, 1, 1), NumCGs: 1,
+			Cells: cells, PatchCounts: grid.IV(1, 1, 1), NumCGs: 1,
 			Scheduler: scheduler.Config{Mode: scheduler.ModeAsync, Functional: true,
 				TileSize: grid.IV(8, 8, 4)},
 		}, core.Problem{

@@ -25,7 +25,7 @@ func sleepyFirstTile(task *taskgraph.Task) *taskgraph.Task {
 	cp, kernel := *task, *task.Kernel
 	compute := kernel.Compute
 	kernel.Compute = func(tc *taskgraph.TileContext) {
-		if tc.Tile.Box.Lo == tc.Patch.Box.Lo {
+		if tc.Tile.Index == (grid.IVec{}) {
 			time.Sleep(time.Millisecond)
 		}
 		compute(tc)
@@ -182,7 +182,8 @@ func checkOneSetPerPatchStep(t *testing.T, s *core.Simulation, rec *trace.Record
 		if len(sets) != len(rk.Graph().LocalPatches) {
 			t.Fatalf("rank %d: %d ghost sets for %d patches", r, len(sets), len(rk.Graph().LocalPatches))
 		}
-		want := sim.Time(perf.DefaultParams().BCFillTime(cells))
+		params := perf.DefaultParams()
+		want := sim.Time(params.BCFillTime(cells))
 		for step := 0; step < steps; step++ {
 			k := rankStep{r, step}
 			if copies[k] != wantCopies || fills[k] != wantFills || math.Abs(float64(fillTime[k]-want)) > 1e-9*float64(want) {

@@ -261,7 +261,7 @@ func (s *Rank) offload(p *sim.Process, step int, t, dt float64, obj *taskgraph.O
 			if tileErr != nil {
 				return
 			}
-			tileErr = s.runTile(c, j, obj, tile, step, t, dt, ins, outs)
+			tileErr = s.runTile(c, j, obj, tile, t, dt, ins, outs)
 		}
 	})
 	if tileErr != nil {
@@ -305,7 +305,7 @@ func tilingUniform(patch *grid.Patch, tileSize grid.IVec) bool {
 // warehouse fields, as athread hands them out — to j; offload starts the
 // kernel over them once the launch is accounted.
 func (s *Rank) runTile(c *athread.CPE, j *job, obj *taskgraph.Object, tile grid.Tile,
-	step int, t, dt float64, ins, outs []ioVar) error {
+	t, dt float64, ins, outs []ioVar) error {
 	bufs := s.bufs[:0]
 	first := len(j.vars)
 	record := s.cfg.Functional && obj.Task.Kernel.Compute != nil
@@ -337,10 +337,8 @@ func (s *Rank) runTile(c *athread.CPE, j *job, obj *taskgraph.Object, tile grid.
 	if record {
 		mid := first + len(ins)
 		j.tiles = append(j.tiles, taskgraph.TileContext{
-			Patch: obj.Patch, Tile: tile,
-			In: j.vars[first:mid], Out: j.vars[mid:],
-			Step: step, Time: t, Dt: dt,
-			Level: s.graph.Level,
+			Tile: tile, In: j.vars[first:mid], Out: j.vars[mid:],
+			Time: t, Dt: dt, Level: s.graph.Level,
 		})
 	}
 	c.Compute(tile.Box.NumCells())
@@ -375,10 +373,9 @@ func (s *Rank) runOnMPE(p *sim.Process, step int, t, dt float64, obj *taskgraph.
 			vars = append(vars, taskgraph.TileVar{Label: v.dep.Label, Data: v.f})
 		}
 		task.Kernel.Compute(&taskgraph.TileContext{
-			Patch: obj.Patch, Tile: grid.Tile{Box: obj.Patch.Box},
-			In: vars[:len(ins)], Out: vars[len(ins):],
-			Step: step, Time: t, Dt: dt,
-			Level: s.graph.Level,
+			Tile: grid.Tile{Box: obj.Patch.Box},
+			In:   vars[:len(ins)], Out: vars[len(ins):],
+			Time: t, Dt: dt, Level: s.graph.Level,
 		})
 	}
 	ctr := &s.cg.Counters

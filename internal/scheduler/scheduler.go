@@ -156,9 +156,10 @@ type Rank struct {
 	// deadline only with it, so without one no recovery path is reached.
 	inj *faults.Injector
 
-	// Per-step communication state.
+	// Per-step communication state: the posted receives and sends not yet
+	// observed complete, in posting order.
 	recvs []pendingRecv
-	sends []pendingSend
+	sends []*mpisim.Request
 	// notes interns "prefix + label" trace annotations: the step loop
 	// emits the same few dozen strings every step, and building them once
 	// keeps the steady-state loop free of string allocation.
@@ -205,12 +206,6 @@ func (s *Rank) note(prefix, name string) string {
 type pendingRecv struct {
 	edge *taskgraph.Edge
 	req  *mpisim.Request
-	done bool
-}
-
-type pendingSend struct {
-	req  *mpisim.Request
-	done bool
 }
 
 // New creates the scheduler for one rank. The graph must have been
@@ -265,7 +260,8 @@ func (s *Rank) Graph() *taskgraph.Graph { return s.graph }
 // the trace. MPE work is invisible outside the rank until the scheduler
 // next observes something, so the charge only moves the rank's own clock
 // (mpisim.Rank.Charge); the loop meets the calendar where it looks: a
-// receive test, a flag due to be raised, a park, a reduction.
+// receive test, a flag due to be raised, a park, a reduction. It runs for
+// every MPE charge, so with no trace it builds no event.
 func (s *Rank) charge(p *sim.Process, d sim.Time, bucket *sim.Time, kind trace.Kind, step int, name string) {
 	if d <= 0 {
 		return
@@ -273,10 +269,12 @@ func (s *Rank) charge(p *sim.Process, d sim.Time, bucket *sim.Time, kind trace.K
 	start := p.Now()
 	s.mpi.Charge(p, d)
 	*bucket += d
-	s.cfg.Trace.Add(trace.Event{
-		Rank: s.mpi.RankID(), Step: step, Kind: kind, Name: name,
-		Start: start, End: p.Now(),
-	})
+	if s.cfg.Trace != nil {
+		s.cfg.Trace.Add(trace.Event{
+			Rank: s.mpi.RankID(), Step: step, Kind: kind, Name: name,
+			Start: start, End: p.Now(),
+		})
+	}
 }
 
 // probeGangs records the current CPE-gang occupancy (slots with an

@@ -72,7 +72,7 @@ func (s *Rank) ExecuteStep(p *sim.Process, step int, t, dt float64) error {
 		t0 := p.Now()
 		req := s.mpi.Isend(p, e.DstRank, tagOf(e), payload, e.Bytes)
 		s.noteComm(p, t0, step, s.note("isend ", e.Label.Name()))
-		s.sends = append(s.sends, pendingSend{req: req})
+		s.sends = append(s.sends, req)
 	}
 
 	completed := 0
@@ -188,43 +188,41 @@ func (s *Rank) ExecuteStep(p *sim.Process, step int, t, dt float64) error {
 		}
 
 		// Step 3c: test posted receives and sends; completed receives are
-		// unpacked and release their dependent tasks.
-		for i := range s.recvs {
-			r := &s.recvs[i]
-			if r.done {
-				continue
-			}
+		// unpacked and release their dependent tasks. Each list keeps, in
+		// order, only the requests still incomplete, so every pass tests
+		// exactly those.
+		n := 0
+		for _, r := range s.recvs {
 			t0 := p.Now()
 			ok := s.mpi.Test(p, r.req)
 			s.noteComm(p, t0, step, "test recv")
 			if !ok {
+				s.recvs[n] = r
+				n++
 				continue
 			}
-			r.done = true
 			s.unpackRecv(p, step, r)
 			// The request is fully consumed (payload unpacked above):
 			// hand it back to the rank's pool.
 			s.mpi.Free(r.req)
-			r.req = nil
 			progressed = true
 		}
-		for i := range s.sends {
-			sd := &s.sends[i]
-			if sd.done {
-				continue
-			}
+		s.recvs = s.recvs[:n]
+		n = 0
+		for _, req := range s.sends {
 			t0 := p.Now()
-			ok := s.mpi.Test(p, sd.req)
+			ok := s.mpi.Test(p, req)
 			s.noteComm(p, t0, step, "test send")
 			if !ok {
+				s.sends[n] = req
+				n++
 				continue
 			}
-			sd.done = true
 			// Send requests carry no payload to read back: retire the
 			// handle into the rank's pool right away.
-			s.mpi.Free(sd.req)
-			sd.req = nil
+			s.mpi.Free(req)
 		}
+		s.sends = s.sends[:n]
 
 		// Step 3d: execute ready MPE tasks (reductions).
 		for {
@@ -239,7 +237,7 @@ func (s *Rank) ExecuteStep(p *sim.Process, step int, t, dt float64) error {
 			progressed = true
 		}
 
-		if completed == total && s.commDrained() {
+		if completed == total && len(s.recvs) == 0 && len(s.sends) == 0 {
 			break
 		}
 		if !progressed {
@@ -254,7 +252,8 @@ func (s *Rank) ExecuteStep(p *sim.Process, step int, t, dt float64) error {
 }
 
 // noteComm attributes the virtual time an MPI call consumed to the
-// communication bucket.
+// communication bucket. It runs for every MPI call, so with no trace it
+// builds no event.
 func (s *Rank) noteComm(p *sim.Process, t0 sim.Time, step int, name string) {
 	end := p.Now()
 	d := end - t0
@@ -262,8 +261,10 @@ func (s *Rank) noteComm(p *sim.Process, t0 sim.Time, step int, name string) {
 		return
 	}
 	s.Stats.CommTime += d
-	s.cfg.Trace.Add(trace.Event{Rank: s.mpi.RankID(), Step: step,
-		Kind: trace.KindComm, Name: name, Start: t0, End: end})
+	if s.cfg.Trace != nil {
+		s.cfg.Trace.Add(trace.Event{Rank: s.mpi.RankID(), Step: step,
+			Kind: trace.KindComm, Name: name, Start: t0, End: end})
+	}
 }
 
 // nextReady returns the lowest-index ready object, selecting offloadable
@@ -368,7 +369,7 @@ func (s *Rank) processMPEPart(p *sim.Process, step int, t float64, obj *taskgrap
 
 // unpackRecv copies a completed receive's payload into the destination
 // patch's ghost margin and releases dependent tasks.
-func (s *Rank) unpackRecv(p *sim.Process, step int, r *pendingRecv) {
+func (s *Rank) unpackRecv(p *sim.Process, step int, r pendingRecv) {
 	e := r.edge
 	if s.cfg.Functional {
 		f := s.DWs.Old.Get(e.Label, e.Dst)
@@ -447,22 +448,6 @@ func (s *Rank) runReduction(p *sim.Process, step int, obj *taskgraph.Object) err
 	return nil
 }
 
-// commDrained reports whether every posted send and receive has been
-// observed complete.
-func (s *Rank) commDrained() bool {
-	for i := range s.recvs {
-		if !s.recvs[i].done {
-			return false
-		}
-	}
-	for i := range s.sends {
-		if !s.sends[i].done {
-			return false
-		}
-	}
-	return true
-}
-
 // waitForEvent parks the MPE until something it is waiting on can make
 // progress: a completion flag reaching its threshold, an outstanding
 // request finishing on the wire or, under fault injection, an offload
@@ -493,17 +478,13 @@ func (s *Rank) waitForEvent(p *sim.Process, step int) {
 			waiting = true
 		}
 	}
-	for i := range s.recvs {
-		if r := &s.recvs[i]; !r.done {
-			s.mpi.Watch(p, r.req, &until)
-			waiting = true
-		}
+	for _, r := range s.recvs {
+		s.mpi.Watch(p, r.req, &until)
+		waiting = true
 	}
-	for i := range s.sends {
-		if sd := &s.sends[i]; !sd.done {
-			s.mpi.Watch(p, sd.req, &until)
-			waiting = true
-		}
+	for _, req := range s.sends {
+		s.mpi.Watch(p, req, &until)
+		waiting = true
 	}
 	if !waiting {
 		panic(fmt.Sprintf("scheduler: rank %d stalled with nothing to wait for", s.mpi.RankID()))

@@ -7,9 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"sunuintah/internal/experiments"
 	"sunuintah/internal/grid"
-	"sunuintah/internal/loadbalancer"
 	"sunuintah/internal/runner"
 	. "sunuintah/internal/taskgraph"
 	"sunuintah/internal/workload"
@@ -138,42 +136,17 @@ func checkGhostsOnce(t *testing.T, name string, lv *grid.Level, tasks []*Task, a
 
 func checkSpecGhostsOnce(t *testing.T, spec runner.Spec) {
 	t.Helper()
-	cfg, prob, err := experiments.SpecConfig(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lv, err := grid.NewUnitCubeLevel(cfg.Cells, cfg.PatchCounts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assign, err := loadbalancer.AssignWithLayout(cfg.Balancer, lv.Layout, cfg.NumCGs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !checkGhostsOnce(t, spec.String(), lv, prob.Tasks, assign, cfg.NumCGs) {
+	lv, tasks, assign, ranks := specProblem(t, spec)
+	if !checkGhostsOnce(t, spec.String(), lv, tasks, assign, ranks) {
 		t.Fatalf("%s does not compile", spec)
 	}
 }
 
-// Every ghost cell is produced once a step: on every rank of the paper's
-// 250-case matrix, on every job of the default mixed-physics scenario and
-// on random graphs that read labels at several widths.
+// Every ghost cell is produced once a step: on every job of the default
+// mixed-physics scenario and on random graphs that read labels at several
+// widths. TestCompileMatchesReferenceOnPaperMatrix holds every rank of the
+// paper's 250-case matrix to the same invariant as it compiles it.
 func TestGhostCellsWrittenOncePerStep(t *testing.T) {
-	t.Run("paper-matrix", func(t *testing.T) {
-		if testing.Short() {
-			t.Skip("compiles every rank of 250 cases")
-		}
-		for _, prob := range experiments.Problems {
-			for _, cgs := range experiments.CGCounts {
-				if cgs < prob.MinCGs {
-					continue
-				}
-				for _, v := range experiments.Variants {
-					checkSpecGhostsOnce(t, experiments.SpecFor(prob, cgs, v, experiments.Options{Steps: experiments.Steps}, 0))
-				}
-			}
-		}
-	})
 	t.Run("mixed-physics", func(t *testing.T) {
 		jobs, err := workload.DefaultScenario().Expand()
 		if err != nil {

@@ -395,8 +395,9 @@ func indices(objs []*Object) []int {
 }
 
 // compileBoth compiles every rank with Compile and referenceCompile and
-// reports the first difference, errors included.
-func compileBoth(t *testing.T, name string, lv *grid.Level, tasks []*Task, assign []int, ranks int) bool {
+// reports the first difference, errors included. A non-nil also holds each
+// compiled graph to a further check, which returns "" or the violation.
+func compileBoth(t *testing.T, name string, lv *grid.Level, tasks []*Task, assign []int, ranks int, also func(*Graph) string) bool {
 	t.Helper()
 	for r := 0; r < ranks; r++ {
 		got, err := Compile(lv, tasks, assign, r)
@@ -412,12 +413,21 @@ func compileBoth(t *testing.T, name string, lv *grid.Level, tasks []*Task, assig
 			t.Errorf("%s rank %d: %s", name, r, d)
 			return false
 		}
+		if also == nil {
+			continue
+		}
+		if d := also(got); d != "" {
+			t.Errorf("%s rank %d: %s", name, r, d)
+			return false
+		}
 	}
 	return true
 }
 
 // Every rank of every case of the paper's 250-case matrix compiles to the
-// graph the reference derives.
+// graph the reference derives, and that graph writes every ghost cell once
+// a step (ghostsWrittenOnce; TestGhostCellsWrittenOncePerStep holds the
+// other problems to it). Each rank compiles once for both checks.
 func TestCompileMatchesReferenceOnPaperMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles every rank of 250 cases twice")
@@ -430,7 +440,8 @@ func TestCompileMatchesReferenceOnPaperMatrix(t *testing.T) {
 			}
 			for _, v := range experiments.Variants {
 				spec := experiments.SpecFor(prob, cgs, v, experiments.Options{Steps: experiments.Steps}, 0)
-				if !compileSpec(t, spec) {
+				lv, tasks, assign, ranks := specProblem(t, spec)
+				if !compileBoth(t, spec.String(), lv, tasks, assign, ranks, ghostsWrittenOnce) {
 					return
 				}
 				cases++
@@ -442,7 +453,9 @@ func TestCompileMatchesReferenceOnPaperMatrix(t *testing.T) {
 	}
 }
 
-func compileSpec(t *testing.T, spec runner.Spec) bool {
+// specProblem returns the level, tasks, assignment and rank count spec
+// runs with.
+func specProblem(t *testing.T, spec runner.Spec) (*grid.Level, []*Task, []int, int) {
 	t.Helper()
 	cfg, prob, err := experiments.SpecConfig(spec)
 	if err != nil {
@@ -456,7 +469,7 @@ func compileSpec(t *testing.T, spec runner.Spec) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return compileBoth(t, spec.String(), lv, prob.Tasks, assign, cfg.NumCGs)
+	return lv, prob.Tasks, assign, cfg.NumCGs
 }
 
 // randomProblem is a random level, assignment and task set: 1–4 patches
@@ -538,7 +551,7 @@ func TestPropertyCompileMatchesReference(t *testing.T) {
 		if conflicted(p) {
 			conflicts++
 		}
-		return compileBoth(t, fmt.Sprintf("seed %d", seed), p.level, p.tasks, p.assign, p.ranks)
+		return compileBoth(t, fmt.Sprintf("seed %d", seed), p.level, p.tasks, p.assign, p.ranks, nil)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -85,17 +85,15 @@ const (
 // TileContext is passed to a kernel's Compute function for each tile.
 // Compute runs in functional mode only.
 type TileContext struct {
-	Patch *grid.Patch
-	Tile  grid.Tile
+	Tile grid.Tile
 	// In and Out hold each required/computed variable's tile-local view.
 	// An input view covers the tile grown by the declared ghost width, an
 	// output view the tile interior; reading or writing outside them
 	// through At, Set or Index panics.
 	In  TileVars
 	Out TileVars
-	// Step, Time and Dt describe the timestep being computed: Time is the
-	// time level of the old warehouse.
-	Step int
+	// Time and Dt describe the timestep being computed: Time is the time
+	// level of the old warehouse.
 	Time float64
 	Dt   float64
 	// Level provides cell geometry.
