@@ -6,16 +6,23 @@ GO ?= go
 
 check: vet build test examples race cover bench-module
 
+# The second line builds and vets the Burgers kernel's portable Go path
+# (no amd64 assembly) on another architecture.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/burgers/
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$fmt_out"; exit 1; fi
 
 build:
 	$(GO) build ./...
 
+# The second line holds the Burgers kernel's Go fallback (the purego
+# build, no AVX2 row kernel) to the same bit-identity gates and golden
+# field hashes.
 test:
 	$(GO) test ./...
+	$(GO) test -tags purego -count=1 -run 'BitIdentity|AdvanceOpt|TileWindows' ./internal/burgers/ ./internal/experiments/
 
 # Build and run every example end to end: each one self-verifies (exact
 # solutions, serial-reference bit-identity) and exits non-zero on drift,

@@ -2,7 +2,6 @@ package burgers
 
 import (
 	"fmt"
-	"sync"
 
 	"sunuintah/internal/field"
 	"sunuintah/internal/grid"
@@ -13,8 +12,8 @@ import (
 // precomputed once per region into contiguous slices — O(nx+ny+nz)
 // exponentials instead of O(nx*ny*nz) — with the exponentials evaluated
 // in batched, monomorphically dispatched spans (FastExpSlice / the IEEE
-// library; no per-cell function-pointer call). The stencil loop is then a
-// straight-line fused update indexing both fields' raw storage directly.
+// library; no per-cell function-pointer call). The stencil is then a fused
+// update, row by row (row.go), indexing both fields' raw storage directly.
 //
 // Every per-element float expression is kept exactly as in advance/Phi,
 // so the results are bit-identical to the reference kernels (the cost
@@ -96,48 +95,32 @@ func fillProfiles(prof, work []float64, box grid.Box, lv *grid.Level, t float64,
 }
 
 // stencil applies the fused update over region given phi along its three
-// axes (phix[i] at x index region.Lo.X+i, and so on). Each row's seven
-// input spans and its output span are cut once, to the row's length, so
-// the cell loop runs without bounds checks.
+// axes (phix[i] at x index region.Lo.X+i, and so on), one stencilRow per
+// row. Every reach of the rows is checked against the fields' allocations
+// and the profiles' lengths before any row runs: the vector row kernel
+// has no bounds checks of its own.
 func stencil(uOld, uNew *field.Cell, region grid.Box, lv *grid.Level, dt float64, phix, phiy, phiz []float64) {
-	dx, dy, dz := lv.Spacing[0], lv.Spacing[1], lv.Spacing[2]
-	rdx, rdy, rdz := 1/dx, 1/dy, 1/dz
-	rdx2, rdy2, rdz2 := rdx*rdx, rdy*rdy, rdz*rdz
-	ys, zs := uOld.Strides()
-	oys, ozs := uNew.Strides()
-	in := uOld.Data()
-	out := uNew.Data()
-	// The fields are checked against the stencil's reach once; rows are
-	// then reached by stride.
 	if !uOld.Alloc().ContainsBox(region.Grow(1)) || !uNew.Alloc().ContainsBox(region) {
 		panic(fmt.Sprintf("burgers: region %v needs input over %v and output over itself, got %v and %v",
 			region, region.Grow(1), uOld.Alloc(), uNew.Alloc()))
 	}
-	nx := len(phix)
+	sz := region.Size()
+	if len(phix) != sz.X || len(phiy) != sz.Y || len(phiz) != sz.Z {
+		panic(fmt.Sprintf("burgers: region %v needs phi profiles of lengths %v, got %d, %d and %d",
+			region, sz, len(phix), len(phiy), len(phiz)))
+	}
+	rdx, rdy, rdz := 1/lv.Spacing[0], 1/lv.Spacing[1], 1/lv.Spacing[2]
+	k := stencilConsts{rdx: rdx, rdy: rdy, rdz: rdz,
+		rdx2: rdx * rdx, rdy2: rdy * rdy, rdz2: rdz * rdz, nu: Nu, dt: dt}
+	ys, zs := uOld.Strides()
+	oys, ozs := uNew.Strides()
+	in := uOld.Data()
+	out := uNew.Data()
 	plane, oplane := uOld.Index(region.Lo), uNew.Index(region.Lo)
 	for _, pz := range phiz {
 		base, obase := plane, oplane
 		for _, py := range phiy {
-			o := out[obase:][:nx]
-			px := phix[:len(o)]
-			c := in[base:][:len(o)]
-			xm := in[base-1:][:len(o)]
-			xp := in[base+1:][:len(o)]
-			ym := in[base-ys:][:len(o)]
-			yp := in[base+ys:][:len(o)]
-			zm := in[base-zs:][:len(o)]
-			zp := in[base+zs:][:len(o)]
-			for i := range o {
-				u := c[i]
-				uDudx := px[i] * (xm[i] - u) * rdx
-				uDudy := py * (ym[i] - u) * rdy
-				uDudz := pz * (zm[i] - u) * rdz
-				d2udx2 := (-2*u + xm[i] + xp[i]) * rdx2
-				d2udy2 := (-2*u + ym[i] + yp[i]) * rdy2
-				d2udz2 := (-2*u + zm[i] + zp[i]) * rdz2
-				du := (uDudx + uDudy + uDudz) + Nu*(d2udx2+d2udy2+d2udz2)
-				o[i] = u + dt*du
-			}
+			stencilRow(out[obase:][:sz.X], phix, in, base, ys, zs, py, pz, &k)
 			base += ys
 			obase += oys
 		}
@@ -146,59 +129,27 @@ func stencil(uOld, uNew *field.Cell, region grid.Box, lv *grid.Level, dt float64
 	}
 }
 
-// phiLevels is how many time levels a phiCache keeps: a rank a step behind
-// the others, or a job still draining the previous step, finds its
-// profiles too.
-const phiLevels = 4
-
-// phiProfiles is phi along the three axes of a level's whole domain at one
-// time level, indexed from the domain's low corner. It is never written
-// after it is built, so tiles on any goroutine read it unlocked.
-type phiProfiles struct {
-	lv      *grid.Level
-	t       float64
-	x, y, z []float64
-}
-
 // phiCache is the Burgers task's φ memo: a tile at a time level it has
-// seen slices the level's profiles instead of evaluating its own (120
-// exponentials for a 16x16x8 tile), and each (level, time level) costs one
-// evaluation and one allocation. Slicing is bit-identical because phi at
-// an index does not depend on the span it is computed in.
+// seen slices the profiles over the level's whole domain instead of
+// evaluating its own (120 exponentials for a 16x16x8 tile), and each
+// (level, time level) costs one evaluation and one allocation. Slicing is
+// bit-identical because phi at an index does not depend on the span it is
+// computed in.
 type phiCache struct {
 	e    Exp
-	mu   sync.Mutex
-	ring [phiLevels]phiProfiles
-	next int
-}
-
-// profiles returns the level's profiles at time level t, building them on
-// first use under the lock, so no time level is evaluated twice while it
-// stays in the ring.
-func (c *phiCache) profiles(lv *grid.Level, t float64) phiProfiles {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, p := range c.ring {
-		if p.lv == lv && p.t == t {
-			return p
-		}
-	}
-	dom := lv.Layout.Domain
-	sz := dom.Size()
-	work := field.GetBuf(3 * max(sz.X, sz.Y, sz.Z))
-	x, y, z := fillProfiles(make([]float64, sz.X+sz.Y+sz.Z), work[:cap(work)], dom, lv, t, c.e)
-	field.PutSlice(work)
-	p := phiProfiles{lv: lv, t: t, x: x, y: y, z: z}
-	c.ring[c.next] = p
-	c.next = (c.next + 1) % phiLevels
-	return p
+	ring grid.ProfileRing
 }
 
 // advance is advanceOpt with the profiles sliced from the cache. region
 // must lie in the level's domain, as every tile of its patches does.
 func (c *phiCache) advance(uOld, uNew *field.Cell, region grid.Box, lv *grid.Level, t, dt float64) {
-	p := c.profiles(lv, t)
 	dom := lv.Layout.Domain
-	lo, hi := region.Lo.Sub(dom.Lo), region.Hi.Sub(dom.Lo)
-	stencil(uOld, uNew, region, lv, dt, p.x[lo.X:hi.X], p.y[lo.Y:hi.Y], p.z[lo.Z:hi.Z])
+	p := c.ring.Get(lv, dom, t, func(prof []float64) {
+		sz := dom.Size()
+		work := field.GetBuf(3 * max(sz.X, sz.Y, sz.Z))
+		fillProfiles(prof, work[:cap(work)], dom, lv, t, c.e)
+		field.PutSlice(work)
+	})
+	phix, phiy, phiz := p.Slice(region)
+	stencil(uOld, uNew, region, lv, dt, phix, phiy, phiz)
 }

@@ -27,8 +27,10 @@ func kernelFixture(t testing.TB, cells grid.IVec) (*grid.Level, *field.Cell, flo
 // TestAdvanceOptBitIdentical proves the monomorphic fused kernel produces
 // exactly the reference scalar kernel's bits for both exponential
 // libraries, on a grid whose x extent is not a multiple of the SIMD
-// width.
-func TestAdvanceOptBitIdentical(t *testing.T) {
+// width, with each row kernel.
+func TestAdvanceOptBitIdentical(t *testing.T) { rowKernels(t, testAdvanceOptBitIdentical) }
+
+func testAdvanceOptBitIdentical(t *testing.T) {
 	for _, e := range []Exp{FastExpLib, IEEEExpLib} {
 		lv, in, dt := kernelFixture(t, grid.IV(13, 9, 7))
 		dom := lv.Layout.Domain
@@ -49,8 +51,10 @@ func TestAdvanceOptBitIdentical(t *testing.T) {
 
 // TestAdvanceOptSubRegion exercises the tile-shaped case the CPE path
 // uses: the input allocated over a grown region, the output over the bare
-// tile, computing an interior sub-box.
-func TestAdvanceOptSubRegion(t *testing.T) {
+// tile, computing an interior sub-box, with each row kernel.
+func TestAdvanceOptSubRegion(t *testing.T) { rowKernels(t, testAdvanceOptSubRegion) }
+
+func testAdvanceOptSubRegion(t *testing.T) {
 	lv, in, dt := kernelFixture(t, grid.IV(16, 16, 16))
 	tile := grid.NewBox(grid.IV(3, 4, 5), grid.IV(11, 9, 13))
 	ref := field.NewCell(tile)
@@ -169,8 +173,11 @@ func TestFastExpMatchesLdexp(t *testing.T) {
 // does — windows onto a ghosted 32x32x64 patch field, 16x16x8 tiles — at
 // two time levels interleaved tile by tile through the task's phi cache,
 // and requires advance's bits at both levels for both libraries. A tile at
-// a cached level allocates nothing, and a new level at most once.
-func TestTileWindowsMatchAdvance(t *testing.T) {
+// a cached level allocates nothing, and a new level at most once. It runs
+// with each row kernel.
+func TestTileWindowsMatchAdvance(t *testing.T) { rowKernels(t, testTileWindowsMatchAdvance) }
+
+func testTileWindowsMatchAdvance(t *testing.T) {
 	for _, e := range []Exp{FastExpLib, IEEEExpLib} {
 		lv, in, dt := kernelFixture(t, grid.IV(32, 32, 64))
 		dom := lv.Layout.Domain

@@ -132,7 +132,23 @@ func (f *Cell) FillSeparable(region grid.Box, lv *grid.Level, p func(axis int, s
 			buf = append(buf, p(axis, lv.Origin[axis]+(float64(i)+0.5)*lv.Spacing[axis]))
 		}
 	}
-	px, py, pz := buf[:sz.X], buf[sz.X:sz.X+sz.Y], buf[sz.X+sz.Y:]
+	f.FillProduct(region, buf[:sz.X], buf[sz.X:sz.X+sz.Y], buf[sz.X+sz.Y:])
+	PutSlice(buf)
+}
+
+// FillProduct sets every cell (i,j,k) of region to px[i]*py[j]*pz[k],
+// multiplied left to right, with the profiles indexed from region.Lo: it
+// is FillSeparable over profiles the caller evaluated. Their lengths must
+// be region's extents.
+func (f *Cell) FillProduct(region grid.Box, px, py, pz []float64) {
+	if region.Empty() {
+		return
+	}
+	sz := region.Size()
+	if len(px) != sz.X || len(py) != sz.Y || len(pz) != sz.Z {
+		panic(fmt.Sprintf("field: region %v needs profiles of lengths %v, got %d, %d and %d",
+			region, sz, len(px), len(py), len(pz)))
+	}
 	j, k := 0, 0 // forRows visits rows y-fastest
 	f.forRows(region, func(base, n int) {
 		y, z := py[j], pz[k]
@@ -143,7 +159,6 @@ func (f *Cell) FillSeparable(region grid.Box, lv *grid.Level, p func(axis int, s
 			j, k = 0, k+1
 		}
 	})
-	PutSlice(buf)
 }
 
 // CopyRegion copies region from src into f. The region must be allocated

@@ -3,7 +3,6 @@ package scheduler
 import (
 	"fmt"
 	"sunuintah/internal/field"
-	"sunuintah/internal/grid"
 
 	"sunuintah/internal/mpisim"
 	"sunuintah/internal/sim"
@@ -344,20 +343,9 @@ func (s *Rank) processMPEPart(p *sim.Process, step int, t float64, obj *taskgrap
 		}
 		if s.cfg.Functional {
 			f := s.DWs.Old.Get(gs.Label, gs.Patch)
-			lv := s.graph.Level
-			fill, profile := gs.Label.BC, gs.Label.Profile
+			width := s.graph.GhostWidth(gs.Label)
 			for _, r := range gs.Fill {
-				switch {
-				case profile != nil:
-					f.FillSeparable(r, lv, func(axis int, x float64) float64 { return profile(axis, x, t) })
-				case fill != nil:
-					f.FillFunc(r, func(c grid.IVec) float64 {
-						x, y, z := lv.CellCenter(c)
-						return fill(x, y, z, t)
-					})
-				default:
-					f.Fill(r, 0)
-				}
+				gs.Label.FillBC(f, r, s.graph.Level, width, t)
 			}
 		}
 		s.charge(p, sim.Time(s.params.BCFillTime(gs.FillCells)), &s.Stats.MPEWorkTime,

@@ -29,11 +29,13 @@ type Label struct {
 	//
 	//	BC(x,y,z,t) == Profile(0,x,t) * Profile(1,y,t) * Profile(2,z,t)
 	//
-	// bit for bit, multiplied left to right. A boundary region is then
-	// filled from nx+ny+nz profile evaluations instead of one BC call per
-	// ghost cell (field.FillSeparable). Set it only through
+	// bit for bit, multiplied left to right. Boundary regions are then
+	// filled from profiles evaluated once per index and time level
+	// (FillBC) instead of one BC call per ghost cell. Set it only through
 	// NewSeparableLabel, which derives BC from it.
 	Profile func(axis int, s, t float64) float64
+	// profiles memoises Profile for FillBC.
+	profiles grid.ProfileRing
 }
 
 // NewLabel creates a variable label with an optional boundary-condition
