@@ -18,11 +18,12 @@ build:
 	$(GO) build ./...
 
 # The second line holds the Burgers kernel's Go fallback (the purego
-# build, no AVX2 row kernel) to the same bit-identity gates and golden
-# field hashes.
+# build, no AVX2 tile kernel) to the same bit-identity gates and golden
+# field hashes, and runs the tile property test's sentinel check on the
+# fallback's row loop.
 test:
 	$(GO) test ./...
-	$(GO) test -tags purego -count=1 -run 'BitIdentity|AdvanceOpt|TileWindows' ./internal/burgers/ ./internal/experiments/
+	$(GO) test -tags purego -count=1 -run 'BitIdentity|AdvanceOpt|TileWindows|StencilTile' ./internal/burgers/ ./internal/experiments/
 
 # Build and run every example end to end: each one self-verifies (exact
 # solutions, serial-reference bit-identity) and exits non-zero on drift,

@@ -13,7 +13,8 @@ import (
 // exponentials instead of O(nx*ny*nz) — with the exponentials evaluated
 // in batched, monomorphically dispatched spans (FastExpSlice / the IEEE
 // library; no per-cell function-pointer call). The stencil is then a fused
-// update, row by row (row.go), indexing both fields' raw storage directly.
+// update, a tile at a time (row.go), indexing both fields' raw storage
+// directly.
 //
 // Every per-element float expression is kept exactly as in advance/Phi,
 // so the results are bit-identical to the reference kernels (the cost
@@ -95,10 +96,11 @@ func fillProfiles(prof, work []float64, box grid.Box, lv *grid.Level, t float64,
 }
 
 // stencil applies the fused update over region given phi along its three
-// axes (phix[i] at x index region.Lo.X+i, and so on), one stencilRow per
-// row. Every reach of the rows is checked against the fields' allocations
-// and the profiles' lengths before any row runs: the vector row kernel
-// has no bounds checks of its own.
+// axes (phix[i] at x index region.Lo.X+i, and so on): one call of the
+// vector tile kernel over the columns it takes, then stencilRowGo on each
+// row's remaining columns. Every reach is checked against the fields'
+// allocations and the profiles' lengths before any cell is written: the
+// vector kernel has no bounds checks of its own.
 func stencil(uOld, uNew *field.Cell, region grid.Box, lv *grid.Level, dt float64, phix, phiy, phiz []float64) {
 	if !uOld.Alloc().ContainsBox(region.Grow(1)) || !uNew.Alloc().ContainsBox(region) {
 		panic(fmt.Sprintf("burgers: region %v needs input over %v and output over itself, got %v and %v",
@@ -109,18 +111,24 @@ func stencil(uOld, uNew *field.Cell, region grid.Box, lv *grid.Level, dt float64
 		panic(fmt.Sprintf("burgers: region %v needs phi profiles of lengths %v, got %d, %d and %d",
 			region, sz, len(phix), len(phiy), len(phiz)))
 	}
-	rdx, rdy, rdz := 1/lv.Spacing[0], 1/lv.Spacing[1], 1/lv.Spacing[2]
-	k := stencilConsts{rdx: rdx, rdy: rdy, rdz: rdz,
-		rdx2: rdx * rdx, rdy2: rdy * rdy, rdz2: rdz * rdz, nu: Nu, dt: dt}
+	if region.Empty() {
+		return
+	}
+	k := newStencilConsts(lv, dt)
 	ys, zs := uOld.Strides()
 	oys, ozs := uNew.Strides()
 	in := uOld.Data()
 	out := uNew.Data()
 	plane, oplane := uOld.Index(region.Lo), uNew.Index(region.Lo)
+	n := stencilVec(out, in, oplane, plane, phix, phiy, phiz, ys, zs, oys, ozs, &k)
+	if n == sz.X { // a tile is usually a multiple of four cells wide
+		return
+	}
+	plane, oplane, phix = plane+n, oplane+n, phix[n:]
 	for _, pz := range phiz {
 		base, obase := plane, oplane
 		for _, py := range phiy {
-			stencilRow(out[obase:][:sz.X], phix, in, base, ys, zs, py, pz, &k)
+			stencilRowGo(out[obase:][:len(phix)], phix, in, base, ys, zs, py, pz, &k)
 			base += ys
 			obase += oys
 		}

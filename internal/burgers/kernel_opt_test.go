@@ -27,8 +27,8 @@ func kernelFixture(t testing.TB, cells grid.IVec) (*grid.Level, *field.Cell, flo
 // TestAdvanceOptBitIdentical proves the monomorphic fused kernel produces
 // exactly the reference scalar kernel's bits for both exponential
 // libraries, on a grid whose x extent is not a multiple of the SIMD
-// width, with each row kernel.
-func TestAdvanceOptBitIdentical(t *testing.T) { rowKernels(t, testAdvanceOptBitIdentical) }
+// width, on each stencil path.
+func TestAdvanceOptBitIdentical(t *testing.T) { stencilKernels(t, testAdvanceOptBitIdentical) }
 
 func testAdvanceOptBitIdentical(t *testing.T) {
 	for _, e := range []Exp{FastExpLib, IEEEExpLib} {
@@ -51,8 +51,8 @@ func testAdvanceOptBitIdentical(t *testing.T) {
 
 // TestAdvanceOptSubRegion exercises the tile-shaped case the CPE path
 // uses: the input allocated over a grown region, the output over the bare
-// tile, computing an interior sub-box, with each row kernel.
-func TestAdvanceOptSubRegion(t *testing.T) { rowKernels(t, testAdvanceOptSubRegion) }
+// tile, computing an interior sub-box, on each stencil path.
+func TestAdvanceOptSubRegion(t *testing.T) { stencilKernels(t, testAdvanceOptSubRegion) }
 
 func testAdvanceOptSubRegion(t *testing.T) {
 	lv, in, dt := kernelFixture(t, grid.IV(16, 16, 16))
@@ -174,8 +174,8 @@ func TestFastExpMatchesLdexp(t *testing.T) {
 // two time levels interleaved tile by tile through the task's phi cache,
 // and requires advance's bits at both levels for both libraries. A tile at
 // a cached level allocates nothing, and a new level at most once. It runs
-// with each row kernel.
-func TestTileWindowsMatchAdvance(t *testing.T) { rowKernels(t, testTileWindowsMatchAdvance) }
+// on each stencil path.
+func TestTileWindowsMatchAdvance(t *testing.T) { stencilKernels(t, testTileWindowsMatchAdvance) }
 
 func testTileWindowsMatchAdvance(t *testing.T) {
 	for _, e := range []Exp{FastExpLib, IEEEExpLib} {

@@ -1,10 +1,20 @@
 package burgers
 
-// stencilConsts are a stencil call's row-invariant coefficients. The amd64
-// row kernel broadcasts them by offset: keep the field order in step with
-// row_amd64.s.
+import "sunuintah/internal/grid"
+
+// stencilConsts are a stencil call's cell-invariant coefficients. The
+// amd64 tile kernel broadcasts them by offset: keep the field order in
+// step with row_amd64.s.
 type stencilConsts struct {
 	rdx, rdy, rdz, rdx2, rdy2, rdz2, nu, dt float64
+}
+
+// newStencilConsts returns the coefficients of a stencil on lv with
+// timestep dt.
+func newStencilConsts(lv *grid.Level, dt float64) stencilConsts {
+	rdx, rdy, rdz := 1/lv.Spacing[0], 1/lv.Spacing[1], 1/lv.Spacing[2]
+	return stencilConsts{rdx: rdx, rdy: rdy, rdz: rdz,
+		rdx2: rdx * rdx, rdy2: rdy * rdy, rdz2: rdz * rdz, nu: Nu, dt: dt}
 }
 
 // stencilRowGo writes the fused update of one row: o[i] is the cell at

@@ -27,22 +27,20 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	MOVL AX, ret+0(FP)
 	RET
 
-// func stencilRowAVX2(o, c, px *float64, n, ys, zs int, py, pz float64, k *stencilConsts)
+// func stencilTileAVX2(o, c, px, py, pz *float64, n, ny, nz, ys, zs, oys, ozs int, k *stencilConsts)
 //
 // Per lane, stencilRowGo's operations in its order, sums left to right:
 // A = (px*(xm-u))*rdx + ..., D = ((-2u+xm)+xp)*rdx2 + ..., o = u + dt*(A +
 // nu*D). VSUBPD a, b, d computes d = b - a. Swapping the operands of one
 // add or multiply changes no result's bits, only a NaN's payload.
-TEXT ·stencilRowAVX2(SB), NOSPLIT, $0-72
-	MOVQ o+0(FP), DI
-	MOVQ c+8(FP), SI
-	MOVQ px+16(FP), R8
-	MOVQ n+24(FP), BX
-	MOVQ ys+32(FP), R9
-	MOVQ zs+40(FP), R11
-	MOVQ k+64(FP), AX
-	VBROADCASTSD py+48(FP), Y6
-	VBROADCASTSD pz+56(FP), Y7
+//
+// Registers: Y8-Y15 the constants, Y7 the plane's pz, Y6 the row's py;
+// SI the row's first cell, R9/R10 the rows at -ys/+ys, R11/R12 at -zs/+zs,
+// DI the output row, R8 px, DX the row's py, AX ys and R14 oys in bytes,
+// BX n, CX the cell index, R13 the rows left in the plane. R15 is never
+// touched: dynamic linking clobbers it.
+TEXT ·stencilTileAVX2(SB), NOSPLIT, $32-104
+	MOVQ k+96(FP), AX
 	VBROADCASTSD 0(AX), Y8   // rdx
 	VBROADCASTSD 8(AX), Y9   // rdy
 	VBROADCASTSD 16(AX), Y10 // rdz
@@ -52,15 +50,51 @@ TEXT ·stencilRowAVX2(SB), NOSPLIT, $0-72
 	VBROADCASTSD 48(AX), Y14 // nu
 	VBROADCASTSD 56(AX), Y15 // dt
 
-	// Row pointers: R9 = c-ys, R10 = c+ys, R11 = c-zs, R12 = c+zs.
-	SHLQ $3, R9
+	// The frame holds the plane loop's state: the next pz, the planes
+	// left, and the skips (zs - ny*ys and ozs - ny*oys, in bytes) from the
+	// end of one plane's rows to the next plane's first row.
+	MOVQ pz+32(FP), AX
+	MOVQ AX, pzp-8(SP)
+	MOVQ nz+56(FP), AX
+	MOVQ AX, planes-16(SP)
+	MOVQ ys+64(FP), AX
+	SHLQ $3, AX
+	MOVQ oys+80(FP), R14
+	SHLQ $3, R14
+	MOVQ ny+48(FP), DX
+	IMULQ AX, DX
+	MOVQ zs+72(FP), CX
+	SHLQ $3, CX
+	SUBQ DX, CX
+	MOVQ CX, skip-24(SP)
+	MOVQ ny+48(FP), DX
+	IMULQ R14, DX
+	MOVQ ozs+88(FP), CX
+	SHLQ $3, CX
+	SUBQ DX, CX
+	MOVQ CX, oskip-32(SP)
+
+	MOVQ o+0(FP), DI
+	MOVQ c+8(FP), SI
+	MOVQ px+16(FP), R8
+	MOVQ n+40(FP), BX
+	MOVQ zs+72(FP), R11
 	SHLQ $3, R11
-	LEAQ (SI)(R9*1), R10
 	LEAQ (SI)(R11*1), R12
-	NEGQ R9
-	ADDQ SI, R9
 	NEGQ R11
 	ADDQ SI, R11
+	LEAQ (SI)(AX*1), R10
+	MOVQ SI, R9
+	SUBQ AX, R9
+
+plane:
+	MOVQ pzp-8(SP), CX
+	VBROADCASTSD (CX), Y7
+	MOVQ py+24(FP), DX
+	MOVQ ny+48(FP), R13
+
+row:
+	VBROADCASTSD (DX), Y6
 	XORQ CX, CX
 
 loop:
@@ -107,6 +141,29 @@ loop:
 	ADDQ $4, CX
 	CMPQ CX, BX
 	JLT  loop
+
+	// Next row.
+	ADDQ AX, SI
+	ADDQ AX, R9
+	ADDQ AX, R10
+	ADDQ AX, R11
+	ADDQ AX, R12
+	ADDQ R14, DI
+	ADDQ $8, DX
+	DECQ R13
+	JNZ  row
+
+	// Next plane.
+	MOVQ skip-24(SP), CX
+	ADDQ CX, SI
+	ADDQ CX, R9
+	ADDQ CX, R10
+	ADDQ CX, R11
+	ADDQ CX, R12
+	ADDQ oskip-32(SP), DI
+	ADDQ $8, pzp-8(SP)
+	DECQ planes-16(SP)
+	JNZ  plane
 
 	VZEROUPPER
 	RET

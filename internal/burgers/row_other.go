@@ -2,10 +2,11 @@
 
 package burgers
 
-// useAVX2 is false: this build has no vector row kernel.
+// useAVX2 is false: this build has no vector tile kernel.
 var useAVX2 = false
 
-// stencilRow is stencilRowGo.
-func stencilRow(o, px, in []float64, base, ys, zs int, py, pz float64, k *stencilConsts) {
-	stencilRowGo(o, px, in, base, ys, zs, py, pz, k)
+// stencilVec runs no column: this build has no vector tile kernel, so the
+// Go rows do every cell.
+func stencilVec(out, in []float64, obase, base int, phix, phiy, phiz []float64, ys, zs, oys, ozs int, k *stencilConsts) int {
+	return 0
 }

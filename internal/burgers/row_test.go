@@ -10,9 +10,9 @@ import (
 	"sunuintah/internal/grid"
 )
 
-// rowKernels runs f once per row kernel this build has: the Go row alone,
-// then the AVX2 prefix where the CPU has it.
-func rowKernels(t *testing.T, f func(t *testing.T)) {
+// stencilKernels runs f once per stencil path this build has: the Go rows
+// alone, then the AVX2 tile kernel where the CPU has it.
+func stencilKernels(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
 	avx2 := useAVX2
 	defer func() { useAVX2 = avx2 }()
@@ -50,46 +50,75 @@ func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-// TestStencilRowMatchesGo holds the dispatched row (the AVX2 prefix and the
-// Go tail) to the Go row bit for bit, NaN as NaN: every row length from 0
-// to 37 at every start offset mod 4, so unaligned loads and every tail
-// length run, on random finite values, ±0, subnormals, ±Inf and NaN.
-func TestStencilRowMatchesGo(t *testing.T) {
-	if !useAVX2 {
-		t.Skip("this build or CPU has no AVX2 row kernel")
-	}
+// TestStencilTileMatchesGo holds the dispatched stencil (the AVX2 tile
+// kernel and the Go rows on the tail columns) to a plain stencilRowGo row
+// loop bit for bit, NaN as NaN: every width from 0 to 37, so every tail
+// length and tiles narrower than four run, by 1-4 rows and 1-4 planes, at
+// every start offset mod 4, into an output whose strides differ from the
+// input's, on random finite values, ±0, subnormals, ±Inf and NaN. Every
+// output cell outside the region must keep its sentinel, so a wrong row or
+// plane step writes where it is caught.
+func TestStencilTileMatchesGo(t *testing.T) { stencilKernels(t, testStencilTileMatchesGo) }
+
+func testStencilTileMatchesGo(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	lv, _, dt := kernelFixture(t, grid.IV(40, 8, 8))
-	rdx := 1 / lv.Spacing[0]
-	for n := 0; n <= 37; n++ {
-		for off := 0; off < 4; off++ {
-			for trial := 0; trial < 8; trial++ {
-				ys := n + 2 + r.Intn(5)
-				zs := 3*ys + r.Intn(5)
-				in := make([]float64, off+2*zs+n+1)
-				for i := range in {
-					in[i] = rowValue(r)
-				}
-				px := make([]float64, off+n)
-				for i := range px {
-					px[i] = rowValue(r)
-				}
-				k := stencilConsts{rdx: rdx, rdy: 2 * rdx, rdz: 0.5 * rdx,
-					rdx2: rdx * rdx, rdy2: 4 * rdx * rdx, rdz2: 0.25 * rdx * rdx, nu: Nu, dt: dt}
-				if trial%2 == 1 {
-					k.rdy, k.dt = rowValue(r), rowValue(r)
-				}
-				py, pz := rowValue(r), rowValue(r)
-				base := off + zs
-				want := make([]float64, off+n)
-				got := make([]float64, off+n)
-				stencilRowGo(want[off:], px[off:], in, base, ys, zs, py, pz, &k)
-				stencilRow(got[off:], px[off:], in, base, ys, zs, py, pz, &k)
-				for i := off; i < off+n; i++ {
-					if !sameFloat(got[i], want[i]) {
-						t.Fatalf("n=%d off=%d trial %d: cell %d = %v (%#x), Go row %v (%#x)",
-							n, off, trial, i-off, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+	const sentinel = -7.25e111 // finite, so a cell left unwritten fails even where NaN is due
+	for nx := 0; nx <= 37; nx++ {
+		for ny := 1; ny <= 4; ny++ {
+			for nz := 1; nz <= 4; nz++ {
+				for off := 0; off < 4; off++ {
+					// The input's x padding puts the region's first cell at
+					// storage offset 1+off mod 4 (its y stride is a multiple
+					// of 4), and phix starts off cells into its array. The
+					// output is wider and taller than the input, so both its
+					// strides differ, and it has a border of sentinels.
+					region := grid.NewBox(grid.IV(0, 0, 0), grid.IV(nx, ny, nz))
+					pad := grid.IV(1+off, 1+r.Intn(3), 1+r.Intn(3))
+					hiX := 1 + (4-(nx+2+off)%4)%4 + 4*r.Intn(2)
+					in := field.NewCell(grid.NewBox(region.Lo.Sub(pad), region.Hi.Add(grid.IV(hiX, 1, 1))))
+					out := field.NewCell(grid.NewBox(region.Lo.Sub(pad.Add(grid.IV(1, 1, 0))),
+						region.Hi.Add(grid.IV(hiX+r.Intn(3), 3, 1))))
+					if ys, _ := in.Strides(); ys%4 != 0 || in.Index(region.Lo)%4 != (1+off)%4 {
+						t.Fatalf("input strides %d: the region starts at offset %d", ys, in.Index(region.Lo))
 					}
+					for i := range in.Data() {
+						in.Data()[i] = rowValue(r)
+					}
+					phix, phiy, phiz := make([]float64, off+nx)[off:], make([]float64, ny), make([]float64, nz)
+					for _, p := range [][]float64{phix, phiy, phiz} {
+						for i := range p {
+							p[i] = rowValue(r)
+						}
+					}
+					lv := &grid.Level{Spacing: [3]float64{1.0 / 40, 1.0 / 24, 1.0 / 56}}
+					dt := 1e-4
+					if r.Intn(2) == 1 {
+						lv.Spacing[1], dt = rowValue(r), rowValue(r)
+					}
+					out.Fill(out.Alloc(), sentinel)
+					stencil(in, out, region, lv, dt, phix, phiy, phiz)
+
+					want := make([]float64, nx*ny*nz) // x fastest, then y, then z
+					k := newStencilConsts(lv, dt)
+					ys, zs := in.Strides()
+					for z := 0; z < nz; z++ {
+						for y := 0; y < ny; y++ {
+							stencilRowGo(want[(z*ny+y)*nx:][:nx], phix, in.Data(), in.Index(grid.IV(0, y, z)), ys, zs, phiy[y], phiz[z], &k)
+						}
+					}
+					out.Alloc().ForEach(func(c grid.IVec) {
+						got := out.At(c)
+						if !region.Contains(c) {
+							if got != sentinel {
+								t.Fatalf("%dx%dx%d off %d: stencil wrote %v at %v, outside the region", nx, ny, nz, off, got, c)
+							}
+							return
+						}
+						if w := want[(c.Z*ny+c.Y)*nx+c.X]; !sameFloat(got, w) {
+							t.Fatalf("%dx%dx%d off %d: cell %v = %v (%#x), Go rows %v (%#x)",
+								nx, ny, nz, off, c, got, math.Float64bits(got), w, math.Float64bits(w))
+						}
+					})
 				}
 			}
 		}
