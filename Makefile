@@ -52,13 +52,17 @@ examples:
 # window/mail machinery, the latency-matrix and the mail-storm edge cases.
 # And it is the reference gate: sim's TestLazyClocksMatchReference (both
 # engines), core's TestShardedBitIdentical cases on the serial engine and
-# mpisim's three exchange properties hold every fast path (lazy process
-# clocks, messages decided at post, one park per wait) byte-identical to the
+# mpisim's exchange properties hold every fast path (lazy process clocks,
+# messages decided at post, one park per wait, persistent requests on
+# channels, a sender steps ahead of its receiver) byte-identical to the
 # engine's reference mode (Engine.SetReference: every Charge a Sleep, every
 # message an event); sim's run at its -short sizes, and its 250-case
 # comparison, TestPaperMatrixMatchesReference, is skipped (tier-1 runs it).
+# mpisim runs whole, at GOMAXPROCS 1 and 2: its one-rank-per-shard runs
+# make one-shot channels from several shards at once.
 race:
-	$(GO) test -race -count=1 $$($(GO) list ./... | grep -v -e /internal/experiments -e /internal/sim)
+	$(GO) test -race -count=1 $$($(GO) list ./... | grep -v -e /internal/experiments -e /internal/sim -e /internal/mpisim)
+	$(GO) test -race -count=1 -cpu 1,2 ./internal/mpisim/
 	$(GO) test -race -short -count=1 ./internal/experiments/ ./internal/sim/
 
 # Coverage floor on the observability layer (the flight recorder and the

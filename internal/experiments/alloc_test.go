@@ -19,10 +19,11 @@ import (
 // collector, and a pooled request dropped its signal's callback capacity
 // (1 830 before that fix, 1 407 after). Now a message between ranks on one
 // engine needs no envelope at all: one that arrives before its receive is
-// posted waits on the receiver's inflight queue by value, so no envelope
-// drifts from the sender's pool into the receiver's (with pooled envelopes
-// retired by the receiver, that drift read 1 650); the keyed queue that
-// replaced the list keeps them by value too. A warehouse swap now
+// started waits in its channel by value, so no envelope drifts from the
+// sender's pool into the receiver's (with pooled envelopes retired by the
+// receiver, that drift read 1 650), and the requests are persistent, made
+// on a rank's first step and started again every step, so a warm step
+// takes none from a pool. A warehouse swap now
 // reuses the emptied warehouse, its entries are held by value and gatherIO
 // fills rank-owned scratch: 1 359 before those three, measured 591 after;
 // the bound is that plus 10%.

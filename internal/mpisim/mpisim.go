@@ -1,6 +1,6 @@
 // Package mpisim is a simulated MPI subset sufficient for the Uintah
-// scheduler: non-blocking point-to-point sends and receives with tag
-// matching, request testing, and blocking reductions.
+// scheduler: non-blocking point-to-point sends and receives, persistent
+// or one-shot, request testing, and blocking reductions.
 //
 // Two behaviours of real MPI that the paper's scheduler design depends on
 // are modelled faithfully:
@@ -18,21 +18,26 @@
 // numerics are correct across ranks; timing-only runs pass nil payloads
 // with an explicit byte count.
 //
-// Matching follows MPI's non-overtaking rule: per (source, tag), the k-th
-// receive posted takes the k-th message. On a shared engine with no fault
-// injector a message and its receive pair when the later of the two is
-// posted, so the receive knows its arrival while the message is on the
-// wire; across shards and under faults they match on delivery. The orders
-// agree when messages with one (source, tag) arrive in send order: always
-// for equal sizes, and for all scheduler traffic, whose tags are unique per
-// (step, label, source patch, destination patch).
+// A message travels on a channel: one stream from a source rank to a
+// destination rank. The compiled task graph numbers the streams between
+// every pair of ranks (taskgraph.Edge.Chan); the scheduler makes one
+// persistent request per stream end when it is built (SendInit, RecvInit)
+// and starts each once a step (Start), as MPI_Send_init, MPI_Recv_init and
+// MPI_Start do. The one-shot Isend and Irecv run the same code on a stream
+// per (source, destination, tag). A channel's order is the matching rule,
+// MPI's non-overtaking one: the k-th receive started on it takes the k-th
+// message sent on it. A channel keeps, in place, a FIFO of started
+// receives with no message yet and one of messages with no receive yet,
+// and a request holds its channel, so no match scans or looks anything up.
 //
-// A rank's posted receives, its messages waiting on the wire from its
-// engine and its delivered ones are each a posting-order queue (queue)
-// that holds every entry's (source, tag) inline. A match scans the keys
-// from the first live entry and marks the match gone; the queue compacts,
-// order kept, once half its slots are gone. So a match costs its position
-// in the queue plus amortised O(1), not a shift of every later entry.
+// On a shared engine with no fault injector a message and its receive
+// pair when the later of the two is started, so the receive knows its
+// arrival while the message is on the wire. Across shards, under faults
+// and in the engine's reference mode a message is delivered by an event
+// whose envelope carries its channel, and matches there. The orders agree
+// when a channel's messages arrive in send order: always for equal sizes,
+// and for all scheduler traffic, whose sends complete — arrive — before
+// they start again.
 //
 // On a shared engine with no fault injector a message is a decided value,
 // not a calendar event: a send and a paired receive carry their completion
@@ -73,10 +78,32 @@ type Comm struct {
 	inj *faults.Injector
 	rec *trace.Recorder
 
+	// chans finds a stream's channel by its key (streamKey) when a request
+	// is made; no message looks it up. Ranks make their requests on their
+	// own engines, several shards at once under sharding, so the lock
+	// serialises the making; a channel's contents are touched only on its
+	// destination's engine.
+	chanMu sync.Mutex
+	chans  map[uint64]*channel
+
 	// Collectives in flight, matched across ranks by call index; an entry
 	// is released once every rank has read its result.
 	collMu      sync.Mutex
 	collectives map[int]*collective
+}
+
+// streamKey packs a stream's ranks and number — the compiled Chan of a
+// persistent request, the tag of a one-shot one — into a map key.
+func streamKey(src, dst, n int, oneShot bool) uint64 {
+	const lim = 1 << 21
+	if uint(src) >= lim || uint(dst) >= lim || uint(n) >= lim {
+		panic(fmt.Sprintf("mpisim: stream %d->%d number %d out of range", src, dst, n))
+	}
+	k := uint64(src)<<42 | uint64(dst)<<21 | uint64(n)
+	if oneShot {
+		k |= 1 << 63
+	}
+	return k
 }
 
 // SetFaults attaches a fault injector (and an optional trace recorder for
@@ -106,7 +133,7 @@ func NewComm(eng *sim.Engine, params perf.Params, size int) *Comm {
 	if size <= 0 {
 		panic("mpisim: communicator needs at least one rank")
 	}
-	c := &Comm{params: params, collectives: map[int]*collective{}}
+	c := &Comm{params: params, chans: map[uint64]*channel{}, collectives: map[int]*collective{}}
 	for r := 0; r < size; r++ {
 		c.ranks = append(c.ranks, &Rank{comm: c, rank: r})
 		c.engs = append(c.engs, eng)
@@ -138,14 +165,34 @@ func (c *Comm) Rank(r int) *Rank {
 	return c.ranks[r]
 }
 
+// channel returns the channel of stream n from src to dst, made on first
+// use in dst's slab.
+func (c *Comm) channel(src, dst, n int, oneShot bool) *channel {
+	k := streamKey(src, dst, n, oneShot)
+	c.chanMu.Lock()
+	defer c.chanMu.Unlock()
+	if ch := c.chans[k]; ch != nil {
+		return ch
+	}
+	d := c.Rank(dst)
+	if len(d.slab) == cap(d.slab) {
+		// A full slab stays where it is: its channels are pointed to.
+		d.slab = make([]channel, 0, max(4, 2*cap(d.slab)))
+	}
+	d.slab = append(d.slab, channel{dst: d})
+	ch := &d.slab[len(d.slab)-1]
+	c.chans[k] = ch
+	return ch
+}
+
 // Rank is one MPI process's endpoint.
 type Rank struct {
 	comm *Comm
 	rank int
 
-	recvs      queue[*Request] // posted receives with no message yet
-	unexpected queue[*message] // delivered messages with no receive yet
-	inflight   queue[message]  // unclaimed messages on the wire from this engine
+	// slab holds the latest channels into this rank; a full one is
+	// replaced, not grown, so no channel moves.
+	slab []channel
 
 	// nextColl indexes this rank's next collective call, for in-order
 	// matching across ranks (the objects live on the Comm).
@@ -159,10 +206,9 @@ type Rank struct {
 	TestCalls     int64
 
 	// Fault-plane state and stats (used only with an injector attached).
-	seen          map[int64]bool // transmission seqs already delivered
-	sendSeq       int64          // rank-local transmission counter
-	Resends       int64          // retransmissions of dropped messages
-	DupsDiscarded int64          // duplicate deliveries suppressed
+	sendSeq       int64 // rank-local transmission counter
+	Resends       int64 // retransmissions of dropped messages
+	DupsDiscarded int64 // duplicate deliveries suppressed
 
 	// probes is this rank's flight-recorder hook set (nil = disabled).
 	// Touched only from this rank's engine events, so sharding never
@@ -172,12 +218,10 @@ type Rank struct {
 	// msgFree is this rank's envelope freelist, for messages delivered by
 	// an event (across shards, under faults). A sender issues envelopes
 	// from its own pool (on its own engine) and the receiver retires them
-	// into its pool (on its engine) once consumed, so neither end ever
-	// locks. A message between ranks on one engine needs no envelope: it
-	// waits on the receiver's inflight queue by value.
+	// into its pool (on its engine) once delivered, so neither end ever
+	// locks. A message between ranks on one engine needs no envelope: one
+	// with no receive yet waits in its channel by value.
 	msgFree []*message
-	// reqFree is the request freelist (see Free).
-	reqFree []*Request
 }
 
 // getMsg issues an empty envelope from this rank's freelist.
@@ -191,48 +235,10 @@ func (r *Rank) getMsg() *message {
 	return &message{}
 }
 
-// putMsg retires a fully consumed envelope into this rank's freelist.
+// putMsg retires a delivered envelope into this rank's freelist.
 func (r *Rank) putMsg(m *message) {
 	*m = message{}
 	r.msgFree = append(r.msgFree, m)
-}
-
-// getReq issues a cleared request from this rank's freelist.
-func (r *Rank) getReq() *Request {
-	if n := len(r.reqFree); n > 0 {
-		q := r.reqFree[n-1]
-		r.reqFree[n-1] = nil
-		r.reqFree = r.reqFree[:n-1]
-		q.freed = nil
-		return q
-	}
-	return &Request{}
-}
-
-// putReq pools a request: its signal keeps its waiter list's capacity,
-// freed marks it pooled and the rest is cleared.
-func (r *Rank) putReq(q *Request) {
-	q.reqState = reqState{freed: r}
-	r.reqFree = append(r.reqFree, q)
-}
-
-// Free retires a completed request into this rank's pool for reuse by a
-// later Isend/Irecv. Callers hand back a request only once they are done
-// with it entirely — completion observed, payload consumed, nobody left
-// waiting on its signal. A receive its owner saw complete before the fire
-// of its signal ran (it woke for something else) is retired by that fire
-// (Call). Freeing twice is a no-op. Under fault injection requests stay
-// heap-managed (retry backstops may still reference them), so Free is a
-// no-op there, and in the engine's reference mode, where a send's
-// completion is an event too.
-func (r *Rank) Free(req *Request) {
-	if r.comm.inj != nil || r.eng().Reference() || req == nil || req.freed != nil {
-		return
-	}
-	req.freed = r
-	if !req.firing {
-		r.putReq(req)
-	}
 }
 
 // RankID returns this endpoint's rank number.
@@ -269,130 +275,247 @@ func (r *Rank) sendCall(dst int, delay sim.Time, c sim.Caller) {
 	r.comm.shards.PostCall(se, de, se.Now()+delay, c)
 }
 
+// channel is one stream of messages into rank dst. It is touched only on
+// dst's engine: by dst's receives and deliveries, and by the sends of ranks
+// sharing that engine. Receives and messages meet in order, so at most one
+// of its FIFOs holds anything.
+type channel struct {
+	dst   *Rank
+	recvs fifo[*Request] // started receives with no message yet
+	msgs  fifo[message]  // messages with no receive yet
+
+	// delivered is the fault plane's duplicate filter: the number of the
+	// last transmission delivered here (numbers rise in send order). Only
+	// a duplicate can arrive with a number at or below it: a send
+	// completes when its message arrives, a persistent send starts again
+	// only once complete, and one-shot sends on one stream must not
+	// overlap under faults either; so originals arrive in send order, and
+	// a duplicate lands after its original.
+	delivered int64
+}
+
+// fifo is a ring buffer kept in place: push hands out the slot to fill,
+// front is the oldest, drop clears and removes it. It doubles when full.
+type fifo[T any] struct {
+	buf     []T
+	head, n int
+}
+
+func (f *fifo[T]) len() int { return f.n }
+
+func (f *fifo[T]) push() *T {
+	if f.n == len(f.buf) {
+		buf := make([]T, max(1, 2*len(f.buf)))
+		k := copy(buf, f.buf[f.head:])
+		copy(buf[k:], f.buf[:f.head])
+		f.buf, f.head = buf, 0
+	}
+	i := f.head + f.n
+	if i >= len(f.buf) {
+		i -= len(f.buf)
+	}
+	f.n++
+	return &f.buf[i]
+}
+
+func (f *fifo[T]) front() *T { return &f.buf[f.head] }
+
+func (f *fifo[T]) drop() {
+	var zero T
+	f.buf[f.head] = zero
+	if f.head++; f.head == len(f.buf) {
+		f.head = 0
+	}
+	f.n--
+}
+
+// message is one transfer on channel ch: the envelope of one an event
+// delivers (Call), or one with no receive yet, held in its channel's FIFO
+// by value.
 type message struct {
-	dst               *Rank
-	src, tag          int
-	bytes             int64
+	ch                *channel
 	payload           []float64
+	bytes             int64
 	sentAt, arrivesAt sim.Time
-	// seq identifies the logical transmission for duplicate suppression;
-	// 0 when no injector is attached.
+	// seq numbers the transmission for duplicate suppression (channel);
+	// 0 off the fault plane's path (transmit).
 	seq int64
+	// delivered marks a message an event delivered: the receive that
+	// claims it completes at the claim, not at the arrival.
+	delivered bool
 }
 
 // Call delivers the message at its destination: the envelope is its own
 // wire-arrival Caller, so a send schedules no closure. Envelopes are
-// freelist-managed per rank (getMsg/putMsg) and recycled once consumed.
-func (m *message) Call() { m.dst.deliver(m) }
+// freelist-managed per rank (getMsg/putMsg) and recycled once delivered.
+func (m *message) Call() { m.ch.dst.deliver(m) }
 
-// Request is the handle of a non-blocking operation.
+// Request is the handle of a non-blocking operation: persistent (SendInit,
+// RecvInit), started once a step for the whole simulation, or one-shot
+// (Isend, Irecv).
 type Request struct {
-	sig sim.Signal
-	reqState
-}
-
-type reqState struct {
-	isSend  bool
-	src     int // sends: destination; receives: expected source
-	tag     int
+	sig     sim.Signal
+	ch      *channel  // the stream it sends on or receives from
 	payload []float64 // receives: filled on match
+	bytes   int64     // sends: the size on the wire
 
 	// decided: doneAt and sentAt are final and every Test is arithmetic
 	// on them — a send with no injector, a receive paired with its message
 	// on one engine. matched: a receive delivered by an event, a
-	// fault-plane send once transmitted; doneAt is then final too.
+	// fault-plane send once transmitted; doneAt is then final too. A
+	// request not yet started is matched.
 	decided, matched bool
 	doneAt, sentAt   sim.Time
-	firing           bool  // a fire of sig is scheduled (Call)
-	freed            *Rank // the pool that takes it: set by Free, kept while pooled
+	isSend           bool
+	// firing: a fire of sig is scheduled (Call). stale counts the fires
+	// of earlier incarnations still scheduled, which do nothing.
+	firing bool
+	stale  int32
 
-	// Fault-plane state for dropped sends awaiting retransmission.
-	pending    *sendState      // non-nil while the last transmission was lost
-	retryEvent sim.EventHandle // autonomous backstop resend
-	retryAfter sim.Time        // earliest Test/Wait-driven resend time
+	// pending is a fault-plane send's lost transmission, awaiting its
+	// resend; nil otherwise.
+	pending *sendState
 }
 
 // sendState is everything needed to retransmit a dropped send.
 type sendState struct {
-	dst, tag int
-	payload  []float64
-	bytes    int64
-	seq      int64
-	attempt  int
+	dst, tag   int
+	payload    []float64
+	bytes      int64
+	seq        int64
+	attempt    int
+	retryEvent sim.EventHandle // autonomous backstop resend
+	retryAfter sim.Time        // earliest Test-driven resend time
 }
 
 // Call fires the request's signal: a Request is its own Caller for the
-// fire an Isend schedules when it pairs a receive whose owner is parked on
-// it (Isend, Watch). A request its owner freed before this event ran
-// retires now.
+// fire that completes a fault-plane send, and for the one a send schedules
+// when it pairs a receive whose owner is parked on it (startSend, Watch).
+// A fire scheduled for an earlier incarnation does nothing: the owner saw
+// that one complete and started the request again before it ran. A
+// request's fires run in the order they were scheduled — a later
+// incarnation's message left later, on the same channel at the same size —
+// so the stale ones are the first.
 func (q *Request) Call() {
+	if q.stale > 0 {
+		q.stale--
+		return
+	}
 	q.firing = false
 	q.sig.Fire()
-	if r := q.freed; r != nil {
-		r.putReq(q)
-	}
 }
 
 // Payload returns the received data (nil for sends, timing-only transfers,
 // or before completion).
 func (q *Request) Payload() []float64 { return q.payload }
 
-// Isend posts a non-blocking send of payload (may be nil) with the given
-// on-wire size to rank dst with the given tag. The calling process is
-// charged the posting cost. The send completes locally once the data has
-// left the sender (one wire time), which with no injector is decided here.
-// Under an injector, and in the engine's reference mode
-// (sim.Engine.SetReference), every send goes down the fault plane's path
-// instead (transmit): an event delivers the message and another completes
-// the send.
-// When both ranks share an engine the message pairs with the destination's
-// first posted receive for (src, tag) or waits on its inflight list for
-// one (see Irecv), and no event is scheduled, unless the paired receive's
-// owner is parked on it: then its signal fires at the arrival, issued at
-// the sender's clock. Across engines the delivery is scheduled from the
-// sender's clock.
-func (r *Rank) Isend(p *sim.Process, dst, tag int, payload []float64, bytes int64) *Request {
+// SendInit makes req, a zero Request, a persistent send of bytes to rank
+// dst on stream ch, the number the compiled graph gives it among this
+// rank's streams to dst (taskgraph.Edge.Chan). Each Start sends one
+// message; until the first, req tests complete.
+func (r *Rank) SendInit(req *Request, dst, ch int, bytes int64) {
+	r.initSend(req, r.comm.channel(r.rank, dst, ch, false), bytes)
+}
+
+// RecvInit makes req, a zero Request, a persistent receive from rank src
+// on stream ch (see SendInit). Each Start receives the stream's next
+// message.
+func (r *Rank) RecvInit(req *Request, src, ch int) {
+	req.ch, req.matched = r.comm.channel(src, r.rank, ch, false), true
+}
+
+func (r *Rank) initSend(req *Request, ch *channel, bytes int64) {
 	if bytes < 0 {
 		panic("mpisim: negative message size")
 	}
-	r.Charge(p, sim.Time(r.comm.params.MPIPostCost))
-	now := r.eng().Now()
-	wire := sim.Time(r.comm.params.MessageTimeBetween(r.rank, dst, bytes))
-	req := r.getReq()
-	req.isSend, req.src, req.tag = true, dst, tag
-	req.sig.Init(r.eng(), "send")
-	r.BytesSent += bytes
-	r.MsgsSent++
+	req.ch, req.isSend, req.bytes, req.matched = ch, true, bytes, true
+}
 
+// Isend posts a one-shot non-blocking send of payload (may be nil) with
+// the given on-wire size to rank dst with the given tag, on the stream of
+// (this rank, dst, tag) (see Start).
+func (r *Rank) Isend(p *sim.Process, dst, tag int, payload []float64, bytes int64) *Request {
+	req := new(Request)
+	r.initSend(req, r.comm.channel(r.rank, dst, tag, true), bytes)
+	r.Start(p, req, tag, payload)
+	return req
+}
+
+// Irecv posts a one-shot non-blocking receive for a message from src with
+// the given tag, on the stream of (src, this rank, tag): per (src, tag),
+// the k-th receive posted takes the k-th message (see Start).
+func (r *Rank) Irecv(p *sim.Process, src, tag int) *Request {
+	req := &Request{ch: r.comm.channel(src, r.rank, tag, true), matched: true}
+	r.Start(p, req, tag, nil)
+	return req
+}
+
+// Start begins req's next incarnation, charging the calling process the
+// posting cost: a send of payload (nil for timing-only transfers), which
+// fault markers label with tag, or a receive, which ignores both. The
+// previous incarnation must be complete: a receive still waiting for its
+// message, or a send whose transmission was lost, panics.
+func (r *Rank) Start(p *sim.Process, req *Request, tag int, payload []float64) {
+	if !req.decided && !req.matched {
+		panic("mpisim: Start of a request still in progress")
+	}
+	r.Charge(p, sim.Time(r.comm.params.MPIPostCost))
+	if req.firing {
+		req.firing = false
+		req.stale++
+	}
+	req.decided, req.matched, req.doneAt, req.payload = false, false, 0, nil
+	if req.isSend {
+		req.sig.Init(r.eng(), "send")
+		r.startSend(req, tag, payload)
+	} else {
+		req.sig.Init(r.eng(), "recv")
+		r.startRecv(req)
+	}
+}
+
+// startSend sends payload on req's channel. The send completes locally
+// once the data has left the sender (one wire time), which with no
+// injector is decided here. Under an injector, and in the engine's
+// reference mode (sim.Engine.SetReference), every send goes down the fault
+// plane's path instead (transmit): an event delivers the message and
+// another completes the send. When both ranks share an engine the message
+// pairs with the channel's first waiting receive or waits in the channel
+// for one (see startRecv), and no event is scheduled, unless the paired
+// receive's owner is parked on it: then its signal fires at the arrival,
+// issued at the sender's clock. Across engines the delivery is scheduled
+// from the sender's clock.
+func (r *Rank) startSend(req *Request, tag int, payload []float64) {
+	ch, dst := req.ch, req.ch.dst.rank
+	r.BytesSent += req.bytes
+	r.MsgsSent++
 	if r.comm.inj != nil || r.eng().Reference() {
-		// Transmission seqs are rank-local (disambiguated by the rank in
-		// the high bits) so concurrent shards never contend on a counter.
 		r.sendSeq++
 		r.transmit(req, &sendState{dst: dst, tag: tag, payload: payload,
-			bytes: bytes, seq: int64(r.rank+1)<<32 | r.sendSeq, attempt: 1})
-		return req
+			bytes: req.bytes, seq: r.sendSeq, attempt: 1})
+		return
 	}
-
-	req.decided, req.sentAt, req.doneAt = true, now, now+wire
-	m := message{dst: r.comm.Rank(dst), src: r.rank, tag: tag, bytes: bytes,
-		payload: payload, sentAt: now, arrivesAt: now + wire}
-	if d := m.dst; r.comm.engs[dst] == r.eng() {
-		if q, ok := d.recvs.take(r.rank, tag); ok {
-			d.pair(q, &m)
-			if q.sig.Waiting() {
-				q.firing = true
-				r.eng().CallAfter(wire, q)
-			}
-		} else {
-			d.inflight.push(r.rank, tag, m)
-		}
-	} else {
+	now := r.eng().Now()
+	wire := sim.Time(r.comm.params.MessageTimeBetween(r.rank, dst, req.bytes))
+	arrives := now + wire
+	req.decided, req.sentAt, req.doneAt = true, now, arrives
+	switch {
+	case r.comm.engs[dst] != r.eng():
 		env := r.getMsg()
-		*env = m
+		*env = message{ch: ch, payload: payload, bytes: req.bytes, sentAt: now, arrivesAt: arrives}
 		r.sendCall(dst, wire, env)
+	case ch.recvs.len() > 0:
+		q := *ch.recvs.front()
+		ch.recvs.drop()
+		ch.dst.pair(q, payload, req.bytes, now, arrives)
+		if q.sig.Waiting() {
+			q.firing = true
+			r.eng().CallAfter(wire, q)
+		}
+	default:
+		*ch.msgs.push() = message{payload: payload, bytes: req.bytes, sentAt: now, arrivesAt: arrives}
 	}
-	r.probes.MsgSent(now, bytes, now+wire)
-	return req
+	r.probes.MsgSent(now, req.bytes, arrives)
 }
 
 // maxSendAttempts bounds retransmission: the fate draw on the final attempt
@@ -428,17 +551,17 @@ func (r *Rank) transmit(req *Request, st *sendState) {
 		// autonomous backstop so a rank blocked elsewhere still recovers).
 		c.mark(r.rank, trace.KindFault, "msg-drop", st)
 		req.pending = st
-		req.retryAfter = now + 2*wire
-		req.retryEvent = r.eng().Schedule(4*wire, func() { r.resend(req) })
+		st.retryAfter = now + 2*wire
+		st.retryEvent = r.eng().Schedule(4*wire, func() { r.resend(req) })
 		return
 	}
 
 	req.matched = true
 	req.doneAt = now + wire
-	r.eng().CallAfter(wire, &req.sig)
+	req.firing = true
+	r.eng().CallAfter(wire, req)
 	m := r.getMsg()
-	*m = message{dst: c.Rank(st.dst), src: r.rank, tag: st.tag, bytes: st.bytes,
-		payload: st.payload, arrivesAt: now + wire, seq: st.seq}
+	*m = message{ch: req.ch, payload: st.payload, bytes: st.bytes, arrivesAt: now + wire, seq: st.seq}
 	r.sendCall(st.dst, wire, m)
 	r.probes.MsgSent(now, st.bytes, now+wire)
 	if dup {
@@ -462,7 +585,7 @@ func (r *Rank) resend(req *Request) {
 	}
 	st := req.pending
 	req.pending = nil
-	req.retryEvent = sim.EventHandle{}
+	st.retryEvent = sim.EventHandle{}
 	st.attempt++
 	r.Resends++
 	r.comm.mark(r.rank, trace.KindRecovery, "msg-resend", st)
@@ -488,77 +611,73 @@ func (c *Comm) mark(rank int, kind trace.Kind, name string, st *sendState) {
 		Start: now, End: now})
 }
 
-// Irecv posts a non-blocking receive for a message from src with the given
-// tag. The calling process is charged the posting cost. Matching follows
-// posting order for identical (src, tag) pairs (see the package doc).
-//
-// Irecv claims a delivered message first, then pairs with one on the wire
-// from this engine, without meeting the calendar. The pairing is the same
-// in either interleaving — per (src, tag), the k-th receive posted takes
-// the k-th message — and so is every later observation: a message claimed
-// from the inflight list completes the receive at its arrival, which may
-// lie before the Irecv's clock, where a delivered one completes it at the
-// Irecv's clock; every Test compares doneAt with a clock after the Irecv.
-func (r *Rank) Irecv(p *sim.Process, src, tag int) *Request {
-	r.Charge(p, sim.Time(r.comm.params.MPIPostCost))
-	req := r.getReq()
-	req.src, req.tag = src, tag
-	req.sig.Init(r.eng(), "recv")
-	if m, ok := r.unexpected.take(src, tag); ok {
-		r.complete(req, m)
-		return req
+// startRecv claims the channel's oldest message without meeting the
+// calendar, or waits in the channel for the next. A message still on the
+// wire from this engine pairs: the receive completes at its arrival, which
+// may lie before the Start's clock. One an event delivered completes the
+// receive at the Start's clock. The pairing is the same in either
+// interleaving — the k-th receive started takes the k-th message — and so
+// is every later observation: every Test compares doneAt with a clock
+// after the Start.
+func (r *Rank) startRecv(req *Request) {
+	ch := req.ch
+	if ch.msgs.len() == 0 {
+		*ch.recvs.push() = req
+		return
 	}
-	if m, ok := r.inflight.take(src, tag); ok {
-		r.pair(req, &m)
-		return req
+	m := ch.msgs.front()
+	if m.delivered {
+		r.complete(req, m.payload, m.bytes)
+	} else {
+		r.pair(req, m.payload, m.bytes, m.sentAt, m.arrivesAt)
 	}
-	r.recvs.push(src, tag, req)
-	return req
+	ch.msgs.drop()
 }
 
-// pair completes receive q with message m, still on the wire from this
+// pair completes receive q with a message still on the wire from this
 // engine: q knows its arrival, the sender's clock at the post and the
 // payload, and the message counts as received.
-func (r *Rank) pair(q *Request, m *message) {
+func (r *Rank) pair(q *Request, payload []float64, bytes int64, sentAt, arrivesAt sim.Time) {
 	q.decided = true
-	q.doneAt, q.sentAt, q.payload = m.arrivesAt, m.sentAt, m.payload
-	r.BytesReceived += m.bytes
+	q.doneAt, q.sentAt, q.payload = arrivesAt, sentAt, payload
+	r.BytesReceived += bytes
 	r.MsgsReceived++
 }
 
-// deliver matches a message arriving across engines or under faults
-// against posted receives. It runs on the receiving rank's engine; consumed
-// envelopes retire into this rank's freelist (unmatched ones wait on the
-// unexpected queue and retire when a receive claims them).
+// deliver matches a message an event delivers — across engines, under
+// faults, in the reference mode — on its channel. It runs on this rank's
+// engine and retires the envelope into this rank's freelist; a message
+// with no receive yet waits in the channel by value.
 func (r *Rank) deliver(m *message) {
+	ch := m.ch
 	if r.comm.inj != nil {
-		// Suppress duplicate deliveries of the same logical transmission.
-		if r.seen[m.seq] {
+		if m.seq <= ch.delivered {
 			r.DupsDiscarded++
 			r.putMsg(m)
 			return
 		}
-		if r.seen == nil {
-			r.seen = map[int64]bool{}
-		}
-		r.seen[m.seq] = true
+		ch.delivered = m.seq
 	}
-	if req, ok := r.recvs.take(m.src, m.tag); ok {
-		r.complete(req, m)
-		return
+	if ch.recvs.len() > 0 {
+		q := *ch.recvs.front()
+		ch.recvs.drop()
+		r.complete(q, m.payload, m.bytes)
+	} else {
+		w := ch.msgs.push()
+		*w = *m
+		w.delivered = true
 	}
-	r.unexpected.push(m.src, m.tag, m)
+	r.putMsg(m)
 }
 
-// complete finishes a receive at the delivery instant or a later Irecv's.
-func (r *Rank) complete(req *Request, m *message) {
-	req.matched = true
-	req.payload = m.payload
-	req.doneAt = r.eng().Now()
-	req.sig.Fire()
-	r.BytesReceived += m.bytes
+// complete finishes a receive at the delivery instant or a later Start's.
+func (r *Rank) complete(q *Request, payload []float64, bytes int64) {
+	q.matched = true
+	q.payload = payload
+	q.doneAt = r.eng().Now()
+	q.sig.Fire()
+	r.BytesReceived += bytes
 	r.MsgsReceived++
-	r.putMsg(m)
 }
 
 // Test checks a request for completion, charging the calling process the
@@ -600,10 +719,10 @@ func (r *Rank) Test(p *sim.Process, req *Request) bool {
 	if req.decided {
 		return req.doneAt < end || req.doneAt == end && req.sentAt < clock
 	}
-	if r.comm.inj != nil && req.isSend && req.pending != nil && end >= req.retryAfter {
+	if st := req.pending; r.comm.inj != nil && req.isSend && st != nil && end >= st.retryAfter {
 		// Host attention progresses the library: a send whose transmission
 		// was lost is retried here, ahead of the autonomous backstop.
-		if req.retryEvent.Cancel() {
+		if st.retryEvent.Cancel() {
 			r.resend(req)
 		}
 	}
@@ -615,7 +734,7 @@ func (r *Rank) Test(p *sim.Process, req *Request) bool {
 // doneAt, and any other registers p on the request's signal, which its
 // completion fires — the delivery across engines or under faults, or, for
 // a receive still waiting for its send on one engine, the fire the pairing
-// Isend schedules at the arrival.
+// send schedules at the arrival.
 func (r *Rank) Watch(p *sim.Process, req *Request, until *sim.Time) {
 	if req.decided {
 		*until = min(*until, req.doneAt)

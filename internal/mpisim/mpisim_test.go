@@ -263,59 +263,6 @@ func TestAllreduceReleasesEntries(t *testing.T) {
 	}
 }
 
-// TestFreeKeepsReceiveWithPendingFire: a decided send has no completion
-// event, so Free pools it at once. A receive paired while its owner was
-// parked on it has its signal's fire scheduled at the arrival; an owner
-// woken earlier by its deadline that sees the receive complete before that
-// fire has run must not get it pooled — the pending event would fire
-// whatever request reused it — until the fire has run. The fire then wakes
-// nobody: the park it was for is over.
-func TestFreeKeepsReceiveWithPendingFire(t *testing.T) {
-	eng := sim.NewEngine()
-	c := NewComm(eng, exactParams(), 2)
-	eng.Spawn("rank1", func(p *sim.Process) {
-		r := c.Rank(1)
-		req := r.Irecv(p, 0, 1)
-		p.Sync()
-		until := sim.Time(0.75)
-		r.Watch(p, req, &until)
-		p.Park(until) // rank 0 posts at 0.75 meanwhile: the message arrives at 2.75
-		if p.Now() != 0.75 || !req.decided || req.doneAt != 2.75 || !req.firing {
-			t.Fatalf("woke at %v with decided %v doneAt %v firing %v, want 0.75 true 2.75 true",
-				p.Now(), req.decided, req.doneAt, req.firing)
-		}
-		p.Charge(2)
-		if !r.Test(p, req) {
-			t.Fatal("receive not complete at its arrival")
-		}
-		r.Free(req)
-		if next := r.Irecv(p, 0, 2); next == req {
-			t.Fatal("a receive with a pending fire was reused")
-		}
-		p.Sync()
-		if req.firing {
-			t.Fatal("the fire did not run by the arrival")
-		}
-		if next := r.Irecv(p, 0, 3); next != req {
-			t.Fatal("a receive whose fire ran was not pooled")
-		}
-	})
-	eng.Spawn("rank0", func(p *sim.Process) {
-		r := c.Rank(0)
-		p.Sleep(0.5)
-		req := r.Isend(p, 1, 1, nil, 8)
-		p.Charge(2)
-		if !r.Test(p, req) {
-			t.Fatal("send not complete one wire time after posting")
-		}
-		r.Free(req)
-		if next := r.Isend(p, 1, 2, nil, 8); next != req {
-			t.Fatal("a complete send with no event was not pooled at once")
-		}
-	})
-	eng.Run()
-}
-
 // TestDecidedReceiveTestIsLazy: a receive whose message is on the wire from
 // this engine is decided — paired at its post, it knows the arrival — so
 // its test is answered without meeting the calendar: no event runs and the
@@ -366,9 +313,8 @@ func TestDecidedReceiveTestIsLazy(t *testing.T) {
 }
 
 // TestNoEventPerMessageOnOneEngine: on a shared engine a message is not a
-// calendar event — neither a delivery nor a send completion runs — so a
-// complete send is pooled the moment it is freed, and unclaimed messages
-// wait on the receiver's inflight list.
+// calendar event — neither a delivery nor a send completion runs — and
+// unclaimed messages wait in the receiver's channels.
 func TestNoEventPerMessageOnOneEngine(t *testing.T) {
 	const n = 4
 	eng, c := newComm(2)
@@ -390,12 +336,8 @@ func TestNoEventPerMessageOnOneEngine(t *testing.T) {
 		if got := eng.EventsExecuted() - ev; got != 1 {
 			t.Errorf("%d sends and a sync executed %d events, want 1", n, got)
 		}
-		if got := c.Rank(1).inflight.len(); got != n || c.Rank(1).unexpected.len() != 0 {
-			t.Errorf("%d messages in flight and %d delivered, want %d and 0", got, c.Rank(1).unexpected.len(), n)
-		}
-		r.Free(reqs[0])
-		if next := r.Irecv(p, 1, 0); next != reqs[0] {
-			t.Fatal("a complete send was not pooled")
+		if recvs, msgs := c.waiting(1); msgs != n || recvs != 0 {
+			t.Errorf("%d messages and %d receives waiting, want %d and 0", msgs, recvs, n)
 		}
 	})
 	eng.Run()

@@ -39,7 +39,7 @@ func await(p *sim.Process, r *Rank, req *Request) {
 // arrives after the test ends is answered false without meeting the
 // calendar — no event runs and the clock moves by exactly the test cost —
 // whether the send was posted first (the receive claims it from the
-// in-flight list) or the receive was (the send pairs with it). A park on
+// channel) or the receive was (the send pairs with it). A park on
 // the receive ends at the arrival instant, with the payload in place.
 func TestPairedReceiveTestIsLazy(t *testing.T) {
 	for _, recvFirst := range []bool{false, true} {
@@ -74,25 +74,26 @@ func TestPairedReceiveTestIsLazy(t *testing.T) {
 		}
 		eng.Spawn("rank0", func(p *sim.Process) {
 			c.Rank(0).Isend(p, 1, 1, []float64{7}, 8)
-			if !recvFirst && c.Rank(1).inflight.len() != 1 {
-				t.Errorf("an unclaimed send is not on the in-flight list")
+			if _, msgs := c.waiting(1); !recvFirst && msgs != 1 {
+				t.Errorf("an unclaimed send does not wait in the channel")
 			}
 		})
 		if !recvFirst {
 			eng.Spawn("rank1", recv)
 		}
 		eng.Run()
-		if n := c.Rank(1).inflight.len() + c.Rank(1).recvs.len() + c.Rank(1).unexpected.len(); n != 0 {
-			t.Errorf("recvFirst=%v: %d entries left on rank 1's queues", recvFirst, n)
+		if recvs, msgs := c.waiting(1); recvs+msgs != 0 {
+			t.Errorf("recvFirst=%v: %d entries left in rank 1's channels", recvFirst, recvs+msgs)
 		}
 	}
 }
 
 // TestReferenceReceiveIsAnEvent is TestPairedReceiveTestIsLazy's inverse:
 // in the engine's reference mode the same message is delivered by an event
-// whichever side posts first. Neither request is decided, nothing waits on
-// the in-flight list, the test of the receive meets the calendar, and a
-// park on it ends at the arrival, when the delivery fires its signal.
+// whichever side posts first. Neither request is decided, no message waits
+// in the channel before its delivery, the test of the receive meets the
+// calendar, and a park on it ends at the arrival, when the delivery fires
+// its signal.
 func TestReferenceReceiveIsAnEvent(t *testing.T) {
 	for _, recvFirst := range []bool{false, true} {
 		eng := sim.NewEngine()
@@ -125,16 +126,16 @@ func TestReferenceReceiveIsAnEvent(t *testing.T) {
 		}
 		eng.Spawn("rank0", func(p *sim.Process) {
 			req := c.Rank(0).Isend(p, 1, 1, []float64{7}, 8)
-			if req.decided || c.Rank(1).inflight.len() != 0 {
-				t.Errorf("recvFirst=%v: the send is decided (%v) or on the in-flight list", recvFirst, req.decided)
+			if _, msgs := c.waiting(1); req.decided || msgs != 0 {
+				t.Errorf("recvFirst=%v: the send is decided (%v) or waits in the channel", recvFirst, req.decided)
 			}
 		})
 		if !recvFirst {
 			eng.Spawn("rank1", recv)
 		}
 		eng.Run()
-		if n := c.Rank(1).inflight.len() + c.Rank(1).recvs.len() + c.Rank(1).unexpected.len(); n != 0 {
-			t.Errorf("recvFirst=%v: %d entries left on rank 1's queues", recvFirst, n)
+		if recvs, msgs := c.waiting(1); recvs+msgs != 0 {
+			t.Errorf("recvFirst=%v: %d entries left in rank 1's channels", recvFirst, recvs+msgs)
 		}
 	}
 }
@@ -263,10 +264,6 @@ func TestParkedReceiveWokenAtArrival(t *testing.T) {
 		if !r.Test(p, req) || eng.EventsExecuted() != ev || p.Now() != t0+0.25 {
 			t.Error("the woken receive did not test complete lazily")
 		}
-		r.Free(req)
-		if next := r.Irecv(p, 0, 2); next != req {
-			t.Error("the woken receive was not pooled")
-		}
 	})
 	eng.Spawn("rank0", func(p *sim.Process) {
 		p.Sleep(1)
@@ -302,7 +299,7 @@ func TestUnpairedReceiveTestMeetsCalendar(t *testing.T) {
 // same (src, tag) pair with the receives in post order, each receive
 // knowing its message's arrival before either is delivered. The first
 // receive is posted before the sends (the first send pairs with it), the
-// second after (it claims the second send from the in-flight list).
+// second after (it claims the second send from the channel).
 func TestSameTagPairsInPostOrder(t *testing.T) {
 	eng := sim.NewEngine()
 	c := NewComm(eng, exactParams(), 2)
@@ -323,30 +320,6 @@ func TestSameTagPairsInPostOrder(t *testing.T) {
 	eng.Spawn("rank0", func(p *sim.Process) {
 		c.Rank(0).Isend(p, 1, 5, []float64{1}, 8)
 		c.Rank(0).Isend(p, 1, 5, []float64{2}, 8)
-	})
-	eng.Run()
-}
-
-// TestFreedSendRetiresAtOnce: a send is decided at its post and has no
-// completion event, so Free pools it at once; freeing twice pools it once.
-func TestFreedSendRetiresAtOnce(t *testing.T) {
-	eng := sim.NewEngine()
-	c := NewComm(eng, exactParams(), 2)
-	eng.Spawn("rank0", func(p *sim.Process) {
-		r := c.Rank(0)
-		req := r.Isend(p, 1, 1, nil, 8)
-		p.Charge(2)
-		if !r.Test(p, req) || eng.EventsExecuted() != 1 {
-			t.Fatal("want a send complete by the caller's clock with no event past the spawn")
-		}
-		r.Free(req)
-		r.Free(req)
-		if next := r.Irecv(p, 1, 2); next != req {
-			t.Fatal("a freed send was not pooled")
-		}
-		if len(r.reqFree) != 0 {
-			t.Errorf("a request freed twice sits in the pool %d more times", len(r.reqFree))
-		}
 	})
 	eng.Run()
 }
@@ -475,33 +448,7 @@ const (
 // every message is delivered by an event and every charge synchronises.
 func runExchange(params perf.Params, msgs []exchangeMsg, scripts [][]exchangeOp, on exchangeEngine) (exchangeLog, uint64) {
 	n := len(scripts)
-	sharded := on == perShard
-	engs := make([]*sim.Engine, n)
-	var ss *sim.ShardSet
-	if sharded {
-		look := sim.Time(1)
-		for a := 0; a < n; a++ {
-			for b := 0; b < n; b++ {
-				if w := sim.Time(params.MessageTimeBetween(a, b, 0)); a != b && w < look {
-					look = w
-				}
-			}
-		}
-		ss = sim.NewShardSet(n, look)
-		for r := range engs {
-			engs[r] = ss.Engine(r)
-		}
-	} else {
-		eng := sim.NewEngine()
-		eng.SetReference(on == referenceEngine)
-		for r := range engs {
-			engs[r] = eng
-		}
-	}
-	c := NewComm(engs[0], params, n)
-	if sharded {
-		c.Shard(ss, engs)
-	}
+	engs, c, run := newExchangeComm(params, n, on)
 	log := exchangeLog{SendDone: make([]sim.Time, len(msgs)), RecvDone: make([]sim.Time, len(msgs)),
 		Tests: make([][]testObs, n), Wakes: make([][]sim.Time, n), Clocks: make([]sim.Time, n),
 		Stats: make([][4]int64, n)}
@@ -523,7 +470,6 @@ func runExchange(params perf.Params, msgs []exchangeMsg, scripts [][]exchangeOp,
 				} else {
 					log.RecvDone[keys[i]/2] = max(reqs[i].doneAt, posted[i])
 				}
-				rk.Free(reqs[i])
 				keys = slices.Delete(keys, i, i+1)
 				reqs = slices.Delete(reqs, i, i+1)
 				posted = slices.Delete(posted, i, i+1)
@@ -563,20 +509,49 @@ func runExchange(params perf.Params, msgs []exchangeMsg, scripts [][]exchangeOp,
 			log.Clocks[r] = p.Now()
 		})
 	}
-	if sharded {
-		ss.Run()
-	} else {
-		engs[0].Run()
-	}
-	var events uint64
+	events := run()
 	for r := 0; r < n; r++ {
 		rk := c.Rank(r)
 		log.Stats[r] = [4]int64{rk.TestCalls, rk.BytesReceived, rk.MsgsReceived, rk.MsgsSent}
-		if r == 0 || sharded {
-			events += engs[r].EventsExecuted()
-		}
 	}
 	return log, events
+}
+
+// newExchangeComm builds an n-rank communicator on the engine(s) on
+// selects. It returns each rank's engine and a run that drives them all
+// and returns the events they executed.
+func newExchangeComm(params perf.Params, n int, on exchangeEngine) ([]*sim.Engine, *Comm, func() uint64) {
+	engs := make([]*sim.Engine, n)
+	if on != perShard {
+		eng := sim.NewEngine()
+		eng.SetReference(on == referenceEngine)
+		for r := range engs {
+			engs[r] = eng
+		}
+		return engs, NewComm(eng, params, n), func() uint64 { eng.Run(); return eng.EventsExecuted() }
+	}
+	look := sim.Time(1)
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			if w := sim.Time(params.MessageTimeBetween(a, b, 0)); a != b && w < look {
+				look = w
+			}
+		}
+	}
+	ss := sim.NewShardSet(n, look)
+	for r := range engs {
+		engs[r] = ss.Engine(r)
+	}
+	c := NewComm(engs[0], params, n)
+	c.Shard(ss, engs)
+	return engs, c, func() uint64 {
+		ss.Run()
+		var events uint64
+		for _, e := range engs {
+			events += e.EventsExecuted()
+		}
+		return events
+	}
 }
 
 // matchesReference runs the model fast and in the reference mode, and with

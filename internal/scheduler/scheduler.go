@@ -156,8 +156,12 @@ type Rank struct {
 	// deadline only with it, so without one no recovery path is reached.
 	inj *faults.Injector
 
-	// Per-step communication state: the posted receives and sends not yet
-	// observed complete, in posting order.
+	// recvReqs and sendReqs are the persistent requests of graph.Recvs and
+	// graph.Sends, index for index, started once a step; nil until the
+	// first step makes them (initRequests).
+	recvReqs, sendReqs []mpisim.Request
+	// Per-step communication state: the started receives and sends not
+	// yet observed complete, in starting order.
 	recvs []pendingRecv
 	sends []*mpisim.Request
 	// notes interns "prefix + label" trace annotations: the step loop
@@ -241,6 +245,23 @@ func New(cfg Config, graph *taskgraph.Graph, cg *sw26010.CoreGroup, mpi *mpisim.
 	s.inj = cg.Faults
 	s.initSlots()
 	return s, nil
+}
+
+// initRequests makes the rank's persistent requests, one per edge. The
+// first step makes them, not New: a simulation that never steps pays
+// nothing, and building a simulation costs what it did when every step
+// took its requests from a pool. Under sharding ranks make them
+// concurrently; mpisim serialises the making of channels.
+func (s *Rank) initRequests() {
+	g := s.graph
+	s.recvReqs = make([]mpisim.Request, len(g.Recvs))
+	for i, e := range g.Recvs {
+		s.mpi.RecvInit(&s.recvReqs[i], e.SrcRank, int(e.Chan))
+	}
+	s.sendReqs = make([]mpisim.Request, len(g.Sends))
+	for i, e := range g.Sends {
+		s.mpi.SendInit(&s.sendReqs[i], e.DstRank, int(e.Chan), e.Bytes)
+	}
 }
 
 // Drain runs or waits out every tile still queued or computing for the

@@ -31,6 +31,9 @@ const bcFlopsPerCell = 221
 func (s *Rank) ExecuteStep(p *sim.Process, step int, t, dt float64) error {
 	g := s.graph
 	g.ResetForStep()
+	if s.recvReqs == nil {
+		s.initRequests()
+	}
 	nPatches := g.Level.Layout.NumPatches()
 	tagOf := func(e *taskgraph.Edge) int { return step*g.NumTags() + e.BaseTag(nPatches) }
 
@@ -43,9 +46,10 @@ func (s *Rank) ExecuteStep(p *sim.Process, step int, t, dt float64) error {
 
 	// Step 3a: post non-blocking receives.
 	s.recvs = s.recvs[:0]
-	for _, e := range g.Recvs {
+	for i, e := range g.Recvs {
 		t0 := p.Now()
-		req := s.mpi.Irecv(p, e.SrcRank, tagOf(e))
+		req := &s.recvReqs[i]
+		s.mpi.Start(p, req, tagOf(e), nil)
 		s.noteComm(p, t0, step, s.note("irecv ", e.Label.Name()))
 		s.recvs = append(s.recvs, pendingRecv{edge: e, req: req})
 	}
@@ -54,7 +58,7 @@ func (s *Rank) ExecuteStep(p *sim.Process, step int, t, dt float64) error {
 	// timestep (or initialisation), so it is ready now. Packing is MPE
 	// work.
 	s.sends = s.sends[:0]
-	for _, e := range g.Sends {
+	for i, e := range g.Sends {
 		var payload []float64
 		if s.cfg.Functional {
 			// The payload buffer is pooled: the receiver recycles it after
@@ -69,7 +73,8 @@ func (s *Rank) ExecuteStep(p *sim.Process, step int, t, dt float64) error {
 		s.charge(p, sim.Time(s.params.LocalCopyTime(e.Bytes)), &s.Stats.MPEWorkTime,
 			trace.KindMPEWork, step, s.note("pack ", e.Label.Name()))
 		t0 := p.Now()
-		req := s.mpi.Isend(p, e.DstRank, tagOf(e), payload, e.Bytes)
+		req := &s.sendReqs[i]
+		s.mpi.Start(p, req, tagOf(e), payload)
 		s.noteComm(p, t0, step, s.note("isend ", e.Label.Name()))
 		s.sends = append(s.sends, req)
 	}
@@ -201,9 +206,6 @@ func (s *Rank) ExecuteStep(p *sim.Process, step int, t, dt float64) error {
 				continue
 			}
 			s.unpackRecv(p, step, r)
-			// The request is fully consumed (payload unpacked above):
-			// hand it back to the rank's pool.
-			s.mpi.Free(r.req)
 			progressed = true
 		}
 		s.recvs = s.recvs[:n]
@@ -215,11 +217,7 @@ func (s *Rank) ExecuteStep(p *sim.Process, step int, t, dt float64) error {
 			if !ok {
 				s.sends[n] = req
 				n++
-				continue
 			}
-			// Send requests carry no payload to read back: retire the
-			// handle into the rank's pool right away.
-			s.mpi.Free(req)
 		}
 		s.sends = s.sends[:n]
 

@@ -72,7 +72,12 @@ type Object struct {
 // and the receiver unpacks them into the ghost margin of DstPatch's copy.
 type Edge struct {
 	Label    *Label
-	LabelIdx int
+	LabelIdx int32
+	// Chan numbers the edge among the edges from SrcRank to DstRank in
+	// BaseTag order: its message stream between the two ranks, the same
+	// number on both. It shares a word with LabelIdx: a wider Edge made
+	// the compile slabs, and with them every simulation's set-up, grow.
+	Chan     int32
 	Src, Dst *grid.Patch
 	SrcRank  int
 	DstRank  int
@@ -85,7 +90,7 @@ type Edge struct {
 // BaseTag returns the step-invariant message tag for the edge, identical
 // on the sending and receiving rank.
 func (e *Edge) BaseTag(nPatches int) int {
-	return (e.LabelIdx*nPatches+e.Dst.ID)*nPatches + e.Src.ID
+	return (int(e.LabelIdx)*nPatches+e.Dst.ID)*nPatches + e.Src.ID
 }
 
 // Graph is one rank's compiled portion of the distributed task graph.
@@ -250,8 +255,8 @@ func Compile(level *grid.Level, tasks []*Task, assign []int, rank int) (*Graph, 
 			g.addSends(&s, q, l, li)
 		}
 	}
-	g.Recvs = sortedEdges(s.recvs, layout.NumPatches())
-	g.Sends = sortedEdges(s.sends, layout.NumPatches())
+	g.Recvs = sortedEdges(s.recvs, layout.NumPatches(), false)
+	g.Sends = sortedEdges(s.sends, layout.NumPatches(), true)
 	return g, nil
 }
 
@@ -395,7 +400,7 @@ func (g *Graph) addGhostSet(s *slabs, gs *GhostSet, dec *Task, w, li int) {
 			cr.Regions = add(&s.boxes, cr.Regions, gr.Region)
 			cr.Bytes += gr.Region.NumCells() * 8
 		default:
-			e := find(&s.recvs, recv0, Edge{Label: gs.Label, LabelIdx: li, Src: gr.Src, Dst: q,
+			e := find(&s.recvs, recv0, Edge{Label: gs.Label, LabelIdx: int32(li), Src: gr.Src, Dst: q,
 				SrcRank: g.Assign[gr.Src.ID], DstRank: g.Rank, DstObjs: gs.Readers},
 				func(x *Edge) bool { return x.Src == gr.Src })
 			e.Regions = add(&s.boxes, e.Regions, gr.Region)
@@ -419,7 +424,7 @@ func (g *Graph) addSends(s *slabs, q *grid.Patch, l *Label, li int) {
 		if g.Assign[p.ID] == g.Rank || dec == nil || !dec.AppliesTo(q.ID) {
 			continue
 		}
-		s.sends = append(s.sends, Edge{Label: l, LabelIdx: li, Src: q, Dst: p,
+		s.sends = append(s.sends, Edge{Label: l, LabelIdx: int32(li), Src: q, Dst: p,
 			SrcRank: g.Rank, DstRank: g.Assign[p.ID]})
 		e := &s.sends[len(s.sends)-1]
 		for _, gr := range layout.GhostRegions(p, w) {
@@ -434,13 +439,35 @@ func (g *Graph) addSends(s *slabs, q *grid.Patch, l *Label, li int) {
 	}
 }
 
-// sortedEdges returns pointers to the final edge slab in tag order.
-func sortedEdges(edges []Edge, nPatches int) []*Edge {
+// sortedEdges returns pointers to the final edge slab in tag order, each
+// edge numbered (Chan) among those with the same peer rank — the
+// destination of a send, the source of a recv — in that order. The sender
+// and the receiver sort the edges between them by the same tags, so they
+// number them alike.
+func sortedEdges(edges []Edge, nPatches int, sends bool) []*Edge {
 	out := make([]*Edge, len(edges))
 	for i := range edges {
 		out[i] = &edges[i]
 	}
 	slices.SortFunc(out, func(a, b *Edge) int { return a.BaseTag(nPatches) - b.BaseTag(nPatches) })
+	// A rank has a few dozen peers at most: count them in a list that
+	// stays on the stack unless it outgrows its capacity.
+	next := make([]struct{ peer, n int }, 0, 32)
+edges:
+	for _, e := range out {
+		peer := e.SrcRank
+		if sends {
+			peer = e.DstRank
+		}
+		for i := range next {
+			if next[i].peer == peer {
+				e.Chan = int32(next[i].n)
+				next[i].n++
+				continue edges
+			}
+		}
+		next = append(next, struct{ peer, n int }{peer, 1})
+	}
 	return out
 }
 

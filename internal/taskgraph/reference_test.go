@@ -170,7 +170,7 @@ func referenceCompile(level *grid.Level, tasks []*Task, assign []int, rank int) 
 						continue
 					}
 					if e == nil {
-						e = &Edge{Label: l, LabelIdx: labelIdx[l], Src: q, Dst: p, SrcRank: rank, DstRank: assign[p.ID]}
+						e = &Edge{Label: l, LabelIdx: int32(labelIdx[l]), Src: q, Dst: p, SrcRank: rank, DstRank: assign[p.ID]}
 						g.Sends = append(g.Sends, e)
 					}
 					refAddRegion(e, gr.Region)
@@ -181,6 +181,8 @@ func referenceCompile(level *grid.Level, tasks []*Task, assign []int, rank int) 
 
 	refSortEdges(g.Recvs, layout.NumPatches())
 	refSortEdges(g.Sends, layout.NumPatches())
+	refNumberChans(g.Recvs, func(e *Edge) int { return e.SrcRank })
+	refNumberChans(g.Sends, func(e *Edge) int { return e.DstRank })
 	return g, nil
 }
 
@@ -266,12 +268,12 @@ func refFillSet(g *Graph, gs *GhostSet, dec *Task, w int, labelIdx map[*Label]in
 			k := refEdgeKey{labelIdx[gs.Label], gr.Src.ID, p.ID}
 			var e *Edge
 			for _, have := range g.Recvs {
-				if (refEdgeKey{have.LabelIdx, have.Src.ID, have.Dst.ID}) == k {
+				if (refEdgeKey{int(have.LabelIdx), have.Src.ID, have.Dst.ID}) == k {
 					e = have
 				}
 			}
 			if e == nil {
-				e = &Edge{Label: gs.Label, LabelIdx: k.label, Src: gr.Src, Dst: p,
+				e = &Edge{Label: gs.Label, LabelIdx: int32(k.label), Src: gr.Src, Dst: p,
 					SrcRank: g.Assign[gr.Src.ID], DstRank: g.Rank}
 				g.Recvs = append(g.Recvs, e)
 				for _, r := range gs.Readers {
@@ -297,6 +299,15 @@ func refSortEdges(edges []*Edge, nPatches int) {
 	sort.Slice(edges, func(i, j int) bool {
 		return edges[i].BaseTag(nPatches) < edges[j].BaseTag(nPatches)
 	})
+}
+
+// refNumberChans numbers tag-sorted edges per peer rank, counting in a map.
+func refNumberChans(edges []*Edge, peer func(*Edge) int) {
+	next := map[int]int32{}
+	for _, e := range edges {
+		e.Chan = next[peer(e)]
+		next[peer(e)]++
+	}
 }
 
 // graphDiff returns the first difference between two graphs of the same
@@ -358,6 +369,9 @@ func graphDiff(got, want *Graph) string {
 			if !reflect.DeepEqual(e.Regions, w.Regions) || e.Bytes != w.Bytes {
 				return fmt.Sprintf("%s edge %d: regions %v (%d B), want %v (%d B)",
 					side.name, i, e.Regions, e.Bytes, w.Regions, w.Bytes)
+			}
+			if e.Chan != w.Chan {
+				return fmt.Sprintf("%s edge %d: Chan %d, want %d", side.name, i, e.Chan, w.Chan)
 			}
 			if !reflect.DeepEqual(indices(e.DstObjs), indices(w.DstObjs)) {
 				return fmt.Sprintf("%s edge %d: DstObjs %v, want %v", side.name, i, indices(e.DstObjs), indices(w.DstObjs))
@@ -427,7 +441,9 @@ func compileBoth(t *testing.T, name string, lv *grid.Level, tasks []*Task, assig
 // Every rank of every case of the paper's 250-case matrix compiles to the
 // graph the reference derives, and that graph writes every ghost cell once
 // a step (ghostsWrittenOnce; TestGhostCellsWrittenOncePerStep holds the
-// other problems to it). Each rank compiles once for both checks.
+// other problems to it). Each rank compiles once for both checks, and
+// every pair of ranks numbers the streams between them alike
+// (chanSymmetry).
 func TestCompileMatchesReferenceOnPaperMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles every rank of 250 cases twice")
@@ -441,8 +457,16 @@ func TestCompileMatchesReferenceOnPaperMatrix(t *testing.T) {
 			for _, v := range experiments.Variants {
 				spec := experiments.SpecFor(prob, cgs, v, experiments.Options{Steps: experiments.Steps}, 0)
 				lv, tasks, assign, ranks := specProblem(t, spec)
-				if !compileBoth(t, spec.String(), lv, tasks, assign, ranks, ghostsWrittenOnce) {
+				var graphs []*Graph
+				collect := func(g *Graph) string {
+					graphs = append(graphs, g)
+					return ghostsWrittenOnce(g)
+				}
+				if !compileBoth(t, spec.String(), lv, tasks, assign, ranks, collect) {
 					return
+				}
+				if d := chanSymmetry(graphs); d != "" {
+					t.Fatalf("%s: %s", spec, d)
 				}
 				cases++
 			}
@@ -451,6 +475,32 @@ func TestCompileMatchesReferenceOnPaperMatrix(t *testing.T) {
 	if cases != 250 {
 		t.Fatalf("matrix has %d cases, want 250", cases)
 	}
+}
+
+// chanSymmetry returns the first send edge among graphs, one per rank,
+// whose Chan differs from its recv edge's on the destination rank, or that
+// has no recv edge; "" when the sender and the receiver of every rank pair
+// number their streams alike, edge for edge.
+func chanSymmetry(graphs []*Graph) string {
+	n := graphs[0].Level.Layout.NumPatches()
+	recvByTag := map[int]*Edge{}
+	for _, g := range graphs {
+		for _, e := range g.Recvs {
+			recvByTag[e.BaseTag(n)] = e
+		}
+	}
+	for _, g := range graphs {
+		for _, e := range g.Sends {
+			switch r := recvByTag[e.BaseTag(n)]; {
+			case r == nil:
+				return fmt.Sprintf("send %v->%v has no matching recv", e.Src, e.Dst)
+			case e.Chan != r.Chan:
+				return fmt.Sprintf("edge %v->%v is stream %d of rank %d to rank %d on the sender, %d on the receiver",
+					e.Src, e.Dst, e.Chan, e.SrcRank, e.DstRank, r.Chan)
+			}
+		}
+	}
+	return ""
 }
 
 // specProblem returns the level, tasks, assignment and rank count spec
@@ -587,9 +637,10 @@ func disjoint(e *Edge) bool {
 }
 
 // Property: every send edge has exactly one matching recv edge on the
-// destination rank, with the same tag, ranks, byte count and regions in the
-// same order — the functional unpack walks the sender's pack order — and
-// no edge carries a ghost cell twice, widths mixed or not.
+// destination rank, with the same tag, ranks, stream number (Chan), byte
+// count and regions in the same order — the functional unpack walks the
+// sender's pack order — and no edge carries a ghost cell twice, widths
+// mixed or not.
 func TestCompileSendRecvSymmetry(t *testing.T) {
 	sends, conflicts := 0, 0
 	f := func(seed int64) bool {
@@ -631,6 +682,8 @@ func TestCompileSendRecvSymmetry(t *testing.T) {
 					t.Errorf("seed %d: send %v->%v has no matching recv", seed, e.Src, e.Dst)
 				case e.Src != r.Src || e.Dst != r.Dst || e.SrcRank != r.SrcRank || e.DstRank != r.DstRank:
 					t.Errorf("seed %d: edge endpoints differ: send %v->%v, recv %v->%v", seed, e.Src, e.Dst, r.Src, r.Dst)
+				case e.Chan != r.Chan:
+					t.Errorf("seed %d: edge %v->%v: send is stream %d, recv stream %d", seed, e.Src, e.Dst, e.Chan, r.Chan)
 				case e.Bytes != r.Bytes || !reflect.DeepEqual(e.Regions, r.Regions):
 					t.Errorf("seed %d: edge %v->%v: send %v (%d B), recv %v (%d B)", seed, e.Src, e.Dst, e.Regions, e.Bytes, r.Regions, r.Bytes)
 				default:
