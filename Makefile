@@ -19,11 +19,12 @@ build:
 
 # The second line holds the Burgers kernel's Go fallback (the purego
 # build, no AVX2 tile kernel) to the same bit-identity gates and golden
-# field hashes, and runs the tile property test's sentinel check on the
-# fallback's row loop.
+# field hashes, runs the tile property test's sentinel check on the
+# fallback's row loop, and NaN-poisons reused warehouse storage under it
+# (core's TestStaleStorageNeverReachesOutput).
 test:
 	$(GO) test ./...
-	$(GO) test -tags purego -count=1 -run 'BitIdentity|AdvanceOpt|TileWindows|StencilTile' ./internal/burgers/ ./internal/experiments/
+	$(GO) test -tags purego -count=1 -run 'BitIdentity|AdvanceOpt|TileWindows|StencilTile|StaleStorage' ./internal/burgers/ ./internal/experiments/ ./internal/core/
 
 # Build and run every example end to end: each one self-verifies (exact
 # solutions, serial-reference bit-identity) and exits non-zero on drift,

@@ -7,6 +7,17 @@
 // A warehouse operates in one of two modes: functional (variables carry
 // real field data) or timing-only (only sizes are tracked, so billion-cell
 // problems can be scheduled without allocating their storage).
+//
+// A warehouse holds the same (label, patch) variables every step, so a
+// variable owns its storage for the warehouse's life: freeing it returns
+// its bytes to the core group and marks it free, and the next allocation
+// of the same variable hands back the same field, not zeroed. That is
+// safe because no cell is read before the step writes it: a task computes
+// every interior cell of its output, and every ghost cell an old-warehouse
+// reader needs is written once a step by a copy, a receive or a boundary
+// fill (taskgraph's TestGhostCellsWrittenOncePerStep proves the ghost half
+// on the compiled graph; core's TestStaleStorageNeverReachesOutput NaN-fills
+// reused storage and ghost margins and holds every output to the bit).
 package dw
 
 import (
@@ -35,6 +46,7 @@ type varKey struct {
 type varEntry struct {
 	data  *field.Cell // nil in timing-only mode
 	bytes int64
+	live  bool // allocated this step; a freed entry keeps its data
 }
 
 // Warehouse stores one timestep's variables for one rank.
@@ -51,33 +63,34 @@ func NewWarehouse(mode Mode, cg *sw26010.CoreGroup) *Warehouse {
 
 // Allocate creates the variable (label, patch) with the given ghost margin.
 // It returns sw26010.ErrOutOfMemory when the core group's usable memory is
-// exhausted. Allocating an existing variable is an error.
+// exhausted, leaving the variable as it was. Allocating a live variable is
+// an error. Only the first allocation of a variable makes a field; a later
+// one, after FreeAll, hands back the same storage with its old contents
+// (see the package comment for why no cell is read before it is written).
 func (w *Warehouse) Allocate(label *taskgraph.Label, patch *grid.Patch, ghost int) error {
 	k := varKey{label, patch.ID}
-	if _, ok := w.vars[k]; ok {
+	e := w.vars[k]
+	if e.live {
 		return fmt.Errorf("dw: variable %q already allocated on %v", label.Name(), patch)
 	}
-	bytes := patch.Box.Grow(ghost).NumCells() * 8
+	box := patch.Box.Grow(ghost)
+	bytes := box.NumCells() * 8
 	if err := w.cg.Allocate(bytes); err != nil {
 		return err
 	}
-	e := varEntry{bytes: bytes}
-	if w.mode == Functional {
-		// Pooled storage: FreeAll recycles the backing array, so the
-		// per-step allocate/free churn of the warehouse swap is
-		// allocation-free in steady state. The pool zeroes on reuse,
-		// preserving NewCell's zero-value contract.
-		e.data = field.NewCellPooledWithGhost(patch.Box, ghost)
+	if w.mode == Functional && (e.data == nil || e.data.Alloc() != box) {
+		e.data = field.NewCell(box)
 	}
+	e.bytes, e.live = bytes, true
 	w.vars[k] = e
 	return nil
 }
 
 // Get returns the variable's field data, or nil in timing-only mode. It
-// panics if the variable was never allocated — a scheduling bug.
+// panics if the variable is not allocated — a scheduling bug.
 func (w *Warehouse) Get(label *taskgraph.Label, patch *grid.Patch) *field.Cell {
-	e, ok := w.vars[varKey{label, patch.ID}]
-	if !ok {
+	e := w.vars[varKey{label, patch.ID}]
+	if !e.live {
 		panic(fmt.Sprintf("dw: variable %q not allocated on %v", label.Name(), patch))
 	}
 	return e.data
@@ -85,26 +98,28 @@ func (w *Warehouse) Get(label *taskgraph.Label, patch *grid.Patch) *field.Cell {
 
 // Exists reports whether the variable is allocated.
 func (w *Warehouse) Exists(label *taskgraph.Label, patch *grid.Patch) bool {
-	_, ok := w.vars[varKey{label, patch.ID}]
-	return ok
+	return w.vars[varKey{label, patch.ID}].live
 }
 
-// Bytes returns the variable's storage footprint.
+// Bytes returns the variable's storage footprint, or 0 if it is not
+// allocated.
 func (w *Warehouse) Bytes(label *taskgraph.Label, patch *grid.Patch) int64 {
-	e, ok := w.vars[varKey{label, patch.ID}]
-	if !ok {
-		return 0
+	if e := w.vars[varKey{label, patch.ID}]; e.live {
+		return e.bytes
 	}
-	return e.bytes
+	return 0
 }
 
-// FreeAll releases every variable back to the core group and recycles its
-// storage — callers must not retain references to a freed field's data.
+// FreeAll releases every variable's bytes back to the core group and marks
+// it free. The storage stays with the variable for its next Allocate, so
+// a caller that keeps a freed field sees it overwritten next step.
 func (w *Warehouse) FreeAll() {
 	for k, e := range w.vars {
-		w.cg.Free(e.bytes)
-		e.data.Recycle()
-		delete(w.vars, k)
+		if e.live {
+			w.cg.Free(e.bytes)
+			e.live = false
+			w.vars[k] = e
+		}
 	}
 }
 
@@ -128,7 +143,8 @@ func (p *Pair) Select(sel taskgraph.DWSel) *Warehouse {
 }
 
 // Swap completes a timestep: the old warehouse's variables are freed, the
-// new warehouse becomes old, and the emptied one is the new warehouse.
+// new warehouse becomes old, and the emptied one is the new warehouse,
+// whose variables keep their storage for the next step's allocations.
 func (p *Pair) Swap() {
 	p.Old.FreeAll()
 	p.Old, p.New = p.New, p.Old

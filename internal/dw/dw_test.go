@@ -134,6 +134,114 @@ func TestSwapLifecycle(t *testing.T) {
 	}
 }
 
+// TestFreedVariableKeepsItsStorage follows one variable through two swaps:
+// while freed it is gone to every reader and to the core group's
+// accounting, and its next allocation hands back the same field with its
+// contents untouched.
+func TestFreedVariableKeepsItsStorage(t *testing.T) {
+	cg := testCG()
+	pair := NewPair(Functional, cg)
+	u := taskgraph.NewLabel("u", nil)
+	p := testPatch(t)
+	w := pair.Old
+	if err := w.Allocate(u, p, 1); err != nil {
+		t.Fatal(err)
+	}
+	f := w.Get(u, p)
+	want := w.Bytes(u, p)
+	for i := range f.Data() {
+		f.Data()[i] = float64(i) + 0.5
+	}
+	before := append([]float64(nil), f.Data()...)
+
+	freed := func(when string) {
+		t.Helper()
+		if w.Exists(u, p) || w.Bytes(u, p) != 0 {
+			t.Fatalf("%s: freed variable exists (%d bytes)", when, w.Bytes(u, p))
+		}
+		if n := inUse(t, cg); n != 0 {
+			t.Fatalf("%s: core group holds %d bytes, want 0", when, n)
+		}
+		mustPanic(t, when+": Get of a freed variable", func() { w.Get(u, p) })
+	}
+	pair.Swap()
+	if pair.New != w {
+		t.Fatal("the freed warehouse is not the new one")
+	}
+	freed("after one swap")
+	pair.Swap()
+	if pair.Old != w {
+		t.Fatal("two swaps did not bring the warehouse back")
+	}
+	freed("after two swaps")
+
+	// A refused allocation leaves the entry free and the accounting as
+	// it was.
+	filler := cg.Params.UsableFieldBytesPerCG - want + 1
+	if err := cg.Allocate(filler); err != nil {
+		t.Fatal(err)
+	}
+	var oom *sw26010.ErrOutOfMemory
+	if err := w.Allocate(u, p, 1); !errors.As(err, &oom) {
+		t.Fatalf("allocation over the limit: %v, want ErrOutOfMemory", err)
+	}
+	if w.Exists(u, p) || inUse(t, cg) != filler {
+		t.Fatalf("a refused allocation changed the variable or the accounting (%d, want %d)", inUse(t, cg), filler)
+	}
+	cg.Free(filler)
+	freed("after a refused allocation")
+
+	if err := w.Allocate(u, p, 1); err != nil {
+		t.Fatal(err)
+	}
+	if w.Get(u, p) != f {
+		t.Fatal("reallocation made a new field")
+	}
+	for i, v := range f.Data() {
+		if v != before[i] {
+			t.Fatalf("reallocation changed cell %d: %g -> %g", i, before[i], v)
+		}
+	}
+	if w.Bytes(u, p) != want || inUse(t, cg) != want {
+		t.Fatalf("bytes %d, core group %d, want %d", w.Bytes(u, p), inUse(t, cg), want)
+	}
+	if err := w.Allocate(u, p, 1); err == nil {
+		t.Fatal("allocating a live variable again should fail")
+	}
+	// Another ghost width needs another field.
+	pair.Swap()
+	if err := w.Allocate(u, p, 2); err != nil {
+		t.Fatal(err)
+	}
+	if g := w.Get(u, p); g == f || g.Alloc() != p.Box.Grow(2) {
+		t.Fatalf("ghost width 2 got the width-1 field (allocation %v)", g.Alloc())
+	}
+
+	// Timing-only entries never get storage.
+	tp := NewPair(TimingOnly, testCG())
+	if err := tp.Old.Allocate(u, p, 1); err != nil {
+		t.Fatal(err)
+	}
+	tp.Swap()
+	tp.Swap()
+	if err := tp.Old.Allocate(u, p, 1); err != nil {
+		t.Fatal(err)
+	}
+	if tp.Old.Get(u, p) != nil {
+		t.Fatal("timing-only variable has data after reallocation")
+	}
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
 func TestSelect(t *testing.T) {
 	pair := NewPair(TimingOnly, testCG())
 	if pair.Select(taskgraph.OldDW) != pair.Old || pair.Select(taskgraph.NewDW) != pair.New {
@@ -175,7 +283,9 @@ func inUse(t *testing.T, cg *sw26010.CoreGroup) int64 {
 func totalBytes(w *Warehouse) int64 {
 	var n int64
 	for _, e := range w.vars {
-		n += e.bytes
+		if e.live {
+			n += e.bytes
+		}
 	}
 	return n
 }

@@ -18,9 +18,6 @@ type Cell struct {
 	alloc  grid.Box
 	stride [2]int // y stride, z stride (x stride is 1)
 	data   []float64
-	// window marks a view made by Window: the storage belongs to the
-	// parent cell, so Recycle must not hand it to the pool.
-	window bool
 }
 
 // NewCell allocates a field over box (every value zero).
@@ -56,7 +53,7 @@ func (f *Cell) Data() []float64 { return f.data }
 // allocated over it, and Pack, Unpack, Fill and CopyRegion accept it like
 // any other cell; writes land in f. The view is returned by value so a
 // caller can keep it inside its own per-tile record without a heap
-// allocation. It is valid until f's storage is recycled. region must be
+// allocation. It is valid for f's lifetime. region must be
 // non-empty and allocated in f.
 func (f *Cell) Window(region grid.Box) Cell {
 	if region.Empty() || !f.alloc.ContainsBox(region) {
@@ -64,7 +61,7 @@ func (f *Cell) Window(region grid.Box) Cell {
 	}
 	lo := f.offset(region.Lo)
 	hi := f.offset(region.Hi.Sub(grid.IV(1, 1, 1))) + 1
-	return Cell{alloc: region, stride: f.stride, data: f.data[lo:hi:hi], window: true}
+	return Cell{alloc: region, stride: f.stride, data: f.data[lo:hi:hi]}
 }
 
 // offset is Index without the bounds check, for cells already known to

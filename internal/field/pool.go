@@ -1,20 +1,17 @@
 package field
 
 import (
-	"fmt"
 	"math/bits"
 	"sync"
-
-	"sunuintah/internal/grid"
 )
 
-// The package-level slice pool behind steady-state-allocation-free
-// stepping: warehouse variables, halo-exchange payloads and kernel
-// scratch all draw []float64 storage from here and return it when
-// released, so after warm-up a timestep performs no heap allocation in the
-// kernel or halo paths.
+// The package-level slice pool serves transient buffers only: halo-exchange
+// payloads and kernel scratch draw []float64 storage from here and return
+// it when released, so after warm-up a timestep performs no heap
+// allocation in the kernel or halo paths. Warehouse variables do not come
+// from here: each owns its field for the warehouse's life (package dw).
 //
-// Buffers are binned by power-of-two capacity: GetSlice(n) allocates with
+// Buffers are binned by power-of-two capacity: GetBuf(n) allocates with
 // capacity rounded up to a power of two, so a recycled buffer lands back
 // in the class it was taken from and serves any later request of similar
 // size. The free lists are mutex-protected (not a sync.Pool): put/get of
@@ -38,14 +35,6 @@ func classFor(n int) int {
 		return 1
 	}
 	return 1 << bits.Len(uint(n-1))
-}
-
-// GetSlice returns a zeroed slice of length n from the pool (allocating
-// one with power-of-two capacity on a miss). Safe for concurrent use.
-func GetSlice(n int) []float64 {
-	s := GetBuf(n)[:n]
-	clear(s)
-	return s
 }
 
 // GetBuf returns a zero-length slice with capacity >= n from the pool,
@@ -86,38 +75,4 @@ func PutSlice(s []float64) {
 		slicePool.classes[c] = append(list, s[:0])
 	}
 	slicePool.mu.Unlock()
-}
-
-// NewCellPooled allocates a field over box like NewCell, drawing storage
-// from the pool. Recycle the cell to return the storage.
-func NewCellPooled(box grid.Box) *Cell {
-	if box.Empty() {
-		panic(fmt.Sprintf("field: empty allocation box %v", box))
-	}
-	s := box.Size()
-	return &Cell{
-		alloc:  box,
-		stride: [2]int{s.X, s.X * s.Y},
-		data:   GetSlice(int(box.NumCells())),
-	}
-}
-
-// NewCellPooledWithGhost is NewCellPooled over interior grown by ghost.
-func NewCellPooledWithGhost(interior grid.Box, ghost int) *Cell {
-	return NewCellPooled(interior.Grow(ghost))
-}
-
-// Recycle returns the cell's storage to the pool and clears the cell.
-// The cell (and any alias of its data) must not be used afterwards.
-// Recycling a nil or already-recycled cell is a no-op, so it composes
-// with timing-only paths where cells are absent. A window only detaches:
-// its storage is its parent's and never enters the pool.
-func (f *Cell) Recycle() {
-	if f == nil || f.data == nil {
-		return
-	}
-	if !f.window {
-		PutSlice(f.data)
-	}
-	f.data = nil
 }

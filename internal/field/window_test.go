@@ -132,34 +132,6 @@ func TestWindowPackUnpackCopyRegion(t *testing.T) {
 	mustPanic(t, "CopyRegion beyond the window", func() { w.CopyRegion(parent, region.Grow(1)) })
 }
 
-func TestWindowRecycleLeavesParentAndPool(t *testing.T) {
-	parent := NewCellPooled(grid.BoxFromSize(grid.IV(0, 0, 0), grid.IV(8, 8, 8)))
-	parent.Fill(parent.Alloc(), 3)
-	class := classFor(len(parent.data))
-	pooled := func() int {
-		slicePool.mu.Lock()
-		defer slicePool.mu.Unlock()
-		return len(slicePool.classes[class])
-	}
-	n := pooled()
-	w := parent.Window(grid.NewBox(grid.IV(1, 1, 1), grid.IV(4, 4, 4)))
-	w.Recycle()
-	w.Recycle() // idempotent, like a cell's
-	if w.Data() != nil {
-		t.Fatal("recycled window still holds storage")
-	}
-	if pooled() != n {
-		t.Fatalf("recycling a window changed the pool: %d -> %d buffers", n, pooled())
-	}
-	if parent.At(grid.IV(2, 2, 2)) != 3 {
-		t.Fatal("recycling a window damaged the parent")
-	}
-	parent.Recycle()
-	if pooled() != n+1 {
-		t.Fatalf("recycling the parent did not return its storage: %d -> %d buffers", n, pooled())
-	}
-}
-
 // CopyRegion against the obvious cell-by-cell copy, over the shapes ghost
 // exchange produces — one-cell-wide faces in every direction, edges,
 // corners, whole boxes — between fields whose strides differ (different
