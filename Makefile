@@ -35,35 +35,34 @@ examples:
 		echo "== $$d"; $(GO) run ./$$d > /dev/null; done
 	@echo "examples: all ok"
 
-# Race-check every package. Real cross-goroutine traffic lives in the
-# sharded engine and the MPI model it drives, the runner pool (its
-# determinism guard runs real simulations on concurrent workers), sunserver
-# and its journal, scheduler's tile queue (its workers, and the ranks that
+# Race-check every package. A simulation runs on one host thread — the
+# sharded engine runs its shard windows one after another on the caller's
+# goroutine — so real cross-goroutine traffic lives in: the runner pool (its
+# determinism guard runs real simulations on concurrent workers); sunserver
+# and its journal; scheduler's tile queue (its workers, and the ranks that
 # run queued tiles while they wait, write main-memory storage directly
 # through field/athread windows; scheduler's and core's tests drive it at
-# GOMAXPROCS 1 and 2), burgers' phi cache (shared by every tile of a task)
-# and grid's build-on-first-use ghost-geometry table; the rest cost a
-# second each. The full-sweep experiments tests and sim's whole-simulation
-# tests are minutes-long under the race detector, hence -short there. This
-# is also the shard gate: core's TestShardedBitIdentical holds the
+# GOMAXPROCS 1 and 2); burgers' phi cache (shared by every tile of a task)
+# and grid's profile cache; field's slice pool; grid's build-on-first-use
+# ghost-geometry table; and obs's progress bus. The rest cost a second
+# each. The full-sweep experiments tests and sim's whole-simulation tests
+# are minutes-long under the race detector, hence -short there. This is
+# also the shard gate: core's TestShardedBitIdentical holds the
 # conservative engine (core.Config.Shards, set only by bench/ and the
 # tests) byte-identical to serial at shards 1/2/4/8, experiments'
-# TestExecShardDeterminism does so
-# end to end through SpecConfig, and sim's TestShardSet* cover the
-# window/mail machinery, the latency-matrix and the mail-storm edge cases.
-# And it is the reference gate: sim's TestLazyClocksMatchReference (both
-# engines), core's TestShardedBitIdentical cases on the serial engine and
-# mpisim's exchange properties hold every fast path (lazy process clocks,
-# messages decided at post, one park per wait, persistent requests on
-# channels, a sender steps ahead of its receiver) byte-identical to the
-# engine's reference mode (Engine.SetReference: every Charge a Sleep, every
-# message an event); sim's run at its -short sizes, and its 250-case
-# comparison, TestPaperMatrixMatchesReference, is skipped (tier-1 runs it).
-# mpisim runs whole, at GOMAXPROCS 1 and 2: its one-rank-per-shard runs
-# make one-shot channels from several shards at once.
+# TestExecShardDeterminism does so end to end through SpecConfig, and
+# sim's TestShardSet* cover the window/mail machinery, the latency-matrix
+# and the mail-storm edge cases. And it is the reference gate: sim's
+# TestLazyClocksMatchReference (both engines), core's
+# TestShardedBitIdentical cases on the serial engine and mpisim's exchange
+# properties hold every fast path (lazy process clocks, messages decided at
+# post, one park per wait, persistent requests on channels, a sender steps
+# ahead of its receiver) byte-identical to the engine's reference mode
+# (Engine.SetReference: every Charge a Sleep, every message an event);
+# sim's run at its -short sizes, and its 250-case comparison,
+# TestPaperMatrixMatchesReference, is skipped (tier-1 runs it).
 race:
-	$(GO) test -race -count=1 $$($(GO) list ./... | grep -v -e /internal/experiments -e /internal/sim -e /internal/mpisim)
-	$(GO) test -race -count=1 -cpu 1,2 ./internal/mpisim/
+	$(GO) test -race -count=1 $$($(GO) list ./... | grep -v -e /internal/experiments -e /internal/sim)
 	$(GO) test -race -short -count=1 ./internal/experiments/ ./internal/sim/
 
 # Coverage floor on the observability layer (the flight recorder and the

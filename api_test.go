@@ -30,9 +30,6 @@ var uncalled = map[string]string{
 	"burgers.VectorSystem.VectorSerialSolve": "the runtime-free reference the coupled system's tests compare against",
 	"heat3d.SerialSolve":                     "the runtime-free reference heat3d's tests compare the scheduled runs against",
 	"workload.Scenario.Canonical":            "the canonical form workload's golden and fuzz tests pin",
-	"sim.ShardSet.NumShards":                 "sharded-engine introspection; goes with the sharded engine",
-	"sim.ShardSet.Lookahead":                 "sharded-engine introspection; goes with the sharded engine",
-	"sim.ShardSet.PairLookahead":             "sharded-engine introspection; goes with the sharded engine",
 	"sim.ShardSet.Post":                      "raw cross-shard posting the window tests drive; goes with the sharded engine",
 }
 

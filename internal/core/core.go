@@ -13,8 +13,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"sunuintah/internal/faults"
 	"sunuintah/internal/field"
@@ -38,10 +36,10 @@ type Config struct {
 	PatchCounts grid.IVec
 	// NumCGs is the number of core groups (MPI ranks).
 	NumCGs int
-	// Shards partitions the ranks into that many host-parallel engine
-	// shards advanced by a conservative lookahead coordinator; 0 (or 1)
-	// runs the classic serial engine. Results are bit-identical for every
-	// value — sharding is purely a wall-clock knob, clamped to NumCGs.
+	// Shards partitions the ranks into that many engine shards, advanced
+	// in lookahead windows one after another on the caller's goroutine;
+	// 0 (or 1) runs the classic serial engine. Results are bit-identical
+	// for every value, which is clamped to NumCGs.
 	// Plans that can crash a core group force serial execution (a crash is
 	// an immediate global teardown, incompatible with lookahead).
 	Shards int
@@ -65,10 +63,11 @@ type Config struct {
 	// timestep — the live feed behind sunserver's SSE endpoint. Step is
 	// the 0-based global timestep; Done/Total count (rank, step) pairs
 	// within the current Run segment; Seq and Dropped are left for the
-	// bus. It is called from simulation goroutines (several concurrently
-	// under sharding), so it must be cheap and concurrency-safe; it can
-	// observe the run but never affect it, and like Obs it stays outside
-	// the runner's content hash.
+	// bus. It is called from the simulation's rank processes, one at a
+	// time, so it must be cheap; simulations that run at once (the runner
+	// pool's) may share it, so it must be concurrency-safe. It can observe
+	// the run but never affect it, and like Obs it stays outside the
+	// runner's content hash.
 	Progress func(obs.ProgressEvent)
 }
 
@@ -107,9 +106,6 @@ type Simulation struct {
 	eng    *sim.Engine
 	engs   []*sim.Engine
 	shards *sim.ShardSet
-	// runMu guards the error/crash fields written by concurrently
-	// executing shard goroutines.
-	runMu sync.Mutex
 	// stepsDone and timeDone track progress across multiple Run calls, so
 	// a simulation can be advanced, checkpointed, and advanced further.
 	stepsDone int
@@ -438,7 +434,7 @@ func (s *Simulation) Run(nSteps int) (*Result, error) {
 	}
 	stepEnds := make([][]sim.Time, len(s.Ranks))
 	var firstErr error
-	var progDone atomic.Int64
+	var progDone int64
 	progTotal := int64(nSteps) * int64(len(s.Ranks))
 	for r, rk := range s.Ranks {
 		r, rk := r, rk
@@ -484,20 +480,19 @@ func (s *Simulation) Run(nSteps int) (*Result, error) {
 					// Fail at the rank's clock, so the first error in virtual
 					// time is the one reported.
 					p.Sync()
-					s.runMu.Lock()
 					if firstErr == nil {
 						firstErr = fmt.Errorf("rank %d step %d: %w", r, step, err)
 					}
-					s.runMu.Unlock()
 					s.stopFrom(p)
 					return
 				}
 				prevDur = p.Now() - stepStart
 				stepEnds[r][i] = p.Now()
 				if s.Cfg.Progress != nil {
+					progDone++
 					s.Cfg.Progress(obs.ProgressEvent{
 						Rank: r, Step: step, Steps: nSteps,
-						Done: progDone.Add(1), Total: progTotal,
+						Done: progDone, Total: progTotal,
 						VirtualSeconds: float64(p.Now()),
 					})
 				}

@@ -10,7 +10,7 @@
 // seed and plan yields an identical fault history (and therefore
 // byte-identical results) regardless of how many worker goroutines execute
 // sibling runs — and, because each rank owns its streams, regardless of how
-// the sharded engine interleaves ranks across host cores.
+// the sharded engine partitions ranks into shards and orders their windows.
 package faults
 
 import (
@@ -19,8 +19,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"sunuintah/internal/rng"
 )
@@ -282,17 +280,16 @@ const (
 // Injector performs the seeded draws for one simulation. The message and
 // offload categories keep one stream per rank, created on first use: a
 // rank's draw sequence depends only on its own fault sites, in their
-// engine-serialised order, never on how other ranks' draws interleave.
-// That makes the injector safe for the sharded engine, where different
-// ranks draw concurrently from different host threads — stream creation is
-// mutex-guarded and tallies are atomic; the draws themselves are only ever
-// made by the owning rank. The crash stream stays global (a crash point is
-// drawn once per run, outside engine execution).
+// engine-serialised order, never on how other ranks' draws interleave —
+// so the sharded engine, which runs ranks' windows in shard order rather
+// than virtual-time order, draws the same faults as the serial one. An
+// injector belongs to one simulation and is never used from two goroutines
+// at once. The crash stream stays global (a crash point is drawn once per
+// run, outside engine execution).
 type Injector struct {
 	plan       Plan
 	crashState *rng.Stream
 
-	mu        sync.Mutex
 	msgStates map[int]*rng.Stream
 	offStates map[int]*rng.Stream
 
@@ -318,17 +315,13 @@ func NewInjector(p *Plan) *Injector {
 
 // state returns rank's stream for the category, creating it on first use.
 // Stream derivation lives in internal/rng (rank 0's streams coincide with
-// the historical per-category ones). Only the map access is locked: the
-// returned stream is advanced by the owning rank alone, which the engine
-// serialises.
+// the historical per-category ones).
 func (i *Injector) state(m map[int]*rng.Stream, stream, rank int) *rng.Stream {
-	i.mu.Lock()
 	st, ok := m[rank]
 	if !ok {
 		st = rng.NewSub(i.plan.Seed, stream, rank)
 		m[rank] = st
 	}
-	i.mu.Unlock()
 	return st
 }
 
@@ -347,17 +340,17 @@ func (i *Injector) MsgFate(rank int) (drop, dup, delay, degrade bool) {
 	delay = st.Uniform() < i.plan.Delay
 	degrade = st.Uniform() < i.plan.Degrade
 	if drop {
-		atomic.AddInt64(&i.Counts.MsgsDropped, 1)
+		i.Counts.MsgsDropped++
 		return true, false, false, false
 	}
 	if dup {
-		atomic.AddInt64(&i.Counts.MsgsDuplicated, 1)
+		i.Counts.MsgsDuplicated++
 	}
 	if delay {
-		atomic.AddInt64(&i.Counts.MsgsDelayed, 1)
+		i.Counts.MsgsDelayed++
 	}
 	if degrade {
-		atomic.AddInt64(&i.Counts.MsgsDegraded, 1)
+		i.Counts.MsgsDegraded++
 	}
 	return drop, dup, delay, degrade
 }
@@ -371,11 +364,11 @@ func (i *Injector) OffloadFate(rank int) (stall bool, factor float64) {
 	stallDraw := st.Uniform() < i.plan.Stall
 	straggleDraw := st.Uniform() < i.plan.Straggle
 	if stallDraw {
-		atomic.AddInt64(&i.Counts.OffloadStalls, 1)
+		i.Counts.OffloadStalls++
 		return true, 1
 	}
 	if straggleDraw {
-		atomic.AddInt64(&i.Counts.Stragglers, 1)
+		i.Counts.Stragglers++
 		return false, StraggleFactor
 	}
 	return false, 1

@@ -54,7 +54,6 @@ package mpisim
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"sunuintah/internal/faults"
 	"sunuintah/internal/obs"
@@ -79,16 +78,12 @@ type Comm struct {
 	rec *trace.Recorder
 
 	// chans finds a stream's channel by its key (streamKey) when a request
-	// is made; no message looks it up. Ranks make their requests on their
-	// own engines, several shards at once under sharding, so the lock
-	// serialises the making; a channel's contents are touched only on its
-	// destination's engine.
-	chanMu sync.Mutex
-	chans  map[uint64]*channel
+	// is made; no message looks it up. A channel's contents are touched
+	// only on its destination's engine.
+	chans map[uint64]*channel
 
 	// Collectives in flight, matched across ranks by call index; an entry
 	// is released once every rank has read its result.
-	collMu      sync.Mutex
 	collectives map[int]*collective
 }
 
@@ -169,8 +164,6 @@ func (c *Comm) Rank(r int) *Rank {
 // use in dst's slab.
 func (c *Comm) channel(src, dst, n int, oneShot bool) *channel {
 	k := streamKey(src, dst, n, oneShot)
-	c.chanMu.Lock()
-	defer c.chanMu.Unlock()
 	if ch := c.chans[k]; ch != nil {
 		return ch
 	}
@@ -774,14 +767,13 @@ type collective struct {
 // last rank arrives, and each rank's completion fires on its own engine —
 // under sharding through the barrier mailbox in rank order (tagged mail),
 // so neither the float reduction order nor the wake order depends on
-// which shard's contribution happened to land last in wall-clock time.
+// which shard's contribution happened to be executed last.
 func (r *Rank) Allreduce(p *sim.Process, x float64, op ReduceOp) float64 {
 	c := r.comm
 	idx := r.nextColl
 	r.nextColl++
 	p.Sleep(sim.Time(c.params.ReduceBaseCost))
 
-	c.collMu.Lock()
 	coll := c.collectives[idx]
 	if coll == nil {
 		coll = &collective{op: op,
@@ -790,7 +782,6 @@ func (r *Rank) Allreduce(p *sim.Process, x float64, op ReduceOp) float64 {
 		c.collectives[idx] = coll
 	}
 	if coll.op != op {
-		c.collMu.Unlock()
 		panic("mpisim: mismatched collective operations across ranks")
 	}
 	coll.contrib[r.rank] = x
@@ -825,8 +816,9 @@ func (r *Rank) Allreduce(p *sim.Process, x float64, op ReduceOp) float64 {
 				r.eng().CallAfter(delay, coll.sigs[q])
 			}
 		} else {
-			// Sharded: the wall-clock-last contributor is nondeterministic,
-			// so the fires travel as tagged barrier mail keyed by
+			// Sharded: which contributor executes last depends on the order
+			// the shards run their windows, not on virtual time, so the
+			// fires travel as tagged barrier mail keyed by
 			// (fireAt, lastAt, collective, rank) — injected in the same
 			// order whichever shard posts them. The fire lies at least a
 			// full tree latency past every shard's window, so it is never
@@ -837,15 +829,10 @@ func (r *Rank) Allreduce(p *sim.Process, x float64, op ReduceOp) float64 {
 			}
 		}
 	}
-	sig := coll.sigs[r.rank]
-	c.collMu.Unlock()
-	sig.Wait(p)
-	c.collMu.Lock()
-	result := coll.result
+	coll.sigs[r.rank].Wait(p)
 	coll.read++
 	if coll.read == c.Size() {
 		delete(c.collectives, idx)
 	}
-	c.collMu.Unlock()
-	return result
+	return coll.result
 }

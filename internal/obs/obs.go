@@ -6,9 +6,9 @@
 // Prometheus-style metrics registry for the HTTP service.
 //
 // Determinism is the design constraint that shapes everything here. The
-// sharded engine executes ranks on concurrent host goroutines, and events
-// that share a virtual instant execute in different wall-clock (and seq)
-// orders between the serial and sharded engines. A literal "sampler
+// sharded engine runs each shard's window in turn, so events that share a
+// virtual instant execute in different host (and seq) orders between the
+// serial and sharded engines. A literal "sampler
 // process" — a periodic engine event reading global state — would
 // therefore observe different same-instant intermediate states per shard
 // count, and scheduling extra events would itself perturb the FIFO
@@ -17,7 +17,7 @@
 //   - No events. Probes are updated inline by the instrumented code paths
 //     and carry timestamps from the owning rank's engine clock.
 //   - Per-rank ownership. Each rank's RankProbes is touched only by that
-//     rank's engine events, so sharded runs race on nothing.
+//     rank's engine events, so no rank sees another's intermediate state.
 //   - Lazy grid commit. A Series holds its current value and commits
 //     fixed-interval grid samples only when a later transition proves the
 //     value held through them, so the sample at grid instant t reflects

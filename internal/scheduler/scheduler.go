@@ -250,8 +250,7 @@ func New(cfg Config, graph *taskgraph.Graph, cg *sw26010.CoreGroup, mpi *mpisim.
 // initRequests makes the rank's persistent requests, one per edge. The
 // first step makes them, not New: a simulation that never steps pays
 // nothing, and building a simulation costs what it did when every step
-// took its requests from a pool. Under sharding ranks make them
-// concurrently; mpisim serialises the making of channels.
+// took its requests from a pool.
 func (s *Rank) initRequests() {
 	g := s.graph
 	s.recvReqs = make([]mpisim.Request, len(g.Recvs))

@@ -16,8 +16,8 @@ import (
 // every charge synchronises: same per-process log, same final clocks,
 // fewer events.
 
-// advLog is one engine's execution log. Shards run concurrently, so every
-// engine appends to its own.
+// advLog is one engine's execution log. Shards run their windows in turn,
+// not in virtual-time order, so every engine appends to its own.
 type advLog []string
 
 func (l *advLog) add(e *Engine, format string, args ...any) {

@@ -8,9 +8,10 @@ import (
 	"time"
 )
 
-// withGOMAXPROCS runs fn as a subtest at each thread count, so the inline
-// (GOMAXPROCS < shards) and the worker dispatch are both covered whatever
-// the host has.
+// withGOMAXPROCS runs fn as a subtest at each thread count. A ShardSet
+// runs every window on the caller's goroutine whatever the host has, so a
+// result that moves with GOMAXPROCS is a regression: dispatch that again
+// depends on the thread count, or state shared off the caller's goroutine.
 func withGOMAXPROCS(t *testing.T, fn func(t *testing.T)) {
 	t.Helper()
 	for _, procs := range []int{1, 2, 8} {
@@ -22,8 +23,8 @@ func withGOMAXPROCS(t *testing.T, fn func(t *testing.T)) {
 }
 
 // TestShardSetAcrossGOMAXPROCS reruns the shard-coordinator tests at 1, 2
-// and 8 threads. They use 2 to 4 shards: all inline at 1, all on workers at
-// 8, and split by shard count at 2.
+// and 8 threads. They use 2 to 4 shards, so 8 leaves a thread to spare for
+// every shard and 1 leaves none; each must pass the same at all three.
 func TestShardSetAcrossGOMAXPROCS(t *testing.T) {
 	tests := map[string]func(*testing.T){
 		"PingPong":         TestShardSetPingPongMatchesSerial,
@@ -216,8 +217,8 @@ func TestStopReleasesParkedProcesses(t *testing.T) {
 
 // TestProcessPanicSurfacesFromRun: a panic in a process body is raised out
 // of Run on the caller's goroutine — where a caller can recover it — on the
-// serial engine and on a ShardSet (inline or on workers, by GOMAXPROCS),
-// and the surviving parked processes are released.
+// serial engine and on a ShardSet, and the surviving parked processes are
+// released.
 func TestProcessPanicSurfacesFromRun(t *testing.T) {
 	mustPanic := func(name string, run func() Time) {
 		t.Helper()

@@ -2,10 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // mailItem is one staged cross-shard event: a callback (a closure or an
@@ -70,7 +67,7 @@ func siftDownMail(items []mailItem, i, n int) {
 	}
 }
 
-// ShardSet is a conservative parallel discrete-event coordinator: it owns
+// ShardSet is a conservative discrete-event coordinator: it owns
 // S engines (shards), each with its own calendar and process set, and
 // advances them in lookahead windows. The lookahead is a per-shard-pair
 // latency matrix: lat[j][i] is the minimum virtual latency of any
@@ -94,13 +91,11 @@ type ShardSet struct {
 	// diagonal is unused (same-shard effects are ordinary calendar
 	// events). Entries may be Infinity (that pair never interacts).
 	lat     [][]Time
-	minLat  Time
-	stopReq atomic.Bool
+	stopReq bool
 
 	// inbox[d] is shard d's reusable merge buffer at the barrier.
 	inbox [][]mailItem
 	next  []Time
-	ends  []Time
 }
 
 // NewShardSet creates n engines coordinated with one uniform lookahead for
@@ -133,7 +128,6 @@ func NewShardSetLatencies(lat [][]Time) *ShardSet {
 	if n < 1 {
 		panic("sim: shard set needs at least one engine")
 	}
-	min := Infinity
 	own := make([][]Time, n)
 	for i, row := range lat {
 		if len(row) != n {
@@ -148,14 +142,11 @@ func NewShardSetLatencies(lat [][]Time) *ShardSet {
 			if l <= 0 {
 				panic(fmt.Sprintf("sim: non-positive lookahead %v for shard pair (%d,%d)", l, i, j))
 			}
-			if l < min {
-				min = l
-			}
 		}
 	}
-	ss := &ShardSet{lat: own, minLat: min,
+	ss := &ShardSet{lat: own,
 		inbox: make([][]mailItem, n),
-		next:  make([]Time, n), ends: make([]Time, n)}
+		next:  make([]Time, n)}
 	for i := 0; i < n; i++ {
 		e := NewEngine()
 		e.shardSet = ss
@@ -166,23 +157,13 @@ func NewShardSetLatencies(lat [][]Time) *ShardSet {
 	return ss
 }
 
-// NumShards returns the number of engines.
-func (ss *ShardSet) NumShards() int { return len(ss.engines) }
-
 // Engine returns shard i's engine.
 func (ss *ShardSet) Engine(i int) *Engine { return ss.engines[i] }
-
-// Lookahead returns the narrowest pair lookahead — the uniform window
-// width a matrix-free coordinator would have used.
-func (ss *ShardSet) Lookahead() Time { return ss.minLat }
-
-// PairLookahead returns the minimum latency of an i -> j interaction.
-func (ss *ShardSet) PairLookahead(i, j int) Time { return ss.lat[i][j] }
 
 // Post schedules fn to run at absolute time at on dst. With dst the
 // posting engine it is a plain ScheduleAt; otherwise the event is staged
 // in src's per-destination outbox and injected at the next barrier, which
-// requires at >= src.Now() + PairLookahead(src, dst). Must be called from
+// requires at >= src.Now() + lat[src][dst]. Must be called from
 // src's executing event (or before Run starts).
 func (ss *ShardSet) Post(src, dst *Engine, at Time, fn func()) {
 	if src == dst {
@@ -254,9 +235,9 @@ func (ss *ShardSet) PostTagged(src, dst *Engine, at, postTime Time, tag uint64, 
 }
 
 // RequestStop asks the coordinator to stop every shard at the next
-// barrier. Safe to call from any shard's goroutine (it is how a shard
-// propagates Engine.Stop or Interrupt to its siblings).
-func (ss *ShardSet) RequestStop() { ss.stopReq.Store(true) }
+// barrier. It is how a shard's event propagates Engine.Stop or Interrupt
+// to its siblings.
+func (ss *ShardSet) RequestStop() { ss.stopReq = true }
 
 // Interrupted returns the first interrupt reason recorded on any shard,
 // in shard order, or "".
@@ -338,13 +319,15 @@ func (ss *ShardSet) Flush() {
 // shard i may run to min over other shards j of (next_j + lat[j][i]), so
 // a shard only throttles on neighbours that can reach it, and a shard
 // that is alone in a stretch of virtual time crosses it in one window —
-// and executes the eligible shards (see windowRunner).
+// and executes the eligible shards one after another on the caller's
+// goroutine. Shards within a window are independent by construction, so
+// running them in parallel would give the same results, but on the
+// 128-rank halo case a step is ~1500 barriers of ~2.4 runnable shards and
+// ~7 events (~3 us) each: handing a window to another thread costs more
+// than the window (DESIGN.md §7, "Window dispatch").
 func (ss *ShardSet) Run() Time {
-	wr := newWindowRunner(ss.engines)
-	defer wr.close()
-	// A panic leaving the loop — a process body's, on whichever goroutine
-	// ran its shard, or the deadlock report — ends the run as surely as a
-	// stop does.
+	// A panic leaving the loop — a process body's or the deadlock report —
+	// ends the run as surely as a stop does.
 	defer func() {
 		if r := recover(); r != nil {
 			ss.releaseProcesses()
@@ -356,7 +339,7 @@ func (ss *ShardSet) Run() Time {
 
 		// Propagate stops and interrupts recorded during the last window.
 		reason := ss.Interrupted()
-		stopped := ss.stopReq.Load()
+		stopped := ss.stopReq
 		for _, e := range ss.engines {
 			if e.stopped {
 				stopped = true
@@ -401,9 +384,7 @@ func (ss *ShardSet) Run() Time {
 		// The shard holding the globally earliest event is always
 		// runnable (its window end exceeds its next event by at least the
 		// smallest positive pair lookahead), so progress is guaranteed.
-		runnable := 0
-		last := -1
-		for i := range ss.engines {
+		for i, e := range ss.engines {
 			end := Infinity
 			for j := range ss.engines {
 				if j == i || ss.next[j] == Infinity {
@@ -413,13 +394,10 @@ func (ss *ShardSet) Run() Time {
 					end = w
 				}
 			}
-			ss.ends[i] = end
 			if ss.next[i] < end {
-				runnable++
-				last = i
+				e.RunWindow(end)
 			}
 		}
-		wr.run(ss.next, ss.ends, runnable, last)
 	}
 }
 
@@ -427,92 +405,5 @@ func (ss *ShardSet) Run() Time {
 func (ss *ShardSet) releaseProcesses() {
 	for _, e := range ss.engines {
 		e.releaseProcesses()
-	}
-}
-
-// windowRunner executes the runnable shards of one barrier-to-barrier
-// window. Results are identical however it dispatches — shards within a
-// window are independent by construction — so the choice is purely
-// wall-clock: with at least one schedulable thread per shard, persistent
-// workers (one per shard, parked on a channel between windows: two channel
-// operations per shard-window rather than a goroutine spawn) run the shards
-// in parallel; with fewer, every window runs inline on the coordinator. On
-// the 128-rank halo case a step is ~1500 barriers of ~2.4 runnable shards
-// and ~7 events (~3 us) each, so waking a worker costs more than the window
-// it would run, and threads that must time-share shards only add that cost
-// (DESIGN.md §7, "Window dispatch").
-type windowRunner struct {
-	engines []*Engine
-	work    []chan Time // nil: inline
-	wg      sync.WaitGroup
-	// panicked[i] is the value shard i's worker recovered this window.
-	panicked []any
-}
-
-func newWindowRunner(engines []*Engine) *windowRunner {
-	w := &windowRunner{engines: engines}
-	n := len(engines)
-	if n == 1 || runtime.GOMAXPROCS(0) < n {
-		return w
-	}
-	w.work = make([]chan Time, n)
-	w.panicked = make([]any, n)
-	for i := range w.work {
-		w.work[i] = make(chan Time, 1)
-		go func(i int) {
-			for end := range w.work[i] {
-				w.runShard(i, end)
-			}
-		}(i)
-	}
-	return w
-}
-
-// runShard is one worker's window. A panic out of it (a process body's,
-// re-raised by its resume) is handed to the coordinator instead of killing
-// the program from a goroutine no caller can recover on.
-func (w *windowRunner) runShard(i int, end Time) {
-	defer func() {
-		w.panicked[i] = recover()
-		w.wg.Done()
-	}()
-	w.engines[i].RunWindow(end)
-}
-
-// run executes every shard i with next[i] < ends[i]; runnable counts them
-// and last is the highest such i.
-func (w *windowRunner) run(next, ends []Time, runnable, last int) {
-	if runnable == 1 {
-		// Lone-runner fast path: no other shard can be affected before
-		// this shard's window end, so run it on this goroutine.
-		w.engines[last].RunWindow(ends[last])
-		return
-	}
-	if w.work == nil {
-		for i, e := range w.engines {
-			if next[i] < ends[i] {
-				e.RunWindow(ends[i])
-			}
-		}
-		return
-	}
-	w.wg.Add(runnable)
-	for i := range w.engines {
-		if next[i] < ends[i] {
-			w.work[i] <- ends[i]
-		}
-	}
-	w.wg.Wait()
-	for _, r := range w.panicked {
-		if r != nil {
-			panic(r) // the lowest shard's, so the choice is deterministic
-		}
-	}
-}
-
-// close releases the workers.
-func (w *windowRunner) close() {
-	for _, ch := range w.work {
-		close(ch)
 	}
 }

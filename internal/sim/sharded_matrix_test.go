@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -44,24 +43,19 @@ func TestShardSetLatencyMatrixValidation(t *testing.T) {
 	mustPanic("zero uniform", func() { NewShardSet(2, 0) })
 
 	// Asymmetric finite entries plus an Infinity pair: the diagonal is
-	// ignored, Lookahead reports the global minimum, PairLookahead the
-	// entries.
+	// ignored and the pair entries are kept as given.
 	ss := NewShardSetLatencies([][]Time{
 		{-1, 2 * Microsecond, Infinity},
 		{Microsecond, -1, 3 * Microsecond},
 		{Infinity, 4 * Microsecond, -1},
 	})
-	if got := ss.Lookahead(); got != Microsecond {
-		t.Fatalf("Lookahead() = %v, want %v", got, Microsecond)
-	}
-	if got := ss.PairLookahead(0, 1); got != 2*Microsecond {
-		t.Fatalf("PairLookahead(0,1) = %v, want %v", got, 2*Microsecond)
-	}
-	if got := ss.PairLookahead(1, 0); got != Microsecond {
-		t.Fatalf("PairLookahead(1,0) = %v, want %v", got, Microsecond)
-	}
-	if got := ss.PairLookahead(0, 2); got != Infinity {
-		t.Fatalf("PairLookahead(0,2) = %v, want Infinity", got)
+	for _, c := range []struct {
+		i, j int
+		want Time
+	}{{0, 1, 2 * Microsecond}, {1, 0, Microsecond}, {0, 2, Infinity}} {
+		if got := ss.lat[c.i][c.j]; got != c.want {
+			t.Fatalf("lat[%d][%d] = %v, want %v", c.i, c.j, got, c.want)
+		}
 	}
 }
 
@@ -80,12 +74,6 @@ func TestShardSetAsymmetricMatrixMatchesSerial(t *testing.T) {
 
 	run := func(engOf func(i int) *Engine, send func(src, dst int, at Time, fn func()), drive func() Time) (map[string]Time, Time) {
 		log := make(map[string]Time)
-		var mu sync.Mutex
-		note := func(key string, at Time) {
-			mu.Lock()
-			log[key] = at
-			mu.Unlock()
-		}
 		var hop func(from, to, n int)
 		hop = func(from, to, n int) {
 			if n >= hops {
@@ -95,7 +83,7 @@ func TestShardSetAsymmetricMatrixMatchesSerial(t *testing.T) {
 			e := engOf(from)
 			at := e.Now() + wire
 			send(from, to, at, func() {
-				note(fmt.Sprintf("hop %d->%d #%d", from, to, n), engOf(to).Now())
+				log[fmt.Sprintf("hop %d->%d #%d", from, to, n)] = engOf(to).Now()
 				// Bounce between 0 and 1, detouring via 2 every 8th hop
 				// so the slow pair sees traffic too.
 				next := 1 - to

@@ -3,9 +3,34 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
+	"runtime"
 	"testing"
 )
+
+// TestShardSetRunsOnCallersGoroutine: Run executes every shard window on
+// the caller's goroutine, even with a thread to spare for each of four
+// always-runnable shards. A process's coroutine exists from Spawn on, so
+// no goroutine may appear once Run starts.
+func TestShardSetRunsOnCallersGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	ss := NewShardSet(4, Microsecond)
+	peak := 0
+	for i := 0; i < 4; i++ {
+		ss.Engine(i).Spawn(fmt.Sprintf("p%d", i), func(p *Process) {
+			for k := 0; k < 10; k++ {
+				p.Sleep(Microsecond / 2)
+				if n := runtime.NumGoroutine(); n > peak {
+					peak = n
+				}
+			}
+		})
+	}
+	base := runtime.NumGoroutine()
+	ss.Run()
+	if peak > base {
+		t.Fatalf("%d goroutines during Run, %d before it: shard windows left the caller's goroutine", peak, base)
+	}
+}
 
 // TestShardSetPingPongMatchesSerial models two ranks exchanging timestamped
 // messages with a wire latency of 2µs (≥ the 1µs lookahead) and asserts the
@@ -17,12 +42,11 @@ func TestShardSetPingPongMatchesSerial(t *testing.T) {
 
 	type post func(srcRank, dstRank int, at Time, fn func())
 
-	// Concurrent shard windows interleave their wall-clock side effects, so
+	// Shards run their windows in shard order, not in virtual-time order, so
 	// the comparison keys each hop by identity and checks its virtual
 	// timestamp — the quantity the engine promises to reproduce exactly.
 	run := func(engOf func(rank int) *Engine, send post, drive func() Time) (log map[string]Time, end Time) {
 		log = make(map[string]Time)
-		var mu sync.Mutex
 		var hop func(from, to, n int)
 		hop = func(from, to, n int) {
 			if n >= hops {
@@ -31,9 +55,7 @@ func TestShardSetPingPongMatchesSerial(t *testing.T) {
 			e := engOf(from)
 			at := e.Now() + wire
 			send(from, to, at, func() {
-				mu.Lock()
 				log[fmt.Sprintf("hop %d->%d #%d", from, to, n)] = engOf(to).Now()
-				mu.Unlock()
 				hop(to, from, n+1)
 			})
 		}
@@ -71,7 +93,7 @@ func TestShardSetPingPongMatchesSerial(t *testing.T) {
 
 // TestShardSetMailTieOrder posts cross-shard mail from every shard to shard 0
 // at one shared delivery instant and asserts execution follows the canonical
-// (at, postTime, srcShard, seq) order, not goroutine scheduling order.
+// (at, postTime, srcShard, seq) order, not the order it was posted in.
 func TestShardSetMailTieOrder(t *testing.T) {
 	ss := NewShardSet(4, Microsecond)
 	var got []int

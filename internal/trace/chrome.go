@@ -41,9 +41,9 @@ func laneOf(k Kind) int {
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	events := []chromeEvent{}
 	if r != nil {
-		snap := r.snapshot()
-		SortEvents(snap)
-		for _, e := range snap {
+		sorted := r.Events()
+		SortEvents(sorted)
+		for _, e := range sorted {
 			events = append(events, chromeEvent{
 				Name:     e.Name,
 				Category: string(e.Kind),

@@ -10,7 +10,6 @@ import (
 	"io"
 	"slices"
 	"strings"
-	"sync"
 
 	"sunuintah/internal/sim"
 )
@@ -47,9 +46,9 @@ type Event struct {
 func (e Event) Duration() sim.Time { return e.End - e.Start }
 
 // Recorder accumulates events. The zero value is usable; a nil recorder
-// discards everything.
+// discards everything. A recorder belongs to one simulation, whose ranks
+// record one at a time, and is read once the run is over.
 type Recorder struct {
-	mu     sync.Mutex
 	events []Event
 }
 
@@ -66,48 +65,31 @@ func NewFromEvents(events []Event) *Recorder {
 	return r
 }
 
-// Add records one interval. Safe on a nil receiver and safe for
-// concurrent use — the sharded engine records from several host threads.
-// Insertion order is host order — across shard threads, and across ranks
-// running ahead of the calendar — so order-sensitive consumers sort; one
-// rank's own events arrive in its program order (WriteTimeline shows one
-// rank).
+// Add records one interval. Safe on a nil receiver. Insertion order is
+// host order — across shards, which run their windows in shard order, and
+// across ranks running ahead of the calendar — so order-sensitive
+// consumers sort; one rank's own events arrive in its program order
+// (WriteTimeline shows one rank).
 func (r *Recorder) Add(ev Event) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	r.events = append(r.events, ev)
-	r.mu.Unlock()
 }
 
-// snapshot returns a consistent copy of the event slice. Every reader
-// goes through it: Add may be appending concurrently from another shard's
-// host thread, and handing out the live slice would race on both the
-// header and the backing array.
-func (r *Recorder) snapshot() []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.events) == 0 {
-		return nil
-	}
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
-	return out
-}
-
-// Events returns a copy of all recorded events in insertion order.
+// Events returns a copy of all recorded events in insertion order, which
+// the caller may sort in place.
 func (r *Recorder) Events() []Event {
-	return r.snapshot()
+	if r == nil || len(r.events) == 0 {
+		return nil
+	}
+	return slices.Clone(r.events)
 }
 
 // Sorted returns a copy of events in canonical order: (Start, End, Rank,
-// Step, Kind, Name). Concurrent shard threads append in wall-clock
-// arrival order, so exported timelines must be canonicalised to stay
-// byte-identical across -shards/-workers settings.
+// Step, Kind, Name). Shards and ranks running ahead of the calendar
+// append out of virtual-time order, so exported timelines must be
+// canonicalised to stay byte-identical across -shards/-workers settings.
 func Sorted(events []Event) []Event {
 	out := make([]Event, len(events))
 	copy(out, events)
@@ -117,7 +99,7 @@ func Sorted(events []Event) []Event {
 
 // SortEvents sorts events in place into the same canonical order as
 // Sorted. Callers that already own their slice (a Recorder.Events
-// snapshot) use it to avoid a second copy of the whole timeline; the
+// copy) use it to avoid a second copy of the whole timeline; the
 // concrete-typed comparison also sorts several times faster than the
 // reflection-based sort.Slice path, which matters because this sort is
 // the biggest single post-processing cost of an observed run.
@@ -143,8 +125,11 @@ func SortEvents(events []Event) {
 // WriteTimeline renders a compact per-rank textual timeline, most useful
 // for small runs.
 func (r *Recorder) WriteTimeline(w io.Writer, rank int, maxEvents int) {
+	if r == nil {
+		return
+	}
 	n := 0
-	for _, e := range r.snapshot() {
+	for _, e := range r.events {
 		if e.Rank != rank {
 			continue
 		}
