@@ -65,13 +65,19 @@ race:
 	$(GO) test -race -count=1 $$($(GO) list ./... | grep -v -e /internal/experiments -e /internal/sim)
 	$(GO) test -race -short -count=1 ./internal/experiments/ ./internal/sim/
 
-# Coverage floor on the observability layer (the flight recorder and the
-# trace recorder): pure logic with deterministic outputs, kept above 80%.
+# Coverage floors: the observability layer (the flight recorder and the
+# trace recorder), pure logic with deterministic outputs, kept above 80%;
+# and the MPI model, whose API is only what the scheduler calls, so its own
+# tests must reach all of it, kept above 90%.
 cover:
 	$(GO) test -count=1 -coverprofile=cover.out ./internal/obs/ ./internal/trace/
 	@$(GO) tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $$3); \
 		if ($$3+0 < 80) { printf "coverage %.1f%% is below the 80%% floor\n", $$3; exit 1 } \
 		else { printf "observability coverage %.1f%% (floor 80%%)\n", $$3 } }'
+	$(GO) test -count=1 -coverprofile=cover.out ./internal/mpisim/
+	@$(GO) tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $$3); \
+		if ($$3+0 < 90) { printf "mpisim coverage %.1f%% is below the 90%% floor\n", $$3; exit 1 } \
+		else { printf "mpisim coverage %.1f%% (floor 90%%)\n", $$3 } }'
 
 # The benchmark module's own gate. bench/ is a separate module (it pins
 # go 1.22 and replaces sunuintah with ../), so the root's vet and test never

@@ -24,8 +24,6 @@ var uncalled = map[string]string{
 	"scheduler.Config.Variant": "the variant name reports print for a config; scheduler's tests read it",
 	"sim.Process.Done":         "whether a process body returned; sim's tests read it",
 	"sim.Engine.SetReference":  "the reference-mode switch every fast path is tested against; only tests set it",
-	"mpisim.Rank.Isend":        "the one-shot send on the persistent requests' channel code; mpisim's exchange properties drive it",
-	"mpisim.Rank.Irecv":        "the one-shot receive on the persistent requests' channel code; mpisim's exchange properties drive it",
 
 	"burgers.VectorSystem.VectorSerialSolve": "the runtime-free reference the coupled system's tests compare against",
 	"heat3d.SerialSolve":                     "the runtime-free reference heat3d's tests compare the scheduled runs against",

@@ -225,8 +225,8 @@ func TestPeakMemoryIsChainFootprint(t *testing.T) {
 // one rank adds — in the order it adds them — must start at non-decreasing
 // virtual times, on both engines, with and without fault injection (which
 // turns the lazy charges off). Spans are recorded when they end and
-// fault-plane markers when they happen — a marker drawn inside an Isend
-// precedes the Isend's span — so the two are checked separately.
+// fault-plane markers when they happen — a marker drawn inside a send's
+// start precedes the send's span — so the two are checked separately.
 func TestRankClockMonotone(t *testing.T) {
 	cells, patches := grid.IV(16, 16, 16), grid.IV(2, 2, 2)
 	for _, mode := range []scheduler.Mode{scheduler.ModeAsync, scheduler.ModeSync} {

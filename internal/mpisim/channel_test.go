@@ -24,35 +24,37 @@ func (c *Comm) channels(dst int) []*channel {
 	return out
 }
 
-// waiting returns how many started receives and how many messages wait in
-// the channels into rank dst.
+// waiting returns how many started receives with no message yet and how
+// many messages wait in the channels into rank dst.
 func (c *Comm) waiting(dst int) (recvs, msgs int) {
 	for _, ch := range c.channels(dst) {
-		recvs += ch.recvs.len()
+		if ch.waiting() != nil {
+			recvs++
+		}
 		msgs += ch.msgs.len()
 	}
 	return recvs, msgs
 }
 
-// mostHeld returns the most entries one channel of c holds, and whether
-// some channel holds both receives and messages.
+// mostHeld returns the most messages one channel of c holds, and whether
+// some channel holds messages while its receive waits.
 func mostHeld(c *Comm) (most int, mixed bool) {
 	for r := range c.ranks {
 		for _, ch := range c.channels(r) {
-			most = max(most, ch.recvs.len(), ch.msgs.len())
-			mixed = mixed || ch.recvs.len() > 0 && ch.msgs.len() > 0
+			most = max(most, ch.msgs.len())
+			mixed = mixed || ch.waiting() != nil && ch.msgs.len() > 0
 		}
 	}
 	return most, mixed
 }
 
-// checkChannels fails unless every channel holds receives or messages, not
-// both, and returns the most entries one holds.
+// checkChannels fails unless no channel holds messages while its receive
+// waits, and returns the most messages one holds.
 func checkChannels(t *testing.T, c *Comm) int {
 	t.Helper()
 	most, mixed := mostHeld(c)
 	if mixed {
-		t.Fatal("a channel holds both receives and messages")
+		t.Fatal("a channel holds messages while its receive waits")
 	}
 	return most
 }
@@ -99,23 +101,25 @@ func TestFifoMatchesList(t *testing.T) {
 	}
 }
 
-// TestPropertyMatchingFollowsPostingOrder: rounds of random one-shot posts
-// among four ranks, on few tags so (src, tag) streams repeat within a
+// TestPropertyMatchingFollowsPostingOrder: rounds of random posts among
+// four ranks, on few streams per pair of ranks so streams repeat within a
 // round and across rounds, hand every message to the receive MPI's
-// non-overtaking rule names — per (src, dst, tag), the k-th receive posted
+// non-overtaking rule names — per stream, the k-th start of its receive
 // takes the k-th message sent — on the pairing path (one engine, no
-// injector: sends pair with waiting receives or wait in the channel) and in
-// the engine's reference mode (every message delivered by an event, matched
-// against waiting receives or left in the channel). No channel ever holds
-// both receives and messages, some hold several of one, and all are empty
-// at the end.
+// injector: sends pair with a waiting receive or wait in the channel) and
+// in the engine's reference mode (every message delivered by an event,
+// matched against a waiting receive or left in the channel). Each stream
+// has one send and one receive request, each restarted only once
+// complete: a post on a stream whose receive is still in progress is kept
+// for the restart. No channel ever holds messages while its receive
+// waits, some hold several, and all are empty at the end.
 func TestPropertyMatchingFollowsPostingOrder(t *testing.T) {
-	const ranks, rounds, tags = 4, 40, 3
+	const ranks, rounds, streams = 4, 40, 3
 	seeds := 8
 	if testing.Short() {
 		seeds = 2
 	}
-	type key struct{ src, dst, tag int }
+	type key struct{ src, dst, n int }
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		for _, reference := range []bool{false, true} {
 			rng := rand.New(rand.NewSource(seed))
@@ -123,7 +127,7 @@ func TestPropertyMatchingFollowsPostingOrder(t *testing.T) {
 			eng.SetReference(reference)
 			c := NewComm(eng, exactParams(), ranks)
 			// want[k] lists the ids of k's messages in send order, got[k]
-			// the ids its receives took, in posting order.
+			// the ids its receive took, in start order.
 			want, got := map[key][]int{}, map[key][]int{}
 			most := 0
 			// Every round draws each rank's sends and the matching receives,
@@ -132,7 +136,7 @@ func TestPropertyMatchingFollowsPostingOrder(t *testing.T) {
 			type post struct {
 				send   bool
 				peer   int
-				tag    int
+				n      int
 				id     int
 				charge sim.Time
 			}
@@ -140,14 +144,14 @@ func TestPropertyMatchingFollowsPostingOrder(t *testing.T) {
 			id := 0
 			for round := 0; round < rounds; round++ {
 				ops := make([][]post, ranks)
-				for n := rng.Intn(40 * ranks); n > 0; n-- {
-					src, dst, tag := rng.Intn(ranks), rng.Intn(ranks), rng.Intn(tags)
-					ops[src] = append(ops[src], post{send: true, peer: dst, tag: tag, id: id})
-					ops[dst] = append(ops[dst], post{peer: src, tag: tag})
+				for k := rng.Intn(40 * ranks); k > 0; k-- {
+					src, dst, n := rng.Intn(ranks), rng.Intn(ranks), rng.Intn(streams)
+					ops[src] = append(ops[src], post{send: true, peer: dst, n: n, id: id})
+					ops[dst] = append(ops[dst], post{peer: src, n: n})
 					id++
 				}
 				for r := range ops {
-					for n := rng.Intn(len(ops[r]) + 1); n > 0; n-- {
+					for k := rng.Intn(len(ops[r]) + 1); k > 0; k-- {
 						ops[r] = append(ops[r], post{charge: sim.Time(1+rng.Intn(16)) * 0.25})
 					}
 					rng.Shuffle(len(ops[r]), func(i, j int) { ops[r][i], ops[r][j] = ops[r][j], ops[r][i] })
@@ -158,29 +162,51 @@ func TestPropertyMatchingFollowsPostingOrder(t *testing.T) {
 				r := r
 				eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Process) {
 					rk := c.Rank(r)
-					for _, round := range scripts[r] {
-						type recv struct {
-							k   key
-							req *Request
+					// Requests by peer*streams+n. live marks a receive
+					// started and not yet taken; kept counts the posts
+					// waiting for its restart.
+					sends := make([]Request, ranks*streams)
+					recvs := make([]Request, ranks*streams)
+					live := make([]bool, ranks*streams)
+					kept := make([]int, ranks*streams)
+					for peer := 0; peer < ranks; peer++ {
+						for n := 0; n < streams; n++ {
+							rk.SendInit(&sends[peer*streams+n], peer, n, 8)
+							rk.RecvInit(&recvs[peer*streams+n], peer, n)
 						}
-						var recvs []recv
+					}
+					for _, round := range scripts[r] {
 						for _, op := range round {
+							i := op.peer*streams + op.n
 							switch {
 							case op.charge > 0:
 								rk.Charge(p, op.charge)
 							case op.send:
-								k := key{r, op.peer, op.tag}
+								for !rk.Test(p, &sends[i]) {
+								}
+								k := key{r, op.peer, op.n}
 								want[k] = append(want[k], op.id)
-								rk.Isend(p, op.peer, op.tag, []float64{float64(op.id)}, 8)
+								rk.Start(p, &sends[i], op.n, []float64{float64(op.id)})
+							case live[i]:
+								kept[i]++
 							default:
-								recvs = append(recvs, recv{key{op.peer, r, op.tag}, rk.Irecv(p, op.peer, op.tag)})
+								rk.Start(p, &recvs[i], op.n, nil)
+								live[i] = true
 							}
 							most = max(most, checkChannels(t, c))
 						}
-						for _, rv := range recvs {
-							await(p, rk, rv.req)
-							got[rv.k] = append(got[rv.k], int(rv.req.Payload()[0]))
-							most = max(most, checkChannels(t, c))
+						for i := range recvs {
+							for live[i] {
+								await(p, rk, &recvs[i])
+								k := key{i / streams, r, i % streams}
+								got[k] = append(got[k], int(recvs[i].Payload()[0]))
+								live[i] = kept[i] > 0
+								if live[i] {
+									kept[i]--
+									rk.Start(p, &recvs[i], i%streams, nil)
+								}
+								most = max(most, checkChannels(t, c))
+							}
 						}
 					}
 				})
@@ -197,7 +223,7 @@ func TestPropertyMatchingFollowsPostingOrder(t *testing.T) {
 				}
 			}
 			if most < 4 {
-				t.Errorf("seed %d reference=%v: no channel held more than %d entries", seed, reference, most)
+				t.Errorf("seed %d reference=%v: no channel held more than %d messages", seed, reference, most)
 			}
 		}
 	}
@@ -337,10 +363,9 @@ type aheadLog struct {
 
 // runAhead runs m on the engine(s) on selects, under plan when it is not
 // nil, and returns what it observes and the most messages one channel held
-// after a rank's starts. persistent runs every stream on one persistent
-// request per end; otherwise each step posts one-shot requests with
-// step-folded tags, as the scheduler did before it kept its requests.
-func runAhead(m aheadModel, on exchangeEngine, plan *faults.Plan, persistent bool) (aheadLog, int) {
+// after a rank's starts. Every stream runs on one request per end, started
+// once a step with a step-folded tag, as the scheduler's are.
+func runAhead(m aheadModel, on exchangeEngine, plan *faults.Plan) (aheadLog, int) {
 	params := perf.DefaultParams()
 	engs, c, run := newExchangeComm(params, m.ranks, on)
 	if plan != nil {
@@ -377,16 +402,9 @@ func runAhead(m aheadModel, on exchangeEngine, plan *faults.Plan, persistent boo
 						req := &reqs[i]
 						if send {
 							rk.Charge(p, st.pack)
-						}
-						switch {
-						case persistent && send:
 							rk.Start(p, req, tag(i), []float64{float64(step)})
-						case persistent:
+						} else {
 							rk.Start(p, req, tag(i), nil)
-						case send:
-							req = rk.Isend(p, st.dst, tag(i), []float64{float64(step)}, st.bytes)
-						default:
-							req = rk.Irecv(p, st.src, tag(i))
 						}
 						live = append(live, pending{i, req})
 					}
@@ -437,8 +455,7 @@ func runAhead(m aheadModel, on exchangeEngine, plan *faults.Plan, persistent boo
 // exchanges, where senders run steps ahead of their receivers and a
 // channel holds several messages, persistent requests on one serial engine
 // observe what the engine's reference mode does, and what one rank per
-// shard does, and so do one-shot requests with step-folded tags; every
-// receive takes its own step's message.
+// shard does; every receive takes its own step's message.
 func TestPropertyRunAheadMatchesReference(t *testing.T) {
 	seeds := 1000
 	if testing.Short() {
@@ -447,7 +464,7 @@ func TestPropertyRunAheadMatchesReference(t *testing.T) {
 	most := 0
 	f := func(seed int64) bool {
 		m := newAheadModel(rand.New(rand.NewSource(seed)))
-		want, _ := runAhead(m, referenceEngine, nil, true)
+		want, _ := runAhead(m, referenceEngine, nil)
 		for i, got := range want.Received {
 			for step, s := range got {
 				if s != step {
@@ -456,16 +473,13 @@ func TestPropertyRunAheadMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		for _, run := range []struct {
-			on         exchangeEngine
-			persistent bool
-		}{{fastEngine, true}, {perShard, true}, {fastEngine, false}, {referenceEngine, false}} {
-			got, held := runAhead(m, run.on, nil, run.persistent)
+		for _, on := range []exchangeEngine{fastEngine, perShard} {
+			got, held := runAhead(m, on, nil)
 			most = max(most, held)
 			got.Events = want.Events
 			if !reflect.DeepEqual(got, want) {
-				t.Logf("seed %d, %d ranks, %d streams, engine %d, persistent %v:\ngot       %+v\nreference %+v",
-					seed, m.ranks, len(m.streams), run.on, run.persistent, got, want)
+				t.Logf("seed %d, %d ranks, %d streams, engine %d:\ngot       %+v\nreference %+v",
+					seed, m.ranks, len(m.streams), on, got, want)
 				return false
 			}
 		}
@@ -480,25 +494,20 @@ func TestPropertyRunAheadMatchesReference(t *testing.T) {
 }
 
 // TestRunAheadFaultCounters: the run-ahead model under a fault plan with
-// drops, duplicates, delays and degraded links observes the same with
-// persistent and with one-shot requests, on the fast engine and in the
-// reference mode, and its executed events, resends, discarded duplicates
-// and final clocks over 40 seeds are the ones recorded with one-shot
-// requests matched by (source, tag) queues, before channels.
+// drops, duplicates, delays and degraded links observes the same on the
+// fast engine and in the reference mode, and its executed events, resends,
+// discarded duplicates and final clocks over 40 seeds are the ones
+// recorded with one-shot requests matched by (source, tag) queues, before
+// channels.
 func TestRunAheadFaultCounters(t *testing.T) {
 	var got [3]int64
 	var clocks sim.Time
 	for seed := int64(0); seed < 40; seed++ {
 		m := newAheadModel(rand.New(rand.NewSource(seed)))
 		plan := &faults.Plan{Seed: uint64(seed), Drop: 0.15, Dup: 0.2, Delay: 0.15, Degrade: 0.1}
-		want, _ := runAhead(m, fastEngine, plan, false)
-		for _, run := range []struct {
-			on         exchangeEngine
-			persistent bool
-		}{{fastEngine, true}, {referenceEngine, true}, {referenceEngine, false}} {
-			if log, _ := runAhead(m, run.on, plan, run.persistent); !reflect.DeepEqual(log, want) {
-				t.Fatalf("seed %d, engine %d, persistent %v:\ngot  %+v\nwant %+v", seed, run.on, run.persistent, log, want)
-			}
+		want, _ := runAhead(m, fastEngine, plan)
+		if log, _ := runAhead(m, referenceEngine, plan); !reflect.DeepEqual(log, want) {
+			t.Fatalf("seed %d, reference mode:\ngot  %+v\nwant %+v", seed, log, want)
 		}
 		got[0] += int64(want.Events)
 		for r, st := range want.Stats {

@@ -1,6 +1,6 @@
 // Package mpisim is a simulated MPI subset sufficient for the Uintah
-// scheduler: non-blocking point-to-point sends and receives, persistent
-// or one-shot, request testing, and blocking reductions.
+// scheduler: persistent non-blocking point-to-point sends and receives,
+// request testing, and blocking reductions.
 //
 // Two behaviours of real MPI that the paper's scheduler design depends on
 // are modelled faithfully:
@@ -23,12 +23,11 @@
 // every pair of ranks (taskgraph.Edge.Chan); the scheduler makes one
 // persistent request per stream end when it is built (SendInit, RecvInit)
 // and starts each once a step (Start), as MPI_Send_init, MPI_Recv_init and
-// MPI_Start do. The one-shot Isend and Irecv run the same code on a stream
-// per (source, destination, tag). A channel's order is the matching rule,
-// MPI's non-overtaking one: the k-th receive started on it takes the k-th
-// message sent on it. A channel keeps, in place, a FIFO of started
-// receives with no message yet and one of messages with no receive yet,
-// and a request holds its channel, so no match scans or looks anything up.
+// MPI_Start do. A stream has one receive request, which its channel holds.
+// A channel's order is the matching rule, MPI's non-overtaking one: the
+// k-th start of its receive takes the k-th message sent on it. A channel
+// keeps, in place, a FIFO of messages with no receive started yet, and a
+// request holds its channel, so no match scans or looks anything up.
 //
 // On a shared engine with no fault injector a message and its receive
 // pair when the later of the two is started, so the receive knows its
@@ -87,18 +86,14 @@ type Comm struct {
 	collectives map[int]*collective
 }
 
-// streamKey packs a stream's ranks and number — the compiled Chan of a
-// persistent request, the tag of a one-shot one — into a map key.
-func streamKey(src, dst, n int, oneShot bool) uint64 {
+// streamKey packs a stream's ranks and number, the compiled Chan of its
+// requests, into a map key.
+func streamKey(src, dst, n int) uint64 {
 	const lim = 1 << 21
 	if uint(src) >= lim || uint(dst) >= lim || uint(n) >= lim {
 		panic(fmt.Sprintf("mpisim: stream %d->%d number %d out of range", src, dst, n))
 	}
-	k := uint64(src)<<42 | uint64(dst)<<21 | uint64(n)
-	if oneShot {
-		k |= 1 << 63
-	}
-	return k
+	return uint64(src)<<42 | uint64(dst)<<21 | uint64(n)
 }
 
 // SetFaults attaches a fault injector (and an optional trace recorder for
@@ -162,8 +157,8 @@ func (c *Comm) Rank(r int) *Rank {
 
 // channel returns the channel of stream n from src to dst, made on first
 // use in dst's slab.
-func (c *Comm) channel(src, dst, n int, oneShot bool) *channel {
-	k := streamKey(src, dst, n, oneShot)
+func (c *Comm) channel(src, dst, n int) *channel {
+	k := streamKey(src, dst, n)
 	if ch := c.chans[k]; ch != nil {
 		return ch
 	}
@@ -270,21 +265,29 @@ func (r *Rank) sendCall(dst int, delay sim.Time, c sim.Caller) {
 
 // channel is one stream of messages into rank dst. It is touched only on
 // dst's engine: by dst's receives and deliveries, and by the sends of ranks
-// sharing that engine. Receives and messages meet in order, so at most one
-// of its FIFOs holds anything.
+// sharing that engine. A started receive takes the oldest message, so msgs
+// is empty while recv waits (waiting).
 type channel struct {
-	dst   *Rank
-	recvs fifo[*Request] // started receives with no message yet
-	msgs  fifo[message]  // messages with no receive yet
+	dst  *Rank
+	recv *Request      // the stream's receive (RecvInit)
+	msgs fifo[message] // messages with no receive started yet
 
 	// delivered is the fault plane's duplicate filter: the number of the
 	// last transmission delivered here (numbers rise in send order). Only
 	// a duplicate can arrive with a number at or below it: a send
-	// completes when its message arrives, a persistent send starts again
-	// only once complete, and one-shot sends on one stream must not
-	// overlap under faults either; so originals arrive in send order, and
-	// a duplicate lands after its original.
+	// completes when its message arrives and starts again only once
+	// complete, so originals arrive in send order, and a duplicate lands
+	// after its original.
 	delivered int64
+}
+
+// waiting returns the channel's receive if it is started and has no
+// message yet.
+func (ch *channel) waiting() *Request {
+	if q := ch.recv; q != nil && !q.decided && !q.matched {
+		return q
+	}
+	return nil
 }
 
 // fifo is a ring buffer kept in place: push hands out the slot to fill,
@@ -343,9 +346,8 @@ type message struct {
 // freelist-managed per rank (getMsg/putMsg) and recycled once delivered.
 func (m *message) Call() { m.ch.dst.deliver(m) }
 
-// Request is the handle of a non-blocking operation: persistent (SendInit,
-// RecvInit), started once a step for the whole simulation, or one-shot
-// (Isend, Irecv).
+// Request is the handle of a persistent non-blocking operation (SendInit,
+// RecvInit), started once a step for the whole simulation.
 type Request struct {
 	sig     sim.Signal
 	ch      *channel  // the stream it sends on or receives from
@@ -407,40 +409,21 @@ func (q *Request) Payload() []float64 { return q.payload }
 // rank's streams to dst (taskgraph.Edge.Chan). Each Start sends one
 // message; until the first, req tests complete.
 func (r *Rank) SendInit(req *Request, dst, ch int, bytes int64) {
-	r.initSend(req, r.comm.channel(r.rank, dst, ch, false), bytes)
-}
-
-// RecvInit makes req, a zero Request, a persistent receive from rank src
-// on stream ch (see SendInit). Each Start receives the stream's next
-// message.
-func (r *Rank) RecvInit(req *Request, src, ch int) {
-	req.ch, req.matched = r.comm.channel(src, r.rank, ch, false), true
-}
-
-func (r *Rank) initSend(req *Request, ch *channel, bytes int64) {
 	if bytes < 0 {
 		panic("mpisim: negative message size")
 	}
-	req.ch, req.isSend, req.bytes, req.matched = ch, true, bytes, true
+	req.ch, req.isSend, req.bytes, req.matched = r.comm.channel(r.rank, dst, ch), true, bytes, true
 }
 
-// Isend posts a one-shot non-blocking send of payload (may be nil) with
-// the given on-wire size to rank dst with the given tag, on the stream of
-// (this rank, dst, tag) (see Start).
-func (r *Rank) Isend(p *sim.Process, dst, tag int, payload []float64, bytes int64) *Request {
-	req := new(Request)
-	r.initSend(req, r.comm.channel(r.rank, dst, tag, true), bytes)
-	r.Start(p, req, tag, payload)
-	return req
-}
-
-// Irecv posts a one-shot non-blocking receive for a message from src with
-// the given tag, on the stream of (src, this rank, tag): per (src, tag),
-// the k-th receive posted takes the k-th message (see Start).
-func (r *Rank) Irecv(p *sim.Process, src, tag int) *Request {
-	req := &Request{ch: r.comm.channel(src, r.rank, tag, true), matched: true}
-	r.Start(p, req, tag, nil)
-	return req
+// RecvInit makes req, a zero Request, the receive of stream ch from rank
+// src (see SendInit); a stream has one, so a second panics. Each Start
+// receives the stream's next message.
+func (r *Rank) RecvInit(req *Request, src, ch int) {
+	c := r.comm.channel(src, r.rank, ch)
+	if c.recv != nil {
+		panic(fmt.Sprintf("mpisim: second receive on stream %d->%d number %d", src, r.rank, ch))
+	}
+	c.recv, req.ch, req.matched = req, c, true
 }
 
 // Start begins req's next incarnation, charging the calling process the
@@ -473,10 +456,10 @@ func (r *Rank) Start(p *sim.Process, req *Request, tag int, payload []float64) {
 // reference mode (sim.Engine.SetReference), every send goes down the fault
 // plane's path instead (transmit): an event delivers the message and
 // another completes the send. When both ranks share an engine the message
-// pairs with the channel's first waiting receive or waits in the channel
-// for one (see startRecv), and no event is scheduled, unless the paired
-// receive's owner is parked on it: then its signal fires at the arrival,
-// issued at the sender's clock. Across engines the delivery is scheduled
+// pairs with the channel's waiting receive or waits in the channel for the
+// receive's next start (see startRecv), and no event is scheduled, unless
+// the paired receive's owner is parked on it: then its signal fires at the
+// arrival, issued at the sender's clock. Across engines the delivery is scheduled
 // from the sender's clock.
 func (r *Rank) startSend(req *Request, tag int, payload []float64) {
 	ch, dst := req.ch, req.ch.dst.rank
@@ -497,9 +480,8 @@ func (r *Rank) startSend(req *Request, tag int, payload []float64) {
 		env := r.getMsg()
 		*env = message{ch: ch, payload: payload, bytes: req.bytes, sentAt: now, arrivesAt: arrives}
 		r.sendCall(dst, wire, env)
-	case ch.recvs.len() > 0:
-		q := *ch.recvs.front()
-		ch.recvs.drop()
+	case ch.waiting() != nil:
+		q := ch.recv
 		ch.dst.pair(q, payload, req.bytes, now, arrives)
 		if q.sig.Waiting() {
 			q.firing = true
@@ -609,13 +591,12 @@ func (c *Comm) mark(rank int, kind trace.Kind, name string, st *sendState) {
 // wire from this engine pairs: the receive completes at its arrival, which
 // may lie before the Start's clock. One an event delivered completes the
 // receive at the Start's clock. The pairing is the same in either
-// interleaving — the k-th receive started takes the k-th message — and so
+// interleaving — the receive's k-th start takes the k-th message — and so
 // is every later observation: every Test compares doneAt with a clock
 // after the Start.
 func (r *Rank) startRecv(req *Request) {
 	ch := req.ch
 	if ch.msgs.len() == 0 {
-		*ch.recvs.push() = req
 		return
 	}
 	m := ch.msgs.front()
@@ -651,9 +632,7 @@ func (r *Rank) deliver(m *message) {
 		}
 		ch.delivered = m.seq
 	}
-	if ch.recvs.len() > 0 {
-		q := *ch.recvs.front()
-		ch.recvs.drop()
+	if q := ch.waiting(); q != nil {
 		r.complete(q, m.payload, m.bytes)
 	} else {
 		w := ch.msgs.push()

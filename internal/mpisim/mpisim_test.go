@@ -3,12 +3,15 @@ package mpisim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"sunuintah/internal/faults"
+	"sunuintah/internal/obs"
 	"sunuintah/internal/perf"
 	"sunuintah/internal/sim"
+	"sunuintah/internal/trace"
 )
 
 func newComm(size int) (*sim.Engine, *Comm) {
@@ -16,15 +19,129 @@ func newComm(size int) (*sim.Engine, *Comm) {
 	return eng, NewComm(eng, perf.DefaultParams(), size)
 }
 
+// sendOnce makes a send of bytes from r to dst on stream ch and starts it
+// once with payload, labelled with the stream number: a persistent request
+// started once is a one-shot send.
+func sendOnce(p *sim.Process, r *Rank, dst, ch int, payload []float64, bytes int64) *Request {
+	req := new(Request)
+	r.SendInit(req, dst, ch, bytes)
+	r.Start(p, req, ch, payload)
+	return req
+}
+
+// recvOnce makes the receive of stream ch from src into r and starts it
+// once.
+func recvOnce(p *sim.Process, r *Rank, src, ch int) *Request {
+	req := new(Request)
+	r.RecvInit(req, src, ch)
+	r.Start(p, req, ch, nil)
+	return req
+}
+
+// TestSecondRecvInitOnStreamPanics: a stream has one receive, bound to its
+// channel by RecvInit, so a second RecvInit on the stream panics, while
+// another stream from the same source, or the same stream number from
+// another source, takes its own.
+func TestSecondRecvInitOnStreamPanics(t *testing.T) {
+	_, c := newComm(3)
+	r := c.Rank(1)
+	var a, b, d Request
+	r.RecvInit(&a, 0, 3)
+	r.RecvInit(&b, 0, 4)
+	r.RecvInit(&d, 2, 3)
+	defer func() {
+		if recover() == nil {
+			t.Error("a second RecvInit on stream 0->1 number 3 did not panic")
+		}
+	}()
+	var e Request
+	r.RecvInit(&e, 0, 3)
+}
+
+// TestMisusePanics: a negative size, a stream number or rank out of range,
+// an engine list of the wrong length and a restart of a receive still
+// waiting for its message each panic.
+func TestMisusePanics(t *testing.T) {
+	eng, c := newComm(2)
+	if got := c.Rank(1).RankID(); got != 1 {
+		t.Fatalf("RankID = %d, want 1", got)
+	}
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"negative size", func() { c.Rank(0).SendInit(new(Request), 1, 0, -1) }},
+		{"stream number out of range", func() { c.Rank(0).RecvInit(new(Request), 1, 1<<21) }},
+		{"rank out of range", func() { c.Rank(2) }},
+		{"engines for the wrong size", func() { c.Shard(nil, []*sim.Engine{eng}) }},
+		{"restart of a waiting receive", func() {
+			var req Request
+			c.Rank(1).RecvInit(&req, 0, 0)
+			eng.Spawn("rank1", func(p *sim.Process) {
+				c.Rank(1).Start(p, &req, 0, nil)
+				c.Rank(1).Start(p, &req, 0, nil)
+			})
+			eng.Run()
+		}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", tc.name)
+				}
+			}()
+			tc.call()
+		}()
+	}
+}
+
+// TestObsProbesFollowSends: with the flight recorder attached, a send's
+// message and bytes count as in flight from its post to its arrival, and
+// under a plan that drops every transmission the sender's fault and
+// recovery counters and the trace's markers count the five drops and five
+// resends before the final attempt, which always delivers.
+func TestObsProbesFollowSends(t *testing.T) {
+	const bytes = 16 << 20
+	eng, c := newComm(2)
+	smp := obs.NewSampler(2)
+	c.SetObs(smp)
+	rec := trace.New()
+	c.SetFaults(faults.NewInjector(&faults.Plan{Seed: 1, Drop: 1}), rec)
+	eng.Spawn("rank0", func(p *sim.Process) {
+		await(p, c.Rank(0), sendOnce(p, c.Rank(0), 1, 3, nil, bytes))
+	})
+	eng.Spawn("rank1", func(p *sim.Process) {
+		await(p, c.Rank(1), recvOnce(p, c.Rank(1), 0, 3))
+	})
+	eng.Run()
+	r0 := smp.Report(eng.Now() + 1e-3).Ranks[0]
+	if most := slices.Max(r0.InflightBytes); most != bytes || slices.Max(r0.InflightMsgs) != 1 {
+		t.Errorf("at most %v bytes and %v messages in flight, want %d and 1", most, slices.Max(r0.InflightMsgs), bytes)
+	}
+	if r0.InflightMsgs[len(r0.InflightMsgs)-1] != 0 {
+		t.Error("a delivered message still counts as in flight")
+	}
+	faulted, recovered := r0.Faults[len(r0.Faults)-1], r0.Recoveries[len(r0.Recoveries)-1]
+	if faulted != 5 || recovered != 5 || c.Rank(0).Resends != 5 {
+		t.Errorf("%v faults, %v recoveries and %d resends, want 5 each", faulted, recovered, c.Rank(0).Resends)
+	}
+	if n := len(rec.Events()); n != 10 {
+		t.Errorf("%d fault-plane markers, want 10", n)
+	}
+	if got := rec.Events()[0].Name; got != "msg-drop dst=1 tag=3 try=1" {
+		t.Errorf("first marker %q", got)
+	}
+}
+
 func TestSendRecvDeliversPayload(t *testing.T) {
 	eng, c := newComm(2)
 	payload := []float64{1, 2, 3}
 	var got []float64
 	eng.Spawn("rank0", func(p *sim.Process) {
-		c.Rank(0).Isend(p, 1, 7, payload, 24)
+		sendOnce(p, c.Rank(0), 1, 7, payload, 24)
 	})
 	eng.Spawn("rank1", func(p *sim.Process) {
-		req := c.Rank(1).Irecv(p, 0, 7)
+		req := recvOnce(p, c.Rank(1), 0, 7)
 		await(p, c.Rank(1), req)
 		got = req.Payload()
 	})
@@ -38,13 +155,13 @@ func TestRecvBeforeSendMatches(t *testing.T) {
 	eng, c := newComm(2)
 	var doneAt sim.Time
 	eng.Spawn("rank1", func(p *sim.Process) {
-		req := c.Rank(1).Irecv(p, 0, 1)
+		req := recvOnce(p, c.Rank(1), 0, 1)
 		await(p, c.Rank(1), req)
 		doneAt = p.Now()
 	})
 	eng.Spawn("rank0", func(p *sim.Process) {
 		p.Sleep(5e-6)
-		c.Rank(0).Isend(p, 1, 1, nil, 1000)
+		sendOnce(p, c.Rank(0), 1, 1, nil, 1000)
 	})
 	eng.Run()
 	params := perf.DefaultParams()
@@ -60,11 +177,11 @@ func TestUnexpectedMessageQueue(t *testing.T) {
 	eng, c := newComm(2)
 	var got float64
 	eng.Spawn("rank0", func(p *sim.Process) {
-		c.Rank(0).Isend(p, 1, 9, []float64{42}, 8)
+		sendOnce(p, c.Rank(0), 1, 9, []float64{42}, 8)
 	})
 	eng.Spawn("rank1", func(p *sim.Process) {
 		p.Sleep(1e-3) // message arrives long before the receive posts
-		req := c.Rank(1).Irecv(p, 0, 9)
+		req := recvOnce(p, c.Rank(1), 0, 9)
 		if !c.Rank(1).Test(p, req) {
 			t.Error("late receive of arrived message should complete on first test")
 		}
@@ -76,48 +193,73 @@ func TestUnexpectedMessageQueue(t *testing.T) {
 	}
 }
 
-func TestTagAndSourceMatching(t *testing.T) {
+// TestStreamAndSourceMatching: a receive takes the messages of its own
+// stream, named by source and number; Start's tag plays no part.
+func TestStreamAndSourceMatching(t *testing.T) {
 	eng, c := newComm(3)
-	var fromTag1, fromTag2, fromRank2 float64
+	var fromCh1, fromCh2, fromRank2 float64
 	eng.Spawn("rank0", func(p *sim.Process) {
-		c.Rank(0).Isend(p, 1, 2, []float64{20}, 8)
-		c.Rank(0).Isend(p, 1, 1, []float64{10}, 8)
+		rk := c.Rank(0)
+		var a, b Request
+		rk.SendInit(&a, 1, 2, 8)
+		rk.SendInit(&b, 1, 1, 8)
+		rk.Start(p, &a, 1, []float64{20})
+		rk.Start(p, &b, 2, []float64{10})
 	})
 	eng.Spawn("rank2", func(p *sim.Process) {
-		c.Rank(2).Isend(p, 1, 1, []float64{30}, 8)
+		sendOnce(p, c.Rank(2), 1, 1, []float64{30}, 8)
 	})
 	eng.Spawn("rank1", func(p *sim.Process) {
-		r1 := c.Rank(1).Irecv(p, 0, 1)
-		r2 := c.Rank(1).Irecv(p, 0, 2)
-		r3 := c.Rank(1).Irecv(p, 2, 1)
+		r1 := recvOnce(p, c.Rank(1), 0, 1)
+		r2 := recvOnce(p, c.Rank(1), 0, 2)
+		r3 := recvOnce(p, c.Rank(1), 2, 1)
 		await(p, c.Rank(1), r1)
 		await(p, c.Rank(1), r2)
 		await(p, c.Rank(1), r3)
-		fromTag1, fromTag2, fromRank2 = r1.Payload()[0], r2.Payload()[0], r3.Payload()[0]
+		fromCh1, fromCh2, fromRank2 = r1.Payload()[0], r2.Payload()[0], r3.Payload()[0]
 	})
 	eng.Run()
-	if fromTag1 != 10 || fromTag2 != 20 || fromRank2 != 30 {
-		t.Fatalf("got %v %v %v", fromTag1, fromTag2, fromRank2)
+	if fromCh1 != 10 || fromCh2 != 20 || fromRank2 != 30 {
+		t.Fatalf("got %v %v %v", fromCh1, fromCh2, fromRank2)
 	}
 }
 
-func TestSameTagFIFOOrder(t *testing.T) {
-	eng, c := newComm(2)
-	var first, second float64
-	eng.Spawn("rank0", func(p *sim.Process) {
-		c.Rank(0).Isend(p, 1, 5, []float64{1}, 8)
-		c.Rank(0).Isend(p, 1, 5, []float64{2}, 8)
-	})
-	eng.Spawn("rank1", func(p *sim.Process) {
-		a := c.Rank(1).Irecv(p, 0, 5)
-		b := c.Rank(1).Irecv(p, 0, 5)
-		await(p, c.Rank(1), a)
-		await(p, c.Rank(1), b)
-		first, second = a.Payload()[0], b.Payload()[0]
-	})
-	eng.Run()
-	if first != 1 || second != 2 {
-		t.Fatalf("order = %v, %v", first, second)
+// TestStreamKeepsSendOrder: two messages sent back to back on one stream
+// wait in its channel, and its receive, restarted once complete, takes
+// them in send order — on the pairing path and in the reference mode,
+// where each is delivered by an event.
+func TestStreamKeepsSendOrder(t *testing.T) {
+	for _, reference := range []bool{false, true} {
+		eng := sim.NewEngine()
+		eng.SetReference(reference)
+		c := NewComm(eng, perf.DefaultParams(), 2)
+		var got []float64
+		eng.Spawn("rank0", func(p *sim.Process) {
+			rk := c.Rank(0)
+			var req Request
+			rk.SendInit(&req, 1, 5, 8)
+			rk.Start(p, &req, 5, []float64{1})
+			await(p, rk, &req)
+			rk.Start(p, &req, 5, []float64{2})
+		})
+		eng.Spawn("rank1", func(p *sim.Process) {
+			rk := c.Rank(1)
+			p.Sleep(1e-3) // both messages arrive first
+			if _, msgs := c.waiting(1); msgs != 2 {
+				t.Errorf("reference=%v: %d messages wait in the channel, want 2", reference, msgs)
+			}
+			var req Request
+			rk.RecvInit(&req, 0, 5)
+			for i := 0; i < 2; i++ {
+				rk.Start(p, &req, 5, nil)
+				await(p, rk, &req)
+				got = append(got, req.Payload()[0])
+			}
+		})
+		eng.Run()
+		if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+			t.Fatalf("reference=%v: order = %v", reference, got)
+		}
 	}
 }
 
@@ -126,10 +268,10 @@ func TestTestReflectsWireTime(t *testing.T) {
 	params := perf.DefaultParams()
 	bytes := int64(16 << 20) // 16 MB: 1 ms on the wire
 	eng.Spawn("rank0", func(p *sim.Process) {
-		c.Rank(0).Isend(p, 1, 1, nil, bytes)
+		sendOnce(p, c.Rank(0), 1, 1, nil, bytes)
 	})
 	eng.Spawn("rank1", func(p *sim.Process) {
-		req := c.Rank(1).Irecv(p, 0, 1)
+		req := recvOnce(p, c.Rank(1), 0, 1)
 		if c.Rank(1).Test(p, req) {
 			t.Error("16 MB message cannot complete instantly")
 		}
@@ -145,7 +287,7 @@ func TestTestChargesTime(t *testing.T) {
 	eng, c := newComm(2)
 	params := perf.DefaultParams()
 	eng.Spawn("rank1", func(p *sim.Process) {
-		req := c.Rank(1).Irecv(p, 0, 1)
+		req := recvOnce(p, c.Rank(1), 0, 1)
 		start := p.Now()
 		for i := 0; i < 100; i++ {
 			c.Rank(1).Test(p, req)
@@ -158,7 +300,7 @@ func TestTestChargesTime(t *testing.T) {
 	})
 	eng.Spawn("rank0", func(p *sim.Process) {
 		p.Sleep(1)
-		c.Rank(0).Isend(p, 1, 1, nil, 8)
+		sendOnce(p, c.Rank(0), 1, 1, nil, 8)
 	})
 	eng.Run()
 	if c.Rank(1).TestCalls != 100 {
@@ -169,14 +311,14 @@ func TestTestChargesTime(t *testing.T) {
 func TestSendRequestCompletesAfterWire(t *testing.T) {
 	eng, c := newComm(2)
 	eng.Spawn("rank0", func(p *sim.Process) {
-		req := c.Rank(0).Isend(p, 1, 1, nil, 16<<20)
+		req := sendOnce(p, c.Rank(0), 1, 1, nil, 16<<20)
 		if c.Rank(0).Test(p, req) {
 			t.Error("send of 16 MB should not complete instantly")
 		}
 		await(p, c.Rank(0), req)
 	})
 	eng.Spawn("rank1", func(p *sim.Process) {
-		await(p, c.Rank(1), c.Rank(1).Irecv(p, 0, 1))
+		await(p, c.Rank(1), recvOnce(p, c.Rank(1), 0, 1))
 	})
 	eng.Run()
 }
@@ -275,14 +417,14 @@ func TestDecidedReceiveTestIsLazy(t *testing.T) {
 	cost := sim.Time(params.MPITestCost)
 	wire := sim.Time(params.MessageTimeBetween(0, 1, 8))
 	eng.Spawn("rank0", func(p *sim.Process) {
-		c.Rank(0).Isend(p, 1, 1, []float64{7}, 8)
-		c.Rank(0).Isend(p, 1, 2, []float64{8}, 8)
+		sendOnce(p, c.Rank(0), 1, 1, []float64{7}, 8)
+		sendOnce(p, c.Rank(0), 1, 2, []float64{8}, 8)
 	})
 	eng.Spawn("rank1", func(p *sim.Process) {
 		r := c.Rank(1)
 		// Both ranks post at the same instant, so this charge brings rank 1
-		// to the arrival of tag 1.
-		pending := r.Irecv(p, 0, 1)
+		// to the arrival of stream 1.
+		pending := recvOnce(p, r, 0, 1)
 		p.Charge(wire)
 		ev, t0 := eng.EventsExecuted(), p.Now()
 		if !r.Test(p, pending) || pending.Payload()[0] != 7 {
@@ -294,7 +436,7 @@ func TestDecidedReceiveTestIsLazy(t *testing.T) {
 		}
 
 		p.Sleep(1e-3)
-		req := r.Irecv(p, 0, 2) // claims the message that arrived meanwhile
+		req := recvOnce(p, r, 0, 2) // claims the message that arrived meanwhile
 		ev, t0 = eng.EventsExecuted(), p.Now()
 		if !r.Test(p, req) || req.Payload()[0] != 8 {
 			t.Fatal("a receive of an arrived message is not complete")
@@ -325,7 +467,7 @@ func TestNoEventPerMessageOnOneEngine(t *testing.T) {
 		ev := eng.EventsExecuted()
 		reqs := make([]*Request, n)
 		for i := range reqs {
-			reqs[i] = r.Isend(p, 1, i, nil, 8)
+			reqs[i] = sendOnce(p, r, 1, i, nil, 8)
 		}
 		p.Charge(wire)
 		if !r.Test(p, reqs[0]) {
@@ -361,8 +503,8 @@ func TestFaultPlanEventCounts(t *testing.T) {
 			for round := 0; round < 3; round++ {
 				for s := 0; s < n; s++ {
 					if s != r {
-						reqs = append(reqs, rk.Irecv(p, s, round))
-						reqs = append(reqs, rk.Isend(p, s, round, nil, int64(8<<(4*round))))
+						reqs = append(reqs, recvOnce(p, rk, s, round))
+						reqs = append(reqs, sendOnce(p, rk, s, round, nil, int64(8<<(4*round))))
 					}
 				}
 				for _, req := range reqs {
@@ -411,12 +553,12 @@ func TestBarrierSynchronises(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	eng, c := newComm(2)
 	eng.Spawn("rank0", func(p *sim.Process) {
-		c.Rank(0).Isend(p, 1, 1, nil, 100)
-		c.Rank(0).Isend(p, 1, 2, nil, 200)
+		sendOnce(p, c.Rank(0), 1, 1, nil, 100)
+		sendOnce(p, c.Rank(0), 1, 2, nil, 200)
 	})
 	eng.Spawn("rank1", func(p *sim.Process) {
-		await(p, c.Rank(1), c.Rank(1).Irecv(p, 0, 1))
-		await(p, c.Rank(1), c.Rank(1).Irecv(p, 0, 2))
+		await(p, c.Rank(1), recvOnce(p, c.Rank(1), 0, 1))
+		await(p, c.Rank(1), recvOnce(p, c.Rank(1), 0, 2))
 	})
 	eng.Run()
 	if c.Rank(0).BytesSent != 300 || c.Rank(0).MsgsSent != 2 {
@@ -449,7 +591,7 @@ func TestPropertyRandomExchange(t *testing.T) {
 					if s == r {
 						continue
 					}
-					reqs = append(reqs, c.Rank(r).Irecv(p, s, 1))
+					reqs = append(reqs, recvOnce(p, c.Rank(r), s, 1))
 					slots = append(slots, s*n+r)
 				}
 				for d := 0; d < n; d++ {
@@ -458,7 +600,7 @@ func TestPropertyRandomExchange(t *testing.T) {
 					}
 					payload := []float64{float64(r*1000 + d)}
 					sent[r*n+d] = payload
-					c.Rank(r).Isend(p, d, 1, payload, 8)
+					sendOnce(p, c.Rank(r), d, 1, payload, 8)
 				}
 				for i, req := range reqs {
 					await(p, c.Rank(r), req)
@@ -490,17 +632,17 @@ func TestIntraNodeMessagesFasterThanInterNode(t *testing.T) {
 	bytes := int64(8 << 20)
 	var intra, inter sim.Time
 	eng.Spawn("rank0", func(p *sim.Process) {
-		c.Rank(0).Isend(p, 1, 1, nil, bytes) // same node
-		c.Rank(0).Isend(p, 4, 2, nil, bytes) // other node
+		sendOnce(p, c.Rank(0), 1, 1, nil, bytes) // same node
+		sendOnce(p, c.Rank(0), 4, 2, nil, bytes) // other node
 	})
 	eng.Spawn("rank1", func(p *sim.Process) {
 		start := p.Now()
-		await(p, c.Rank(1), c.Rank(1).Irecv(p, 0, 1))
+		await(p, c.Rank(1), recvOnce(p, c.Rank(1), 0, 1))
 		intra = p.Now() - start
 	})
 	eng.Spawn("rank4", func(p *sim.Process) {
 		start := p.Now()
-		await(p, c.Rank(4), c.Rank(4).Irecv(p, 0, 2))
+		await(p, c.Rank(4), recvOnce(p, c.Rank(4), 0, 2))
 		inter = p.Now() - start
 	})
 	eng.Run()

@@ -47,7 +47,7 @@ func TestPairedReceiveTestIsLazy(t *testing.T) {
 		c := NewComm(eng, exactParams(), 2)
 		recv := func(p *sim.Process) {
 			r := c.Rank(1)
-			req := r.Irecv(p, 0, 1)
+			req := recvOnce(p, r, 0, 1)
 			if recvFirst {
 				p.Sleep(0.5) // the send posts meanwhile and pairs with req
 			}
@@ -73,7 +73,7 @@ func TestPairedReceiveTestIsLazy(t *testing.T) {
 			eng.Spawn("rank1", recv)
 		}
 		eng.Spawn("rank0", func(p *sim.Process) {
-			c.Rank(0).Isend(p, 1, 1, []float64{7}, 8)
+			sendOnce(p, c.Rank(0), 1, 1, []float64{7}, 8)
 			if _, msgs := c.waiting(1); !recvFirst && msgs != 1 {
 				t.Errorf("an unclaimed send does not wait in the channel")
 			}
@@ -101,7 +101,7 @@ func TestReferenceReceiveIsAnEvent(t *testing.T) {
 		c := NewComm(eng, exactParams(), 2)
 		recv := func(p *sim.Process) {
 			r := c.Rank(1)
-			req := r.Irecv(p, 0, 1)
+			req := recvOnce(p, r, 0, 1)
 			if recvFirst {
 				p.Sleep(0.5) // the send posts meanwhile
 			}
@@ -125,7 +125,7 @@ func TestReferenceReceiveIsAnEvent(t *testing.T) {
 			eng.Spawn("rank1", recv)
 		}
 		eng.Spawn("rank0", func(p *sim.Process) {
-			req := c.Rank(0).Isend(p, 1, 1, []float64{7}, 8)
+			req := sendOnce(p, c.Rank(0), 1, 1, []float64{7}, 8)
 			if _, msgs := c.waiting(1); req.decided || msgs != 0 {
 				t.Errorf("recvFirst=%v: the send is decided (%v) or waits in the channel", recvFirst, req.decided)
 			}
@@ -164,11 +164,11 @@ func TestPairedReceiveTieIsArithmetic(t *testing.T) {
 			c := NewComm(eng, params, 2)
 			eng.Spawn("rank0", func(p *sim.Process) {
 				p.Charge(3)
-				c.Rank(0).Isend(p, 1, 1, nil, 8)
+				sendOnce(p, c.Rank(0), 1, 1, nil, 8)
 			})
 			eng.Spawn("rank1", func(p *sim.Process) {
 				r := c.Rank(1)
-				req := r.Irecv(p, 0, 1)
+				req := recvOnce(p, r, 0, 1)
 				p.Charge(5.25 - tc.cost - p.Now())
 				if p.Now()+tc.cost != req.doneAt || req.sentAt != 3.25 {
 					t.Fatalf("test would end at %v, arrival %v posted at %v: not a tie at 5.25 from 3.25",
@@ -212,7 +212,7 @@ func TestReceivePairedDuringTestSleep(t *testing.T) {
 			end := 3.25 + tc.cost
 			eng.Spawn("rank1", func(p *sim.Process) {
 				r := c.Rank(1)
-				req := r.Irecv(p, 0, 1)
+				req := recvOnce(p, r, 0, 1)
 				p.Charge(3)
 				if got := r.Test(p, req); got != tc.want {
 					t.Errorf("test from 3.25 = %v, want %v", got, tc.want)
@@ -227,7 +227,7 @@ func TestReceivePairedDuringTestSleep(t *testing.T) {
 			})
 			eng.Spawn("rank0", func(p *sim.Process) {
 				p.Sleep(end - 2.25)
-				c.Rank(0).Isend(p, 1, 1, nil, 8)
+				sendOnce(p, c.Rank(0), 1, 1, nil, 8)
 			})
 			eng.Run()
 		})
@@ -235,7 +235,7 @@ func TestReceivePairedDuringTestSleep(t *testing.T) {
 }
 
 // TestParkedReceiveWokenAtArrival: a rank parked on a receive whose send is
-// not posted yet is woken by the later Isend exactly at the arrival: the
+// not posted yet is woken by the later send exactly at the arrival: the
 // pairing schedules the receive's signal to fire there, and the fire wakes
 // the rank directly — two events, no delivery.
 func TestParkedReceiveWokenAtArrival(t *testing.T) {
@@ -243,7 +243,7 @@ func TestParkedReceiveWokenAtArrival(t *testing.T) {
 	c := NewComm(eng, exactParams(), 2)
 	eng.Spawn("rank1", func(p *sim.Process) {
 		r := c.Rank(1)
-		req := r.Irecv(p, 0, 1)
+		req := recvOnce(p, r, 0, 1)
 		p.Sync()
 		until := sim.Infinity
 		r.Watch(p, req, &until)
@@ -267,7 +267,7 @@ func TestParkedReceiveWokenAtArrival(t *testing.T) {
 	})
 	eng.Spawn("rank0", func(p *sim.Process) {
 		p.Sleep(1)
-		c.Rank(0).Isend(p, 1, 1, []float64{9}, 8)
+		sendOnce(p, c.Rank(0), 1, 1, []float64{9}, 8)
 	})
 	eng.Run()
 }
@@ -279,7 +279,7 @@ func TestUnpairedReceiveTestMeetsCalendar(t *testing.T) {
 	c := NewComm(eng, exactParams(), 2)
 	eng.Spawn("rank1", func(p *sim.Process) {
 		r := c.Rank(1)
-		req := r.Irecv(p, 0, 1)
+		req := recvOnce(p, r, 0, 1)
 		ev := eng.EventsExecuted()
 		if r.Test(p, req) {
 			t.Fatal("a receive with no send tested complete")
@@ -290,36 +290,47 @@ func TestUnpairedReceiveTestMeetsCalendar(t *testing.T) {
 	})
 	eng.Spawn("rank0", func(p *sim.Process) {
 		p.Sleep(1)
-		c.Rank(0).Isend(p, 1, 1, nil, 8)
+		sendOnce(p, c.Rank(0), 1, 1, nil, 8)
 	})
 	eng.Run()
 }
 
-// TestSameTagPairsInPostOrder: on one engine two equal-size sends with the
-// same (src, tag) pair with the receives in post order, each receive
-// knowing its message's arrival before either is delivered. The first
-// receive is posted before the sends (the first send pairs with it), the
-// second after (it claims the second send from the channel).
-func TestSameTagPairsInPostOrder(t *testing.T) {
+// TestRestartedReceiveTakesNextMessage: on one engine a stream's receive,
+// restarted once complete, takes the next message waiting in its channel.
+// Its first start precedes both sends: the first pairs with it, so it knows
+// the arrival before any delivery, and the second, from the send restarted
+// at once, waits in the channel until the restart claims it.
+func TestRestartedReceiveTakesNextMessage(t *testing.T) {
 	eng := sim.NewEngine()
 	c := NewComm(eng, exactParams(), 2)
 	eng.Spawn("rank1", func(p *sim.Process) {
 		r := c.Rank(1)
-		a := r.Irecv(p, 0, 5)
+		var req Request
+		r.RecvInit(&req, 0, 5)
+		r.Start(p, &req, 5, nil)
 		p.Sleep(0.5) // rank 0 posts both sends meanwhile
-		b := r.Irecv(p, 0, 5)
-		if a.doneAt != 2.25 || b.doneAt != 2.5 {
-			t.Errorf("paired arrivals %v, %v, want 2.25, 2.5", a.doneAt, b.doneAt)
+		if _, msgs := c.waiting(1); req.doneAt != 2.25 || msgs != 1 {
+			t.Errorf("paired arrival %v with %d messages waiting, want 2.25 and 1", req.doneAt, msgs)
 		}
-		await(p, r, a)
-		await(p, r, b)
-		if a.Payload()[0] != 1 || b.Payload()[0] != 2 {
-			t.Errorf("payloads %v, %v, want [1], [2]", a.Payload(), b.Payload())
+		await(p, r, &req)
+		if p.Now() != 2.25 || req.Payload()[0] != 1 {
+			t.Errorf("first message at %v with %v, want 2.25 and [1]", p.Now(), req.Payload())
+		}
+		r.Start(p, &req, 5, nil)
+		if !req.decided || req.doneAt != 2.5 {
+			t.Errorf("restart decided %v with arrival %v, want true and 2.5", req.decided, req.doneAt)
+		}
+		await(p, r, &req)
+		if p.Now() != 2.5 || req.Payload()[0] != 2 {
+			t.Errorf("second message at %v with %v, want 2.5 and [2]", p.Now(), req.Payload())
 		}
 	})
 	eng.Spawn("rank0", func(p *sim.Process) {
-		c.Rank(0).Isend(p, 1, 5, []float64{1}, 8)
-		c.Rank(0).Isend(p, 1, 5, []float64{2}, 8)
+		r := c.Rank(0)
+		var req Request
+		r.SendInit(&req, 1, 5, 8)
+		r.Start(p, &req, 5, []float64{1})
+		r.Start(p, &req, 5, []float64{2})
 	})
 	eng.Run()
 }
@@ -330,8 +341,8 @@ func TestSameTagPairsInPostOrder(t *testing.T) {
 // park, the final clocks and the stats.
 // A receive's doneAt is taken no earlier than its post: a message that
 // arrived before the post completes at the post when it was delivered
-// before the Irecv ran, at its arrival when the Irecv ran ahead of the
-// calendar (see Irecv); no Test can tell the two apart.
+// before the receive started, at its arrival when the start ran ahead of
+// the calendar (see startRecv); no Test can tell the two apart.
 type exchangeLog struct {
 	SendDone, RecvDone []sim.Time
 	Tests              [][]testObs
@@ -397,8 +408,10 @@ func tieParams() perf.Params {
 	return params
 }
 
-// newExchangeModel draws 1-8 ranks, messages with unique tags and random
-// sizes, and per rank a shuffled script of its posts, charges and tests.
+// newExchangeModel draws 1-8 ranks, messages of random sizes, each on its
+// own stream, and per rank a shuffled script of its posts, charges and
+// tests. A post makes the message's request and starts it once (sendOnce,
+// recvOnce).
 func newExchangeModel(rng *rand.Rand, shape exchangeShape) ([]exchangeMsg, [][]exchangeOp) {
 	n := 1 + rng.Intn(8)
 	msgs := make([]exchangeMsg, 1+rng.Intn(6*n))
@@ -479,11 +492,11 @@ func runExchange(params perf.Params, msgs []exchangeMsg, scripts [][]exchangeOp,
 				case opSend:
 					m := msgs[op.msg]
 					keys = append(keys, 2*op.msg)
-					reqs = append(reqs, rk.Isend(p, m.dst, op.msg, nil, m.bytes))
+					reqs = append(reqs, sendOnce(p, rk, m.dst, op.msg, nil, m.bytes))
 					posted = append(posted, p.Now())
 				case opRecv:
 					keys = append(keys, 2*op.msg+1)
-					reqs = append(reqs, rk.Irecv(p, msgs[op.msg].src, op.msg))
+					reqs = append(reqs, recvOnce(p, rk, msgs[op.msg].src, op.msg))
 					posted = append(posted, p.Now())
 				case opCharge:
 					rk.Charge(p, op.d)
@@ -579,12 +592,12 @@ func matchesReference(t *testing.T, seed int64, params perf.Params, msgs []excha
 }
 
 // TestPropertyPairAtPostMatchesDeliveryMatching: random exchanges — 1-8
-// ranks, interleaved posts with unique tags and random sizes, random
-// charges, Test polling — observe the same doneAt for every request, the
-// same Test results at the same clocks and the same final clocks whether
-// messages pair at post (one serial engine), are delivered by an event on
-// the engine's reference mode, or match on delivery (one rank per shard, so
-// every message between two ranks crosses engines).
+// ranks, interleaved posts of messages of random sizes, each on its own
+// stream, random charges, Test polling — observe the same doneAt for every
+// request, the same Test results at the same clocks and the same final
+// clocks whether messages pair at post (one serial engine), are delivered
+// by an event on the engine's reference mode, or match on delivery (one
+// rank per shard, so every message between two ranks crosses engines).
 func TestPropertyPairAtPostMatchesDeliveryMatching(t *testing.T) {
 	f := func(seed int64) bool {
 		msgs, scripts := newExchangeModel(rand.New(rand.NewSource(seed)), nsShape)
@@ -600,7 +613,7 @@ func TestPropertyPairAtPostMatchesDeliveryMatching(t *testing.T) {
 // rank meets the calendar, Watches every outstanding request and Parks —
 // wake at the same clocks and observe the same doneAt, Test answers and
 // final clocks whether a receive pairs at post and a parked rank is woken
-// by its deadline or by the fire the pairing Isend schedules (one serial
+// by its deadline or by the fire the pairing send schedules (one serial
 // engine), or every message is delivered by an event that fires the
 // receive's signal (the reference mode, and one rank per shard).
 func TestPropertyParkMatchesDeliveryMatching(t *testing.T) {
